@@ -49,10 +49,8 @@ from .rack import (
 from .spincover import (
     CliffordElement,
     GroupCocycleBit,
-    QuadScalar,
     SpinElement,
     bracket,
-    clifford_mul,
     conj_by_perm,
     generator_t,
     phi,

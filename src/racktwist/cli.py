@@ -197,8 +197,9 @@ def cmd_cover(args) -> int:
         raise UsageError(f"cover: need 4 <= n <= {N_CAP}, got {n}")
     presentation_ok = spincover.verify_presentation(n)
     lemma_ok = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
-    main_ok, _ = spincover.verify_main_theorem(n)
-    restriction = spincover.phi_psi_table(n).twist_table()
+    gc = spincover.phi_psi_table(n)
+    main_ok, _ = spincover.verify_main_theorem(n, gc)
+    restriction = gc.twist_table()
     cfg = RunConfig(subcommand="cover", n=n, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -230,7 +231,7 @@ def cmd_verify_twist(args) -> int:
     gc = spincover.phi_psi_table(n)
     restriction = gc.twist_table()
     cond = cocycle_mod.check_twist_condition(restriction)
-    main_ok, log = spincover.verify_main_theorem(n)
+    main_ok, log = spincover.verify_main_theorem(n, gc)
     chi = cocycle_mod.chi_cocycle(n)
     twisted = cocycle_mod.twist(chi, restriction)
     minus_one = cocycle_mod.minus_one_cocycle(chi.rack)

@@ -1,18 +1,19 @@
 """Exact model of the double cover T_n of the symmetric group.
 
 T_n is realized inside the Clifford algebra on generators e_1..e_n with
-e_i^2 = 1 and e_i e_j = -e_j e_i, over the exact coefficient ring of
-numbers a + b*sqrt(2) with rational a, b.  The lifted Coxeter generators
-are t_i = (e_i - e_{i+1})/sqrt(2) and the central involution z is the
-scalar -1, so group equality, products, and the sign cocycle of a section
-are all decided by exact arithmetic.
+e_i^2 = 1 and e_i e_j = -e_j e_i.  The lifted Coxeter generators are
+t_i = (e_i - e_{i+1})/sqrt(2), so every element built from them is an
+integer combination of basis monomials times a power of 1/sqrt(2); an
+element stores those integer coefficients and the one exponent.  The
+central involution z is the scalar -1.  Group equality, products, and the
+sign cocycle of a section are all decided by integer arithmetic, with no
+floating point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cocycle import TwistTable
 from .errors import SectionConsistencyError
@@ -23,64 +24,54 @@ from .rack import Permutation, transposition_pairs, transposition_rack
 DEFAULT_N_CAP = 12
 
 
-@dataclass(frozen=True)
-class QuadScalar:
-    """An element a + b*sqrt(2) of the real quadratic field Q(sqrt(2))."""
+def _below_parity_mask(t: int, n: int) -> int:
+    """Bit a is set iff the mask t has an odd number of generators below index a.
 
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> QuadScalar:
-        return QuadScalar(Fraction(a), Fraction(b))
-
-    def __add__(self, other: QuadScalar) -> QuadScalar:
-        return QuadScalar(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: QuadScalar) -> QuadScalar:
-        return QuadScalar(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> QuadScalar:
-        return QuadScalar(-self.a, -self.b)
-
-    def __mul__(self, other: QuadScalar) -> QuadScalar:
-        return QuadScalar(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-Q_ZERO = QuadScalar.of(0)
-Q_ONE = QuadScalar.of(1)
-Q_MINUS_ONE = QuadScalar.of(-1)
-Q_INV_SQRT2 = QuadScalar.of(0, Fraction(1, 2))  # 1/sqrt(2) = (1/2)*sqrt(2)
+    Ordering e_s e_t takes one swap per pair (a in s, b in t) with a > b, so
+    the sign of e_s e_t is the parity of popcount(s & _below_parity_mask(t, n)).
+    """
+    x = t << 1
+    shift = 1
+    while shift < n:
+        x ^= x << shift
+        shift <<= 1
+    return x
 
 
 class CliffordElement:
-    """A finite sum of basis monomials e_S, S a subset mask of {1..n}.
+    """The element 2^(-k/2) * sum_S c_S e_S, S a subset mask of {1..n}.
 
     Basis monomials are products of generators in increasing index order;
-    multiplication tracks the anticommutation sign and e_i^2 = 1.  Terms
-    with zero coefficient are never stored.
+    multiplication tracks the anticommutation sign and e_i^2 = 1.  The
+    coefficients c_S are integers and zero coefficients are never stored.
+    The form is canonical: while k >= 2 and every coefficient is even, the
+    coefficients are halved and k drops by 2 (zero has k = 0).  Since
+    sqrt(2) is irrational, two elements are equal exactly when their k and
+    their coefficients agree.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "k")
 
-    def __init__(self, n: int, terms: dict[int, QuadScalar]):
+    def __init__(self, n: int, terms: dict[int, int], k: int = 0):
+        if k < 0:
+            raise ValueError(f"exponent of 1/sqrt(2) must be >= 0, got {k}")
+        terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            k = 0
+        elif k >= 2:
+            common = 0
+            for c in terms.values():
+                common |= c
+            halvings = min((common & -common).bit_length() - 1, k >> 1)
+            if halvings:
+                terms = {m: c >> halvings for m, c in terms.items()}
+                k -= 2 * halvings
         self.n = n
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        self.terms = terms
+        self.k = k
 
     @staticmethod
-    def zero(n: int) -> CliffordElement:
-        return CliffordElement(n, {})
-
-    @staticmethod
-    def scalar(n: int, c) -> CliffordElement:
-        if not isinstance(c, QuadScalar):
-            c = QuadScalar.of(c)
+    def scalar(n: int, c: int) -> CliffordElement:
         return CliffordElement(n, {0: c})
 
     @staticmethod
@@ -91,74 +82,48 @@ class CliffordElement:
     def basis_vector(n: int, i: int) -> CliffordElement:
         if not 1 <= i <= n:
             raise ValueError(f"generator index {i} out of range 1..{n}")
-        return CliffordElement(n, {1 << (i - 1): Q_ONE})
-
-    def __add__(self, other: CliffordElement) -> CliffordElement:
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, Q_ZERO) + c
-            if s.is_zero():
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return CliffordElement(self.n, terms)
-
-    def __sub__(self, other: CliffordElement) -> CliffordElement:
-        return self + (-other)
+        return CliffordElement(n, {1 << (i - 1): 1})
 
     def __neg__(self) -> CliffordElement:
-        return CliffordElement(self.n, {m: -c for m, c in self.terms.items()})
+        return CliffordElement(self.n, {m: -c for m, c in self.terms.items()}, self.k)
 
-    def scale(self, c) -> CliffordElement:
-        if not isinstance(c, QuadScalar):
-            c = QuadScalar.of(c)
-        return CliffordElement(self.n, {m: co * c for m, co in self.terms.items()})
+    def scale(self, c: int) -> CliffordElement:
+        return CliffordElement(self.n, {m: co * c for m, co in self.terms.items()}, self.k)
 
     def __mul__(self, other: CliffordElement) -> CliffordElement:
         self._check(other)
-        acc: dict[int, QuadScalar] = {}
-        for s, cs in self.terms.items():
-            for t, ct in other.terms.items():
-                # sign from moving each generator of t past the larger generators of s
-                rem = t
-                swaps = 0
-                while rem:
-                    low = rem & -rem
-                    swaps += (s >> low.bit_length()).bit_count()
-                    rem ^= low
-                coeff = cs * ct
-                if swaps & 1:
-                    coeff = -coeff
+        acc: dict[int, int] = {}
+        get = acc.get
+        left = self.terms.items()
+        # the right factor is usually the short one (a generator or a bracket)
+        for t, ct in other.terms.items():
+            below = _below_parity_mask(t, self.n)
+            for s, cs in left:
                 m = s ^ t
-                cur = acc.get(m)
-                total = coeff if cur is None else cur + coeff
-                if total.is_zero():
-                    acc.pop(m, None)
+                if (s & below).bit_count() & 1:
+                    acc[m] = get(m, 0) - cs * ct
                 else:
-                    acc[m] = total
-        return CliffordElement(self.n, acc)
+                    acc[m] = get(m, 0) + cs * ct
+        return CliffordElement(self.n, acc, self.k + other.k)
 
     def reverse(self) -> CliffordElement:
         """The anti-automorphism reversing products of generators."""
         out = {}
         for m, c in self.terms.items():
-            k = m.bit_count()
-            out[m] = -c if (k * (k - 1) // 2) & 1 else c
-        return CliffordElement(self.n, out)
+            g = m.bit_count()
+            out[m] = -c if (g * (g - 1) // 2) & 1 else c
+        return CliffordElement(self.n, out, self.k)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CliffordElement)
             and self.n == other.n
+            and self.k == other.k
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return hash((self.n, self.k, frozenset(self.terms.items())))
 
     def parity(self) -> int | None:
         """0 or 1 if all masks share popcount parity, else None."""
@@ -174,15 +139,10 @@ class CliffordElement:
             return "0"
         bits = []
         for m in sorted(self.terms):
-            c = self.terms[m]
             mono = "".join(f"e{i + 1}" for i in range(self.n) if m >> i & 1) or "1"
-            bits.append(f"({c.a}+{c.b}r2)*{mono}")
-        return " + ".join(bits)
-
-
-def clifford_mul(u: CliffordElement, v: CliffordElement) -> CliffordElement:
-    """Exact product in the Clifford algebra (same as ``u * v``)."""
-    return u * v
+            bits.append(f"{self.terms[m]}*{mono}")
+        body = " + ".join(bits)
+        return body if self.k == 0 else f"2^(-{self.k}/2)*({body})"
 
 
 @dataclass(frozen=True)
@@ -238,10 +198,7 @@ class SpinElement:
         for i in range(1, n + 1):
             image = self.elem * CliffordElement.basis_vector(n, i) * inv
             target = 1 << (self.perm(i) - 1)
-            if set(image.terms) != {target}:
-                return False
-            c = image.terms[target]
-            if c != Q_ONE and c != Q_MINUS_ONE:
+            if image.k != 0 or set(image.terms) != {target} or abs(image.terms[target]) != 1:
                 return False
         return True
 
@@ -250,9 +207,7 @@ def generator_t(n: int, i: int) -> SpinElement:
     """The lifted Coxeter generator t_i = (e_i - e_{i+1})/sqrt(2) over s_i."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    elem = CliffordElement(
-        n, {1 << (i - 1): Q_INV_SQRT2, 1 << i: -Q_INV_SQRT2}
-    )
+    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1}, k=1)
     return SpinElement(elem, Permutation.adjacent(n, i))
 
 
@@ -260,7 +215,7 @@ def _unnormalized_generator(n: int, i: int) -> SpinElement:
     """Deliberately corrupted generator (e_i - e_{i+1}); t_i^2 = 2 fails. Test hook."""
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    elem = CliffordElement(n, {1 << (i - 1): Q_ONE, 1 << i: Q_MINUS_ONE})
+    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1})
     return SpinElement(elem, Permutation.adjacent(n, i))
 
 
@@ -295,19 +250,28 @@ def verify_presentation(n: int, generator=generator_t, n_cap: int = DEFAULT_N_CA
     return True
 
 
+_BRACKETS: dict[tuple[int, int, int], SpinElement] = {}
+
+
 def bracket(n: int, i: int, j: int) -> SpinElement:
-    """The distinguished lift [i j] of the transposition (i j).
+    """The distinguished lift [i j] of the transposition (i j), memoised on (n, i, j).
 
     [i, i+1] = t_i; for i+1 < j, [i j] = (t_i |> [i+1, j]) * z; and
     [j i] = [i j] * z for i < j.
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad bracket indices ({i}, {j}) for n={n}")
-    if i > j:
-        return bracket(n, j, i).times_z()
-    if j == i + 1:
-        return generator_t(n, i)
-    return generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
+    key = (n, i, j)
+    got = _BRACKETS.get(key)
+    if got is None:
+        if i > j:
+            got = bracket(n, j, i).times_z()
+        elif j == i + 1:
+            got = generator_t(n, i)
+        else:
+            got = generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
+        _BRACKETS[key] = got
+    return got
 
 
 def conj_by_perm(sigma: Permutation, t: SpinElement) -> SpinElement:
@@ -404,16 +368,26 @@ class SectionCache:
         )
 
 
+_SECTION_CACHES: dict[int, SectionCache] = {}
+
+
+def _shared_section_cache(n: int) -> SectionCache:
+    cache = _SECTION_CACHES.get(n)
+    if cache is None:
+        cache = _SECTION_CACHES[n] = SectionCache(n)
+    return cache
+
+
 def section_s(sigma: Permutation) -> SpinElement:
     """The section value s(sigma); see SectionCache for the defining choices."""
-    return SectionCache(sigma.n).section(sigma)
+    return _shared_section_cache(sigma.n).section(sigma)
 
 
 def phi(x: Permutation, y: Permutation) -> int:
     """The sign bit of the section cocycle: s(x)s(y) = z^phi(x,y) s(xy)."""
     if x.n != y.n:
         raise ValueError("size mismatch")
-    return SectionCache(x.n).phi_bit(x, y)
+    return _shared_section_cache(x.n).phi_bit(x, y)
 
 
 class GroupCocycleBit:
@@ -486,18 +460,22 @@ def verify_group_cocycle(gc: GroupCocycleBit, n_cap: int = 5) -> bool:
     return bool(np.all((lhs - rhs) % 2 == 0))
 
 
-def verify_main_theorem(n: int) -> tuple[bool, list[dict]]:
+def verify_main_theorem(n: int, gc: GroupCocycleBit | None = None) -> tuple[bool, list[dict]]:
     """Check the twist identity pairwise on all ordered pairs of transpositions.
 
     For each pair (sigma, tau): (-1)^phi(sigma,tau) * (-1)^-phi(sigma|>tau,sigma)
     * chi(sigma,tau) must equal -1 exactly.  Returns overall verdict plus a
-    per-pair log in deterministic order.
+    per-pair log in deterministic order.  Passing an existing ``gc`` reuses
+    the phi bits it has already computed.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     from .cocycle import chi_cocycle
 
-    gc = GroupCocycleBit(n)
+    if gc is None:
+        gc = GroupCocycleBit(n)
+    elif gc.n != n:
+        raise ValueError(f"cocycle is for n={gc.n}, not n={n}")
     chi = chi_cocycle(n)
     pairs = transposition_pairs(n)
     perms = [Permutation.transposition(n, i, j) for i, j in pairs]

@@ -2,11 +2,13 @@
 
 Everything here recomputes results from first principles, sharing only type
 definitions with the package: dense rational elimination for ranks, dense
-matrix products for braid lifts, and an alternative reduced-word generator.
+matrix products for braid lifts, an alternative reduced-word generator, and
+a Clifford algebra over the field Q(sqrt(2)) with rational coefficients.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -94,3 +96,80 @@ def brute_force_symmetrizer(q, degree: int) -> np.ndarray:
             lift = lift @ gens[i]
         total += lift
     return total
+
+
+@dataclass(frozen=True)
+class QuadScalar:
+    """An element a + b*sqrt(2) of the real quadratic field Q(sqrt(2))."""
+
+    a: Fraction
+    b: Fraction
+
+    @staticmethod
+    def of(a, b=0) -> QuadScalar:
+        return QuadScalar(Fraction(a), Fraction(b))
+
+    def __add__(self, other: QuadScalar) -> QuadScalar:
+        return QuadScalar(self.a + other.a, self.b + other.b)
+
+    def __neg__(self) -> QuadScalar:
+        return QuadScalar(-self.a, -self.b)
+
+    def __mul__(self, other: QuadScalar) -> QuadScalar:
+        return QuadScalar(
+            self.a * other.a + 2 * self.b * other.b,
+            self.a * other.b + self.b * other.a,
+        )
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+
+INV_SQRT2 = QuadScalar.of(0, Fraction(1, 2))  # 1/sqrt(2) = (1/2)*sqrt(2)
+
+
+def inv_sqrt2_power(k: int) -> QuadScalar:
+    """(1/sqrt(2))^k as an element of Q(sqrt(2))."""
+    if k % 2 == 0:
+        return QuadScalar.of(Fraction(1, 2 ** (k // 2)))
+    return QuadScalar.of(0, Fraction(1, 2 ** ((k + 1) // 2)))
+
+
+def quad_element(terms: dict[int, int], k: int) -> dict[int, QuadScalar]:
+    """The element 2^(-k/2) * sum c_S e_S as a mask -> Q(sqrt(2)) coefficient dict."""
+    scale = inv_sqrt2_power(k)
+    return {m: QuadScalar.of(c) * scale for m, c in terms.items() if c}
+
+
+def _monomial_product(s: int, t: int) -> tuple[int, int]:
+    """e_s e_t = sign * e_m: bubble-sort the concatenated generator word."""
+    word = [i for i in range(s.bit_length()) if s >> i & 1]
+    word += [i for i in range(t.bit_length()) if t >> i & 1]
+    sign = 1
+    for end in range(len(word) - 1, 0, -1):
+        for j in range(end):
+            if word[j] > word[j + 1]:
+                word[j], word[j + 1] = word[j + 1], word[j]
+                sign = -sign
+    mask = 0
+    for i in word:
+        mask ^= 1 << i  # sorted, so a repeated e_i e_i = 1 cancels in place
+    return sign, mask
+
+
+def quad_clifford_product(
+    u: dict[int, QuadScalar], v: dict[int, QuadScalar]
+) -> dict[int, QuadScalar]:
+    """Product in the Clifford algebra with e_i^2 = 1 and e_i e_j = -e_j e_i."""
+    acc: dict[int, QuadScalar] = {}
+    for s, cs in u.items():
+        for t, ct in v.items():
+            sign, m = _monomial_product(s, t)
+            c = cs * ct
+            acc[m] = acc.get(m, QuadScalar.of(0)) + (c if sign > 0 else -c)
+    return {m: c for m, c in acc.items() if not c.is_zero()}
+
+
+def quad_generator(i: int) -> dict[int, QuadScalar]:
+    """The lifted Coxeter generator t_i = (e_i - e_{i+1})/sqrt(2)."""
+    return {1 << (i - 1): INV_SQRT2, 1 << i: -INV_SQRT2}

@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import QuadScalar, quad_clifford_product, quad_element, quad_generator
 from racktwist.cocycle import check_twist_condition, chi_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import Permutation, transposition_pairs
 from racktwist.spincover import (
     CliffordElement,
     GroupCocycleBit,
-    QuadScalar,
     SectionCache,
     SpinElement,
     _unnormalized_generator,
     bracket,
-    clifford_mul,
     conj_by_perm,
     generator_t,
     phi,
@@ -32,17 +31,17 @@ def e(n, i):
 
 
 def random_element(rng, n, nterms=4):
-    terms = {}
-    for _ in range(nterms):
-        mask = rng.randrange(1 << n)
-        terms[mask] = QuadScalar.of(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-        )
-    return CliffordElement(n, terms)
+    terms = {rng.randrange(1 << n): rng.randint(-6, 6) for _ in range(nterms)}
+    return CliffordElement(n, terms, k=rng.randint(0, 5))
+
+
+def as_quad(elem):
+    return quad_element(elem.terms, elem.k)
 
 
 class TestQuadScalar:
+    """The Q(sqrt(2)) field of the independent oracle model."""
+
     def test_product_formula(self):
         u = QuadScalar.of(Fraction(1, 2), 3)
         v = QuadScalar.of(2, Fraction(-1, 3))
@@ -58,7 +57,7 @@ class TestQuadScalar:
 class TestCliffordArithmetic:
     def test_adjacent_product(self):
         n = 3
-        assert clifford_mul(e(n, 1) * e(n, 2), e(n, 2) * e(n, 3)) == e(n, 1) * e(n, 3)
+        assert (e(n, 1) * e(n, 2)) * (e(n, 2) * e(n, 3)) == e(n, 1) * e(n, 3)
 
     def test_anticommutation(self):
         n = 2
@@ -85,6 +84,88 @@ class TestCliffordArithmetic:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             e(2, 1) * e(3, 1)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generator_squares_to_one_with_k_zero(self, n):
+        for i in range(1, n):
+            t = generator_t(n, i).elem
+            assert t.k == 1
+            sq = t * t
+            assert sq == CliffordElement.one(n)
+            assert (sq.k, sq.terms) == (0, {0: 1})
+
+    def test_z_squares_to_one(self):
+        z = SpinElement.z(5)
+        assert z.elem.terms == {0: -1}
+        assert z * z == SpinElement.one(5)
+
+    def test_equal_values_with_different_k(self):
+        n = 3
+        plain = CliffordElement(n, {1: 1, 2: -1})
+        doubled = CliffordElement(n, {1: 2, 2: -2}, k=2)
+        assert doubled == plain and hash(doubled) == hash(plain)
+        assert (doubled.k, doubled.terms) == (0, {1: 1, 2: -1})
+        # 4 * 2^(-5/2) = 1/sqrt(2), stored with k = 1
+        assert CliffordElement(n, {1: 4, 2: -4}, k=5) == generator_t(n, 1).elem
+
+    def test_halving_stops_at_k_below_two(self):
+        # 2/sqrt(2) = sqrt(2) keeps its even coefficient, as k cannot go negative
+        root2 = CliffordElement(2, {0: 2}, k=1)
+        assert (root2.k, root2.terms) == (1, {0: 2})
+        assert CliffordElement(2, {0: 4}, k=3) == root2
+        assert root2 * root2 == CliffordElement.scalar(2, 2)
+
+    def test_halving_stops_at_odd_coefficient(self):
+        elem = CliffordElement(3, {1: 4, 4: 6}, k=6)
+        assert (elem.k, elem.terms) == (4, {1: 2, 4: 3})
+
+    def test_different_parity_of_k_never_equal(self):
+        assert CliffordElement(2, {0: 1}, k=1) != CliffordElement.one(2)
+        assert CliffordElement(2, {0: 2}, k=1) != CliffordElement.scalar(2, 1)
+
+    def test_zero_has_k_zero(self):
+        zero = CliffordElement(3, {1: 0, 2: 0}, k=5)
+        assert (zero.k, zero.terms) == (0, {})
+        assert zero == CliffordElement(3, {})
+        assert (generator_t(3, 1).elem.scale(0)).k == 0
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValueError):
+            CliffordElement(2, {0: 1}, k=-1)
+
+
+class TestAgainstQuadOracle:
+    """Compare the integer model with the independent Fraction model of Q(sqrt(2))."""
+
+    def test_random_generator_words(self):
+        rng = random.Random(8)
+        for _ in range(60):
+            n = rng.randint(2, 6)
+            elem = CliffordElement.one(n)
+            quad = {0: QuadScalar.of(1)}
+            for _ in range(rng.randint(0, 12)):
+                i = rng.randint(1, n - 1)
+                elem = elem * generator_t(n, i).elem
+                quad = quad_clifford_product(quad, quad_generator(i))
+            assert as_quad(elem) == quad
+
+    def test_random_integer_elements(self):
+        rng = random.Random(9)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            u = random_element(rng, n, nterms=rng.randint(0, 6))
+            v = random_element(rng, n, nterms=rng.randint(0, 6))
+            assert as_quad(u * v) == quad_clifford_product(as_quad(u), as_quad(v))
+
+    def test_canonical_form_keeps_value(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            n = rng.randint(1, 6)
+            terms = {rng.randrange(1 << n): 2 * rng.randint(-4, 4) for _ in range(3)}
+            k = rng.randint(0, 6)
+            assert as_quad(CliffordElement(n, terms, k)) == quad_element(terms, k)
 
 
 class TestGenerators:
@@ -140,13 +221,10 @@ class TestBracket:
     def test_brackets_are_scaled_vector_differences(self):
         # every [i j] with i<j works out to (e_i - e_j)/sqrt(2)
         n = 5
-        half_r2 = QuadScalar.of(0, Fraction(1, 2))
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 br = bracket(n, i, j)
-                expected = CliffordElement(
-                    n, {1 << (i - 1): half_r2, 1 << (j - 1): -half_r2}
-                )
+                expected = CliffordElement(n, {1 << (i - 1): 1, 1 << (j - 1): -1}, k=1)
                 assert br.elem == expected
 
     def test_group_invariants(self):
@@ -158,6 +236,9 @@ class TestBracket:
     def test_rejects_equal_indices(self):
         with pytest.raises(ValueError):
             bracket(4, 2, 2)
+
+    def test_memoised(self):
+        assert bracket(6, 5, 2) is bracket(6, 5, 2)
 
 
 class TestConjugation:
@@ -229,6 +310,11 @@ class TestSpinElementInvariants:
 class TestSection:
     def test_identity(self):
         assert section_s(Permutation.identity(4)) == SpinElement.one(4)
+
+    def test_module_functions_share_one_cache(self):
+        sigma = Permutation((2, 3, 1, 5, 4))
+        assert section_s(sigma) is section_s(Permutation(sigma.image))
+        assert phi(sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
 
     def test_transposition_values(self):
         assert section_s(Permutation.transposition(4, 1, 2)) == generator_t(4, 1)
@@ -326,6 +412,17 @@ class TestMainTheorem:
     def test_needs_four(self):
         with pytest.raises(ValueError):
             verify_main_theorem(3)
+
+    def test_reuses_given_cocycle_bits(self):
+        gc = phi_psi_table(5)
+        gc.twist_table()
+        computed = len(gc._memo)
+        assert verify_main_theorem(5, gc) == verify_main_theorem(5)
+        assert len(gc._memo) == computed
+
+    def test_rejects_cocycle_of_other_n(self):
+        with pytest.raises(ValueError):
+            verify_main_theorem(5, phi_psi_table(4))
 
 
 class TestPhiPsiScalars:
