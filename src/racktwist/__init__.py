@@ -29,9 +29,7 @@ from .braided import (
     BraidWord,
     MonomialOperator,
     SymmetrizerMatrix,
-    braiding_c,
     check_braid_equation,
-    matsumoto_word,
     rho,
     symmetrizer,
 )

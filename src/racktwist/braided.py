@@ -4,7 +4,8 @@ The braiding c(x (x) y) = q_{x,y} (x|>y) (x) x is a monomial operator: it
 permutes basis vectors of X^(x)n and multiplies by unit scalars.  All braid
 group images are therefore stored as (target permutation, exponent vector)
 pairs, and the degree-n symmetrizer is assembled as an exact sparse matrix
-with coefficients in Z[zeta_m].
+with coefficients in Z[zeta_m], degree by degree from the factorisation
+S_n = (S_{n-1} (x) id) . T_n.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import scipy.sparse as sp
 
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
-from .rack import Permutation
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -61,18 +61,6 @@ class MonomialOperator:
             and np.array_equal(self.expo % self.order, other.expo % other.order)
         )
 
-    def is_bijective(self) -> bool:
-        return len(np.unique(self.target)) == self.dim
-
-    def to_dense(self) -> np.ndarray:
-        """Dense integer matrix; requires order <= 2 (entries +/-1 and 0)."""
-        if self.order > 2:
-            raise ValueError("dense integer form only for order <= 2")
-        mat = np.zeros((self.dim, self.dim), dtype=np.int64)
-        vals = np.where(self.expo % self.order == 0, 1, -1)
-        mat[self.target, np.arange(self.dim)] = vals
-        return mat
-
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -85,16 +73,6 @@ class BraidWord:
         for i in self.letters:
             if not 1 <= i <= self.n - 1:
                 raise ValueError(f"letter {i} out of range 1..{self.n - 1}")
-
-
-def braiding_c(q: RackCocycle) -> MonomialOperator:
-    """The degree-2 braiding on K^2 basis pairs: (x, y) -> (x|>y, x) with exponent exp[x][y]."""
-    k = q.rack.size
-    op = np.array(q.rack.op, dtype=np.int64)
-    ex = np.array(q.exp, dtype=np.int64)
-    v = np.arange(k * k, dtype=np.int64)
-    x, y = v // k, v % k
-    return MonomialOperator(k * k, q.order, op[x, y] * k + x, ex[x, y])
 
 
 def _strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -132,11 +110,6 @@ def rho(word: BraidWord, q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM
     return out
 
 
-def matsumoto_word(sigma: Permutation) -> BraidWord:
-    """The positive braid word lifting sigma along its lexicographically smallest reduced word."""
-    return BraidWord(sigma.n, sigma.lex_reduced_word())
-
-
 def check_braid_equation(q: RackCocycle) -> bool:
     """Verify (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on X^(x)3."""
     a = rho(BraidWord(3, (1,)), q, 3)
@@ -157,9 +130,6 @@ class SymmetrizerMatrix:
     order: int
     degree: int
     counts: list = field(default_factory=list)  # list of csr_matrix, length = order
-
-    def nnz_support(self) -> int:
-        return int(sum((abs(c) > 0).sum() for c in self.counts))
 
     def support(self) -> sp.csr_matrix:
         """Pattern union over all exponent classes (entries may still cancel)."""
@@ -192,119 +162,53 @@ class SymmetrizerMatrix:
         acc.eliminate_zeros()
         return acc
 
-    def to_dense_counts(self) -> np.ndarray:
-        """Dense (order, dim, dim) count tensor, for small-scale tests."""
-        return np.stack([c.toarray() for c in self.counts])
-
-
-def _plain_changes(n: int):
-    """Steinhaus-Johnson-Trotter: yield (swap position j, length_increased) per step.
-
-    Each step swaps one-line positions (j, j+1), i.e. right-multiplies the
-    current permutation by the adjacent transposition s_{j+1}; the flag says
-    whether the Coxeter length rose by one.
-    """
-    perm = list(range(n))
-    dirs = [-1] * n
-    while True:
-        mobile, mpos = -1, -1
-        for pos, v in enumerate(perm):
-            npos = pos + dirs[v]
-            if 0 <= npos < n and perm[npos] < v and v > mobile:
-                mobile, mpos = v, pos
-        if mobile < 0:
-            return
-        d = dirs[mobile]
-        j = min(mpos, mpos + d)
-        # the mobile value is the larger of the swapped pair, so moving it left
-        # creates an inversion and moving it right removes one
-        increased = d == -1
-        perm[mpos], perm[mpos + d] = perm[mpos + d], perm[mpos]
-        for v in range(mobile + 1, n):
-            dirs[v] = -dirs[v]
-        yield j, increased
-
-
-_FLUSH_ENTRIES = 2_000_000
-
 
 def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
-    Permutations are enumerated in Steinhaus-Johnson-Trotter order; each step
-    updates the current operator by one strand-local braiding (or its
-    inverse, when the Coxeter length drops), so assembly costs one generator
-    application per permutation.
+    Every sigma in S_d factors uniquely as sigma' * s_{d-1} ... s_j with
+    sigma' in S_{d-1}, 1 <= j <= d, and the lengths adding, so
+    S_d = (S_{d-1} (x) id) . T_d with T_d = sum_j c_{d-1} ... c_j, a sum of
+    d monomial operators.  The factor order matters: T_d built from
+    c_j ... c_{d-1} sums lifts of words whose lengths do not add and gives
+    wrong matrices (for -1 on x3, ranks 12, 29, 87 in degrees 3..5 instead
+    of 3, 1, 0).
     """
     k = q.rack.size
     m = q.order
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if degree == 0:
-        counts = [
-            sp.csr_matrix(np.array([[1]]), dtype=np.int64) if e == 0 else sp.csr_matrix((1, 1), dtype=np.int64)
-            for e in range(m)
-        ]
-        return SymmetrizerMatrix(dim=1, order=m, degree=0, counts=counts)
     dim = k**degree
     if dim > dim_cap:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
-    if degree == 1:
-        counts = [
-            sp.identity(dim, dtype=np.int64, format="csr") if e == 0 else sp.csr_matrix((dim, dim), dtype=np.int64)
-            for e in range(m)
+
+    eye_k = sp.identity(k, dtype=np.int64, format="csr")
+    counts = [sp.identity(1, dtype=np.int64, format="csr")]
+    counts += [sp.csr_matrix((1, 1), dtype=np.int64) for _ in range(m - 1)]
+    for d in range(1, degree + 1):
+        n = k**d
+        # the prefix products id, c_{d-1}, c_{d-1}c_{d-2}, ..., c_{d-1}...c_1
+        target = np.arange(n, dtype=np.int64)
+        expo = np.zeros(n, dtype=np.int64)
+        rows, expos = [target], [expo]
+        for tgt, ex in reversed(_strand_tables(q, d)):
+            target, expo = target[tgt], (ex + expo[tgt]) % m
+            rows.append(target)
+            expos.append(expo)
+        rows, expos = np.concatenate(rows), np.concatenate(expos)
+        cols = np.tile(np.arange(n, dtype=np.int64), d)
+        t_d = [
+            sp.csr_matrix((np.ones(int(mask.sum()), dtype=np.int64), (rows[mask], cols[mask])), shape=(n, n))
+            for mask in (expos == e for e in range(m))
         ]
-        return SymmetrizerMatrix(dim=dim, order=m, degree=1, counts=counts)
-
-    tables = _strand_tables(q, degree)
-    inv_tables = []
-    for tgt, ex in tables:
-        inv = np.empty(dim, dtype=np.int64)
-        inv[tgt] = np.arange(dim, dtype=np.int64)
-        inv_tables.append((inv, (-ex[inv]) % m))
-
-    acc = [sp.csr_matrix((dim, dim), dtype=np.int64) for _ in range(m)]
-    rows_chunk: list[np.ndarray] = []
-    expo_chunk: list[np.ndarray] = []
-    pending = 0
-    cols1 = np.arange(dim, dtype=np.int64)
-
-    def flush():
-        nonlocal pending, rows_chunk, expo_chunk
-        if not rows_chunk:
-            return
-        rows = np.concatenate(rows_chunk)
-        expos = np.concatenate(expo_chunk)
-        cols = np.tile(cols1, len(rows_chunk))
-        for e in range(m):
-            mask = expos == e
-            if not mask.any():
-                continue
-            mat = sp.coo_matrix(
-                (np.ones(int(mask.sum()), dtype=np.int64), (rows[mask], cols[mask])),
-                shape=(dim, dim),
-            )
-            acc[e] = (acc[e] + mat.tocsr()).tocsr()
-        rows_chunk, expo_chunk, pending = [], [], 0
-
-    target = np.arange(dim, dtype=np.int64)
-    expo = np.zeros(dim, dtype=np.int64)
-    rows_chunk.append(target.copy())
-    expo_chunk.append(expo.copy())
-    pending += dim
-
-    for j, increased in _plain_changes(degree):
-        tgt, ex = tables[j] if increased else inv_tables[j]
-        target, expo = target[tgt], (ex + expo[tgt]) % m
-        rows_chunk.append(target)
-        expo_chunk.append(expo)
-        pending += dim
-        if pending >= _FLUSH_ENTRIES:
-            flush()
-    flush()
-    for e in range(m):
-        acc[e].eliminate_zeros()
-    return SymmetrizerMatrix(dim=dim, order=m, degree=degree, counts=acc)
+        lifted = [sp.kron(c, eye_k, format="csr") for c in counts]
+        counts = [sp.csr_matrix((n, n), dtype=np.int64) for _ in range(m)]
+        for e1 in range(m):
+            for e2 in range(m):
+                if lifted[e1].nnz and t_d[e2].nnz:
+                    e = (e1 + e2) % m
+                    counts[e] = counts[e] + lifted[e1] @ t_d[e2]
+    return SymmetrizerMatrix(dim=dim, order=m, degree=degree, counts=counts)
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:

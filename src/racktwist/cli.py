@@ -54,7 +54,6 @@ class RunConfig:
     mode: str | None = None
     seed: int | None = None
     dim_cap: int | None = None
-    workers: int | None = None
 
 
 def _dim_cap(args) -> int:
@@ -71,15 +70,6 @@ def _dim_cap(args) -> int:
     if cap < 1:
         raise UsageError(f"dimension cap must be positive, got {cap}")
     return cap
-
-
-def _workers(args) -> int:
-    w = getattr(args, "workers", None)
-    if w is None:
-        w = os.cpu_count() or 1
-    if w < 1:
-        raise UsageError(f"worker count must be >= 1, got {w}")
-    return w
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -392,7 +382,6 @@ def cmd_hilbert(args) -> int:
         mode=args.mode,
         seed=args.seed,
         dim_cap=cap,
-        workers=_workers(args),
     )
     ok = True
     if report_obj.closed_form_verdicts is not None:
@@ -460,7 +449,9 @@ def cmd_selfcheck(args) -> int:
             rng.shuffle(img)
             sigma = rack_mod.Permutation(tuple(img))
             lex = sigma.lex_reduced_word()
-            alt = _greedy_largest_descent_word(sigma)
+            # conjugation by w0 maps s_i to s_{n-i}, so this is another reduced word of sigma
+            w0 = rack_mod.Permutation(tuple(range(n, 0, -1)))
+            alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
             if len(alt) != len(lex):
                 return False
             op_a = braided.rho(braided.BraidWord(n, lex), base, n)
@@ -472,7 +463,7 @@ def cmd_selfcheck(args) -> int:
     run("matsumoto word-independence", matsumoto_independence)
 
     ok = all(c["ok"] for c in checks)
-    cfg = RunConfig(subcommand="selfcheck", n=n_max, seed=args.seed, workers=_workers(args))
+    cfg = RunConfig(subcommand="selfcheck", n=n_max, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "selfcheck",
@@ -489,20 +480,6 @@ def cmd_selfcheck(args) -> int:
         print(f"  first failing check: {first['name']}")
         return EXIT_CHECK_FAILED
     return EXIT_OK
-
-
-def _greedy_largest_descent_word(sigma) -> tuple[int, ...]:
-    """An alternative reduced word, by always taking the largest left descent."""
-    word = []
-    cur = sigma
-    while True:
-        ds = cur.left_descents()
-        if not ds:
-            break
-        i = ds[-1]
-        word.append(i)
-        cur = rack_mod.Permutation.adjacent(cur.n, i) * cur
-    return tuple(word)
 
 
 # ---------------------------------------------------------------- parser
@@ -549,7 +526,6 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exact", "modular"), default="modular")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim-cap", type=int, help="override the basis-dimension cap")
-    p.add_argument("--workers", type=int, help="worker count (recorded; results never depend on it)")
     p.add_argument("--closed-form", help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")
     p.add_argument("--dump-matrices", metavar="DIR", help="export symmetrizer matrices as sparse text")
     p.add_argument("--out", help="write the report JSON here")
@@ -559,7 +535,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, help="worker count (recorded; results never depend on it)")
     p.add_argument("--inject-fault", choices=("generator",), help=argparse.SUPPRESS)
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=cmd_selfcheck)

@@ -20,7 +20,6 @@ class RackCocycle:
     rack: FiniteRack
     order: int
     exp: tuple[tuple[int, ...], ...]
-    verified: bool = False
 
     def __post_init__(self):
         k = self.rack.size
@@ -83,7 +82,7 @@ def constant_cocycle(r: FiniteRack, m: int, e: int) -> RackCocycle:
         raise ValueError(f"need m >= 1 and 0 <= e < m, got m={m}, e={e}")
     k = r.size
     row = (e,) * k
-    return RackCocycle(rack=r, order=m, exp=(row,) * k, verified=True)
+    return RackCocycle(rack=r, order=m, exp=(row,) * k)
 
 
 def minus_one_cocycle(r: FiniteRack) -> RackCocycle:
@@ -112,7 +111,7 @@ def chi_cocycle(n: int) -> RackCocycle:
     report = check_cocycle(q)
     if not report.ok:
         raise AssertionError(f"chi table failed the cocycle condition at {report.witness}")
-    return RackCocycle(rack=r, order=2, exp=q.exp, verified=True)
+    return q
 
 
 def check_cocycle(q: RackCocycle) -> CocycleReport:
@@ -142,7 +141,7 @@ def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
         tuple((q.exp[x][y] + gamma.g[y] - gamma.g[op[x][y]]) % m for y in range(k))
         for x in range(k)
     )
-    return RackCocycle(rack=q.rack, order=m, exp=exp, verified=q.verified)
+    return RackCocycle(rack=q.rack, order=m, exp=exp)
 
 
 def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
@@ -204,7 +203,7 @@ def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
         tuple((phi.phi[x][y] - phi.phi[op[x][y]][x] + q.exp[x][y]) % m for y in range(k))
         for x in range(k)
     )
-    return RackCocycle(rack=q.rack, order=m, exp=exp, verified=False)
+    return RackCocycle(rack=q.rack, order=m, exp=exp)
 
 
 def check_twist_condition(phi: TwistTable) -> CocycleReport:
@@ -231,7 +230,7 @@ def lift_to_order(q: RackCocycle, new_order: int) -> RackCocycle:
         raise ValueError(f"{q.order} does not divide {new_order}")
     scale = new_order // q.order
     exp = tuple(tuple(e * scale for e in row) for row in q.exp)
-    return RackCocycle(rack=q.rack, order=new_order, exp=exp, verified=q.verified)
+    return RackCocycle(rack=q.rack, order=new_order, exp=exp)
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

@@ -397,11 +397,6 @@ class HilbertReport:
             d["closed_form_verdicts"] = list(self.closed_form_verdicts)
         return d
 
-    def validate(self) -> None:
-        for deg, rk in zip(self.degrees, self.ranks):
-            if deg == 0 and rk != 1:
-                raise AssertionError("rank at degree 0 must be 1")
-
 
 def graded_dims(
     q: RackCocycle,

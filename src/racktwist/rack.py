@@ -153,15 +153,6 @@ class FiniteRack:
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 
-    def inverse_act(self) -> tuple[tuple[int, ...], ...]:
-        """Table of inverse left translations: result[x][u] = y with x |> y = u."""
-        k = self.size
-        inv = [[0] * k for _ in range(k)]
-        for x in range(k):
-            for y in range(k):
-                inv[x][self.op[x][y]] = y
-        return tuple(tuple(row) for row in inv)
-
 
 @dataclass(frozen=True)
 class RackAxiomReport:

@@ -53,9 +53,8 @@ def largest_descent_word(sigma: Permutation) -> tuple[int, ...]:
     return tuple(word)
 
 
-def dense_strand_matrix(q, degree: int, letter: int) -> np.ndarray:
-    """Dense signed permutation matrix of the strand-local braiding (order <= 2 only)."""
-    assert q.order <= 2
+def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:
+    """Dense monomial matrix of the strand-local braiding, entry value(exponent)."""
     k = q.rack.size
     dim = k**degree
     mat = np.zeros((dim, dim), dtype=np.int64)
@@ -71,9 +70,30 @@ def dense_strand_matrix(q, degree: int, letter: int) -> np.ndarray:
         w = 0
         for d in digits:
             w = w * k + d
-        sign = -1 if (q.order == 2 and q.exp[x][y] % 2) else 1
-        mat[w, v] = sign
+        mat[w, v] = value(q.exp[x][y])
     return mat
+
+
+def dense_strand_matrix(q, degree: int, letter: int) -> np.ndarray:
+    """Dense signed permutation matrix of the strand-local braiding (order <= 2 only)."""
+    assert q.order <= 2
+    return _dense_strand(q, degree, letter, lambda e: (-1) ** e)
+
+
+def _dense_lift_sum(gens: dict, degree: int, dim: int, p: int | None = None) -> np.ndarray:
+    """Sum over S_degree of the products of gens along largest_descent_word, mod p if given."""
+    import itertools
+
+    total = np.zeros((dim, dim), dtype=np.int64)
+    for img in itertools.permutations(range(1, degree + 1)):
+        sigma = Permutation(tuple(img))
+        lift = np.eye(dim, dtype=np.int64)
+        for i in largest_descent_word(sigma):
+            lift = lift @ gens[i]
+            if p is not None:
+                lift %= p
+        total += lift
+    return total if p is None else total % p
 
 
 def brute_force_symmetrizer(q, degree: int) -> np.ndarray:
@@ -83,19 +103,25 @@ def brute_force_symmetrizer(q, degree: int) -> np.ndarray:
     dense matrix products, so no prefix reuse or monomial bookkeeping from
     the package is involved.
     """
-    import itertools
-
-    k = q.rack.size
-    dim = k**degree
     gens = {i: dense_strand_matrix(q, degree, i) for i in range(1, degree)}
-    total = np.zeros((dim, dim), dtype=np.int64)
-    for img in itertools.permutations(range(1, degree + 1)):
-        sigma = Permutation(tuple(img))
-        lift = np.eye(dim, dtype=np.int64)
-        for i in largest_descent_word(sigma):
-            lift = lift @ gens[i]
-        total += lift
-    return total
+    return _dense_lift_sum(gens, degree, q.rack.size**degree)
+
+
+def brute_force_symmetrizer_modp(q, degree: int, p: int, g: int) -> np.ndarray:
+    """The dense symmetrizer of a cocycle of any order mod p, with zeta mapped to g.
+
+    Built like brute_force_symmetrizer, with entries g^e mod p.  Requiring
+    p < 2^28 and dim <= 81 keeps every int64 matrix product exact.
+    """
+    dim = q.rack.size**degree
+    assert p < 2**28 and dim <= 81 and pow(g, q.order, p) == 1
+    gens = {i: _dense_strand(q, degree, i, lambda e: pow(g, e, p)) for i in range(1, degree)}
+    return _dense_lift_sum(gens, degree, dim, p)
+
+
+def dense_counts(sym) -> np.ndarray:
+    """Dense (order, dim, dim) count tensor of a SymmetrizerMatrix."""
+    return np.stack([c.toarray() for c in sym.counts])
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from oracles import brute_force_symmetrizer, largest_descent_word
+from oracles import (
+    brute_force_symmetrizer,
+    brute_force_symmetrizer_modp,
+    dense_counts,
+    dense_strand_matrix,
+    largest_descent_word,
+)
 from racktwist.braided import (
     BraidWord,
     MonomialOperator,
-    braiding_c,
     check_braid_equation,
     export_symmetrizer,
-    matsumoto_word,
     rho,
     symmetrizer,
 )
@@ -23,6 +27,16 @@ X3 = transposition_rack(3)
 X4 = transposition_rack(4)
 M1_X3 = minus_one_cocycle(X3)
 CHI4 = chi_cocycle(4)
+
+
+def braiding(q):
+    """The degree-2 braiding c as the braid image of the single letter 1."""
+    return rho(BraidWord(2, (1,)), q, 2)
+
+
+def lift(sigma, q):
+    """The positive lift of sigma along its lexicographically smallest reduced word."""
+    return rho(BraidWord(sigma.n, sigma.lex_reduced_word()), q, sigma.n)
 
 
 def random_operator(rng, dim, m):
@@ -60,14 +74,14 @@ class TestBraiding:
         k = 3
         rack = FiniteRack(op=tuple(tuple(range(k)) for _ in range(k)))
         q = constant_cocycle(rack, 1, 0)
-        c = braiding_c(q)
+        c = braiding(q)
         for x in range(k):
             for y in range(k):
                 assert c.target[x * k + y] == y * k + x
                 assert c.expo[x * k + y] == 0
 
     def test_x3_sign_example(self):
-        c = braiding_c(M1_X3)
+        c = braiding(M1_X3)
         pairs = transposition_pairs(3)
         i12, i13, i23 = pairs.index((1, 2)), pairs.index((1, 3)), pairs.index((2, 3))
         src = i12 * 3 + i13
@@ -76,7 +90,8 @@ class TestBraiding:
 
     def test_always_invertible(self):
         for q in (M1_X3, CHI4, constant_cocycle(X3, 4, 3)):
-            assert braiding_c(q).is_bijective()
+            c = braiding(q)
+            assert sorted(c.target.tolist()) == list(range(c.dim))
 
 
 class TestRho:
@@ -102,10 +117,10 @@ class TestRho:
 
 class TestMatsumoto:
     def test_identity_empty(self):
-        assert matsumoto_word(Permutation.identity(4)).letters == ()
+        assert Permutation.identity(4).lex_reduced_word() == ()
 
     def test_13_in_s3(self):
-        assert matsumoto_word(Permutation.transposition(3, 1, 3)).letters == (1, 2, 1)
+        assert Permutation.transposition(3, 1, 3).lex_reduced_word() == (1, 2, 1)
 
     def test_multiplicative_when_lengths_add(self):
         rng = random.Random(2)
@@ -124,8 +139,8 @@ class TestMatsumoto:
                 y = y * Permutation.adjacent(n, i)
             assert x.length() + y.length() == sigma.length()
             q = minus_one_cocycle(transposition_rack(3))
-            lhs = rho(matsumoto_word(sigma), q, n)
-            rhs = rho(matsumoto_word(x), q, n).compose(rho(matsumoto_word(y), q, n))
+            lhs = lift(sigma, q)
+            rhs = lift(x, q).compose(lift(y, q))
             assert lhs == rhs
 
     def test_word_independence_alternative_words(self):
@@ -177,8 +192,7 @@ class TestSymmetrizer:
 
     def test_degree_two_is_id_plus_c(self):
         s2 = symmetrizer(M1_X3, 2)
-        c = braiding_c(M1_X3)
-        expected = np.eye(9, dtype=np.int64) + c.to_dense()
+        expected = np.eye(9, dtype=np.int64) + dense_strand_matrix(M1_X3, 2, 1)
         assert (s2.to_integer_csr().toarray() == expected).all()
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
@@ -209,11 +223,20 @@ class TestSymmetrizer:
     def test_higher_order_counts(self):
         q = constant_cocycle(X3, 4, 1)
         sym = symmetrizer(q, 2)
-        dense = sym.to_dense_counts()
+        dense = dense_counts(sym)
         assert dense.shape == (4, 9, 9)
         # identity contributes exponent 0, the braiding contributes exponent 1
         assert (dense[0] == np.eye(9, dtype=np.int64)).all()
         assert dense[1].sum() == 9 and dense[2].sum() == 0 and dense[3].sum() == 0
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    @pytest.mark.parametrize("order, expo, g", [(3, 1, 81407934), (4, 3, 108493035)], ids=["m3", "m4"])
+    def test_higher_order_matches_modular_oracle(self, degree, order, expo, g):
+        p = 134217757  # prime, 1 mod 12; g has exact order `order` mod p
+        assert pow(g, order, p) == 1 and all(pow(g, i, p) != 1 for i in range(1, order))
+        q = constant_cocycle(X3, order, expo)
+        got = symmetrizer(q, degree).modular_csr(p, g).toarray()
+        assert (got == brute_force_symmetrizer_modp(q, degree, p, g)).all()
 
 
 class TestExport:

@@ -224,7 +224,7 @@ class TestDeterminism:
     def test_hilbert_reports_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "3",
-                "--mode", "modular", "--seed", "77", "--workers", "4"]
+                "--mode", "modular", "--seed", "77"]
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()

@@ -221,7 +221,6 @@ class TestGradedDims:
         report = graded_dims(M1_X3, 4, mode="exact", rack_id="x3", cocycle_id="-1")
         assert report.ranks == [1, 3, 4, 3, 1]
         assert report.methods[0] == "exact"
-        report.validate()
 
     def test_x3_chi_matches(self):
         report = graded_dims(chi_cocycle(3), 4, mode="exact")
