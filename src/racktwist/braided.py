@@ -5,15 +5,17 @@ permutes basis vectors of X^(x)n and multiplies by unit scalars.  All braid
 group images are therefore stored as (target permutation, exponent vector)
 pairs, and the degree-n symmetrizer is assembled as an exact sparse matrix
 with coefficients in Z[zeta_m], degree by degree from the factorisation
-S_n = (S_{n-1} (x) id) . T_n.
+S_n = (S_{n-1} (x) id) . T_n, and held as numpy coordinate arrays, one per
+power of zeta.  The braid-group orbits of the basis come with it: the
+symmetrizer is block diagonal over them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
@@ -46,11 +48,6 @@ class MonomialOperator:
             self.target[other.target],
             (other.expo + self.expo[other.target]) % self.order,
         )
-
-    def inverse(self) -> MonomialOperator:
-        inv = np.empty(self.dim, dtype=np.int64)
-        inv[self.target] = np.arange(self.dim, dtype=np.int64)
-        return MonomialOperator(self.dim, self.order, inv, (-self.expo[inv]) % self.order)
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,49 +115,67 @@ def check_braid_equation(q: RackCocycle) -> bool:
 
 
 @dataclass
+class CountMatrix:
+    """One exponent class of a symmetrizer in coordinate form, sorted by (row, col).
+
+    Rows and columns are int32; counts are int32 while degree! < 2^31, else int64.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+
+@dataclass
 class SymmetrizerMatrix:
     """The symmetrizer in degree `degree`: sum over S_degree of braid lifts.
 
-    Entries live in Z[zeta_order]; `counts[e]` is the integer matrix counting
-    contributions with scalar zeta^e.  For order <= 2 the matrix collapses to
-    a plain integer matrix via zeta = -1.
+    Entries live in Z[zeta_order]; `counts[e]` holds the positive integer
+    counts of contributions with scalar zeta^e.  `orbit[v]` is the smallest
+    basis index in the braid-group orbit of v; every lift maps a basis
+    vector into its orbit, so the matrix is block diagonal over the orbits.
     """
 
     dim: int
     order: int
     degree: int
-    counts: list = field(default_factory=list)  # list of csr_matrix, length = order
+    counts: list[CountMatrix]
+    orbit: np.ndarray
 
-    def support(self) -> sp.csr_matrix:
-        """Pattern union over all exponent classes (entries may still cancel)."""
-        acc = None
-        for c in self.counts:
-            pat = (c != 0).astype(np.int8)
-            acc = pat if acc is None else acc + pat
-        return acc.tocsr()
 
-    def to_integer_csr(self) -> sp.csr_matrix:
-        """Collapse to integers with zeta = -1; only valid for order <= 2."""
-        if self.order > 2:
-            raise ValueError("integer collapse only for order <= 2")
-        mat = self.counts[0].copy()
-        if self.order == 2:
-            mat = mat - self.counts[1]
-        mat.eliminate_zeros()
-        return mat.tocsr()
+# Entries expanded at once when lifting to the next degree; bounds working memory.
+_CHUNK_ENTRIES = 1 << 18
 
-    def modular_csr(self, p: int, zeta_rep: int) -> sp.csr_matrix:
-        """Entries reduced mod p with zeta mapped to zeta_rep (an order-m element of F_p)."""
-        acc = None
-        scale = 1
-        for e in range(self.order):
-            term = self.counts[e] * scale
-            acc = term if acc is None else acc + term
-            scale = (scale * zeta_rep) % p
-        acc = acc.tocsr()
-        acc.data %= p
-        acc.eliminate_zeros()
-        return acc
+
+def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys with the summed weights of their occurrences."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    last = np.empty(keys.size, dtype=bool)
+    last[-1:] = True
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    total = np.cumsum(weights[order], dtype=np.int64)[ends]
+    total[1:] -= total[:-1].copy()
+    return keys[ends], total
+
+
+def _braid_orbits(tables: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
+    """Smallest basis index in each braid orbit, by min-label propagation with pointer jumping."""
+    label = np.arange(dim, dtype=np.int64)
+    while True:
+        new = label.copy()
+        for tgt, _ in tables:
+            np.minimum(new, new[tgt], out=new)
+            new[tgt] = np.minimum(new[tgt], new)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> SymmetrizerMatrix:
@@ -173,6 +188,11 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
     c_j ... c_{d-1} sums lifts of words whose lengths do not add and gives
     wrong matrices (for -1 on x3, ranks 12, 29, 87 in degrees 3..5 instead
     of 3, 1, 0).
+
+    Each step lifts the entries (r, c) of S_{d-1} to (rk + a, ck + a), sends
+    every lifted column through the inverses of the d prefix products of T_d
+    and merges duplicate (row, column, exponent) entries, a block of rows at
+    a time.
     """
     k = q.rack.size
     m = q.order
@@ -181,34 +201,61 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
     dim = k**degree
     if dim > dim_cap:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
+    if 2 * (dim - 1).bit_length() + (m - 1).bit_length() > 63:
+        raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
 
-    eye_k = sp.identity(k, dtype=np.int64, format="csr")
-    counts = [sp.identity(1, dtype=np.int64, format="csr")]
-    counts += [sp.csr_matrix((1, 1), dtype=np.int64) for _ in range(m - 1)]
+    one, none = np.ones(1, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    counts = [CountMatrix(one - 1, one - 1, one)] + [CountMatrix(none, none, none) for _ in range(m - 1)]
+    tables = []
     for d in range(1, degree + 1):
-        n = k**d
-        # the prefix products id, c_{d-1}, c_{d-1}c_{d-2}, ..., c_{d-1}...c_1
-        target = np.arange(n, dtype=np.int64)
-        expo = np.zeros(n, dtype=np.int64)
-        rows, expos = [target], [expo]
-        for tgt, ex in reversed(_strand_tables(q, d)):
+        n, prev = k**d, k ** (d - 1)
+        tables = _strand_tables(q, d)
+        # An entry is keyed by exponent class, row and column in bit fields.
+        # Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
+        # which takes v to target_j[v] with exponent expo_j[v], moves an entry
+        # of class e from column C to column v = target_j^-1[C] and class
+        # e + expo_j[v]; send[e][C, j] holds that class and column as key bits.
+        cb = (n - 1).bit_length()
+        v = np.arange(n, dtype=np.int64)
+        target, expo = v, np.zeros(n, dtype=np.int64)
+        inv = np.empty((n, d), dtype=np.int64)
+        add = np.empty((n, d), dtype=np.int64)
+        inv[:, 0], add[:, 0] = v, 0
+        for j, (tgt, ex) in enumerate(reversed(tables), start=1):
             target, expo = target[tgt], (ex + expo[tgt]) % m
-            rows.append(target)
-            expos.append(expo)
-        rows, expos = np.concatenate(rows), np.concatenate(expos)
-        cols = np.tile(np.arange(n, dtype=np.int64), d)
-        t_d = [
-            sp.csr_matrix((np.ones(int(mask.sum()), dtype=np.int64), (rows[mask], cols[mask])), shape=(n, n))
-            for mask in (expos == e for e in range(m))
-        ]
-        lifted = [sp.kron(c, eye_k, format="csr") for c in counts]
-        counts = [sp.csr_matrix((n, n), dtype=np.int64) for _ in range(m)]
-        for e1 in range(m):
-            for e2 in range(m):
-                if lifted[e1].nnz and t_d[e2].nnz:
-                    e = (e1 + e2) % m
-                    counts[e] = counts[e] + lifted[e1] @ t_d[e2]
-    return SymmetrizerMatrix(dim=dim, order=m, degree=degree, counts=counts)
+            inv[target, j] = v
+            add[target, j] = expo
+        send = [((add + e) % m) << (2 * cb) | inv for e in range(m)]
+        # previous rows in chunks of bounded expanded size
+        per_row = sum(np.bincount(cm.row, minlength=prev) for cm in counts)
+        chunk = (np.cumsum(per_row) - per_row) * (k * d) // _CHUNK_ENTRIES
+        bounds = np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, [prev]))
+        ptrs = [np.searchsorted(cm.row, bounds) for cm in counts]
+        lane = np.arange(k, dtype=np.int64)
+        classes = np.arange(m + 1, dtype=np.int64) << (2 * cb)
+        mask = (1 << cb) - 1
+        # every class gets room for all expanded entries; pages past the
+        # merged entries are never touched
+        room = int(per_row.sum()) * k * d
+        dtype = np.int32 if math.factorial(d) < 2**31 else np.int64
+        out = [(np.empty(room, np.int32), np.empty(room, np.int32), np.empty(room, dtype)) for _ in range(m)]
+        used = [0] * m
+        for i in range(len(bounds) - 1):
+            keys, weights = [], []
+            for cm, tab, ptr in zip(counts, send, ptrs):
+                s = slice(ptr[i], ptr[i + 1])
+                rows = (cm.row[s, None].astype(np.int64) * k + lane) << cb
+                keys.append((rows[:, :, None] | tab[cm.col[s, None].astype(np.int64) * k + lane]).ravel())
+                weights.append(np.repeat(cm.data[s], k * d))
+            keys, w = _merge(np.concatenate(keys), np.concatenate(weights))
+            cuts = np.searchsorted(keys, classes)
+            for e, (row, col, data) in enumerate(out):
+                pos, fill = keys[cuts[e] : cuts[e + 1]], slice(used[e], used[e] + cuts[e + 1] - cuts[e])
+                row[fill], col[fill], data[fill] = pos >> cb & mask, pos & mask, w[cuts[e] : cuts[e + 1]]
+                used[e] = fill.stop
+            del keys, w
+        counts = [CountMatrix(row[:u], col[:u], data[:u]) for (row, col, data), u in zip(out, used)]
+    return SymmetrizerMatrix(dim, m, degree, counts, _braid_orbits(tables, dim))
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:
@@ -223,16 +270,19 @@ def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", coc
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         if sym.order <= 2:
-            mat = sym.to_integer_csr().tocoo()
-            order = np.lexsort((mat.col, mat.row))
-            for i in order:
-                fh.write(f"{mat.row[i]} {mat.col[i]} {mat.data[i]}\n")
+            # zeta = -1: the integer matrix counts[0] - counts[1]
+            keys, vals = _merge(
+                np.concatenate([c.row.astype(np.int64) * sym.dim + c.col for c in sym.counts]),
+                np.concatenate([c.data * (-1) ** e for e, c in enumerate(sym.counts)]),
+            )
+            for key, val in zip(keys.tolist(), vals.tolist()):
+                if val:
+                    fh.write(f"{key // sym.dim} {key % sym.dim} {val}\n")
         else:
             dense = {}
-            for e in range(sym.order):
-                coo = sym.counts[e].tocoo()
-                for r, c, v in zip(coo.row, coo.col, coo.data):
-                    dense.setdefault((int(r), int(c)), [0] * sym.order)[e] = int(v)
+            for e, c in enumerate(sym.counts):
+                for r, col, v in zip(c.row.tolist(), c.col.tolist(), c.data.tolist()):
+                    dense.setdefault((r, col), [0] * sym.order)[e] = v
             for (r, c) in sorted(dense):
                 if any(dense[(r, c)]):
                     fh.write(f"{r} {c} {';'.join(str(v) for v in dense[(r, c)])}\n")

@@ -360,6 +360,13 @@ def cmd_hilbert(args) -> int:
         return EXIT_CHECK_FAILED
     closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
     cap = _dim_cap(args)
+    if args.dump_matrices:
+        os.makedirs(args.dump_matrices, exist_ok=True)
+
+    def dump(sym):
+        path = os.path.join(args.dump_matrices, f"symmetrizer_deg{sym.degree}.txt")
+        braided.export_symmetrizer(sym, path, rack_id=rack_id, cocycle_id=cocycle_id)
+
     report_obj = hilbert_mod.graded_dims(
         q,
         args.max_degree,
@@ -369,13 +376,8 @@ def cmd_hilbert(args) -> int:
         rack_id=rack_id,
         cocycle_id=cocycle_id,
         closed_form=closed_form,
+        on_matrix=dump if args.dump_matrices else None,
     )
-    if args.dump_matrices:
-        os.makedirs(args.dump_matrices, exist_ok=True)
-        for d in range(2, args.max_degree + 1):
-            sym = braided.symmetrizer(q, d, dim_cap=cap)
-            path = os.path.join(args.dump_matrices, f"symmetrizer_deg{d}.txt")
-            braided.export_symmetrizer(sym, path, rack_id=rack_id, cocycle_id=cocycle_id)
     cfg = RunConfig(
         subcommand="hilbert",
         max_degree=args.max_degree,
@@ -383,9 +385,11 @@ def cmd_hilbert(args) -> int:
         seed=args.seed,
         dim_cap=cap,
     )
-    ok = True
+    # a rank on which the primes disagreed is not certified
+    uncertified = [d for d, m in zip(report_obj.degrees, report_obj.methods) if m == hilbert_mod.DISAGREED]
+    ok = not uncertified
     if report_obj.closed_form_verdicts is not None:
-        ok = all(report_obj.closed_form_verdicts)
+        ok = ok and all(report_obj.closed_form_verdicts)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "hilbert",
@@ -397,6 +401,8 @@ def cmd_hilbert(args) -> int:
     print(f"hilbert {rack_id} / {cocycle_id} (mode {args.mode}): ranks {report_obj.ranks}")
     if report_obj.closed_form_verdicts is not None:
         print(f"  closed-form match per degree: {report_obj.closed_form_verdicts}")
+    if uncertified:
+        print(f"  primes disagreed in degrees {uncertified}: ranks not certified")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -10,7 +10,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .rack import FiniteRack, Permutation, rack_from_dict, rack_to_dict, transposition_pairs, transposition_rack
+from .rack import (
+    FiniteRack,
+    Permutation,
+    json_count,
+    json_field,
+    json_table,
+    rack_from_dict,
+    rack_to_dict,
+    transposition_pairs,
+    transposition_rack,
+)
 
 
 @dataclass(frozen=True)
@@ -237,14 +247,20 @@ def cocycle_to_dict(q: RackCocycle) -> dict:
     return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": [list(r) for r in q.exp]}
 
 
-def cocycle_from_dict(d: dict) -> RackCocycle:
-    rack_field = d["rack"]
+def _table_from_dict(d: dict, key: str, what: str) -> tuple[FiniteRack, int, tuple[tuple[int, ...], ...]]:
+    """The rack (object or path), order and exponent table of a cocycle-like JSON object."""
+    rack_field = json_field(d, "rack", what)
     if isinstance(rack_field, str):
         with open(rack_field, encoding="utf-8") as fh:
             rack_field = json.load(fh)
     rack = rack_from_dict(rack_field)
-    exp = tuple(tuple(int(v) for v in row) for row in d["exp"])
-    return RackCocycle(rack=rack, order=int(d["order"]), exp=exp)
+    order = json_count(d, "order", what)
+    return rack, order, json_table(d, key, what, rack.size, order)
+
+
+def cocycle_from_dict(d: dict) -> RackCocycle:
+    rack, order, exp = _table_from_dict(d, "exp", "cocycle")
+    return RackCocycle(rack=rack, order=order, exp=exp)
 
 
 def load_cocycle(path: str) -> RackCocycle:
@@ -257,6 +273,5 @@ def twist_table_to_dict(t: TwistTable) -> dict:
 
 
 def twist_table_from_dict(d: dict) -> TwistTable:
-    rack = rack_from_dict(d["rack"])
-    phi = tuple(tuple(int(v) for v in row) for row in d["phi"])
-    return TwistTable(rack=rack, order=int(d["order"]), phi=phi)
+    rack, order, phi = _table_from_dict(d, "phi", "twist table")
+    return TwistTable(rack=rack, order=order, phi=phi)

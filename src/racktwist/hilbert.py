@@ -3,22 +3,23 @@
 The rank of the degree-n symmetrizer is the dimension of the degree-n
 component of the graded algebra attached to a rack-cocycle pair.  Ranks are
 computed either exactly (fraction-free integer elimination, the authority
-below dimension 4096) or modulo two independently drawn random primes whose
-agreement is reported as a Monte Carlo certificate.  Before elimination the
-matrix is split into connected components of its support graph; rank is
-additive across components and the blocks stay small for these matrices.
+for blocks up to dimension 4096) or modulo two independently drawn random
+primes whose agreement is reported as a Monte Carlo certificate.  The
+symmetrizer is block diagonal over the braid-group orbits of the basis
+(every braid lift maps a basis vector into its orbit, and all lift counts
+are positive, so no entry cancels a block away); rank is summed block by
+block and the blocks stay small for these matrices.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, symmetrizer
+from .braided import DEFAULT_DIM_CAP, CountMatrix, SymmetrizerMatrix, symmetrizer
 from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
 from .errors import DimensionCapError
 
@@ -26,6 +27,8 @@ EXACT_DIM_LIMIT = 4096
 DENSE_COMPONENT_LIMIT = 4096
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
+CERTIFIED = "modular-certified (Monte Carlo)"
+DISAGREED = "modular-best-effort (primes disagreed)"
 
 
 @dataclass(frozen=True)
@@ -148,28 +151,85 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
-def _support_components(support: sp.csr_matrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a square sparse pattern into connected components of its bipartite graph.
+# Matrix entries cut out of the symmetrizer at once; bounds the working memory.
+_BATCH_ENTRIES = 1 << 18
 
-    Returns (row_indices, col_indices) per component that touches at least
-    one nonzero; rank is additive across these blocks.
+
+@dataclass
+class _OrbitBlocks:
+    """The braid orbits of the basis, for cutting a symmetrizer into diagonal blocks.
+
+    `members` lists every orbit in increasing order, orbits ordered by their
+    smallest member, orbit i at starts[i]:starts[i+1]; `local` is the
+    position of a basis index inside its orbit, `size_of` the size of its
+    orbit, and `first[e][r]` the offset of row r in `counts[e]`.  Consecutive
+    orbits are cut out together, in batches of orbits that begin at
+    `batches`.
     """
-    dim = support.shape[0]
-    coo = support.tocoo()
-    if coo.nnz == 0:
-        return []
-    ones = np.ones(coo.nnz, dtype=np.int8)
-    bip = sp.coo_matrix((ones, (coo.row, coo.col + dim)), shape=(2 * dim, 2 * dim))
-    n_comp, labels = connected_components(bip, directed=False)
-    touched = np.unique(labels[coo.row])
-    out = []
-    row_labels = labels[:dim]
-    col_labels = labels[dim:]
-    for comp in touched:
-        rows = np.flatnonzero(row_labels == comp)
-        cols = np.flatnonzero(col_labels == comp)
-        out.append((rows, cols))
-    return out
+
+    counts: list[CountMatrix]
+    members: np.ndarray
+    starts: np.ndarray
+    local: np.ndarray
+    size_of: np.ndarray
+    first: list[np.ndarray]
+    batches: np.ndarray
+
+    @staticmethod
+    def of(sym: SymmetrizerMatrix) -> _OrbitBlocks:
+        n = sym.dim
+        members = np.argsort(sym.orbit, kind="stable")
+        starts = np.flatnonzero(np.diff(sym.orbit[members], prepend=-1))
+        sizes = np.diff(starts, append=n)
+        local = np.empty(n, dtype=np.int64)
+        local[members] = np.arange(n) - np.repeat(starts, sizes)
+        size_of = np.empty(n, dtype=np.int64)
+        size_of[members] = np.repeat(sizes, sizes)
+        first = [np.append(0, np.cumsum(np.bincount(c.row, minlength=n))) for c in sym.counts]
+        per_row = sum(np.diff(f) for f in first)[members]
+        batch = (np.cumsum(per_row) - per_row)[starts] // _BATCH_ENTRIES
+        batches = np.flatnonzero(np.diff(batch, prepend=-1))
+        return _OrbitBlocks(
+            sym.counts, members, np.append(starts, n), local, size_of, first, np.append(batches, starts.size)
+        )
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
+
+    def cut(self, scalars: list[int], p: int | None):
+        """Yield (size, [(cells, values) per class]) for every block of sum_e scalars[e] * counts[e].
+
+        cells are the row-major positions row * size + col inside the block,
+        distinct within a class; values are reduced mod p when p is given.
+        """
+        for o0, o1 in zip(self.batches[:-1].tolist(), self.batches[1:].tolist()):
+            rows = self.members[self.starts[o0] : self.starts[o1]]
+            block_rows = self.starts[o0 : o1 + 1] - self.starts[o0]
+            batch = []
+            for c, first, scalar in zip(self.counts, self.first, scalars):
+                # the entries of the batch's rows, row range by row range
+                lens = first[rows + 1] - first[rows]
+                ends = np.cumsum(lens)
+                idx = np.repeat(first[rows] - ends + lens, lens)
+                idx += np.arange(idx.size)
+                row = c.row[idx]
+                cells = self.local[row] * self.size_of[row]
+                del row
+                cells += self.local[c.col[idx]]
+                counts = c.data[idx].astype(np.int64)
+                values = counts * scalar if p is None else counts % p * scalar % p
+                batch.append((np.append(0, ends)[block_rows], cells, values))
+            for b, size in enumerate(np.diff(block_rows).tolist()):
+                yield size, [(cells[lo[b] : lo[b + 1]], values[lo[b] : lo[b + 1]]) for lo, cells, values in batch]
+
+
+def _dense(size: int, parts, p: int | None) -> np.ndarray:
+    """A block as a dense array from the (cells, values) of each exponent class, summed mod p if given."""
+    a = np.zeros(size * size, dtype=np.int64)
+    for cells, v in parts:
+        a[cells] = a[cells] + v if p is None else (a[cells] + v) % p
+    return a.reshape(size, size)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -223,17 +283,22 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_sparse_modp(mat: sp.csr_matrix, p: int) -> int:
-    """Sparse elimination over F_p with Markowitz-style minimum-fill pivoting."""
-    coo = mat.tocoo()
+def _rank_sparse_modp(row: np.ndarray, col: np.ndarray, val: np.ndarray, p: int) -> int:
+    """Sparse elimination over F_p with Markowitz-style minimum-fill pivoting.
+
+    The matrix is given by coordinates; entries at a repeated position add up.
+    """
     rows: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(row.tolist(), col.tolist(), val.tolist()):
+        entries = rows.setdefault(r, {})
+        entries[c] = (entries.get(c, 0) + v) % p
     col_rows: dict[int, set[int]] = {}
-    for r, c, v in zip(coo.row, coo.col, coo.data):
-        v = int(v) % p
-        if v == 0:
-            continue
-        rows.setdefault(int(r), {})[int(c)] = v
-        col_rows.setdefault(int(c), set()).add(int(r))
+    for r in list(rows):
+        entries = rows[r] = {c: v for c, v in rows[r].items() if v}
+        if not entries:
+            del rows[r]
+        for c in entries:
+            col_rows.setdefault(c, set()).add(r)
     rank = 0
     while rows:
         best = None
@@ -284,30 +349,27 @@ def _rank_sparse_modp(mat: sp.csr_matrix, p: int) -> int:
     return rank
 
 
-def _modular_rank(sym: SymmetrizerMatrix, p: int, components, dense_limit: int) -> int:
+def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int, dense_limit: int) -> int:
     g = _element_of_order(p, sym.order)
-    mat = sym.modular_csr(p, g)
     total = 0
-    for rows, cols in components:
-        sub = mat[rows][:, cols]
-        if sub.nnz == 0:
+    for size, parts in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
+        if size > dense_limit:
+            cells, v = (np.concatenate(x) for x in zip(*parts))
+            total += _rank_sparse_modp(cells // size, cells % size, v, p)
             continue
-        if max(sub.shape) <= dense_limit:
-            total += _rank_dense_modp(sub.toarray().astype(np.int64) % p, p)
-        else:
-            total += _rank_sparse_modp(sub.tocsr(), p)
+        a = _dense(size, parts, p)
+        if a.any():
+            total += _rank_dense_modp(a, p)
     return total
 
 
-def _exact_rank(sym: SymmetrizerMatrix, components) -> int:
-    mat = sym.to_integer_csr()
+def _exact_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks) -> int:
+    """Bareiss on every block of the integer matrix counts[0] - counts[1] (zeta = -1)."""
     total = 0
-    for rows, cols in components:
-        sub = mat[rows][:, cols]
-        if sub.nnz == 0:
-            continue
-        dense = sub.toarray()
-        total += _rank_bareiss([[int(v) for v in row] for row in dense])
+    for size, parts in blocks.cut([1, -1][: sym.order], None):
+        a = _dense(size, parts, None)
+        if a.any():
+            total += _rank_bareiss(a.tolist())
     return total
 
 
@@ -322,22 +384,25 @@ def rank(
 ) -> RankCertificate:
     """Rank of a symmetrizer matrix, exact or modular-certified.
 
-    Exact mode runs fraction-free elimination on the integer matrix (order
-    must be <= 2 and the dimension within the exact limit).  Modular mode
-    reduces modulo two independently drawn primes p = 1 mod order and
-    requires agreement; a disagreement draws a third prime and, when the
-    dimension permits, falls back to exact elimination.
+    The matrix is block diagonal over the braid orbits of the basis (see
+    SymmetrizerMatrix), so rank is summed block by block.  Exact mode runs
+    fraction-free elimination on the integer matrix; the order must be <= 2
+    and every block within the exact limit.  Modular mode reduces modulo two
+    independently drawn primes p = 1 mod order and requires agreement; a
+    disagreement draws a third prime and, when every block is within the
+    exact limit, falls back to exact elimination.
     """
-    components = _support_components(sym.support())
+    blocks = _OrbitBlocks.of(sym)
+    n_blocks = len(blocks.starts) - 1
+    largest = int(blocks.sizes.max())
     if mode == "exact":
         if sym.order > 2:
             raise ValueError("exact mode requires order <= 2 (integer matrix)")
-        if sym.dim > exact_dim_limit:
+        if largest > exact_dim_limit:
             raise DimensionCapError(
-                f"dimension {sym.dim} too large for exact mode (limit {exact_dim_limit})"
+                f"block of dimension {largest} too large for exact mode (limit {exact_dim_limit})"
             )
-        value = _exact_rank(sym, components)
-        return RankCertificate(value, "exact", (), sym.dim, len(components))
+        return RankCertificate(_exact_rank(sym, blocks), "exact", (), sym.dim, n_blocks)
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -347,23 +412,19 @@ def rank(
     drawn.add(p1)
     p2 = _draw_prime(rng, sym.order, drawn)
     drawn.add(p2)
-    r1 = _modular_rank(sym, p1, components, dense_limit)
-    r2 = _modular_rank(sym, p2, components, dense_limit)
+    r1 = _modular_rank(sym, blocks, p1, dense_limit)
+    r2 = _modular_rank(sym, blocks, p2, dense_limit)
     if r1 == r2:
-        return RankCertificate(
-            r1, "modular-certified (Monte Carlo)", (p1, p2), sym.dim, len(components)
-        )
+        return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
     p3 = _draw_prime(rng, sym.order, drawn)
-    r3 = _modular_rank(sym, p3, components, dense_limit)
-    if sym.order <= 2 and sym.dim <= exact_dim_limit:
-        value = _exact_rank(sym, components)
+    r3 = _modular_rank(sym, blocks, p3, dense_limit)
+    if sym.order <= 2 and largest <= exact_dim_limit:
+        value = _exact_rank(sym, blocks)
         return RankCertificate(
-            value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, len(components)
+            value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, n_blocks
         )
     value = max(r1, r2, r3)
-    return RankCertificate(
-        value, "modular-best-effort (primes disagreed)", (p1, p2, p3), sym.dim, len(components)
-    )
+    return RankCertificate(value, DISAGREED, (p1, p2, p3), sym.dim, n_blocks)
 
 
 @dataclass
@@ -408,11 +469,13 @@ def graded_dims(
     rack_id: str = "",
     cocycle_id: str = "",
     closed_form: list[tuple[int, int]] | None = None,
+    on_matrix: Callable[[SymmetrizerMatrix], None] | None = None,
 ) -> HilbertReport:
     """Ranks of the symmetrizers in degrees 0..max_degree.
 
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
-    matrix is built for them.  Resource errors carry the failing degree.
+    matrix is built for them.  `on_matrix` receives every symmetrizer that is
+    built.  Resource errors carry the failing degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -427,6 +490,8 @@ def graded_dims(
         else:
             try:
                 sym = symmetrizer(q, d, dim_cap=dim_cap)
+                if on_matrix is not None:
+                    on_matrix(sym)
                 cert = rank(sym, mode, rng=rng)
             except DimensionCapError as exc:
                 raise DimensionCapError(f"degree {d}: {exc}") from exc

@@ -266,13 +266,46 @@ def rack_to_dict(r: FiniteRack) -> dict:
     return d
 
 
+def json_field(d, key: str, what: str):
+    """d[key] from a decoded JSON object; ValueError with a one-line message otherwise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what}: expected a JSON object, got {type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return d[key]
+
+
+def json_count(d, key: str, what: str) -> int:
+    """A positive integer field of a decoded JSON object."""
+    value = json_field(d, key, what)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what}: {key} must be a positive integer, got {value!r:.40}")
+    return value
+
+
+def json_table(d, key: str, what: str, size: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """A size x size table of integers in 0..bound-1 from a decoded JSON object."""
+    rows = json_field(d, key, what)
+    if not isinstance(rows, list) or len(rows) != size or any(
+        not isinstance(row, list) or len(row) != size for row in rows
+    ):
+        raise ValueError(f"{what}: {key} must be a {size} x {size} table")
+    for x, row in enumerate(rows):
+        for y, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < bound:
+                raise ValueError(f"{what}: {key}[{x}][{y}] must be an integer in 0..{bound - 1}, got {v!r:.40}")
+    return tuple(tuple(row) for row in rows)
+
+
 def rack_from_dict(d: dict) -> FiniteRack:
-    op = tuple(tuple(int(v) for v in row) for row in d["op"])
-    labels = tuple(d["labels"]) if "labels" in d and d["labels"] is not None else None
-    r = FiniteRack(op=op, labels=labels)
-    if r.size != int(d["size"]):
-        raise ValueError("size field disagrees with table")
-    return r
+    size = json_count(d, "size", "rack")
+    op = json_table(d, "op", "rack", size, size)
+    labels = d.get("labels")
+    if labels is not None and (
+        not isinstance(labels, list) or len(labels) != size or not all(isinstance(s, str) for s in labels)
+    ):
+        raise ValueError(f"rack: labels must be a list of {size} strings")
+    return FiniteRack(op=op, labels=None if labels is None else tuple(labels))
 
 
 def load_rack(path: str) -> FiniteRack:

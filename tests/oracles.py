@@ -120,8 +120,70 @@ def brute_force_symmetrizer_modp(q, degree: int, p: int, g: int) -> np.ndarray:
 
 
 def dense_counts(sym) -> np.ndarray:
-    """Dense (order, dim, dim) count tensor of a SymmetrizerMatrix."""
-    return np.stack([c.toarray() for c in sym.counts])
+    """Dense (order, dim, dim) count tensor of a SymmetrizerMatrix, from its coordinates."""
+    out = np.zeros((sym.order, sym.dim, sym.dim), dtype=np.int64)
+    for e, c in enumerate(sym.counts):
+        np.add.at(out[e], (c.row, c.col), c.data)
+    return out
+
+
+def dense_integer_matrix(sym) -> np.ndarray:
+    """The integer symmetrizer counts[0] - counts[1], i.e. zeta = -1 (order <= 2 only)."""
+    assert sym.order <= 2
+    counts = dense_counts(sym)
+    return counts[0] - counts[1] if sym.order == 2 else counts[0]
+
+
+def dense_modp_matrix(sym, p: int, g: int) -> np.ndarray:
+    """The symmetrizer mod p with zeta mapped to g; needs p < 2^28 and small counts."""
+    counts = dense_counts(sym)
+    return sum(counts[e] * pow(g, e, p) for e in range(sym.order)) % p
+
+
+def inverse_operator(op):
+    """The inverse of a MonomialOperator: v -> target[v] with zeta^expo[v] undone."""
+    from racktwist.braided import MonomialOperator
+
+    inv = np.empty(op.dim, dtype=np.int64)
+    inv[op.target] = np.arange(op.dim, dtype=np.int64)
+    return MonomialOperator(op.dim, op.order, inv, (-op.expo[inv]) % op.order)
+
+
+def _components(dim: int, edges) -> list[tuple[int, ...]]:
+    """Connected components of a graph on range(dim), by union-find."""
+    parent = list(range(dim))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups: dict[int, list[int]] = {}
+    for v in range(dim):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def hurwitz_orbits(q, degree: int) -> list[tuple[int, ...]]:
+    """Orbits of the braid group on X^degree, from the rule (x, y) -> (x |> y, x) on digit tuples."""
+    k = q.rack.size
+    edges = []
+    for v in range(k**degree):
+        digits = [v // k ** (degree - 1 - i) % k for i in range(degree)]
+        for i in range(degree - 1):
+            w = list(digits)
+            w[i], w[i + 1] = q.rack.op[digits[i]][digits[i + 1]], digits[i]
+            edges.append((v, sum(d * k ** (degree - 1 - j) for j, d in enumerate(w))))
+    return _components(k**degree, edges)
+
+
+def support_components(sym) -> list[tuple[int, ...]]:
+    """Connected components of the support graph of a square SymmetrizerMatrix (rows = cols)."""
+    edges = [(int(r), int(c)) for cm in sym.counts for r, c in zip(cm.row, cm.col)]
+    return _components(sym.dim, edges)
 
 
 @dataclass(frozen=True)

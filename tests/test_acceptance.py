@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from oracles import brute_force_symmetrizer, largest_descent_word
+from oracles import brute_force_symmetrizer, dense_integer_matrix, largest_descent_word
 from racktwist.braided import BraidWord, check_braid_equation, rho, symmetrizer
 from racktwist.cli import main as cli_main
 from racktwist.cocycle import (
@@ -181,7 +181,7 @@ def test_criterion_09_property_suites():
     # symmetrizer equals the dense brute-force oracle
     for degree in (2, 3, 4):
         for q in (minus_one_cocycle(transposition_rack(3)), chi_cocycle(3)):
-            got = symmetrizer(q, degree).to_integer_csr().toarray()
+            got = dense_integer_matrix(symmetrizer(q, degree))
             ok = ok and (got == brute_force_symmetrizer(q, degree)).all()
 
     elapsed = time.perf_counter() - t0

@@ -8,8 +8,13 @@ from oracles import (
     brute_force_symmetrizer,
     brute_force_symmetrizer_modp,
     dense_counts,
+    dense_integer_matrix,
+    dense_modp_matrix,
     dense_strand_matrix,
+    hurwitz_orbits,
+    inverse_operator,
     largest_descent_word,
+    support_components,
 )
 from racktwist.braided import (
     BraidWord,
@@ -65,8 +70,8 @@ class TestMonomialOperator:
         for _ in range(20):
             dim, m = rng.randint(2, 10), rng.randint(1, 5)
             a = random_operator(rng, dim, m)
-            assert a.compose(a.inverse()) == MonomialOperator.identity(dim, m)
-            assert a.inverse().compose(a) == MonomialOperator.identity(dim, m)
+            assert a.compose(inverse_operator(a)) == MonomialOperator.identity(dim, m)
+            assert inverse_operator(a).compose(a) == MonomialOperator.identity(dim, m)
 
 
 class TestBraiding:
@@ -186,38 +191,38 @@ class TestSymmetrizer:
     def test_degree_zero_and_one(self):
         s0 = symmetrizer(M1_X3, 0)
         assert s0.dim == 1
-        assert s0.to_integer_csr().toarray().tolist() == [[1]]
+        assert dense_integer_matrix(s0).tolist() == [[1]]
         s1 = symmetrizer(M1_X3, 1)
-        assert (s1.to_integer_csr().toarray() == np.eye(3, dtype=np.int64)).all()
+        assert (dense_integer_matrix(s1) == np.eye(3, dtype=np.int64)).all()
 
     def test_degree_two_is_id_plus_c(self):
         s2 = symmetrizer(M1_X3, 2)
         expected = np.eye(9, dtype=np.int64) + dense_strand_matrix(M1_X3, 2, 1)
-        assert (s2.to_integer_csr().toarray() == expected).all()
+        assert (dense_integer_matrix(s2) == expected).all()
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     @pytest.mark.parametrize("name", ["minus_one", "chi"])
     def test_matches_brute_force_oracle(self, degree, name):
         q = M1_X3 if name == "minus_one" else chi_cocycle(3)
-        got = symmetrizer(q, degree).to_integer_csr().toarray()
+        got = dense_integer_matrix(symmetrizer(q, degree))
         expected = brute_force_symmetrizer(q, degree)
         assert (got == expected).all()
 
     def test_entries_bounded_by_factorial(self):
         for degree in (2, 3, 4):
-            mat = symmetrizer(CHI4, degree).to_integer_csr()
-            if mat.nnz:
-                assert int(abs(mat.data).max()) <= math.factorial(degree)
+            mat = dense_integer_matrix(symmetrizer(CHI4, degree))
+            assert int(np.abs(mat).max()) <= math.factorial(degree)
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError) as err:
             symmetrizer(M1_X3, 4, dim_cap=80)
         assert "81" in str(err.value)
+        with pytest.raises(DimensionCapError, match="64-bit"):
+            symmetrizer(M1_X3, 20, dim_cap=10**12)
 
     def test_column_support_bounded(self):
         sym = symmetrizer(CHI4, 3)
-        mat = sym.to_integer_csr().tocsc()
-        per_col = np.diff(mat.indptr)
+        per_col = (dense_integer_matrix(sym) != 0).sum(axis=0)
         assert int(per_col.max()) <= math.factorial(3)
 
     def test_higher_order_counts(self):
@@ -235,8 +240,31 @@ class TestSymmetrizer:
         p = 134217757  # prime, 1 mod 12; g has exact order `order` mod p
         assert pow(g, order, p) == 1 and all(pow(g, i, p) != 1 for i in range(1, order))
         q = constant_cocycle(X3, order, expo)
-        got = symmetrizer(q, degree).modular_csr(p, g).toarray()
+        got = dense_modp_matrix(symmetrizer(q, degree), p, g)
         assert (got == brute_force_symmetrizer_modp(q, degree, p, g)).all()
+
+
+class TestBraidOrbits:
+    @pytest.mark.parametrize("name, degree", [("x3", 2), ("x3", 4), ("x4", 3), ("x4", 4), ("trivial", 3)])
+    def test_orbits_match_hurwitz_oracle(self, name, degree):
+        q = {"x3": M1_X3, "x4": CHI4,
+             "trivial": constant_cocycle(FiniteRack(op=((0, 1, 2),) * 3), 1, 0)}[name]
+        orbit = symmetrizer(q, degree).orbit
+        groups = {}
+        for v, label in enumerate(orbit.tolist()):
+            groups.setdefault(label, []).append(v)
+        assert all(label == min(g) for label, g in groups.items())
+        assert sorted(tuple(g) for g in groups.values()) == hurwitz_orbits(q, degree)
+
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    @pytest.mark.parametrize("q", [M1_X3, CHI4, constant_cocycle(X3, 3, 1)], ids=["m1x3", "chi4", "m3x3"])
+    def test_support_components_are_the_orbits(self, q, degree):
+        # positive counts cannot cancel, so the blocks are exactly the orbits
+        assert support_components(symmetrizer(q, degree)) == hurwitz_orbits(q, degree)
+
+    def test_degree_zero_and_one(self):
+        assert symmetrizer(CHI4, 0).orbit.tolist() == [0]
+        assert symmetrizer(CHI4, 1).orbit.tolist() == list(range(6))
 
 
 class TestExport:
@@ -253,4 +281,4 @@ class TestExport:
         for line in lines[1:]:
             r, c, v = line.split()
             rebuilt[int(r), int(c)] = int(v)
-        assert (rebuilt == sym.to_integer_csr().toarray()).all()
+        assert (rebuilt == dense_integer_matrix(sym)).all()

@@ -1,7 +1,15 @@
+import functools
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from racktwist import braided as braided_mod
+from racktwist import hilbert as hilbert_mod
 from racktwist.cli import main
 
 
@@ -148,9 +156,21 @@ class TestHilbertCommand:
     def test_minus_one_spelling(self, tmp_path):
         assert run(["hilbert", "--rack", "x3", "--cocycle", "minus1", "--max-degree", "2", "--mode", "exact"]) == 0
 
-    def test_exact_mode_resource_error(self):
+    def test_exact_mode_resource_error(self, monkeypatch):
+        # exact mode limits each braid orbit; x5 has orbits of size 125 in degree 4
+        monkeypatch.setattr(hilbert_mod, "rank", functools.partial(hilbert_mod.rank, exact_dim_limit=64))
         code = run(["hilbert", "--rack", "x5", "--cocycle", "chi", "--max-degree", "4", "--mode", "exact"])
         assert code == 3
+
+    def test_exact_mode_eliminates_block_by_block(self, tmp_path):
+        # dimension 10 000 in degree 4, but no orbit is larger than 125
+        out = tmp_path / "h.json"
+        code = run(["hilbert", "--rack", "x5", "--cocycle", "chi", "--max-degree", "4",
+                    "--mode", "exact", "--out", str(out)])
+        assert code == 0
+        report = read_json(str(out))["report"]
+        assert report["ranks"] == [1, 10, 55, 220, 711]
+        assert report["methods"] == ["exact"] * 5
 
     def test_dim_cap_flag(self):
         code = run(
@@ -190,6 +210,50 @@ class TestHilbertCommand:
         assert files == ["symmetrizer_deg2.txt", "symmetrizer_deg3.txt"]
         header = json.loads((dump / "symmetrizer_deg2.txt").read_text().splitlines()[0])
         assert header["degree"] == 2 and header["m"] == 2
+
+    # sha256 of the dump files; the text format is an interface for other tools
+    DUMP_DIGESTS = {
+        ("const:4:3", "modular"): {
+            "symmetrizer_deg2.txt": "8cd2da76d43d175a688c35b7385964e004cb355ac2382614bb6e83f42d3f04eb",
+            "symmetrizer_deg3.txt": "880cd6d851aebc23b041b6965ae6a23291c595cc13b3245f79c869406a92ac91",
+            "symmetrizer_deg4.txt": "9b59c578d3d8732310456ffc35365f68e8336ee291c4796d0daa5bec1a768985",
+        },
+        ("-1", "exact"): {
+            "symmetrizer_deg2.txt": "bd5afa28d1e5f4e8ef7d3c1ff606c984c5dad25e6788c7d30d98ca8246796b5a",
+            "symmetrizer_deg3.txt": "0f77bd1da22a6401734b67e4c0981d65b0078bed45e3949f9491357e6cc98640",
+        },
+    }
+
+    @pytest.mark.parametrize("cocycle, mode", sorted(DUMP_DIGESTS))
+    def test_dump_builds_each_degree_once(self, tmp_path, monkeypatch, cocycle, mode):
+        built = []
+        real = braided_mod.symmetrizer
+
+        def counting(q, degree, *args, **kwargs):
+            built.append(degree)
+            return real(q, degree, *args, **kwargs)
+
+        monkeypatch.setattr(braided_mod, "symmetrizer", counting)
+        monkeypatch.setattr(hilbert_mod, "symmetrizer", counting)
+        digests = self.DUMP_DIGESTS[(cocycle, mode)]
+        dump = tmp_path / "mats"
+        code = run(["hilbert", "--rack", "x3", f"--cocycle={cocycle}", "--max-degree", str(len(digests) + 1),
+                    "--mode", mode, "--dump-matrices", str(dump)])
+        assert code == 0
+        assert built == list(range(2, len(digests) + 2))
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dump.iterdir()} == digests
+
+    def test_disagreeing_primes_fail(self, tmp_path, monkeypatch, capsys):
+        # order 3 has no exact fallback, so the rank stays uncertified
+        ranks = iter(range(100))
+        monkeypatch.setattr(hilbert_mod, "_modular_rank", lambda *args: next(ranks))
+        out = tmp_path / "h.json"
+        code = run(["hilbert", "--rack", "x3", "--cocycle", "const:3:1", "--max-degree", "2", "--out", str(out)])
+        assert code == 2
+        report = read_json(str(out))
+        assert report["ok"] is False
+        assert report["report"]["methods"][2] == hilbert_mod.DISAGREED
+        assert "primes disagreed in degrees [2]" in capsys.readouterr().out
 
     def test_unknown_rack_and_cocycle(self):
         assert run(["hilbert", "--rack", "y4", "--cocycle", "-1", "--max-degree", "2", "--mode", "exact"]) == 1
@@ -236,3 +300,11 @@ class TestParser:
 
     def test_missing_required_flag(self):
         assert run(["cover"]) == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, racktwist.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

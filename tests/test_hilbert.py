@@ -2,11 +2,11 @@ import random
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from oracles import rank_over_rationals
+from oracles import dense_integer_matrix, rank_over_rationals
 from racktwist.braided import symmetrizer
 from racktwist.cocycle import chi_cocycle, constant_cocycle, minus_one_cocycle
+from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
     IntPolynomial,
@@ -149,7 +149,8 @@ class TestRankKernels:
             for _ in range(rng.randint(1, 3 * n)):
                 dense[rng.randrange(n), rng.randrange(n)] = rng.randint(-4, 4)
             expected = _rank_dense_modp(dense.copy() % p, p)
-            assert _rank_sparse_modp(sp.csr_matrix(dense % p), p) == expected
+            rows, cols = np.nonzero(dense % p)
+            assert _rank_sparse_modp(rows, cols, (dense % p)[rows, cols], p) == expected
 
 
 class TestRank:
@@ -160,14 +161,14 @@ class TestRank:
 
     def test_q2_x4_rank19_with_oracle(self):
         sym = symmetrizer(M1_X4, 2)
-        dense = sym.to_integer_csr().toarray()
+        dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 19
         assert rank(sym, "exact").rank == 19
         assert rank(sym, "modular", seed=0).rank == 19
 
     def test_q2_x3_rank4_with_oracle(self):
         sym = symmetrizer(M1_X3, 2)
-        dense = sym.to_integer_csr().toarray()
+        dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 4
         assert rank(sym, "exact").rank == 4
 
@@ -184,9 +185,30 @@ class TestRank:
             assert rank(sym, "exact").rank == rank(sym, "modular", seed=degree).rank
 
     def test_exact_mode_dimension_limit(self):
+        # the limit applies per braid orbit; the largest orbit of x3 in degree 2 has size 3
         sym = symmetrizer(M1_X3, 2)
         with pytest.raises(DimensionCapError):
-            rank(sym, "exact", exact_dim_limit=4)
+            rank(sym, "exact", exact_dim_limit=2)
+
+    def test_exact_limit_applies_per_block(self):
+        sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
+        cert = rank(sym, "exact", exact_dim_limit=64)
+        assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
+        with pytest.raises(DimensionCapError):
+            rank(sym, "exact", exact_dim_limit=15)
+
+    def test_disagreeing_primes_are_best_effort(self, monkeypatch):
+        # an order-3 cocycle has no exact fallback
+        ranks = iter([4, 5, 6])
+        monkeypatch.setattr(hilbert_mod, "_modular_rank", lambda *args: next(ranks))
+        cert = rank(symmetrizer(constant_cocycle(X3, 3, 1), 2), "modular", seed=0)
+        assert cert.method == hilbert_mod.DISAGREED
+        assert cert.rank == 6 and len(set(cert.primes)) == 3
+
+    def test_sparse_path_sums_repeated_positions(self):
+        p = 1_073_741_827
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1])
+        assert _rank_sparse_modp(rows, cols, np.array([1, p - 1, 2, 3]), p) == 1
 
     def test_exact_mode_requires_small_order(self):
         sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
@@ -228,7 +250,7 @@ class TestGradedDims:
 
     def test_x3_dense_rational_oracle_per_degree(self):
         for degree, expected in [(1, 3), (2, 4), (3, 3), (4, 1)]:
-            dense = symmetrizer(M1_X3, degree).to_integer_csr().toarray()
+            dense = dense_integer_matrix(symmetrizer(M1_X3, degree))
             assert rank_over_rationals(dense.tolist()) == expected
 
     def test_degree_shortcuts(self):
