@@ -51,9 +51,7 @@ from .spincover import (
     bracket,
     conj_by_perm,
     generator_t,
-    phi,
     phi_psi_table,
-    section_s,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,

@@ -57,16 +57,7 @@ class RunConfig:
 
 
 def _dim_cap(args) -> int:
-    cap = getattr(args, "dim_cap", None)
-    if cap is None:
-        env = os.environ.get("RACKTWIST_DIM_CAP")
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise UsageError(f"RACKTWIST_DIM_CAP is not an integer: {env!r}")
-    if cap is None:
-        cap = braided.DEFAULT_DIM_CAP
+    cap = braided.DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
     if cap < 1:
         raise UsageError(f"dimension cap must be positive, got {cap}")
     return cap
@@ -78,10 +69,6 @@ def _write_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _config_dict(cfg: RunConfig) -> dict:
-    return asdict(cfg)
 
 
 # ---------------------------------------------------------------- rack
@@ -104,7 +91,7 @@ def cmd_rack(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rack",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "source": report_src,
         "rack": rack_mod.rack_to_dict(r),
         "axioms_ok": axioms.ok,
@@ -124,30 +111,23 @@ def cmd_rack(args) -> int:
 # ---------------------------------------------------------------- cocycle
 
 
-def _builtin_cocycle(kind: str, n: int | None):
-    """Cocycles by name: 'chi', '-1'/'minus1', or 'const:M:E' (needs --n)."""
-    if kind in ("-1", "minus1"):
+def _builtin_cocycle(name: str, rack, n: int | None):
+    """The built-in cocycle `name` on a rack, or None for any other name.
+
+    Names: '-1'/'minus1', 'chi' (transposition rack x_n only) or 'const:M:E'.
+    """
+    if name in ("-1", "minus1"):
+        return cocycle_mod.minus_one_cocycle(rack)
+    if name == "chi":
         if n is None:
-            raise UsageError("cocycle: --n is required for built-in cocycles")
-        return cocycle_mod.minus_one_cocycle(rack_mod.transposition_rack(n)), f"-1 on x{n}"
-    if kind == "chi":
-        if n is None:
-            raise UsageError("cocycle: --n is required for built-in cocycles")
-        if n < 3:
-            raise UsageError(f"cocycle: chi needs n >= 3, got {n}")
-        return cocycle_mod.chi_cocycle(n), f"chi on x{n}"
-    if kind.startswith("const:"):
-        parts = kind.split(":")
+            raise UsageError("chi requires a transposition rack (--rack xN)")
+        return cocycle_mod.chi_cocycle(n)
+    if name.startswith("const:"):
+        parts = name.split(":")
         if len(parts) != 3:
-            raise UsageError("cocycle: const form is const:M:E")
-        if n is None:
-            raise UsageError("cocycle: --n is required for built-in cocycles")
-        m, e = int(parts[1]), int(parts[2])
-        return (
-            cocycle_mod.constant_cocycle(rack_mod.transposition_rack(n), m, e),
-            f"const zeta_{m}^{e} on x{n}",
-        )
-    raise UsageError(f"cocycle: unknown kind {kind!r}")
+            raise UsageError("const form is const:M:E")
+        return cocycle_mod.constant_cocycle(rack, int(parts[1]), int(parts[2]))
+    return None
 
 
 def cmd_cocycle(args) -> int:
@@ -157,13 +137,21 @@ def cmd_cocycle(args) -> int:
     else:
         if args.kind is None:
             raise UsageError("cocycle: provide --kind or --check FILE")
-        q, label = _builtin_cocycle(args.kind, args.n)
+        if args.n is None:
+            raise UsageError("cocycle: --n is required for built-in cocycles")
+        q = _builtin_cocycle(args.kind, rack_mod.transposition_rack(args.n), args.n)
+        if q is None:
+            raise UsageError(f"cocycle: unknown kind {args.kind!r}")
+        if args.kind.startswith("const:"):
+            label = f"const zeta_{q.order}^{q.exp[0][0]} on x{args.n}"
+        else:
+            label = f"{'chi' if args.kind == 'chi' else '-1'} on x{args.n}"
     verdict = cocycle_mod.check_cocycle(q)
     cfg = RunConfig(subcommand="cocycle", n=args.n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cocycle",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "cocycle": cocycle_mod.cocycle_to_dict(q),
         "label": label,
         "cocycle_ok": verdict.ok,
@@ -194,7 +182,7 @@ def cmd_cover(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cover",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "n": n,
         "presentation_ok": presentation_ok,
         "lemma_general_ok": lemma_ok,
@@ -233,7 +221,7 @@ def cmd_verify_twist(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "twist-verify",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "n": n,
         "pairs_checked": len(log),
         "twist_condition_ok": cond.ok,
@@ -284,7 +272,7 @@ def cmd_cohomology(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cohomology",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "n": n,
         "gauge_found": gauge is not None,
         "gauge": list(gauge.g) if gauge is not None else None,
@@ -321,17 +309,9 @@ def _parse_rack_arg(arg: str):
 
 
 def _parse_cocycle_arg(arg: str, rack, n: int | None):
-    if arg in ("-1", "minus1"):
-        return cocycle_mod.minus_one_cocycle(rack), "-1"
-    if arg == "chi":
-        if n is None:
-            raise UsageError("hilbert: chi requires a transposition rack (--rack xN)")
-        return cocycle_mod.chi_cocycle(n), "chi"
-    if arg.startswith("const:"):
-        parts = arg.split(":")
-        if len(parts) != 3:
-            raise UsageError("hilbert: const form is const:M:E")
-        return cocycle_mod.constant_cocycle(rack, int(parts[1]), int(parts[2])), arg
+    q = _builtin_cocycle(arg, rack, n)
+    if q is not None:
+        return q, "-1" if arg == "minus1" else arg
     if os.path.exists(arg):
         q = cocycle_mod.load_cocycle(arg)
         if q.rack.op != rack.op:
@@ -393,7 +373,7 @@ def cmd_hilbert(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "hilbert",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "report": report_obj.to_dict(),
         "ok": ok,
     }
@@ -473,7 +453,7 @@ def cmd_selfcheck(args) -> int:
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "selfcheck",
-        "config": _config_dict(cfg),
+        "config": asdict(cfg),
         "checks": checks,
         "ok": ok,
     }

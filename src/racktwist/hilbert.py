@@ -1,14 +1,15 @@
 """Graded ranks of symmetrizer matrices and Hilbert-series bookkeeping.
 
 The rank of the degree-n symmetrizer is the dimension of the degree-n
-component of the graded algebra attached to a rack-cocycle pair.  Ranks are
-computed either exactly (fraction-free integer elimination, the authority
-for blocks up to dimension 4096) or modulo two independently drawn random
-primes whose agreement is reported as a Monte Carlo certificate.  The
+component of the graded algebra attached to a rack-cocycle pair.  The
 symmetrizer is block diagonal over the braid-group orbits of the basis
 (every braid lift maps a basis vector into its orbit, and all lift counts
 are positive, so no entry cancels a block away); rank is summed block by
-block and the blocks stay small for these matrices.
+block.  Every block is cut out as a dense matrix and eliminated by one of
+two kernels: fraction-free integer elimination (exact mode, the authority
+for blocks up to dimension EXACT_DIM_LIMIT), or Gaussian elimination modulo
+two independently drawn random primes whose agreement is reported as a
+Monte Carlo certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
 from .errors import DimensionCapError
 
 EXACT_DIM_LIMIT = 4096
-DENSE_COMPONENT_LIMIT = 4096
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
 CERTIFIED = "modular-certified (Monte Carlo)"
@@ -198,10 +198,9 @@ class _OrbitBlocks:
         return np.diff(self.starts)
 
     def cut(self, scalars: list[int], p: int | None):
-        """Yield (size, [(cells, values) per class]) for every block of sum_e scalars[e] * counts[e].
+        """Yield (size, dense block) for every block of sum_e scalars[e] * counts[e].
 
-        cells are the row-major positions row * size + col inside the block,
-        distinct within a class; values are reduced mod p when p is given.
+        Entries are reduced mod p when p is given.
         """
         for o0, o1 in zip(self.batches[:-1].tolist(), self.batches[1:].tolist()):
             rows = self.members[self.starts[o0] : self.starts[o1]]
@@ -214,6 +213,7 @@ class _OrbitBlocks:
                 idx = np.repeat(first[rows] - ends + lens, lens)
                 idx += np.arange(idx.size)
                 row = c.row[idx]
+                # row-major positions inside the block, distinct within a class
                 cells = self.local[row] * self.size_of[row]
                 del row
                 cells += self.local[c.col[idx]]
@@ -221,15 +221,11 @@ class _OrbitBlocks:
                 values = counts * scalar if p is None else counts % p * scalar % p
                 batch.append((np.append(0, ends)[block_rows], cells, values))
             for b, size in enumerate(np.diff(block_rows).tolist()):
-                yield size, [(cells[lo[b] : lo[b + 1]], values[lo[b] : lo[b + 1]]) for lo, cells, values in batch]
-
-
-def _dense(size: int, parts, p: int | None) -> np.ndarray:
-    """A block as a dense array from the (cells, values) of each exponent class, summed mod p if given."""
-    a = np.zeros(size * size, dtype=np.int64)
-    for cells, v in parts:
-        a[cells] = a[cells] + v if p is None else (a[cells] + v) % p
-    return a.reshape(size, size)
+                a = np.zeros(size * size, dtype=np.int64)
+                for lo, cells, values in batch:
+                    c, v = cells[lo[b] : lo[b + 1]], values[lo[b] : lo[b + 1]]
+                    a[c] = a[c] + v if p is None else (a[c] + v) % p
+                yield size, a.reshape(size, size)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -283,81 +279,10 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_sparse_modp(row: np.ndarray, col: np.ndarray, val: np.ndarray, p: int) -> int:
-    """Sparse elimination over F_p with Markowitz-style minimum-fill pivoting.
-
-    The matrix is given by coordinates; entries at a repeated position add up.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for r, c, v in zip(row.tolist(), col.tolist(), val.tolist()):
-        entries = rows.setdefault(r, {})
-        entries[c] = (entries.get(c, 0) + v) % p
-    col_rows: dict[int, set[int]] = {}
-    for r in list(rows):
-        entries = rows[r] = {c: v for c, v in rows[r].items() if v}
-        if not entries:
-            del rows[r]
-        for c in entries:
-            col_rows.setdefault(c, set()).add(r)
-    rank = 0
-    while rows:
-        best = None
-        for c in sorted(col_rows):
-            holders = col_rows[c]
-            if not holders:
-                continue
-            cc = len(holders)
-            for r in sorted(holders):
-                score = (len(rows[r]) - 1) * (cc - 1)
-                if best is None or score < best[0]:
-                    best = (score, r, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
-        prow = rows.pop(pr)
-        for c in prow:
-            col_rows[c].discard(pr)
-            if not col_rows[c]:
-                del col_rows[c]
-        inv = pow(prow[pc], -1, p)
-        prow = {c: v * inv % p for c, v in prow.items()}
-        targets = list(col_rows.get(pc, ()))
-        for r in targets:
-            row = rows[r]
-            f = row.get(pc)
-            if f is None:
-                continue
-            for c, v in prow.items():
-                nv = (row.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
-                    row[c] = nv
-                else:
-                    if c in row:
-                        del row[c]
-                        holders = col_rows.get(c)
-                        if holders is not None:
-                            holders.discard(r)
-                            if not holders:
-                                del col_rows[c]
-            if not row:
-                del rows[r]
-        rank += 1
-    return rank
-
-
-def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int, dense_limit: int) -> int:
+def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int) -> int:
     g = _element_of_order(p, sym.order)
     total = 0
-    for size, parts in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
-        if size > dense_limit:
-            cells, v = (np.concatenate(x) for x in zip(*parts))
-            total += _rank_sparse_modp(cells // size, cells % size, v, p)
-            continue
-        a = _dense(size, parts, p)
+    for _, a in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
         if a.any():
             total += _rank_dense_modp(a, p)
     return total
@@ -366,29 +291,21 @@ def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int, dense_li
 def _exact_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks) -> int:
     """Bareiss on every block of the integer matrix counts[0] - counts[1] (zeta = -1)."""
     total = 0
-    for size, parts in blocks.cut([1, -1][: sym.order], None):
-        a = _dense(size, parts, None)
+    for _, a in blocks.cut([1, -1][: sym.order], None):
         if a.any():
             total += _rank_bareiss(a.tolist())
     return total
 
 
-def rank(
-    sym: SymmetrizerMatrix,
-    mode: str,
-    *,
-    seed: int = 0,
-    rng: random.Random | None = None,
-    dense_limit: int = DENSE_COMPONENT_LIMIT,
-    exact_dim_limit: int = EXACT_DIM_LIMIT,
-) -> RankCertificate:
+def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None) -> RankCertificate:
     """Rank of a symmetrizer matrix, exact or modular-certified.
 
     The matrix is block diagonal over the braid orbits of the basis (see
     SymmetrizerMatrix), so rank is summed block by block.  Exact mode runs
     fraction-free elimination on the integer matrix; the order must be <= 2
-    and every block within the exact limit.  Modular mode reduces modulo two
-    independently drawn primes p = 1 mod order and requires agreement; a
+    and every block within EXACT_DIM_LIMIT.  Modular mode eliminates every
+    block densely modulo two independently drawn primes p = 1 mod order
+    (from `rng`, by default random.Random(0)) and requires agreement; a
     disagreement draws a third prime and, when every block is within the
     exact limit, falls back to exact elimination.
     """
@@ -398,27 +315,27 @@ def rank(
     if mode == "exact":
         if sym.order > 2:
             raise ValueError("exact mode requires order <= 2 (integer matrix)")
-        if largest > exact_dim_limit:
+        if largest > EXACT_DIM_LIMIT:
             raise DimensionCapError(
-                f"block of dimension {largest} too large for exact mode (limit {exact_dim_limit})"
+                f"block of dimension {largest} too large for exact mode (limit {EXACT_DIM_LIMIT})"
             )
         return RankCertificate(_exact_rank(sym, blocks), "exact", (), sym.dim, n_blocks)
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
-        rng = random.Random(seed)
+        rng = random.Random(0)
     drawn: set[int] = set()
     p1 = _draw_prime(rng, sym.order, drawn)
     drawn.add(p1)
     p2 = _draw_prime(rng, sym.order, drawn)
     drawn.add(p2)
-    r1 = _modular_rank(sym, blocks, p1, dense_limit)
-    r2 = _modular_rank(sym, blocks, p2, dense_limit)
+    r1 = _modular_rank(sym, blocks, p1)
+    r2 = _modular_rank(sym, blocks, p2)
     if r1 == r2:
         return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
     p3 = _draw_prime(rng, sym.order, drawn)
-    r3 = _modular_rank(sym, blocks, p3, dense_limit)
-    if sym.order <= 2 and largest <= exact_dim_limit:
+    r3 = _modular_rank(sym, blocks, p3)
+    if sym.order <= 2 and largest <= EXACT_DIM_LIMIT:
         value = _exact_rank(sym, blocks)
         return RankCertificate(
             value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, n_blocks

@@ -147,12 +147,6 @@ class FiniteRack:
     def size(self) -> int:
         return len(self.op)
 
-    def act(self, x: int, y: int) -> int:
-        return self.op[x][y]
-
-    def label(self, x: int) -> str:
-        return self.labels[x] if self.labels is not None else str(x)
-
 
 @dataclass(frozen=True)
 class RackAxiomReport:

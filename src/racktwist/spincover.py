@@ -7,7 +7,8 @@ integer combination of basis monomials times a power of 1/sqrt(2); an
 element stores those integer coefficients and the one exponent.  The
 central involution z is the scalar -1.  Group equality, products, and the
 sign cocycle of a section are all decided by integer arithmetic, with no
-floating point.
+floating point.  Section values are memoised by a SectionCache; the group
+cocycle of phi_psi_table owns one and reads every sign bit from it.
 """
 
 from __future__ import annotations
@@ -366,28 +367,6 @@ class SectionCache:
         raise SectionConsistencyError(
             f"s(x)s(y) is not +/- s(xy) for x={x.cycle_string()}, y={y.cycle_string()}"
         )
-
-
-_SECTION_CACHES: dict[int, SectionCache] = {}
-
-
-def _shared_section_cache(n: int) -> SectionCache:
-    cache = _SECTION_CACHES.get(n)
-    if cache is None:
-        cache = _SECTION_CACHES[n] = SectionCache(n)
-    return cache
-
-
-def section_s(sigma: Permutation) -> SpinElement:
-    """The section value s(sigma); see SectionCache for the defining choices."""
-    return _shared_section_cache(sigma.n).section(sigma)
-
-
-def phi(x: Permutation, y: Permutation) -> int:
-    """The sign bit of the section cocycle: s(x)s(y) = z^phi(x,y) s(xy)."""
-    if x.n != y.n:
-        raise ValueError("size mismatch")
-    return _shared_section_cache(x.n).phi_bit(x, y)
 
 
 class GroupCocycleBit:

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import os
@@ -158,7 +157,7 @@ class TestHilbertCommand:
 
     def test_exact_mode_resource_error(self, monkeypatch):
         # exact mode limits each braid orbit; x5 has orbits of size 125 in degree 4
-        monkeypatch.setattr(hilbert_mod, "rank", functools.partial(hilbert_mod.rank, exact_dim_limit=64))
+        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 64)
         code = run(["hilbert", "--rack", "x5", "--cocycle", "chi", "--max-degree", "4", "--mode", "exact"])
         assert code == 3
 
@@ -178,13 +177,6 @@ class TestHilbertCommand:
              "--mode", "modular", "--dim-cap", "100"]
         )
         assert code == 3
-
-    def test_dim_cap_env(self, monkeypatch):
-        monkeypatch.setenv("RACKTWIST_DIM_CAP", "100")
-        code = run(["hilbert", "--rack", "x4", "--cocycle", "-1", "--max-degree", "3", "--mode", "modular"])
-        assert code == 3
-        monkeypatch.setenv("RACKTWIST_DIM_CAP", "junk")
-        assert run(["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "2", "--mode", "exact"]) == 1
 
     def test_cocycle_file_input(self, tmp_path):
         cpath = tmp_path / "chi.json"

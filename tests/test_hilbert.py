@@ -15,7 +15,6 @@ from racktwist.hilbert import (
     _is_prime_u32,
     _rank_bareiss,
     _rank_dense_modp,
-    _rank_sparse_modp,
     compare_twist_series,
     expand_closed_form,
     graded_dims,
@@ -139,18 +138,17 @@ class TestRankKernels:
             expected = rank_over_rationals(mat)
             arr = np.array(mat, dtype=np.int64) % p
             assert _rank_dense_modp(arr, p) == expected
-
-    def test_sparse_modp_matches_dense(self):
+        # sparse, mostly rank-deficient inputs
         rng = random.Random(6)
         p = 1_073_741_827  # prime just above 2^30
         for _ in range(25):
             n = rng.randint(2, 30)
-            dense = np.zeros((n, n), dtype=np.int64)
+            mat = [[0] * n for _ in range(n)]
             for _ in range(rng.randint(1, 3 * n)):
-                dense[rng.randrange(n), rng.randrange(n)] = rng.randint(-4, 4)
-            expected = _rank_dense_modp(dense.copy() % p, p)
-            rows, cols = np.nonzero(dense % p)
-            assert _rank_sparse_modp(rows, cols, (dense % p)[rows, cols], p) == expected
+                mat[rng.randrange(n)][rng.randrange(n)] = rng.randint(-4, 4)
+            expected = rank_over_rationals(mat)
+            arr = np.array(mat, dtype=np.int64) % p
+            assert _rank_dense_modp(arr, p) == expected
 
 
 class TestRank:
@@ -164,7 +162,7 @@ class TestRank:
         dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 19
         assert rank(sym, "exact").rank == 19
-        assert rank(sym, "modular", seed=0).rank == 19
+        assert rank(sym, "modular", rng=random.Random(0)).rank == 19
 
     def test_q2_x3_rank4_with_oracle(self):
         sym = symmetrizer(M1_X3, 2)
@@ -176,39 +174,37 @@ class TestRank:
     def test_exact_equals_modular_x3(self, degree):
         for q in (M1_X3, chi_cocycle(3)):
             sym = symmetrizer(q, degree)
-            assert rank(sym, "exact").rank == rank(sym, "modular", seed=degree).rank
+            assert rank(sym, "exact").rank == rank(sym, "modular", rng=random.Random(degree)).rank
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_exact_equals_modular_x4(self, degree):
         for q in (M1_X4, chi_cocycle(4)):
             sym = symmetrizer(q, degree)
-            assert rank(sym, "exact").rank == rank(sym, "modular", seed=degree).rank
+            assert rank(sym, "exact").rank == rank(sym, "modular", rng=random.Random(degree)).rank
 
-    def test_exact_mode_dimension_limit(self):
+    def test_exact_mode_dimension_limit(self, monkeypatch):
         # the limit applies per braid orbit; the largest orbit of x3 in degree 2 has size 3
         sym = symmetrizer(M1_X3, 2)
+        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 2)
         with pytest.raises(DimensionCapError):
-            rank(sym, "exact", exact_dim_limit=2)
+            rank(sym, "exact")
 
-    def test_exact_limit_applies_per_block(self):
+    def test_exact_limit_applies_per_block(self, monkeypatch):
         sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
-        cert = rank(sym, "exact", exact_dim_limit=64)
+        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 64)
+        cert = rank(sym, "exact")
         assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
+        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 15)
         with pytest.raises(DimensionCapError):
-            rank(sym, "exact", exact_dim_limit=15)
+            rank(sym, "exact")
 
     def test_disagreeing_primes_are_best_effort(self, monkeypatch):
         # an order-3 cocycle has no exact fallback
         ranks = iter([4, 5, 6])
         monkeypatch.setattr(hilbert_mod, "_modular_rank", lambda *args: next(ranks))
-        cert = rank(symmetrizer(constant_cocycle(X3, 3, 1), 2), "modular", seed=0)
+        cert = rank(symmetrizer(constant_cocycle(X3, 3, 1), 2), "modular", rng=random.Random(0))
         assert cert.method == hilbert_mod.DISAGREED
         assert cert.rank == 6 and len(set(cert.primes)) == 3
-
-    def test_sparse_path_sums_repeated_positions(self):
-        p = 1_073_741_827
-        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 0, 1, 1])
-        assert _rank_sparse_modp(rows, cols, np.array([1, p - 1, 2, 3]), p) == 1
 
     def test_exact_mode_requires_small_order(self):
         sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
@@ -218,20 +214,26 @@ class TestRank:
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
         sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
-        cert = rank(sym, "modular", seed=1)
+        cert = rank(sym, "modular", rng=random.Random(1))
         assert all(p % 4 == 1 for p in cert.primes)
         assert 0 < cert.rank <= 9
 
     def test_modular_certificate_contents(self):
-        cert = rank(symmetrizer(M1_X4, 2), "modular", seed=9)
+        cert = rank(symmetrizer(M1_X4, 2), "modular", rng=random.Random(9))
         assert cert.method == "modular-certified (Monte Carlo)"
         assert len(cert.primes) == 2 and cert.primes[0] != cert.primes[1]
         assert cert.dim == 36
 
-    def test_sparse_component_path(self):
-        # force every component through the sparse Markowitz solver
+    def test_default_rng_draws_as_seed_zero(self):
         sym = symmetrizer(M1_X4, 2)
-        assert rank(sym, "modular", seed=3, dense_limit=1).rank == 19
+        assert rank(sym, "modular").primes == rank(sym, "modular", rng=random.Random(0)).primes
+
+    @pytest.mark.parametrize("degree", [5, 6])
+    def test_x3_minus_one_classes_cancel(self, degree):
+        # both exponent classes are nonzero, but their sum mod p is the zero matrix
+        sym = symmetrizer(M1_X3, degree)
+        assert all(c.nnz for c in sym.counts)
+        assert rank(sym, "modular").rank == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -16,9 +16,7 @@ from racktwist.spincover import (
     bracket,
     conj_by_perm,
     generator_t,
-    phi,
     phi_psi_table,
-    section_s,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,
@@ -309,16 +307,18 @@ class TestSpinElementInvariants:
 
 class TestSection:
     def test_identity(self):
-        assert section_s(Permutation.identity(4)) == SpinElement.one(4)
+        assert SectionCache(4).section(Permutation.identity(4)) == SpinElement.one(4)
 
     def test_module_functions_share_one_cache(self):
+        # one cache memoises each section; the group cocycle reads its bits from such a cache
         sigma = Permutation((2, 3, 1, 5, 4))
-        assert section_s(sigma) is section_s(Permutation(sigma.image))
-        assert phi(sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
+        cache = SectionCache(5)
+        assert cache.section(sigma) is cache.section(Permutation(sigma.image))
+        assert phi_psi_table(5).bit(sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
 
     def test_transposition_values(self):
-        assert section_s(Permutation.transposition(4, 1, 2)) == generator_t(4, 1)
-        s13 = section_s(Permutation.transposition(3, 1, 3))
+        assert SectionCache(4).section(Permutation.transposition(4, 1, 2)) == generator_t(4, 1)
+        s13 = SectionCache(3).section(Permutation.transposition(3, 1, 3))
         t1, t2 = generator_t(3, 1), generator_t(3, 2)
         assert s13 == (t1 * t2 * t1).times_z()
         assert s13 == bracket(3, 1, 3)
@@ -353,15 +353,16 @@ class TestPhi:
     def test_identity_row(self):
         n = 4
         ident = Permutation.identity(n)
+        gc = phi_psi_table(n)
         rng = random.Random(6)
         for _ in range(10):
             img = list(range(1, n + 1))
             rng.shuffle(img)
-            assert phi(ident, Permutation(tuple(img))) == 0
+            assert gc.bit(ident, Permutation(tuple(img))) == 0
 
     def test_transposition_square(self):
         s12 = Permutation.transposition(4, 1, 2)
-        assert phi(s12, s12) == 0
+        assert phi_psi_table(4).bit(s12, s12) == 0
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_transposition_squares_all(self, n):
