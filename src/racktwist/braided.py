@@ -7,7 +7,9 @@ pairs, and the degree-n symmetrizer is assembled as an exact sparse matrix
 with coefficients in Z[zeta_m], degree by degree from the factorisation
 S_n = (S_{n-1} (x) id) . T_n, and held as numpy coordinate arrays, one per
 power of zeta.  The braid-group orbits of the basis come with it: the
-symmetrizer is block diagonal over them.
+symmetrizer is block diagonal over them.  So do their classes under the
+translations of X that commute with the braiding, which carry blocks onto
+blocks of the same rank.
 """
 
 from __future__ import annotations
@@ -138,6 +140,16 @@ class SymmetrizerMatrix:
     counts of contributions with scalar zeta^e.  `orbit[v]` is the smallest
     basis index in the braid-group orbit of v; every lift maps a basis
     vector into its orbit, so the matrix is block diagonal over the orbits.
+
+    Let g_x send basis y to q(x, y) (x |> y).  When g_x (x) g_x commutes
+    with the braiding c on X (x) X (see _commuting_translations; on a rack
+    with a 2-cocycle that holds for every x, for -1 and chi alike),
+    g_x^(x)degree commutes with every lift and with the symmetrizer, and
+    it carries the block of an orbit onto the block of the image orbit
+    with the same rank.  These x sort the orbits into classes;
+    `orbit_class[i]` is the number of the smallest orbit in the class of
+    orbit i, orbits numbered by their smallest member.  `hilbert.rank`
+    ranks one block per class and weights it by the class size.
     """
 
     dim: int
@@ -145,6 +157,7 @@ class SymmetrizerMatrix:
     degree: int
     counts: list[CountMatrix]
     orbit: np.ndarray
+    orbit_class: np.ndarray
 
 
 # Entries expanded at once when lifting to the next degree; bounds working memory.
@@ -164,18 +177,60 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[ends], total
 
 
-def _braid_orbits(tables: list[tuple[np.ndarray, np.ndarray]], dim: int) -> np.ndarray:
-    """Smallest basis index in each braid orbit, by min-label propagation with pointer jumping."""
-    label = np.arange(dim, dtype=np.int64)
+def _min_labels(maps: list[np.ndarray], size: int) -> np.ndarray:
+    """Smallest element in the orbit of each i under the maps, by min-label propagation with pointer jumping."""
+    label = np.arange(size, dtype=np.int64)
     while True:
         new = label.copy()
-        for tgt, _ in tables:
+        for tgt in maps:
             np.minimum(new, new[tgt], out=new)
             new[tgt] = np.minimum(new[tgt], new)
         new = new[new]
         if np.array_equal(new, label):
             return label
         label = new
+
+
+def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
+    """The rows phi = x |> - whose monomial lift g_x commutes with the braiding.
+
+    g_x sends basis y to q(x, y) (x |> y).  It is invertible and g_x (x) g_x
+    commutes with c on X (x) X when phi is a permutation of X with
+    phi(y) |> phi(z) = phi(y |> z) and q(y, z) q(x, y |> z) = q(x, z)
+    q(phi y, phi z) for all y, z.  The last identity is the cocycle
+    condition at (x, y, z), so on a rack every x qualifies; each row is
+    checked all the same, because file racks that fail the axioms reach
+    `hilbert` too.
+    """
+    k, m = q.rack.size, q.order
+    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
+    ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
+    return [
+        phi
+        for phi, ex_x in zip(op, ex)
+        if (np.bincount(phi, minlength=k) == 1).all()
+        and np.array_equal(op[phi[:, None], phi], phi[op])
+        and not ((ex + ex_x[op] - ex_x - ex[phi[:, None], phi]) % m).any()
+    ]
+
+
+def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> np.ndarray:
+    """The class of every braid orbit under the translations of _commuting_translations.
+
+    Orbits are numbered by their smallest member; entry i is the number of
+    the smallest orbit in the class of orbit i.
+    """
+    k = q.rack.size
+    reps = np.flatnonzero(orbit == np.arange(orbit.size))
+    maps = []
+    for phi in _commuting_translations(q):
+        image, rem, place = np.zeros_like(reps), reps.copy(), 1
+        for _ in range(degree):
+            image += phi[rem % k] * place
+            rem //= k
+            place *= k
+        maps.append(np.searchsorted(reps, orbit[image]))
+    return _min_labels(maps, reps.size)
 
 
 def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> SymmetrizerMatrix:
@@ -255,7 +310,8 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
                 used[e] = fill.stop
             del keys, w
         counts = [CountMatrix(row[:u], col[:u], data[:u]) for (row, col, data), u in zip(out, used)]
-    return SymmetrizerMatrix(dim, m, degree, counts, _braid_orbits(tables, dim))
+    orbit = _min_labels([tgt for tgt, _ in tables], dim)
+    return SymmetrizerMatrix(dim, m, degree, counts, orbit, _orbit_classes(q, degree, orbit))
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:

@@ -5,11 +5,18 @@ component of the graded algebra attached to a rack-cocycle pair.  The
 symmetrizer is block diagonal over the braid-group orbits of the basis
 (every braid lift maps a basis vector into its orbit, and all lift counts
 are positive, so no entry cancels a block away); rank is summed block by
-block.  Every block is cut out as a dense matrix and eliminated by one of
-two kernels: fraction-free integer elimination (exact mode, the authority
-for blocks up to dimension EXACT_DIM_LIMIT), or Gaussian elimination modulo
-two independently drawn random primes whose agreement is reported as a
-Monte Carlo certificate.
+block.  A translation g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x
+commutes with the braiding c on X (x) X commutes with the symmetrizer in
+every degree, so it carries each block onto the block of the image orbit
+without changing its rank.  On a rack every 2-cocycle satisfies this (it
+is the cocycle condition), for chi as for -1.  The orbits fall into classes
+under these translations (SymmetrizerMatrix.orbit_class), and only the
+block of the smallest orbit in a class is ranked, weighted by the class
+size.  Every ranked block is cut out as a dense matrix and eliminated by
+one of two kernels: fraction-free integer elimination (exact mode, the
+authority for blocks up to dimension EXACT_DIM_LIMIT), or Gaussian
+elimination modulo two independently drawn random primes whose agreement
+is reported as a Monte Carlo certificate.
 """
 
 from __future__ import annotations
@@ -58,12 +65,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    def value_at_one(self) -> int:
-        return sum(self.coeffs)
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
 
 def t_integer(m: int) -> IntPolynomial:
@@ -157,19 +158,21 @@ _BATCH_ENTRIES = 1 << 18
 
 @dataclass
 class _OrbitBlocks:
-    """The braid orbits of the basis, for cutting a symmetrizer into diagonal blocks.
+    """One braid orbit of the basis per class of orbits, for cutting diagonal blocks.
 
-    `members` lists every orbit in increasing order, orbits ordered by their
-    smallest member, orbit i at starts[i]:starts[i+1]; `local` is the
-    position of a basis index inside its orbit, `size_of` the size of its
-    orbit, and `first[e][r]` the offset of row r in `counts[e]`.  Consecutive
-    orbits are cut out together, in batches of orbits that begin at
-    `batches`.
+    `members` lists the kept orbits in increasing order, orbits ordered by
+    their smallest member, kept orbit i at starts[i]:starts[i+1] standing
+    for mult[i] orbits whose blocks have its rank (see SymmetrizerMatrix);
+    `local` is the position of a kept basis index inside its orbit,
+    `size_of` the size of its orbit, and `first[e][r]` the offset of row r
+    in `counts[e]`.  Consecutive orbits are cut out together, in batches of
+    orbits that begin at `batches`.
     """
 
     counts: list[CountMatrix]
     members: np.ndarray
     starts: np.ndarray
+    mult: np.ndarray
     local: np.ndarray
     size_of: np.ndarray
     first: list[np.ndarray]
@@ -178,19 +181,30 @@ class _OrbitBlocks:
     @staticmethod
     def of(sym: SymmetrizerMatrix) -> _OrbitBlocks:
         n = sym.dim
-        members = np.argsort(sym.orbit, kind="stable")
+        heads = sym.orbit_class == np.arange(sym.orbit_class.size)
+        kept = np.zeros(n, dtype=bool)
+        kept[np.flatnonzero(sym.orbit == np.arange(n))[heads]] = True
+        members = np.flatnonzero(kept[sym.orbit])
+        members = members[np.argsort(sym.orbit[members], kind="stable")]
         starts = np.flatnonzero(np.diff(sym.orbit[members], prepend=-1))
-        sizes = np.diff(starts, append=n)
+        sizes = np.diff(starts, append=members.size)
         local = np.empty(n, dtype=np.int64)
-        local[members] = np.arange(n) - np.repeat(starts, sizes)
+        local[members] = np.arange(members.size) - np.repeat(starts, sizes)
         size_of = np.empty(n, dtype=np.int64)
         size_of[members] = np.repeat(sizes, sizes)
-        first = [np.append(0, np.cumsum(np.bincount(c.row, minlength=n))) for c in sym.counts]
+        first = [np.searchsorted(c.row, np.arange(n + 1, dtype=c.row.dtype)) for c in sym.counts]
         per_row = sum(np.diff(f) for f in first)[members]
         batch = (np.cumsum(per_row) - per_row)[starts] // _BATCH_ENTRIES
         batches = np.flatnonzero(np.diff(batch, prepend=-1))
         return _OrbitBlocks(
-            sym.counts, members, np.append(starts, n), local, size_of, first, np.append(batches, starts.size)
+            sym.counts,
+            members,
+            np.append(starts, members.size),
+            np.bincount(sym.orbit_class, minlength=heads.size)[heads],
+            local,
+            size_of,
+            first,
+            np.append(batches, starts.size),
         )
 
     @property
@@ -198,7 +212,7 @@ class _OrbitBlocks:
         return np.diff(self.starts)
 
     def cut(self, scalars: list[int], p: int | None):
-        """Yield (size, dense block) for every block of sum_e scalars[e] * counts[e].
+        """Yield (multiplicity, dense block) for every kept block of sum_e scalars[e] * counts[e].
 
         Entries are reduced mod p when p is given.
         """
@@ -220,12 +234,12 @@ class _OrbitBlocks:
                 counts = c.data[idx].astype(np.int64)
                 values = counts * scalar if p is None else counts % p * scalar % p
                 batch.append((np.append(0, ends)[block_rows], cells, values))
-            for b, size in enumerate(np.diff(block_rows).tolist()):
+            for b, (size, mult) in enumerate(zip(np.diff(block_rows).tolist(), self.mult[o0:o1].tolist())):
                 a = np.zeros(size * size, dtype=np.int64)
                 for lo, cells, values in batch:
                     c, v = cells[lo[b] : lo[b + 1]], values[lo[b] : lo[b + 1]]
                     a[c] = a[c] + v if p is None else (a[c] + v) % p
-                yield size, a.reshape(size, size)
+                yield mult, a.reshape(size, size)
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -282,18 +296,18 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
 def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int) -> int:
     g = _element_of_order(p, sym.order)
     total = 0
-    for _, a in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
+    for mult, a in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
         if a.any():
-            total += _rank_dense_modp(a, p)
+            total += mult * _rank_dense_modp(a, p)
     return total
 
 
 def _exact_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks) -> int:
     """Bareiss on every block of the integer matrix counts[0] - counts[1] (zeta = -1)."""
     total = 0
-    for _, a in blocks.cut([1, -1][: sym.order], None):
+    for mult, a in blocks.cut([1, -1][: sym.order], None):
         if a.any():
-            total += _rank_bareiss(a.tolist())
+            total += mult * _rank_bareiss(a.tolist())
     return total
 
 
@@ -301,16 +315,17 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
     """Rank of a symmetrizer matrix, exact or modular-certified.
 
     The matrix is block diagonal over the braid orbits of the basis (see
-    SymmetrizerMatrix), so rank is summed block by block.  Exact mode runs
+    SymmetrizerMatrix), so rank is summed block by block, one block per
+    class of orbits weighted by the class size.  Exact mode runs
     fraction-free elimination on the integer matrix; the order must be <= 2
-    and every block within EXACT_DIM_LIMIT.  Modular mode eliminates every
-    block densely modulo two independently drawn primes p = 1 mod order
+    and every block within EXACT_DIM_LIMIT.  Modular mode eliminates the
+    ranked blocks densely modulo two independently drawn primes p = 1 mod order
     (from `rng`, by default random.Random(0)) and requires agreement; a
     disagreement draws a third prime and, when every block is within the
     exact limit, falls back to exact elimination.
     """
     blocks = _OrbitBlocks.of(sym)
-    n_blocks = len(blocks.starts) - 1
+    n_blocks = sym.orbit_class.size
     largest = int(blocks.sizes.max())
     if mode == "exact":
         if sym.order > 2:

@@ -140,6 +140,8 @@ class FiniteRack:
         k = len(self.op)
         if any(len(row) != k for row in self.op):
             raise ValueError("operation table must be square")
+        if any(min(row) < 0 or max(row) >= k for row in self.op):
+            raise ValueError(f"operation table entries must lie in 0..{k - 1}")
         if self.labels is not None and len(self.labels) != k:
             raise ValueError("labels length must match rack size")
 
@@ -305,9 +307,3 @@ def rack_from_dict(d: dict) -> FiniteRack:
 def load_rack(path: str) -> FiniteRack:
     with open(path, encoding="utf-8") as fh:
         return rack_from_dict(json.load(fh))
-
-
-def save_rack(r: FiniteRack, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rack_to_dict(r), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -79,12 +79,6 @@ class CliffordElement:
     def one(n: int) -> CliffordElement:
         return CliffordElement.scalar(n, 1)
 
-    @staticmethod
-    def basis_vector(n: int, i: int) -> CliffordElement:
-        if not 1 <= i <= n:
-            raise ValueError(f"generator index {i} out of range 1..{n}")
-        return CliffordElement(n, {1 << (i - 1): 1})
-
     def __neg__(self) -> CliffordElement:
         return CliffordElement(self.n, {m: -c for m, c in self.terms.items()}, self.k)
 
@@ -125,11 +119,6 @@ class CliffordElement:
 
     def __hash__(self):
         return hash((self.n, self.k, frozenset(self.terms.items())))
-
-    def parity(self) -> int | None:
-        """0 or 1 if all masks share popcount parity, else None."""
-        parities = {m.bit_count() & 1 for m in self.terms}
-        return parities.pop() if len(parities) == 1 else None
 
     def _check(self, other: CliffordElement) -> None:
         if self.n != other.n:
@@ -185,23 +174,6 @@ class SpinElement:
     def z(n: int) -> SpinElement:
         """The central involution, realized as the scalar -1."""
         return SpinElement(CliffordElement.scalar(n, -1), Permutation.identity(n))
-
-    def is_group_like(self) -> bool:
-        """Invariant check: parity-homogeneous and invertible via reversal."""
-        if self.elem.parity() is None:
-            return False
-        return (self.elem * self.elem.reverse()) == CliffordElement.one(self.elem.n)
-
-    def signed_action_consistent(self) -> bool:
-        """Invariant check: conjugation sends each e_i to +/- e_{perm(i)}."""
-        n = self.elem.n
-        inv = self.elem.reverse()
-        for i in range(1, n + 1):
-            image = self.elem * CliffordElement.basis_vector(n, i) * inv
-            target = 1 << (self.perm(i) - 1)
-            if image.k != 0 or set(image.terms) != {target} or abs(image.terms[target]) != 1:
-                return False
-        return True
 
 
 def generator_t(n: int, i: int) -> SpinElement:

@@ -8,12 +8,13 @@ a Clifford algebra over the field Q(sqrt(2)) with rational coefficients.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from racktwist.rack import Permutation
+from racktwist.rack import Permutation, rack_to_dict
 
 
 def rank_over_rationals(rows) -> int:
@@ -180,6 +181,64 @@ def hurwitz_orbits(q, degree: int) -> list[tuple[int, ...]]:
     return _components(k**degree, edges)
 
 
+def translation_classes(q, degree: int) -> list[int]:
+    """Classes of braid orbits under the translations g_x that commute with the braiding.
+
+    g_x sends basis y to q(x, y) (x |> y); it is kept when it permutes X and
+    c (g_x (x) g_x) = (g_x (x) g_x) c on every y (x) z, both sides compared as
+    (basis pair, exponent).  Orbits are numbered as in hurwitz_orbits; entry
+    i is the number of the smallest orbit that the kept translations
+    connect to orbit i.
+    """
+    k, m, op, ex = q.rack.size, q.order, q.rack.op, q.exp
+    gens = []
+    for x in range(k):
+        phi = op[x]
+        if sorted(phi) != list(range(k)):
+            continue
+        commutes = True
+        for y in range(k):
+            for z in range(k):
+                before = ((op[phi[y]][phi[z]], phi[y]), (ex[x][y] + ex[x][z] + ex[phi[y]][phi[z]]) % m)
+                a, b = op[y][z], y
+                after = ((phi[a], phi[b]), (ex[y][z] + ex[x][a] + ex[x][b]) % m)
+                commutes = commutes and before == after
+        if commutes:
+            gens.append(phi)
+    orbits = hurwitz_orbits(q, degree)
+    where = {v: i for i, orbit in enumerate(orbits) for v in orbit}
+    edges = []
+    for i, orbit in enumerate(orbits):
+        digits = [orbit[0] // k ** (degree - 1 - j) % k for j in range(degree)]
+        for phi in gens:
+            edges.append((i, where[sum(phi[d] * k ** (degree - 1 - j) for j, d in enumerate(digits))]))
+    label = [0] * len(orbits)
+    for comp in _components(len(orbits), edges):
+        for i in comp:
+            label[i] = comp[0]
+    return label
+
+
+def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:
+    """The dense diagonal block of every braid orbit mod p with zeta mapped to g.
+
+    Blocks are listed by smallest orbit member; each is filled from the
+    coordinate entries whose row lies in the orbit, after checking that
+    their columns do too.
+    """
+    blocks = []
+    for o in np.flatnonzero(sym.orbit == np.arange(sym.dim)).tolist():
+        members = np.flatnonzero(sym.orbit == o)
+        block = np.zeros((members.size, members.size), dtype=np.int64)
+        for e, c in enumerate(sym.counts):
+            sel = sym.orbit[c.row] == o
+            assert (sym.orbit[c.col[sel]] == o).all()
+            rows, cols = np.searchsorted(members, c.row[sel]), np.searchsorted(members, c.col[sel])
+            np.add.at(block, (rows, cols), c.data[sel].astype(np.int64) * pow(g, e, p) % p)
+        blocks.append(block % p)
+    return blocks
+
+
 def support_components(sym) -> list[tuple[int, ...]]:
     """Connected components of the support graph of a square SymmetrizerMatrix (rows = cols)."""
     edges = [(int(r), int(c)) for cm in sym.counts for r, c in zip(cm.row, cm.col)]
@@ -261,3 +320,49 @@ def quad_clifford_product(
 def quad_generator(i: int) -> dict[int, QuadScalar]:
     """The lifted Coxeter generator t_i = (e_i - e_{i+1})/sqrt(2)."""
     return {1 << (i - 1): INV_SQRT2, 1 << i: -INV_SQRT2}
+
+
+def quad_reverse(u: dict[int, QuadScalar]) -> dict[int, QuadScalar]:
+    """The reversal anti-automorphism: e_S -> (-1)^(|S|(|S|-1)/2) e_S."""
+    out = {}
+    for m, c in u.items():
+        g = bin(m).count("1")
+        out[m] = -c if g * (g - 1) // 2 % 2 else c
+    return out
+
+
+def is_group_like(s) -> bool:
+    """A spin element is parity-homogeneous and its Clifford part times its reversal is 1."""
+    u = quad_element(s.elem.terms, s.elem.k)
+    if len({bin(m).count("1") % 2 for m in u}) != 1:
+        return False
+    return quad_clifford_product(u, quad_reverse(u)) == {0: QuadScalar.of(1)}
+
+
+def signed_action_consistent(s) -> bool:
+    """Conjugation by the Clifford part of a spin element sends each e_i to +/- e_{perm(i)}."""
+    u = quad_element(s.elem.terms, s.elem.k)
+    inv = quad_reverse(u)
+    for i in range(1, s.elem.n + 1):
+        image = quad_clifford_product(quad_clifford_product(u, {1 << (i - 1): QuadScalar.of(1)}), inv)
+        target = 1 << (s.perm(i) - 1)
+        if image not in ({target: QuadScalar.of(1)}, {target: QuadScalar.of(-1)}):
+            return False
+    return True
+
+
+def value_at_one(poly) -> int:
+    """An IntPolynomial evaluated at t = 1."""
+    return sum(poly.coeffs)
+
+
+def is_palindromic(poly) -> bool:
+    """Whether an IntPolynomial's coefficients read the same in both directions."""
+    return list(poly.coeffs) == list(poly.coeffs)[::-1]
+
+
+def save_rack(r, path: str) -> None:
+    """Write a rack as the JSON document that rack.load_rack reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rack_to_dict(r), fh, indent=2, sort_keys=True)
+        fh.write("\n")

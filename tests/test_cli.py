@@ -171,6 +171,17 @@ class TestHilbertCommand:
         assert report["ranks"] == [1, 10, 55, 220, 711]
         assert report["methods"] == ["exact"] * 5
 
+    def test_exact_mode_equals_modular_x4_minus_one(self, tmp_path):
+        # one block per class of braid orbits in both modes, weighted by class size
+        ranks = {}
+        for mode in ("exact", "modular"):
+            out = tmp_path / f"{mode}.json"
+            code = run(["hilbert", "--rack", "x4", "--cocycle=-1", "--max-degree", "5",
+                        "--mode", mode, "--out", str(out)])
+            assert code == 0
+            ranks[mode] = read_json(str(out))["report"]["ranks"]
+        assert ranks["exact"] == ranks["modular"] == [1, 6, 19, 42, 71, 96]
+
     def test_dim_cap_flag(self):
         code = run(
             ["hilbert", "--rack", "x4", "--cocycle", "-1", "--max-degree", "3",

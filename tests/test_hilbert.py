@@ -3,9 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from oracles import dense_integer_matrix, rank_over_rationals
+from oracles import (
+    dense_integer_matrix,
+    is_palindromic,
+    orbit_blocks_modp,
+    rank_over_rationals,
+    translation_classes,
+    value_at_one,
+)
+from racktwist import braided
 from racktwist.braided import symmetrizer
-from racktwist.cocycle import chi_cocycle, constant_cocycle, minus_one_cocycle
+from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
@@ -21,7 +29,7 @@ from racktwist.hilbert import (
     rank,
     t_integer,
 )
-from racktwist.rack import transposition_rack
+from racktwist.rack import FiniteRack, check_rack_axioms, transposition_rack
 from racktwist.spincover import phi_psi_table
 
 X3 = transposition_rack(3)
@@ -58,16 +66,16 @@ class TestIntPolynomial:
 class TestClosedForms:
     def test_x4_series(self):
         poly = expand_closed_form([(2, 2), (3, 2), (4, 2)])
-        assert poly.value_at_one() == 576
+        assert value_at_one(poly) == 576
         assert [poly.coefficient(d) for d in range(1, 6)] == [6, 19, 42, 71, 96]
-        assert poly.is_palindromic()
+        assert is_palindromic(poly)
         assert poly.degree == 12
 
     def test_x5_series(self):
         poly = expand_closed_form([(4, 4), (5, 2), (6, 4)])
-        assert poly.value_at_one() == 8_294_400
+        assert value_at_one(poly) == 8_294_400
         assert [poly.coefficient(d) for d in range(1, 5)] == [10, 55, 220, 711]
-        assert poly.is_palindromic()
+        assert is_palindromic(poly)
 
     def test_ones(self):
         assert expand_closed_form([(1, 7)]).coeffs == (1,)
@@ -238,6 +246,92 @@ class TestRank:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             rank(symmetrizer(M1_X3, 2), "float")
+
+
+CLASS_CASES = {
+    "x3-m1": M1_X3,
+    "x4-m1": M1_X4,
+    "x5-m1": minus_one_cocycle(transposition_rack(5)),
+    "x3-const31": constant_cocycle(X3, 3, 1),
+    "x4-chi": chi_cocycle(4),
+}
+
+
+def _ranks_without_classes(monkeypatch, q, degrees, translations):
+    """Modular ranks with the translation list of braided forced to `translations(q)`."""
+    monkeypatch.setattr(braided, "_commuting_translations", translations)
+    ranks = [rank(symmetrizer(q, d), "modular").rank for d in degrees]
+    monkeypatch.undo()
+    return ranks
+
+
+class TestOrbitClasses:
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES))
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_classes_match_oracle(self, name, degree):
+        q = CLASS_CASES[name]
+        assert symmetrizer(q, degree).orbit_class.tolist() == translation_classes(q, degree)
+
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES))
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_blocks_in_a_class_share_their_rank(self, name, degree):
+        q = CLASS_CASES[name]
+        sym = symmetrizer(q, degree)
+        p = _draw_prime(random.Random(degree), q.order, set())
+        g = _element_of_order(p, q.order)
+        ranks = np.array([_rank_dense_modp(b, p) for b in orbit_blocks_modp(sym, p, g)])
+        cls = sym.orbit_class
+        assert (ranks == ranks[cls]).all()
+        heads = np.flatnonzero(cls == np.arange(cls.size))
+        weighted = sum(int((cls == h).sum()) * int(ranks[h]) for h in heads)
+        assert weighted == int(ranks.sum())
+        assert hilbert_mod._modular_rank(sym, hilbert_mod._OrbitBlocks.of(sym), p) == weighted
+
+    def test_x5_minus_one_degree_four_counts(self):
+        sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
+        cls = sym.orbit_class
+        assert cls.size == 214
+        assert int((cls == np.arange(cls.size)).sum()) == 10
+        blocks = hilbert_mod._OrbitBlocks.of(sym)
+        assert (blocks.mult.size, int(blocks.mult.sum())) == (10, 214)
+        assert rank(sym, "modular").n_components == 214
+
+    def test_chi_classes_come_from_the_gauge(self):
+        # no x |> - preserves chi on x4, but twisted by the scalars chi(x, -)
+        # every translation commutes with c, so chi has the classes of -1
+        chi = CLASS_CASES["x4-chi"]
+        op, ex = chi.rack.op, chi.exp
+        for x in range(6):
+            phi = op[x]
+            assert any(ex[phi[y]][phi[z]] != ex[y][z] for y in range(6) for z in range(6))
+        assert len(braided._commuting_translations(chi)) == 6
+        sym = symmetrizer(chi, 5)
+        assert sym.orbit_class.size == 42
+        assert int((sym.orbit_class == np.arange(42)).sum()) == 6
+        assert np.array_equal(sym.orbit_class, symmetrizer(M1_X4, 5).orbit_class)
+
+    def test_forced_translations_change_a_rank(self, monkeypatch):
+        # one flipped entry makes chi fail the cocycle condition, and then no
+        # translation commutes with c; forcing them all in changes the ranks
+        exp = [list(row) for row in chi_cocycle(4).exp]
+        exp[0][1] ^= 1
+        q = RackCocycle(X4, 2, tuple(map(tuple, exp)))
+        assert braided._commuting_translations(q) == []
+        honest = [rank(symmetrizer(q, d), "modular").rank for d in (2, 3, 4)]
+        assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
+        forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
+        assert forced != honest
+
+    def test_table_failing_the_rack_axioms(self, monkeypatch):
+        # rows are bijections, but only x = 0 acts by an automorphism
+        r = FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2)))
+        assert not check_rack_axioms(r).ok
+        q = minus_one_cocycle(r)
+        assert len(braided._commuting_translations(q)) == 1
+        honest = [rank(symmetrizer(q, d), "modular").rank for d in (2, 3, 4)]
+        assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
+        forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
+        assert forced != honest
 
 
 class TestGradedDims:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import save_rack
 from racktwist.errors import OrbitTooLargeError
 from racktwist.rack import (
     FiniteRack,
@@ -13,7 +14,6 @@ from racktwist.rack import (
     load_rack,
     rack_from_dict,
     rack_to_dict,
-    save_rack,
     transposition_pairs,
     transposition_rack,
 )
@@ -149,6 +149,11 @@ class TestTranspositionRack:
 
 
 class TestAxiomChecker:
+    def test_constructor_rejects_out_of_range_entries(self):
+        for op in (((0, 1), (2, 0)), ((0, -1), (1, 0))):
+            with pytest.raises(ValueError, match=r"entries must lie in 0\.\.1"):
+                FiniteRack(op=op)
+
     def test_constant_row_reported(self):
         bad = FiniteRack(op=((0, 0, 0), (0, 1, 2), (0, 1, 2)))
         report = check_rack_axioms(bad)
