@@ -10,11 +10,10 @@ from .cocycle import (
     constant_cocycle,
     find_gauge,
     gauge_transform,
-    lift_to_order,
     minus_one_cocycle,
     twist,
 )
-from .errors import DimensionCapError, OrbitTooLargeError, RackTwistError, SectionConsistencyError
+from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
 from .hilbert import (
     HilbertReport,
     IntPolynomial,
@@ -38,7 +37,6 @@ from .rack import (
     Permutation,
     TranspositionLabel,
     check_rack_axioms,
-    conjugacy_class_rack,
     is_indecomposable,
     transposition_labels,
     transposition_pairs,
@@ -49,7 +47,6 @@ from .spincover import (
     GroupCocycleBit,
     SpinElement,
     bracket,
-    conj_by_perm,
     generator_t,
     phi_psi_table,
     verify_conjugation_lemmas,

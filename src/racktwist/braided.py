@@ -91,15 +91,15 @@ def _strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.nda
     return tables
 
 
-def rho(word: BraidWord, q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> MonomialOperator:
+def rho(word: BraidWord, q: RackCocycle, degree: int) -> MonomialOperator:
     """The braid representation image of a positive word on X^(x)degree."""
     if word.n != degree:
         raise ValueError(f"word is on {word.n} strands but degree is {degree}")
     if degree < 1:
         raise ValueError("degree must be >= 1")
     dim = q.rack.size**degree
-    if dim > dim_cap:
-        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
+    if dim > DEFAULT_DIM_CAP:
+        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
     tables = _strand_tables(q, degree)
     out = MonomialOperator.identity(dim, q.order)
     for i in word.letters:

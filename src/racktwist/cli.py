@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
-from .errors import DimensionCapError, OrbitTooLargeError
+from .errors import DimensionCapError
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -536,7 +536,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DimensionCapError, OrbitTooLargeError) as exc:
+    except DimensionCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

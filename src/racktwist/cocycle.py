@@ -234,33 +234,19 @@ def check_twist_condition(phi: TwistTable) -> CocycleReport:
     return CocycleReport(True)
 
 
-def lift_to_order(q: RackCocycle, new_order: int) -> RackCocycle:
-    """Rewrite q with values in the larger root-of-unity group of order new_order."""
-    if new_order % q.order != 0:
-        raise ValueError(f"{q.order} does not divide {new_order}")
-    scale = new_order // q.order
-    exp = tuple(tuple(e * scale for e in row) for row in q.exp)
-    return RackCocycle(rack=q.rack, order=new_order, exp=exp)
-
-
 def cocycle_to_dict(q: RackCocycle) -> dict:
     return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": [list(r) for r in q.exp]}
 
 
-def _table_from_dict(d: dict, key: str, what: str) -> tuple[FiniteRack, int, tuple[tuple[int, ...], ...]]:
-    """The rack (object or path), order and exponent table of a cocycle-like JSON object."""
-    rack_field = json_field(d, "rack", what)
+def cocycle_from_dict(d: dict) -> RackCocycle:
+    """A cocycle from its JSON object; the rack is an object or a path to a rack file."""
+    rack_field = json_field(d, "rack", "cocycle")
     if isinstance(rack_field, str):
         with open(rack_field, encoding="utf-8") as fh:
             rack_field = json.load(fh)
     rack = rack_from_dict(rack_field)
-    order = json_count(d, "order", what)
-    return rack, order, json_table(d, key, what, rack.size, order)
-
-
-def cocycle_from_dict(d: dict) -> RackCocycle:
-    rack, order, exp = _table_from_dict(d, "exp", "cocycle")
-    return RackCocycle(rack=rack, order=order, exp=exp)
+    order = json_count(d, "order", "cocycle")
+    return RackCocycle(rack=rack, order=order, exp=json_table(d, "exp", "cocycle", rack.size, order))
 
 
 def load_cocycle(path: str) -> RackCocycle:
@@ -270,8 +256,3 @@ def load_cocycle(path: str) -> RackCocycle:
 
 def twist_table_to_dict(t: TwistTable) -> dict:
     return {"rack": rack_to_dict(t.rack), "order": t.order, "phi": [list(r) for r in t.phi]}
-
-
-def twist_table_from_dict(d: dict) -> TwistTable:
-    rack, order, phi = _table_from_dict(d, "phi", "twist table")
-    return TwistTable(rack=rack, order=order, phi=phi)

@@ -9,10 +9,6 @@ class RackTwistError(Exception):
     """Base class for errors raised by racktwist operations."""
 
 
-class OrbitTooLargeError(RackTwistError):
-    """A conjugation orbit exceeded the configured size cap."""
-
-
 class DimensionCapError(RackTwistError):
     """A tensor-power dimension exceeded the cap, or is too large for the requested mode."""
 

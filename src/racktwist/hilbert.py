@@ -12,11 +12,12 @@ without changing its rank.  On a rack every 2-cocycle satisfies this (it
 is the cocycle condition), for chi as for -1.  The orbits fall into classes
 under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class
-size.  Every ranked block is cut out as a dense matrix and eliminated by
-one of two kernels: fraction-free integer elimination (exact mode, the
-authority for blocks up to dimension EXACT_DIM_LIMIT), or Gaussian
-elimination modulo two independently drawn random primes whose agreement
-is reported as a Monte Carlo certificate.
+size.  One pass cuts the integer entries of every ranked block once and
+reduces them for each modulus it is given: a dense block mod p for
+Gaussian elimination modulo a random prime, or the integer block for
+fraction-free elimination (exact mode, the authority for blocks up to
+dimension EXACT_DIM_LIMIT).  Modular mode passes two independently drawn
+primes and reports their agreement as a Monte Carlo certificate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, CountMatrix, SymmetrizerMatrix, symmetrizer
+from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, symmetrizer
 from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
 from .errors import DimensionCapError
 
@@ -152,94 +153,37 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
-# Matrix entries cut out of the symmetrizer at once; bounds the working memory.
-_BATCH_ENTRIES = 1 << 18
+def _kept_blocks(sym: SymmetrizerMatrix):
+    """Yield (mult, size, parts) for the smallest braid orbit of every class of orbits.
 
-
-@dataclass
-class _OrbitBlocks:
-    """One braid orbit of the basis per class of orbits, for cutting diagonal blocks.
-
-    `members` lists the kept orbits in increasing order, orbits ordered by
-    their smallest member, kept orbit i at starts[i]:starts[i+1] standing
-    for mult[i] orbits whose blocks have its rank (see SymmetrizerMatrix);
-    `local` is the position of a kept basis index inside its orbit,
-    `size_of` the size of its orbit, and `first[e][r]` the offset of row r
-    in `counts[e]`.  Consecutive orbits are cut out together, in batches of
-    orbits that begin at `batches`.
+    The orbit's diagonal block stands for the mult orbits of its class, whose
+    blocks have its rank (see SymmetrizerMatrix).  parts[e] = (cells, counts)
+    holds the int64 entries of counts[e] in the size x size block, at
+    row-major positions that are distinct within each e.
     """
-
-    counts: list[CountMatrix]
-    members: np.ndarray
-    starts: np.ndarray
-    mult: np.ndarray
-    local: np.ndarray
-    size_of: np.ndarray
-    first: list[np.ndarray]
-    batches: np.ndarray
-
-    @staticmethod
-    def of(sym: SymmetrizerMatrix) -> _OrbitBlocks:
-        n = sym.dim
-        heads = sym.orbit_class == np.arange(sym.orbit_class.size)
-        kept = np.zeros(n, dtype=bool)
-        kept[np.flatnonzero(sym.orbit == np.arange(n))[heads]] = True
-        members = np.flatnonzero(kept[sym.orbit])
-        members = members[np.argsort(sym.orbit[members], kind="stable")]
-        starts = np.flatnonzero(np.diff(sym.orbit[members], prepend=-1))
-        sizes = np.diff(starts, append=members.size)
-        local = np.empty(n, dtype=np.int64)
-        local[members] = np.arange(members.size) - np.repeat(starts, sizes)
-        size_of = np.empty(n, dtype=np.int64)
-        size_of[members] = np.repeat(sizes, sizes)
-        first = [np.searchsorted(c.row, np.arange(n + 1, dtype=c.row.dtype)) for c in sym.counts]
-        per_row = sum(np.diff(f) for f in first)[members]
-        batch = (np.cumsum(per_row) - per_row)[starts] // _BATCH_ENTRIES
-        batches = np.flatnonzero(np.diff(batch, prepend=-1))
-        return _OrbitBlocks(
-            sym.counts,
-            members,
-            np.append(starts, members.size),
-            np.bincount(sym.orbit_class, minlength=heads.size)[heads],
-            local,
-            size_of,
-            first,
-            np.append(batches, starts.size),
-        )
-
-    @property
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.starts)
-
-    def cut(self, scalars: list[int], p: int | None):
-        """Yield (multiplicity, dense block) for every kept block of sum_e scalars[e] * counts[e].
-
-        Entries are reduced mod p when p is given.
-        """
-        for o0, o1 in zip(self.batches[:-1].tolist(), self.batches[1:].tolist()):
-            rows = self.members[self.starts[o0] : self.starts[o1]]
-            block_rows = self.starts[o0 : o1 + 1] - self.starts[o0]
-            batch = []
-            for c, first, scalar in zip(self.counts, self.first, scalars):
-                # the entries of the batch's rows, row range by row range
-                lens = first[rows + 1] - first[rows]
-                ends = np.cumsum(lens)
-                idx = np.repeat(first[rows] - ends + lens, lens)
-                idx += np.arange(idx.size)
-                row = c.row[idx]
-                # row-major positions inside the block, distinct within a class
-                cells = self.local[row] * self.size_of[row]
-                del row
-                cells += self.local[c.col[idx]]
-                counts = c.data[idx].astype(np.int64)
-                values = counts * scalar if p is None else counts % p * scalar % p
-                batch.append((np.append(0, ends)[block_rows], cells, values))
-            for b, (size, mult) in enumerate(zip(np.diff(block_rows).tolist(), self.mult[o0:o1].tolist())):
-                a = np.zeros(size * size, dtype=np.int64)
-                for lo, cells, values in batch:
-                    c, v = cells[lo[b] : lo[b + 1]], values[lo[b] : lo[b + 1]]
-                    a[c] = a[c] + v if p is None else (a[c] + v) % p
-                yield mult, a.reshape(size, size)
+    n = sym.dim
+    heads = np.flatnonzero(sym.orbit_class == np.arange(sym.orbit_class.size))
+    kept = np.zeros(n, dtype=bool)
+    kept[np.flatnonzero(sym.orbit == np.arange(n))[heads]] = True
+    members = np.flatnonzero(kept[sym.orbit])
+    members = members[np.argsort(sym.orbit[members], kind="stable")]
+    local = np.empty(n, dtype=np.int64)
+    orbits = np.split(members, np.flatnonzero(np.diff(sym.orbit[members])) + 1)
+    for mult, rows in zip(np.bincount(sym.orbit_class)[heads].tolist(), orbits):
+        size = rows.size
+        local[rows] = np.arange(size)
+        parts = []
+        for c in sym.counts:
+            # the entries of the orbit's rows, row range by row range
+            lo = np.searchsorted(c.row, rows.astype(c.row.dtype))
+            lens = np.searchsorted(c.row, (rows + 1).astype(c.row.dtype)) - lo
+            ends = np.cumsum(lens)
+            idx = np.repeat(lo - ends + lens, lens)
+            idx += np.arange(idx.size)
+            cells = local[c.row[idx]] * size
+            cells += local[c.col[idx]]
+            parts.append((cells, c.data[idx].astype(np.int64)))
+        yield mult, size, parts
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -293,22 +237,27 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _modular_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks, p: int) -> int:
-    g = _element_of_order(p, sym.order)
-    total = 0
-    for mult, a in blocks.cut([pow(g, e, p) for e in range(sym.order)], p):
-        if a.any():
-            total += mult * _rank_dense_modp(a, p)
-    return total
+def _ranks(sym: SymmetrizerMatrix, moduli: list[int | None]) -> list[int]:
+    """The rank of the symmetrizer for every modulus, cutting each kept block once.
 
-
-def _exact_rank(sym: SymmetrizerMatrix, blocks: _OrbitBlocks) -> int:
-    """Bareiss on every block of the integer matrix counts[0] - counts[1] (zeta = -1)."""
-    total = 0
-    for mult, a in blocks.cut([1, -1][: sym.order], None):
-        if a.any():
-            total += mult * _rank_bareiss(a.tolist())
-    return total
+    A prime p maps zeta to an element of order sym.order in F_p and ranks
+    the block mod p; None ranks the integer block for zeta = -1 exactly
+    (order <= 2).  Each kept block counts with its class size.
+    """
+    roots = [-1 if p is None else _element_of_order(p, sym.order) for p in moduli]
+    totals = [0] * len(moduli)
+    for mult, size, parts in _kept_blocks(sym):
+        for i, (p, g) in enumerate(zip(moduli, roots)):
+            a = np.zeros(size * size, dtype=np.int64)
+            for e, (cells, counts) in enumerate(parts):
+                if p is None:
+                    a[cells] += g**e * counts
+                else:
+                    a[cells] = (a[cells] + counts % p * pow(g, e, p)) % p
+            if a.any():
+                a = a.reshape(size, size)
+                totals[i] += mult * (_rank_bareiss(a.tolist()) if p is None else _rank_dense_modp(a, p))
+    return totals
 
 
 def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None) -> RankCertificate:
@@ -318,15 +267,16 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
     SymmetrizerMatrix), so rank is summed block by block, one block per
     class of orbits weighted by the class size.  Exact mode runs
     fraction-free elimination on the integer matrix; the order must be <= 2
-    and every block within EXACT_DIM_LIMIT.  Modular mode eliminates the
-    ranked blocks densely modulo two independently drawn primes p = 1 mod order
-    (from `rng`, by default random.Random(0)) and requires agreement; a
-    disagreement draws a third prime and, when every block is within the
-    exact limit, falls back to exact elimination.
+    and every block within EXACT_DIM_LIMIT.  Modular mode draws two primes
+    p = 1 mod order (from `rng`, by default random.Random(0)), eliminates
+    every ranked block densely modulo both in one pass over the blocks, and
+    requires agreement.  A disagreement draws a third prime and, when every
+    block is within the exact limit, falls back to exact elimination;
+    otherwise the third prime's rank joins a best-effort maximum.
     """
-    blocks = _OrbitBlocks.of(sym)
     n_blocks = sym.orbit_class.size
-    largest = int(blocks.sizes.max())
+    # orbits in a class have one size, so the largest orbit is as large as the largest ranked block
+    largest = int(np.bincount(sym.orbit).max())
     if mode == "exact":
         if sym.order > 2:
             raise ValueError("exact mode requires order <= 2 (integer matrix)")
@@ -334,7 +284,8 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
             raise DimensionCapError(
                 f"block of dimension {largest} too large for exact mode (limit {EXACT_DIM_LIMIT})"
             )
-        return RankCertificate(_exact_rank(sym, blocks), "exact", (), sym.dim, n_blocks)
+        (value,) = _ranks(sym, [None])
+        return RankCertificate(value, "exact", (), sym.dim, n_blocks)
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -344,19 +295,17 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
     drawn.add(p1)
     p2 = _draw_prime(rng, sym.order, drawn)
     drawn.add(p2)
-    r1 = _modular_rank(sym, blocks, p1)
-    r2 = _modular_rank(sym, blocks, p2)
+    r1, r2 = _ranks(sym, [p1, p2])
     if r1 == r2:
         return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
     p3 = _draw_prime(rng, sym.order, drawn)
-    r3 = _modular_rank(sym, blocks, p3)
     if sym.order <= 2 and largest <= EXACT_DIM_LIMIT:
-        value = _exact_rank(sym, blocks)
+        (value,) = _ranks(sym, [None])
         return RankCertificate(
             value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, n_blocks
         )
-    value = max(r1, r2, r3)
-    return RankCertificate(value, DISAGREED, (p1, p2, p3), sym.dim, n_blocks)
+    (r3,) = _ranks(sym, [p3])
+    return RankCertificate(max(r1, r2, r3), DISAGREED, (p1, p2, p3), sym.dim, n_blocks)
 
 
 @dataclass

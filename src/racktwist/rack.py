@@ -12,10 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import OrbitTooLargeError
-
-ORBIT_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -195,37 +191,6 @@ def is_indecomposable(r: FiniteRack) -> bool:
             if ra != rb:
                 parent[ra] = rb
     return len({find(a) for a in range(k)}) == 1
-
-
-def conjugacy_class_rack(
-    generators: list[Permutation], seed: Permutation, cap: int = ORBIT_CAP
-) -> FiniteRack:
-    """The rack on the conjugation orbit of ``seed`` under the group the generators generate.
-
-    The operation is x |> y = x y x^-1.  Elements are ordered by one-line
-    notation so the output is deterministic.
-    """
-    if any(g.n != seed.n for g in generators):
-        raise ValueError("generator/seed size mismatch")
-    orbit = {seed.image: seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = g * p * g.inverse()
-                if q.image not in orbit:
-                    if len(orbit) >= cap:
-                        raise OrbitTooLargeError(f"orbit too large: exceeds cap {cap}")
-                    orbit[q.image] = q
-                    nxt.append(q)
-        frontier = nxt
-    elems = [orbit[key] for key in sorted(orbit)]
-    index = {p.image: i for i, p in enumerate(elems)}
-    op = tuple(
-        tuple(index[(x * y * x.inverse()).image] for y in elems) for x in elems
-    )
-    return FiniteRack(op=op, labels=tuple(p.cycle_string() for p in elems))
 
 
 def transposition_pairs(n: int) -> list[tuple[int, int]]:

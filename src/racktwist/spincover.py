@@ -23,6 +23,8 @@ from .rack import Permutation, transposition_pairs, transposition_rack
 # Coefficient masks carry one bit per generator; elements of the cover have
 # at most 2^(n-1) terms, so n is capped to keep elements a few MB at most.
 DEFAULT_N_CAP = 12
+# Largest n for the exhaustive verify_group_cocycle.
+GROUP_COCYCLE_N_CAP = 5
 
 
 def _below_parity_mask(t: int, n: int) -> int:
@@ -192,14 +194,14 @@ def _unnormalized_generator(n: int, i: int) -> SpinElement:
     return SpinElement(elem, Permutation.adjacent(n, i))
 
 
-def verify_presentation(n: int, generator=generator_t, n_cap: int = DEFAULT_N_CAP) -> bool:
+def verify_presentation(n: int, generator=generator_t) -> bool:
     """Check every defining relation of the cover exactly in the Clifford model.
 
     Relations: t_i^2 = 1, (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2,
     z^2 = 1, and z central.
     """
-    if not 2 <= n <= n_cap:
-        raise ValueError(f"n must be in 2..{n_cap}, got {n}")
+    if not 2 <= n <= DEFAULT_N_CAP:
+        raise ValueError(f"n must be in 2..{DEFAULT_N_CAP}, got {n}")
     one = SpinElement.one(n)
     z = SpinElement.z(n)
     ts = [generator(n, i) for i in range(1, n)]
@@ -245,16 +247,6 @@ def bracket(n: int, i: int, j: int) -> SpinElement:
             got = generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
         _BRACKETS[key] = got
     return got
-
-
-def conj_by_perm(sigma: Permutation, t: SpinElement) -> SpinElement:
-    """Conjugation of t by any lift of sigma; both lifts differ by the central z."""
-    if sigma.n != t.perm.n:
-        raise ValueError("size mismatch")
-    lift = SpinElement.one(sigma.n)
-    for i in sigma.lex_reduced_word():
-        lift = lift * generator_t(sigma.n, i)
-    return lift.conj(t)
 
 
 def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> bool:
@@ -378,7 +370,7 @@ def phi_psi_table(n: int) -> GroupCocycleBit:
     return GroupCocycleBit(n)
 
 
-def verify_group_cocycle(gc: GroupCocycleBit, n_cap: int = 5) -> bool:
+def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
     """Exhaustive check of bit(x,y)+bit(xy,z) == bit(x,yz)+bit(y,z) mod 2 over S_n.
 
     Materializes the full n! x n! bit table, so n is capped (n! triples grow
@@ -388,8 +380,8 @@ def verify_group_cocycle(gc: GroupCocycleBit, n_cap: int = 5) -> bool:
 
     import numpy as np
 
-    if gc.n > n_cap:
-        raise ValueError(f"exhaustive group-cocycle check capped at n={n_cap}")
+    if gc.n > GROUP_COCYCLE_N_CAP:
+        raise ValueError(f"exhaustive group-cocycle check capped at n={GROUP_COCYCLE_N_CAP}")
     perms = [Permutation(img) for img in itertools.permutations(range(1, gc.n + 1))]
     index = {p.image: i for i, p in enumerate(perms)}
     size = len(perms)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from racktwist.rack import Permutation, rack_to_dict
+from racktwist.cocycle import RackCocycle
+from racktwist.rack import FiniteRack, Permutation, rack_to_dict
 
 
 def rank_over_rationals(rows) -> int:
@@ -366,3 +367,50 @@ def save_rack(r, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(rack_to_dict(r), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+ORBIT_CAP = 10_000
+
+
+class OrbitTooLargeError(Exception):
+    """A conjugation orbit exceeded the size cap of conjugacy_class_rack."""
+
+
+def conjugacy_class_rack(
+    generators: list[Permutation], seed: Permutation, cap: int = ORBIT_CAP
+) -> FiniteRack:
+    """The rack on the conjugation orbit of ``seed`` under the group the generators generate.
+
+    The operation is x |> y = x y x^-1.  Elements are ordered by one-line
+    notation so the output is deterministic.
+    """
+    if any(g.n != seed.n for g in generators):
+        raise ValueError("generator/seed size mismatch")
+    orbit = {seed.image: seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in generators:
+                q = g * p * g.inverse()
+                if q.image not in orbit:
+                    if len(orbit) >= cap:
+                        raise OrbitTooLargeError(f"orbit too large: exceeds cap {cap}")
+                    orbit[q.image] = q
+                    nxt.append(q)
+        frontier = nxt
+    elems = [orbit[key] for key in sorted(orbit)]
+    index = {p.image: i for i, p in enumerate(elems)}
+    op = tuple(
+        tuple(index[(x * y * x.inverse()).image] for y in elems) for x in elems
+    )
+    return FiniteRack(op=op, labels=tuple(p.cycle_string() for p in elems))
+
+
+def lift_to_order(q: RackCocycle, new_order: int) -> RackCocycle:
+    """Rewrite q with values in the larger root-of-unity group of order new_order."""
+    if new_order % q.order != 0:
+        raise ValueError(f"{q.order} does not divide {new_order}")
+    scale = new_order // q.order
+    exp = tuple(tuple(e * scale for e in row) for row in q.exp)
+    return RackCocycle(rack=q.rack, order=new_order, exp=exp)

@@ -10,7 +10,13 @@ import math
 import random
 import time
 
-from oracles import brute_force_symmetrizer, dense_integer_matrix, largest_descent_word, value_at_one
+from oracles import (
+    brute_force_symmetrizer,
+    conjugacy_class_rack,
+    dense_integer_matrix,
+    largest_descent_word,
+    value_at_one,
+)
 from racktwist.braided import BraidWord, check_braid_equation, rho, symmetrizer
 from racktwist.cli import main as cli_main
 from racktwist.cocycle import (
@@ -25,7 +31,7 @@ from racktwist.cocycle import (
     twist,
 )
 from racktwist.hilbert import compare_twist_series, expand_closed_form, graded_dims
-from racktwist.rack import Permutation, conjugacy_class_rack, transposition_rack
+from racktwist.rack import Permutation, transposition_rack
 from racktwist.spincover import (
     phi_psi_table,
     verify_conjugation_lemmas,

@@ -249,7 +249,7 @@ class TestHilbertCommand:
     def test_disagreeing_primes_fail(self, tmp_path, monkeypatch, capsys):
         # order 3 has no exact fallback, so the rank stays uncertified
         ranks = iter(range(100))
-        monkeypatch.setattr(hilbert_mod, "_modular_rank", lambda *args: next(ranks))
+        monkeypatch.setattr(hilbert_mod, "_ranks", lambda sym, moduli: [next(ranks) for _ in moduli])
         out = tmp_path / "h.json"
         code = run(["hilbert", "--rack", "x3", "--cocycle", "const:3:1", "--max-degree", "2", "--out", str(out)])
         assert code == 2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import conjugacy_class_rack, lift_to_order
 from racktwist.cocycle import (
     GaugeFunction,
     RackCocycle,
@@ -14,11 +15,10 @@ from racktwist.cocycle import (
     constant_cocycle,
     find_gauge,
     gauge_transform,
-    lift_to_order,
     minus_one_cocycle,
     twist,
 )
-from racktwist.rack import FiniteRack, Permutation, conjugacy_class_rack, transposition_pairs, transposition_rack
+from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
 
 X3 = transposition_rack(3)
 X4 = transposition_rack(4)

@@ -209,10 +209,37 @@ class TestRank:
     def test_disagreeing_primes_are_best_effort(self, monkeypatch):
         # an order-3 cocycle has no exact fallback
         ranks = iter([4, 5, 6])
-        monkeypatch.setattr(hilbert_mod, "_modular_rank", lambda *args: next(ranks))
+        monkeypatch.setattr(hilbert_mod, "_ranks", lambda sym, moduli: [next(ranks) for _ in moduli])
         cert = rank(symmetrizer(constant_cocycle(X3, 3, 1), 2), "modular", rng=random.Random(0))
         assert cert.method == hilbert_mod.DISAGREED
         assert cert.rank == 6 and len(set(cert.primes)) == 3
+
+    def test_disagreement_falls_back_to_exact(self, monkeypatch):
+        # a first prime that raises every nonzero block's rank by one makes
+        # the primes disagree; order 2 then takes the exact rank
+        p1 = _draw_prime(random.Random(0), 2, set())
+        real = hilbert_mod._rank_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
+        cert = rank(symmetrizer(chi_cocycle(4), 3), "modular")
+        assert cert.method == "exact (fallback after modular disagreement)"
+        assert cert.rank == 42
+        assert cert.primes[0] == p1 and len(set(cert.primes)) == 3
+
+    def test_agreeing_primes_cut_each_block_once(self, monkeypatch):
+        passes = []
+        real = hilbert_mod._kept_blocks
+
+        def counting(sym):
+            passes.append(0)
+            for block in real(sym):
+                passes[-1] += 1
+                yield block
+
+        monkeypatch.setattr(hilbert_mod, "_kept_blocks", counting)
+        sym = symmetrizer(chi_cocycle(4), 4)
+        cert = rank(sym, "modular")
+        assert cert.method == hilbert_mod.CERTIFIED and len(cert.primes) == 2
+        assert passes == [int((sym.orbit_class == np.arange(sym.orbit_class.size)).sum())]
 
     def test_exact_mode_requires_small_order(self):
         sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
@@ -253,6 +280,7 @@ CLASS_CASES = {
     "x4-m1": M1_X4,
     "x5-m1": minus_one_cocycle(transposition_rack(5)),
     "x3-const31": constant_cocycle(X3, 3, 1),
+    "x3-const43": constant_cocycle(X3, 4, 3),
     "x4-chi": chi_cocycle(4),
 }
 
@@ -285,15 +313,15 @@ class TestOrbitClasses:
         heads = np.flatnonzero(cls == np.arange(cls.size))
         weighted = sum(int((cls == h).sum()) * int(ranks[h]) for h in heads)
         assert weighted == int(ranks.sum())
-        assert hilbert_mod._modular_rank(sym, hilbert_mod._OrbitBlocks.of(sym), p) == weighted
+        assert hilbert_mod._ranks(sym, [p]) == [weighted]
 
     def test_x5_minus_one_degree_four_counts(self):
         sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
         cls = sym.orbit_class
         assert cls.size == 214
         assert int((cls == np.arange(cls.size)).sum()) == 10
-        blocks = hilbert_mod._OrbitBlocks.of(sym)
-        assert (blocks.mult.size, int(blocks.mult.sum())) == (10, 214)
+        mults = [mult for mult, _, _ in hilbert_mod._kept_blocks(sym)]
+        assert (len(mults), sum(mults)) == (10, 214)
         assert rank(sym, "modular").n_components == 214
 
     def test_chi_classes_come_from_the_gauge(self):

@@ -2,14 +2,12 @@ import json
 
 import pytest
 
-from oracles import save_rack
-from racktwist.errors import OrbitTooLargeError
+from oracles import OrbitTooLargeError, conjugacy_class_rack, save_rack
 from racktwist.rack import (
     FiniteRack,
     Permutation,
     TranspositionLabel,
     check_rack_axioms,
-    conjugacy_class_rack,
     is_indecomposable,
     load_rack,
     rack_from_dict,

@@ -21,7 +21,6 @@ from racktwist.spincover import (
     SpinElement,
     _unnormalized_generator,
     bracket,
-    conj_by_perm,
     generator_t,
     phi_psi_table,
     verify_conjugation_lemmas,
@@ -29,6 +28,14 @@ from racktwist.spincover import (
     verify_main_theorem,
     verify_presentation,
 )
+
+
+def conj_by_perm(sigma, t):
+    """Conjugation of t by the lift of sigma's lex-reduced word."""
+    lift = SpinElement.one(sigma.n)
+    for i in sigma.lex_reduced_word():
+        lift = lift * generator_t(sigma.n, i)
+    return lift.conj(t)
 
 
 def e(n, i):
