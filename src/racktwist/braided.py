@@ -233,6 +233,23 @@ def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> np.ndarray
     return _min_labels(maps, reps.size)
 
 
+def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
+    """Raise DimensionCapError unless `symmetrizer` can build this degree.
+
+    The dimension k^degree must be within dim_cap, an entry's exponent class,
+    row and column must fit in a 64-bit key, and an entry, a count of at
+    most degree! lifts, must fit in int64.  Each bound grows with the
+    degree, so a degree that passes vouches for every smaller one.
+    """
+    dim = q.rack.size**degree
+    if dim > dim_cap:
+        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
+    if 2 * (dim - 1).bit_length() + (q.order - 1).bit_length() > 63:
+        raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
+    if math.factorial(degree) >= 2**63:
+        raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
+
+
 def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
@@ -253,11 +270,8 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
     m = q.order
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    check_degree(q, degree, dim_cap)
     dim = k**degree
-    if dim > dim_cap:
-        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
-    if 2 * (dim - 1).bit_length() + (m - 1).bit_length() > 63:
-        raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
 
     one, none = np.ones(1, dtype=np.int32), np.zeros(0, dtype=np.int32)
     counts = [CountMatrix(one - 1, one - 1, one)] + [CountMatrix(none, none, none) for _ in range(m - 1)]

@@ -58,9 +58,6 @@ class GaugeFunction:
         if any(not (0 <= e < self.order) for e in self.g):
             raise ValueError("exponents must be reduced to 0..order-1")
 
-    def inverse(self) -> GaugeFunction:
-        return GaugeFunction(self.rack, self.order, tuple((-e) % self.order for e in self.g))
-
 
 @dataclass(frozen=True)
 class TwistTable:

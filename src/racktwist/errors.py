@@ -10,7 +10,7 @@ class RackTwistError(Exception):
 
 
 class DimensionCapError(RackTwistError):
-    """A tensor-power dimension exceeded the cap, or is too large for the requested mode."""
+    """A tensor power exceeded the dimension cap, or a symmetrizer's entry keys or lift counts would overflow 64 bits."""
 
 
 class SectionConsistencyError(RackTwistError):

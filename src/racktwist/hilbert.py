@@ -15,24 +15,25 @@ block of the smallest orbit in a class is ranked, weighted by the class
 size.  One pass cuts the integer entries of every ranked block once and
 reduces them for each modulus it is given: a dense block mod p for
 Gaussian elimination modulo a random prime, or the integer block for
-fraction-free elimination (exact mode, the authority for blocks up to
-dimension EXACT_DIM_LIMIT).  Modular mode passes two independently drawn
-primes and reports their agreement as a Monte Carlo certificate.
+exact mode.  One elimination kernel serves both: exact mode reduces the
+integer block modulo descending primes below 2^31 until their product
+exceeds a Hadamard bound on every minor one order above the rank seen,
+which proves the rank over Q.  Modular mode passes two independently
+drawn primes and reports their agreement as a Monte Carlo certificate.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, symmetrizer
+from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, check_degree, symmetrizer
 from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
-from .errors import DimensionCapError
 
-EXACT_DIM_LIMIT = 4096
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
 CERTIFIED = "modular-certified (Monte Carlo)"
@@ -186,34 +187,6 @@ def _kept_blocks(sym: SymmetrizerMatrix):
         yield mult, size, parts
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free integer elimination (Bareiss); exact rank over the rationals."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    r = 0
-    prev = 1
-    for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        base = rows[r]
-        for i in range(r + 1, m):
-            ri = rows[i]
-            f = ri[c]
-            for j in range(c, n):
-                ri[j] = (ri[j] * pv - f * base[j]) // prev
-        prev = pv
-        r += 1
-    return r
-
-
 def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     """In-place Gaussian elimination over F_p on an int64 matrix (entries in [0, p))."""
     nrows, ncols = a.shape
@@ -237,18 +210,46 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
+def _rank_exact(a: np.ndarray) -> int:
+    """Rank over the rationals of an integer matrix, from its ranks modulo primes below 2^31.
+
+    Every rank mod p is at most the rank over Q.  If the rank over Q exceeded
+    r, the largest rank mod p seen, some minor of order r + 1 would be
+    nonzero and divisible by every prime tried; by Hadamard's inequality its
+    square is at most the product of the r + 1 largest squared column norms,
+    each at most nnz * max^2.  Primes are taken in descending order until
+    their product squared exceeds that bound, in integers.
+    """
+    big = np.maximum(a.max(axis=0), -a.min(axis=0)).tolist()
+    nnz = np.count_nonzero(a, axis=0).tolist()
+    # a trailing 0: no minor is larger than the matrix
+    weights = sorted((n * m * m for n, m in zip(nnz, big)), reverse=True) + [0]
+    buf = np.empty(a.shape, dtype=np.int64)
+    r, product, p = 0, 1, _PRIME_HIGH
+    while product * product <= math.prod(weights[: r + 1]):
+        p -= 1
+        while not _is_prime_u32(p):
+            p -= 1
+        np.remainder(a, p, out=buf, dtype=np.int64)
+        r = max(r, _rank_dense_modp(buf, p))
+        product *= p
+    return r
+
+
 def _ranks(sym: SymmetrizerMatrix, moduli: list[int | None]) -> list[int]:
     """The rank of the symmetrizer for every modulus, cutting each kept block once.
 
     A prime p maps zeta to an element of order sym.order in F_p and ranks
-    the block mod p; None ranks the integer block for zeta = -1 exactly
-    (order <= 2).  Each kept block counts with its class size.
+    the block mod p; None ranks the integer block for zeta = -1 over Q
+    (order <= 2, _rank_exact).  Each kept block counts with its class size.
     """
     roots = [-1 if p is None else _element_of_order(p, sym.order) for p in moduli]
+    # an integer entry is a signed count of at most degree! lifts
+    exact = np.min_scalar_type(-math.factorial(sym.degree))
     totals = [0] * len(moduli)
     for mult, size, parts in _kept_blocks(sym):
         for i, (p, g) in enumerate(zip(moduli, roots)):
-            a = np.zeros(size * size, dtype=np.int64)
+            a = np.zeros(size * size, dtype=exact if p is None else np.int64)
             for e, (cells, counts) in enumerate(parts):
                 if p is None:
                     a[cells] += g**e * counts
@@ -256,7 +257,7 @@ def _ranks(sym: SymmetrizerMatrix, moduli: list[int | None]) -> list[int]:
                     a[cells] = (a[cells] + counts % p * pow(g, e, p)) % p
             if a.any():
                 a = a.reshape(size, size)
-                totals[i] += mult * (_rank_bareiss(a.tolist()) if p is None else _rank_dense_modp(a, p))
+                totals[i] += mult * (_rank_exact(a) if p is None else _rank_dense_modp(a, p))
     return totals
 
 
@@ -265,25 +266,19 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
 
     The matrix is block diagonal over the braid orbits of the basis (see
     SymmetrizerMatrix), so rank is summed block by block, one block per
-    class of orbits weighted by the class size.  Exact mode runs
-    fraction-free elimination on the integer matrix; the order must be <= 2
-    and every block within EXACT_DIM_LIMIT.  Modular mode draws two primes
-    p = 1 mod order (from `rng`, by default random.Random(0)), eliminates
-    every ranked block densely modulo both in one pass over the blocks, and
-    requires agreement.  A disagreement draws a third prime and, when every
-    block is within the exact limit, falls back to exact elimination;
+    class of orbits weighted by the class size.  Exact mode needs order
+    <= 2 (an integer matrix) and proves every block's rank over Q from its
+    ranks modulo enough primes (_rank_exact); no block is too large for it.
+    Modular mode draws two primes p = 1 mod order (from `rng`, by default
+    random.Random(0)), eliminates every ranked block densely modulo both in
+    one pass over the blocks, and requires agreement.  A disagreement draws
+    a third prime and falls back to the exact rank when the order is <= 2;
     otherwise the third prime's rank joins a best-effort maximum.
     """
     n_blocks = sym.orbit_class.size
-    # orbits in a class have one size, so the largest orbit is as large as the largest ranked block
-    largest = int(np.bincount(sym.orbit).max())
     if mode == "exact":
         if sym.order > 2:
             raise ValueError("exact mode requires order <= 2 (integer matrix)")
-        if largest > EXACT_DIM_LIMIT:
-            raise DimensionCapError(
-                f"block of dimension {largest} too large for exact mode (limit {EXACT_DIM_LIMIT})"
-            )
         (value,) = _ranks(sym, [None])
         return RankCertificate(value, "exact", (), sym.dim, n_blocks)
     if mode != "modular":
@@ -299,7 +294,7 @@ def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None)
     if r1 == r2:
         return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
     p3 = _draw_prime(rng, sym.order, drawn)
-    if sym.order <= 2 and largest <= EXACT_DIM_LIMIT:
+    if sym.order <= 2:
         (value,) = _ranks(sym, [None])
         return RankCertificate(
             value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, n_blocks
@@ -356,10 +351,13 @@ def graded_dims(
 
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
     matrix is built for them.  `on_matrix` receives every symmetrizer that is
-    built.  Resource errors carry the failing degree.
+    built.  The resource caps are checked for max_degree before any degree
+    is built; they grow with the degree, so that covers every degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    if max_degree >= 2:
+        check_degree(q, max_degree, dim_cap)
     rng = random.Random(seed)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
@@ -369,13 +367,10 @@ def graded_dims(
         elif d == 1:
             cert = RankCertificate(k, "exact", (), k, 0)
         else:
-            try:
-                sym = symmetrizer(q, d, dim_cap=dim_cap)
-                if on_matrix is not None:
-                    on_matrix(sym)
-                cert = rank(sym, mode, rng=rng)
-            except DimensionCapError as exc:
-                raise DimensionCapError(f"degree {d}: {exc}") from exc
+            sym = symmetrizer(q, d, dim_cap=dim_cap)
+            if on_matrix is not None:
+                on_matrix(sym)
+            cert = rank(sym, mode, rng=rng)
         report.degrees.append(d)
         report.ranks.append(cert.rank)
         report.methods.append(cert.method)

@@ -63,11 +63,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.image))
 
-    def length(self) -> int:
-        """Coxeter length = number of inversions of the one-line notation."""
-        img = self.image
-        return sum(1 for a in range(self.n) for b in range(a + 1, self.n) if img[a] > img[b])
-
     def transposition_pair(self) -> tuple[int, int] | None:
         """The moved pair (i, j), i < j, if this is a transposition, else None."""
         moved = [i + 1 for i, v in enumerate(self.image) if v != i + 1]

@@ -84,9 +84,6 @@ class CliffordElement:
     def __neg__(self) -> CliffordElement:
         return CliffordElement(self.n, {m: -c for m, c in self.terms.items()}, self.k)
 
-    def scale(self, c: int) -> CliffordElement:
-        return CliffordElement(self.n, {m: co * c for m, co in self.terms.items()}, self.k)
-
     def __mul__(self, other: CliffordElement) -> CliffordElement:
         self._check(other)
         acc: dict[int, int] = {}
@@ -348,10 +345,6 @@ class GroupCocycleBit:
             got = self._cache.phi_bit(x, y)
             self._memo[key] = got
         return got
-
-    def scalar(self, x: Permutation, y: Permutation) -> int:
-        """phi_psi(x, y) = (-1)^bit, the image under the sign character of <z>."""
-        return -1 if self.bit(x, y) else 1
 
     def twist_table(self) -> TwistTable:
         """The restriction to transposition pairs, as an order-2 twist table."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from racktwist.cocycle import RackCocycle
+from racktwist.cocycle import GaugeFunction, RackCocycle
 from racktwist.rack import FiniteRack, Permutation, rack_to_dict
 
 
@@ -39,6 +39,17 @@ def rank_over_rationals(rows) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def coxeter_length(sigma: Permutation) -> int:
+    """Coxeter length = number of inversions of the one-line notation."""
+    img = sigma.image
+    return sum(1 for a in range(sigma.n) for b in range(a + 1, sigma.n) if img[a] > img[b])
+
+
+def inverse_gauge(gamma: GaugeFunction) -> GaugeFunction:
+    """The gauge gamma^-1: every exponent negated."""
+    return GaugeFunction(gamma.rack, gamma.order, tuple((-e) % gamma.order for e in gamma.g))
 
 
 def largest_descent_word(sigma: Permutation) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     brute_force_symmetrizer,
     brute_force_symmetrizer_modp,
+    coxeter_length,
     dense_counts,
     dense_integer_matrix,
     dense_modp_matrix,
@@ -142,7 +143,7 @@ class TestMatsumoto:
             y = Permutation.identity(n)
             for i in word[cut:]:
                 y = y * Permutation.adjacent(n, i)
-            assert x.length() + y.length() == sigma.length()
+            assert coxeter_length(x) + coxeter_length(y) == coxeter_length(sigma)
             q = minus_one_cocycle(transposition_rack(3))
             lhs = lift(sigma, q)
             rhs = lift(x, q).compose(lift(y, q))
@@ -158,7 +159,7 @@ class TestMatsumoto:
             sigma = Permutation(tuple(img))
             lex = sigma.lex_reduced_word()
             alt = largest_descent_word(sigma)
-            assert len(lex) == len(alt) == sigma.length()
+            assert len(lex) == len(alt) == coxeter_length(sigma)
             assert rho(BraidWord(n, lex), q, n) == rho(BraidWord(n, alt), q, n)
 
 

@@ -155,12 +155,6 @@ class TestHilbertCommand:
     def test_minus_one_spelling(self, tmp_path):
         assert run(["hilbert", "--rack", "x3", "--cocycle", "minus1", "--max-degree", "2", "--mode", "exact"]) == 0
 
-    def test_exact_mode_resource_error(self, monkeypatch):
-        # exact mode limits each braid orbit; x5 has orbits of size 125 in degree 4
-        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 64)
-        code = run(["hilbert", "--rack", "x5", "--cocycle", "chi", "--max-degree", "4", "--mode", "exact"])
-        assert code == 3
-
     def test_exact_mode_eliminates_block_by_block(self, tmp_path):
         # dimension 10 000 in degree 4, but no orbit is larger than 125
         out = tmp_path / "h.json"
@@ -188,6 +182,19 @@ class TestHilbertCommand:
              "--mode", "modular", "--dim-cap", "100"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--rack", "x4", "--cocycle", "chi", "--max-degree", "7"],
+         "degree 7 needs dimension 279936 > cap 200000"),
+        # S_66 = 66! id on the one-element rack, and 66! does not fit in int64
+        (["--rack", "x2", "--cocycle", "const:1:0", "--max-degree", "66", "--mode", "exact"],
+         "degree 66 has entries up to 66! >= 2^63, too large for int64"),
+    ], ids=["dim-cap", "int64"])
+    def test_caps_fail_before_any_report(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "h.json"
+        assert run(["hilbert", *argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"resource limit: {message}\n"
+        assert not out.exists()
 
     def test_cocycle_file_input(self, tmp_path):
         cpath = tmp_path / "chi.json"

@@ -21,8 +21,8 @@ from racktwist.hilbert import (
     _draw_prime,
     _element_of_order,
     _is_prime_u32,
-    _rank_bareiss,
     _rank_dense_modp,
+    _rank_exact,
     compare_twist_series,
     expand_closed_form,
     graded_dims,
@@ -124,18 +124,32 @@ class TestPrimeMachinery:
 
 
 class TestRankKernels:
-    def test_bareiss_matches_rational_oracle(self):
+    def test_exact_matches_rational_oracle(self):
         rng = random.Random(4)
         for _ in range(40):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             expected = rank_over_rationals(mat)
-            assert _rank_bareiss([row[:] for row in mat]) == expected
+            assert _rank_exact(np.array(mat, dtype=np.int64)) == expected
 
-    def test_bareiss_rank_deficient(self):
+    def test_exact_rank_deficient(self):
         mat = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-        assert _rank_bareiss([row[:] for row in mat]) == 2
+        assert _rank_exact(np.array(mat, dtype=np.int64)) == 2
+
+    def test_exact_rank_outlives_the_first_prime(self):
+        # diag(1, 2^31 - 1) has rank 2, but rank 1 modulo the first prime tried
+        a = np.diag([1, 2**31 - 1]).astype(np.int64)
+        assert rank_over_rationals(a.tolist()) == 2
+        assert _rank_dense_modp(a % (2**31 - 1), 2**31 - 1) == 1
+        assert _rank_exact(a) == 2
+
+    def test_exact_rank_keeps_the_largest_rank_seen(self):
+        # the second prime tried, 2147483629, kills the middle row, and the
+        # Hadamard bound is met right after it
+        a = np.array([[1, 0, 2], [0, 2147483629, 0], [0, 0, 0]], dtype=np.int64)
+        assert _rank_dense_modp(a % 2147483629, 2147483629) == 1
+        assert _rank_exact(a) == 2
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -190,21 +204,11 @@ class TestRank:
             sym = symmetrizer(q, degree)
             assert rank(sym, "exact").rank == rank(sym, "modular", rng=random.Random(degree)).rank
 
-    def test_exact_mode_dimension_limit(self, monkeypatch):
-        # the limit applies per braid orbit; the largest orbit of x3 in degree 2 has size 3
-        sym = symmetrizer(M1_X3, 2)
-        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 2)
-        with pytest.raises(DimensionCapError):
-            rank(sym, "exact")
-
-    def test_exact_limit_applies_per_block(self, monkeypatch):
+    def test_exact_limit_applies_per_block(self):
+        # exact mode ranks every block, with no limit on its size
         sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
-        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 64)
         cert = rank(sym, "exact")
         assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
-        monkeypatch.setattr(hilbert_mod, "EXACT_DIM_LIMIT", 15)
-        with pytest.raises(DimensionCapError):
-            rank(sym, "exact")
 
     def test_disagreeing_primes_are_best_effort(self, monkeypatch):
         # an order-3 cocycle has no exact fallback
@@ -394,6 +398,27 @@ class TestGradedDims:
         with pytest.raises(DimensionCapError) as err:
             graded_dims(M1_X3, 5, mode="exact", dim_cap=100)
         assert "degree 5" in str(err.value)
+
+    def test_cap_checked_before_any_degree(self, monkeypatch):
+        built = []
+        real = hilbert_mod.symmetrizer
+
+        def counting(q, degree, *args, **kwargs):
+            built.append(degree)
+            return real(q, degree, *args, **kwargs)
+
+        monkeypatch.setattr(hilbert_mod, "symmetrizer", counting)
+        with pytest.raises(DimensionCapError) as err:
+            graded_dims(chi_cocycle(4), 7)
+        assert built == []
+        assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
+
+    def test_lift_counts_fit_in_int64(self):
+        # one element and the trivial cocycle: S_d = d! id, rank 1, until d! overflows int64
+        q = constant_cocycle(transposition_rack(2), 1, 0)
+        assert graded_dims(q, 20, mode="exact").ranks == [1] * 21
+        with pytest.raises(DimensionCapError, match="int64"):
+            graded_dims(q, 21, mode="exact")
 
     def test_deterministic_prime_stream(self):
         a = graded_dims(M1_X4, 3, mode="modular", seed=42)
