@@ -16,13 +16,11 @@ from .cocycle import (
 from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
 from .hilbert import (
     HilbertReport,
-    IntPolynomial,
     RankCertificate,
     compare_twist_series,
     expand_closed_form,
     graded_dims,
     rank,
-    t_integer,
 )
 from .braided import (
     BraidWord,

@@ -13,13 +13,14 @@ is the cocycle condition), for chi as for -1.  The orbits fall into classes
 under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class
 size.  One pass cuts the integer entries of every ranked block once and
-reduces them for each modulus it is given: a dense block mod p for
-Gaussian elimination modulo a random prime, or the integer block for
-exact mode.  One elimination kernel serves both: exact mode reduces the
-integer block modulo descending primes below 2^31 until their product
-exceeds a Hadamard bound on every minor one order above the rank seen,
-which proves the rank over Q.  Modular mode passes two independently
-drawn primes and reports their agreement as a Monte Carlo certificate.
+reduces them mod p, with zeta mapped to an element of order m (the cocycle
+order), for each prime of the pass.  One elimination kernel serves both
+modes: exact mode ranks each block modulo descending primes q = 1 mod m
+below 2^31 until their product exceeds a Hadamard bound, raised to the
+power phi(m), on every minor one order above the rank seen, which proves
+the rank over Q(zeta_m) for every m.  Modular mode passes two independently
+drawn primes and reports their agreement as a Monte Carlo certificate; a
+disagreement falls back to the proven rank.
 """
 
 from __future__ import annotations
@@ -37,53 +38,18 @@ from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
 CERTIFIED = "modular-certified (Monte Carlo)"
-DISAGREED = "modular-best-effort (primes disagreed)"
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """A polynomial with integer coefficients, index = degree in t."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        trimmed = list(self.coeffs)
-        while trimmed and trimmed[-1] == 0:
-            trimmed.pop()
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, d: int) -> int:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else 0
-
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-
-def t_integer(m: int) -> IntPolynomial:
-    """The t-analogue of m: 1 + t + ... + t^(m-1)."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return IntPolynomial((1,) * m)
-
-
-def expand_closed_form(factors: list[tuple[int, int]]) -> IntPolynomial:
-    """Exact product of t-integers with multiplicities: prod (m)_t^mult."""
-    out = IntPolynomial((1,))
+def expand_closed_form(factors: list[tuple[int, int]]) -> list[int]:
+    """Coefficients of prod (m)_t^mult, index = degree in t, where (m)_t = 1 + t + ... + t^(m-1)."""
+    coeffs = [1]
     for m, mult in factors:
-        base = t_integer(m)
+        if m < 1 or mult < 1:
+            raise ValueError(f"closed-form factor {m}:{mult} needs M >= 1 and MULT >= 1")
         for _ in range(mult):
-            out = out * base
-    return out
+            # times (m)_t: each coefficient becomes the sum of the m at or below its degree
+            coeffs = [sum(coeffs[max(0, i - m + 1) : i + 1]) for i in range(len(coeffs) + m - 1)]
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -91,7 +57,7 @@ class RankCertificate:
     """The computed rank together with how it was obtained."""
 
     rank: int
-    method: str  # "exact" | "modular-certified (Monte Carlo)" | fallback tags
+    method: str  # "exact" | CERTIFIED | "exact (fallback after modular disagreement)"
     primes: tuple[int, ...]
     dim: int
     n_components: int
@@ -210,29 +176,61 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
     return r
 
 
-def _rank_exact(a: np.ndarray) -> int:
-    """Rank over the rationals of an integer matrix, from its ranks modulo primes below 2^31.
+def _rank_modp(parts: list, size: int, p: int, g: int) -> int:
+    """Rank mod p, with zeta mapped to g, of the block given by parts (as in _kept_blocks).
 
-    Every rank mod p is at most the rank over Q.  If the rank over Q exceeded
-    r, the largest rank mod p seen, some minor of order r + 1 would be
-    nonzero and divisible by every prime tried; by Hadamard's inequality its
-    square is at most the product of the r + 1 largest squared column norms,
-    each at most nnz * max^2.  Primes are taken in descending order until
-    their product squared exceeds that bound, in integers.
+    The dense block lives only inside this call, so no caller holds the
+    previous block while the next one is filled.
     """
-    big = np.maximum(a.max(axis=0), -a.min(axis=0)).tolist()
-    nnz = np.count_nonzero(a, axis=0).tolist()
-    # a trailing 0: no minor is larger than the matrix
-    weights = sorted((n * m * m for n, m in zip(nnz, big)), reverse=True) + [0]
-    buf = np.empty(a.shape, dtype=np.int64)
-    r, product, p = 0, 1, _PRIME_HIGH
-    while product * product <= math.prod(weights[: r + 1]):
-        p -= 1
-        while not _is_prime_u32(p):
-            p -= 1
-        np.remainder(a, p, out=buf, dtype=np.int64)
-        r = max(r, _rank_dense_modp(buf, p))
-        product *= p
+    a = np.zeros(size * size, dtype=np.int64)
+    for e, (cells, counts) in enumerate(parts):
+        a[cells] = (a[cells] + counts % p * pow(g, e, p)) % p
+    return _rank_dense_modp(a.reshape(size, size), p) if a.any() else 0
+
+
+def _rank_exact(parts: list, size: int, order: int) -> int:
+    """Rank over Q(zeta) of a block (parts as in _kept_blocks), zeta of exact order `order`.
+
+    Each prime q = 1 mod order maps zeta to an element of order `order` in
+    F_q, the residue map of a degree-1 prime above q, and every rank mod q is
+    at most the rank over Q(zeta).  If the rank exceeded r, the largest rank
+    mod q seen, some minor D of order r + 1 would be nonzero and lie in a
+    prime above every q tried, so their product would divide the nonzero
+    integer N(D), the product of sigma(D) over the phi(order) embeddings
+    sigma.  By Hadamard's inequality |sigma(D)|^2 is at most the product of
+    the r + 1 largest column weights nnz * B^2, where B bounds
+    |sigma(entry)| over the column: the sum over e < order/2 of
+    |c_e - c_(e + order/2)| for even order (zeta^(order/2) = -1), and the
+    sum of |c_e| for odd order.  Primes q are taken in descending order below
+    2^31 until their product squared exceeds that bound to the power
+    phi(order), in integers.
+    """
+    # B per cell, folded in the smallest dtype that holds +-(sum of the largest |c_e|)
+    total = sum(int(np.abs(counts).max(initial=0)) for _, counts in parts)
+    bound = np.zeros(size * size, dtype=np.min_scalar_type(-total - 1))
+    half = order // 2 if order % 2 == 0 else order
+    for e in range(half):
+        diff = np.zeros_like(bound)
+        diff[parts[e][0]] = parts[e][1]
+        if e + half < order:
+            diff[parts[e + half][0]] -= parts[e + half][1]
+        bound += np.abs(diff, out=diff)
+    del diff
+    bound = bound.reshape(size, size)
+    big = bound.max(axis=0).tolist()
+    nnz = np.count_nonzero(bound, axis=0).tolist()
+    del bound
+    # a trailing 0: no minor is larger than the block
+    weights = sorted((n * b * b for n, b in zip(nnz, big)), reverse=True) + [0]
+    phi = sum(math.gcd(k, order) == 1 for k in range(order))
+    # q starts at the least number = 1 mod order from 2^31 up, and steps down by order
+    r, product, q = 0, 1, _PRIME_HIGH + (1 - _PRIME_HIGH) % order
+    while product * product <= math.prod(weights[: r + 1]) ** phi:
+        q -= order
+        while not _is_prime_u32(q):
+            q -= order
+        r = max(r, _rank_modp(parts, size, q, _element_of_order(q, order)))
+        product *= q
     return r
 
 
@@ -240,67 +238,49 @@ def _ranks(sym: SymmetrizerMatrix, moduli: list[int | None]) -> list[int]:
     """The rank of the symmetrizer for every modulus, cutting each kept block once.
 
     A prime p maps zeta to an element of order sym.order in F_p and ranks
-    the block mod p; None ranks the integer block for zeta = -1 over Q
-    (order <= 2, _rank_exact).  Each kept block counts with its class size.
+    each block mod p; None proves each block's rank over Q(zeta)
+    (_rank_exact).  Each kept block counts with its class size.
     """
-    roots = [-1 if p is None else _element_of_order(p, sym.order) for p in moduli]
-    # an integer entry is a signed count of at most degree! lifts
-    exact = np.min_scalar_type(-math.factorial(sym.degree))
+    roots = [None if p is None else _element_of_order(p, sym.order) for p in moduli]
     totals = [0] * len(moduli)
     for mult, size, parts in _kept_blocks(sym):
         for i, (p, g) in enumerate(zip(moduli, roots)):
-            a = np.zeros(size * size, dtype=exact if p is None else np.int64)
-            for e, (cells, counts) in enumerate(parts):
-                if p is None:
-                    a[cells] += g**e * counts
-                else:
-                    a[cells] = (a[cells] + counts % p * pow(g, e, p)) % p
-            if a.any():
-                a = a.reshape(size, size)
-                totals[i] += mult * (_rank_exact(a) if p is None else _rank_dense_modp(a, p))
+            if p is None:
+                totals[i] += mult * _rank_exact(parts, size, sym.order)
+            else:
+                totals[i] += mult * _rank_modp(parts, size, p, g)
     return totals
 
 
 def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None) -> RankCertificate:
-    """Rank of a symmetrizer matrix, exact or modular-certified.
+    """Rank of a symmetrizer matrix over Q(zeta), proven (exact) or modular-certified.
 
     The matrix is block diagonal over the braid orbits of the basis (see
     SymmetrizerMatrix), so rank is summed block by block, one block per
-    class of orbits weighted by the class size.  Exact mode needs order
-    <= 2 (an integer matrix) and proves every block's rank over Q from its
-    ranks modulo enough primes (_rank_exact); no block is too large for it.
-    Modular mode draws two primes p = 1 mod order (from `rng`, by default
-    random.Random(0)), eliminates every ranked block densely modulo both in
-    one pass over the blocks, and requires agreement.  A disagreement draws
-    a third prime and falls back to the exact rank when the order is <= 2;
-    otherwise the third prime's rank joins a best-effort maximum.
+    class of orbits weighted by the class size.  Exact mode proves every
+    block's rank over Q(zeta) from its ranks modulo enough primes
+    q = 1 mod order (_rank_exact), for every order and every block size; it
+    draws no random prime and reports none.  Modular mode draws two primes
+    p = 1 mod order (from `rng`, by default random.Random(0)), eliminates
+    every ranked block densely modulo both in one pass over the blocks, and
+    requires agreement.  A disagreement falls back to the proven rank and
+    reports the two primes.
     """
     n_blocks = sym.orbit_class.size
     if mode == "exact":
-        if sym.order > 2:
-            raise ValueError("exact mode requires order <= 2 (integer matrix)")
         (value,) = _ranks(sym, [None])
         return RankCertificate(value, "exact", (), sym.dim, n_blocks)
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = random.Random(0)
-    drawn: set[int] = set()
-    p1 = _draw_prime(rng, sym.order, drawn)
-    drawn.add(p1)
-    p2 = _draw_prime(rng, sym.order, drawn)
-    drawn.add(p2)
+    p1 = _draw_prime(rng, sym.order, set())
+    p2 = _draw_prime(rng, sym.order, {p1})
     r1, r2 = _ranks(sym, [p1, p2])
     if r1 == r2:
         return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
-    p3 = _draw_prime(rng, sym.order, drawn)
-    if sym.order <= 2:
-        (value,) = _ranks(sym, [None])
-        return RankCertificate(
-            value, "exact (fallback after modular disagreement)", (p1, p2, p3), sym.dim, n_blocks
-        )
-    (r3,) = _ranks(sym, [p3])
-    return RankCertificate(max(r1, r2, r3), DISAGREED, (p1, p2, p3), sym.dim, n_blocks)
+    (value,) = _ranks(sym, [None])
+    return RankCertificate(value, "exact (fallback after modular disagreement)", (p1, p2), sym.dim, n_blocks)
 
 
 @dataclass
@@ -352,10 +332,13 @@ def graded_dims(
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
     matrix is built for them.  `on_matrix` receives every symmetrizer that is
     built.  The resource caps are checked for max_degree before any degree
-    is built; they grow with the degree, so that covers every degree.
+    is built; they grow with the degree, so that covers every degree.  A
+    closed form is expanded (and a bad factor rejected) before that too.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    # coefficients past the closed form's degree are 0
+    series = None if closed_form is None else expand_closed_form(closed_form) + [0] * (max_degree + 1)
     if max_degree >= 2:
         check_degree(q, max_degree, dim_cap)
     rng = random.Random(seed)
@@ -375,12 +358,9 @@ def graded_dims(
         report.ranks.append(cert.rank)
         report.methods.append(cert.method)
         report.primes.append(list(cert.primes))
-    if closed_form is not None:
-        poly = expand_closed_form(closed_form)
+    if series is not None:
         report.closed_form = list(closed_form)
-        report.closed_form_verdicts = [
-            report.ranks[i] == poly.coefficient(d) for i, d in enumerate(report.degrees)
-        ]
+        report.closed_form_verdicts = [r == c for r, c in zip(report.ranks, series)]
     return report
 
 

@@ -41,6 +41,46 @@ def rank_over_rationals(rows) -> int:
     return rank
 
 
+def cyclotomic_polynomial(m: int) -> list[int]:
+    """Phi_m, lowest coefficient first: x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    num = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d:
+            continue
+        den = cyclotomic_polynomial(d)
+        quotient = [0] * (len(num) - len(den) + 1)
+        for i in reversed(range(len(quotient))):
+            quotient[i] = num[i + len(den) - 1]  # den is monic
+            for j, c in enumerate(den):
+                num[i + j] -= quotient[i] * c
+        assert not any(num)
+        num = quotient
+    return num
+
+
+def rank_over_cyclotomic(sym) -> int:
+    """Rank over Q(zeta_m), m = sym.order, of a SymmetrizerMatrix, by rational elimination.
+
+    Multiplication by zeta on Q(zeta) = Q[x]/Phi_m is the companion matrix C
+    of Phi_m, so the entry sum_e c_e zeta^e becomes the phi(m) x phi(m) block
+    sum_e c_e C^e.  Q[C] is a field isomorphic to Q(zeta), so the expanded
+    rational matrix has phi(m) times the rank.
+    """
+    phi_m = cyclotomic_polynomial(sym.order)
+    k = len(phi_m) - 1
+    companion = np.zeros((k, k), dtype=np.int64)
+    companion[1:, :-1] = np.eye(k - 1, dtype=np.int64)  # x * x^i = x^(i+1)
+    companion[:, -1] = [-c for c in phi_m[:-1]]  # x * x^(k-1) = x^k = -sum_i c_i x^i
+    power = np.eye(k, dtype=np.int64)
+    expanded = 0
+    for block in dense_counts(sym):
+        expanded = expanded + np.kron(block, power)
+        power = power @ companion
+    r = rank_over_rationals(expanded.tolist())
+    assert r % k == 0
+    return r // k
+
+
 def coxeter_length(sigma: Permutation) -> int:
     """Coxeter length = number of inversions of the one-line notation."""
     img = sigma.image
@@ -363,14 +403,14 @@ def signed_action_consistent(s) -> bool:
     return True
 
 
-def value_at_one(poly) -> int:
-    """An IntPolynomial evaluated at t = 1."""
-    return sum(poly.coeffs)
+def value_at_one(coeffs: list[int]) -> int:
+    """A polynomial, given by its coefficients, evaluated at t = 1."""
+    return sum(coeffs)
 
 
-def is_palindromic(poly) -> bool:
-    """Whether an IntPolynomial's coefficients read the same in both directions."""
-    return list(poly.coeffs) == list(poly.coeffs)[::-1]
+def is_palindromic(coeffs: list[int]) -> bool:
+    """Whether a coefficient list reads the same in both directions."""
+    return coeffs == coeffs[::-1]
 
 
 def save_rack(r, path: str) -> None:

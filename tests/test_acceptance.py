@@ -88,8 +88,7 @@ def test_criterion_04_conjugation_lemmas():
 
 def test_criterion_05_hilbert_x4():
     t0 = time.perf_counter()
-    poly = expand_closed_form([(2, 2), (3, 2), (4, 2)])
-    ok = [poly.coefficient(d) for d in range(1, 6)] == H4_COEFFS
+    ok = expand_closed_form([(2, 2), (3, 2), (4, 2)])[1:6] == H4_COEFFS
     for q in (minus_one_cocycle(transposition_rack(4)), chi_cocycle(4)):
         exact = graded_dims(q, 3, mode="exact")
         modular = graded_dims(q, 5, mode="modular", seed=41)
@@ -103,9 +102,9 @@ def test_criterion_05_hilbert_x4():
 
 def test_criterion_06_hilbert_x5():
     t0 = time.perf_counter()
-    poly = expand_closed_form([(4, 4), (5, 2), (6, 4)])
-    ok = [poly.coefficient(d) for d in range(1, 5)] == H5_COEFFS
-    ok = ok and value_at_one(poly) == 8_294_400
+    coeffs = expand_closed_form([(4, 4), (5, 2), (6, 4)])
+    ok = coeffs[1:5] == H5_COEFFS
+    ok = ok and value_at_one(coeffs) == 8_294_400
     for q in (minus_one_cocycle(transposition_rack(5)), chi_cocycle(5)):
         report = graded_dims(q, 4, mode="modular", seed=42)
         ok = ok and report.ranks[1:5] == H5_COEFFS

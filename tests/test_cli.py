@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -253,17 +254,30 @@ class TestHilbertCommand:
         assert built == list(range(2, len(digests) + 2))
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dump.iterdir()} == digests
 
-    def test_disagreeing_primes_fail(self, tmp_path, monkeypatch, capsys):
-        # order 3 has no exact fallback, so the rank stays uncertified
-        ranks = iter(range(100))
-        monkeypatch.setattr(hilbert_mod, "_ranks", lambda sym, moduli: [next(ranks) for _ in moduli])
+    def test_disagreeing_primes_fail(self, tmp_path, monkeypatch):
+        # the first drawn prime is made to fail; the degree falls back to the
+        # rank proven over Q(zeta_3), and the run exits 0
+        p1 = hilbert_mod._draw_prime(random.Random(0), 3, set())
+        real = hilbert_mod._rank_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
         out = tmp_path / "h.json"
         code = run(["hilbert", "--rack", "x3", "--cocycle", "const:3:1", "--max-degree", "2", "--out", str(out)])
-        assert code == 2
+        assert code == 0
         report = read_json(str(out))
-        assert report["ok"] is False
-        assert report["report"]["methods"][2] == hilbert_mod.DISAGREED
-        assert "primes disagreed in degrees [2]" in capsys.readouterr().out
+        assert report["ok"] is True
+        assert report["report"]["ranks"] == [1, 3, 9]
+        assert report["report"]["methods"][2] == "exact (fallback after modular disagreement)"
+        assert report["report"]["primes"][2][0] == p1 and len(set(report["report"]["primes"][2])) == 2
+
+    @pytest.mark.parametrize("form", ["2:-1,3:0", "3:0", "0:1"])
+    def test_closed_form_factor_below_one(self, tmp_path, capsys, form):
+        out = tmp_path / "h.json"
+        code = run(["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "2",
+                    "--closed-form", form, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "closed-form factor" in err
+        assert not out.exists()
 
     def test_unknown_rack_and_cocycle(self):
         assert run(["hilbert", "--rack", "y4", "--cocycle", "-1", "--max-degree", "2", "--mode", "exact"]) == 1

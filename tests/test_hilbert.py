@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    cyclotomic_polynomial,
     dense_integer_matrix,
     is_palindromic,
     orbit_blocks_modp,
+    rank_over_cyclotomic,
     rank_over_rationals,
     translation_classes,
     value_at_one,
@@ -17,17 +19,16 @@ from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_
 from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
-    IntPolynomial,
     _draw_prime,
     _element_of_order,
     _is_prime_u32,
     _rank_dense_modp,
     _rank_exact,
+    _rank_modp,
     compare_twist_series,
     expand_closed_form,
     graded_dims,
     rank,
-    t_integer,
 )
 from racktwist.rack import FiniteRack, check_rack_axioms, transposition_rack
 from racktwist.spincover import phi_psi_table
@@ -38,47 +39,40 @@ M1_X3 = minus_one_cocycle(X3)
 M1_X4 = minus_one_cocycle(X4)
 
 
-class TestIntPolynomial:
-    def test_t_integer(self):
-        assert t_integer(4).coeffs == (1, 1, 1, 1)
-        assert t_integer(1).coeffs == (1,)
-        with pytest.raises(ValueError):
-            t_integer(0)
-
-    def test_multiplication_against_sympy(self):
-        import sympy
-
-        t = sympy.symbols("t")
-        rng = random.Random(0)
-        for _ in range(10):
-            a = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 6))))
-            b = IntPolynomial(tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 6))))
-            got = (a * b).coeffs
-            pa = sum(c * t**i for i, c in enumerate(a.coeffs))
-            pb = sum(c * t**i for i, c in enumerate(b.coeffs))
-            prod = sympy.Poly((pa * pb).expand(), t).all_coeffs()[::-1] if (pa * pb) != 0 else []
-            assert list(got) == [int(c) for c in prod]
-
-    def test_trailing_zeros_trimmed(self):
-        assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
+def square_parts(mat):
+    """An integer matrix, padded square with zeros, as (parts, size) of hilbert._kept_blocks at order 1."""
+    a = np.asarray(mat, dtype=np.int64)
+    size = max(a.shape)
+    flat = np.zeros((size, size), dtype=np.int64)
+    flat[: a.shape[0], : a.shape[1]] = a
+    flat = flat.ravel()
+    cells = np.flatnonzero(flat)
+    return [(cells, flat[cells])], size
 
 
 class TestClosedForms:
+    def test_t_integer(self):
+        assert expand_closed_form([(4, 1)]) == [1, 1, 1, 1]
+        assert expand_closed_form([(1, 1)]) == expand_closed_form([]) == [1]
+        for factor in [(0, 1), (2, 0), (2, -1)]:
+            with pytest.raises(ValueError):
+                expand_closed_form([(3, 2), factor])
+
     def test_x4_series(self):
-        poly = expand_closed_form([(2, 2), (3, 2), (4, 2)])
-        assert value_at_one(poly) == 576
-        assert [poly.coefficient(d) for d in range(1, 6)] == [6, 19, 42, 71, 96]
-        assert is_palindromic(poly)
-        assert poly.degree == 12
+        coeffs = expand_closed_form([(2, 2), (3, 2), (4, 2)])
+        assert value_at_one(coeffs) == 576
+        assert coeffs[1:6] == [6, 19, 42, 71, 96]
+        assert is_palindromic(coeffs)
+        assert len(coeffs) == 13
 
     def test_x5_series(self):
-        poly = expand_closed_form([(4, 4), (5, 2), (6, 4)])
-        assert value_at_one(poly) == 8_294_400
-        assert [poly.coefficient(d) for d in range(1, 5)] == [10, 55, 220, 711]
-        assert is_palindromic(poly)
+        coeffs = expand_closed_form([(4, 4), (5, 2), (6, 4)])
+        assert value_at_one(coeffs) == 8_294_400
+        assert coeffs[1:5] == [10, 55, 220, 711]
+        assert is_palindromic(coeffs)
 
     def test_ones(self):
-        assert expand_closed_form([(1, 7)]).coeffs == (1,)
+        assert expand_closed_form([(1, 7)]) == [1]
 
     def test_against_sympy_expansion(self):
         import sympy
@@ -86,8 +80,7 @@ class TestClosedForms:
         t = sympy.symbols("t")
         expr = (1 + t) ** 2 * (1 + t + t**2) ** 2 * (1 + t + t**2 + t**3) ** 2
         coeffs = sympy.Poly(expr.expand(), t).all_coeffs()[::-1]
-        got = expand_closed_form([(2, 2), (3, 2), (4, 2)]).coeffs
-        assert list(got) == [int(c) for c in coeffs]
+        assert expand_closed_form([(2, 2), (3, 2), (4, 2)]) == [int(c) for c in coeffs]
 
 
 class TestPrimeMachinery:
@@ -131,25 +124,45 @@ class TestRankKernels:
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             expected = rank_over_rationals(mat)
-            assert _rank_exact(np.array(mat, dtype=np.int64)) == expected
+            assert _rank_exact(*square_parts(mat), 1) == expected
 
     def test_exact_rank_deficient(self):
         mat = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-        assert _rank_exact(np.array(mat, dtype=np.int64)) == 2
+        assert _rank_exact(*square_parts(mat), 1) == 2
 
     def test_exact_rank_outlives_the_first_prime(self):
         # diag(1, 2^31 - 1) has rank 2, but rank 1 modulo the first prime tried
         a = np.diag([1, 2**31 - 1]).astype(np.int64)
         assert rank_over_rationals(a.tolist()) == 2
         assert _rank_dense_modp(a % (2**31 - 1), 2**31 - 1) == 1
-        assert _rank_exact(a) == 2
+        assert _rank_exact(*square_parts(a), 1) == 2
 
     def test_exact_rank_keeps_the_largest_rank_seen(self):
         # the second prime tried, 2147483629, kills the middle row, and the
         # Hadamard bound is met right after it
         a = np.array([[1, 0, 2], [0, 2147483629, 0], [0, 0, 0]], dtype=np.int64)
         assert _rank_dense_modp(a % 2147483629, 2147483629) == 1
-        assert _rank_exact(a) == 2
+        assert _rank_exact(*square_parts(a), 1) == 2
+
+    def test_exact_bound_holds_at_a_dtype_edge(self, monkeypatch):
+        # entries up to 128 = the largest count: the column bound must hold
+        # 128 itself, not wrap in int8.  The first prime is forced one rank
+        # lower; the honest bound (4 * 128^2)^4 > (2^31 - 1)^2 asks for more
+        real = hilbert_mod._rank_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) - (p == 2**31 - 1))
+        mat = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
+        assert _rank_exact(*square_parts(mat), 1) == 4
+
+    def test_exact_splits_signs_at_order_two(self):
+        # the same integer block as counts of zeta^0 = 1 and of zeta^1 = -1
+        rng = random.Random(7)
+        for _ in range(20):
+            n = rng.randint(1, 6)
+            mat = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=np.int64)
+            flat = mat.ravel()
+            pos, neg = np.flatnonzero(flat > 0), np.flatnonzero(flat < 0)
+            parts = [(pos, flat[pos]), (neg, -flat[neg])]
+            assert _rank_exact(parts, n, 2) == rank_over_rationals(mat.tolist())
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -210,24 +223,27 @@ class TestRank:
         cert = rank(sym, "exact")
         assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
 
-    def test_disagreeing_primes_are_best_effort(self, monkeypatch):
-        # an order-3 cocycle has no exact fallback
-        ranks = iter([4, 5, 6])
-        monkeypatch.setattr(hilbert_mod, "_ranks", lambda sym, moduli: [next(ranks) for _ in moduli])
-        cert = rank(symmetrizer(constant_cocycle(X3, 3, 1), 2), "modular", rng=random.Random(0))
-        assert cert.method == hilbert_mod.DISAGREED
-        assert cert.rank == 6 and len(set(cert.primes)) == 3
+    def test_order_three_disagreement_falls_back_to_exact(self, monkeypatch):
+        # as below, at order 3: the fallback proves the rank over Q(zeta_3)
+        sym = symmetrizer(constant_cocycle(X3, 3, 1), 3)
+        p1 = _draw_prime(random.Random(0), 3, set())
+        real = hilbert_mod._rank_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
+        cert = rank(sym, "modular")
+        assert cert.method == "exact (fallback after modular disagreement)"
+        assert cert.rank == rank_over_cyclotomic(sym) == 21
+        assert cert.primes[0] == p1 and len(set(cert.primes)) == len(cert.primes) == 2
 
     def test_disagreement_falls_back_to_exact(self, monkeypatch):
         # a first prime that raises every nonzero block's rank by one makes
-        # the primes disagree; order 2 then takes the exact rank
+        # the primes disagree; the proven rank is reported with both primes
         p1 = _draw_prime(random.Random(0), 2, set())
         real = hilbert_mod._rank_dense_modp
         monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
         cert = rank(symmetrizer(chi_cocycle(4), 3), "modular")
         assert cert.method == "exact (fallback after modular disagreement)"
         assert cert.rank == 42
-        assert cert.primes[0] == p1 and len(set(cert.primes)) == 3
+        assert cert.primes[0] == p1 and len(set(cert.primes)) == len(cert.primes) == 2
 
     def test_agreeing_primes_cut_each_block_once(self, monkeypatch):
         passes = []
@@ -245,10 +261,55 @@ class TestRank:
         assert cert.method == hilbert_mod.CERTIFIED and len(cert.primes) == 2
         assert passes == [int((sym.orbit_class == np.arange(sym.orbit_class.size)).sum())]
 
-    def test_exact_mode_requires_small_order(self):
-        sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
-        with pytest.raises(ValueError):
-            rank(sym, "exact")
+    @pytest.mark.parametrize(
+        "order, exponent, expected",
+        [(3, 1, [9, 21]), (4, 1, [9, 27]), (4, 3, [9, 27]), (6, 1, [7, 15])],
+    )
+    def test_exact_matches_cyclotomic_oracle(self, order, exponent, expected):
+        q = constant_cocycle(X3, order, exponent)
+        for degree, value in zip((2, 3), expected):
+            sym = symmetrizer(q, degree)
+            assert rank_over_cyclotomic(sym) == value
+            cert = rank(sym, "exact")
+            assert (cert.rank, cert.method, cert.primes) == (value, "exact", ())
+            assert rank(sym, "modular").rank == value
+
+    def test_cyclotomic_oracle_polynomials(self):
+        import sympy
+
+        x = sympy.symbols("x")
+        for m in range(1, 13):
+            expected = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()[::-1]
+            assert cyclotomic_polynomial(m) == [int(c) for c in expected]
+
+    def test_exact_outlives_a_low_first_prime_at_order_three(self, monkeypatch):
+        # the first prime tried, 2^31 - 1 = 1 mod 3, is forced to rank every
+        # nonzero block one lower; no block of degree 4 meets the bound with
+        # one prime, so the largest rank seen is still the rank
+        first = 2**31 - 1
+        tried = []
+        real = hilbert_mod._rank_dense_modp
+
+        def low(a, p):
+            tried.append(p)
+            return max(real(a, p) - (p == first), 0)
+
+        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", low)
+        sym = symmetrizer(constant_cocycle(X3, 3, 1), 4)
+        assert rank(sym, "exact").rank == 50
+        assert tried[0] == first and all(p % 3 == 1 for p in tried)
+
+    def test_exact_rank_outlives_a_bad_first_prime_at_order_three(self):
+        # zeta - g lies in the prime above 2^31 - 1 where zeta -> g, so it has
+        # rank 0 there; its norm g^2 + g + 1 is below (g + 1)^phi(3) but not
+        # below the unsquared bound (g + 1)^2, so a second prime is needed
+        first = 2**31 - 1
+        g = _element_of_order(first, 3)
+        assert (g * g + g + 1) % first == 0 and (g + 1) ** 2 < first**2
+        cell = np.array([0])
+        parts = [(cell, np.array([-g])), (cell, np.array([1])), (cell[:0], np.array([], dtype=np.int64))]
+        assert _rank_modp(parts, 1, first, g) == 0
+        assert _rank_exact(parts, 1, 3) == 1
 
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
