@@ -209,8 +209,8 @@ def cmd_verify_twist(args) -> int:
     gc = spincover.phi_psi_table(n)
     restriction = gc.twist_table()
     cond = cocycle_mod.check_twist_condition(restriction)
-    main_ok, log = spincover.verify_main_theorem(n, gc)
     chi = cocycle_mod.chi_cocycle(n)
+    main_ok, log = spincover.verify_main_theorem(n, gc, chi)
     twisted = cocycle_mod.twist(chi, restriction)
     minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
     twist_matches = twisted.exp == minus_one.exp

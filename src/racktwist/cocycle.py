@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rack import (
     FiniteRack,
     Permutation,
@@ -121,20 +123,32 @@ def chi_cocycle(n: int) -> RackCocycle:
     return q
 
 
+def _first_failure(k: int, slab) -> CocycleReport:
+    """Scan x = 0..k-1; slab(x) is the k x k array of residues over (y, z), zero where the triple holds.
+
+    The witness is the first failing (x, y, z) in lexicographic order.
+    """
+    for x in range(k):
+        bad = slab(x)
+        if bad.any():
+            y, z = divmod(int(np.argmax(bad != 0)), k)
+            return CocycleReport(False, (x, y, z))
+    return CocycleReport(True)
+
+
 def check_cocycle(q: RackCocycle) -> CocycleReport:
     """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples."""
-    op = q.rack.op
-    exp = q.exp
+    op = np.array(q.rack.op, dtype=np.intp)
+    exp = np.array(q.exp, dtype=np.int64)
     m = q.order
-    k = q.rack.size
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                lhs = exp[x][op[y][z]] + exp[y][z]
-                rhs = exp[op[x][y]][op[x][z]] + exp[x][z]
-                if (lhs - rhs) % m != 0:
-                    return CocycleReport(False, (x, y, z))
-    return CocycleReport(True)
+
+    def slab(x):
+        ox = op[x]
+        lhs = exp[x][op] + exp
+        rhs = exp[ox[:, None], ox[None, :]] + exp[x][None, :]
+        return (lhs - rhs) % m
+
+    return _first_failure(q.rack.size, slab)
 
 
 def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
@@ -215,20 +229,21 @@ def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
 
 def check_twist_condition(phi: TwistTable) -> CocycleReport:
     """Check the condition making q^phi a cocycle whenever q is, over all triples."""
-    op = phi.rack.op
-    p = phi.phi
+    op = np.array(phi.rack.op, dtype=np.intp)
+    p = np.array(phi.phi, dtype=np.int64)
     m = phi.order
-    k = phi.rack.size
-    for x in range(k):
-        for y in range(k):
-            for z in range(k):
-                yz = op[y][z]
-                xyz = op[x][yz]
-                lhs = p[x][z] + p[op[x][y]][op[x][z]] + p[xyz][x] + p[yz][y]
-                rhs = p[y][z] + p[x][yz] + p[xyz][op[x][y]] + p[op[x][z]][x]
-                if (lhs - rhs) % m != 0:
-                    return CocycleReport(False, (x, y, z))
-    return CocycleReport(True)
+    y = np.arange(phi.rack.size)[:, None]
+
+    def slab(x):
+        # rows run over y and columns over z, so op itself is the table of y |> z
+        xy = op[x][:, None]
+        xz = op[x][None, :]
+        xyz = op[x][op]
+        lhs = p[x][None, :] + p[xy, xz] + p[xyz, x] + p[op, y]
+        rhs = p + p[x][op] + p[xyz, xy] + p[xz, x]
+        return (lhs - rhs) % m
+
+    return _first_failure(phi.rack.size, slab)
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

@@ -2,13 +2,15 @@
 
 The rank of the degree-n symmetrizer is the dimension of the degree-n
 component of the graded algebra attached to a rack-cocycle pair.  The
-symmetrizer is block diagonal over the braid-group orbits of the basis
-(every braid lift maps a basis vector into its orbit, and all lift counts
-are positive, so no entry cancels a block away); rank is summed block by
-block.  A translation g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x
-commutes with the braiding c on X (x) X commutes with the symmetrizer in
-every degree, so it carries each block onto the block of the image orbit
-without changing its rank.  On a rack every 2-cocycle satisfies this (it
+symmetrizer is block diagonal over the braid-group orbits of the basis,
+because every braid lift maps a basis vector into its orbit; rank is summed
+block by block.  The split needs nothing more: entries of Z[zeta] may cancel
+(in x3 with const:3:1, degree 3, the block of each word xxx is
+2 + 2 zeta + 2 zeta^2 = 0), which only lowers the rank of their block.  A
+translation g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x commutes
+with the braiding c on X (x) X commutes with the symmetrizer in every
+degree, so it carries each block onto the block of the image orbit without
+changing its rank.  On a rack every 2-cocycle satisfies this (it
 is the cocycle condition), for chi as for -1.  The orbits fall into classes
 under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class

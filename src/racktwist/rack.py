@@ -76,16 +76,24 @@ class Permutation:
         return [i for i in range(1, self.n) if inv[i - 1] > inv[i]]
 
     def lex_reduced_word(self) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word, by greedy smallest left descent."""
+        """The lexicographically smallest reduced word, by greedy smallest left descent.
+
+        Left-multiplying by s_i swaps entries i-1 and i of the inverse image, so
+        the greedy choice is a bubble sort of the inverse image that always
+        swaps its leftmost descent.  A swap at i can only create a descent at
+        i-1, so the scan steps back one place after each swap.
+        """
+        inv = list(self.inverse().image)
         word = []
-        cur = self
-        while True:
-            ds = cur.left_descents()
-            if not ds:
-                break
-            i = ds[0]
-            word.append(i)
-            cur = Permutation.adjacent(cur.n, i) * cur
+        i = 1
+        while i < len(inv):
+            if inv[i - 1] > inv[i]:
+                inv[i - 1], inv[i] = inv[i], inv[i - 1]
+                word.append(i)
+                if i > 1:
+                    i -= 1
+            else:
+                i += 1
         return tuple(word)
 
     def cycle_string(self) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cocycle import TwistTable
+from .cocycle import RackCocycle, TwistTable, chi_cocycle
 from .errors import SectionConsistencyError
 from .rack import Permutation, transposition_pairs, transposition_rack
 
@@ -260,8 +260,8 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> bool
         for b in range(1, n + 1):
             if a != b:
                 brackets[(a, b)] = bracket(n, a, b)
-    for k in range(1, n):
-        sk = generator_t(n, k)
+    ts = [generator_t(n, i) for i in range(1, n)]
+    for sk in ts:
         swap = sk.perm
         for (a, b), br in brackets.items():
             expected = brackets[(swap(a), swap(b))].times_z()
@@ -273,7 +273,7 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> bool
         word = [rng.randint(1, n - 1) for _ in range(l)]
         lift = SpinElement.one(n)
         for i in word:
-            lift = lift * generator_t(n, i)
+            lift = lift * ts[i - 1]
         a = rng.randint(1, n)
         b = rng.randint(1, n - 1)
         if b >= a:
@@ -292,12 +292,19 @@ class SectionCache:
 
     Non-transpositions lift along their lexicographically smallest reduced
     word, so the section (and hence the sign cocycle it defines) is
-    reproducible.
+    reproducible.  The lift is the left-to-right product t_{w_1} ... t_{w_l}
+    of Clifford elements.  One stack holds the prefix lifts of the last word
+    lifted; a new word keeps the prefix it shares with that word and
+    multiplies only its remaining letters.  The stack is at most one word
+    long, so memory stays flat however many sections are lifted.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._memo: dict[tuple[int, ...], SpinElement] = {}
+        self._gens = [generator_t(n, i).elem for i in range(1, n)]
+        self._word: tuple[int, ...] = ()
+        self._prefix = [CliffordElement.one(n)]  # _prefix[j] lifts _word[:j]
 
     def section(self, sigma: Permutation) -> SpinElement:
         if sigma.n != self.n:
@@ -311,19 +318,31 @@ class SectionCache:
         elif pair is not None:
             s = bracket(self.n, pair[0], pair[1])
         else:
-            s = SpinElement.one(self.n)
-            for i in sigma.lex_reduced_word():
-                s = s * generator_t(self.n, i)
+            s = SpinElement(self._lift(sigma.lex_reduced_word()), sigma)
         self._memo[sigma.image] = s
         return s
 
+    def _lift(self, word: tuple[int, ...]) -> CliffordElement:
+        """The product of the generators along word, reusing the stacked shared prefix."""
+        prefix, last = self._prefix, self._word
+        shared = 0
+        for a, b in zip(word, last):
+            if a != b:
+                break
+            shared += 1
+        del prefix[shared + 1:]
+        for i in word[shared:]:
+            prefix.append(prefix[-1] * self._gens[i - 1])
+        self._word = word
+        return prefix[-1]
+
     def phi_bit(self, x: Permutation, y: Permutation) -> int:
         """The sign bit in s(x)s(y) = z^bit s(xy); raises if neither sign matches."""
-        prod = self.section(x) * self.section(y)
-        target = self.section(x * y)
-        if prod.elem == target.elem:
+        prod = self.section(x).elem * self.section(y).elem
+        target = self.section(x * y).elem
+        if prod == target:
             return 0
-        if prod.elem == (-target.elem):
+        if prod == -target:
             return 1
         raise SectionConsistencyError(
             f"s(x)s(y) is not +/- s(xy) for x={x.cycle_string()}, y={y.cycle_string()}"
@@ -396,23 +415,25 @@ def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
     return bool(np.all((lhs - rhs) % 2 == 0))
 
 
-def verify_main_theorem(n: int, gc: GroupCocycleBit | None = None) -> tuple[bool, list[dict]]:
+def verify_main_theorem(
+    n: int, gc: GroupCocycleBit | None = None, chi: RackCocycle | None = None
+) -> tuple[bool, list[dict]]:
     """Check the twist identity pairwise on all ordered pairs of transpositions.
 
     For each pair (sigma, tau): (-1)^phi(sigma,tau) * (-1)^-phi(sigma|>tau,sigma)
     * chi(sigma,tau) must equal -1 exactly.  Returns overall verdict plus a
     per-pair log in deterministic order.  Passing an existing ``gc`` reuses
-    the phi bits it has already computed.
+    the phi bits it has already computed, and passing ``chi_cocycle(n)`` as
+    ``chi`` saves building and checking it again.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    from .cocycle import chi_cocycle
-
     if gc is None:
         gc = GroupCocycleBit(n)
     elif gc.n != n:
         raise ValueError(f"cocycle is for n={gc.n}, not n={n}")
-    chi = chi_cocycle(n)
+    if chi is None:
+        chi = chi_cocycle(n)
     pairs = transposition_pairs(n)
     perms = [Permutation.transposition(n, i, j) for i, j in pairs]
     log = []

@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles, sharing only type
 definitions with the package: dense rational elimination for ranks, dense
-matrix products for braid lifts, an alternative reduced-word generator, and
-a Clifford algebra over the field Q(sqrt(2)) with rational coefficients.
+matrix products for braid lifts, alternative reduced-word generators, plain
+triple loops for the cocycle and twist conditions, and a Clifford algebra
+over the field Q(sqrt(2)) with rational coefficients.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from racktwist.cocycle import GaugeFunction, RackCocycle
+from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
 from racktwist.rack import FiniteRack, Permutation, rack_to_dict
 
 
@@ -104,6 +106,56 @@ def largest_descent_word(sigma: Permutation) -> tuple[int, ...]:
         word.append(i)
         cur = Permutation.adjacent(cur.n, i) * cur
     return tuple(word)
+
+
+def lex_min_reduced_word(sigma: Permutation) -> tuple[int, ...]:
+    """The smallest of all reduced words of sigma, in lexicographic order.
+
+    Every reduced word of w starts with a left descent i (i + 1 stands before
+    i in the one-line notation) and continues with a reduced word of s_i w,
+    which swaps the values i and i + 1.  The minimum is taken over every
+    left descent, not just the first, and memoised on the one-line notation.
+    """
+    return _lex_min_word(sigma.image)
+
+
+@lru_cache(maxsize=None)
+def _lex_min_word(image: tuple[int, ...]) -> tuple[int, ...]:
+    where = {v: pos for pos, v in enumerate(image)}
+    words = []
+    for i in range(1, len(image)):
+        if where[i + 1] < where[i]:
+            swapped = tuple(i + 1 if v == i else i if v == i + 1 else v for v in image)
+            words.append((i,) + _lex_min_word(swapped))
+    return min(words, default=())
+
+
+def cocycle_first_failure(q: RackCocycle) -> tuple[int, int, int] | None:
+    """The first triple (x, y, z), in lexicographic order, that breaks the rack 2-cocycle condition."""
+    op, exp, m, k = q.rack.op, q.exp, q.order, q.rack.size
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                lhs = exp[x][op[y][z]] + exp[y][z]
+                rhs = exp[op[x][y]][op[x][z]] + exp[x][z]
+                if (lhs - rhs) % m != 0:
+                    return (x, y, z)
+    return None
+
+
+def twist_condition_first_failure(phi: TwistTable) -> tuple[int, int, int] | None:
+    """The first triple (x, y, z), in lexicographic order, that breaks the twist condition."""
+    op, p, m, k = phi.rack.op, phi.phi, phi.order, phi.rack.size
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                yz = op[y][z]
+                xyz = op[x][yz]
+                lhs = p[x][z] + p[op[x][y]][op[x][z]] + p[xyz][x] + p[yz][y]
+                rhs = p[y][z] + p[x][yz] + p[xyz][op[x][y]] + p[op[x][z]][x]
+                if (lhs - rhs) % m != 0:
+                    return (x, y, z)
+    return None
 
 
 def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:

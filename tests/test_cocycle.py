@@ -1,8 +1,15 @@
+import itertools
 import random
 
 import pytest
 
-from oracles import conjugacy_class_rack, inverse_gauge, lift_to_order
+from oracles import (
+    cocycle_first_failure,
+    conjugacy_class_rack,
+    inverse_gauge,
+    lift_to_order,
+    twist_condition_first_failure,
+)
 from racktwist.cocycle import (
     GaugeFunction,
     RackCocycle,
@@ -19,6 +26,7 @@ from racktwist.cocycle import (
     twist,
 )
 from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
+from racktwist.spincover import phi_psi_table
 
 X3 = transposition_rack(3)
 X4 = transposition_rack(4)
@@ -116,6 +124,55 @@ class TestCheckCocycle:
                 - bad.exp[op[x][y]][op[x][z]] - bad.exp[x][z]) % 2
         )
         assert report.witness == first
+
+
+def flipped_tables(table):
+    """Every copy of an order-2 table with exactly one entry flipped."""
+    k = len(table)
+    for a, b in itertools.product(range(k), repeat=2):
+        rows = [list(row) for row in table]
+        rows[a][b] ^= 1
+        yield tuple(tuple(row) for row in rows)
+
+
+class TestChecksMatchTripleLoops:
+    # the checks scan one (y, z) slab per x; the oracles are plain triple loops
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_cocycle_witness_on_flipped_chi(self, n):
+        chi = chi_cocycle(n)
+        assert check_cocycle(chi).ok and cocycle_first_failure(chi) is None
+        failures = 0
+        for exp in flipped_tables(chi.exp):
+            q = RackCocycle(rack=chi.rack, order=2, exp=exp)
+            report, want = check_cocycle(q), cocycle_first_failure(q)
+            assert report.ok == (want is None) and report.witness == want
+            failures += want is not None
+        assert failures > 0
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_twist_witness_on_flipped_twist_table(self, n):
+        table = phi_psi_table(n).twist_table()
+        assert check_twist_condition(table).ok and twist_condition_first_failure(table) is None
+        failures = 0
+        for phi in flipped_tables(table.phi):
+            t = TwistTable(rack=table.rack, order=2, phi=phi)
+            report, want = check_twist_condition(t), twist_condition_first_failure(t)
+            assert report.ok == (want is None) and report.witness == want
+            failures += want is not None
+        assert failures > 0
+
+    def test_witness_at_higher_order(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            q = random_cocycle_pool(rng)
+            k, m = q.rack.size, q.order
+            exp = [list(row) for row in q.exp]
+            exp[rng.randrange(k)][rng.randrange(k)] = rng.randrange(m)
+            bad = RackCocycle(rack=q.rack, order=m, exp=tuple(tuple(row) for row in exp))
+            assert check_cocycle(bad).witness == cocycle_first_failure(bad)
+            phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
+            assert check_twist_condition(phi).witness == twist_condition_first_failure(phi)
 
 
 class TestGauge:

@@ -1,8 +1,16 @@
+import itertools
 import json
+import random
 
 import pytest
 
-from oracles import OrbitTooLargeError, conjugacy_class_rack, coxeter_length, save_rack
+from oracles import (
+    OrbitTooLargeError,
+    conjugacy_class_rack,
+    coxeter_length,
+    lex_min_reduced_word,
+    save_rack,
+)
 from racktwist.rack import (
     FiniteRack,
     Permutation,
@@ -51,8 +59,6 @@ class TestPermutation:
         assert word == (1, 2, 1)
 
     def test_reduced_word_reconstructs(self):
-        import random
-
         rng = random.Random(4)
         for _ in range(50):
             n = rng.randint(2, 7)
@@ -65,6 +71,17 @@ class TestPermutation:
             for i in word:
                 acc = acc * Permutation.adjacent(n, i)
             assert acc.image == p.image
+
+    def test_lex_reduced_word_is_the_minimum_over_all_reduced_words(self):
+        for img in itertools.permutations(range(1, 6)):
+            p = Permutation(img)
+            assert p.lex_reduced_word() == lex_min_reduced_word(p)
+        rng = random.Random(11)
+        for _ in range(200):
+            img = list(range(1, 8))
+            rng.shuffle(img)
+            p = Permutation(tuple(img))
+            assert p.lex_reduced_word() == lex_min_reduced_word(p)
 
     def test_cycle_string(self):
         assert Permutation.identity(3).cycle_string() == "id"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from oracles import (
     quad_generator,
     signed_action_consistent,
 )
+from racktwist import spincover
 from racktwist.cocycle import check_twist_condition, chi_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import Permutation, transposition_pairs
@@ -356,6 +358,30 @@ class TestSection:
             sigma = Permutation(tuple(img))
             assert cache.section(sigma).perm.image == sigma.image
 
+    @staticmethod
+    def naive_section(sigma):
+        """s(sigma) rebuilt from scratch: [i j] on transpositions, else the product along the lex word."""
+        pair = sigma.transposition_pair()
+        if pair is not None:
+            return bracket(sigma.n, *pair)
+        lift = SpinElement.one(sigma.n)
+        for i in sigma.lex_reduced_word():
+            lift = lift * generator_t(sigma.n, i)
+        return lift
+
+    def test_prefix_stack_in_shuffled_order(self):
+        # the prefix stack must never leak letters of an earlier word into a later one
+        rng = random.Random(12)
+        s5 = [Permutation(img) for img in itertools.permutations(range(1, 6))]
+        ts = [Permutation.transposition(8, i, j) for i, j in transposition_pairs(8)]
+        s8 = list({p.image: p for x in ts for y in ts for p in (x, y, x * y)}.values())
+        assert len(s8) == 351
+        for perms in (s5, s8):
+            rng.shuffle(perms)
+            cache = SectionCache(perms[0].n)
+            for sigma in perms:
+                assert cache.section(sigma) == self.naive_section(sigma)
+
     @pytest.mark.parametrize("n", range(3, 8))
     def test_conjugation_rule_exhaustive(self, n):
         # s(sigma) |> s(tau) = s(sigma |> tau) * z  when sigma(i) < sigma(j),
@@ -408,6 +434,16 @@ class TestPhi:
         )
         with pytest.raises(SectionConsistencyError):
             cache.phi_bit(sigma, Permutation.transposition(3, 2, 3))
+
+
+    def test_corrupt_generator_detected(self, monkeypatch):
+        # the section lifts along t_i = e_i - e_{i+1}, without the 1/sqrt(2)
+        monkeypatch.setattr(spincover, "generator_t", _unnormalized_generator)
+        monkeypatch.setattr(spincover, "_BRACKETS", {})
+        cache = SectionCache(4)
+        x, y = Permutation.transposition(4, 1, 3), Permutation.transposition(4, 1, 2)
+        with pytest.raises(SectionConsistencyError):
+            cache.phi_bit(x, y)
 
 
 class TestMainTheorem:
