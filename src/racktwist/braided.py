@@ -9,13 +9,18 @@ S_n = (S_{n-1} (x) id) . T_n, and held as numpy coordinate arrays, one per
 power of zeta.  The braid-group orbits of the basis come with it: the
 symmetrizer is block diagonal over them.  So do their classes under the
 translations of X that commute with the braiding, which carry blocks onto
-blocks of the same rank.
+blocks of the same rank.  Both depend only on the braiding, so they are
+found before assembly, and the caller may then ask for some rows only: row
+v of S_d is row floor(v/k) of S_{d-1}, lifted and multiplied by T_d, so
+those rows are built exactly from the rows of lower degrees that they
+descend from, and no other row is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -150,6 +155,9 @@ class SymmetrizerMatrix:
     `orbit_class[i]` is the number of the smallest orbit in the class of
     orbit i, orbits numbered by their smallest member.  `hilbert.rank`
     ranks one block per class and weights it by the class size.
+
+    `rows` lists the rows that were built, ascending; `counts` holds
+    entries of those rows only (see `symmetrizer`).
     """
 
     dim: int
@@ -158,6 +166,7 @@ class SymmetrizerMatrix:
     counts: list[CountMatrix]
     orbit: np.ndarray
     orbit_class: np.ndarray
+    rows: np.ndarray
 
 
 # Entries expanded at once when lifting to the next degree; bounds working memory.
@@ -250,7 +259,12 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 
-def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> SymmetrizerMatrix:
+def symmetrizer(
+    q: RackCocycle,
+    degree: int,
+    dim_cap: int = DEFAULT_DIM_CAP,
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
     Every sigma in S_d factors uniquely as sigma' * s_{d-1} ... s_j with
@@ -265,6 +279,13 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
     every lifted column through the inverses of the d prefix products of T_d
     and merges duplicate (row, column, exponent) entries, a block of rows at
     a time.
+
+    The braid orbits and their classes come first, from the strand tables
+    alone.  `rows(orbit, orbit_class)` then names the rows to build, ascending
+    and distinct; None builds every row.  Row rk + a of S_d is row r of
+    S_{d-1}, lifted to lane a and multiplied by T_d, so rows R of S_degree
+    need rows floor(R / k^(degree-d)) of S_d and no other; the rows not
+    built have no entries.
     """
     k = q.rack.size
     m = q.order
@@ -272,13 +293,17 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
         raise ValueError("degree must be >= 0")
     check_degree(q, degree, dim_cap)
     dim = k**degree
+    orbit = _min_labels([tgt for tgt, _ in _strand_tables(q, degree)], dim)
+    orbit_class = _orbit_classes(q, degree, orbit)
+    built = np.arange(dim, dtype=np.int64) if rows is None else np.asarray(rows(orbit, orbit_class), dtype=np.int64)
+    if built.size and (built[0] < 0 or built[-1] >= dim or (built[1:] <= built[:-1]).any()):
+        raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
 
-    one, none = np.ones(1, dtype=np.int32), np.zeros(0, dtype=np.int32)
-    counts = [CountMatrix(one - 1, one - 1, one)] + [CountMatrix(none, none, none) for _ in range(m - 1)]
-    tables = []
+    # S_0 is the 1 x 1 identity, if any row is built
+    start, none = np.zeros(min(built.size, 1), dtype=np.int32), np.zeros(0, dtype=np.int32)
+    counts = [CountMatrix(start, start, np.ones_like(start))] + [CountMatrix(none, none, none) for _ in range(m - 1)]
     for d in range(1, degree + 1):
         n, prev = k**d, k ** (d - 1)
-        tables = _strand_tables(q, d)
         # An entry is keyed by exponent class, row and column in bit fields.
         # Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
         # which takes v to target_j[v] with exponent expo_j[v], moves an entry
@@ -290,22 +315,25 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
         inv = np.empty((n, d), dtype=np.int64)
         add = np.empty((n, d), dtype=np.int64)
         inv[:, 0], add[:, 0] = v, 0
-        for j, (tgt, ex) in enumerate(reversed(tables), start=1):
+        for j, (tgt, ex) in enumerate(reversed(_strand_tables(q, d)), start=1):
             target, expo = target[tgt], (ex + expo[tgt]) % m
             inv[target, j] = v
             add[target, j] = expo
         send = [((add + e) % m) << (2 * cb) | inv for e in range(m)]
+        # lanes[r, a]: whether row rk + a is one of the rows floor(R / k^(degree-d)) to build
+        lanes = np.zeros(n, dtype=bool)
+        lanes[built // k ** (degree - d)] = True
+        lanes = lanes.reshape(prev, k)
         # previous rows in chunks of bounded expanded size
-        per_row = sum(np.bincount(cm.row, minlength=prev) for cm in counts)
-        chunk = (np.cumsum(per_row) - per_row) * (k * d) // _CHUNK_ENTRIES
+        per_row = sum(np.bincount(cm.row, minlength=prev) for cm in counts) * lanes.sum(axis=1)
+        chunk = (np.cumsum(per_row) - per_row) * d // _CHUNK_ENTRIES
         bounds = np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, [prev]))
         ptrs = [np.searchsorted(cm.row, bounds) for cm in counts]
-        lane = np.arange(k, dtype=np.int64)
         classes = np.arange(m + 1, dtype=np.int64) << (2 * cb)
         mask = (1 << cb) - 1
         # every class gets room for all expanded entries; pages past the
         # merged entries are never touched
-        room = int(per_row.sum()) * k * d
+        room = int(per_row.sum()) * d
         dtype = np.int32 if math.factorial(d) < 2**31 else np.int64
         out = [(np.empty(room, np.int32), np.empty(room, np.int32), np.empty(room, dtype)) for _ in range(m)]
         used = [0] * m
@@ -313,9 +341,11 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
             keys, weights = [], []
             for cm, tab, ptr in zip(counts, send, ptrs):
                 s = slice(ptr[i], ptr[i + 1])
-                rows = (cm.row[s, None].astype(np.int64) * k + lane) << cb
-                keys.append((rows[:, :, None] | tab[cm.col[s, None].astype(np.int64) * k + lane]).ravel())
-                weights.append(np.repeat(cm.data[s], k * d))
+                at, lane = np.nonzero(lanes[cm.row[s]])
+                row = cm.row[s][at].astype(np.int64) * k + lane
+                col = cm.col[s][at].astype(np.int64) * k + lane
+                keys.append((row[:, None] << cb | tab[col]).ravel())
+                weights.append(np.repeat(cm.data[s][at], d))
             keys, w = _merge(np.concatenate(keys), np.concatenate(weights))
             cuts = np.searchsorted(keys, classes)
             for e, (row, col, data) in enumerate(out):
@@ -324,8 +354,7 @@ def symmetrizer(q: RackCocycle, degree: int, dim_cap: int = DEFAULT_DIM_CAP) -> 
                 used[e] = fill.stop
             del keys, w
         counts = [CountMatrix(row[:u], col[:u], data[:u]) for (row, col, data), u in zip(out, used)]
-    orbit = _min_labels([tgt for tgt, _ in tables], dim)
-    return SymmetrizerMatrix(dim, m, degree, counts, orbit, _orbit_classes(q, degree, orbit))
+    return SymmetrizerMatrix(dim, m, degree, counts, orbit, orbit_class, built)
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:
@@ -333,8 +362,12 @@ def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", coc
 
     For order <= 2 the coefficient is a plain integer; otherwise it is the
     coefficient vector in the power basis of zeta, semicolon-separated.
+    Only a symmetrizer with every row built can be exported.
     """
     import json
+
+    if sym.rows.size != sym.dim:
+        raise ValueError(f"only {sym.rows.size} of the {sym.dim} rows were built")
 
     header = {"degree": sym.degree, "rack": rack_id, "cocycle": cocycle_id, "m": sym.order}
     with open(path, "w", encoding="utf-8") as fh:

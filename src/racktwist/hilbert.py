@@ -14,9 +14,11 @@ changing its rank.  On a rack every 2-cocycle satisfies this (it
 is the cocycle condition), for chi as for -1.  The orbits fall into classes
 under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class
-size.  One pass cuts the integer entries of every ranked block once and
-reduces them mod p, with zeta mapped to an element of order m (the cocycle
-order), for each prime of the pass.  One elimination kernel serves both
+size.  A block's rows hold all of its entries, so `graded_dims` assembles
+only the rows of those orbits; the other rows are never read.  One pass
+cuts the integer entries of every ranked block once and reduces them mod
+p, with zeta mapped to an element of order m (the cocycle order), for
+each prime of the pass.  One elimination kernel serves both
 modes: exact mode ranks each block modulo descending primes q = 1 mod m
 below 2^31 until their product exceeds a Hadamard bound, raised to the
 power phi(m), on every minor one order above the rank seen, which proves
@@ -122,23 +124,34 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
+def _kept_rows(orbit: np.ndarray, orbit_class: np.ndarray) -> np.ndarray:
+    """The rows of the smallest braid orbit of every class, ascending: every row that rank reads."""
+    heads = np.flatnonzero(orbit_class == np.arange(orbit_class.size))
+    kept = np.zeros(orbit.size, dtype=bool)
+    kept[np.flatnonzero(orbit == np.arange(orbit.size))[heads]] = True
+    return np.flatnonzero(kept[orbit])
+
+
 def _kept_blocks(sym: SymmetrizerMatrix):
     """Yield (mult, size, parts) for the smallest braid orbit of every class of orbits.
 
     The orbit's diagonal block stands for the mult orbits of its class, whose
     blocks have its rank (see SymmetrizerMatrix).  parts[e] = (cells, counts)
     holds the int64 entries of counts[e] in the size x size block, at
-    row-major positions that are distinct within each e.
+    row-major positions that are distinct within each e.  Only the rows of
+    these orbits are read, so they are all that `sym` must have built.
     """
     n = sym.dim
-    heads = np.flatnonzero(sym.orbit_class == np.arange(sym.orbit_class.size))
-    kept = np.zeros(n, dtype=bool)
-    kept[np.flatnonzero(sym.orbit == np.arange(n))[heads]] = True
-    members = np.flatnonzero(kept[sym.orbit])
+    members = _kept_rows(sym.orbit, sym.orbit_class)
+    built = np.zeros(n, dtype=bool)
+    built[sym.rows] = True
+    if not built[members].all():
+        raise ValueError("the symmetrizer lacks rows of the blocks that rank reads")
     members = members[np.argsort(sym.orbit[members], kind="stable")]
     local = np.empty(n, dtype=np.int64)
     orbits = np.split(members, np.flatnonzero(np.diff(sym.orbit[members])) + 1)
-    for mult, rows in zip(np.bincount(sym.orbit_class)[heads].tolist(), orbits):
+    mults = np.bincount(sym.orbit_class)
+    for mult, rows in zip(mults[mults > 0].tolist(), orbits):
         size = rows.size
         local[rows] = np.arange(size)
         parts = []
@@ -332,10 +345,13 @@ def graded_dims(
     """Ranks of the symmetrizers in degrees 0..max_degree.
 
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
-    matrix is built for them.  `on_matrix` receives every symmetrizer that is
-    built.  The resource caps are checked for max_degree before any degree
-    is built; they grow with the degree, so that covers every degree.  A
-    closed form is expanded (and a bad factor rejected) before that too.
+    matrix is built for them.  Each other degree builds only the rows that
+    `rank` reads, those of the smallest braid orbit of every class
+    (_kept_rows), unless `on_matrix` is given: it receives every symmetrizer
+    that is built, with all its rows.  The resource caps are checked for
+    max_degree before any degree is built; they grow with the degree, so
+    that covers every degree.  A closed form is expanded (and a bad factor
+    rejected) before that too.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -352,7 +368,7 @@ def graded_dims(
         elif d == 1:
             cert = RankCertificate(k, "exact", (), k, 0)
         else:
-            sym = symmetrizer(q, d, dim_cap=dim_cap)
+            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=None if on_matrix is not None else _kept_rows)
             if on_matrix is not None:
                 on_matrix(sym)
             cert = rank(sym, mode, rng=rng)

@@ -70,11 +70,6 @@ class Permutation:
             return moved[0], moved[1]
         return None
 
-    def left_descents(self) -> list[int]:
-        """Generators i with length(s_i * self) < length(self)."""
-        inv = self.inverse().image
-        return [i for i in range(1, self.n) if inv[i - 1] > inv[i]]
-
     def lex_reduced_word(self) -> tuple[int, ...]:
         """The lexicographically smallest reduced word, by greedy smallest left descent.
 

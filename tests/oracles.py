@@ -94,12 +94,18 @@ def inverse_gauge(gamma: GaugeFunction) -> GaugeFunction:
     return GaugeFunction(gamma.rack, gamma.order, tuple((-e) % gamma.order for e in gamma.g))
 
 
+def left_descents(sigma: Permutation) -> list[int]:
+    """Generators i with length(s_i * sigma) < length(sigma): i + 1 stands before i in the one-line notation."""
+    where = {v: pos for pos, v in enumerate(sigma.image)}
+    return [i for i in range(1, sigma.n) if where[i + 1] < where[i]]
+
+
 def largest_descent_word(sigma: Permutation) -> tuple[int, ...]:
     """A reduced word built by always taking the largest left descent."""
     word = []
     cur = sigma
     while True:
-        ds = cur.left_descents()
+        ds = left_descents(cur)
         if not ds:
             break
         i = ds[-1]

@@ -27,12 +27,20 @@ from racktwist.braided import (
 )
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist.errors import DimensionCapError
+from racktwist.hilbert import _kept_rows
 from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
 
 X3 = transposition_rack(3)
 X4 = transposition_rack(4)
 M1_X3 = minus_one_cocycle(X3)
 CHI4 = chi_cocycle(4)
+ROW_CASES = {
+    "x3-m1": M1_X3,
+    "x3-const31": constant_cocycle(X3, 3, 1),
+    "x3-const43": constant_cocycle(X3, 4, 3),
+    "x4-chi": CHI4,
+    "x5-m1": minus_one_cocycle(transposition_rack(5)),
+}
 
 
 def braiding(q):
@@ -43,6 +51,27 @@ def braiding(q):
 def lift(sigma, q):
     """The positive lift of sigma along its lexicographically smallest reduced word."""
     return rho(BraidWord(sigma.n, sigma.lex_reduced_word()), q, sigma.n)
+
+
+def random_rows(seed):
+    """A `rows` argument for symmetrizer: a seeded random subset of the rows, of random density."""
+    def pick(orbit, orbit_class):
+        rng = np.random.default_rng(seed)
+        return np.flatnonzero(rng.random(orbit.size) < rng.random())
+    return pick
+
+
+# row subsets to build: the rows rank reads and random ones
+ROW_PICKERS = [_kept_rows, random_rows(1), random_rows(2)]
+
+
+def assert_rows_match_oracle(q, degree, expected, dense):
+    """Each row subset builds the oracle's rows `dense(sym)` on its rows and nothing on the others."""
+    for pick in ROW_PICKERS:
+        sym = symmetrizer(q, degree, rows=pick)
+        got = dense(sym)
+        assert (got[..., sym.rows, :] == expected[..., sym.rows, :]).all()
+        assert not np.delete(got, sym.rows, axis=-2).any()
 
 
 def random_operator(rng, dim, m):
@@ -208,6 +237,7 @@ class TestSymmetrizer:
         got = dense_integer_matrix(symmetrizer(q, degree))
         expected = brute_force_symmetrizer(q, degree)
         assert (got == expected).all()
+        assert_rows_match_oracle(q, degree, expected, dense_integer_matrix)
 
     def test_entries_bounded_by_factorial(self):
         for degree in (2, 3, 4):
@@ -242,7 +272,34 @@ class TestSymmetrizer:
         assert pow(g, order, p) == 1 and all(pow(g, i, p) != 1 for i in range(1, order))
         q = constant_cocycle(X3, order, expo)
         got = dense_modp_matrix(symmetrizer(q, degree), p, g)
-        assert (got == brute_force_symmetrizer_modp(q, degree, p, g)).all()
+        expected = brute_force_symmetrizer_modp(q, degree, p, g)
+        assert (got == expected).all()
+        assert_rows_match_oracle(q, degree, expected, lambda sym: dense_modp_matrix(sym, p, g))
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(ROW_CASES))
+    def test_row_subsets_match_full_rows(self, name, degree):
+        q = ROW_CASES[name]
+        full = symmetrizer(q, degree)
+        assert np.array_equal(full.rows, np.arange(full.dim))
+        for pick in ROW_PICKERS + [random_rows(3), random_rows(4), lambda orbit, cls: orbit[:0]]:
+            sym = symmetrizer(q, degree, rows=pick)
+            assert np.array_equal(sym.rows, pick(full.orbit, full.orbit_class))
+            assert np.array_equal(sym.orbit, full.orbit)
+            assert np.array_equal(sym.orbit_class, full.orbit_class)
+            built = np.zeros(full.dim, dtype=bool)
+            built[sym.rows] = True
+            assert len(sym.counts) == len(full.counts) == q.order
+            for part, whole in zip(sym.counts, full.counts):
+                keep = built[whole.row]
+                for field in ("row", "col", "data"):
+                    got, expected = getattr(part, field), getattr(whole, field)[keep]
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows", [[3, 2], [1, 1], [-1], [81]], ids=["descending", "repeated", "negative", "past-dim"])
+    def test_bad_row_sets(self, rows):
+        with pytest.raises(ValueError, match="ascending, distinct"):
+            symmetrizer(M1_X3, 4, rows=lambda orbit, cls: np.array(rows))
 
 
 class TestBraidOrbits:
@@ -283,3 +340,8 @@ class TestExport:
             r, c, v = line.split()
             rebuilt[int(r), int(c)] = int(v)
         assert (rebuilt == dense_integer_matrix(sym)).all()
+
+    def test_needs_every_row(self, tmp_path):
+        sym = symmetrizer(M1_X3, 3, rows=_kept_rows)
+        with pytest.raises(ValueError, match="rows were built"):
+            export_symmetrizer(sym, str(tmp_path / "sym.txt"))

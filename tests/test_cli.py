@@ -326,9 +326,22 @@ class TestParser:
         assert run(["cover"]) == 1
 
 
-def test_cli_import_does_not_load_scipy():
+def run_child(code):
+    """Standard output of `python -c code` in a fresh interpreter that imports racktwist from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_does_not_load_scipy():
     code = "import sys, racktwist.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_child(code).strip() == "[]"
+
+
+def test_hilbert_run_does_not_load_numpy_ma():
+    # np.unique and its kin import numpy.ma on first use, which costs about
+    # 16 ms of every cold CLI run
+    code = ("import sys; from racktwist.cli import main; "
+            "main(['hilbert', '--rack', 'x4', '--cocycle', 'chi', '--max-degree', '4']); "
+            "print('numpy.ma' in sys.modules)")
+    assert run_child(code).splitlines()[-1] == "False"

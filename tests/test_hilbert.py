@@ -474,6 +474,32 @@ class TestGradedDims:
         assert built == []
         assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
 
+    def test_builds_the_rows_rank_reads(self, monkeypatch):
+        # without on_matrix only the kept rows are built; with it, every row
+        built = []
+        real = hilbert_mod.symmetrizer
+
+        def recording(q, degree, *args, **kwargs):
+            sym = real(q, degree, *args, **kwargs)
+            built.append((degree, sym.rows.size, sym.dim))
+            return sym
+
+        monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
+        q = CLASS_CASES["x5-m1"]
+        pruned = graded_dims(q, 4, mode="exact")
+        assert built == [(2, 6, 100), (3, 37, 1000), (4, 414, 10000)]
+        built.clear()
+        seen = []
+        full = graded_dims(q, 4, mode="exact", on_matrix=seen.append)
+        assert built == [(2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
+        assert [sym.rows.size for sym in seen] == [100, 1000, 10000]
+        assert pruned.to_dict() == full.to_dict()
+
+    def test_rank_needs_the_kept_rows(self):
+        sym = symmetrizer(M1_X4, 3, rows=lambda orbit, cls: np.arange(1, orbit.size))
+        with pytest.raises(ValueError, match="lacks rows"):
+            rank(sym, "modular")
+
     def test_lift_counts_fit_in_int64(self):
         # one element and the trivial cocycle: S_d = d! id, rank 1, until d! overflows int64
         q = constant_cocycle(transposition_rack(2), 1, 0)
