@@ -61,26 +61,48 @@ def cyclotomic_polynomial(m: int) -> list[int]:
 
 
 def rank_over_cyclotomic(sym) -> int:
-    """Rank over Q(zeta_m), m = sym.order, of a SymmetrizerMatrix, by rational elimination.
+    """Rank over Q(zeta_m), m = sym.order, of a SymmetrizerMatrix, by rational elimination."""
+    return counts_rank_over_cyclotomic(dense_counts(sym), sym.order)
+
+
+def counts_rank_over_cyclotomic(counts: np.ndarray, m: int) -> int:
+    """Rank over Q(zeta_m) of the matrix sum_e counts[e] zeta^e, by rational elimination.
 
     Multiplication by zeta on Q(zeta) = Q[x]/Phi_m is the companion matrix C
     of Phi_m, so the entry sum_e c_e zeta^e becomes the phi(m) x phi(m) block
     sum_e c_e C^e.  Q[C] is a field isomorphic to Q(zeta), so the expanded
     rational matrix has phi(m) times the rank.
     """
-    phi_m = cyclotomic_polynomial(sym.order)
+    phi_m = cyclotomic_polynomial(m)
     k = len(phi_m) - 1
     companion = np.zeros((k, k), dtype=np.int64)
     companion[1:, :-1] = np.eye(k - 1, dtype=np.int64)  # x * x^i = x^(i+1)
     companion[:, -1] = [-c for c in phi_m[:-1]]  # x * x^(k-1) = x^k = -sum_i c_i x^i
     power = np.eye(k, dtype=np.int64)
     expanded = 0
-    for block in dense_counts(sym):
+    for block in counts:
         expanded = expanded + np.kron(block, power)
         power = power @ companion
     r = rank_over_rationals(expanded.tolist())
     assert r % k == 0
     return r // k
+
+
+def distinct_nonzero_lines(counts: np.ndarray, m: int) -> tuple[int, int]:
+    """How many distinct nonzero rows, and then distinct nonzero columns, sum_e counts[e] zeta^e has.
+
+    An entry is compared by its coefficients of zeta^e, after zeta^(m/2) = -1
+    for even m (so c_e and c_(e + m/2) cancel); for odd m the counts are
+    compared as they are.  Columns are counted on the distinct rows.
+    """
+    if m % 2 == 0:
+        counts = counts[: m // 2] - counts[m // 2 :]
+    n = counts.shape[1]
+    rows = {tuple(counts[:, i, :].ravel().tolist()) for i in range(n)}
+    rows = [r for r in rows if any(r)]
+    # row r holds counts[e, i, j] at e * n + j
+    cols = {tuple(r[e * n + j] for r in rows for e in range(counts.shape[0])) for j in range(n)}
+    return len(rows), len([c for c in cols if any(c)])
 
 
 def coxeter_length(sigma: Permutation) -> int:
@@ -329,8 +351,8 @@ def translation_classes(q, degree: int) -> list[int]:
     return label
 
 
-def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:
-    """The dense diagonal block of every braid orbit mod p with zeta mapped to g.
+def orbit_count_blocks(sym) -> list[np.ndarray]:
+    """The (order, size, size) count tensor of the diagonal block of every braid orbit.
 
     Blocks are listed by smallest orbit member; each is filled from the
     coordinate entries whose row lies in the orbit, after checking that
@@ -339,14 +361,24 @@ def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:
     blocks = []
     for o in np.flatnonzero(sym.orbit == np.arange(sym.dim)).tolist():
         members = np.flatnonzero(sym.orbit == o)
-        block = np.zeros((members.size, members.size), dtype=np.int64)
+        block = np.zeros((sym.order, members.size, members.size), dtype=np.int64)
         for e, c in enumerate(sym.counts):
             sel = sym.orbit[c.row] == o
             assert (sym.orbit[c.col[sel]] == o).all()
             rows, cols = np.searchsorted(members, c.row[sel]), np.searchsorted(members, c.col[sel])
-            np.add.at(block, (rows, cols), c.data[sel].astype(np.int64) * pow(g, e, p) % p)
-        blocks.append(block % p)
+            np.add.at(block[e], (rows, cols), c.data[sel].astype(np.int64))
+        blocks.append(block)
     return blocks
+
+
+def evaluate_modp(counts: np.ndarray, p: int, g: int) -> np.ndarray:
+    """The matrix sum_e counts[e] zeta^e mod p with zeta mapped to g; needs counts * p < 2^63."""
+    return sum(counts[e] * pow(g, e, p) % p for e in range(counts.shape[0])) % p
+
+
+def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:
+    """The dense diagonal block of every braid orbit mod p with zeta mapped to g (orbit_count_blocks)."""
+    return [evaluate_modp(block, p, g) for block in orbit_count_blocks(sym)]
 
 
 def support_components(sym) -> list[tuple[int, ...]]:

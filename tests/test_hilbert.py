@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (
+    counts_rank_over_cyclotomic,
     cyclotomic_polynomial,
     dense_integer_matrix,
+    distinct_nonzero_lines,
+    evaluate_modp,
     is_palindromic,
     orbit_blocks_modp,
+    orbit_count_blocks,
     rank_over_cyclotomic,
     rank_over_rationals,
     translation_classes,
@@ -21,6 +25,7 @@ from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
     _draw_prime,
     _element_of_order,
+    _fold,
     _is_prime_u32,
     _rank_dense_modp,
     _rank_exact,
@@ -39,15 +44,47 @@ M1_X3 = minus_one_cocycle(X3)
 M1_X4 = minus_one_cocycle(X4)
 
 
-def square_parts(mat):
-    """An integer matrix, padded square with zeros, as (parts, size) of hilbert._kept_blocks at order 1."""
+def square_block(mat):
+    """An integer matrix, padded square with zeros, folded at order 1 (hilbert._fold)."""
     a = np.asarray(mat, dtype=np.int64)
     size = max(a.shape)
     flat = np.zeros((size, size), dtype=np.int64)
     flat[: a.shape[0], : a.shape[1]] = a
     flat = flat.ravel()
     cells = np.flatnonzero(flat)
-    return [(cells, flat[cells])], size
+    return _fold([(cells, flat[cells])], size, 1)
+
+
+def planted_counts(rng, m, n):
+    """A random (m, n, n) count tensor, n >= 6, with planted lines among the columns and rows 0..4.
+
+    Line 0 is zero, line 1 repeats line 2, line 3 differs from line 2 in one
+    entry, and for m > 1 line 4 cancels in Q(zeta_m): c_e = c_(e + m/2) for
+    even m, and all classes equal for odd m (1 + zeta + ... = 0).  The one
+    differing entry lies in a line from 5 on, which the other planting
+    leaves alone; columns are planted first.
+    """
+    counts = rng.integers(0, 3, size=(m, n, n)) * (rng.random((m, n, n)) < 0.6)
+    for axis in (2, 1):
+        lines = np.moveaxis(counts, axis, 1)  # a view: writes land in counts
+        lines[:, 0] = 0
+        lines[:, 1] = lines[:, 2]
+        lines[:, 3] = lines[:, 2]
+        lines[0, 3, rng.integers(5, n)] += 1
+        if m % 2 == 0:
+            lines[m // 2 :, 4] = lines[: m // 2, 4]
+        elif m > 1:
+            lines[1:, 4] = lines[0, 4]
+    return counts
+
+
+def count_parts(counts):
+    """(parts, size) as in hilbert._kept_blocks for a dense (m, n, n) count tensor."""
+    parts = []
+    for flat in counts.reshape(counts.shape[0], -1):
+        cells = np.flatnonzero(flat)
+        parts.append((cells, flat[cells]))
+    return parts, counts.shape[1]
 
 
 class TestClosedForms:
@@ -124,25 +161,25 @@ class TestRankKernels:
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             expected = rank_over_rationals(mat)
-            assert _rank_exact(*square_parts(mat), 1) == expected
+            assert _rank_exact(square_block(mat), 1) == expected
 
     def test_exact_rank_deficient(self):
         mat = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-        assert _rank_exact(*square_parts(mat), 1) == 2
+        assert _rank_exact(square_block(mat), 1) == 2
 
     def test_exact_rank_outlives_the_first_prime(self):
         # diag(1, 2^31 - 1) has rank 2, but rank 1 modulo the first prime tried
         a = np.diag([1, 2**31 - 1]).astype(np.int64)
         assert rank_over_rationals(a.tolist()) == 2
         assert _rank_dense_modp(a % (2**31 - 1), 2**31 - 1) == 1
-        assert _rank_exact(*square_parts(a), 1) == 2
+        assert _rank_exact(square_block(a), 1) == 2
 
     def test_exact_rank_keeps_the_largest_rank_seen(self):
         # the second prime tried, 2147483629, kills the middle row, and the
         # Hadamard bound is met right after it
         a = np.array([[1, 0, 2], [0, 2147483629, 0], [0, 0, 0]], dtype=np.int64)
         assert _rank_dense_modp(a % 2147483629, 2147483629) == 1
-        assert _rank_exact(*square_parts(a), 1) == 2
+        assert _rank_exact(square_block(a), 1) == 2
 
     def test_exact_bound_holds_at_a_dtype_edge(self, monkeypatch):
         # entries up to 128 = the largest count: the column bound must hold
@@ -151,7 +188,7 @@ class TestRankKernels:
         real = hilbert_mod._rank_dense_modp
         monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) - (p == 2**31 - 1))
         mat = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
-        assert _rank_exact(*square_parts(mat), 1) == 4
+        assert _rank_exact(square_block(mat), 1) == 4
 
     def test_exact_splits_signs_at_order_two(self):
         # the same integer block as counts of zeta^0 = 1 and of zeta^1 = -1
@@ -162,7 +199,19 @@ class TestRankKernels:
             flat = mat.ravel()
             pos, neg = np.flatnonzero(flat > 0), np.flatnonzero(flat < 0)
             parts = [(pos, flat[pos]), (neg, -flat[neg])]
-            assert _rank_exact(parts, n, 2) == rank_over_rationals(mat.tolist())
+            assert _rank_exact(_fold(parts, n, 2), 2) == rank_over_rationals(mat.tolist())
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_fold_drops_only_zero_and_repeated_lines(self, order):
+        rng = np.random.default_rng(order)
+        p = _draw_prime(random.Random(order), order, set())
+        g = _element_of_order(p, order)
+        for _ in range(10):
+            counts = planted_counts(rng, order, int(rng.integers(6, 9)))
+            block = _fold(*count_parts(counts), order)
+            assert block.shape[1:] == distinct_nonzero_lines(counts, order)
+            assert _rank_exact(block, order) == counts_rank_over_cyclotomic(counts, order)
+            assert _rank_modp(block, p, g) == _rank_dense_modp(evaluate_modp(counts, p, g), p)
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -308,8 +357,8 @@ class TestRank:
         assert (g * g + g + 1) % first == 0 and (g + 1) ** 2 < first**2
         cell = np.array([0])
         parts = [(cell, np.array([-g])), (cell, np.array([1])), (cell[:0], np.array([], dtype=np.int64))]
-        assert _rank_modp(parts, 1, first, g) == 0
-        assert _rank_exact(parts, 1, 3) == 1
+        assert _rank_modp(_fold(parts, 1, 3), first, g) == 0
+        assert _rank_exact(_fold(parts, 1, 3), 3) == 1
 
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
@@ -380,12 +429,31 @@ class TestOrbitClasses:
         assert weighted == int(ranks.sum())
         assert hilbert_mod._ranks(sym, [p]) == [weighted]
 
+    @pytest.mark.parametrize("name", ["x3-m1", "x3-const31", "x3-const43", "x4-chi", "x5-m1"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_folded_blocks_match_the_oracle_blocks(self, name, degree):
+        # each kept block, folded and compacted, against its count block in the full matrix
+        q = CLASS_CASES[name]
+        sym = symmetrizer(q, degree)
+        heads = np.flatnonzero(sym.orbit_class == np.arange(sym.orbit_class.size))
+        every = orbit_count_blocks(sym)
+        counts = [every[h] for h in heads]
+        pruned = symmetrizer(q, degree, rows=hilbert_mod._kept_rows)
+        blocks = [block for _, block in hilbert_mod._kept_blocks(pruned)]
+        assert [b.shape[1:] for b in blocks] == [distinct_nonzero_lines(c, q.order) for c in counts]
+        rng = random.Random(degree)
+        p1 = _draw_prime(rng, q.order, set())
+        for p in (p1, _draw_prime(rng, q.order, {p1})):
+            g = _element_of_order(p, q.order)
+            expected = [_rank_dense_modp(evaluate_modp(c, p, g), p) for c in counts]
+            assert [_rank_modp(b, p, g) for b in blocks] == expected
+
     def test_x5_minus_one_degree_four_counts(self):
         sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
         cls = sym.orbit_class
         assert cls.size == 214
         assert int((cls == np.arange(cls.size)).sum()) == 10
-        mults = [mult for mult, _, _ in hilbert_mod._kept_blocks(sym)]
+        mults = [mult for mult, _ in hilbert_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
         assert rank(sym, "modular").n_components == 214
 
