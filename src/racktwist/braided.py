@@ -155,6 +155,9 @@ class SymmetrizerMatrix:
     `orbit_class[i]` is the number of the smallest orbit in the class of
     orbit i, orbits numbered by their smallest member.  `hilbert.rank`
     ranks one block per class and weights it by the class size.
+    `orbit_carry[i]` is a permutation of X whose letterwise action maps the
+    head orbit of the class onto orbit i (see _orbit_classes); it carries
+    rows, never entries, from the one to the other.
 
     `rows` lists the rows that were built, ascending; `counts` holds
     entries of those rows only (see `symmetrizer`).
@@ -166,6 +169,7 @@ class SymmetrizerMatrix:
     counts: list[CountMatrix]
     orbit: np.ndarray
     orbit_class: np.ndarray
+    orbit_carry: np.ndarray
     rows: np.ndarray
 
 
@@ -223,23 +227,36 @@ def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
     ]
 
 
-def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> np.ndarray:
-    """The class of every braid orbit under the translations of _commuting_translations.
+def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class of every braid orbit under the translations of _commuting_translations, and its carry.
 
-    Orbits are numbered by their smallest member; entry i is the number of
-    the smallest orbit in the class of orbit i.
+    Orbits are numbered by their smallest member; entry i of the class is
+    the number of the smallest orbit (the head) in the class of orbit i.
+    Row i of the carry is a permutation s of X whose letterwise action maps
+    the head's orbit onto orbit i: the product of the translations along a
+    breadth-first tree of the class, grown from its head.
     """
     k = q.rack.size
     reps = np.flatnonzero(orbit == np.arange(orbit.size))
-    maps = []
-    for phi in _commuting_translations(q):
-        image, rem, place = np.zeros_like(reps), reps.copy(), 1
-        for _ in range(degree):
-            image += phi[rem % k] * place
-            rem //= k
-            place *= k
-        maps.append(np.searchsorted(reps, orbit[image]))
-    return _min_labels(maps, reps.size)
+    phis = _commuting_translations(q)
+    place = k ** np.arange(degree, dtype=np.int64)
+    letters = reps[:, None] // place % k
+    # maps[t][i]: the orbit that translation t sends orbit i to, read off its smallest member
+    maps = [np.searchsorted(reps, orbit[phi[letters] @ place]) for phi in phis]
+    orbit_class = _min_labels(maps, reps.size)
+    frontier = np.flatnonzero(orbit_class == np.arange(reps.size))
+    carry = np.full((reps.size, k), -1, dtype=np.min_scalar_type(-k))
+    carry[frontier] = np.arange(k)
+    while frontier.size:
+        reached = [frontier[:0]]
+        for phi, tgt in zip(phis, maps):
+            # tgt permutes the orbits, so the children of one translation are distinct
+            child = tgt[frontier]
+            new = carry[child, 0] < 0
+            carry[child[new]] = phi[carry[frontier[new]]]
+            reached.append(child[new])
+        frontier = np.concatenate(reached)
+    return orbit_class, carry
 
 
 def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
@@ -259,11 +276,37 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 
+def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
+    """The strand tables of degree d >= 1 and the send tables of assembly step d.
+
+    An entry is keyed by exponent class, row and column in bit fields.
+    Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
+    which takes v to target_j[v] with exponent expo_j[v], moves an entry of
+    class e from column C to column v = target_j^-1[C] and class
+    e + expo_j[v]; send[e][C, j] holds that class and column as key bits.
+    """
+    k, m = q.rack.size, q.order
+    n = k**d
+    tables = _strand_tables(q, d)
+    cb = (n - 1).bit_length()
+    v = np.arange(n, dtype=np.int64)
+    target, expo = v, np.zeros(n, dtype=np.int64)
+    inv = np.empty((n, d), dtype=np.int64)
+    add = np.empty((n, d), dtype=np.int64)
+    inv[:, 0], add[:, 0] = v, 0
+    for j, (tgt, ex) in enumerate(reversed(tables), start=1):
+        target, expo = target[tgt], (ex + expo[tgt]) % m
+        inv[target, j] = v
+        add[target, j] = expo
+    return tables, [((add + e) % m) << (2 * cb) | inv for e in range(m)]
+
+
 def symmetrizer(
     q: RackCocycle,
     degree: int,
     dim_cap: int = DEFAULT_DIM_CAP,
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    levels: dict | None = None,
 ) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
@@ -286,6 +329,9 @@ def symmetrizer(
     S_{d-1}, lifted to lane a and multiplied by T_d, so rows R of S_degree
     need rows floor(R / k^(degree-d)) of S_d and no other; the rows not
     built have no entries.
+
+    `levels` may be any dict shared by calls on the same q: each level's
+    tables (_level) are then built once for all of them.
     """
     k = q.rack.size
     m = q.order
@@ -293,8 +339,12 @@ def symmetrizer(
         raise ValueError("degree must be >= 0")
     check_degree(q, degree, dim_cap)
     dim = k**degree
-    orbit = _min_labels([tgt for tgt, _ in _strand_tables(q, degree)], dim)
-    orbit_class = _orbit_classes(q, degree, orbit)
+    levels = {} if levels is None else levels
+    for d in range(1, degree + 1):
+        if d not in levels:
+            levels[d] = _level(q, d)
+    orbit = _min_labels([tgt for tgt, _ in levels[degree][0]] if degree else [], dim)
+    orbit_class, orbit_carry = _orbit_classes(q, degree, orbit)
     built = np.arange(dim, dtype=np.int64) if rows is None else np.asarray(rows(orbit, orbit_class), dtype=np.int64)
     if built.size and (built[0] < 0 or built[-1] >= dim or (built[1:] <= built[:-1]).any()):
         raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
@@ -304,22 +354,8 @@ def symmetrizer(
     counts = [CountMatrix(start, start, np.ones_like(start))] + [CountMatrix(none, none, none) for _ in range(m - 1)]
     for d in range(1, degree + 1):
         n, prev = k**d, k ** (d - 1)
-        # An entry is keyed by exponent class, row and column in bit fields.
-        # Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
-        # which takes v to target_j[v] with exponent expo_j[v], moves an entry
-        # of class e from column C to column v = target_j^-1[C] and class
-        # e + expo_j[v]; send[e][C, j] holds that class and column as key bits.
         cb = (n - 1).bit_length()
-        v = np.arange(n, dtype=np.int64)
-        target, expo = v, np.zeros(n, dtype=np.int64)
-        inv = np.empty((n, d), dtype=np.int64)
-        add = np.empty((n, d), dtype=np.int64)
-        inv[:, 0], add[:, 0] = v, 0
-        for j, (tgt, ex) in enumerate(reversed(_strand_tables(q, d)), start=1):
-            target, expo = target[tgt], (ex + expo[tgt]) % m
-            inv[target, j] = v
-            add[target, j] = expo
-        send = [((add + e) % m) << (2 * cb) | inv for e in range(m)]
+        send = levels[d][1]
         # lanes[r, a]: whether row rk + a is one of the rows floor(R / k^(degree-d)) to build
         lanes = np.zeros(n, dtype=bool)
         lanes[built // k ** (degree - d)] = True
@@ -354,7 +390,7 @@ def symmetrizer(
                 used[e] = fill.stop
             del keys, w
         counts = [CountMatrix(row[:u], col[:u], data[:u]) for (row, col, data), u in zip(out, used)]
-    return SymmetrizerMatrix(dim, m, degree, counts, orbit, orbit_class, built)
+    return SymmetrizerMatrix(dim, m, degree, counts, orbit, orbit_class, orbit_carry, built)
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:

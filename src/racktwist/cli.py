@@ -173,6 +173,8 @@ def cmd_cover(args) -> int:
     n = args.n
     if not 4 <= n <= N_CAP:
         raise UsageError(f"cover: need 4 <= n <= {N_CAP}, got {n}")
+    if args.trials < 0:
+        raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n)
     lemma_ok = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
     gc = spincover.phi_psi_table(n)
@@ -387,6 +389,8 @@ def cmd_selfcheck(args) -> int:
     n_max = args.n_max
     if not 2 <= n_max <= N_CAP:
         raise UsageError(f"selfcheck: need 2 <= n_max <= {N_CAP}, got {n_max}")
+    if args.trials < 0:
+        raise UsageError(f"selfcheck: need --trials >= 0, got {args.trials}")
     generator = spincover.generator_t
     if args.inject_fault == "generator":
         generator = spincover._unnormalized_generator

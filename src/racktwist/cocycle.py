@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
     Permutation,
@@ -137,10 +138,15 @@ def _first_failure(k: int, slab) -> CocycleReport:
 
 
 def check_cocycle(q: RackCocycle) -> CocycleReport:
-    """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples."""
+    """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples.
+
+    The sums are taken in int64, so m must be at most 2^62 (DimensionCapError).
+    """
+    m = q.order
+    if m > 2**62:
+        raise DimensionCapError(f"cocycle order {m} > 2^62 is too large for 64-bit exponent sums")
     op = np.array(q.rack.op, dtype=np.intp)
     exp = np.array(q.exp, dtype=np.int64)
-    m = q.order
 
     def slab(x):
         ox = op[x]

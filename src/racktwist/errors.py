@@ -10,7 +10,8 @@ class RackTwistError(Exception):
 
 
 class DimensionCapError(RackTwistError):
-    """A tensor power exceeded the dimension cap, or a symmetrizer's entry keys or lift counts would overflow 64 bits."""
+    """A resource limit: a tensor power exceeded the dimension cap, a symmetrizer's entry keys or lift
+    counts would overflow 64 bits, or a cocycle order is too large for 64-bit exponents or 31-bit primes."""
 
 
 class SectionConsistencyError(RackTwistError):

@@ -28,34 +28,66 @@ block, raised to the power phi(m), on every minor one order above the rank
 seen, which proves the rank over Q(zeta_m) for every m.  Modular mode passes two independently
 drawn primes and reports their agreement as a Monte Carlo certificate; a
 disagreement falls back to the proven rank.
+
+Row u*k + a of S_d is row u of S_(d-1), lifted to lane a and multiplied by
+T_d, so the rows whose prefix u lies in a basis of the row space of
+S_(d-1) span the row space of S_d.  `rank` returns such a basis: the rows
+its elimination pivots on in each ranked block, carried to every orbit of
+the class by the translation that maps the one onto the other (only row
+indices move), and `graded_dims` builds each degree only on the kept rows
+whose prefix is one of them (x4 chi, degree 5: 70 rows of 7 776, against
+1 216 kept rows).  Exact mode takes its pivots from the prime that attains
+the proven rank; they are independent mod a prime above it, hence over
+Q(zeta_m), and rank-many, so exact mode stays an unconditional proof.
+Modular mode takes them from its first prime, so a modular-certified
+degree also rests on the certificates of the degrees below it; a
+disagreement is proven again on every kept row of its degree.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, check_degree, symmetrizer
 from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
+from .errors import DimensionCapError
 
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
+# the order from which _draw_prime scans its candidates instead of rejecting random draws
+_SCAN_ORDER = 2**10
 CERTIFIED = "modular-certified (Monte Carlo)"
+FALLBACK = "exact (fallback after modular disagreement)"
 
 
-def expand_closed_form(factors: list[tuple[int, int]]) -> list[int]:
-    """Coefficients of prod (m)_t^mult, index = degree in t, where (m)_t = 1 + t + ... + t^(m-1)."""
-    coeffs = [1]
+def expand_closed_form(factors: list[tuple[int, int]], max_degree: int | None = None) -> list[int]:
+    """Coefficients of prod (m)_t^mult, index = degree in t, where (m)_t = 1 + t + ... + t^(m-1).
+
+    Given max_degree, only the coefficients of degrees 0..max_degree are
+    expanded (fewer if the product has a lower degree).  Each factor is
+    (1 - t^m)^mult (1 - t)^(-mult), whose coefficient of t^i is the sum over
+    j with m*j <= i of (-1)^j C(mult, j) C(mult - 1 + i - m*j, i - m*j), so
+    no factor is multiplied out term by term.
+    """
     for m, mult in factors:
         if m < 1 or mult < 1:
             raise ValueError(f"closed-form factor {m}:{mult} needs M >= 1 and MULT >= 1")
-        for _ in range(mult):
-            # times (m)_t: each coefficient becomes the sum of the m at or below its degree
-            coeffs = [sum(coeffs[max(0, i - m + 1) : i + 1]) for i in range(len(coeffs) + m - 1)]
+    top = sum((m - 1) * mult for m, mult in factors)
+    if max_degree is not None:
+        top = min(top, max_degree)
+    coeffs = [1] + [0] * top
+    for m, mult in factors:
+        factor = [
+            sum((-1) ** j * math.comb(mult, j) * math.comb(mult - 1 + i - m * j, i - m * j) for j in range(i // m + 1))
+            for i in range(top + 1)
+        ]
+        coeffs = [sum(coeffs[j] * factor[i - j] for j in range(i + 1)) for i in range(top + 1)]
     return coeffs
 
 
@@ -64,10 +96,12 @@ class RankCertificate:
     """The computed rank together with how it was obtained."""
 
     rank: int
-    method: str  # "exact" | CERTIFIED | "exact (fallback after modular disagreement)"
+    method: str  # "exact" | CERTIFIED | FALLBACK
     primes: tuple[int, ...]
     dim: int
     n_components: int
+    # rows of the symmetrizer that form a basis of its row space (see rank)
+    pivots: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -94,30 +128,53 @@ def _is_prime_u32(n: int) -> bool:
     return True
 
 
+def _candidates(m: int) -> tuple[int, int]:
+    """The first number p = 1 mod m in [2^30, 2^31), and how many such p the range holds."""
+    first = _PRIME_LOW + (1 - _PRIME_LOW) % m
+    return first, max(0, (_PRIME_HIGH - 1 - first) // m + 1)
+
+
 def _draw_prime(rng: random.Random, m: int, avoid: set[int]) -> int:
-    """A random prime in [2^30, 2^31) with p = 1 mod m, reproducible via rng."""
-    while True:
-        p = rng.randrange(_PRIME_LOW, _PRIME_HIGH)
-        if p in avoid or (p - 1) % m != 0:
-            continue
-        if _is_prime_u32(p):
+    """A random prime in [2^30, 2^31) with p = 1 mod m, not in `avoid`, reproducible via rng.
+
+    Below order _SCAN_ORDER a random p is drawn until one is = 1 mod m,
+    prime and not avoided, which takes about 21 m draws.  From that order
+    on, the candidates p = 1 mod m are scanned cyclically from a random one,
+    so the search ends: DimensionCapError if none is a prime outside `avoid`.
+    """
+    if m < _SCAN_ORDER:
+        while True:
+            p = rng.randrange(_PRIME_LOW, _PRIME_HIGH)
+            if p in avoid or (p - 1) % m != 0:
+                continue
+            if _is_prime_u32(p):
+                return p
+    first, count = _candidates(m)
+    start = rng.randrange(count) if count else 0
+    for j in range(count):
+        p = first + (start + j) % count * m
+        if p not in avoid and _is_prime_u32(p):
             return p
+    raise DimensionCapError(f"no prime p = 1 mod {m} in [2^30, 2^31) is left to draw")
+
+
+def _prime_divisors(m: int) -> list[int]:
+    """The distinct prime divisors of m, ascending, by trial division."""
+    divisors, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            divisors.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return divisors + [m] if m > 1 else divisors
 
 
 def _element_of_order(p: int, m: int) -> int:
     """The smallest representative in F_p of an m-th root of unity of exact order m."""
     if m == 1:
         return 1
-    prime_divisors = []
-    rem, d = m, 2
-    while d * d <= rem:
-        if rem % d == 0:
-            prime_divisors.append(d)
-            while rem % d == 0:
-                rem //= d
-        d += 1
-    if rem > 1:
-        prime_divisors.append(rem)
+    prime_divisors = _prime_divisors(m)
     for a in range(2, p):
         h = pow(a, (p - 1) // m, p)
         if h == 1:
@@ -127,28 +184,37 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
-def _kept_rows(orbit: np.ndarray, orbit_class: np.ndarray) -> np.ndarray:
-    """The rows of the smallest braid orbit of every class, ascending: every row that rank reads."""
+def _kept_rows(orbit: np.ndarray, orbit_class: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
+    """The rows of the smallest braid orbit of every class, ascending: every row that rank reads.
+
+    Given `below`, a mask over the rows of the degree below, only the rows
+    whose prefix (the row without its last letter) it marks are kept.
+    """
     heads = np.flatnonzero(orbit_class == np.arange(orbit_class.size))
     kept = np.zeros(orbit.size, dtype=bool)
     kept[np.flatnonzero(orbit == np.arange(orbit.size))[heads]] = True
-    return np.flatnonzero(kept[orbit])
+    kept = kept[orbit]
+    if below is not None:
+        kept &= np.repeat(below, orbit.size // below.size)
+    return np.flatnonzero(kept)
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct slices a[i] of a nonempty integer array, in byte order.
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct slices a[i] of a nonempty integer array, in byte order, and where each one stands in a.
 
     Each slice is compared as one np.void of its bytes; np.unique would do
     the same but imports numpy.ma on its first call.
     """
     flat = np.ascontiguousarray(a).reshape(a.shape[0], -1)
-    keys = np.sort(flat.view(np.dtype((np.void, flat.strides[0]))).ravel())
+    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return keys[first].view(a.dtype).reshape(-1, *a.shape[1:])
+    return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
 
 
-def _fold(parts: list, size: int, order: int) -> np.ndarray:
+def _fold(parts: list, shape: tuple[int, int], order: int) -> tuple[np.ndarray, np.ndarray]:
     """Fold the block given by parts (as in _kept_blocks) into a small integer array of its rank.
 
     Entry (e, i, j) is the coefficient of zeta^e in the block's entry (i, j).
@@ -158,65 +224,75 @@ def _fold(parts: list, size: int, order: int) -> np.ndarray:
     repeated columns: none of these changes the rank over Q(zeta) or modulo
     any prime, and merging equal columns makes no two rows equal.  The
     block is folded densely in the smallest dtype that holds every entry.
+    Returned with it: the row of the block that each folded row came from.
     """
     half = order // 2 if order % 2 == 0 else order
     total = sum(int(np.abs(counts).max(initial=0)) for _, counts in parts)
-    block = np.zeros((half, size * size), dtype=np.min_scalar_type(-total - 1))
+    block = np.zeros((half, shape[0] * shape[1]), dtype=np.min_scalar_type(-total - 1))
     for e, (cells, counts) in enumerate(parts):
         if e < half:
             block[e, cells] = counts
         else:
             block[e - half, cells] -= counts
-    block = block.reshape(half, size, size)
+    block = block.reshape(half, *shape)
     rows, cols = block.any(axis=(0, 2)), block.any(axis=(0, 1))
     if not rows.any():
-        return np.zeros((half, 0, 0), dtype=block.dtype)
+        return np.zeros((half, 0, 0), dtype=block.dtype), np.zeros(0, dtype=np.int64)
     # laid out (row, class, column), so that each row is one contiguous slice
-    block = block[:, rows][:, :, cols].transpose(1, 0, 2)
-    block = _distinct(block).transpose(2, 1, 0)
-    return _distinct(block).transpose(1, 2, 0)
+    block, origin = _distinct(block[:, rows][:, :, cols].transpose(1, 0, 2))
+    block, _ = _distinct(block.transpose(2, 1, 0))
+    return block.transpose(1, 2, 0), np.flatnonzero(rows)[origin]
 
 
-def _kept_blocks(sym: SymmetrizerMatrix):
-    """Yield (mult, block) for the smallest braid orbit of every class of orbits.
+def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
+    """Yield (mult, block, rows) for the smallest braid orbit of every class of orbits.
 
     The orbit's diagonal block stands for the mult orbits of its class, whose
-    blocks have its rank (see SymmetrizerMatrix).  Its entries are cut from
-    the counts once, as parts[e] = (cells, counts): the int64 entries of
-    counts[e] in the size x size block, at row-major positions that are
-    distinct within each e, and folded (_fold).  Only the rows of these
-    orbits are read, so they are all that `sym` must have built.
+    blocks have its rank (see SymmetrizerMatrix).  Its built rows and all its
+    columns are cut from the counts once, as parts[e] = (cells, counts): the
+    int64 entries of counts[e], at row-major positions that are distinct
+    within each e, and folded (_fold); `rows` holds the row of `sym` that
+    each folded row came from.  Only the rows of these orbits are read.
+    `sym` must have built all of them, or, given `below` (see _kept_rows),
+    those whose prefix it marks.
     """
     n = sym.dim
     members = _kept_rows(sym.orbit, sym.orbit_class)
     built = np.zeros(n, dtype=bool)
     built[sym.rows] = True
-    if not built[members].all():
+    needed = members if below is None else _kept_rows(sym.orbit, sym.orbit_class, below)
+    if not built[needed].all():
         raise ValueError("the symmetrizer lacks rows of the blocks that rank reads")
     members = members[np.argsort(sym.orbit[members], kind="stable")]
-    local = np.empty(n, dtype=np.int64)
+    at_row, at_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     orbits = np.split(members, np.flatnonzero(np.diff(sym.orbit[members])) + 1)
     mults = np.bincount(sym.orbit_class)
-    for mult, rows in zip(mults[mults > 0].tolist(), orbits):
-        size = rows.size
-        local[rows] = np.arange(size)
+    for mult, cols in zip(mults[mults > 0].tolist(), orbits):
+        rows = cols[built[cols]]
+        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
         parts = []
         for c in sym.counts:
-            # the entries of the orbit's rows, row range by row range
+            # the entries of the built rows, row range by row range
             lo = np.searchsorted(c.row, rows.astype(c.row.dtype))
             lens = np.searchsorted(c.row, (rows + 1).astype(c.row.dtype)) - lo
             ends = np.cumsum(lens)
             idx = np.repeat(lo - ends + lens, lens)
             idx += np.arange(idx.size)
-            cells = local[c.row[idx]] * size
-            cells += local[c.col[idx]]
+            cells = at_row[c.row[idx]] * cols.size
+            cells += at_col[c.col[idx]]
             parts.append((cells, c.data[idx].astype(np.int64)))
-        yield mult, _fold(parts, size, sym.order)
+        block, origin = _fold(parts, (rows.size, cols.size), sym.order)
+        yield mult, block, rows[origin]
 
 
-def _rank_dense_modp(a: np.ndarray, p: int) -> int:
-    """In-place Gaussian elimination over F_p on an int64 matrix (entries in [0, p))."""
+def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
+    """In-place Gaussian elimination over F_p on an int64 matrix (entries in [0, p)).
+
+    Returns the rows of `a` that it pivots on: they are independent mod p,
+    and their number is the rank.
+    """
     nrows, ncols = a.shape
+    perm = np.arange(nrows)
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -227,6 +303,7 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
+            perm[[r, piv]] = perm[[piv, r]]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = a[r, c:] * inv % p
         below = np.flatnonzero(a[r + 1 :, c])
@@ -234,24 +311,24 @@ def _rank_dense_modp(a: np.ndarray, p: int) -> int:
             idx = r + 1 + below
             a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
         r += 1
-    return r
+    return perm[:r]
 
 
-def _rank_modp(block: np.ndarray, p: int, g: int) -> int:
-    """Rank mod p, with zeta mapped to g, of a folded block (_fold).
+def _pivots_modp(block: np.ndarray, p: int, g: int) -> np.ndarray:
+    """The pivot rows mod p, with zeta mapped to g, of a folded block (_fold).
 
     The block is evaluated at g into one int64 array the size of the folded
-    block; a block that is zero mod p has rank 0 without elimination.
+    block; a block that is zero mod p has no pivot, without elimination.
     """
     a = np.zeros(block.shape[1:], dtype=np.int64)
     for e, part in enumerate(block):
         a += part.astype(np.int64) % p * pow(g, e, p) % p
     a %= p
-    return _rank_dense_modp(a, p) if a.any() else 0
+    return _pivots_dense_modp(a, p) if a.any() else np.zeros(0, dtype=np.int64)
 
 
-def _rank_exact(block: np.ndarray, order: int) -> int:
-    """Rank over Q(zeta) of a folded block (_fold), zeta of exact order `order`.
+def _pivots_exact(block: np.ndarray, order: int) -> np.ndarray:
+    """Rows of a folded block (_fold) that form a basis of its row space over Q(zeta), zeta of exact order `order`.
 
     Each prime q = 1 mod order maps zeta to an element of order `order` in
     F_q, the residue map of a degree-1 prime above q, and every rank mod q is
@@ -265,7 +342,10 @@ def _rank_exact(block: np.ndarray, order: int) -> int:
     classes, that is of |c_e - c_(e + order/2)| over e < order/2 for even
     order (zeta^(order/2) = -1), and of |c_e| for odd order.  Primes q are
     taken in descending order below 2^31 until their product squared exceeds
-    that bound to the power phi(order), in integers.
+    that bound to the power phi(order), in integers.  The pivots of the
+    first prime with rank r are independent mod a prime above it, hence over
+    Q(zeta), and there are r of them.  DimensionCapError if the primes
+    q = 1 mod order run out first.
     """
     # B per cell: the sum of |c_e| over the folded classes
     bound = np.abs(block).sum(axis=0, dtype=np.int64)
@@ -273,65 +353,114 @@ def _rank_exact(block: np.ndarray, order: int) -> int:
     nnz = np.count_nonzero(bound, axis=0).tolist()
     # a trailing 0: no minor is larger than the block
     weights = sorted((n * b * b for n, b in zip(nnz, big)), reverse=True) + [0]
-    phi = sum(math.gcd(k, order) == 1 for k in range(order))
+    phi = order
+    for ell in _prime_divisors(order):
+        phi -= phi // ell
     # q starts at the least number = 1 mod order from 2^31 up, and steps down by order
-    r, product, q = 0, 1, _PRIME_HIGH + (1 - _PRIME_HIGH) % order
-    while product * product <= math.prod(weights[: r + 1]) ** phi:
+    best, product, q = np.zeros(0, dtype=np.int64), 1, _PRIME_HIGH + (1 - _PRIME_HIGH) % order
+    while not _exceeds(product * product, math.prod(weights[: best.size + 1]), phi):
         q -= order
-        while not _is_prime_u32(q):
+        while q > 1 and not _is_prime_u32(q):
             q -= order
-        r = max(r, _rank_modp(block, q, _element_of_order(q, order)))
+        if q < 2:
+            raise DimensionCapError(f"too few primes q = 1 mod {order} below 2^31 to prove a rank")
+        pivots = _pivots_modp(block, q, _element_of_order(q, order))
+        if pivots.size > best.size:
+            best = pivots
         product *= q
-    return r
+    return best
 
 
-def _ranks(sym: SymmetrizerMatrix, moduli: list[int | None]) -> list[int]:
-    """The rank of the symmetrizer for every modulus, cutting each kept block once.
+def _exceeds(a: int, w: int, phi: int) -> bool:
+    """Whether a > w^phi, in integers; w^phi is not formed when its bit length alone settles it."""
+    if w > 1 and (w.bit_length() - 1) * phi >= a.bit_length():
+        return False
+    return a > w**phi
 
-    A prime p maps zeta to an element of order sym.order in F_p and ranks
-    each block mod p; None proves each block's rank over Q(zeta)
-    (_rank_exact).  Each kept block counts with its class size.
+
+def _kept_pivots(sym: SymmetrizerMatrix, moduli: list[int | None], below: np.ndarray | None = None):
+    """For every modulus, the rank of the symmetrizer and the pivot rows of its kept blocks.
+
+    A prime p maps zeta to an element of order sym.order in F_p and takes
+    the pivots of each block mod p; None takes a basis of each block's row
+    space over Q(zeta) (_pivots_exact).  Each kept block is cut once
+    (_kept_blocks, with `below`) and counts with its class size; the pivots
+    are rows of `sym`, in the head orbits only.
     """
     roots = [None if p is None else _element_of_order(p, sym.order) for p in moduli]
     totals = [0] * len(moduli)
-    for mult, block in _kept_blocks(sym):
+    pivots = [[np.zeros(0, dtype=np.int64)] for _ in moduli]
+    for mult, block, rows in _kept_blocks(sym, below):
         for i, (p, g) in enumerate(zip(moduli, roots)):
-            if p is None:
-                totals[i] += mult * _rank_exact(block, sym.order)
-            else:
-                totals[i] += mult * _rank_modp(block, p, g)
-    return totals
+            piv = _pivots_exact(block, sym.order) if p is None else _pivots_modp(block, p, g)
+            totals[i] += mult * piv.size
+            pivots[i].append(rows[piv])
+    return [(total, np.concatenate(piv)) for total, piv in zip(totals, pivots)]
 
 
-def rank(sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None) -> RankCertificate:
+def _carry(sym: SymmetrizerMatrix, pivots: np.ndarray) -> np.ndarray:
+    """Carry the pivot rows of every head orbit to each orbit of its class, ascending.
+
+    Orbit i receives the head's pivots mapped letterwise by
+    sym.orbit_carry[i], a product of translations g_x that commute with the
+    symmetrizer, so they are as independent as the head's and as many.
+    Only row indices move.
+    """
+    k = sym.orbit_carry.shape[1]
+    reps = np.flatnonzero(sym.orbit == np.arange(sym.dim))
+    head = np.searchsorted(reps, sym.orbit[pivots])
+    pivots = pivots[np.argsort(head, kind="stable")]
+    per_head = np.bincount(head, minlength=reps.size)
+    first = np.cumsum(per_head) - per_head
+    # slot s of the result belongs to orbit[s] and takes the pivot of its head
+    # at the same place as s among the slots of orbit[s]
+    counts = per_head[sym.orbit_class]
+    orbit = np.repeat(np.arange(reps.size), counts)
+    slot = np.arange(orbit.size) - (np.cumsum(counts) - counts)[orbit]
+    src = pivots[first[sym.orbit_class[orbit]] + slot]
+    place = k ** np.arange(sym.degree, dtype=np.int64)
+    return np.sort(sym.orbit_carry[orbit[:, None], src[:, None] // place % k] @ place)
+
+
+def rank(
+    sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None, below: np.ndarray | None = None
+) -> RankCertificate:
     """Rank of a symmetrizer matrix over Q(zeta), proven (exact) or modular-certified.
 
     The matrix is block diagonal over the braid orbits of the basis (see
     SymmetrizerMatrix), so rank is summed block by block, one block per
     class of orbits weighted by the class size.  Exact mode proves every
     block's rank over Q(zeta) from its ranks modulo enough primes
-    q = 1 mod order (_rank_exact), for every order and every block size; it
-    draws no random prime and reports none.  Modular mode draws two primes
-    p = 1 mod order (from `rng`, by default random.Random(0)), ranks every
-    folded block (_fold) modulo both in one pass over the blocks, and
-    requires agreement.  A disagreement falls back to the proven rank and
-    reports the two primes.
+    q = 1 mod order (_pivots_exact), for every order and every block size;
+    it draws no random prime and reports none.  Modular mode draws two
+    primes p = 1 mod order (from `rng`, by default random.Random(0)), ranks
+    every folded block (_fold) modulo both in one pass over the blocks, and
+    requires agreement.  A disagreement falls back to the proven rank of
+    the same rows and reports the two primes.
+
+    The certificate's pivots are a basis of the row space: the pivot rows
+    of every head block, at the first prime in modular mode and at the
+    prime that attains the proven rank otherwise, carried to every orbit
+    (_carry).  Given `below`, a mask of such a basis of the degree below,
+    only the kept rows whose prefix it marks need to be built: row u*k + a
+    is row u of the degree below, lifted to lane a and multiplied by T_d,
+    so those rows span every kept row.
     """
     n_blocks = sym.orbit_class.size
     if mode == "exact":
-        (value,) = _ranks(sym, [None])
-        return RankCertificate(value, "exact", (), sym.dim, n_blocks)
+        ((value, pivots),) = _kept_pivots(sym, [None], below)
+        return RankCertificate(value, "exact", (), sym.dim, n_blocks, _carry(sym, pivots))
     if mode != "modular":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         rng = random.Random(0)
     p1 = _draw_prime(rng, sym.order, set())
     p2 = _draw_prime(rng, sym.order, {p1})
-    r1, r2 = _ranks(sym, [p1, p2])
+    (r1, pivots), (r2, _) = _kept_pivots(sym, [p1, p2], below)
     if r1 == r2:
-        return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks)
-    (value,) = _ranks(sym, [None])
-    return RankCertificate(value, "exact (fallback after modular disagreement)", (p1, p2), sym.dim, n_blocks)
+        return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks, _carry(sym, pivots))
+    ((value, pivots),) = _kept_pivots(sym, [None], below)
+    return RankCertificate(value, FALLBACK, (p1, p2), sym.dim, n_blocks, _carry(sym, pivots))
 
 
 @dataclass
@@ -383,31 +512,52 @@ def graded_dims(
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
     matrix is built for them.  Each other degree builds only the rows that
     `rank` reads, those of the smallest braid orbit of every class
-    (_kept_rows), unless `on_matrix` is given: it receives every symmetrizer
-    that is built, with all its rows.  The resource caps are checked for
+    (_kept_rows) whose prefix is a pivot row of the degree below (see
+    `rank`), unless `on_matrix` is given: it receives every symmetrizer
+    that is built, with all its rows.  A modular disagreement is proven
+    again on every kept row of its degree, so that the fallback does not
+    rest on Monte Carlo pivots below.  The resource caps are checked for
     max_degree before any degree is built; they grow with the degree, so
-    that covers every degree.  A closed form is expanded (and a bad factor
-    rejected) before that too.
+    that covers every degree.  So is the cocycle order, which must leave
+    two candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
+    form is expanded through max_degree (and a bad factor rejected) before
+    that too.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     # coefficients past the closed form's degree are 0
-    series = None if closed_form is None else expand_closed_form(closed_form) + [0] * (max_degree + 1)
+    series = None if closed_form is None else expand_closed_form(closed_form, max_degree) + [0] * (max_degree + 1)
     if max_degree >= 2:
         check_degree(q, max_degree, dim_cap)
+        if _candidates(q.order)[1] < 2:
+            raise DimensionCapError(
+                f"cocycle order {q.order} leaves fewer than two numbers p = 1 mod it in [2^30, 2^31)"
+            )
     rng = random.Random(seed)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
+    # each level's assembly tables, built once for every degree
+    levels = {}
+    # a mask of the pivot rows of the degree below; None keeps every row
+    below = None
     for d in range(max_degree + 1):
         if d == 0:
             cert = RankCertificate(1, "exact", (), 1, 0)
         elif d == 1:
             cert = RankCertificate(k, "exact", (), k, 0)
-        else:
-            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=None if on_matrix is not None else _kept_rows)
-            if on_matrix is not None:
-                on_matrix(sym)
+        elif on_matrix is not None:
+            sym = symmetrizer(q, d, dim_cap=dim_cap, levels=levels)
+            on_matrix(sym)
             cert = rank(sym, mode, rng=rng)
+        else:
+            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), levels=levels)
+            cert = rank(sym, mode, rng=rng, below=below)
+            if cert.method == FALLBACK and below is not None:
+                # these rows were chosen by Monte Carlo pivots below: prove the degree on every kept row
+                sym = symmetrizer(q, d, dim_cap=dim_cap, rows=_kept_rows, levels=levels)
+                cert = replace(rank(sym, "exact"), method=FALLBACK, primes=cert.primes)
+            below = np.zeros(sym.dim, dtype=bool)
+            below[cert.pivots] = True
         report.degrees.append(d)
         report.ranks.append(cert.rank)
         report.methods.append(cert.method)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from racktwist import braided as braided_mod
@@ -76,6 +77,15 @@ class TestCocycleCommand:
         assert run(["cocycle", "--kind", "chi", "--n", "2"]) == 1
         assert run(["cocycle", "--kind", "nope", "--n", "4"]) == 1
 
+    def test_order_beyond_int64_sums(self, capsys):
+        assert run(["cocycle", "--n", "4", "--kind", "const:3000000000:1"]) == 0
+        capsys.readouterr()
+        assert run(["cocycle", "--n", "4", "--kind", "const:99999999999999999999:1"]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "resource limit: cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums\n"
+        )
+
 
 class TestCoverCommand:
     def test_n4_report(self, tmp_path):
@@ -90,6 +100,13 @@ class TestCoverCommand:
     def test_range(self):
         assert run(["cover", "--n", "3"]) == 1
         assert run(["cover", "--n", "13"]) == 1
+
+    def test_negative_trials(self, tmp_path, capsys):
+        out = tmp_path / "cover.json"
+        assert run(["cover", "--n", "4", "--trials", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cover: need --trials >= 0, got -1\n"
+        assert not out.exists()
+        assert run(["cover", "--n", "4", "--trials", "0"]) == 0
 
 
 class TestTwistVerifyCommand:
@@ -190,7 +207,9 @@ class TestHilbertCommand:
         # S_66 = 66! id on the one-element rack, and 66! does not fit in int64
         (["--rack", "x2", "--cocycle", "const:1:0", "--max-degree", "66", "--mode", "exact"],
          "degree 66 has entries up to 66! >= 2^63, too large for int64"),
-    ], ids=["dim-cap", "int64"])
+        (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2"],
+         "cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums"),
+    ], ids=["dim-cap", "int64", "order"])
     def test_caps_fail_before_any_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "h.json"
         assert run(["hilbert", *argv, "--out", str(out)]) == 3
@@ -258,8 +277,14 @@ class TestHilbertCommand:
         # the first drawn prime is made to fail; the degree falls back to the
         # rank proven over Q(zeta_3), and the run exits 0
         p1 = hilbert_mod._draw_prime(random.Random(0), 3, set())
-        real = hilbert_mod._rank_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
+        real = hilbert_mod._pivots_dense_modp
+
+        def kernel(a, p):
+            # one pivot repeated mod p1: one rank too many in every block eliminated there
+            pivots = real(a, p)
+            return np.append(pivots, pivots[0]) if p == p1 else pivots
+
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", kernel)
         out = tmp_path / "h.json"
         code = run(["hilbert", "--rack", "x3", "--cocycle", "const:3:1", "--max-degree", "2", "--out", str(out)])
         assert code == 0
@@ -300,6 +325,12 @@ class TestSelfcheckCommand:
 
     def test_range(self):
         assert run(["selfcheck", "--n-max", "1"]) == 1
+
+    def test_negative_trials(self, tmp_path, capsys):
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "4", "--trials", "-5", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: selfcheck: need --trials >= 0, got -5\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

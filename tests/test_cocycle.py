@@ -25,6 +25,7 @@ from racktwist.cocycle import (
     minus_one_cocycle,
     twist,
 )
+from racktwist.errors import DimensionCapError
 from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
 from racktwist.spincover import phi_psi_table
 
@@ -124,6 +125,24 @@ class TestCheckCocycle:
                 - bad.exp[op[x][y]][op[x][z]] - bad.exp[x][z]) % 2
         )
         assert report.witness == first
+
+    def test_orders_up_to_two_to_the_62(self):
+        # exponents near 2^62 sum past int64 only beyond that order
+        m = 2**62
+        q = constant_cocycle(transposition_rack(4), m, m - 1)
+        assert check_cocycle(q).ok
+        exp = [list(row) for row in q.exp]
+        exp[2][3] = m - 2
+        bad = RackCocycle(rack=q.rack, order=m, exp=tuple(tuple(r) for r in exp))
+        op = bad.rack.op
+        first = next(
+            (x, y, z)
+            for x, y, z in itertools.product(range(6), repeat=3)
+            if (bad.exp[x][op[y][z]] + bad.exp[y][z] - bad.exp[op[x][y]][op[x][z]] - bad.exp[x][z]) % m
+        )
+        assert check_cocycle(bad).witness == first
+        with pytest.raises(DimensionCapError, match="2\\^62"):
+            check_cocycle(constant_cocycle(transposition_rack(4), m + 1, 1))
 
 
 def flipped_tables(table):

@@ -1,4 +1,6 @@
+import math
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,13 +25,17 @@ from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_
 from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
+    FALLBACK,
+    _carry,
     _draw_prime,
     _element_of_order,
     _fold,
     _is_prime_u32,
-    _rank_dense_modp,
-    _rank_exact,
-    _rank_modp,
+    _kept_pivots,
+    _kept_rows,
+    _pivots_dense_modp,
+    _pivots_exact,
+    _pivots_modp,
     compare_twist_series,
     expand_closed_form,
     graded_dims,
@@ -52,7 +58,36 @@ def square_block(mat):
     flat[: a.shape[0], : a.shape[1]] = a
     flat = flat.ravel()
     cells = np.flatnonzero(flat)
-    return _fold([(cells, flat[cells])], size, 1)
+    return _fold([(cells, flat[cells])], (size, size), 1)[0]
+
+
+def dense_rank(a, p):
+    """The rank mod p of an int64 matrix: the number of rows the elimination kernel pivots on."""
+    return _pivots_dense_modp(a, p).size
+
+
+def exact_rank(block, order):
+    return _pivots_exact(block, order).size
+
+
+def modp_rank(block, p, g):
+    return _pivots_modp(block, p, g).size
+
+
+def shifted_kernel(real, prime, step):
+    """The elimination kernel, with one pivot repeated (step 1) or dropped (step -1) mod `prime`.
+
+    Rank, the number of pivots, moves by step on every matrix it eliminates
+    mod `prime`; those are nonzero, so they have a pivot to drop.
+    """
+
+    def kernel(a, p):
+        pivots = real(a, p)
+        if p != prime:
+            return pivots
+        return np.append(pivots, pivots[0]) if step > 0 else pivots[:-1]
+
+    return kernel
 
 
 def planted_counts(rng, m, n):
@@ -79,12 +114,12 @@ def planted_counts(rng, m, n):
 
 
 def count_parts(counts):
-    """(parts, size) as in hilbert._kept_blocks for a dense (m, n, n) count tensor."""
+    """(parts, shape) as in hilbert._kept_blocks for a dense (m, n, n) count tensor."""
     parts = []
     for flat in counts.reshape(counts.shape[0], -1):
         cells = np.flatnonzero(flat)
         parts.append((cells, flat[cells]))
-    return parts, counts.shape[1]
+    return parts, counts.shape[1:]
 
 
 class TestClosedForms:
@@ -110,6 +145,35 @@ class TestClosedForms:
 
     def test_ones(self):
         assert expand_closed_form([(1, 7)]) == [1]
+
+    def test_expands_through_max_degree_only(self):
+        full = expand_closed_form([(2, 2), (3, 2), (4, 2)])
+        for top in (0, 3, 12, 20):
+            assert expand_closed_form([(2, 2), (3, 2), (4, 2)], top) == full[: top + 1]
+        # huge factors, of which only the first coefficients are read
+        assert expand_closed_form([(2, 99_999_999)], 3) == [math.comb(99_999_999, i) for i in range(4)]
+        assert expand_closed_form([(99_999_999, 1), (2, 1)], 2) == [1, 2, 2]
+        with pytest.raises(ValueError):
+            expand_closed_form([(2, 99_999_999), (0, 1)], 3)
+
+    def test_truncated_matches_factor_by_factor_products(self):
+        # against multiplying out every t-integer, one factor at a time
+        rng = random.Random(12)
+        for _ in range(30):
+            factors = [(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))]
+            coeffs = [1]
+            for m, mult in factors:
+                for _ in range(mult):
+                    coeffs = np.convolve(coeffs, [1] * m).tolist()
+            top = rng.randint(0, len(coeffs) + 2)
+            assert expand_closed_form(factors, top) == coeffs[: top + 1]
+            assert expand_closed_form(factors) == coeffs
+
+    def test_graded_dims_reads_a_huge_closed_form(self):
+        report = graded_dims(M1_X3, 3, mode="exact", closed_form=[(2, 99_999_999)])
+        assert report.closed_form_verdicts == [True, False, False, False]
+        report = graded_dims(M1_X3, 4, mode="exact", closed_form=[(2, 2), (3, 1), (1, 99_999_999)])
+        assert report.closed_form_verdicts == [True] * 5
 
     def test_against_sympy_expansion(self):
         import sympy
@@ -142,6 +206,41 @@ class TestPrimeMachinery:
                 assert (p - 1) % m == 0
                 assert 2**30 <= p < 2**31
 
+    def test_draw_prime_scans_large_orders(self):
+        import sympy
+
+        m = 2**20 + 7
+        p = _draw_prime(random.Random(3), m, set())
+        assert p == _draw_prime(random.Random(3), m, set())
+        q = _draw_prime(random.Random(3), m, {p})
+        for prime in (p, q):
+            assert sympy.isprime(prime) and (prime - 1) % m == 0 and 2**30 <= prime < 2**31
+        assert p != q
+
+    def test_draw_prime_ends_when_primes_run_out(self):
+        # no number = 1 mod 3e9 lies in [2^30, 2^31); one prime = 1 mod 1.5e9 does
+        with pytest.raises(DimensionCapError):
+            _draw_prime(random.Random(0), 3_000_000_000, set())
+        p = _draw_prime(random.Random(0), 1_500_000_000, set())
+        assert p == 1_500_000_001 and _is_prime_u32(p)
+        with pytest.raises(DimensionCapError):
+            _draw_prime(random.Random(0), 1_500_000_000, {p})
+
+    def test_exact_rank_ends_when_primes_run_out(self):
+        # q = 1 mod order below 2^31: none for 3e9, only 1 500 000 001 for 1.5e9,
+        # too few to rule out rank 2 by a bound raised to phi(1.5e9) = 4e8
+        block = np.array([[[2, 2], [2, 2]]], dtype=np.int8)
+        for order in (3_000_000_000, 1_500_000_000):
+            with pytest.raises(DimensionCapError):
+                _pivots_exact(block, order)
+
+    def test_order_checked_before_any_degree(self, monkeypatch):
+        monkeypatch.setattr(hilbert_mod, "symmetrizer", lambda *args, **kwargs: pytest.fail("built a degree"))
+        for order in (3_000_000_000, 1_500_000_000):
+            for mode in ("modular", "exact"):
+                with pytest.raises(DimensionCapError, match="order"):
+                    graded_dims(constant_cocycle(X3, order, 1), 2, mode=mode)
+
     def test_element_of_order(self):
         rng = random.Random(3)
         for m in (2, 3, 4, 6, 8):
@@ -161,34 +260,34 @@ class TestRankKernels:
             cols = rng.randint(1, 8)
             mat = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
             expected = rank_over_rationals(mat)
-            assert _rank_exact(square_block(mat), 1) == expected
+            assert exact_rank(square_block(mat), 1) == expected
 
     def test_exact_rank_deficient(self):
         mat = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-        assert _rank_exact(square_block(mat), 1) == 2
+        assert exact_rank(square_block(mat), 1) == 2
 
     def test_exact_rank_outlives_the_first_prime(self):
         # diag(1, 2^31 - 1) has rank 2, but rank 1 modulo the first prime tried
         a = np.diag([1, 2**31 - 1]).astype(np.int64)
         assert rank_over_rationals(a.tolist()) == 2
-        assert _rank_dense_modp(a % (2**31 - 1), 2**31 - 1) == 1
-        assert _rank_exact(square_block(a), 1) == 2
+        assert dense_rank(a % (2**31 - 1), 2**31 - 1) == 1
+        assert exact_rank(square_block(a), 1) == 2
 
     def test_exact_rank_keeps_the_largest_rank_seen(self):
         # the second prime tried, 2147483629, kills the middle row, and the
         # Hadamard bound is met right after it
         a = np.array([[1, 0, 2], [0, 2147483629, 0], [0, 0, 0]], dtype=np.int64)
-        assert _rank_dense_modp(a % 2147483629, 2147483629) == 1
-        assert _rank_exact(square_block(a), 1) == 2
+        assert dense_rank(a % 2147483629, 2147483629) == 1
+        assert exact_rank(square_block(a), 1) == 2
 
     def test_exact_bound_holds_at_a_dtype_edge(self, monkeypatch):
         # entries up to 128 = the largest count: the column bound must hold
         # 128 itself, not wrap in int8.  The first prime is forced one rank
         # lower; the honest bound (4 * 128^2)^4 > (2^31 - 1)^2 asks for more
-        real = hilbert_mod._rank_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) - (p == 2**31 - 1))
+        real = hilbert_mod._pivots_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, 2**31 - 1, -1))
         mat = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
-        assert _rank_exact(square_block(mat), 1) == 4
+        assert exact_rank(square_block(mat), 1) == 4
 
     def test_exact_splits_signs_at_order_two(self):
         # the same integer block as counts of zeta^0 = 1 and of zeta^1 = -1
@@ -199,7 +298,7 @@ class TestRankKernels:
             flat = mat.ravel()
             pos, neg = np.flatnonzero(flat > 0), np.flatnonzero(flat < 0)
             parts = [(pos, flat[pos]), (neg, -flat[neg])]
-            assert _rank_exact(_fold(parts, n, 2), 2) == rank_over_rationals(mat.tolist())
+            assert exact_rank(_fold(parts, (n, n), 2)[0], 2) == rank_over_rationals(mat.tolist())
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
     def test_fold_drops_only_zero_and_repeated_lines(self, order):
@@ -208,10 +307,13 @@ class TestRankKernels:
         g = _element_of_order(p, order)
         for _ in range(10):
             counts = planted_counts(rng, order, int(rng.integers(6, 9)))
-            block = _fold(*count_parts(counts), order)
+            block, origin = _fold(*count_parts(counts), order)
             assert block.shape[1:] == distinct_nonzero_lines(counts, order)
-            assert _rank_exact(block, order) == counts_rank_over_cyclotomic(counts, order)
-            assert _rank_modp(block, p, g) == _rank_dense_modp(evaluate_modp(counts, p, g), p)
+            # one source row per folded row, and never a zero one
+            assert len(set(origin.tolist())) == origin.size == block.shape[1]
+            assert counts[:, origin].any(axis=(0, 2)).all()
+            assert exact_rank(block, order) == counts_rank_over_cyclotomic(counts, order)
+            assert modp_rank(block, p, g) == dense_rank(evaluate_modp(counts, p, g), p)
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -221,7 +323,7 @@ class TestRankKernels:
             mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             expected = rank_over_rationals(mat)
             arr = np.array(mat, dtype=np.int64) % p
-            assert _rank_dense_modp(arr, p) == expected
+            assert dense_rank(arr, p) == expected
         # sparse, mostly rank-deficient inputs
         rng = random.Random(6)
         p = 1_073_741_827  # prime just above 2^30
@@ -232,7 +334,7 @@ class TestRankKernels:
                 mat[rng.randrange(n)][rng.randrange(n)] = rng.randint(-4, 4)
             expected = rank_over_rationals(mat)
             arr = np.array(mat, dtype=np.int64) % p
-            assert _rank_dense_modp(arr, p) == expected
+            assert dense_rank(arr, p) == expected
 
 
 class TestRank:
@@ -276,8 +378,8 @@ class TestRank:
         # as below, at order 3: the fallback proves the rank over Q(zeta_3)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 3)
         p1 = _draw_prime(random.Random(0), 3, set())
-        real = hilbert_mod._rank_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
+        real = hilbert_mod._pivots_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, p1, 1))
         cert = rank(sym, "modular")
         assert cert.method == "exact (fallback after modular disagreement)"
         assert cert.rank == rank_over_cyclotomic(sym) == 21
@@ -287,8 +389,8 @@ class TestRank:
         # a first prime that raises every nonzero block's rank by one makes
         # the primes disagree; the proven rank is reported with both primes
         p1 = _draw_prime(random.Random(0), 2, set())
-        real = hilbert_mod._rank_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", lambda a, p: real(a, p) + (p == p1))
+        real = hilbert_mod._pivots_dense_modp
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, p1, 1))
         cert = rank(symmetrizer(chi_cocycle(4), 3), "modular")
         assert cert.method == "exact (fallback after modular disagreement)"
         assert cert.rank == 42
@@ -298,9 +400,9 @@ class TestRank:
         passes = []
         real = hilbert_mod._kept_blocks
 
-        def counting(sym):
+        def counting(sym, below=None):
             passes.append(0)
-            for block in real(sym):
+            for block in real(sym, below):
                 passes[-1] += 1
                 yield block
 
@@ -337,13 +439,13 @@ class TestRank:
         # one prime, so the largest rank seen is still the rank
         first = 2**31 - 1
         tried = []
-        real = hilbert_mod._rank_dense_modp
+        low = shifted_kernel(hilbert_mod._pivots_dense_modp, first, -1)
 
-        def low(a, p):
+        def recording(a, p):
             tried.append(p)
-            return max(real(a, p) - (p == first), 0)
+            return low(a, p)
 
-        monkeypatch.setattr(hilbert_mod, "_rank_dense_modp", low)
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", recording)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 4)
         assert rank(sym, "exact").rank == 50
         assert tried[0] == first and all(p % 3 == 1 for p in tried)
@@ -357,8 +459,8 @@ class TestRank:
         assert (g * g + g + 1) % first == 0 and (g + 1) ** 2 < first**2
         cell = np.array([0])
         parts = [(cell, np.array([-g])), (cell, np.array([1])), (cell[:0], np.array([], dtype=np.int64))]
-        assert _rank_modp(_fold(parts, 1, 3), first, g) == 0
-        assert _rank_exact(_fold(parts, 1, 3), 3) == 1
+        assert modp_rank(_fold(parts, (1, 1), 3)[0], first, g) == 0
+        assert exact_rank(_fold(parts, (1, 1), 3)[0], 3) == 1
 
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
@@ -421,13 +523,13 @@ class TestOrbitClasses:
         sym = symmetrizer(q, degree)
         p = _draw_prime(random.Random(degree), q.order, set())
         g = _element_of_order(p, q.order)
-        ranks = np.array([_rank_dense_modp(b, p) for b in orbit_blocks_modp(sym, p, g)])
+        ranks = np.array([dense_rank(b, p) for b in orbit_blocks_modp(sym, p, g)])
         cls = sym.orbit_class
         assert (ranks == ranks[cls]).all()
         heads = np.flatnonzero(cls == np.arange(cls.size))
         weighted = sum(int((cls == h).sum()) * int(ranks[h]) for h in heads)
         assert weighted == int(ranks.sum())
-        assert hilbert_mod._ranks(sym, [p]) == [weighted]
+        assert hilbert_mod._kept_pivots(sym, [p])[0][0] == weighted
 
     @pytest.mark.parametrize("name", ["x3-m1", "x3-const31", "x3-const43", "x4-chi", "x5-m1"])
     @pytest.mark.parametrize("degree", [2, 3, 4])
@@ -439,21 +541,21 @@ class TestOrbitClasses:
         every = orbit_count_blocks(sym)
         counts = [every[h] for h in heads]
         pruned = symmetrizer(q, degree, rows=hilbert_mod._kept_rows)
-        blocks = [block for _, block in hilbert_mod._kept_blocks(pruned)]
+        blocks = [block for _, block, _ in hilbert_mod._kept_blocks(pruned)]
         assert [b.shape[1:] for b in blocks] == [distinct_nonzero_lines(c, q.order) for c in counts]
         rng = random.Random(degree)
         p1 = _draw_prime(rng, q.order, set())
         for p in (p1, _draw_prime(rng, q.order, {p1})):
             g = _element_of_order(p, q.order)
-            expected = [_rank_dense_modp(evaluate_modp(c, p, g), p) for c in counts]
-            assert [_rank_modp(b, p, g) for b in blocks] == expected
+            expected = [dense_rank(evaluate_modp(c, p, g), p) for c in counts]
+            assert [modp_rank(b, p, g) for b in blocks] == expected
 
     def test_x5_minus_one_degree_four_counts(self):
         sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
         cls = sym.orbit_class
         assert cls.size == 214
         assert int((cls == np.arange(cls.size)).sum()) == 10
-        mults = [mult for mult, _ in hilbert_mod._kept_blocks(sym)]
+        mults = [mult for mult, _, _ in hilbert_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
         assert rank(sym, "modular").n_components == 214
 
@@ -493,6 +595,125 @@ class TestOrbitClasses:
         assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
         forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
         assert forced != honest
+
+
+def dense_counts_of_rows(sym, rows):
+    """The dense (order, len(rows), dim) count tensor of some rows of a SymmetrizerMatrix."""
+    counts = np.zeros((sym.order, rows.size, sym.dim), dtype=np.int64)
+    for e, c in enumerate(sym.counts):
+        sel = np.isin(c.row, rows)
+        np.add.at(counts[e], (np.searchsorted(rows, c.row[sel]), c.col[sel]), c.data[sel].astype(np.int64))
+    return counts
+
+
+def letterwise(s, v, k, degree):
+    """The basis word v of X^degree with the permutation s applied to each letter."""
+    return sum(int(s[v // k**j % k]) * k**j for j in range(degree))
+
+
+def _mask(rows, size):
+    mask = np.zeros(size, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+class TestPivots:
+    def test_kernel_pivots_are_independent_rows(self):
+        # dense and sparse matrices with planted repeated and summed rows
+        rng = random.Random(13)
+        p = 2**31 - 1
+        for _ in range(60):
+            n, c = rng.randint(1, 9), rng.randint(1, 9)
+            mat = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(c)] for _ in range(n)]
+            if n >= 3:
+                mat[0] = list(mat[1])
+                mat[2] = [a + b for a, b in zip(mat[1], mat[2])]
+            pivots = _pivots_dense_modp(np.array(mat, dtype=np.int64) % p, p).tolist()
+            assert len(set(pivots)) == len(pivots) == rank_over_rationals(mat)
+            assert rank_over_rationals([mat[i] for i in pivots]) == len(pivots)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_block_pivots_are_a_basis(self, order, monkeypatch):
+        # folded rows name their source rows; the pivots are rank-many independent
+        # source rows, over Q(zeta) in exact mode and mod p at a drawn prime
+        rng = np.random.default_rng(20 + order)
+        p = _draw_prime(random.Random(order), order, set())
+        g = _element_of_order(p, order)
+        for _ in range(8):
+            counts = planted_counts(rng, order, int(rng.integers(6, 9)))
+            block, origin = _fold(*count_parts(counts), order)
+            r = counts_rank_over_cyclotomic(counts, order)
+            rows = origin[_pivots_exact(block, order)]
+            assert rows.size == r == counts_rank_over_cyclotomic(counts[:, rows], order)
+            rows = origin[_pivots_modp(block, p, g)]
+            assert rows.size == dense_rank(evaluate_modp(counts, p, g), p)
+            assert dense_rank(evaluate_modp(counts[:, rows], p, g), p) == rows.size
+        # the first prime tried is forced one rank low, on a block whose bound asks
+        # for a second prime (as in test_exact_bound_holds_at_a_dtype_edge):
+        # the pivots come from the prime that attains the rank
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
+        counts = np.zeros((order, 5, 5), dtype=np.int64)
+        counts[0, 1:, 1:] = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
+        block, origin = _fold(*count_parts(counts), order)
+        rows = origin[_pivots_exact(block, order)]
+        assert sorted(rows.tolist()) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES))
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_carry_gives_every_orbit_rank_many_pivots(self, name, degree):
+        # every orbit holds exactly its rank in pivots, independent in its own block,
+        # the image of its head's pivots under a rack automorphism that maps the orbits
+        q = CLASS_CASES[name]
+        sym = symmetrizer(q, degree)
+        cert = rank(sym, "modular")
+        p, k = cert.primes[0], q.rack.size
+        blocks = orbit_blocks_modp(sym, p, _element_of_order(p, q.order))
+        reps = np.flatnonzero(sym.orbit == np.arange(sym.dim))
+        owner = np.searchsorted(reps, sym.orbit[cert.pivots])
+        assert cert.pivots.size == cert.rank and (np.diff(cert.pivots) > 0).all()
+        op = np.array(q.rack.op)
+        for i, o in enumerate(reps.tolist()):
+            members = np.flatnonzero(sym.orbit == o)
+            mine = cert.pivots[owner == i]
+            assert mine.size == dense_rank(blocks[i].copy(), p)
+            assert dense_rank(blocks[i][np.searchsorted(members, mine)], p) == mine.size
+            h = int(sym.orbit_class[i])
+            s = sym.orbit_carry[i].astype(np.int64)
+            assert sorted(s.tolist()) == list(range(k)) and (s[op] == op[s[:, None], s]).all()
+            head_members = np.flatnonzero(sym.orbit == reps[h]).tolist()
+            assert sorted(letterwise(s, v, k, degree) for v in head_members) == members.tolist()
+            assert sorted(letterwise(s, v, k, degree) for v in cert.pivots[owner == h].tolist()) == mine.tolist()
+
+    def test_rank_returns_a_basis_in_both_modes(self):
+        for q, degree in ((chi_cocycle(4), 4), (constant_cocycle(X3, 3, 1), 4), (constant_cocycle(X3, 4, 3), 3)):
+            sym = symmetrizer(q, degree)
+            for mode in ("exact", "modular"):
+                cert = rank(sym, mode)
+                assert cert.pivots.size == cert.rank
+                if degree <= 3:
+                    assert counts_rank_over_cyclotomic(dense_counts_of_rows(sym, cert.pivots), q.order) == cert.rank
+
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES))
+    def test_pruned_ranks_equal_kept_row_ranks(self, name):
+        # degrees 2..5 within the cap: the kept rows whose prefix is a pivot row below
+        # rank like all kept rows, at both drawn primes and proven, with pivots
+        # carried from the first prime (modular) or from the proof (exact)
+        q = CLASS_CASES[name]
+        rng = random.Random(17)
+        p1 = _draw_prime(rng, q.order, set())
+        p2 = _draw_prime(rng, q.order, {p1})
+        moduli = [p1, p2, None]
+        degrees = [d for d in range(2, 6) if q.rack.size**d <= braided.DEFAULT_DIM_CAP]
+        full = {d: [t for t, _ in _kept_pivots(symmetrizer(q, d, rows=_kept_rows), moduli)] for d in degrees}
+        for source in (0, 2):
+            below = None
+            for d in degrees:
+                pruned = symmetrizer(q, d, rows=partial(_kept_rows, below=below))
+                assert np.array_equal(pruned.rows, _kept_rows(pruned.orbit, pruned.orbit_class, below))
+                got = _kept_pivots(pruned, moduli, below)
+                assert [t for t, _ in got] == full[d]
+                below = _mask(_carry(pruned, got[source][1]), pruned.dim)
+                assert below.sum() == full[d][source]
 
 
 class TestGradedDims:
@@ -543,7 +764,7 @@ class TestGradedDims:
         assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
 
     def test_builds_the_rows_rank_reads(self, monkeypatch):
-        # without on_matrix only the kept rows are built; with it, every row
+        # without on_matrix only the kept rows whose prefix is a pivot row below are built; with it, every row
         built = []
         real = hilbert_mod.symmetrizer
 
@@ -555,13 +776,39 @@ class TestGradedDims:
         monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
         q = CLASS_CASES["x5-m1"]
         pruned = graded_dims(q, 4, mode="exact")
-        assert built == [(2, 6, 100), (3, 37, 1000), (4, 414, 10000)]
+        assert built == [(2, 6, 100), (3, 20, 1000), (4, 90, 10000)]
         built.clear()
         seen = []
         full = graded_dims(q, 4, mode="exact", on_matrix=seen.append)
         assert built == [(2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
         assert [sym.rows.size for sym in seen] == [100, 1000, 10000]
         assert pruned.to_dict() == full.to_dict()
+
+    def test_disagreement_is_proven_on_every_kept_row(self, monkeypatch):
+        # degree 3's first prime is made to disagree: the degree is proven again on
+        # all its kept rows, not on the rows that the Monte Carlo pivots of degree 2 chose
+        rng = random.Random(0)
+        first = _draw_prime(rng, 2, set())
+        second = _draw_prime(rng, 2, {first})
+        p1 = _draw_prime(rng, 2, set())
+        assert p1 not in (first, second)
+        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, p1, 1))
+        built = []
+        real = hilbert_mod.symmetrizer
+
+        def recording(q, degree, *args, **kwargs):
+            sym = real(q, degree, *args, **kwargs)
+            built.append((degree, sym.rows.size, _kept_rows(sym.orbit, sym.orbit_class).size))
+            return sym
+
+        monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
+        report = graded_dims(chi_cocycle(4), 4)
+        assert report.ranks == [1, 6, 19, 42, 71]
+        assert report.methods == ["exact", "exact", hilbert_mod.CERTIFIED, FALLBACK, hilbert_mod.CERTIFIED]
+        assert report.primes[3][0] == p1
+        assert [d for d, _, _ in built] == [2, 3, 3, 4]
+        (_, pruned, kept), (_, rebuilt, kept_again) = built[1:3]
+        assert pruned < kept == rebuilt == kept_again
 
     def test_rank_needs_the_kept_rows(self):
         sym = symmetrizer(M1_X4, 3, rows=lambda orbit, cls: np.arange(1, orbit.size))
