@@ -17,7 +17,6 @@ from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
 from .hilbert import (
     HilbertReport,
     RankCertificate,
-    compare_twist_series,
     expand_closed_form,
     graded_dims,
     rank,

@@ -5,8 +5,9 @@ permutes basis vectors of X^(x)n and multiplies by unit scalars.  All braid
 group images are therefore stored as (target permutation, exponent vector)
 pairs, and the degree-n symmetrizer is assembled as an exact sparse matrix
 with coefficients in Z[zeta_m], degree by degree from the factorisation
-S_n = (S_{n-1} (x) id) . T_n, and held as numpy coordinate arrays, one per
-power of zeta.  The braid-group orbits of the basis come with it: the
+S_n = (S_{n-1} (x) id) . T_n, and held as one set of numpy coordinate arrays
+whose entries carry their power of zeta, so storage grows with the entries
+and not with m.  The braid-group orbits of the basis come with it: the
 symmetrizer is block diagonal over them.  So do their classes under the
 translations of X that commute with the braiding, which carry blocks onto
 blocks of the same rank.  Both depend only on the braiding, so they are
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -123,13 +125,17 @@ def check_braid_equation(q: RackCocycle) -> bool:
 
 @dataclass
 class CountMatrix:
-    """One exponent class of a symmetrizer in coordinate form, sorted by (row, col).
+    """A symmetrizer in coordinate form: entry i is data[i] zeta^expo[i] at (row[i], col[i]).
 
-    Rows and columns are int32; counts are int32 while degree! < 2^31, else int64.
+    Sorted by (row, col, expo), with no two entries alike in all three, and
+    every count positive.  Rows and columns are int32; exponents take the
+    smallest unsigned dtype that holds order - 1; counts are int32 while
+    degree! < 2^31, else int64.
     """
 
     row: np.ndarray
     col: np.ndarray
+    expo: np.ndarray
     data: np.ndarray
 
     @property
@@ -141,10 +147,11 @@ class CountMatrix:
 class SymmetrizerMatrix:
     """The symmetrizer in degree `degree`: sum over S_degree of braid lifts.
 
-    Entries live in Z[zeta_order]; `counts[e]` holds the positive integer
-    counts of contributions with scalar zeta^e.  `orbit[v]` is the smallest
-    basis index in the braid-group orbit of v; every lift maps a basis
-    vector into its orbit, so the matrix is block diagonal over the orbits.
+    Entries live in Z[zeta_order]; `entries` holds the positive integer
+    count of contributions with scalar zeta^e at each (row, col, e) that
+    has one.  `orbit[v]` is the smallest basis index in the braid-group
+    orbit of v; every lift maps a basis vector into its orbit, so the
+    matrix is block diagonal over the orbits.
 
     Let g_x send basis y to q(x, y) (x |> y).  When g_x (x) g_x commutes
     with the braiding c on X (x) X (see _commuting_translations; on a rack
@@ -159,18 +166,23 @@ class SymmetrizerMatrix:
     head orbit of the class onto orbit i (see _orbit_classes); it carries
     rows, never entries, from the one to the other.
 
-    `rows` lists the rows that were built, ascending; `counts` holds
+    `rows` lists the rows that were built, ascending; `entries` holds
     entries of those rows only (see `symmetrizer`).
     """
 
     dim: int
     order: int
     degree: int
-    counts: list[CountMatrix]
+    entries: CountMatrix
     orbit: np.ndarray
     orbit_class: np.ndarray
     orbit_carry: np.ndarray
     rows: np.ndarray
+
+    @property
+    def counts(self) -> tuple[CountMatrix]:
+        """`entries` alone in a tuple; the benchmark tracer (perfbench/tracer.py) sums `nnz` over it."""
+        return (self.entries,)
 
 
 # Entries expanded at once when lifting to the next degree; bounds working memory.
@@ -262,8 +274,8 @@ def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> tuple[np.n
 def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
     """Raise DimensionCapError unless `symmetrizer` can build this degree.
 
-    The dimension k^degree must be within dim_cap, an entry's exponent class,
-    row and column must fit in a 64-bit key, and an entry, a count of at
+    The dimension k^degree must be within dim_cap, an entry's row, column
+    and exponent must fit in a 64-bit key, and an entry, a count of at
     most degree! lifts, must fit in int64.  Each bound grows with the
     degree, so a degree that passes vouches for every smaller one.
     """
@@ -276,19 +288,17 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 
-def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
-    """The strand tables of degree d >= 1 and the send tables of assembly step d.
+def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
+    """The strand tables of degree d >= 1 and the column tables of assembly step d.
 
-    An entry is keyed by exponent class, row and column in bit fields.
     Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
-    which takes v to target_j[v] with exponent expo_j[v], moves an entry of
-    class e from column C to column v = target_j^-1[C] and class
-    e + expo_j[v]; send[e][C, j] holds that class and column as key bits.
+    which takes v to target_j[v] with exponent expo_j[v], moves an entry
+    from column C to column v = target_j^-1[C] and adds expo_j[v] to its
+    exponent; inv[C, j] holds that column and add[C, j] that exponent.
     """
     k, m = q.rack.size, q.order
     n = k**d
     tables = _strand_tables(q, d)
-    cb = (n - 1).bit_length()
     v = np.arange(n, dtype=np.int64)
     target, expo = v, np.zeros(n, dtype=np.int64)
     inv = np.empty((n, d), dtype=np.int64)
@@ -298,7 +308,7 @@ def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]],
         target, expo = target[tgt], (ex + expo[tgt]) % m
         inv[target, j] = v
         add[target, j] = expo
-    return tables, [((add + e) % m) << (2 * cb) | inv for e in range(m)]
+    return tables, inv, add
 
 
 def symmetrizer(
@@ -320,8 +330,8 @@ def symmetrizer(
 
     Each step lifts the entries (r, c) of S_{d-1} to (rk + a, ck + a), sends
     every lifted column through the inverses of the d prefix products of T_d
-    and merges duplicate (row, column, exponent) entries, a block of rows at
-    a time.
+    and merges duplicate (row, column, exponent) entries, keyed in that
+    order in the bit fields of one integer, a block of rows at a time.
 
     The braid orbits and their classes come first, from the strand tables
     alone.  `rows(orbit, orbit_class)` then names the rows to build, ascending
@@ -350,47 +360,40 @@ def symmetrizer(
         raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
 
     # S_0 is the 1 x 1 identity, if any row is built
-    start, none = np.zeros(min(built.size, 1), dtype=np.int32), np.zeros(0, dtype=np.int32)
-    counts = [CountMatrix(start, start, np.ones_like(start))] + [CountMatrix(none, none, none) for _ in range(m - 1)]
+    expo_type, eb = np.min_scalar_type(m - 1), (m - 1).bit_length()
+    start = np.zeros(min(built.size, 1), dtype=np.int32)
+    ent = CountMatrix(start, start, start.astype(expo_type), np.ones_like(start))
     for d in range(1, degree + 1):
         n, prev = k**d, k ** (d - 1)
         cb = (n - 1).bit_length()
-        send = levels[d][1]
+        _, inv, add = levels[d]
         # lanes[r, a]: whether row rk + a is one of the rows floor(R / k^(degree-d)) to build
         lanes = np.zeros(n, dtype=bool)
         lanes[built // k ** (degree - d)] = True
         lanes = lanes.reshape(prev, k)
         # previous rows in chunks of bounded expanded size
-        per_row = sum(np.bincount(cm.row, minlength=prev) for cm in counts) * lanes.sum(axis=1)
+        per_row = np.bincount(ent.row, minlength=prev) * lanes.sum(axis=1)
         chunk = (np.cumsum(per_row) - per_row) * d // _CHUNK_ENTRIES
         bounds = np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, [prev]))
-        ptrs = [np.searchsorted(cm.row, bounds) for cm in counts]
-        classes = np.arange(m + 1, dtype=np.int64) << (2 * cb)
-        mask = (1 << cb) - 1
-        # every class gets room for all expanded entries; pages past the
-        # merged entries are never touched
+        ptr = np.searchsorted(ent.row, bounds).tolist()
+        # room for all expanded entries; pages past the merged entries are never touched
         room = int(per_row.sum()) * d
         dtype = np.int32 if math.factorial(d) < 2**31 else np.int64
-        out = [(np.empty(room, np.int32), np.empty(room, np.int32), np.empty(room, dtype)) for _ in range(m)]
-        used = [0] * m
-        for i in range(len(bounds) - 1):
-            keys, weights = [], []
-            for cm, tab, ptr in zip(counts, send, ptrs):
-                s = slice(ptr[i], ptr[i + 1])
-                at, lane = np.nonzero(lanes[cm.row[s]])
-                row = cm.row[s][at].astype(np.int64) * k + lane
-                col = cm.col[s][at].astype(np.int64) * k + lane
-                keys.append((row[:, None] << cb | tab[col]).ravel())
-                weights.append(np.repeat(cm.data[s][at], d))
-            keys, w = _merge(np.concatenate(keys), np.concatenate(weights))
-            cuts = np.searchsorted(keys, classes)
-            for e, (row, col, data) in enumerate(out):
-                pos, fill = keys[cuts[e] : cuts[e + 1]], slice(used[e], used[e] + cuts[e + 1] - cuts[e])
-                row[fill], col[fill], data[fill] = pos >> cb & mask, pos & mask, w[cuts[e] : cuts[e + 1]]
-                used[e] = fill.stop
-            del keys, w
-        counts = [CountMatrix(row[:u], col[:u], data[:u]) for (row, col, data), u in zip(out, used)]
-    return SymmetrizerMatrix(dim, m, degree, counts, orbit, orbit_class, orbit_carry, built)
+        out = CountMatrix(*(np.empty(room, t) for t in (np.int32, np.int32, expo_type, dtype)))
+        used = 0
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            at, lane = np.nonzero(lanes[ent.row[lo:hi]])
+            at += lo
+            row = ent.row[at].astype(np.int64) * k + lane
+            col = ent.col[at].astype(np.int64) * k + lane
+            expo = (ent.expo[at].astype(np.int64)[:, None] + add[col]) % m
+            keys, w = _merge(((row[:, None] << cb | inv[col]) << eb | expo).ravel(), np.repeat(ent.data[at], d))
+            fill = slice(used, used + keys.size)
+            out.row[fill], out.col[fill] = keys >> (cb + eb), keys >> eb & ((1 << cb) - 1)
+            out.expo[fill], out.data[fill] = keys & ((1 << eb) - 1), w
+            used = fill.stop
+        ent = CountMatrix(out.row[:used], out.col[:used], out.expo[:used], out.data[:used])
+    return SymmetrizerMatrix(dim, m, degree, ent, orbit, orbit_class, orbit_carry, built)
 
 
 def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:
@@ -406,22 +409,24 @@ def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", coc
         raise ValueError(f"only {sym.rows.size} of the {sym.dim} rows were built")
 
     header = {"degree": sym.degree, "rack": rack_id, "cocycle": cocycle_id, "m": sym.order}
+    ent = sym.entries
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         if sym.order <= 2:
-            # zeta = -1: the integer matrix counts[0] - counts[1]
+            # zeta = -1: the integer matrix of the counts, signed by (-1)^expo
             keys, vals = _merge(
-                np.concatenate([c.row.astype(np.int64) * sym.dim + c.col for c in sym.counts]),
-                np.concatenate([c.data * (-1) ** e for e, c in enumerate(sym.counts)]),
+                ent.row.astype(np.int64) * sym.dim + ent.col,
+                ent.data * (1 - 2 * ent.expo.astype(np.int64)),
             )
             for key, val in zip(keys.tolist(), vals.tolist()):
                 if val:
                     fh.write(f"{key // sym.dim} {key % sym.dim} {val}\n")
         else:
-            dense = {}
-            for e, c in enumerate(sym.counts):
-                for r, col, v in zip(c.row.tolist(), c.col.tolist(), c.data.tolist()):
-                    dense.setdefault((r, col), [0] * sym.order)[e] = v
-            for (r, c) in sorted(dense):
-                if any(dense[(r, c)]):
-                    fh.write(f"{r} {c} {';'.join(str(v) for v in dense[(r, c)])}\n")
+            lines = zip(ent.row.tolist(), ent.col.tolist(), ent.expo.tolist(), ent.data.tolist())
+            for (r, c), cell in groupby(lines, key=lambda line: line[:2]):
+                # the entries of a cell, ascending in expo, with zeros written between them
+                coeffs, at = [], 0
+                for _, _, e, v in cell:
+                    coeffs.append("0;" * (e - at) + str(v))
+                    at = e + 1
+                fh.write(f"{r} {c} {';'.join(coeffs)}{';0' * (sym.order - at)}\n")

@@ -17,12 +17,13 @@ block of the smallest orbit in a class is ranked, weighted by the class
 size.  A block's rows hold all of its entries, so `graded_dims` assembles
 only the rows of those orbits; the other rows are never read.  One pass
 cuts the integer entries of every ranked block once and folds them into a
-small integer array: for even m (the cocycle order) zeta^(m/2) = -1 merges
-the exponent classes in pairs, and zero and repeated rows and columns are
-dropped, which changes no rank (x4 chi, degree 5: the 640-block of rank 7
-keeps 42 rows).  Each prime of the pass evaluates that array with zeta
-mapped to an element of order m.  One elimination kernel serves both
-modes: exact mode ranks each block modulo descending primes q = 1 mod m
+small integer array with one slice per power of zeta that occurs in the
+block, so nothing grows with m (the cocycle order) itself: for even m
+zeta^(m/2) = -1 merges the exponents in pairs, and zero and repeated rows
+and columns are dropped, which changes no rank (x4 chi, degree 5: the
+640-block of rank 7 keeps 42 rows).  Each prime of the pass evaluates that
+array with zeta mapped to an element of order m.  One elimination kernel
+serves both modes: exact mode ranks each block modulo descending primes q = 1 mod m
 below 2^31 until their product exceeds a Hadamard bound on the folded
 block, raised to the power phi(m), on every minor one order above the rank
 seen, which proves the rank over Q(zeta_m) for every m.  Modular mode passes two independently
@@ -55,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, check_degree, symmetrizer
-from .cocycle import RackCocycle, TwistTable, check_twist_condition, twist
+from .cocycle import RackCocycle
 from .errors import DimensionCapError
 
 _PRIME_LOW = 2**30
@@ -214,49 +215,62 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
 
 
-def _fold(parts: list, shape: tuple[int, int], order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the block given by parts (as in _kept_blocks) into a small integer array of its rank.
+def _fold(
+    cells: np.ndarray, expo: np.ndarray, data: np.ndarray, shape: tuple[int, int], order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold a block into a small integer array of its rank, one slice per power of zeta that occurs.
 
-    Entry (e, i, j) is the coefficient of zeta^e in the block's entry (i, j).
-    For even order, zeta^(order/2) = -1 folds class e + order/2 into class
-    e, leaving order/2 classes; for odd order the order classes are kept as
-    they are.  Zero rows and columns are dropped, then repeated rows, then
-    repeated columns: none of these changes the rank over Q(zeta) or modulo
-    any prime, and merging equal columns makes no two rows equal.  The
-    block is folded densely in the smallest dtype that holds every entry.
-    Returned with it: the row of the block that each folded row came from.
+    The block's entries are data[i] zeta^expo[i] at row-major positions
+    cells[i], no two alike in both cell and exponent (as in _kept_blocks).
+    For even order, zeta^(order/2) = -1 folds exponent e + order/2 into e,
+    so the folded exponents lie below order/2; for odd order they are kept
+    as they are.  Slice s of the folded array holds the coefficients of
+    zeta^exps[s], for the distinct folded exponents exps, ascending.  Zero
+    rows and columns are dropped, then repeated rows, then repeated
+    columns: none of these changes the rank over Q(zeta) or modulo any
+    prime, and merging equal columns makes no two rows equal.  The block is
+    folded densely in the smallest dtype that holds the sum, over the
+    exponents, of their largest |data|, which bounds every folded entry.
+    Returned: the folded array, exps, and the row of the block that each
+    folded row came from.
     """
     half = order // 2 if order % 2 == 0 else order
-    total = sum(int(np.abs(counts).max(initial=0)) for _, counts in parts)
-    block = np.zeros((half, shape[0] * shape[1]), dtype=np.min_scalar_type(-total - 1))
-    for e, (cells, counts) in enumerate(parts):
-        if e < half:
-            block[e, cells] = counts
-        else:
-            block[e - half, cells] -= counts
-    block = block.reshape(half, *shape)
+    by = np.argsort(expo, kind="stable")
+    ascending = expo[by]
+    first = np.ones(expo.size, dtype=bool)
+    first[1:] = ascending[1:] != ascending[:-1]
+    total = int(np.maximum.reduceat(np.abs(data[by]), np.flatnonzero(first)).sum())
+    folded = expo.astype(np.int64) % half
+    exps = np.sort(folded[by][first])
+    exps = exps[np.diff(exps, prepend=-1) > 0]
+    block = np.zeros((exps.size, shape[0] * shape[1]), dtype=np.min_scalar_type(-total - 1))
+    slot = np.searchsorted(exps, folded)
+    low = expo < half
+    block[slot[low], cells[low]] = data[low]
+    block[slot[~low], cells[~low]] -= data[~low]
+    block = block.reshape(exps.size, *shape)
     rows, cols = block.any(axis=(0, 2)), block.any(axis=(0, 1))
     if not rows.any():
-        return np.zeros((half, 0, 0), dtype=block.dtype), np.zeros(0, dtype=np.int64)
-    # laid out (row, class, column), so that each row is one contiguous slice
+        return np.zeros((0, 0, 0), dtype=block.dtype), exps[:0], exps[:0]
+    # laid out (row, exponent, column), so that each row is one contiguous slice
     block, origin = _distinct(block[:, rows][:, :, cols].transpose(1, 0, 2))
     block, _ = _distinct(block.transpose(2, 1, 0))
-    return block.transpose(1, 2, 0), np.flatnonzero(rows)[origin]
+    return block.transpose(1, 2, 0), exps, np.flatnonzero(rows)[origin]
 
 
 def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
-    """Yield (mult, block, rows) for the smallest braid orbit of every class of orbits.
+    """Yield (mult, block, exps, rows) for the smallest braid orbit of every class of orbits.
 
     The orbit's diagonal block stands for the mult orbits of its class, whose
-    blocks have its rank (see SymmetrizerMatrix).  Its built rows and all its
-    columns are cut from the counts once, as parts[e] = (cells, counts): the
-    int64 entries of counts[e], at row-major positions that are distinct
-    within each e, and folded (_fold); `rows` holds the row of `sym` that
-    each folded row came from.  Only the rows of these orbits are read.
-    `sym` must have built all of them, or, given `below` (see _kept_rows),
-    those whose prefix it marks.
+    blocks have its rank (see SymmetrizerMatrix).  The entries of its built
+    rows and all its columns are cut from `sym.entries` once, with their
+    cells in row-major order, and folded (_fold) into block and exps;
+    `rows` holds the row of `sym` that each folded row came from.  Only the
+    rows of these orbits are read.  `sym` must have built all of them, or,
+    given `below` (see _kept_rows), those whose prefix it marks.
     """
     n = sym.dim
+    ent = sym.entries
     members = _kept_rows(sym.orbit, sym.orbit_class)
     built = np.zeros(n, dtype=bool)
     built[sym.rows] = True
@@ -270,19 +284,16 @@ def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
     for mult, cols in zip(mults[mults > 0].tolist(), orbits):
         rows = cols[built[cols]]
         at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-        parts = []
-        for c in sym.counts:
-            # the entries of the built rows, row range by row range
-            lo = np.searchsorted(c.row, rows.astype(c.row.dtype))
-            lens = np.searchsorted(c.row, (rows + 1).astype(c.row.dtype)) - lo
-            ends = np.cumsum(lens)
-            idx = np.repeat(lo - ends + lens, lens)
-            idx += np.arange(idx.size)
-            cells = at_row[c.row[idx]] * cols.size
-            cells += at_col[c.col[idx]]
-            parts.append((cells, c.data[idx].astype(np.int64)))
-        block, origin = _fold(parts, (rows.size, cols.size), sym.order)
-        yield mult, block, rows[origin]
+        # the entries of the built rows, row range by row range
+        lo = np.searchsorted(ent.row, rows.astype(ent.row.dtype))
+        lens = np.searchsorted(ent.row, (rows + 1).astype(ent.row.dtype)) - lo
+        ends = np.cumsum(lens)
+        idx = np.repeat(lo - ends + lens, lens)
+        idx += np.arange(idx.size)
+        cells = at_row[ent.row[idx]] * cols.size
+        cells += at_col[ent.col[idx]]
+        block, exps, origin = _fold(cells, ent.expo[idx], ent.data[idx].astype(np.int64), (rows.size, cols.size), sym.order)
+        yield mult, block, exps, rows[origin]
 
 
 def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
@@ -314,21 +325,22 @@ def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
     return perm[:r]
 
 
-def _pivots_modp(block: np.ndarray, p: int, g: int) -> np.ndarray:
-    """The pivot rows mod p, with zeta mapped to g, of a folded block (_fold).
+def _pivots_modp(block: np.ndarray, exps: np.ndarray, p: int, g: int) -> np.ndarray:
+    """The pivot rows mod p, with zeta mapped to g, of a folded block with its exponents (_fold).
 
     The block is evaluated at g into one int64 array the size of the folded
-    block; a block that is zero mod p has no pivot, without elimination.
+    block, slice by slice; a block that is zero mod p has no pivot, without
+    elimination.
     """
     a = np.zeros(block.shape[1:], dtype=np.int64)
-    for e, part in enumerate(block):
+    for e, part in zip(exps.tolist(), block):
         a += part.astype(np.int64) % p * pow(g, e, p) % p
     a %= p
     return _pivots_dense_modp(a, p) if a.any() else np.zeros(0, dtype=np.int64)
 
 
-def _pivots_exact(block: np.ndarray, order: int) -> np.ndarray:
-    """Rows of a folded block (_fold) that form a basis of its row space over Q(zeta), zeta of exact order `order`.
+def _pivots_exact(block: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray:
+    """Rows of a folded block with its exponents (_fold) that form a basis of its row space over Q(zeta), zeta of exact order `order`.
 
     Each prime q = 1 mod order maps zeta to an element of order `order` in
     F_q, the residue map of a degree-1 prime above q, and every rank mod q is
@@ -339,7 +351,7 @@ def _pivots_exact(block: np.ndarray, order: int) -> np.ndarray:
     sigma.  By Hadamard's inequality |sigma(D)|^2 is at most the product of
     the r + 1 largest column weights nnz * B^2, where B bounds
     |sigma(entry)| over the column: the sum of |c_e| over the folded
-    classes, that is of |c_e - c_(e + order/2)| over e < order/2 for even
+    exponents, that is of |c_e - c_(e + order/2)| over e < order/2 for even
     order (zeta^(order/2) = -1), and of |c_e| for odd order.  Primes q are
     taken in descending order below 2^31 until their product squared exceeds
     that bound to the power phi(order), in integers.  The pivots of the
@@ -347,7 +359,7 @@ def _pivots_exact(block: np.ndarray, order: int) -> np.ndarray:
     Q(zeta), and there are r of them.  DimensionCapError if the primes
     q = 1 mod order run out first.
     """
-    # B per cell: the sum of |c_e| over the folded classes
+    # B per cell: the sum of |c_e| over the folded exponents
     bound = np.abs(block).sum(axis=0, dtype=np.int64)
     big = bound.max(axis=0, initial=0).tolist()
     nnz = np.count_nonzero(bound, axis=0).tolist()
@@ -364,7 +376,7 @@ def _pivots_exact(block: np.ndarray, order: int) -> np.ndarray:
             q -= order
         if q < 2:
             raise DimensionCapError(f"too few primes q = 1 mod {order} below 2^31 to prove a rank")
-        pivots = _pivots_modp(block, q, _element_of_order(q, order))
+        pivots = _pivots_modp(block, exps, q, _element_of_order(q, order))
         if pivots.size > best.size:
             best = pivots
         product *= q
@@ -390,9 +402,9 @@ def _kept_pivots(sym: SymmetrizerMatrix, moduli: list[int | None], below: np.nda
     roots = [None if p is None else _element_of_order(p, sym.order) for p in moduli]
     totals = [0] * len(moduli)
     pivots = [[np.zeros(0, dtype=np.int64)] for _ in moduli]
-    for mult, block, rows in _kept_blocks(sym, below):
+    for mult, block, exps, rows in _kept_blocks(sym, below):
         for i, (p, g) in enumerate(zip(moduli, roots)):
-            piv = _pivots_exact(block, sym.order) if p is None else _pivots_modp(block, p, g)
+            piv = _pivots_exact(block, exps, sym.order) if p is None else _pivots_modp(block, exps, p, g)
             totals[i] += mult * piv.size
             pivots[i].append(rows[piv])
     return [(total, np.concatenate(piv)) for total, piv in zip(totals, pivots)]
@@ -566,46 +578,3 @@ def graded_dims(
         report.closed_form = list(closed_form)
         report.closed_form_verdicts = [r == c for r, c in zip(report.ranks, series)]
     return report
-
-
-@dataclass
-class TwistSeriesComparison:
-    """Degree-by-degree rank comparison between q and its twist q^phi."""
-
-    base: HilbertReport
-    twisted: HilbertReport
-    equal_per_degree: list[bool]
-
-    @property
-    def all_equal(self) -> bool:
-        return all(self.equal_per_degree)
-
-    def to_dict(self) -> dict:
-        return {
-            "base": self.base.to_dict(),
-            "twisted": self.twisted.to_dict(),
-            "equal_per_degree": list(self.equal_per_degree),
-            "all_equal": self.all_equal,
-        }
-
-
-def compare_twist_series(
-    q: RackCocycle,
-    phi: TwistTable,
-    max_degree: int,
-    *,
-    mode: str = "modular",
-    seed: int = 0,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> TwistSeriesComparison:
-    """Ranks of q and twist(q, phi) degree by degree; phi must satisfy the twist condition."""
-    cond = check_twist_condition(phi)
-    if not cond.ok:
-        raise ValueError(f"twist table fails the cocycle-preservation condition at {cond.witness}")
-    twisted = twist(q, phi)
-    base_report = graded_dims(q, max_degree, mode=mode, seed=seed, dim_cap=dim_cap, cocycle_id="base")
-    twist_report = graded_dims(
-        twisted, max_degree, mode=mode, seed=seed, dim_cap=dim_cap, cocycle_id="twisted"
-    )
-    equal = [a == b for a, b in zip(base_report.ranks, twist_report.ranks)]
-    return TwistSeriesComparison(base_report, twist_report, equal)

@@ -255,8 +255,8 @@ def brute_force_symmetrizer_modp(q, degree: int, p: int, g: int) -> np.ndarray:
 def dense_counts(sym) -> np.ndarray:
     """Dense (order, dim, dim) count tensor of a SymmetrizerMatrix, from its coordinates."""
     out = np.zeros((sym.order, sym.dim, sym.dim), dtype=np.int64)
-    for e, c in enumerate(sym.counts):
-        np.add.at(out[e], (c.row, c.col), c.data)
+    c = sym.entries
+    np.add.at(out, (c.expo, c.row, c.col), c.data)
     return out
 
 
@@ -362,11 +362,11 @@ def orbit_count_blocks(sym) -> list[np.ndarray]:
     for o in np.flatnonzero(sym.orbit == np.arange(sym.dim)).tolist():
         members = np.flatnonzero(sym.orbit == o)
         block = np.zeros((sym.order, members.size, members.size), dtype=np.int64)
-        for e, c in enumerate(sym.counts):
-            sel = sym.orbit[c.row] == o
-            assert (sym.orbit[c.col[sel]] == o).all()
-            rows, cols = np.searchsorted(members, c.row[sel]), np.searchsorted(members, c.col[sel])
-            np.add.at(block[e], (rows, cols), c.data[sel].astype(np.int64))
+        c = sym.entries
+        sel = sym.orbit[c.row] == o
+        assert (sym.orbit[c.col[sel]] == o).all()
+        rows, cols = np.searchsorted(members, c.row[sel]), np.searchsorted(members, c.col[sel])
+        np.add.at(block, (c.expo[sel], rows, cols), c.data[sel].astype(np.int64))
         blocks.append(block)
     return blocks
 
@@ -383,7 +383,7 @@ def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:
 
 def support_components(sym) -> list[tuple[int, ...]]:
     """Connected components of the support graph of a square SymmetrizerMatrix (rows = cols)."""
-    edges = [(int(r), int(c)) for cm in sym.counts for r, c in zip(cm.row, cm.col)]
+    edges = [(int(r), int(c)) for r, c in zip(sym.entries.row, sym.entries.col)]
     return _components(sym.dim, edges)
 
 

@@ -30,7 +30,7 @@ from racktwist.cocycle import (
     minus_one_cocycle,
     twist,
 )
-from racktwist.hilbert import compare_twist_series, expand_closed_form, graded_dims
+from racktwist.hilbert import expand_closed_form, graded_dims
 from racktwist.rack import Permutation, transposition_rack
 from racktwist.spincover import (
     phi_psi_table,
@@ -118,8 +118,9 @@ def test_criterion_07_twist_invariance_of_series():
     for n, max_degree in ((4, 5), (5, 4)):
         restriction = phi_psi_table(n).twist_table()
         ok = ok and check_twist_condition(restriction).ok
-        cmp = compare_twist_series(chi_cocycle(n), restriction, max_degree, mode="modular", seed=7)
-        ok = ok and cmp.all_equal
+        base = graded_dims(chi_cocycle(n), max_degree, mode="modular", seed=7)
+        twisted = graded_dims(twist(chi_cocycle(n), restriction), max_degree, mode="modular", seed=7)
+        ok = ok and base.ranks == twisted.ranks
     elapsed = time.perf_counter() - t0
     _verdict(7, "graded ranks of chi and its twist agree on X4 (deg<=5) and X5 (deg<=4)", ok, elapsed)
 

@@ -289,12 +289,26 @@ class TestSymmetrizer:
             assert np.array_equal(sym.orbit_class, full.orbit_class)
             built = np.zeros(full.dim, dtype=bool)
             built[sym.rows] = True
-            assert len(sym.counts) == len(full.counts) == q.order
-            for part, whole in zip(sym.counts, full.counts):
-                keep = built[whole.row]
-                for field in ("row", "col", "data"):
-                    got, expected = getattr(part, field), getattr(whole, field)[keep]
-                    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            keep = built[full.entries.row]
+            for field in ("row", "col", "expo", "data"):
+                got, expected = getattr(sym.entries, field), getattr(full.entries, field)[keep]
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_entries_do_not_depend_on_a_large_order(self):
+        # no lift of degree 4 is longer than 6 letters, so no exponent wraps at
+        # either order
+        small = symmetrizer(constant_cocycle(X3, 2**20, 1), 4).entries
+        large = symmetrizer(constant_cocycle(X3, 2**40, 1), 4).entries
+        assert int(large.expo.max()) == 6
+        for field in ("row", "col", "expo", "data"):
+            assert np.array_equal(getattr(small, field), getattr(large, field))
+        # with zeta^-1 a lift of length L has exponent 2^40 - L, which the
+        # exponents must hold
+        inverse = symmetrizer(constant_cocycle(X3, 2**40, 2**40 - 1), 4).entries
+        flipped = zip(inverse.row.tolist(), inverse.col.tolist(), inverse.expo.tolist(), inverse.data.tolist())
+        assert {(r, c, -e % 2**40, v) for r, c, e, v in flipped} == set(
+            zip(small.row.tolist(), small.col.tolist(), small.expo.tolist(), small.data.tolist())
+        )
 
     @pytest.mark.parametrize("rows", [[3, 2], [1, 1], [-1], [81]], ids=["descending", "repeated", "negative", "past-dim"])
     def test_bad_row_sets(self, rows):

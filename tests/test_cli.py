@@ -248,6 +248,11 @@ class TestHilbertCommand:
             "symmetrizer_deg3.txt": "880cd6d851aebc23b041b6965ae6a23291c595cc13b3245f79c869406a92ac91",
             "symmetrizer_deg4.txt": "9b59c578d3d8732310456ffc35365f68e8336ee291c4796d0daa5bec1a768985",
         },
+        ("const:3:1", "modular"): {
+            "symmetrizer_deg2.txt": "afc45f3df85dc211dbbfa9410211854531a8d82ed36025e967babf021aaabe5d",
+            "symmetrizer_deg3.txt": "28edf1bb8ebd6aa13c558e81ca774f37db79c61d9f619c499fb693fe061918cf",
+            "symmetrizer_deg4.txt": "aee8da97391a232e559853e969016b77d9e5a4bd22303860fae291eabb3f728c",
+        },
         ("-1", "exact"): {
             "symmetrizer_deg2.txt": "bd5afa28d1e5f4e8ef7d3c1ff606c984c5dad25e6788c7d30d98ca8246796b5a",
             "symmetrizer_deg3.txt": "0f77bd1da22a6401734b67e4c0981d65b0078bed45e3949f9491357e6cc98640",
@@ -376,3 +381,21 @@ def test_hilbert_run_does_not_load_numpy_ma():
             "main(['hilbert', '--rack', 'x4', '--cocycle', 'chi', '--max-degree', '4']); "
             "print('numpy.ma' in sys.modules)")
     assert run_child(code).splitlines()[-1] == "False"
+
+
+def test_hilbert_memory_does_not_grow_with_the_order(tmp_path):
+    # order 2^20 on x3: every structure grows with the entries, not with the
+    # order, so the run fits a 1 GiB address space and a minute
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "h.json"
+    args = ["hilbert", "--rack", "x3", "--cocycle", "const:1048576:1", "--max-degree", "5", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=env, preexec_fn=limit,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert read_json(str(out))["report"]["ranks"][:4] == [1, 3, 9, 27]

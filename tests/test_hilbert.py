@@ -21,7 +21,7 @@ from oracles import (
 )
 from racktwist import braided
 from racktwist.braided import symmetrizer
-from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
+from racktwist.cocycle import RackCocycle, check_twist_condition, chi_cocycle, constant_cocycle, minus_one_cocycle, twist
 from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
@@ -36,7 +36,6 @@ from racktwist.hilbert import (
     _pivots_dense_modp,
     _pivots_exact,
     _pivots_modp,
-    compare_twist_series,
     expand_closed_form,
     graded_dims,
     rank,
@@ -58,7 +57,7 @@ def square_block(mat):
     flat[: a.shape[0], : a.shape[1]] = a
     flat = flat.ravel()
     cells = np.flatnonzero(flat)
-    return _fold([(cells, flat[cells])], (size, size), 1)[0]
+    return _fold(cells, np.zeros_like(cells), flat[cells], (size, size), 1)[:2]
 
 
 def dense_rank(a, p):
@@ -66,12 +65,13 @@ def dense_rank(a, p):
     return _pivots_dense_modp(a, p).size
 
 
-def exact_rank(block, order):
-    return _pivots_exact(block, order).size
+def exact_rank(folded, order):
+    """The proven rank of a folded block given as (block, exps), the first two results of hilbert._fold."""
+    return _pivots_exact(*folded, order).size
 
 
-def modp_rank(block, p, g):
-    return _pivots_modp(block, p, g).size
+def modp_rank(folded, p, g):
+    return _pivots_modp(*folded, p, g).size
 
 
 def shifted_kernel(real, prime, step):
@@ -113,13 +113,16 @@ def planted_counts(rng, m, n):
     return counts
 
 
-def count_parts(counts):
-    """(parts, shape) as in hilbert._kept_blocks for a dense (m, n, n) count tensor."""
-    parts = []
-    for flat in counts.reshape(counts.shape[0], -1):
-        cells = np.flatnonzero(flat)
-        parts.append((cells, flat[cells]))
-    return parts, counts.shape[1:]
+def count_parts(counts, stride=1):
+    """(cells, expo, data, shape) as in hilbert._kept_blocks for a dense (m, n, n) count tensor.
+
+    Class e of the tensor stands for zeta^(e * stride), zeta of order m * stride,
+    and exponents take the dtype that symmetrizer gives that order.
+    """
+    flat = counts.reshape(counts.shape[0], -1)
+    expo, cells = np.nonzero(flat)
+    expo_type = np.min_scalar_type(counts.shape[0] * stride - 1)
+    return cells, (expo * stride).astype(expo_type), flat[expo, cells], counts.shape[1:]
 
 
 class TestClosedForms:
@@ -232,7 +235,7 @@ class TestPrimeMachinery:
         block = np.array([[[2, 2], [2, 2]]], dtype=np.int8)
         for order in (3_000_000_000, 1_500_000_000):
             with pytest.raises(DimensionCapError):
-                _pivots_exact(block, order)
+                _pivots_exact(block, np.zeros(1, dtype=np.int64), order)
 
     def test_order_checked_before_any_degree(self, monkeypatch):
         monkeypatch.setattr(hilbert_mod, "symmetrizer", lambda *args, **kwargs: pytest.fail("built a degree"))
@@ -296,24 +299,29 @@ class TestRankKernels:
             n = rng.randint(1, 6)
             mat = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=np.int64)
             flat = mat.ravel()
-            pos, neg = np.flatnonzero(flat > 0), np.flatnonzero(flat < 0)
-            parts = [(pos, flat[pos]), (neg, -flat[neg])]
-            assert exact_rank(_fold(parts, (n, n), 2)[0], 2) == rank_over_rationals(mat.tolist())
+            cells = np.flatnonzero(flat)
+            expo = (flat[cells] < 0).astype(np.int64)
+            assert exact_rank(_fold(cells, expo, np.abs(flat[cells]), (n, n), 2)[:2], 2) == rank_over_rationals(mat.tolist())
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 2**20])
     def test_fold_drops_only_zero_and_repeated_lines(self, order):
+        # at order 2^20 the planted tensor has 8 classes, class e standing for
+        # zeta^(e * 2^17), a primitive 8th root of unity; a rank over Q(zeta_8)
+        # is the rank over Q(zeta_(2^20)), and mod p zeta^(2^17) maps to g^(2^17)
+        classes = min(order, 8)
+        stride = order // classes
         rng = np.random.default_rng(order)
         p = _draw_prime(random.Random(order), order, set())
         g = _element_of_order(p, order)
         for _ in range(10):
-            counts = planted_counts(rng, order, int(rng.integers(6, 9)))
-            block, origin = _fold(*count_parts(counts), order)
-            assert block.shape[1:] == distinct_nonzero_lines(counts, order)
+            counts = planted_counts(rng, classes, int(rng.integers(6, 9)))
+            block, exps, origin = _fold(*count_parts(counts, stride), order)
+            assert block.shape[1:] == distinct_nonzero_lines(counts, classes)
             # one source row per folded row, and never a zero one
             assert len(set(origin.tolist())) == origin.size == block.shape[1]
             assert counts[:, origin].any(axis=(0, 2)).all()
-            assert exact_rank(block, order) == counts_rank_over_cyclotomic(counts, order)
-            assert modp_rank(block, p, g) == dense_rank(evaluate_modp(counts, p, g), p)
+            assert exact_rank((block, exps), order) == counts_rank_over_cyclotomic(counts, classes)
+            assert modp_rank((block, exps), p, g) == dense_rank(evaluate_modp(counts, p, pow(g, stride, p)), p)
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -457,10 +465,9 @@ class TestRank:
         first = 2**31 - 1
         g = _element_of_order(first, 3)
         assert (g * g + g + 1) % first == 0 and (g + 1) ** 2 < first**2
-        cell = np.array([0])
-        parts = [(cell, np.array([-g])), (cell, np.array([1])), (cell[:0], np.array([], dtype=np.int64))]
-        assert modp_rank(_fold(parts, (1, 1), 3)[0], first, g) == 0
-        assert exact_rank(_fold(parts, (1, 1), 3)[0], 3) == 1
+        parts = np.array([0, 0]), np.array([0, 1]), np.array([-g, 1]), (1, 1)
+        assert modp_rank(_fold(*parts, 3)[:2], first, g) == 0
+        assert exact_rank(_fold(*parts, 3)[:2], 3) == 1
 
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
@@ -483,7 +490,7 @@ class TestRank:
     def test_x3_minus_one_classes_cancel(self, degree):
         # both exponent classes are nonzero, but their sum mod p is the zero matrix
         sym = symmetrizer(M1_X3, degree)
-        assert all(c.nnz for c in sym.counts)
+        assert set(sym.entries.expo.tolist()) == {0, 1}
         assert rank(sym, "modular").rank == 0
 
     def test_unknown_mode(self):
@@ -541,8 +548,8 @@ class TestOrbitClasses:
         every = orbit_count_blocks(sym)
         counts = [every[h] for h in heads]
         pruned = symmetrizer(q, degree, rows=hilbert_mod._kept_rows)
-        blocks = [block for _, block, _ in hilbert_mod._kept_blocks(pruned)]
-        assert [b.shape[1:] for b in blocks] == [distinct_nonzero_lines(c, q.order) for c in counts]
+        blocks = [(block, exps) for _, block, exps, _ in hilbert_mod._kept_blocks(pruned)]
+        assert [b.shape[1:] for b, _ in blocks] == [distinct_nonzero_lines(c, q.order) for c in counts]
         rng = random.Random(degree)
         p1 = _draw_prime(rng, q.order, set())
         for p in (p1, _draw_prime(rng, q.order, {p1})):
@@ -555,7 +562,7 @@ class TestOrbitClasses:
         cls = sym.orbit_class
         assert cls.size == 214
         assert int((cls == np.arange(cls.size)).sum()) == 10
-        mults = [mult for mult, _, _ in hilbert_mod._kept_blocks(sym)]
+        mults = [mult for mult, _, _, _ in hilbert_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
         assert rank(sym, "modular").n_components == 214
 
@@ -600,9 +607,9 @@ class TestOrbitClasses:
 def dense_counts_of_rows(sym, rows):
     """The dense (order, len(rows), dim) count tensor of some rows of a SymmetrizerMatrix."""
     counts = np.zeros((sym.order, rows.size, sym.dim), dtype=np.int64)
-    for e, c in enumerate(sym.counts):
-        sel = np.isin(c.row, rows)
-        np.add.at(counts[e], (np.searchsorted(rows, c.row[sel]), c.col[sel]), c.data[sel].astype(np.int64))
+    c = sym.entries
+    sel = np.isin(c.row, rows)
+    np.add.at(counts, (c.expo[sel], np.searchsorted(rows, c.row[sel]), c.col[sel]), c.data[sel].astype(np.int64))
     return counts
 
 
@@ -641,11 +648,11 @@ class TestPivots:
         g = _element_of_order(p, order)
         for _ in range(8):
             counts = planted_counts(rng, order, int(rng.integers(6, 9)))
-            block, origin = _fold(*count_parts(counts), order)
+            block, exps, origin = _fold(*count_parts(counts), order)
             r = counts_rank_over_cyclotomic(counts, order)
-            rows = origin[_pivots_exact(block, order)]
+            rows = origin[_pivots_exact(block, exps, order)]
             assert rows.size == r == counts_rank_over_cyclotomic(counts[:, rows], order)
-            rows = origin[_pivots_modp(block, p, g)]
+            rows = origin[_pivots_modp(block, exps, p, g)]
             assert rows.size == dense_rank(evaluate_modp(counts, p, g), p)
             assert dense_rank(evaluate_modp(counts[:, rows], p, g), p) == rows.size
         # the first prime tried is forced one rank low, on a block whose bound asks
@@ -654,8 +661,8 @@ class TestPivots:
         monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
         counts = np.zeros((order, 5, 5), dtype=np.int64)
         counts[0, 1:, 1:] = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
-        block, origin = _fold(*count_parts(counts), order)
-        rows = origin[_pivots_exact(block, order)]
+        block, exps, origin = _fold(*count_parts(counts), order)
+        rows = origin[_pivots_exact(block, exps, order)]
         assert sorted(rows.tolist()) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("name", sorted(CLASS_CASES))
@@ -830,19 +837,22 @@ class TestGradedDims:
 
 
 class TestCompareTwistSeries:
+    # a twist table that satisfies the twist condition, then the series of q and of twist(q, phi)
     def test_trivial_twist_equal(self):
         from racktwist.cocycle import TwistTable
 
         phi = TwistTable(X4, 2, ((0,) * 6,) * 6)
-        cmp = compare_twist_series(chi_cocycle(4), phi, 3, mode="exact")
-        assert cmp.all_equal
-        assert cmp.base.ranks == cmp.twisted.ranks == [1, 6, 19, 42]
+        assert check_twist_condition(phi).ok
+        base = graded_dims(chi_cocycle(4), 3, mode="exact")
+        twisted = graded_dims(twist(chi_cocycle(4), phi), 3, mode="exact")
+        assert base.ranks == twisted.ranks == [1, 6, 19, 42]
 
     def test_spincover_twist_equal(self):
         phi = phi_psi_table(4).twist_table()
-        cmp = compare_twist_series(chi_cocycle(4), phi, 3, mode="exact")
-        assert cmp.all_equal
-        assert cmp.equal_per_degree == [True] * 4
+        assert check_twist_condition(phi).ok
+        base = graded_dims(chi_cocycle(4), 3, mode="exact")
+        twisted = graded_dims(twist(chi_cocycle(4), phi), 3, mode="exact")
+        assert [a == b for a, b in zip(base.ranks, twisted.ranks)] == [True] * 4
 
     def test_invalid_twist_table_rejected(self):
         from racktwist.cocycle import TwistTable
@@ -852,9 +862,4 @@ class TestCompareTwistSeries:
         bad_rows[1][0] = 1
         bad_rows[0][2] = 1
         bad = TwistTable(X4, 2, tuple(tuple(r) for r in bad_rows))
-        from racktwist.cocycle import check_twist_condition
-
-        if check_twist_condition(bad).ok:
-            pytest.skip("crafted table unexpectedly satisfies the condition")
-        with pytest.raises(ValueError):
-            compare_twist_series(chi_cocycle(4), bad, 2, mode="exact")
+        assert not check_twist_condition(bad).ok
