@@ -354,23 +354,25 @@ def _pivots_exact(block: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray
     exponents, that is of |c_e - c_(e + order/2)| over e < order/2 for even
     order (zeta^(order/2) = -1), and of |c_e| for odd order.  Primes q are
     taken in descending order below 2^31 until their product squared exceeds
-    that bound to the power phi(order), in integers.  The pivots of the
-    first prime with rank r are independent mod a prime above it, hence over
-    Q(zeta), and there are r of them.  DimensionCapError if the primes
-    q = 1 mod order run out first.
+    that bound to the power phi(order), in integers, or until r is the
+    smaller side of the block, which then has no minor of order r + 1.  The
+    pivots of the first prime with rank r are independent mod a prime above
+    it, hence over Q(zeta), and there are r of them.  DimensionCapError if
+    the primes q = 1 mod order run out first.
     """
     # B per cell: the sum of |c_e| over the folded exponents
     bound = np.abs(block).sum(axis=0, dtype=np.int64)
     big = bound.max(axis=0, initial=0).tolist()
     nnz = np.count_nonzero(bound, axis=0).tolist()
-    # a trailing 0: no minor is larger than the block
-    weights = sorted((n * b * b for n, b in zip(nnz, big)), reverse=True) + [0]
+    weights = sorted((n * b * b for n, b in zip(nnz, big)), reverse=True)
+    side = min(bound.shape)
     phi = order
     for ell in _prime_divisors(order):
         phi -= phi // ell
     # q starts at the least number = 1 mod order from 2^31 up, and steps down by order
     best, product, q = np.zeros(0, dtype=np.int64), 1, _PRIME_HIGH + (1 - _PRIME_HIGH) % order
-    while not _exceeds(product * product, math.prod(weights[: best.size + 1]), phi):
+    # no minor is larger than the smaller side of the block
+    while best.size < side and not _exceeds(product * product, math.prod(weights[: best.size + 1]), phi):
         q -= order
         while q > 1 and not _is_prime_u32(q):
             q -= order

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .cocycle import RackCocycle, TwistTable, chi_cocycle
+from .cocycle import TwistTable, chi_cocycle, twist
 from .errors import SectionConsistencyError
 from .rack import Permutation, transposition_pairs, transposition_rack
 
@@ -350,20 +350,14 @@ class SectionCache:
 
 
 class GroupCocycleBit:
-    """The Z/2-valued group 2-cocycle of the section, evaluated lazily with a memo."""
+    """The Z/2-valued group 2-cocycle of the section, evaluated lazily."""
 
     def __init__(self, n: int):
         self.n = n
         self._cache = SectionCache(n)
-        self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
     def bit(self, x: Permutation, y: Permutation) -> int:
-        key = (x.image, y.image)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._cache.phi_bit(x, y)
-            self._memo[key] = got
-        return got
+        return self._cache.phi_bit(x, y)
 
     def twist_table(self) -> TwistTable:
         """The restriction to transposition pairs, as an order-2 twist table."""
@@ -415,44 +409,31 @@ def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
     return bool(np.all((lhs - rhs) % 2 == 0))
 
 
-def verify_main_theorem(
-    n: int, gc: GroupCocycleBit | None = None, chi: RackCocycle | None = None
-) -> tuple[bool, list[dict]]:
-    """Check the twist identity pairwise on all ordered pairs of transpositions.
+def verify_main_theorem(n: int, phi: TwistTable | None = None) -> tuple[bool, dict | None]:
+    """Check the twist identity: chi twisted by phi is the constant cocycle -1.
 
-    For each pair (sigma, tau): (-1)^phi(sigma,tau) * (-1)^-phi(sigma|>tau,sigma)
-    * chi(sigma,tau) must equal -1 exactly.  Returns overall verdict plus a
-    per-pair log in deterministic order.  Passing an existing ``gc`` reuses
-    the phi bits it has already computed, and passing ``chi_cocycle(n)`` as
-    ``chi`` saves building and checking it again.
+    phi defaults to GroupCocycleBit(n).twist_table().  The twisted exponent
+    phi(sigma, tau) - phi(sigma|>tau, sigma) + chi(sigma, tau) of every
+    ordered pair of transpositions must be 1 mod 2 (cocycle.twist).  Returns
+    the verdict and the first failing pair in row-major order, or None: its
+    sigma, tau, the two phi bits, the chi bit and ok.  ValueError if phi is
+    not an order-2 table on the transposition rack of S_n.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    if gc is None:
-        gc = GroupCocycleBit(n)
-    elif gc.n != n:
-        raise ValueError(f"cocycle is for n={gc.n}, not n={n}")
-    if chi is None:
-        chi = chi_cocycle(n)
+    if phi is None:
+        phi = GroupCocycleBit(n).twist_table()
+    chi = chi_cocycle(n)
+    twisted = twist(chi, phi).exp
+    bad = next(((a, b) for a, row in enumerate(twisted) for b, e in enumerate(row) if e != 1), None)
+    if bad is None:
+        return True, None
+    a, b = bad
     pairs = transposition_pairs(n)
-    perms = [Permutation.transposition(n, i, j) for i, j in pairs]
-    log = []
-    all_ok = True
-    for a, sigma in enumerate(perms):
-        for b, tau in enumerate(perms):
-            conj = chi.rack.op[a][b]
-            bit1 = gc.bit(sigma, tau)
-            bit2 = gc.bit(perms[conj], sigma)
-            chi_bit = chi.exp[a][b]
-            ok = (bit1 - bit2 + chi_bit) % 2 == 1
-            all_ok = all_ok and ok
-            log.append(
-                {
-                    "sigma": str(pairs[a]),
-                    "tau": str(pairs[b]),
-                    "phi_bits": [bit1, bit2],
-                    "chi_bit": chi_bit,
-                    "ok": ok,
-                }
-            )
-    return all_ok, log
+    return False, {
+        "sigma": str(pairs[a]),
+        "tau": str(pairs[b]),
+        "phi_bits": [phi.phi[a][b], phi.phi[chi.rack.op[a][b]][a]],
+        "chi_bit": chi.exp[a][b],
+        "ok": False,
+    }

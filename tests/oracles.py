@@ -3,13 +3,15 @@
 Everything here recomputes results from first principles, sharing only type
 definitions with the package: dense rational elimination for ranks, dense
 matrix products for braid lifts, alternative reduced-word generators, plain
-triple loops for the cocycle and twist conditions, and a Clifford algebra
-over the field Q(sqrt(2)) with rational coefficients.
+triple loops for the cocycle and twist conditions, a pair loop for the
+twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
+rational coefficients.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -184,6 +186,44 @@ def twist_condition_first_failure(phi: TwistTable) -> tuple[int, int, int] | Non
                 if (lhs - rhs) % m != 0:
                     return (x, y, z)
     return None
+
+
+def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
+    """The twist identity checked pair by pair on the transposition rack, one log entry per pair.
+
+    Elements are the transpositions (i, j), i < j, in lexicographic order,
+    and sigma |> tau is conjugated from the pairs, not read off the rack.
+    The pair (sigma, tau) is ok when (-1)^phi(sigma, tau) *
+    (-1)^-phi(sigma |> tau, sigma) * chi(sigma, tau) = -1.  Entries come in
+    row-major order over (sigma, tau).
+    """
+    n = math.isqrt(2 * chi.rack.size) + 1  # the rack has n(n - 1)/2 elements
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    index = {pair: a for a, pair in enumerate(pairs)}
+    log = []
+    for a, (i, j) in enumerate(pairs):
+        swap = {i: j, j: i}
+        for b, tau in enumerate(pairs):
+            conj = index[tuple(sorted(swap.get(c, c) for c in tau))]
+            bits = [phi.phi[a][b], phi.phi[conj][a]]
+            chi_bit = chi.exp[a][b]
+            log.append(
+                {
+                    "sigma": str((i, j)),
+                    "tau": str(tau),
+                    "phi_bits": bits,
+                    "chi_bit": chi_bit,
+                    "ok": (bits[0] - bits[1] + chi_bit) % 2 == 1,
+                }
+            )
+    return log
+
+
+def flip_phi_bit(phi: TwistTable, a: int, b: int) -> TwistTable:
+    """phi with the order-2 entry at (a, b) flipped."""
+    rows = [list(row) for row in phi.phi]
+    rows[a][b] ^= 1
+    return TwistTable(rack=phi.rack, order=phi.order, phi=tuple(tuple(row) for row in rows))
 
 
 def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:

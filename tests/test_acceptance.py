@@ -15,6 +15,7 @@ from oracles import (
     conjugacy_class_rack,
     dense_integer_matrix,
     largest_descent_word,
+    main_theorem_log,
     value_at_one,
 )
 from racktwist.braided import BraidWord, check_braid_equation, rho, symmetrizer
@@ -62,11 +63,13 @@ def test_criterion_02_main_theorem():
     t0 = time.perf_counter()
     ok = True
     for n in range(4, 10):
-        theorem_ok, log = verify_main_theorem(n)
-        pairs = math.comb(n, 2) ** 2
-        ok = ok and theorem_ok and len(log) == pairs
+        theorem_ok, first_fail = verify_main_theorem(n)
         restriction = phi_psi_table(n).twist_table()
         chi = chi_cocycle(n)
+        log = main_theorem_log(restriction, chi)
+        pairs = math.comb(n, 2) ** 2
+        ok = ok and theorem_ok and first_fail is None and len(log) == pairs
+        ok = ok and all(entry["ok"] for entry in log)
         ok = ok and twist(chi, restriction).exp == minus_one_cocycle(chi.rack).exp
     elapsed = time.perf_counter() - t0
     _verdict(2, "twist identity on all transposition pairs, n = 4..9", ok and elapsed < 60, elapsed)

@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import flip_phi_bit, main_theorem_log
 from racktwist import braided as braided_mod
 from racktwist import hilbert as hilbert_mod
 from racktwist.cli import main
+from racktwist.cocycle import chi_cocycle
+from racktwist.spincover import GroupCocycleBit
 
 
 def run(argv):
@@ -125,6 +128,19 @@ class TestTwistVerifyCommand:
 
     def test_n3_usage_error(self):
         assert run(["twist-verify", "--n", "3"]) == 1
+
+    def test_flipped_bit_fails_with_its_first_pair(self, tmp_path, capsys, monkeypatch):
+        real = GroupCocycleBit.twist_table
+        monkeypatch.setattr(GroupCocycleBit, "twist_table", lambda self: flip_phi_bit(real(self), 2, 7))
+        out = tmp_path / "tw.json"
+        assert run(["twist-verify", "--n", "5", "--out", str(out)]) == 2
+        first = next(e for e in main_theorem_log(GroupCocycleBit(5).twist_table(), chi_cocycle(5)) if not e["ok"])
+        assert f"  first failing pair: {first['sigma']}, {first['tau']}\n" in capsys.readouterr().out
+        report = read_json(str(out))
+        assert report["main_theorem_ok"] is False
+        assert report["twist_equals_minus_one"] is False
+        assert report["first_failing_pair"] == first
+        assert report["ok"] is False
 
 
 class TestCohomologyCommand:

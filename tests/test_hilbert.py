@@ -283,6 +283,19 @@ class TestRankKernels:
         assert dense_rank(a % 2147483629, 2147483629) == 1
         assert exact_rank(square_block(a), 1) == 2
 
+    def test_exact_rank_stops_at_the_smaller_side(self, monkeypatch):
+        # rank 2 on a 2 x 3 block and on its transpose: no minor of order 3
+        # exists, so one prime proves it; the Hadamard bound raised to
+        # phi(2^20) = 2^19 is never met by the primes = 1 mod 2^20 below 2^31
+        calls = []
+        real = hilbert_mod._pivots_modp
+        monkeypatch.setattr(hilbert_mod, "_pivots_modp", lambda *args: calls.append(args) or real(*args))
+        mat = np.array([[5, 7, 9], [1, 2, 3]], dtype=np.int8)
+        for a in (mat, mat.T):
+            calls.clear()
+            assert _pivots_exact(a[None], np.zeros(1, dtype=np.int64), 2**20).size == 2
+            assert len(calls) == 1
+
     def test_exact_bound_holds_at_a_dtype_edge(self, monkeypatch):
         # entries up to 128 = the largest count: the column bound must hold
         # 128 itself, not wrap in int8.  The first prime is forced one rank

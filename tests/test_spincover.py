@@ -6,7 +6,9 @@ import pytest
 
 from oracles import (
     QuadScalar,
+    flip_phi_bit,
     is_group_like,
+    main_theorem_log,
     quad_clifford_product,
     quad_element,
     quad_generator,
@@ -448,8 +450,8 @@ class TestPhi:
 
 class TestMainTheorem:
     def test_n4_pairs(self):
-        ok, log = verify_main_theorem(4)
-        assert ok
+        assert verify_main_theorem(4) == (True, None)
+        log = main_theorem_log(phi_psi_table(4).twist_table(), chi_cocycle(4))
         assert len(log) == 36
         assert all(entry["ok"] for entry in log)
         first = log[0]
@@ -474,16 +476,29 @@ class TestMainTheorem:
         with pytest.raises(ValueError):
             verify_main_theorem(3)
 
-    def test_reuses_given_cocycle_bits(self):
-        gc = phi_psi_table(5)
-        gc.twist_table()
-        computed = len(gc._memo)
-        assert verify_main_theorem(5, gc) == verify_main_theorem(5)
-        assert len(gc._memo) == computed
+    def test_reuses_given_cocycle_bits(self, monkeypatch):
+        # passing the table gives the same result, and no phi bit is computed again
+        table = phi_psi_table(5).twist_table()
+        expected = verify_main_theorem(5)
+        monkeypatch.setattr(SectionCache, "phi_bit", lambda *args: pytest.fail("phi bit recomputed"))
+        assert verify_main_theorem(5, table) == expected == (True, None)
 
     def test_rejects_cocycle_of_other_n(self):
-        with pytest.raises(ValueError):
-            verify_main_theorem(5, phi_psi_table(4))
+        with pytest.raises(ValueError, match="share rack and order"):
+            verify_main_theorem(5, phi_psi_table(4).twist_table())
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_flipped_bit_gives_the_first_failing_pair(self, n):
+        # a diagonal flip cancels (x |> x = x), every off-diagonal one breaks two pairs
+        table, chi = phi_psi_table(n).twist_table(), chi_cocycle(n)
+        k = len(table.phi)
+        for a, b in itertools.permutations(range(k), 2):
+            flipped = flip_phi_bit(table, a, b)
+            failing = [entry for entry in main_theorem_log(flipped, chi) if not entry["ok"]]
+            assert len(failing) == 2
+            assert verify_main_theorem(n, flipped) == (False, failing[0])
+        for a in range(k):
+            assert verify_main_theorem(n, flip_phi_bit(table, a, a)) == (True, None)
 
 
 class TestPhiPsiScalars:
