@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -271,17 +270,27 @@ def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> tuple[np.n
     return orbit_class, carry
 
 
+def check_dimension(size: int, degree: int, dim_cap: int) -> None:
+    """Raise DimensionCapError if degree `degree` over a rack of `size` elements exceeds dim_cap.
+
+    It needs only the size, so a caller may check it before building the rack.
+    """
+    dim = size**degree
+    if dim > dim_cap:
+        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
+
+
 def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
     """Raise DimensionCapError unless `symmetrizer` can build this degree.
 
-    The dimension k^degree must be within dim_cap, an entry's row, column
-    and exponent must fit in a 64-bit key, and an entry, a count of at
-    most degree! lifts, must fit in int64.  Each bound grows with the
-    degree, so a degree that passes vouches for every smaller one.
+    The dimension k^degree must be within dim_cap (check_dimension), an
+    entry's row, column and exponent must fit in a 64-bit key, and an
+    entry, a count of at most degree! lifts, must fit in int64.  Each bound
+    grows with the degree, so a degree that passes vouches for every
+    smaller one.
     """
+    check_dimension(q.rack.size, degree, dim_cap)
     dim = q.rack.size**degree
-    if dim > dim_cap:
-        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
     if 2 * (dim - 1).bit_length() + (q.order - 1).bit_length() > 63:
         raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
     if math.factorial(degree) >= 2**63:
@@ -395,38 +404,3 @@ def symmetrizer(
         ent = CountMatrix(out.row[:used], out.col[:used], out.expo[:used], out.data[:used])
     return SymmetrizerMatrix(dim, m, degree, ent, orbit, orbit_class, orbit_carry, built)
 
-
-def export_symmetrizer(sym: SymmetrizerMatrix, path: str, rack_id: str = "", cocycle_id: str = "") -> None:
-    """Coordinate-format text dump: JSON header line, then `row col coefficient` lines.
-
-    For order <= 2 the coefficient is a plain integer; otherwise it is the
-    coefficient vector in the power basis of zeta, semicolon-separated.
-    Only a symmetrizer with every row built can be exported.
-    """
-    import json
-
-    if sym.rows.size != sym.dim:
-        raise ValueError(f"only {sym.rows.size} of the {sym.dim} rows were built")
-
-    header = {"degree": sym.degree, "rack": rack_id, "cocycle": cocycle_id, "m": sym.order}
-    ent = sym.entries
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        if sym.order <= 2:
-            # zeta = -1: the integer matrix of the counts, signed by (-1)^expo
-            keys, vals = _merge(
-                ent.row.astype(np.int64) * sym.dim + ent.col,
-                ent.data * (1 - 2 * ent.expo.astype(np.int64)),
-            )
-            for key, val in zip(keys.tolist(), vals.tolist()):
-                if val:
-                    fh.write(f"{key // sym.dim} {key % sym.dim} {val}\n")
-        else:
-            lines = zip(ent.row.tolist(), ent.col.tolist(), ent.expo.tolist(), ent.data.tolist())
-            for (r, c), cell in groupby(lines, key=lambda line: line[:2]):
-                # the entries of a cell, ascending in expo, with zeros written between them
-                coeffs, at = [], 0
-                for _, _, e, v in cell:
-                    coeffs.append("0;" * (e - at) + str(v))
-                    at = e + 1
-                fh.write(f"{r} {c} {';'.join(coeffs)}{';0' * (sym.order - at)}\n")

@@ -219,6 +219,7 @@ def cmd_verify_twist(args) -> int:
         "n": n,
         "pairs_checked": pairs,
         "twist_condition_ok": cond.ok,
+        "twist_condition_witness": None if cond.ok else list(cond.witness),
         "main_theorem_ok": main_ok,
         # the same verdict, kept because the report schema has this field
         "twist_equals_minus_one": main_ok,
@@ -232,6 +233,8 @@ def cmd_verify_twist(args) -> int:
         f"twisted cocycle constant -1: {main_ok}"
     )
     if not report["ok"]:
+        if not cond.ok:
+            print(f"  first failing triple: {cond.witness}")
         if first_fail is not None:
             print(f"  first failing pair: {first_fail['sigma']}, {first_fail['tau']}")
         return EXIT_CHECK_FAILED
@@ -292,11 +295,14 @@ def cmd_cohomology(args) -> int:
 # ---------------------------------------------------------------- hilbert
 
 
-def _parse_rack_arg(arg: str):
+def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
     if arg.startswith("x") and arg[1:].isdigit():
         n = int(arg[1:])
         if n < 2:
             raise UsageError(f"hilbert: need n >= 2 in rack argument, got {arg}")
+        if max_degree >= 2:
+            # x_n has n(n - 1)/2 elements: check the dimension before building them
+            braided.check_dimension(n * (n - 1) // 2, max_degree, dim_cap)
         return rack_mod.transposition_rack(n), n, arg
     if os.path.exists(arg):
         return rack_mod.load_rack(arg), None, arg
@@ -327,21 +333,14 @@ def _parse_closed_form(arg: str) -> list[tuple[int, int]]:
 
 
 def cmd_hilbert(args) -> int:
-    rack, n, rack_id = _parse_rack_arg(args.rack)
+    cap = _dim_cap(args)
+    rack, n, rack_id = _parse_rack_arg(args.rack, args.max_degree, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
     verdict = cocycle_mod.check_cocycle(q)
     if not verdict.ok:
         print(f"hilbert: input is not a cocycle (violation at {verdict.witness})")
         return EXIT_CHECK_FAILED
     closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
-    cap = _dim_cap(args)
-    if args.dump_matrices:
-        os.makedirs(args.dump_matrices, exist_ok=True)
-
-    def dump(sym):
-        path = os.path.join(args.dump_matrices, f"symmetrizer_deg{sym.degree}.txt")
-        braided.export_symmetrizer(sym, path, rack_id=rack_id, cocycle_id=cocycle_id)
-
     report_obj = hilbert_mod.graded_dims(
         q,
         args.max_degree,
@@ -351,7 +350,6 @@ def cmd_hilbert(args) -> int:
         rack_id=rack_id,
         cocycle_id=cocycle_id,
         closed_form=closed_form,
-        on_matrix=dump if args.dump_matrices else None,
     )
     cfg = RunConfig(
         subcommand="hilbert",
@@ -504,7 +502,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim-cap", type=int, help="override the basis-dimension cap")
     p.add_argument("--closed-form", help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")
-    p.add_argument("--dump-matrices", metavar="DIR", help="export symmetrizer matrices as sparse text")
     p.add_argument("--out", help="write the report JSON here")
     p.set_defaults(fn=cmd_hilbert)
 

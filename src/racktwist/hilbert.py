@@ -51,7 +51,6 @@ import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -519,7 +518,6 @@ def graded_dims(
     rack_id: str = "",
     cocycle_id: str = "",
     closed_form: list[tuple[int, int]] | None = None,
-    on_matrix: Callable[[SymmetrizerMatrix], None] | None = None,
 ) -> HilbertReport:
     """Ranks of the symmetrizers in degrees 0..max_degree.
 
@@ -527,15 +525,13 @@ def graded_dims(
     matrix is built for them.  Each other degree builds only the rows that
     `rank` reads, those of the smallest braid orbit of every class
     (_kept_rows) whose prefix is a pivot row of the degree below (see
-    `rank`), unless `on_matrix` is given: it receives every symmetrizer
-    that is built, with all its rows.  A modular disagreement is proven
-    again on every kept row of its degree, so that the fallback does not
-    rest on Monte Carlo pivots below.  The resource caps are checked for
-    max_degree before any degree is built; they grow with the degree, so
-    that covers every degree.  So is the cocycle order, which must leave
-    two candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
-    form is expanded through max_degree (and a bad factor rejected) before
-    that too.
+    `rank`).  A modular disagreement is proven again on every kept row of
+    its degree, so that the fallback does not rest on Monte Carlo pivots
+    below.  The resource caps are checked for max_degree before any degree
+    is built; they grow with the degree, so that covers every degree.  So
+    is the cocycle order, which must leave two candidates p = 1 mod order
+    in [2^30, 2^31) for the primes.  A closed form is expanded through
+    max_degree (and a bad factor rejected) before that too.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -559,10 +555,6 @@ def graded_dims(
             cert = RankCertificate(1, "exact", (), 1, 0)
         elif d == 1:
             cert = RankCertificate(k, "exact", (), k, 0)
-        elif on_matrix is not None:
-            sym = symmetrizer(q, d, dim_cap=dim_cap, levels=levels)
-            on_matrix(sym)
-            cert = rank(sym, mode, rng=rng)
         else:
             sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), levels=levels)
             cert = rank(sym, mode, rng=rng, below=below)

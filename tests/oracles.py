@@ -5,19 +5,22 @@ definitions with the package: dense rational elimination for ranks, dense
 matrix products for braid lifts, alternative reduced-word generators, plain
 triple loops for the cocycle and twist conditions, a pair loop for the
 twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
-rational coefficients.
+rational coefficients.  The one exception is unpruned_graded_dims, which
+reruns the package's ranks on every row of every degree.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
+from racktwist import braided, hilbert
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
 from racktwist.rack import FiniteRack, Permutation, rack_to_dict
 
@@ -425,6 +428,29 @@ def support_components(sym) -> list[tuple[int, ...]]:
     """Connected components of the support graph of a square SymmetrizerMatrix (rows = cols)."""
     edges = [(int(r), int(c)) for r, c in zip(sym.entries.row, sym.entries.col)]
     return _components(sym.dim, edges)
+
+
+def unpruned_graded_dims(q: RackCocycle, max_degree: int, mode: str = "modular", seed: int = 0) -> dict:
+    """The report dict of hilbert.graded_dims, with every row of every degree built and ranked.
+
+    Unlike the other oracles this one runs the package's own assembly and
+    rank, so that it checks one thing only: that building each degree on
+    the kept rows whose prefix is a pivot row below changes no report.
+    Every degree is ranked on the full braided.symmetrizer(q, d), with no
+    rows chosen from the degree below and one random.Random(seed) shared by
+    all degrees, as graded_dims shares it.  Degrees 0 and 1 are ranked in
+    exact mode, which draws no prime, as graded_dims reports its identity
+    shortcuts for them.
+    """
+    rng = random.Random(seed)
+    report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode=mode, seed=seed)
+    for d in range(max_degree + 1):
+        cert = hilbert.rank(braided.symmetrizer(q, d), mode if d >= 2 else "exact", rng=rng)
+        report.degrees.append(d)
+        report.ranks.append(cert.rank)
+        report.methods.append(cert.method)
+        report.primes.append(list(cert.primes))
+    return report.to_dict()
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from racktwist.braided import (
     BraidWord,
     MonomialOperator,
     check_braid_equation,
-    export_symmetrizer,
     rho,
     symmetrizer,
 )
@@ -338,24 +337,3 @@ class TestBraidOrbits:
         assert symmetrizer(CHI4, 0).orbit.tolist() == [0]
         assert symmetrizer(CHI4, 1).orbit.tolist() == list(range(6))
 
-
-class TestExport:
-    def test_round_trippable_text(self, tmp_path):
-        import json
-
-        sym = symmetrizer(M1_X3, 2)
-        path = tmp_path / "sym.txt"
-        export_symmetrizer(sym, str(path), rack_id="x3", cocycle_id="-1")
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header == {"degree": 2, "rack": "x3", "cocycle": "-1", "m": 2}
-        rebuilt = np.zeros((9, 9), dtype=np.int64)
-        for line in lines[1:]:
-            r, c, v = line.split()
-            rebuilt[int(r), int(c)] = int(v)
-        assert (rebuilt == dense_integer_matrix(sym)).all()
-
-    def test_needs_every_row(self, tmp_path):
-        sym = symmetrizer(M1_X3, 3, rows=_kept_rows)
-        with pytest.raises(ValueError, match="rows were built"):
-            export_symmetrizer(sym, str(tmp_path / "sym.txt"))

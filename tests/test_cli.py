@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import random
@@ -9,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import flip_phi_bit, main_theorem_log
-from racktwist import braided as braided_mod
+from oracles import flip_phi_bit, main_theorem_log, twist_condition_first_failure
 from racktwist import hilbert as hilbert_mod
+from racktwist import rack as rack_mod
 from racktwist.cli import main
 from racktwist.cocycle import chi_cocycle
 from racktwist.spincover import GroupCocycleBit
@@ -120,6 +119,7 @@ class TestTwistVerifyCommand:
         assert report["pairs_checked"] == 36
         assert report["twist_equals_minus_one"] is True
         assert report["first_failing_pair"] is None
+        assert report["twist_condition_witness"] is None
 
     def test_n9_pair_count(self, tmp_path):
         out = tmp_path / "tw9.json"
@@ -134,9 +134,16 @@ class TestTwistVerifyCommand:
         monkeypatch.setattr(GroupCocycleBit, "twist_table", lambda self: flip_phi_bit(real(self), 2, 7))
         out = tmp_path / "tw.json"
         assert run(["twist-verify", "--n", "5", "--out", str(out)]) == 2
-        first = next(e for e in main_theorem_log(GroupCocycleBit(5).twist_table(), chi_cocycle(5)) if not e["ok"])
-        assert f"  first failing pair: {first['sigma']}, {first['tau']}\n" in capsys.readouterr().out
+        flipped = GroupCocycleBit(5).twist_table()
+        first = next(e for e in main_theorem_log(flipped, chi_cocycle(5)) if not e["ok"])
+        triple = twist_condition_first_failure(flipped)
+        assert triple == (0, 2, 7)
+        printed = capsys.readouterr().out
+        assert f"  first failing triple: {triple}\n" in printed
+        assert f"  first failing pair: {first['sigma']}, {first['tau']}\n" in printed
         report = read_json(str(out))
+        assert report["twist_condition_ok"] is False
+        assert report["twist_condition_witness"] == list(triple)
         assert report["main_theorem_ok"] is False
         assert report["twist_equals_minus_one"] is False
         assert report["first_failing_pair"] == first
@@ -232,6 +239,17 @@ class TestHilbertCommand:
         assert capsys.readouterr().err == f"resource limit: {message}\n"
         assert not out.exists()
 
+    def test_transposition_rack_capped_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        # x400 has 79 800 elements; its dimension in degree 2 follows from n alone
+        def never(n):
+            raise AssertionError(f"x{n} was built")
+
+        monkeypatch.setattr(rack_mod, "transposition_rack", never)
+        out = tmp_path / "h.json"
+        assert run(["hilbert", "--rack", "x400", "--cocycle=-1", "--max-degree", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 6368040000 > cap 200000\n"
+        assert not out.exists()
+
     def test_cocycle_file_input(self, tmp_path):
         cpath = tmp_path / "chi.json"
         run(["cocycle", "--kind", "chi", "--n", "3", "--out", str(cpath)])
@@ -244,55 +262,6 @@ class TestHilbertCommand:
         )
         assert code == 0
         assert read_json(str(out))["report"]["ranks"] == [1, 3, 4, 3]
-
-    def test_dump_matrices(self, tmp_path):
-        dump = tmp_path / "mats"
-        code = run(
-            ["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "3",
-             "--mode", "exact", "--dump-matrices", str(dump)]
-        )
-        assert code == 0
-        files = sorted(p.name for p in dump.iterdir())
-        assert files == ["symmetrizer_deg2.txt", "symmetrizer_deg3.txt"]
-        header = json.loads((dump / "symmetrizer_deg2.txt").read_text().splitlines()[0])
-        assert header["degree"] == 2 and header["m"] == 2
-
-    # sha256 of the dump files; the text format is an interface for other tools
-    DUMP_DIGESTS = {
-        ("const:4:3", "modular"): {
-            "symmetrizer_deg2.txt": "8cd2da76d43d175a688c35b7385964e004cb355ac2382614bb6e83f42d3f04eb",
-            "symmetrizer_deg3.txt": "880cd6d851aebc23b041b6965ae6a23291c595cc13b3245f79c869406a92ac91",
-            "symmetrizer_deg4.txt": "9b59c578d3d8732310456ffc35365f68e8336ee291c4796d0daa5bec1a768985",
-        },
-        ("const:3:1", "modular"): {
-            "symmetrizer_deg2.txt": "afc45f3df85dc211dbbfa9410211854531a8d82ed36025e967babf021aaabe5d",
-            "symmetrizer_deg3.txt": "28edf1bb8ebd6aa13c558e81ca774f37db79c61d9f619c499fb693fe061918cf",
-            "symmetrizer_deg4.txt": "aee8da97391a232e559853e969016b77d9e5a4bd22303860fae291eabb3f728c",
-        },
-        ("-1", "exact"): {
-            "symmetrizer_deg2.txt": "bd5afa28d1e5f4e8ef7d3c1ff606c984c5dad25e6788c7d30d98ca8246796b5a",
-            "symmetrizer_deg3.txt": "0f77bd1da22a6401734b67e4c0981d65b0078bed45e3949f9491357e6cc98640",
-        },
-    }
-
-    @pytest.mark.parametrize("cocycle, mode", sorted(DUMP_DIGESTS))
-    def test_dump_builds_each_degree_once(self, tmp_path, monkeypatch, cocycle, mode):
-        built = []
-        real = braided_mod.symmetrizer
-
-        def counting(q, degree, *args, **kwargs):
-            built.append(degree)
-            return real(q, degree, *args, **kwargs)
-
-        monkeypatch.setattr(braided_mod, "symmetrizer", counting)
-        monkeypatch.setattr(hilbert_mod, "symmetrizer", counting)
-        digests = self.DUMP_DIGESTS[(cocycle, mode)]
-        dump = tmp_path / "mats"
-        code = run(["hilbert", "--rack", "x3", f"--cocycle={cocycle}", "--max-degree", str(len(digests) + 1),
-                    "--mode", mode, "--dump-matrices", str(dump)])
-        assert code == 0
-        assert built == list(range(2, len(digests) + 2))
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dump.iterdir()} == digests
 
     def test_disagreeing_primes_fail(self, tmp_path, monkeypatch):
         # the first drawn prime is made to fail; the degree falls back to the
@@ -378,11 +347,16 @@ class TestParser:
         assert run(["cover"]) == 1
 
 
-def run_child(code):
-    """Standard output of `python -c code` in a fresh interpreter that imports racktwist from this checkout."""
+def child_env():
+    """The environment of a fresh interpreter that imports racktwist from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_child(code):
+    """Standard output of `python -c code` in a fresh interpreter (child_env)."""
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True,
+                          check=True).stdout
 
 
 def test_cli_import_does_not_load_scipy():
@@ -407,11 +381,23 @@ def test_hilbert_memory_does_not_grow_with_the_order(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "h.json"
     args = ["hilbert", "--rack", "x3", "--cocycle", "const:1048576:1", "--max-degree", "5", "--out", str(out)]
-    done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=env, preexec_fn=limit,
+    done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(), preexec_fn=limit,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert read_json(str(out))["report"]["ranks"][:4] == [1, 3, 9, 27]
+
+
+def test_dump_matrices_is_a_usage_error(tmp_path):
+    # the symmetrizer dump was removed: the flag is an unknown argument like any other
+    dump = tmp_path / "mats"
+    args = ["hilbert", "--rack", "x3", "--cocycle=-1", "--max-degree", "3", "--dump-matrices", str(dump)]
+    done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: racktwist ")
+    assert done.stderr.endswith(f"\nerror: unrecognized arguments: --dump-matrices {dump}\n")
+    assert "Traceback" not in done.stderr
+    assert not dump.exists()

@@ -17,6 +17,7 @@ from oracles import (
     rank_over_cyclotomic,
     rank_over_rationals,
     translation_classes,
+    unpruned_graded_dims,
     value_at_one,
 )
 from racktwist import braided
@@ -784,9 +785,10 @@ class TestGradedDims:
         assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
 
     def test_builds_the_rows_rank_reads(self, monkeypatch):
-        # without on_matrix only the kept rows whose prefix is a pivot row below are built; with it, every row
+        # graded_dims builds only the kept rows whose prefix is a pivot row below;
+        # the unpruned oracle builds every row, and both give the same report
         built = []
-        real = hilbert_mod.symmetrizer
+        real = braided.symmetrizer
 
         def recording(q, degree, *args, **kwargs):
             sym = real(q, degree, *args, **kwargs)
@@ -794,15 +796,21 @@ class TestGradedDims:
             return sym
 
         monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
+        monkeypatch.setattr(braided, "symmetrizer", recording)
         q = CLASS_CASES["x5-m1"]
         pruned = graded_dims(q, 4, mode="exact")
         assert built == [(2, 6, 100), (3, 20, 1000), (4, 90, 10000)]
         built.clear()
-        seen = []
-        full = graded_dims(q, 4, mode="exact", on_matrix=seen.append)
-        assert built == [(2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
-        assert [sym.rows.size for sym in seen] == [100, 1000, 10000]
-        assert pruned.to_dict() == full.to_dict()
+        full = unpruned_graded_dims(q, 4, mode="exact")
+        assert built == [(0, 1, 1), (1, 10, 10), (2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
+        assert pruned.to_dict() == full
+
+    @pytest.mark.parametrize("cocycle", [(4, 3), (3, 1)], ids=["const:4:3", "const:3:1"])
+    def test_pruned_and_unpruned_reports_agree(self, cocycle):
+        # ranks, methods and primes, at an even order (4, where zeta^2 = -1 folds
+        # exponents in pairs) and an odd one (3)
+        q = constant_cocycle(X3, *cocycle)
+        assert graded_dims(q, 6).to_dict() == unpruned_graded_dims(q, 6)
 
     def test_disagreement_is_proven_on_every_kept_row(self, monkeypatch):
         # degree 3's first prime is made to disagree: the degree is proven again on
