@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
-from .errors import DimensionCapError
+from .errors import DimensionCapError, SectionConsistencyError
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -26,6 +26,9 @@ EXIT_CHECK_FAILED = 2
 EXIT_RESOURCE = 3
 
 N_CAP = spincover.DEFAULT_N_CAP
+# rack and cocycle build x_n, with n(n - 1)/2 elements, and check their axioms
+# on every triple of elements: n = 20 takes about a second, n = 30 over ten seconds
+RACK_N_CAP = 20
 
 
 class UsageError(Exception):
@@ -63,6 +66,11 @@ def _dim_cap(args) -> int:
     return cap
 
 
+def _check_rack_n(command: str, n: int) -> None:
+    if n > RACK_N_CAP:
+        raise DimensionCapError(f"{command}: need n <= {RACK_N_CAP} for x_n, got {n}")
+
+
 def _write_report(report: dict, out: str | None) -> None:
     if out is None:
         return
@@ -83,6 +91,7 @@ def cmd_rack(args) -> int:
             raise UsageError("rack: provide --n for a transposition rack or --check FILE")
         if args.n < 2:
             raise UsageError(f"rack: need n >= 2, got {args.n}")
+        _check_rack_n("rack", args.n)
         r = rack_mod.transposition_rack(args.n)
         report_src = f"x{args.n}"
     axioms = rack_mod.check_rack_axioms(r)
@@ -139,6 +148,7 @@ def cmd_cocycle(args) -> int:
             raise UsageError("cocycle: provide --kind or --check FILE")
         if args.n is None:
             raise UsageError("cocycle: --n is required for built-in cocycles")
+        _check_rack_n("cocycle", args.n)
         q = _builtin_cocycle(args.kind, rack_mod.transposition_rack(args.n), args.n)
         if q is None:
             raise UsageError(f"cocycle: unknown kind {args.kind!r}")
@@ -205,8 +215,8 @@ def cmd_cover(args) -> int:
 
 def cmd_verify_twist(args) -> int:
     n = args.n
-    if not 4 <= n <= N_CAP:
-        raise UsageError(f"twist-verify: need 4 <= n <= {N_CAP}, got {n}")
+    if not 4 <= n <= spincover.TWIST_N_CAP:
+        raise UsageError(f"twist-verify: need 4 <= n <= {spincover.TWIST_N_CAP}, got {n}")
     restriction = spincover.phi_psi_table(n).twist_table()
     cond = cocycle_mod.check_twist_condition(restriction)
     main_ok, first_fail = spincover.verify_main_theorem(n, restriction)
@@ -527,6 +537,9 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except SectionConsistencyError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,26 +5,56 @@ e_i^2 = 1 and e_i e_j = -e_j e_i.  The lifted Coxeter generators are
 t_i = (e_i - e_{i+1})/sqrt(2), so every element built from them is an
 integer combination of basis monomials times a power of 1/sqrt(2); an
 element stores those integer coefficients and the one exponent.  The
-central involution z is the scalar -1.  Group equality, products, and the
-sign cocycle of a section are all decided by integer arithmetic, with no
-floating point.  Section values are memoised by a SectionCache; the group
-cocycle of phi_psi_table owns one and reads every sign bit from it.
+central involution z is the scalar -1.  Group equality and products are
+decided by integer arithmetic, with no floating point; the presentation
+and the conjugation lemmas are checked this way.
+
+The sign cocycle of the section expands no Clifford product.  Brackets
+[i j] are unit vectors u = a/sqrt(2), a an integer vector with |a|^2 = 2
+read off bracket(n, i, j), and every section value s(x) is a product of
+such vectors.  So for a pair (x, y), V = s(x) s(y) rev(s(xy)) is a
+product of N unit vectors u_1 ... u_N, and s(x)s(y) = z^bit s(xy) says
+V = (-1)^bit.  By Wick's theorem the scalar part of V is the Pfaffian of
+the skew matrix (<u_i, u_j>)_{i<j}; with A = (<a_i, a_j>)_{i<j}, integral,
+Pf(A) = 2^(N/2) <V>_0.  Since V rev(V) = 1, the squares of the
+coefficients of V sum to 1, so |Pf(A)| <= 2^(N/2), with equality exactly
+when V = +-1.  Pf(A) is computed modulo fixed primes below 2^30 whose
+product exceeds 2^(N/2 + 1) (one prime while N <= 56): if every residue
+is e * 2^(N/2) with the same sign e, then Pf(A) = e * 2^(N/2) exactly, and
+the bit is 0 for e = +1 and 1 for e = -1.  Any other residue raises
+SectionConsistencyError.  The twist table takes one such Pfaffian per
+product xy and a Pfaffian of four vectors per pair; see
+GroupCocycleBit.twist_table.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cocycle import TwistTable, chi_cocycle, twist
-from .errors import SectionConsistencyError
+from .errors import DimensionCapError, SectionConsistencyError
 from .rack import Permutation, transposition_pairs, transposition_rack
 
 # Coefficient masks carry one bit per generator; elements of the cover have
 # at most 2^(n-1) terms, so n is capped to keep elements a few MB at most.
 DEFAULT_N_CAP = 12
+# Largest n for the twist table, which expands no Clifford product: its
+# Pfaffians have at most 4n - 8 vectors, and n = 20 takes a few seconds.
+TWIST_N_CAP = 20
 # Largest n for the exhaustive verify_group_cocycle.
 GROUP_COCYCLE_N_CAP = 5
+# The largest primes below 2^30, descending; a Pfaffian of N vectors is
+# decided by the first few whose product exceeds 2^(N/2 + 1).
+_PRIMES = (
+    1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717,
+    1073741689, 1073741671, 1073741663, 1073741651, 1073741621, 1073741567,
+)
+# A batch of Pfaffians is cut into (B, N, N) blocks of at most this many entries.
+_BATCH_ENTRIES = 1 << 16
 
 
 def _below_parity_mask(t: int, n: int) -> int:
@@ -287,66 +317,173 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> bool
     return True
 
 
+def _bracket_vector(n: int, i: int, j: int) -> list[int]:
+    """The integer vector a with [i j] = a/sqrt(2), read off bracket(n, i, j).elem.
+
+    SectionConsistencyError unless the element has k = 1, only grade-1 terms
+    and |a|^2 = 2, that is, unless [i j] is a unit vector of that form.
+    """
+    elem = bracket(n, i, j).elem
+    if elem.k != 1 or any(m.bit_count() != 1 for m in elem.terms):
+        raise SectionConsistencyError(f"[{i} {j}] = {elem!r} is not an integer vector over sqrt(2)")
+    a = [0] * n
+    for m, c in elem.terms.items():
+        a[m.bit_length() - 1] = c
+    if sum(c * c for c in a) != 2:
+        raise SectionConsistencyError(f"[{i} {j}] = {elem!r} is not a unit vector")
+    return a
+
+
+def _primes_for(size: int) -> tuple[int, ...]:
+    """The first _PRIMES whose product exceeds 2^(size/2 + 1)."""
+    bound, product = 1 << (size // 2 + 1), 1
+    for count, p in enumerate(_PRIMES, 1):
+        product *= p
+        if product > bound:
+            return _PRIMES[:count]
+    raise DimensionCapError(f"a Pfaffian of {size} vectors needs more than {len(_PRIMES)} primes")
+
+
+def _pfaffian_signs_modp(a: np.ndarray, p: int) -> np.ndarray:
+    """The sign e with Pf(a) = e * 2^(N/2) mod p, or 0 for neither, per skew matrix of a (B, N, N).
+
+    Entries must lie in [0, p).  Eliminating the pair (0, 1) with the pivot
+    b = a[0, 1] leaves the block T = b * (Schur complement), with Pf(a) =
+    b * Pf(T) / b^(N/2 - 1).  So Pf(a) = num / den with num the product of
+    the pivots b_1..b_M and den the product of the running products
+    b_1...b_j for j < M, M = N/2.  A zero pivot is first replaced by the
+    first nonzero entry of row 0, swapping index 1 with its column, which
+    negates the Pfaffian; a zero row makes Pf(a) = 0 mod p.  With p < 2^30 the
+    three products of an update sum below 2^62, so int64 stays exact and each
+    step reduces mod p once.
+    """
+    batch, size = a.shape[0], a.shape[1]
+    target = pow(2, size // 2, p)
+    prefix = np.ones(batch, dtype=np.int64)
+    den = np.ones(batch, dtype=np.int64)
+    negate = np.zeros(batch, dtype=bool)
+    zero = np.zeros(batch, dtype=bool)
+    while size:
+        need = np.flatnonzero(a[:, 0, 1] == 0)
+        if need.size:
+            col = np.argmax(a[need, 0] != 0, axis=1)  # 0 when row 0 is zero, as a[0, 0] = 0
+            zero[need[col == 0]] = True
+            swap, col = need[col > 1], col[col > 1]
+            if swap.size:
+                row = a[swap, 1]
+                a[swap, 1] = a[swap, col]
+                a[swap, col] = row
+                row = a[swap, :, 1]
+                a[swap, :, 1] = a[swap, :, col]
+                a[swap, :, col] = row
+                negate[swap] ^= True
+        pivot = np.where(zero, 1, a[:, 0, 1])
+        outer = a[:, 1, 2:, None] * a[:, 0, None, 2:]
+        a = a[:, 2:, 2:]  # the trailing block is updated in place
+        a *= pivot[:, None, None]
+        a += outer
+        a -= outer.transpose(0, 2, 1)
+        a %= p
+        prefix = prefix * pivot % p
+        size -= 2
+        if size:
+            den = den * prefix % p
+    num = np.where(negate, p - prefix, prefix)
+    sign = np.where(num == target * den % p, 1, 0)
+    sign[num == (p - target) * den % p] = -1
+    sign[zero] = 0
+    return sign
+
+
+def _word_bits(gram: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The sign bits of products of unit vectors: 0 for +1, 1 for -1, -1 for neither.
+
+    Row b of words (B, N) names vectors a_v by their index in gram, the
+    matrix of inner products of integer vectors with |a_v|^2 = 2, and stands
+    for the product of the unit vectors a_v/sqrt(2) in that order.  Its
+    scalar part is Pf(A)/2^(N/2), A the skew matrix of the inner products
+    <a_v, a_w> above the diagonal (Wick's theorem).  The product is +-1
+    exactly when Pf(A) = +-2^(N/2); see the module docstring for why the
+    primes of _primes_for decide that.
+    """
+    batch, size = words.shape
+    bits = np.full(batch, -1, dtype=np.int8)
+    if size % 2:
+        return bits
+    primes = _primes_for(size)
+    step = max(1, _BATCH_ENTRIES // max(1, size * size))
+    for lo in range(0, batch, step):
+        block = words[lo:lo + step]
+        skew = gram[block[:, :, None], block[:, None, :]]
+        skew *= np.sign(np.arange(size) - np.arange(size)[:, None])  # <a_i, a_j> for i < j, skew
+        sign = None
+        for p in primes:
+            got = _pfaffian_signs_modp(skew % p, p)
+            sign = got if sign is None else np.where(got == sign, sign, 0)
+        bits[lo:lo + step][sign == 1] = 0
+        bits[lo:lo + step][sign == -1] = 1
+    return bits
+
+
 class SectionCache:
     """Deterministic section s: S_n -> T_n with s(id) = 1 and s((i j)) = [i j].
 
-    Non-transpositions lift along their lexicographically smallest reduced
-    word, so the section (and hence the sign cocycle it defines) is
-    reproducible.  The lift is the left-to-right product t_{w_1} ... t_{w_l}
-    of Clifford elements.  One stack holds the prefix lifts of the last word
-    lifted; a new word keeps the prefix it shares with that word and
-    multiplies only its remaining letters.  The stack is at most one word
-    long, so memory stays flat however many sections are lifted.
+    Every value of s is a product of brackets, which are unit vectors:
+    `vectors[v]` is the integer vector a with [i j] = a/sqrt(2) for the v-th
+    pair (i, j) of transposition_pairs(n), read off bracket(n, i, j), and
+    `gram` holds their inner products.  Non-transpositions lift along their
+    lexicographically smallest reduced word as t_{w_1} ... t_{w_l}, with
+    t_w = [w, w+1].  section(sigma) returns that word of vector indices,
+    memoised; no Clifford product is expanded.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self._memo: dict[tuple[int, ...], SpinElement] = {}
-        self._gens = [generator_t(n, i).elem for i in range(1, n)]
-        self._word: tuple[int, ...] = ()
-        self._prefix = [CliffordElement.one(n)]  # _prefix[j] lifts _word[:j]
+        pairs = transposition_pairs(n)
+        self._index = {pair: v for v, pair in enumerate(pairs)}
+        self.vectors = np.array([_bracket_vector(n, i, j) for i, j in pairs], dtype=np.int64).reshape(-1, n)
+        self.gram = self.vectors @ self.vectors.T
+        self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def section(self, sigma: Permutation) -> SpinElement:
+    def section(self, sigma: Permutation) -> tuple[int, ...]:
+        """The vector word of s(sigma): s(sigma) is the product of the named unit vectors."""
         if sigma.n != self.n:
             raise ValueError("size mismatch")
-        cached = self._memo.get(sigma.image)
-        if cached is not None:
-            return cached
-        pair = sigma.transposition_pair()
-        if sigma.is_identity():
-            s = SpinElement.one(self.n)
-        elif pair is not None:
-            s = bracket(self.n, pair[0], pair[1])
-        else:
-            s = SpinElement(self._lift(sigma.lex_reduced_word()), sigma)
-        self._memo[sigma.image] = s
-        return s
-
-    def _lift(self, word: tuple[int, ...]) -> CliffordElement:
-        """The product of the generators along word, reusing the stacked shared prefix."""
-        prefix, last = self._prefix, self._word
-        shared = 0
-        for a, b in zip(word, last):
-            if a != b:
-                break
-            shared += 1
-        del prefix[shared + 1:]
-        for i in word[shared:]:
-            prefix.append(prefix[-1] * self._gens[i - 1])
-        self._word = word
-        return prefix[-1]
+        word = self._memo.get(sigma.image)
+        if word is None:
+            pair = sigma.transposition_pair()
+            if pair is not None:
+                word = (self._index[pair],)
+            else:
+                word = tuple(self._index[(w, w + 1)] for w in sigma.lex_reduced_word())
+            self._memo[sigma.image] = word
+        return word
 
     def phi_bit(self, x: Permutation, y: Permutation) -> int:
-        """The sign bit in s(x)s(y) = z^bit s(xy); raises if neither sign matches."""
-        prod = self.section(x).elem * self.section(y).elem
-        target = self.section(x * y).elem
-        if prod == target:
-            return 0
-        if prod == -target:
-            return 1
-        raise SectionConsistencyError(
-            f"s(x)s(y) is not +/- s(xy) for x={x.cycle_string()}, y={y.cycle_string()}"
-        )
+        """The sign bit in s(x)s(y) = z^bit s(xy); raises if neither sign matches.
+
+        The bit is the sign of s(x) s(y) rev(s(xy)), a product of vectors.
+        """
+        bit = int(self.word_bits([self.section(x) + self.section(y) + self.section(x * y)[::-1]])[0])
+        if bit < 0:
+            raise _inconsistent(x, y)
+        return bit
+
+    def word_bits(self, words: list[tuple[int, ...]]) -> np.ndarray:
+        """The sign bits of many vector words (0, 1, or -1 for neither), batched by length."""
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        bits = np.empty(len(words), dtype=np.int8)
+        for size in sorted(set(lengths.tolist())):
+            rows = np.flatnonzero(lengths == size)
+            block = np.array([words[r] for r in rows], dtype=np.intp).reshape(rows.size, size)
+            bits[rows] = _word_bits(self.gram, block)
+        return bits
+
+
+def _inconsistent(x: Permutation, y: Permutation) -> SectionConsistencyError:
+    return SectionConsistencyError(
+        f"s(x)s(y) is not +/- s(xy) for x={x.cycle_string()}, y={y.cycle_string()}"
+    )
 
 
 class GroupCocycleBit:
@@ -354,19 +491,52 @@ class GroupCocycleBit:
 
     def __init__(self, n: int):
         self.n = n
-        self._cache = SectionCache(n)
+        self.sections = SectionCache(n)
 
     def bit(self, x: Permutation, y: Permutation) -> int:
-        return self._cache.phi_bit(x, y)
+        return self.sections.phi_bit(x, y)
 
     def twist_table(self) -> TwistTable:
-        """The restriction to transposition pairs, as an order-2 twist table."""
-        rack = transposition_rack(self.n)
-        perms = [Permutation.transposition(self.n, i, j) for i, j in transposition_pairs(self.n)]
-        phi_tab = tuple(
-            tuple(self.bit(sx, sy) for sy in perms) for sx in perms
-        )
-        return TwistTable(rack=rack, order=2, phi=phi_tab)
+        """The restriction to transposition pairs, as an order-2 twist table.
+
+        Pairs (x, y) are grouped by their product sigma.  The first pair
+        (x0, y0) of each group in row-major order takes its bit from the
+        Pfaffian of [x0] [y0] rev(s(sigma)); every other pair adds the sign of
+        [x][y][y0][x0] = z^(bit + bit0), a Pfaffian of four vectors.
+        """
+        n, sections = self.n, self.sections
+        pairs = transposition_pairs(n)
+        k = len(pairs)
+        images = np.tile(np.arange(n), (k, 1))
+        for v, (i, j) in enumerate(pairs):
+            images[v, i - 1], images[v, j - 1] = j - 1, i - 1
+        # (x y)(m) = x(y(m)), for all k^2 pairs in row-major order
+        products = images[np.arange(k)[:, None, None], images[None, :, :]].reshape(k * k, n) + 1
+        groups: dict[tuple[int, ...], int] = {}
+        first, group = [], []  # the first pair of each product, the product of each pair
+        for pos, sigma in enumerate(map(tuple, products.tolist())):
+            index = groups.get(sigma)
+            if index is None:
+                index = groups[sigma] = len(first)
+                first.append(pos)
+            group.append(index)
+        x0, y0 = np.divmod(np.array(first), k)
+        ref_bits = sections.word_bits([
+            (a, b) + sections.section(Permutation(sigma))[::-1]
+            for a, b, sigma in zip(x0.tolist(), y0.tolist(), groups)
+        ])
+        group = np.array(group)
+        x0, y0, ref_bits = x0[group], y0[group], ref_bits[group]
+        x, y = np.divmod(np.arange(k * k), k)
+        gram = sections.gram
+        pf = gram[x, y] * gram[y0, x0] - gram[x, y0] * gram[y, x0] + gram[x, x0] * gram[y, y0]
+        bad = np.flatnonzero((np.abs(pf) != 4) | (ref_bits < 0))
+        if bad.size:
+            a, b = divmod(int(bad[0]), k)
+            raise _inconsistent(Permutation.transposition(n, *pairs[a]), Permutation.transposition(n, *pairs[b]))
+        bits = ref_bits ^ (pf == -4)
+        phi_tab = tuple(map(tuple, bits.reshape(k, k).tolist()))
+        return TwistTable(rack=transposition_rack(n), order=2, phi=phi_tab)
 
 
 def phi_psi_table(n: int) -> GroupCocycleBit:
@@ -376,29 +546,40 @@ def phi_psi_table(n: int) -> GroupCocycleBit:
     return GroupCocycleBit(n)
 
 
+def _group_table(gc: GroupCocycleBit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_n in lexicographic order (one-line images), its multiplication table and the full bit table.
+
+    All n!^2 bits are taken in one batch of Pfaffians.
+    """
+    n, sections = gc.n, gc.sections
+    images = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    size = len(images)
+    # lexicographic order, so the base-(n+1) codes of the images ascend
+    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    products = images[np.arange(size)[:, None, None], images[None, :, :] - 1]
+    mult = np.searchsorted(images @ weights, products @ weights).astype(np.int32)
+    words = [sections.section(Permutation(img)) for img in map(tuple, images.tolist())]
+    backwards = [w[::-1] for w in words]
+    bits = sections.word_bits(
+        [words[a] + words[b] + backwards[c] for a, row in enumerate(mult.tolist()) for b, c in enumerate(row)]
+    ).reshape(size, size)
+    bad = np.flatnonzero(bits < 0)
+    if bad.size:
+        a, b = divmod(int(bad[0]), size)
+        raise _inconsistent(Permutation(tuple(images[a].tolist())), Permutation(tuple(images[b].tolist())))
+    return images, mult, bits
+
+
 def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
     """Exhaustive check of bit(x,y)+bit(xy,z) == bit(x,yz)+bit(y,z) mod 2 over S_n.
 
     Materializes the full n! x n! bit table, so n is capped (n! triples grow
     as (n!)^3; n = 5 means 1.728M triples).
     """
-    import itertools
-
-    import numpy as np
-
     if gc.n > GROUP_COCYCLE_N_CAP:
         raise ValueError(f"exhaustive group-cocycle check capped at n={GROUP_COCYCLE_N_CAP}")
-    perms = [Permutation(img) for img in itertools.permutations(range(1, gc.n + 1))]
-    index = {p.image: i for i, p in enumerate(perms)}
-    size = len(perms)
-    mult = np.empty((size, size), dtype=np.int32)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            mult[a, b] = index[(pa * pb).image]
-    bits = np.empty((size, size), dtype=np.int8)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            bits[a, b] = gc.bit(pa, pb)
+    images, mult, bits = _group_table(gc)
+    size = len(images)
     x = np.arange(size)[:, None, None]
     y = np.arange(size)[None, :, None]
     z = np.arange(size)[None, None, :]

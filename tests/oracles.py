@@ -5,8 +5,12 @@ definitions with the package: dense rational elimination for ranks, dense
 matrix products for braid lifts, alternative reduced-word generators, plain
 triple loops for the cocycle and twist conditions, a pair loop for the
 twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
-rational coefficients.  The one exception is unpruned_graded_dims, which
-reruns the package's ranks on every row of every degree.
+rational coefficients.  The sign cocycle of the section has two oracles
+that expand no Pfaffian: CliffordSection lifts the section in the package's
+Clifford model, and twist_identity_by_reflections checks the twist identity
+one bracket at a time, with no section at all.  The one exception is
+unpruned_graded_dims, which reruns the package's ranks on every row of
+every degree.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from racktwist import braided, hilbert
-from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
-from racktwist.rack import FiniteRack, Permutation, rack_to_dict
+from racktwist import braided, hilbert, spincover
+from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle
+from racktwist.errors import SectionConsistencyError
+from racktwist.rack import FiniteRack, Permutation, rack_to_dict, transposition_pairs
+from racktwist.spincover import CliffordElement, SpinElement
 
 
 def rank_over_rationals(rows) -> int:
@@ -557,6 +563,98 @@ def signed_action_consistent(s) -> bool:
         if image not in ({target: QuadScalar.of(1)}, {target: QuadScalar.of(-1)}):
             return False
     return True
+
+
+class CliffordSection:
+    """The section s: S_n -> T_n of spincover.SectionCache, as Clifford elements.
+
+    s(id) = 1, s((i j)) = [i j], and any other sigma is the product
+    t_{w_1} ... t_{w_l} along its lex-reduced word, expanded in the Clifford
+    model.  One stack holds the prefix lifts of the last word lifted; a new
+    word keeps the prefix it shares with that word and multiplies only its
+    remaining letters.  The lift of an m-cycle has 2^(m-1) terms, so this is
+    exponential in n.  Brackets and generators are looked up on the
+    spincover module at each use, so a test can patch them.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self._memo: dict[tuple[int, ...], SpinElement] = {}
+        self._gens = [spincover.generator_t(n, i).elem for i in range(1, n)]
+        self._word: tuple[int, ...] = ()
+        self._prefix = [CliffordElement.one(n)]  # _prefix[j] lifts _word[:j]
+
+    def section(self, sigma: Permutation) -> SpinElement:
+        cached = self._memo.get(sigma.image)
+        if cached is None:
+            pair = sigma.transposition_pair()
+            if pair is not None:
+                cached = spincover.bracket(self.n, *pair)
+            else:
+                cached = SpinElement(self._lift(sigma.lex_reduced_word()), sigma)
+            self._memo[sigma.image] = cached
+        return cached
+
+    def _lift(self, word: tuple[int, ...]) -> CliffordElement:
+        prefix, last = self._prefix, self._word
+        shared = 0
+        for a, b in zip(word, last):
+            if a != b:
+                break
+            shared += 1
+        del prefix[shared + 1:]
+        for i in word[shared:]:
+            prefix.append(prefix[-1] * self._gens[i - 1])
+        self._word = word
+        return prefix[-1]
+
+    def phi_bit(self, x: Permutation, y: Permutation) -> int:
+        """The sign bit in s(x)s(y) = z^bit s(xy); raises if neither sign matches."""
+        prod = self.section(x).elem * self.section(y).elem
+        target = self.section(x * y).elem
+        if prod == target:
+            return 0
+        if prod == -target:
+            return 1
+        raise SectionConsistencyError(f"s(x)s(y) is not +/- s(xy) for x={x.image}, y={y.image}")
+
+
+def clifford_twist_table(n: int) -> TwistTable:
+    """The restriction of the section's cocycle to transposition pairs, pair by pair in the Clifford model."""
+    section = CliffordSection(n)
+    perms = [Permutation.transposition(n, i, j) for i, j in transposition_pairs(n)]
+    phi = tuple(tuple(section.phi_bit(x, y) for y in perms) for x in perms)
+    return TwistTable(rack=chi_cocycle(n).rack, order=2, phi=phi)
+
+
+def bracket_vector(n: int, i: int, j: int) -> tuple[int, ...]:
+    """sqrt(2) * [i j] as an integer vector, from spincover.bracket; ValueError if it is none."""
+    elem = spincover.bracket(n, i, j).elem
+    if elem.k != 1 or any(bin(m).count("1") != 1 for m in elem.terms):
+        raise ValueError(f"[{i} {j}] is not an integer vector over sqrt(2)")
+    return tuple(elem.terms.get(1 << v, 0) for v in range(n))
+
+
+def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
+    """The first pair (a, b) of transpositions that breaks the twist identity, or None.
+
+    With [s(x)][s(y)] = z^phi(x, y) s(xy), the identity phi(sigma, tau) -
+    phi(sigma |> tau, sigma) + chi(sigma, tau) = 1 says [sigma][tau][sigma]^-1
+    = z^(1 - chi(sigma, tau)) [sigma |> tau] for every pair of transpositions.
+    For unit vectors u = a/sqrt(2) and v = b/sqrt(2), u^-1 = u and
+    u v u = 2<u, v> u - v, so sqrt(2) u v u^-1 = <a, b> a - b: each side is one
+    integer vector, and no section is lifted.
+    """
+    chi = chi_cocycle(n)
+    vectors = [bracket_vector(n, i, j) for i, j in transposition_pairs(n)]
+    for a, u in enumerate(vectors):
+        for b, v in enumerate(vectors):
+            dot = sum(p * q for p, q in zip(u, v))
+            sign = 1 if chi.exp[a][b] else -1
+            target = vectors[chi.rack.op[a][b]]
+            if any(dot * p - q != sign * t for p, q, t in zip(u, v, target)):
+                return a, b
+    return None
 
 
 def value_at_one(coeffs: list[int]) -> int:

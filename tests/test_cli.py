@@ -11,9 +11,10 @@ import pytest
 from oracles import flip_phi_bit, main_theorem_log, twist_condition_first_failure
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
-from racktwist.cli import main
+from racktwist import spincover
+from racktwist.cli import RACK_N_CAP, main
 from racktwist.cocycle import chi_cocycle
-from racktwist.spincover import GroupCocycleBit
+from racktwist.spincover import CliffordElement, GroupCocycleBit, SpinElement
 
 
 def run(argv):
@@ -23,6 +24,13 @@ def run(argv):
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def never_build_rack(monkeypatch):
+    def never(n):
+        raise AssertionError(f"x{n} was built")
+
+    monkeypatch.setattr(rack_mod, "transposition_rack", never)
 
 
 class TestRackCommand:
@@ -50,6 +58,13 @@ class TestRackCommand:
     def test_usage_errors(self):
         assert run(["rack"]) == 1
         assert run(["rack", "--n", "1"]) == 1
+
+    def test_large_n_is_a_resource_limit(self, tmp_path, capsys, monkeypatch):
+        never_build_rack(monkeypatch)
+        out = tmp_path / "rack.json"
+        assert run(["rack", "--n", "400", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"resource limit: rack: need n <= {RACK_N_CAP} for x_n, got 400\n"
+        assert not out.exists()
 
 
 class TestCocycleCommand:
@@ -87,6 +102,15 @@ class TestCocycleCommand:
         assert err == (
             "resource limit: cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums\n"
         )
+
+
+    def test_large_n_is_a_resource_limit(self, tmp_path, capsys, monkeypatch):
+        never_build_rack(monkeypatch)
+        out = tmp_path / "c.json"
+        for kind in ("-1", "chi"):
+            assert run(["cocycle", f"--kind={kind}", "--n", "400", "--out", str(out)]) == 3
+            assert capsys.readouterr().err == f"resource limit: cocycle: need n <= {RACK_N_CAP} for x_n, got 400\n"
+        assert not out.exists()
 
 
 class TestCoverCommand:
@@ -128,6 +152,30 @@ class TestTwistVerifyCommand:
 
     def test_n3_usage_error(self):
         assert run(["twist-verify", "--n", "3"]) == 1
+
+    def test_n_cap(self, capsys):
+        # twist-verify expands no Clifford product, so its cap is above that of cover
+        assert run(["twist-verify", "--n", "21"]) == 1
+        assert capsys.readouterr().err.endswith("error: twist-verify: need 4 <= n <= 20, got 21\n")
+
+    @pytest.mark.parametrize("command", ["twist-verify", "cover"])
+    def test_non_unit_bracket_fails_in_one_line(self, tmp_path, capsys, monkeypatch, command):
+        # [1 3] = (e_1 - e_3)/sqrt(2) doubled is no unit vector, so no phi bit is decided
+        original = spincover.bracket
+
+        def patched(n, i, j):
+            got = original(n, i, j)
+            if (i, j) != (1, 3):
+                return got
+            return SpinElement(CliffordElement(n, {m: 2 * c for m, c in got.elem.terms.items()}, 1), got.perm)
+
+        monkeypatch.setattr(spincover, "_BRACKETS", {})
+        monkeypatch.setattr(spincover, "bracket", patched)
+        out = tmp_path / "r.json"
+        assert run([command, "--n", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "check failed: [1 3] = 2^(-1/2)*(2*e1 + -2*e3) is not a unit vector\n"
+        assert not out.exists()
 
     def test_flipped_bit_fails_with_its_first_pair(self, tmp_path, capsys, monkeypatch):
         real = GroupCocycleBit.twist_table
@@ -370,6 +418,12 @@ def test_hilbert_run_does_not_load_numpy_ma():
     code = ("import sys; from racktwist.cli import main; "
             "main(['hilbert', '--rack', 'x4', '--cocycle', 'chi', '--max-degree', '4']); "
             "print('numpy.ma' in sys.modules)")
+    assert run_child(code).splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [["twist-verify", "--n", "8"], ["selfcheck", "--n-max", "4"]])
+def test_spin_cover_runs_do_not_load_numpy_ma(argv):
+    code = f"import sys; from racktwist.cli import main; main({argv!r}); print('numpy.ma' in sys.modules)"
     assert run_child(code).splitlines()[-1] == "False"
 
 

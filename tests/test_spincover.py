@@ -2,10 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
+    CliffordSection,
     QuadScalar,
+    clifford_twist_table,
     flip_phi_bit,
     is_group_like,
     main_theorem_log,
@@ -13,10 +16,12 @@ from oracles import (
     quad_element,
     quad_generator,
     signed_action_consistent,
+    twist_identity_by_reflections,
 )
-from racktwist import spincover
+from racktwist import cli, spincover
 from racktwist.cocycle import check_twist_condition, chi_cocycle
-from racktwist.errors import SectionConsistencyError
+from racktwist.errors import DimensionCapError, SectionConsistencyError
+from racktwist.hilbert import _is_prime_u32
 from racktwist.rack import Permutation, transposition_pairs
 from racktwist.spincover import (
     CliffordElement,
@@ -333,9 +338,19 @@ class TestSpinElementInvariants:
             assert signed_action_consistent(s)
 
 
+def word_product(n, word):
+    """The Clifford product of the unit vectors [i j] named by a vector word of SectionCache(n)."""
+    pairs = transposition_pairs(n)
+    elem = CliffordElement.one(n)
+    for v in word:
+        elem = elem * bracket(n, *pairs[v]).elem
+    return elem
+
+
 class TestSection:
     def test_identity(self):
-        assert SectionCache(4).section(Permutation.identity(4)) == SpinElement.one(4)
+        assert SectionCache(4).section(Permutation.identity(4)) == ()
+        assert CliffordSection(4).section(Permutation.identity(4)) == SpinElement.one(4)
 
     def test_module_functions_share_one_cache(self):
         # one cache memoises each section; the group cocycle reads its bits from such a cache
@@ -345,20 +360,44 @@ class TestSection:
         assert phi_psi_table(5).bit(sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
 
     def test_transposition_values(self):
-        assert SectionCache(4).section(Permutation.transposition(4, 1, 2)) == generator_t(4, 1)
-        s13 = SectionCache(3).section(Permutation.transposition(3, 1, 3))
+        cache = SectionCache(4)
+        assert cache.section(Permutation.transposition(4, 1, 2)) == (0,)
+        assert cache.section(Permutation.transposition(4, 2, 4)) == (transposition_pairs(4).index((2, 4)),)
+        assert CliffordSection(4).section(Permutation.transposition(4, 1, 2)) == generator_t(4, 1)
+        s13 = CliffordSection(3).section(Permutation.transposition(3, 1, 3))
         t1, t2 = generator_t(3, 1), generator_t(3, 2)
         assert s13 == (t1 * t2 * t1).times_z()
         assert s13 == bracket(3, 1, 3)
 
     def test_projection_property(self):
+        # the transpositions named by the vector word multiply to sigma
         rng = random.Random(5)
         cache = SectionCache(5)
+        pairs = transposition_pairs(5)
         for _ in range(30):
             img = list(range(1, 6))
             rng.shuffle(img)
             sigma = Permutation(tuple(img))
-            assert cache.section(sigma).perm.image == sigma.image
+            prod = Permutation.identity(5)
+            for v in cache.section(sigma):
+                prod = prod * Permutation.transposition(5, *pairs[v])
+            assert prod.image == sigma.image
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_vectors_are_read_off_the_brackets(self, n):
+        cache = SectionCache(n)
+        for v, (i, j) in enumerate(transposition_pairs(n)):
+            elem = CliffordElement(n, {1 << m: int(c) for m, c in enumerate(cache.vectors[v])}, k=1)
+            assert elem == bracket(n, i, j).elem
+        assert (cache.gram == cache.vectors @ cache.vectors.T).all()
+        assert (np.diag(cache.gram) == 2).all()
+
+    def test_words_multiply_to_the_clifford_section(self):
+        oracle = CliffordSection(5)
+        cache = SectionCache(5)
+        for img in itertools.permutations(range(1, 6)):
+            sigma = Permutation(img)
+            assert word_product(5, cache.section(sigma)) == oracle.section(sigma).elem
 
     @staticmethod
     def naive_section(sigma):
@@ -372,7 +411,7 @@ class TestSection:
         return lift
 
     def test_prefix_stack_in_shuffled_order(self):
-        # the prefix stack must never leak letters of an earlier word into a later one
+        # the oracle's prefix stack must never leak letters of an earlier word into a later one
         rng = random.Random(12)
         s5 = [Permutation(img) for img in itertools.permutations(range(1, 6))]
         ts = [Permutation.transposition(8, i, j) for i, j in transposition_pairs(8)]
@@ -380,22 +419,22 @@ class TestSection:
         assert len(s8) == 351
         for perms in (s5, s8):
             rng.shuffle(perms)
-            cache = SectionCache(perms[0].n)
+            section = CliffordSection(perms[0].n)
             for sigma in perms:
-                assert cache.section(sigma) == self.naive_section(sigma)
+                assert section.section(sigma) == self.naive_section(sigma)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_conjugation_rule_exhaustive(self, n):
         # s(sigma) |> s(tau) = s(sigma |> tau) * z  when sigma(i) < sigma(j),
         # and without the z factor when sigma(i) > sigma(j)
-        cache = SectionCache(n)
+        section = CliffordSection(n)
         for (a, b) in transposition_pairs(n):
             sigma = Permutation.transposition(n, a, b)
-            s_sigma = cache.section(sigma)
+            s_sigma = section.section(sigma)
             for (i, j) in transposition_pairs(n):
                 tau = Permutation.transposition(n, i, j)
-                got = s_sigma.conj(cache.section(tau))
-                target = cache.section(sigma * tau * sigma.inverse())
+                got = s_sigma.conj(section.section(tau))
+                target = section.section(sigma * tau * sigma.inverse())
                 if sigma(i) < sigma(j):
                     target = target.times_z()
                 assert got == target
@@ -429,23 +468,20 @@ class TestPhi:
 
     def test_corrupt_section_detected(self):
         cache = SectionCache(3)
-        sigma = Permutation.transposition(3, 1, 2)
-        # poison the memo with a non-group element: neither +s nor -s
-        cache._memo[sigma.image] = SpinElement(
-            scaled(generator_t(3, 1).elem, 2), sigma
-        )
+        sigma, tau = Permutation.transposition(3, 1, 2), Permutation.transposition(3, 2, 3)
+        # poison the memo: s((1 2)) = [2 3], so s(x)s(y) is neither +s(xy) nor -s(xy)
+        cache._memo[sigma.image] = cache.section(tau)
         with pytest.raises(SectionConsistencyError):
-            cache.phi_bit(sigma, Permutation.transposition(3, 2, 3))
+            cache.phi_bit(sigma, tau)
 
 
     def test_corrupt_generator_detected(self, monkeypatch):
         # the section lifts along t_i = e_i - e_{i+1}, without the 1/sqrt(2)
         monkeypatch.setattr(spincover, "generator_t", _unnormalized_generator)
         monkeypatch.setattr(spincover, "_BRACKETS", {})
-        cache = SectionCache(4)
         x, y = Permutation.transposition(4, 1, 3), Permutation.transposition(4, 1, 2)
-        with pytest.raises(SectionConsistencyError):
-            cache.phi_bit(x, y)
+        with pytest.raises(SectionConsistencyError, match="not an integer vector"):
+            SectionCache(4).phi_bit(x, y)
 
 
 class TestMainTheorem:
@@ -461,11 +497,11 @@ class TestMainTheorem:
     def test_section_lemma_pair_example(self):
         # sigma = (2 3), tau = (1 2): sigma(1) < sigma(2) so the z factor appears
         n = 4
-        cache = SectionCache(n)
+        section = CliffordSection(n)
         sigma = Permutation.transposition(n, 2, 3)
         tau = Permutation.transposition(n, 1, 2)
-        got = cache.section(sigma).conj(cache.section(tau))
-        assert got == cache.section(Permutation.transposition(n, 1, 3)).times_z()
+        got = section.section(sigma).conj(section.section(tau))
+        assert got == section.section(Permutation.transposition(n, 1, 3)).times_z()
 
     def test_restriction_satisfies_twist_condition(self):
         for n in (4, 5):
@@ -507,3 +543,101 @@ class TestPhiPsiScalars:
         x = Permutation.transposition(4, 1, 3)
         y = Permutation.transposition(4, 1, 2)
         assert sign(gc, x, y) == (-1) ** gc.bit(x, y)
+
+
+def scale_bracket(monkeypatch, i, j, factor):
+    """Patch spincover.bracket so that [i j] (for every n) comes back multiplied by factor."""
+    original = spincover.bracket
+
+    def patched(n, a, b):
+        got = original(n, a, b)
+        if (a, b) != (i, j):
+            return got
+        return SpinElement(scaled(got.elem, factor), got.perm)
+
+    monkeypatch.setattr(spincover, "_BRACKETS", {})
+    monkeypatch.setattr(spincover, "bracket", patched)
+
+
+class TestPfaffianSigns:
+    """Phi bits as signs of integer Pfaffians, against the Clifford expansion."""
+
+    def test_primes(self):
+        primes = spincover._PRIMES
+        assert list(primes) == sorted(set(primes), reverse=True)
+        assert all(p < 2**30 and _is_prime_u32(p) for p in primes)
+        # one prime decides N <= 56 vectors, two decide N <= 116
+        assert len(spincover._primes_for(56)) == 1
+        assert len(spincover._primes_for(58)) == 2
+        assert len(spincover._primes_for(116)) == 2
+        with pytest.raises(DimensionCapError):
+            spincover._primes_for(60 * len(primes))
+
+    @pytest.mark.parametrize("n, lengths", [(5, range(0, 13)), (6, (40, 54, 56, 70))])
+    def test_random_words_match_clifford_products(self, n, lengths):
+        # random vector words are rarely +-1; a word times its reverse is 1, and
+        # [1 2][3 4][1 2][3 4] = -1 in between makes it -1; N >= 58 takes a second prime
+        rng = random.Random(n)
+        cache = SectionCache(n)
+        pairs = transposition_pairs(n)
+        a, c = pairs.index((1, 2)), pairs.index((3, 4))
+        one = CliffordElement.one(n)
+        words, expected = [], []
+        for size in lengths:
+            for trial in range(30):
+                if trial % 3 == 0:
+                    word = tuple(rng.randrange(len(pairs)) for _ in range(size))
+                else:
+                    half = tuple(rng.randrange(len(pairs)) for _ in range(size // 2))
+                    word = half + (a, c, a, c) * (trial % 3 - 1) + half[::-1]
+                words.append(word)
+                prod = word_product(n, word)
+                expected.append(0 if prod == one else 1 if prod == -one else -1)
+        assert cache.word_bits(words).tolist() == expected
+        assert set(expected) == {-1, 0, 1}
+
+    def test_word_of_minus_one(self):
+        # [1 2][2 3][1 2][2 3][1 2][2 3] = (t_1 t_2)^3 = 1, while [1 2][3 4][1 2][3 4] = z
+        cache = SectionCache(4)
+        idx = {pair: v for v, pair in enumerate(transposition_pairs(4))}
+        a, b, c = idx[(1, 2)], idx[(2, 3)], idx[(3, 4)]
+        assert cache.word_bits([(a, b) * 3, (a, c) * 2, (), (a, b, c)]).tolist() == [0, 1, 0, -1]
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_twist_table_equals_the_clifford_lift(self, n):
+        assert phi_psi_table(n).twist_table() == clifford_twist_table(n)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_group_cocycle_bits_equal_the_clifford_lift(self, n):
+        images, mult, bits = spincover._group_table(phi_psi_table(n))
+        perms = [Permutation(tuple(img)) for img in images.tolist()]
+        oracle = CliffordSection(n)
+        for a, x in enumerate(perms):
+            for b, y in enumerate(perms):
+                assert perms[mult[a, b]].image == (x * y).image
+                assert bits[a, b] == oracle.phi_bit(x, y)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 13, 16])
+    def test_reflection_oracle_agrees_with_twist_verify(self, n):
+        # no Clifford oracle reaches n = 13 and 16
+        assert cli.main(["twist-verify", "--n", str(n)]) == 0
+        assert twist_identity_by_reflections(n) is None
+
+    def test_negated_bracket_fails_everywhere(self, monkeypatch):
+        scale_bracket(monkeypatch, 1, 3, -1)
+        assert spincover.bracket(5, 1, 3).elem == -bracket_vector_elem(5, 1, 3)
+        assert cli.main(["twist-verify", "--n", "5"]) == 2
+        assert verify_main_theorem(5)[0] is False
+        assert verify_main_theorem(5, clifford_twist_table(5))[0] is False
+        assert twist_identity_by_reflections(5) is not None
+
+    def test_non_unit_bracket_raises(self, monkeypatch):
+        # [1 4] is built from [2 4], so it is the first bracket read that is not a unit vector
+        scale_bracket(monkeypatch, 2, 4, 2)
+        with pytest.raises(SectionConsistencyError, match=r"\[1 4\].*not a unit vector"):
+            phi_psi_table(5).twist_table()
+
+
+def bracket_vector_elem(n, i, j):
+    """(e_i - e_j)/sqrt(2), the closed form of [i j] for i < j."""
+    return CliffordElement(n, {1 << (i - 1): 1, 1 << (j - 1): -1}, k=1)
