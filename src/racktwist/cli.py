@@ -428,10 +428,14 @@ def cmd_selfcheck(args) -> int:
     def matsumoto_independence():
         rng = random.Random(args.seed)
         base = cocycle_mod.minus_one_cocycle(rack_mod.transposition_rack(3))
+        seen = set()  # the verdict per sigma is deterministic, so each is checked once
         for _ in range(200):
             n = rng.randint(2, min(n_max, 7))
             img = list(range(1, n + 1))
             rng.shuffle(img)
+            if tuple(img) in seen:
+                continue
+            seen.add(tuple(img))
             sigma = rack_mod.Permutation(tuple(img))
             lex = sigma.lex_reduced_word()
             # conjugation by w0 maps s_i to s_{n-i}, so this is another reduced word of sigma

@@ -8,9 +8,11 @@ twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
 rational coefficients.  The sign cocycle of the section has two oracles
 that expand no Pfaffian: CliffordSection lifts the section in the package's
 Clifford model, and twist_identity_by_reflections checks the twist identity
-one bracket at a time, with no section at all.  The one exception is
-unpruned_graded_dims, which reruns the package's ranks on every row of
-every degree.
+one bracket at a time, with no section at all.  The conjugation lemmas
+have conjugation_lemmas_by_clifford, which expands every lift in the
+Clifford model where the package reflects integer vectors.  The one
+exception is unpruned_graded_dims, which reruns the package's ranks on
+every row of every degree.
 """
 
 from __future__ import annotations
@@ -655,6 +657,42 @@ def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
             if any(dot * p - q != sign * t for p, q, t in zip(u, v, target)):
                 return a, b
     return None
+
+
+def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> bool:
+    """spincover.verify_conjugation_lemmas with every lift expanded in the Clifford model.
+
+    Exhaustively checks t_k [i j] t_k^-1 = [s_k(i) s_k(j)] z, then conjugates
+    [i j] by the lifts of random generator words of length l <= 20 and checks
+    the result is [w(i) w(j)] z^l; the words are drawn as in the package.  A
+    lift of l letters has up to 2^(n-1) terms, so this is exponential in n.
+    """
+    brackets = {
+        (a, b): spincover.bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
+    }
+    ts = [spincover.generator_t(n, i) for i in range(1, n)]
+    for sk in ts:
+        swap = sk.perm
+        for (a, b), br in brackets.items():
+            if sk.conj(br) != brackets[(swap(a), swap(b))].times_z():
+                return False
+    rng = random.Random(seed)
+    for _ in range(trials):
+        l = rng.randint(0, 20)
+        word = [rng.randint(1, n - 1) for _ in range(l)]
+        lift = SpinElement.one(n)
+        for i in word:
+            lift = lift * ts[i - 1]
+        a = rng.randint(1, n)
+        b = rng.randint(1, n - 1)
+        if b >= a:
+            b += 1
+        expected = brackets[(lift.perm(a), lift.perm(b))]
+        if l % 2 == 1:
+            expected = expected.times_z()
+        if lift.conj(brackets[(a, b)]) != expected:
+            return False
+    return True
 
 
 def value_at_one(coeffs: list[int]) -> int:

@@ -9,6 +9,7 @@ from oracles import (
     CliffordSection,
     QuadScalar,
     clifford_twist_table,
+    conjugation_lemmas_by_clifford,
     flip_phi_bit,
     is_group_like,
     main_theorem_log,
@@ -310,6 +311,32 @@ class TestConjugation:
     @pytest.mark.parametrize("n", [4, 5])
     def test_lemmas(self, n):
         assert verify_conjugation_lemmas(n, trials=300, seed=7)
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reflections_agree_with_clifford_lifts(self, n, seed):
+        assert verify_conjugation_lemmas(n, trials=300, seed=seed) is True
+        assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) is True
+
+    def test_negated_bracket_fails_both_checks(self, monkeypatch):
+        scale_bracket(monkeypatch, 1, 3, -1)
+        assert verify_conjugation_lemmas(5, trials=0) is False
+        assert conjugation_lemmas_by_clifford(5, trials=0) is False
+
+    @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (4, 2)])
+    @pytest.mark.parametrize("trials", [0, 200])
+    def test_negated_bracket_vector_fails(self, monkeypatch, pair, trials):
+        original = spincover._bracket_vector
+
+        def negated(n, i, j):
+            v = original(n, i, j)
+            return [-c for c in v] if (i, j) == pair else v
+
+        monkeypatch.setattr(spincover, "_bracket_vector", negated)
+        assert verify_conjugation_lemmas(5, trials=trials, seed=3) is False
+
+    def test_lemmas_at_the_cap(self):
+        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000)
 
 
 class TestSpinElementInvariants:
