@@ -398,12 +398,16 @@ def cmd_selfcheck(args) -> int:
     checks = []
 
     def run(name: str, fn):
+        """Record fn's verdict; fn may return (ok, pair), and a failing entry then carries the pair."""
         try:
-            ok = bool(fn())
+            got = fn()
         except Exception as exc:  # a crashed check is a failed check
             checks.append({"name": name, "ok": False, "error": str(exc)})
             return
-        checks.append({"name": name, "ok": ok})
+        ok, pair = got if isinstance(got, tuple) else (got, None)
+        checks.append({"name": name, "ok": bool(ok)})
+        if not ok and pair is not None:
+            checks[-1]["first_failing_pair"] = pair
 
     for n in range(2, n_max + 1):
         run(f"presentation n={n}", lambda n=n: spincover.verify_presentation(n, generator=generator))
@@ -418,7 +422,7 @@ def cmd_selfcheck(args) -> int:
             lambda n=n: spincover.verify_group_cocycle(spincover.phi_psi_table(n)),
         )
     for n in range(4, n_max + 1):
-        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n)[0])
+        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n))
     for n in range(3, min(n_max, 5) + 1):
         chi = cocycle_mod.chi_cocycle(n)
         minus_one = cocycle_mod.minus_one_cocycle(chi.rack)

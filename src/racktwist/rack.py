@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -71,24 +73,19 @@ class Permutation:
         return None
 
     def lex_reduced_word(self) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word, by greedy smallest left descent.
+        """The lexicographically smallest reduced word, read off the inversion code of the inverse.
 
-        Left-multiplying by s_i swaps entries i-1 and i of the inverse image, so
-        the greedy choice is a bubble sort of the inverse image that always
-        swaps its leftmost descent.  A swap at i can only create a descent at
-        i-1, so the scan steps back one place after each swap.
+        The formula of lex_reduced_words, in plain Python for one permutation,
+        where a numpy call would cost more than the word: c_v counts the
+        smaller values that stand to the right of the value v.
         """
-        inv = list(self.inverse().image)
-        word = []
-        i = 1
-        while i < len(inv):
-            if inv[i - 1] > inv[i]:
-                inv[i - 1], inv[i] = inv[i], inv[i - 1]
-                word.append(i)
-                if i > 1:
-                    i -= 1
-            else:
-                i += 1
+        img = self.image
+        codes = [0] * self.n
+        for pos, v in enumerate(img):
+            codes[v - 1] = sum(1 for u in img[pos + 1:] if u < v)
+        word: list[int] = []
+        for j in range(1, self.n):
+            word.extend(range(j, j - codes[j], -1))
         return tuple(word)
 
     def cycle_string(self) -> str:
@@ -106,6 +103,28 @@ class Permutation:
                 v = self(v)
             parts.append("(" + " ".join(str(c) for c in cyc) + ")")
         return "".join(parts) if parts else "id"
+
+
+def lex_reduced_words(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lexicographically smallest reduced words of the permutations with one-line images (B, n).
+
+    For sigma let c_j = #{i < j : sigma^-1(i) > sigma^-1(j)}, the inversion code
+    of sigma^-1 read by value.  The smallest word is the concatenation over
+    j = 2..n of the runs (j-1, j-2, ..., j-c_j) (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2005).  The codes are counted one column j at a time.
+    Returns (letters, lengths): the words one after another, and their lengths.
+    """
+    batch, n = images.shape
+    inv = np.empty((batch, n + 1), dtype=np.intp)
+    inv[np.arange(batch)[:, None], images] = np.arange(n)  # inv[b, v] is the position of the value v
+    inv = inv[:, 1:]
+    codes = np.zeros((batch, n), dtype=np.intp)
+    for j in range(1, n):
+        codes[:, j] = np.count_nonzero(inv[:, :j] > inv[:, j, None], axis=1)
+    runs = codes.ravel()
+    # the run of column j (value j + 1) descends from j, so a letter is j minus its place in the run
+    place = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    return np.repeat(np.tile(np.arange(n), batch), runs) - place, codes.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -201,10 +220,23 @@ def transposition_labels(n: int) -> list[TranspositionLabel]:
     return [TranspositionLabel(i, j) for i, j in transposition_pairs(n)]
 
 
+_TRANSPOSITION_RACKS: dict[int, FiniteRack] = {}
+
+
 def transposition_rack(n: int) -> FiniteRack:
-    """The rack of transpositions of S_n under conjugation, size n(n-1)/2."""
+    """The rack of transpositions of S_n under conjugation, size n(n-1)/2, memoised on n.
+
+    The rack is frozen and its tables are tuples, so every caller may share it.
+    """
     if n < 2:
         raise ValueError(f"transposition rack needs n >= 2, got {n}")
+    got = _TRANSPOSITION_RACKS.get(n)
+    if got is None:
+        got = _TRANSPOSITION_RACKS[n] = _build_transposition_rack(n)
+    return got
+
+
+def _build_transposition_rack(n: int) -> FiniteRack:
     pairs = transposition_pairs(n)
     index = {p: i for i, p in enumerate(pairs)}
     perms = [Permutation.transposition(n, i, j) for i, j in pairs]

@@ -13,18 +13,14 @@ verify_conjugation_lemmas.  Neither check is exponential in n;
 DEFAULT_N_CAP stays at 12, and raising it is a separate change.
 
 The sign cocycle of the section expands no Clifford product.  Brackets
-[i j] are unit vectors u = a/sqrt(2), a an integer vector with |a|^2 = 2
-read off bracket(n, i, j), and every section value s(x) is a product of
-such vectors.  So for a pair (x, y), V = s(x) s(y) rev(s(xy)) is a
-product of N unit vectors u_1 ... u_N, and s(x)s(y) = z^bit s(xy) says
-V = (-1)^bit.  By Wick's theorem the scalar part of V is the Pfaffian of
-the skew matrix (<u_i, u_j>)_{i<j}; with A = (<a_i, a_j>)_{i<j}, integral,
-Pf(A) = 2^(N/2) <V>_0.  Since V rev(V) = 1, the squares of the
-coefficients of V sum to 1, so |Pf(A)| <= 2^(N/2), with equality exactly
-when V = +-1.  Pf(A) is computed modulo fixed primes below 2^30 whose
-product exceeds 2^(N/2 + 1) (one prime while N <= 56): if every residue
-is e * 2^(N/2) with the same sign e, then Pf(A) = e * 2^(N/2) exactly, and
-the bit is 0 for e = +1 and 1 for e = -1.  Any other residue raises
+[i j] are unit vectors a/sqrt(2), a an integer vector with |a|^2 = 2 read
+off bracket(n, i, j), and every section value s(x) is a product of such
+vectors: [i j] for a transposition, else t_{w_1} ... t_{w_l} along the
+lex-smallest reduced word, read off the inversion code by
+rack.lex_reduced_words.  For a pair (x, y), s(x)s(y) = z^bit s(xy) says
+that V = s(x) s(y) rev(s(xy)) = (-1)^bit, and racktwist.pfaffian decides
+the sign of such products exactly, by integer Pfaffians modulo primes, a
+whole batch in one sweep; a product that is neither +1 nor -1 raises
 SectionConsistencyError.  The twist table takes one such Pfaffian per
 product xy and a Pfaffian of four vectors per pair; see
 GroupCocycleBit.twist_table.
@@ -38,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pfaffian
 from .cocycle import TwistTable, chi_cocycle, twist
-from .errors import DimensionCapError, SectionConsistencyError
-from .rack import Permutation, transposition_pairs, transposition_rack
+from .errors import SectionConsistencyError
+from .rack import Permutation, lex_reduced_words, transposition_pairs, transposition_rack
 
 # Largest n for cover, selfcheck and cohomology.  Their checks multiply only
 # short Clifford products and reflect integer vectors, so the cap is not a
@@ -51,14 +48,6 @@ DEFAULT_N_CAP = 12
 TWIST_N_CAP = 20
 # Largest n for the exhaustive verify_group_cocycle.
 GROUP_COCYCLE_N_CAP = 5
-# The largest primes below 2^30, descending; a Pfaffian of N vectors is
-# decided by the first few whose product exceeds 2^(N/2 + 1).
-_PRIMES = (
-    1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717,
-    1073741689, 1073741671, 1073741663, 1073741651, 1073741621, 1073741567,
-)
-# A batch of Pfaffians is cut into (B, N, N) blocks of at most this many entries.
-_BATCH_ENTRIES = 1 << 16
 
 
 def _below_parity_mask(t: int, n: int) -> int:
@@ -346,97 +335,6 @@ def _bracket_vector(n: int, i: int, j: int) -> list[int]:
     return a
 
 
-def _primes_for(size: int) -> tuple[int, ...]:
-    """The first _PRIMES whose product exceeds 2^(size/2 + 1)."""
-    bound, product = 1 << (size // 2 + 1), 1
-    for count, p in enumerate(_PRIMES, 1):
-        product *= p
-        if product > bound:
-            return _PRIMES[:count]
-    raise DimensionCapError(f"a Pfaffian of {size} vectors needs more than {len(_PRIMES)} primes")
-
-
-def _pfaffian_signs_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """The sign e with Pf(a) = e * 2^(N/2) mod p, or 0 for neither, per skew matrix of a (B, N, N).
-
-    Entries must lie in [0, p).  Eliminating the pair (0, 1) with the pivot
-    b = a[0, 1] leaves the block T = b * (Schur complement), with Pf(a) =
-    b * Pf(T) / b^(N/2 - 1).  So Pf(a) = num / den with num the product of
-    the pivots b_1..b_M and den the product of the running products
-    b_1...b_j for j < M, M = N/2.  A zero pivot is first replaced by the
-    first nonzero entry of row 0, swapping index 1 with its column, which
-    negates the Pfaffian; a zero row makes Pf(a) = 0 mod p.  With p < 2^30 the
-    three products of an update sum below 2^62, so int64 stays exact and each
-    step reduces mod p once.
-    """
-    batch, size = a.shape[0], a.shape[1]
-    target = pow(2, size // 2, p)
-    prefix = np.ones(batch, dtype=np.int64)
-    den = np.ones(batch, dtype=np.int64)
-    negate = np.zeros(batch, dtype=bool)
-    zero = np.zeros(batch, dtype=bool)
-    while size:
-        need = np.flatnonzero(a[:, 0, 1] == 0)
-        if need.size:
-            col = np.argmax(a[need, 0] != 0, axis=1)  # 0 when row 0 is zero, as a[0, 0] = 0
-            zero[need[col == 0]] = True
-            swap, col = need[col > 1], col[col > 1]
-            if swap.size:
-                row = a[swap, 1]
-                a[swap, 1] = a[swap, col]
-                a[swap, col] = row
-                row = a[swap, :, 1]
-                a[swap, :, 1] = a[swap, :, col]
-                a[swap, :, col] = row
-                negate[swap] ^= True
-        pivot = np.where(zero, 1, a[:, 0, 1])
-        outer = a[:, 1, 2:, None] * a[:, 0, None, 2:]
-        a = a[:, 2:, 2:]  # the trailing block is updated in place
-        a *= pivot[:, None, None]
-        a += outer
-        a -= outer.transpose(0, 2, 1)
-        a %= p
-        prefix = prefix * pivot % p
-        size -= 2
-        if size:
-            den = den * prefix % p
-    num = np.where(negate, p - prefix, prefix)
-    sign = np.where(num == target * den % p, 1, 0)
-    sign[num == (p - target) * den % p] = -1
-    sign[zero] = 0
-    return sign
-
-
-def _word_bits(gram: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The sign bits of products of unit vectors: 0 for +1, 1 for -1, -1 for neither.
-
-    Row b of words (B, N) names vectors a_v by their index in gram, the
-    matrix of inner products of integer vectors with |a_v|^2 = 2, and stands
-    for the product of the unit vectors a_v/sqrt(2) in that order.  Its
-    scalar part is Pf(A)/2^(N/2), A the skew matrix of the inner products
-    <a_v, a_w> above the diagonal (Wick's theorem).  The product is +-1
-    exactly when Pf(A) = +-2^(N/2); see the module docstring for why the
-    primes of _primes_for decide that.
-    """
-    batch, size = words.shape
-    bits = np.full(batch, -1, dtype=np.int8)
-    if size % 2:
-        return bits
-    primes = _primes_for(size)
-    step = max(1, _BATCH_ENTRIES // max(1, size * size))
-    for lo in range(0, batch, step):
-        block = words[lo:lo + step]
-        skew = gram[block[:, :, None], block[:, None, :]]
-        skew *= np.sign(np.arange(size) - np.arange(size)[:, None])  # <a_i, a_j> for i < j, skew
-        sign = None
-        for p in primes:
-            got = _pfaffian_signs_modp(skew % p, p)
-            sign = got if sign is None else np.where(got == sign, sign, 0)
-        bits[lo:lo + step][sign == 1] = 0
-        bits[lo:lo + step][sign == -1] = 1
-    return bits
-
-
 class SectionCache:
     """Deterministic section s: S_n -> T_n with s(id) = 1 and s((i j)) = [i j].
 
@@ -445,17 +343,31 @@ class SectionCache:
     pair (i, j) of transposition_pairs(n), read off bracket(n, i, j), and
     `gram` holds their inner products.  Non-transpositions lift along their
     lexicographically smallest reduced word as t_{w_1} ... t_{w_l}, with
-    t_w = [w, w+1].  section(sigma) returns that word of vector indices,
-    memoised; no Clifford product is expanded.
+    t_w = [w, w+1].  words() gives the vector words of many permutations at
+    once; section(sigma) returns one such word, memoised.  No Clifford
+    product is expanded.
     """
 
     def __init__(self, n: int):
         self.n = n
         pairs = transposition_pairs(n)
         self._index = {pair: v for v, pair in enumerate(pairs)}
+        self._adjacent = np.array([self._index[(w, w + 1)] for w in range(1, n)], dtype=np.intp)
         self.vectors = np.array([_bracket_vector(n, i, j) for i, j in pairs], dtype=np.int64).reshape(-1, n)
         self.gram = self.vectors @ self.vectors.T
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def words(self, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The vector words of s(sigma) for the one-line images (B, n), as a ragged array (values, lengths)."""
+        n = self.n
+        letters, lengths = lex_reduced_words(images)
+        moved = images != np.arange(1, n + 1)
+        swap = np.count_nonzero(moved, axis=1) == 2  # a transposition (i j) lifts to the bracket [i j]
+        i = np.argmax(moved[swap], axis=1)
+        j = n - 1 - np.argmax(moved[swap, ::-1], axis=1)
+        lex = (self._adjacent[letters[np.repeat(~swap, lengths)] - 1], np.where(swap, 0, lengths))
+        brackets = (i * n - i * (i + 1) // 2 + j - i - 1, swap.astype(np.intp))  # the index of (i+1, j+1)
+        return pfaffian.ragged_concat([lex, brackets])
 
     def section(self, sigma: Permutation) -> tuple[int, ...]:
         """The vector word of s(sigma): s(sigma) is the product of the named unit vectors."""
@@ -463,12 +375,8 @@ class SectionCache:
             raise ValueError("size mismatch")
         word = self._memo.get(sigma.image)
         if word is None:
-            pair = sigma.transposition_pair()
-            if pair is not None:
-                word = (self._index[pair],)
-            else:
-                word = tuple(self._index[(w, w + 1)] for w in sigma.lex_reduced_word())
-            self._memo[sigma.image] = word
+            values, _ = self.words(np.array([sigma.image]))
+            word = self._memo[sigma.image] = tuple(values.tolist())
         return word
 
     def phi_bit(self, x: Permutation, y: Permutation) -> int:
@@ -482,14 +390,10 @@ class SectionCache:
         return bit
 
     def word_bits(self, words: list[tuple[int, ...]]) -> np.ndarray:
-        """The sign bits of many vector words (0, 1, or -1 for neither), batched by length."""
+        """The sign bits of many vector words (0, 1, or -1 for neither), by pfaffian.word_bits."""
+        values = np.fromiter(itertools.chain.from_iterable(words), dtype=np.intp)
         lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-        bits = np.empty(len(words), dtype=np.int8)
-        for size in sorted(set(lengths.tolist())):
-            rows = np.flatnonzero(lengths == size)
-            block = np.array([words[r] for r in rows], dtype=np.intp).reshape(rows.size, size)
-            bits[rows] = _word_bits(self.gram, block)
-        return bits
+        return pfaffian.word_bits(self.gram, values, lengths)
 
 
 def _inconsistent(x: Permutation, y: Permutation) -> SectionConsistencyError:
@@ -512,32 +416,33 @@ class GroupCocycleBit:
         """The restriction to transposition pairs, as an order-2 twist table.
 
         Pairs (x, y) are grouped by their product sigma.  The first pair
-        (x0, y0) of each group in row-major order takes its bit from the
-        Pfaffian of [x0] [y0] rev(s(sigma)); every other pair adds the sign of
-        [x][y][y0][x0] = z^(bit + bit0), a Pfaffian of four vectors.
+        (x0, y0) of each group in row-major order takes its bit from the word
+        s(sigma) [y0] [x0], the reverse of [x0] [y0] rev(s(sigma)) and so of
+        the same sign; SectionCache.words reads every s(sigma) off the
+        inversion codes at once, and one pfaffian.word_bits sweep decides all
+        those words.  Every other pair adds the sign of [x][y][y0][x0] =
+        z^(bit + bit0), a Pfaffian of four vectors.
         """
         n, sections = self.n, self.sections
         pairs = transposition_pairs(n)
         k = len(pairs)
-        images = np.tile(np.arange(n), (k, 1))
+        images = np.tile(np.arange(n + 1, dtype=np.int8), (k, 1))  # column 0 pads, so a value is its own column
         for v, (i, j) in enumerate(pairs):
-            images[v, i - 1], images[v, j - 1] = j - 1, i - 1
+            images[v, i], images[v, j] = j, i
         # (x y)(m) = x(y(m)), for all k^2 pairs in row-major order
-        products = images[np.arange(k)[:, None, None], images[None, :, :]].reshape(k * k, n) + 1
-        groups: dict[tuple[int, ...], int] = {}
-        first, group = [], []  # the first pair of each product, the product of each pair
-        for pos, sigma in enumerate(map(tuple, products.tolist())):
-            index = groups.get(sigma)
-            if index is None:
-                index = groups[sigma] = len(first)
-                first.append(pos)
-            group.append(index)
-        x0, y0 = np.divmod(np.array(first), k)
-        ref_bits = sections.word_bits([
-            (a, b) + sections.section(Permutation(sigma))[::-1]
-            for a, b, sigma in zip(x0.tolist(), y0.tolist(), groups)
-        ])
-        group = np.array(group)
+        products = images[np.arange(k)[:, None, None], images[None, :, 1:]].reshape(k * k, n)
+        # equal products are adjacent after a stable sort, led by their first pair
+        order = np.lexsort(products.T)
+        ranked = products[order]
+        leads = np.ones(k * k, dtype=bool)
+        leads[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        group = np.empty(k * k, dtype=np.intp)
+        group[order] = np.cumsum(leads) - 1
+        first = order[leads]
+        x0, y0 = np.divmod(first, k)
+        ones = np.ones(len(first), dtype=np.intp)
+        words = pfaffian.ragged_concat([sections.words(products[first]), (y0, ones), (x0, ones)])
+        ref_bits = pfaffian.word_bits(sections.gram, *words)
         x0, y0, ref_bits = x0[group], y0[group], ref_bits[group]
         x, y = np.divmod(np.arange(k * k), k)
         gram = sections.gram
@@ -561,7 +466,8 @@ def phi_psi_table(n: int) -> GroupCocycleBit:
 def _group_table(gc: GroupCocycleBit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_n in lexicographic order (one-line images), its multiplication table and the full bit table.
 
-    All n!^2 bits are taken in one batch of Pfaffians.
+    The words s(x) s(y) rev(s(xy)) of all n!^2 pairs are put together from
+    the section words of S_n (SectionCache.words) and decided in one batch.
     """
     n, sections = gc.n, gc.sections
     images = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
@@ -570,11 +476,14 @@ def _group_table(gc: GroupCocycleBit) -> tuple[np.ndarray, np.ndarray, np.ndarra
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     products = images[np.arange(size)[:, None, None], images[None, :, :] - 1]
     mult = np.searchsorted(images @ weights, products @ weights).astype(np.int32)
-    words = [sections.section(Permutation(img)) for img in map(tuple, images.tolist())]
-    backwards = [w[::-1] for w in words]
-    bits = sections.word_bits(
-        [words[a] + words[b] + backwards[c] for a, row in enumerate(mult.tolist()) for b, c in enumerate(row)]
-    ).reshape(size, size)
+    values, lengths = sections.words(images)
+    rows, cols = np.divmod(np.arange(size * size), size)
+    backwards = (values[::-1], lengths[::-1])  # every word reversed, in reverse order
+    bits = pfaffian.word_bits(sections.gram, *pfaffian.ragged_concat([
+        pfaffian.ragged_take(values, lengths, rows),
+        pfaffian.ragged_take(values, lengths, cols),
+        pfaffian.ragged_take(*backwards, size - 1 - mult.ravel()),
+    ])).reshape(size, size)
     bad = np.flatnonzero(bits < 0)
     if bad.size:
         a, b = divmod(int(bad[0]), size)

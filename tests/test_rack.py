@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -17,6 +18,7 @@ from racktwist.rack import (
     TranspositionLabel,
     check_rack_axioms,
     is_indecomposable,
+    lex_reduced_words,
     load_rack,
     rack_from_dict,
     rack_to_dict,
@@ -83,6 +85,18 @@ class TestPermutation:
             p = Permutation(tuple(img))
             assert p.lex_reduced_word() == lex_min_reduced_word(p)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_inversion_code_words_are_the_lex_minimum(self, n):
+        # every permutation of S_n, in one batch and one at a time
+        images = np.array(list(itertools.permutations(range(1, n + 1)))).reshape(-1, n)
+        letters, lengths = lex_reduced_words(images)
+        words = np.split(letters, np.cumsum(lengths)[:-1])
+        assert len(words) == len(images)
+        for img, word in zip(map(tuple, images.tolist()), words):
+            expected = lex_min_reduced_word(Permutation(img))
+            assert tuple(word.tolist()) == expected
+            assert Permutation(img).lex_reduced_word() == expected
+
     def test_cycle_string(self):
         assert Permutation.identity(3).cycle_string() == "id"
         assert Permutation.transposition(4, 2, 4).cycle_string() == "(2 4)"
@@ -142,6 +156,17 @@ class TestTranspositionRack:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             transposition_rack(1)
+
+    def test_built_once_per_n(self):
+        # the twist table and chi share one frozen rack; a caller cannot change it
+        from racktwist.cocycle import chi_cocycle
+        from racktwist.spincover import phi_psi_table
+
+        r = transposition_rack(6)
+        assert transposition_rack(6) is r is chi_cocycle(6).rack is phi_psi_table(6).twist_table().rack
+        assert isinstance(r.op, tuple) and all(isinstance(row, tuple) for row in r.op)
+        with pytest.raises(AttributeError):
+            r.op = ()
 
     def test_disjoint_transpositions_commute(self):
         r = transposition_rack(4)

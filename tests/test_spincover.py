@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     conjugation_lemmas_by_clifford,
     flip_phi_bit,
     is_group_like,
+    lex_min_reduced_word,
     main_theorem_log,
     quad_clifford_product,
     quad_element,
@@ -19,11 +21,11 @@ from oracles import (
     signed_action_consistent,
     twist_identity_by_reflections,
 )
-from racktwist import cli, spincover
+from racktwist import cli, pfaffian, spincover
 from racktwist.cocycle import check_twist_condition, chi_cocycle
 from racktwist.errors import DimensionCapError, SectionConsistencyError
 from racktwist.hilbert import _is_prime_u32
-from racktwist.rack import Permutation, transposition_pairs
+from racktwist.rack import Permutation, lex_reduced_words, transposition_pairs
 from racktwist.spincover import (
     CliffordElement,
     GroupCocycleBit,
@@ -426,6 +428,37 @@ class TestSection:
             sigma = Permutation(img)
             assert word_product(5, cache.section(sigma)) == oracle.section(sigma).elem
 
+    def test_words_of_the_transposition_products_at_n8(self):
+        # the 323 products x * y: inversion-code words equal the lex minimum, and the section is
+        # [i j] on a transposition and the brackets [w, w+1] of that word otherwise, as before
+        ts = [Permutation.transposition(8, i, j) for i, j in transposition_pairs(8)]
+        products = list({(x * y).image: x * y for x in ts for y in ts}.values())
+        assert len(products) == 323
+        images = np.array([p.image for p in products])
+        letters, lengths = lex_reduced_words(images)
+        index = {pair: v for v, pair in enumerate(transposition_pairs(8))}
+        cache = SectionCache(8)
+        values, counts = cache.words(images)
+        rows = np.split(values, np.cumsum(counts)[:-1])
+        for sigma, word, row in zip(products, np.split(letters, np.cumsum(lengths)[:-1]), rows):
+            lex = lex_min_reduced_word(sigma)
+            assert tuple(word.tolist()) == lex
+            pair = sigma.transposition_pair()
+            expected = (index[pair],) if pair else tuple(index[(w, w + 1)] for w in lex)
+            assert cache.section(sigma) == tuple(row.tolist()) == expected
+
+    def test_words_keep_the_single_bracket_of_a_transposition(self):
+        # S_4 in one batch: transpositions lift to [i j], never to their longer lex word
+        images = np.array(list(itertools.permutations(range(1, 5))))
+        values, counts = SectionCache(4).words(images)
+        pairs = transposition_pairs(4)
+        for img, row in zip(map(tuple, images.tolist()), np.split(values, np.cumsum(counts)[:-1])):
+            pair = Permutation(img).transposition_pair()
+            if pair is not None:
+                assert row.tolist() == [pairs.index(pair)]
+            else:
+                assert len(row) == len(lex_min_reduced_word(Permutation(img)))
+
     @staticmethod
     def naive_section(sigma):
         """s(sigma) rebuilt from scratch: [i j] on transpositions, else the product along the lex word."""
@@ -586,19 +619,40 @@ def scale_bracket(monkeypatch, i, j, factor):
     monkeypatch.setattr(spincover, "bracket", patched)
 
 
+class TestSelfcheckWitness:
+    def test_failing_main_theorem_carries_its_first_pair(self, monkeypatch, tmp_path):
+        scale_bracket(monkeypatch, 1, 3, -1)
+        out = tmp_path / "sc.json"
+        assert cli.main(["selfcheck", "--n-max", "5", "--trials", "20", "--out", str(out)]) == 2
+        checks = json.loads(out.read_text())["checks"]
+        for n in (4, 5):
+            ok, pair = verify_main_theorem(n)
+            assert ok is False and pair is not None
+            entry = next(c for c in checks if c["name"] == f"main theorem n={n}")
+            assert entry == {"name": f"main theorem n={n}", "ok": False, "first_failing_pair": pair}
+        assert all(set(c) == {"name", "ok"} for c in checks if c["ok"])
+
+    def test_passing_report_has_twelve_plain_checks(self, tmp_path):
+        out = tmp_path / "sc.json"
+        assert cli.main(["selfcheck", "--n-max", "4", "--seed", "1", "--out", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert len(checks) == 12
+        assert all(c["ok"] is True and set(c) == {"name", "ok"} for c in checks)
+
+
 class TestPfaffianSigns:
     """Phi bits as signs of integer Pfaffians, against the Clifford expansion."""
 
     def test_primes(self):
-        primes = spincover._PRIMES
+        primes = pfaffian._PRIMES
         assert list(primes) == sorted(set(primes), reverse=True)
         assert all(p < 2**30 and _is_prime_u32(p) for p in primes)
         # one prime decides N <= 56 vectors, two decide N <= 116
-        assert len(spincover._primes_for(56)) == 1
-        assert len(spincover._primes_for(58)) == 2
-        assert len(spincover._primes_for(116)) == 2
+        assert len(pfaffian._primes_for(56)) == 1
+        assert len(pfaffian._primes_for(58)) == 2
+        assert len(pfaffian._primes_for(116)) == 2
         with pytest.raises(DimensionCapError):
-            spincover._primes_for(60 * len(primes))
+            pfaffian._primes_for(60 * len(primes))
 
     @pytest.mark.parametrize("n, lengths", [(5, range(0, 13)), (6, (40, 54, 56, 70))])
     def test_random_words_match_clifford_products(self, n, lengths):
@@ -629,6 +683,71 @@ class TestPfaffianSigns:
         idx = {pair: v for v, pair in enumerate(transposition_pairs(4))}
         a, b, c = idx[(1, 2)], idx[(2, 3)], idx[(3, 4)]
         assert cache.word_bits([(a, b) * 3, (a, c) * 2, (), (a, b, c)]).tolist() == [0, 1, 0, -1]
+
+    @staticmethod
+    def mixed_batch(n, lengths, seed):
+        """Random vector words of the given lengths, half of them +-1 by construction, and their Clifford bits."""
+        rng = random.Random(seed)
+        pairs = transposition_pairs(n)
+        a, c = pairs.index((1, 2)), pairs.index((3, 4))
+        one = CliffordElement.one(n)
+        words, expected = [], []
+        for trial, size in enumerate(lengths):
+            minus = trial % 4 == 2 and size >= 4  # [1 2][3 4][1 2][3 4] = -1 in the middle
+            if trial % 2 or size % 2:
+                word = tuple(rng.randrange(len(pairs)) for _ in range(size))
+            else:
+                half = tuple(rng.randrange(len(pairs)) for _ in range(size // 2 - 2 * minus))
+                word = half + (a, c, a, c) * minus + half[::-1]
+            words.append(word)
+            prod = word_product(n, word)
+            expected.append(0 if prod == one else 1 if prod == -one else -1)
+        return words, expected
+
+    def test_shuffled_batch_equals_sorted_batch(self):
+        # the sweep sorts by length; the bits must not depend on the order they come in
+        words, expected = self.mixed_batch(5, [size for size in range(0, 21) for _ in range(6)], seed=1)
+        order = list(range(len(words)))
+        random.Random(2).shuffle(order)
+        cache = SectionCache(5)
+        assert cache.word_bits(words).tolist() == expected
+        assert cache.word_bits([words[i] for i in order]).tolist() == [expected[i] for i in order]
+        assert set(expected) == {-1, 0, 1}
+
+    @staticmethod
+    def record_sweeps(monkeypatch, batch_entries):
+        """Set _BATCH_ENTRIES and log (prime, lengths) of every sweep of the kernel."""
+        sweeps = []
+        original = pfaffian._pfaffian_signs_modp
+
+        def spy(a, sizes, p):
+            sweeps.append((p, sizes.tolist()))
+            return original(a, sizes, p)
+
+        monkeypatch.setattr(pfaffian, "_BATCH_ENTRIES", batch_entries)
+        monkeypatch.setattr(pfaffian, "_pfaffian_signs_modp", spy)
+        return sweeps
+
+    def test_chunk_boundary_splits_a_size_class(self, monkeypatch):
+        # a chunk of 700 entries holds 7 words of length 10 or 10 of length 8, so both classes are split
+        words, expected = self.mixed_batch(5, [10] * 20 + [8] * 20 + [4] * 5, seed=3)
+        sweeps = self.record_sweeps(monkeypatch, 700)
+        assert SectionCache(5).word_bits(words).tolist() == expected
+        p = pfaffian._PRIMES[0]
+        chunks = [[10] * 7, [10] * 7, [10] * 6 + [8], [8] * 10, [8] * 9 + [4], [4] * 4]
+        assert sweeps == [(p, chunk) for chunk in chunks]
+
+    def test_one_batch_of_odd_empty_short_and_long_words(self, monkeypatch):
+        # one chunk; N >= 58 takes a second prime, which sweeps only the long words at its head
+        sizes = [0, 3, 6, 57, 58, 56, 2, 70, 0, 41, 60, 12, 64, 62, 7]
+        words, expected = self.mixed_batch(6, sizes, seed=4)
+        sweeps = self.record_sweeps(monkeypatch, 1 << 20)
+        assert SectionCache(6).word_bits(words).tolist() == expected
+        first, second = pfaffian._PRIMES[:2]
+        assert sweeps == [(first, [70, 64, 62, 60, 58, 56, 12, 6, 2, 0, 0]), (second, [70, 64, 62, 60, 58])]
+        assert [expected[i] for i in (0, 8, 1, 3, 9, 14)] == [0, 0, -1, -1, -1, -1]  # empty, odd
+        assert {bit for bit, size in zip(expected, sizes) if 0 < size <= 56 and size % 2 == 0} == {-1, 0, 1}
+        assert {bit for bit, size in zip(expected, sizes) if size >= 58} == {-1, 0, 1}
 
     @pytest.mark.parametrize("n", range(4, 11))
     def test_twist_table_equals_the_clifford_lift(self, n):
