@@ -80,7 +80,7 @@ class BraidWord:
                 raise ValueError(f"letter {i} out of range 1..{self.n - 1}")
 
 
-def _strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-letter (target, expo) arrays for the strand-local braiding at this degree."""
     k = q.rack.size
     op = np.array(q.rack.op, dtype=np.int64)
@@ -97,8 +97,12 @@ def _strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.nda
     return tables
 
 
-def rho(word: BraidWord, q: RackCocycle, degree: int) -> MonomialOperator:
-    """The braid representation image of a positive word on X^(x)degree."""
+def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list | None = None) -> MonomialOperator:
+    """The braid representation image of a positive word on X^(x)degree.
+
+    tables are strand_tables(q, degree), built here unless the caller passes
+    them to share between calls; nothing keeps them alive after the caller.
+    """
     if word.n != degree:
         raise ValueError(f"word is on {word.n} strands but degree is {degree}")
     if degree < 1:
@@ -106,7 +110,10 @@ def rho(word: BraidWord, q: RackCocycle, degree: int) -> MonomialOperator:
     dim = q.rack.size**degree
     if dim > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
-    tables = _strand_tables(q, degree)
+    if tables is None:
+        tables = strand_tables(q, degree)
+    elif len(tables) != degree - 1:
+        raise ValueError(f"{len(tables)} strand tables for degree {degree}")
     out = MonomialOperator.identity(dim, q.order)
     for i in word.letters:
         tgt, ex = tables[i - 1]
@@ -117,8 +124,9 @@ def rho(word: BraidWord, q: RackCocycle, degree: int) -> MonomialOperator:
 
 def check_braid_equation(q: RackCocycle) -> bool:
     """Verify (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on X^(x)3."""
-    a = rho(BraidWord(3, (1,)), q, 3)
-    b = rho(BraidWord(3, (2,)), q, 3)
+    tables = strand_tables(q, 3)
+    a = rho(BraidWord(3, (1,)), q, 3, tables)
+    b = rho(BraidWord(3, (2,)), q, 3, tables)
     return a.compose(b).compose(a) == b.compose(a).compose(b)
 
 
@@ -307,7 +315,7 @@ def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]],
     """
     k, m = q.rack.size, q.order
     n = k**d
-    tables = _strand_tables(q, d)
+    tables = strand_tables(q, d)
     v = np.arange(n, dtype=np.int64)
     target, expo = v, np.zeros(n, dtype=np.int64)
     inv = np.empty((n, d), dtype=np.int64)

@@ -186,7 +186,7 @@ def cmd_cover(args) -> int:
     if args.trials < 0:
         raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n)
-    lemma_ok = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
+    lemma_ok, lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
     restriction = spincover.phi_psi_table(n).twist_table()
     main_ok, _ = spincover.verify_main_theorem(n, restriction)
     cfg = RunConfig(subcommand="cover", n=n, seed=args.seed)
@@ -197,6 +197,7 @@ def cmd_cover(args) -> int:
         "n": n,
         "presentation_ok": presentation_ok,
         "lemma_general_ok": lemma_ok,
+        "lemma_witness": lemma_witness,
         "main_theorem_ok": main_ok,
         "phi_restriction": cocycle_mod.twist_table_to_dict(restriction),
         "ok": presentation_ok and lemma_ok and main_ok,
@@ -207,6 +208,8 @@ def cmd_cover(args) -> int:
         f"conjugation lemmas {'ok' if lemma_ok else 'FAILED'}, "
         f"main theorem {'ok' if main_ok else 'FAILED'}"
     )
+    if lemma_witness is not None:
+        print(f"  first failing conjugation: word {lemma_witness['word']}, pair {lemma_witness['pair']}")
     return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
 
@@ -397,17 +400,21 @@ def cmd_selfcheck(args) -> int:
         generator = spincover._unnormalized_generator
     checks = []
 
-    def run(name: str, fn):
-        """Record fn's verdict; fn may return (ok, pair), and a failing entry then carries the pair."""
+    def run(name: str, fn, witness_key: str | None = None):
+        """Record fn's verdict.
+
+        With a witness_key, fn returns (ok, witness), and a failing entry
+        carries the witness under that key.
+        """
         try:
             got = fn()
         except Exception as exc:  # a crashed check is a failed check
             checks.append({"name": name, "ok": False, "error": str(exc)})
             return
-        ok, pair = got if isinstance(got, tuple) else (got, None)
+        ok, witness = got if witness_key else (got, None)
         checks.append({"name": name, "ok": bool(ok)})
-        if not ok and pair is not None:
-            checks[-1]["first_failing_pair"] = pair
+        if not ok and witness is not None:
+            checks[-1][witness_key] = witness
 
     for n in range(2, n_max + 1):
         run(f"presentation n={n}", lambda n=n: spincover.verify_presentation(n, generator=generator))
@@ -415,6 +422,7 @@ def cmd_selfcheck(args) -> int:
         run(
             f"conjugation lemmas n={n}",
             lambda n=n: spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed),
+            "lemma_witness",
         )
     for n in range(3, min(n_max, 5) + 1):
         run(
@@ -422,7 +430,7 @@ def cmd_selfcheck(args) -> int:
             lambda n=n: spincover.verify_group_cocycle(spincover.phi_psi_table(n)),
         )
     for n in range(4, n_max + 1):
-        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n))
+        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n), "first_failing_pair")
     for n in range(3, min(n_max, 5) + 1):
         chi = cocycle_mod.chi_cocycle(n)
         minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
@@ -433,6 +441,7 @@ def cmd_selfcheck(args) -> int:
         rng = random.Random(args.seed)
         base = cocycle_mod.minus_one_cocycle(rack_mod.transposition_rack(3))
         seen = set()  # the verdict per sigma is deterministic, so each is checked once
+        tables = {}  # strand tables per degree, built once for every rho of that degree
         for _ in range(200):
             n = rng.randint(2, min(n_max, 7))
             img = list(range(1, n + 1))
@@ -447,8 +456,10 @@ def cmd_selfcheck(args) -> int:
             alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
             if len(alt) != len(lex):
                 return False
-            op_a = braided.rho(braided.BraidWord(n, lex), base, n)
-            op_b = braided.rho(braided.BraidWord(n, alt), base, n)
+            if n not in tables:
+                tables[n] = braided.strand_tables(base, n)
+            op_a = braided.rho(braided.BraidWord(n, lex), base, n, tables[n])
+            op_b = braided.rho(braided.BraidWord(n, alt), base, n, tables[n])
             if op_a != op_b:
                 return False
         return True

@@ -2,7 +2,13 @@
 
 Values are never stored as floating complex numbers: a cocycle of order m
 keeps a table of exponents e with q_{x,y} = zeta_m^e, so every check is
-exact arithmetic in Z/m.
+exact arithmetic in Z/m.  Tables are read off and checked as int64 arrays:
+chi from the one-line images of the transpositions (once per n), the twist
+all entries at once, and the cocycle and twist conditions over chunks of
+x, each a (chunk, k, k) array of residues over the triples (x, y, z).  A
+residue is a signed sum of exponents below m, so it can only reach a few
+multiples of m, and comparing with those decides it with no division;
+orders up to 2^62 stay within int64, and larger ones are refused.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ import numpy as np
 from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
-    Permutation,
     json_count,
     json_field,
     json_table,
     rack_from_dict,
     rack_to_dict,
-    transposition_pairs,
+    transposition_images,
     transposition_rack,
 )
 
@@ -100,61 +105,90 @@ def minus_one_cocycle(r: FiniteRack) -> RackCocycle:
     return constant_cocycle(r, 2, 1)
 
 
+_CHI_COCYCLES: dict[int, RackCocycle] = {}
+
+
 def chi_cocycle(n: int) -> RackCocycle:
-    """The comparison cocycle on the transposition rack of S_n.
+    """The comparison cocycle on the transposition rack of S_n, memoised on n.
 
     For sigma a transposition and tau = (i j) with i < j, the value is +1
-    when sigma(i) < sigma(j) and -1 when sigma(i) > sigma(j).
+    when sigma(i) < sigma(j) and -1 when sigma(i) > sigma(j).  The table is
+    read off the one-line images of the transpositions and checked against
+    the cocycle condition once per n; it is frozen and made of tuples, so
+    every caller may share it.
     """
     if n < 3:
         raise ValueError(f"chi cocycle needs n >= 3, got {n}")
-    r = transposition_rack(n)
-    pairs = transposition_pairs(n)
-    perms = [Permutation.transposition(n, i, j) for i, j in pairs]
-    exp = []
-    for sigma in perms:
-        row = []
-        for (i, j) in pairs:
-            row.append(0 if sigma(i) < sigma(j) else 1)
-        exp.append(tuple(row))
-    q = RackCocycle(rack=r, order=2, exp=tuple(exp))
-    report = check_cocycle(q)
-    if not report.ok:
-        raise AssertionError(f"chi table failed the cocycle condition at {report.witness}")
-    return q
+    got = _CHI_COCYCLES.get(n)
+    if got is None:
+        images = transposition_images(n)
+        i, j = np.triu_indices(n, 1)
+        exp = (images[:, i] > images[:, j]).astype(np.int64)
+        got = RackCocycle(rack=transposition_rack(n), order=2, exp=tuple(map(tuple, exp.tolist())))
+        report = check_cocycle(got)
+        if not report.ok:
+            raise AssertionError(f"chi table failed the cocycle condition at {report.witness}")
+        _CHI_COCYCLES[n] = got
+    return got
 
 
-def _first_failure(k: int, slab) -> CocycleReport:
-    """Scan x = 0..k-1; slab(x) is the k x k array of residues over (y, z), zero where the triple holds.
+# Triples decided at once by check_cocycle and check_twist_condition: a chunk
+# of x takes at most this many (x, y, z) entries per array, and at least one x.
+# 2^14 was no faster on twist-verify --n 8 and raised its peak RSS by 0.3 MB.
+_TRIPLE_ENTRIES = 1 << 13
+
+
+def _int64_order(m: int, what: str) -> None:
+    """DimensionCapError for orders above 2^62, where the int64 partial sums of the checks could overflow."""
+    if m > 2**62:
+        raise DimensionCapError(f"{what} order {m} > 2^62 is too large for 64-bit exponent sums")
+
+
+def _first_failure(k: int, failing) -> CocycleReport:
+    """Scan x = 0..k-1 in chunks; failing(xs) is the (len(xs), k, k) mask over (x, y, z) of the failing triples.
 
     The witness is the first failing (x, y, z) in lexicographic order.
     """
-    for x in range(k):
-        bad = slab(x)
-        if bad.any():
-            y, z = divmod(int(np.argmax(bad != 0)), k)
-            return CocycleReport(False, (x, y, z))
+    step = max(1, _TRIPLE_ENTRIES // (k * k))
+    for start in range(0, k, step):
+        bad = np.flatnonzero(failing(np.arange(start, min(k, start + step))))
+        if bad.size:
+            x, yz = divmod(int(bad[0]), k * k)
+            return CocycleReport(False, (start + x, *divmod(yz, k)))
     return CocycleReport(True)
+
+
+def _not_multiple(d: np.ndarray, m: int, bound: int) -> np.ndarray:
+    """Where d is not a multiple of m, for |d| < bound * m: |d| is compared with 0, m, ..., (bound - 1) m.
+
+    A few comparisons cost less than one integer division per entry.
+    """
+    a = np.abs(d)
+    out = a != 0
+    for c in range(1, bound):
+        out &= a != c * m
+    return out
 
 
 def check_cocycle(q: RackCocycle) -> CocycleReport:
     """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples.
 
-    The sums are taken in int64, so m must be at most 2^62 (DimensionCapError).
+    The residue is (exp[x][y|>z] - exp[x|>y][x|>z]) + (exp[y][z] - exp[x][z]),
+    in (-2m, 2m), taken in int64, so m must be at most 2^62 (DimensionCapError).
     """
-    m = q.order
-    if m > 2**62:
-        raise DimensionCapError(f"cocycle order {m} > 2^62 is too large for 64-bit exponent sums")
+    m, k = q.order, q.rack.size
+    _int64_order(m, "cocycle")
     op = np.array(q.rack.op, dtype=np.intp)
     exp = np.array(q.exp, dtype=np.int64)
+    flat = exp.ravel()  # flat[a * k + b] = exp[a][b]
 
-    def slab(x):
-        ox = op[x]
-        lhs = exp[x][op] + exp
-        rhs = exp[ox[:, None], ox[None, :]] + exp[x][None, :]
-        return (lhs - rhs) % m
+    def failing(xs):
+        ox = op[xs]
+        d = exp[xs][:, op] - flat[(ox * k)[:, :, None] + ox[:, None, :]]
+        d += exp - exp[xs][:, None, :]
+        return _not_multiple(d, m, 2)
 
-    return _first_failure(q.rack.size, slab)
+    return _first_failure(k, failing)
 
 
 def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
@@ -220,36 +254,48 @@ def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
 
 
 def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
-    """The twisted cocycle exp'[x][y] = phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m)."""
+    """The twisted cocycle exp'[x][y] = phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m), for m <= 2^62."""
     if q.order != phi.order or q.rack.op != phi.rack.op:
         raise ValueError("twist table and cocycle must share rack and order")
-    op = q.rack.op
     m = q.order
-    k = q.rack.size
-    exp = tuple(
-        tuple((phi.phi[x][y] - phi.phi[op[x][y]][x] + q.exp[x][y]) % m for y in range(k))
-        for x in range(k)
-    )
-    return RackCocycle(rack=q.rack, order=m, exp=exp)
+    _int64_order(m, "twist")
+    op = np.array(q.rack.op, dtype=np.intp)
+    p = np.array(phi.phi, dtype=np.int64)
+    exp = (p - p[op, np.arange(q.rack.size)[:, None]] + np.array(q.exp, dtype=np.int64)) % m
+    return RackCocycle(rack=q.rack, order=m, exp=tuple(map(tuple, exp.tolist())))
 
 
 def check_twist_condition(phi: TwistTable) -> CocycleReport:
-    """Check the condition making q^phi a cocycle whenever q is, over all triples."""
+    """Check the condition making q^phi a cocycle whenever q is, over all triples.
+
+    With yz = y|>z and xyz = x|>yz, the residue of (x, y, z) is the sum of
+    (phi[x|>y][x|>z] - phi[x][yz]) + (phi[xyz][x] - phi[xyz][x|>y]) and
+    (phi[x][z] - phi[x|>z][x]) + (phi[yz][y] - phi[y][z]), each in (-2m, 2m);
+    above m = 2^61 both are reduced before they are added, so int64 holds
+    every order up to 2^62, and larger ones are refused (DimensionCapError).
+    """
+    m, k = phi.order, phi.rack.size
+    _int64_order(m, "twist table")
     op = np.array(phi.rack.op, dtype=np.intp)
     p = np.array(phi.phi, dtype=np.int64)
-    m = phi.order
-    y = np.arange(phi.rack.size)[:, None]
+    flat = p.ravel()  # flat[a * k + b] = phi[a][b]
+    outer = p[op, np.arange(k)[:, None]] - p  # phi[y|>z][y] - phi[y][z], over (y, z)
 
-    def slab(x):
-        # rows run over y and columns over z, so op itself is the table of y |> z
-        xy = op[x][:, None]
-        xz = op[x][None, :]
-        xyz = op[x][op]
-        lhs = p[x][None, :] + p[xy, xz] + p[xyz, x] + p[op, y]
-        rhs = p + p[x][op] + p[xyz, xy] + p[xz, x]
-        return (lhs - rhs) % m
+    def failing(xs):
+        # axes run over (x, y, z); ox[., v] = x|>v, and row = ox * k offsets the rows x|>v of flat
+        ox = op[xs]
+        row = ox * k
+        xyz_row = ox[:, op] * k
+        d = flat[row[:, :, None] + ox[:, None, :]] - p[xs][:, op]
+        d += flat[xyz_row + xs[:, None, None]]
+        d -= flat[xyz_row + ox[:, :, None]]
+        e = (p[xs] - flat[row + xs[:, None]])[:, None, :] + outer
+        if m > 2**61:
+            d, e = np.fmod(d, m), np.fmod(e, m)
+            return _not_multiple(d + e, m, 2)
+        return _not_multiple(d + e, m, 4)
 
-    return _first_failure(phi.rack.size, slab)
+    return _first_failure(k, failing)
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

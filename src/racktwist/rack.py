@@ -236,18 +236,23 @@ def transposition_rack(n: int) -> FiniteRack:
     return got
 
 
+def transposition_images(n: int) -> np.ndarray:
+    """The one-line images of the transpositions of S_n on 0..n-1, one row per pair of transposition_pairs(n)."""
+    i, j = np.triu_indices(n, 1)
+    images = np.tile(np.arange(n), (len(i), 1))
+    rows = np.arange(len(i))
+    images[rows, i], images[rows, j] = j, i
+    return images
+
+
 def _build_transposition_rack(n: int) -> FiniteRack:
-    pairs = transposition_pairs(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    perms = [Permutation.transposition(n, i, j) for i, j in pairs]
-    op = []
-    for x in perms:
-        row = []
-        for (c, d) in pairs:
-            a, b = x(c), x(d)
-            row.append(index[(a, b) if a < b else (b, a)])
-        op.append(tuple(row))
-    return FiniteRack(op=tuple(op), labels=tuple(str(lab) for lab in transposition_labels(n)))
+    """x |> (c d) = (x(c) x(d)), its index read off the sorted pair of images."""
+    images = transposition_images(n)
+    i, j = np.triu_indices(n, 1)
+    lo = np.minimum(images[:, i], images[:, j])
+    hi = np.maximum(images[:, i], images[:, j])
+    op = lo * n - lo * (lo + 1) // 2 + hi - lo - 1  # the place of (lo + 1, hi + 1) in transposition_pairs(n)
+    return FiniteRack(op=tuple(map(tuple, op.tolist())), labels=tuple(str(lab) for lab in transposition_labels(n)))
 
 
 def rack_to_dict(r: FiniteRack) -> dict:

@@ -8,8 +8,9 @@ element stores those integer coefficients and the one exponent.  The
 central involution z is the scalar -1.  Group equality and products are
 decided by integer arithmetic, with no floating point; the presentation is
 checked this way.  The conjugation lemmas expand no lift: conjugating a
-bracket by t_k is an integer reflection of its vector, see
-verify_conjugation_lemmas.  Neither check is exponential in n;
+bracket by t_k is an integer reflection of its vector, applied to a whole
+batch of words at once, and a failure comes back with its first word and
+pair; see verify_conjugation_lemmas.  Neither check is exponential in n;
 DEFAULT_N_CAP stays at 12, and raising it is a separate change.
 
 The sign cocycle of the section expands no Clifford product.  Brackets
@@ -37,7 +38,7 @@ import numpy as np
 from . import pfaffian
 from .cocycle import TwistTable, chi_cocycle, twist
 from .errors import SectionConsistencyError
-from .rack import Permutation, lex_reduced_words, transposition_pairs, transposition_rack
+from .rack import Permutation, lex_reduced_words, transposition_images, transposition_pairs, transposition_rack
 
 # Largest n for cover, selfcheck and cohomology.  Their checks multiply only
 # short Clifford products and reflect integer vectors, so the cap is not a
@@ -269,53 +270,85 @@ def bracket(n: int, i: int, j: int) -> SpinElement:
     return got
 
 
-def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> bool:
+# Random conjugation words decided at once; bounds the (chunk, 20) letter
+# array however many trials are asked for.
+_LEMMA_CHUNK = 1024
+_MAX_WORD_LENGTH = 20
+
+
+def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
     """Exhaustively check s_k |> [i j] = [s_k(i) s_k(j)] z, then random-word conjugation.
 
     The random part conjugates [i j] by lifts of arbitrary generator words of
     length l <= 20 (not necessarily reduced) and checks the result is
-    [w(i) w(j)] z^l, with z^l depending only on the parity of l.
+    [w(i) w(j)] z^l, with z^l depending only on the parity of l.  Returns
+    the verdict and the first failure, or None: its word (the letters k of
+    t_k, [k] in the exhaustive part) and its ordered pair [i, j].
 
     No lift is expanded.  Every bracket is a unit vector v/sqrt(2), v read
     off by _bracket_vector, and t_k = [k, k+1] = g/sqrt(2).  For unit vectors
     sqrt(2) t_k (v/sqrt(2)) t_k^-1 = <g, v> g - v, so conjugating by
     t_{w_1} ... t_{w_l} is l such integer maps of v, from the last letter to
     the first, and the result must equal (-1)^l times the vector of
-    [w(i) w(j)] exactly.
+    [w(i) w(j)] exactly.  The exhaustive part is every letter against every
+    pair, as words of one letter; the random words come in chunks of
+    _LEMMA_CHUNK, each decided as one (chunk, n) array, and are drawn from
+    random.Random(seed) in the order length, letters, i, j.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    vectors = {
-        (a, b): _bracket_vector(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
-    }
-    gens = [vectors[(k, k + 1)] for k in range(1, n)]
-    swaps = [Permutation.adjacent(n, k) for k in range(1, n)]
+    # vectors[i, j] is the vector of [i j]; row 0 and the diagonal stay zero
+    vectors = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                vectors[i, j] = _bracket_vector(n, i, j)
+    # letter 0 pads a short word: it conjugates by nothing and fixes every point
+    letters = np.arange(1, n)
+    gens = np.zeros((n, n), dtype=np.int64)
+    gens[letters] = vectors[letters, letters + 1]
+    swaps = np.tile(np.arange(n + 1), (n, 1))
+    swaps[letters, letters], swaps[letters, letters + 1] = letters + 1, letters
 
-    def conj(k: int, v: list[int]) -> list[int]:
-        g = gens[k - 1]
-        dot = sum(p * q for p, q in zip(g, v))
-        return [dot * p - q for p, q in zip(g, v)]
+    def first_failure(words: np.ndarray, lengths: np.ndarray, i: np.ndarray, j: np.ndarray) -> dict | None:
+        v = vectors[i, j]
+        a, b = i, j
+        for letter in words.T[::-1]:
+            g = gens[letter]
+            dot = np.einsum("tc,tc->t", g, v)
+            v = np.where((letter > 0)[:, None], dot[:, None] * g - v, v)
+            a, b = swaps[letter, a], swaps[letter, b]
+        want = vectors[a, b]
+        want[lengths % 2 == 1] *= -1
+        bad = np.flatnonzero(np.any(v != want, axis=1))
+        if not bad.size:
+            return None
+        t = int(bad[0])
+        return {"word": words[t, : lengths[t]].tolist(), "pair": [int(i[t]), int(j[t])]}
 
-    for k, swap in enumerate(swaps, 1):
-        for (a, b), v in vectors.items():
-            if conj(k, v) != [-c for c in vectors[(swap(a), swap(b))]]:
-                return False
+    i, j = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair, in lexicographic order
+    i, j = np.tile(i + 1, n - 1), np.tile(j + 1, n - 1)
+    witness = first_failure(np.repeat(letters, n * (n - 1))[:, None], np.ones(len(i), dtype=np.intp), i, j)
     rng = random.Random(seed)
-    for _ in range(trials):
-        l = rng.randint(0, 20)
-        word = [rng.randint(1, n - 1) for _ in range(l)]
-        a = rng.randint(1, n)
-        b = rng.randint(1, n - 1)
-        if b >= a:
-            b += 1
-        v = vectors[(a, b)]
-        for k in reversed(word):
-            v = conj(k, v)
-            a, b = swaps[k - 1](a), swaps[k - 1](b)
-        expected = vectors[(a, b)]
-        if v != (expected if l % 2 == 0 else [-c for c in expected]):
-            return False
-    return True
+    randint = rng.randint
+    done = 0
+    while witness is None and done < trials:
+        size = min(_LEMMA_CHUNK, trials - done)
+        done += size
+        lengths, drawn, firsts, seconds = [], [], [], []
+        for _ in range(size):
+            l = randint(0, _MAX_WORD_LENGTH)
+            lengths.append(l)
+            drawn += [randint(1, n - 1) for _ in range(l)]
+            a = randint(1, n)
+            b = randint(1, n - 1)
+            firsts.append(a)
+            seconds.append(b + (b >= a))
+        lengths = np.array(lengths, dtype=np.intp)
+        words = np.zeros((size, lengths.max()), dtype=np.intp)
+        words[np.arange(words.shape[1]) < lengths[:, None]] = drawn
+        witness = first_failure(words, lengths, np.array(firsts), np.array(seconds))
+    return witness is None, witness
 
 
 def _bracket_vector(n: int, i: int, j: int) -> list[int]:
@@ -426,9 +459,8 @@ class GroupCocycleBit:
         n, sections = self.n, self.sections
         pairs = transposition_pairs(n)
         k = len(pairs)
-        images = np.tile(np.arange(n + 1, dtype=np.int8), (k, 1))  # column 0 pads, so a value is its own column
-        for v, (i, j) in enumerate(pairs):
-            images[v, i], images[v, j] = j, i
+        images = np.zeros((k, n + 1), dtype=np.int8)  # column 0 pads, so a value is its own column
+        images[:, 1:] = transposition_images(n) + 1
         # (x y)(m) = x(y(m)), for all k^2 pairs in row-major order
         products = images[np.arange(k)[:, None, None], images[None, :, 1:]].reshape(k * k, n)
         # equal products are adjacent after a stable sort, led by their first pair

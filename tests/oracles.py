@@ -10,9 +10,13 @@ that expand no Pfaffian: CliffordSection lifts the section in the package's
 Clifford model, and twist_identity_by_reflections checks the twist identity
 one bracket at a time, with no section at all.  The conjugation lemmas
 have conjugation_lemmas_by_clifford, which expands every lift in the
-Clifford model where the package reflects integer vectors.  The one
-exception is unpruned_graded_dims, which reruns the package's ranks on
-every row of every degree.
+Clifford model where the package reflects integer vectors, and
+conjugation_lemmas_per_trial, which reflects them one word at a time where
+the package decides a batch of words at once.  The transposition rack, chi
+and the twisted cocycle have loops over pairs and Permutation objects where
+the package reads integer arrays.  The one exception is
+unpruned_graded_dims, which reruns the package's ranks on every row of
+every degree.
 """
 
 from __future__ import annotations
@@ -659,23 +663,24 @@ def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
     return None
 
 
-def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> bool:
+def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
     """spincover.verify_conjugation_lemmas with every lift expanded in the Clifford model.
 
     Exhaustively checks t_k [i j] t_k^-1 = [s_k(i) s_k(j)] z, then conjugates
     [i j] by the lifts of random generator words of length l <= 20 and checks
     the result is [w(i) w(j)] z^l; the words are drawn as in the package.  A
     lift of l letters has up to 2^(n-1) terms, so this is exponential in n.
+    Returns the verdict and the first failing word and pair, as the package does.
     """
     brackets = {
         (a, b): spincover.bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
     }
     ts = [spincover.generator_t(n, i) for i in range(1, n)]
-    for sk in ts:
+    for k, sk in enumerate(ts, 1):
         swap = sk.perm
         for (a, b), br in brackets.items():
             if sk.conj(br) != brackets[(swap(a), swap(b))].times_z():
-                return False
+                return False, {"word": [k], "pair": [a, b]}
     rng = random.Random(seed)
     for _ in range(trials):
         l = rng.randint(0, 20)
@@ -691,8 +696,76 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
         if l % 2 == 1:
             expected = expected.times_z()
         if lift.conj(brackets[(a, b)]) != expected:
-            return False
-    return True
+            return False, {"word": word, "pair": [a, b]}
+    return True, None
+
+
+def conjugation_lemmas_per_trial(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
+    """spincover.verify_conjugation_lemmas one word at a time, on Python lists.
+
+    The same integer reflections v -> <g, v> g - v of bracket_vector, applied
+    letter by letter from the last to the first while the pair follows the
+    swaps, with the words drawn as in the package.
+    """
+    vectors = {
+        (a, b): bracket_vector(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
+    }
+    swaps = [Permutation.adjacent(n, k) for k in range(1, n)]
+
+    def conj(k: int, v) -> list[int]:
+        g = vectors[(k, k + 1)]
+        dot = sum(p * q for p, q in zip(g, v))
+        return [dot * p - q for p, q in zip(g, v)]
+
+    for k, swap in enumerate(swaps, 1):
+        for (a, b), v in vectors.items():
+            if conj(k, v) != [-c for c in vectors[(swap(a), swap(b))]]:
+                return False, {"word": [k], "pair": [a, b]}
+    rng = random.Random(seed)
+    for _ in range(trials):
+        l = rng.randint(0, 20)
+        word = [rng.randint(1, n - 1) for _ in range(l)]
+        a = rng.randint(1, n)
+        b = rng.randint(1, n - 1)
+        if b >= a:
+            b += 1
+        v, c, d = list(vectors[(a, b)]), a, b
+        for k in reversed(word):
+            v = conj(k, v)
+            c, d = swaps[k - 1](c), swaps[k - 1](d)
+        expected = list(vectors[(c, d)])
+        if v != (expected if l % 2 == 0 else [-e for e in expected]):
+            return False, {"word": word, "pair": [a, b]}
+    return True, None
+
+
+def transposition_rack_by_permutations(n: int) -> FiniteRack:
+    """x_n conjugated pair by pair through Permutation objects."""
+    pairs = transposition_pairs(n)
+    index = {p: i for i, p in enumerate(pairs)}
+    op = []
+    for x in (Permutation.transposition(n, i, j) for i, j in pairs):
+        row = []
+        for c, d in pairs:
+            a, b = x(c), x(d)
+            row.append(index[(a, b) if a < b else (b, a)])
+        op.append(tuple(row))
+    return FiniteRack(op=tuple(op), labels=tuple(f"({i} {j})" for i, j in pairs))
+
+
+def chi_exponents_by_permutations(n: int) -> tuple[tuple[int, ...], ...]:
+    """The exponent table of chi on x_n: 1 where sigma(i) > sigma(j) for tau = (i j), i < j."""
+    pairs = transposition_pairs(n)
+    perms = [Permutation.transposition(n, i, j) for i, j in pairs]
+    return tuple(tuple(0 if sigma(i) < sigma(j) else 1 for i, j in pairs) for sigma in perms)
+
+
+def twist_by_loop(q: RackCocycle, phi: TwistTable) -> tuple[tuple[int, ...], ...]:
+    """The exponents phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m) of the twisted cocycle, entry by entry."""
+    op, m, k = q.rack.op, q.order, q.rack.size
+    return tuple(
+        tuple((phi.phi[x][y] - phi.phi[op[x][y]][x] + q.exp[x][y]) % m for y in range(k)) for x in range(k)
+    )
 
 
 def value_at_one(coeffs: list[int]) -> int:

@@ -22,6 +22,7 @@ from racktwist.braided import (
     MonomialOperator,
     check_braid_equation,
     rho,
+    strand_tables,
     symmetrizer,
 )
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
@@ -141,6 +142,14 @@ class TestRho:
 
     def test_braid_relation_distant(self):
         assert rho(BraidWord(4, (1, 3)), CHI4, 4) == rho(BraidWord(4, (3, 1)), CHI4, 4)
+
+    def test_shared_strand_tables(self):
+        tables = strand_tables(CHI4, 4)
+        for letters in ((), (1, 3, 2), (3, 2, 1, 2, 3, 1)):
+            word = BraidWord(4, letters)
+            assert rho(word, CHI4, 4, tables) == rho(word, CHI4, 4)
+        with pytest.raises(ValueError, match="2 strand tables for degree 4"):
+            rho(BraidWord(4, (1,)), CHI4, 4, strand_tables(CHI4, 3))
 
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):

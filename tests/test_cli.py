@@ -119,6 +119,7 @@ class TestCoverCommand:
         assert run(["cover", "--n", "4", "--trials", "50", "--out", str(out)]) == 0
         report = read_json(str(out))
         assert report["presentation_ok"] and report["lemma_general_ok"] and report["main_theorem_ok"]
+        assert report["lemma_witness"] is None
         phi = report["phi_restriction"]
         assert phi["order"] == 2
         assert len(phi["phi"]) == 6

@@ -4,13 +4,17 @@ import random
 import pytest
 
 from oracles import (
+    chi_exponents_by_permutations,
     cocycle_first_failure,
     conjugacy_class_rack,
     inverse_gauge,
     lift_to_order,
+    twist_by_loop,
     twist_condition_first_failure,
 )
+from racktwist import cocycle as cocycle_mod
 from racktwist.cocycle import (
+    CocycleReport,
     GaugeFunction,
     RackCocycle,
     TwistTable,
@@ -192,6 +196,115 @@ class TestChecksMatchTripleLoops:
             assert check_cocycle(bad).witness == cocycle_first_failure(bad)
             phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
             assert check_twist_condition(phi).witness == twist_condition_first_failure(phi)
+
+
+# Tables on {0, 1, 2} (not racks) whose only failing triple is the last one,
+# (2, 2, 2): one for the cocycle condition and one for the twist condition.
+LAST_TRIPLE_COCYCLE = (((0, 2, 0), (0, 2, 0), (0, 0, 1)), ((0, 0, 1), (0, 0, 1), (0, 1, 1)))
+LAST_TRIPLE_TWIST = (((0, 2, 1), (2, 1, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+
+
+def at_the_top(table, k, scale=1, shift=0, m=2):
+    """(op, exp) on {0..k-1}: the 3 x 3 table on the last three elements, the trivial rack elsewhere.
+
+    Exponents e become scale * e + shift (mod m), and shift fills the rest.
+    Both conditions hold on every triple that the small table does not fail,
+    and a constant shift cancels, so the first failure stays at
+    (k-1, k-1, k-1).
+    """
+    op3, exp3 = table
+    s = k - 3
+    op = [list(range(k)) for _ in range(k)]
+    exp = [[shift % m] * k for _ in range(k)]
+    for a, b in itertools.product(range(3), repeat=2):
+        op[s + a][s + b] = s + op3[a][b]
+        exp[s + a][s + b] = (scale * exp3[a][b] + shift) % m
+    return FiniteRack(op=tuple(map(tuple, op))), tuple(map(tuple, exp))
+
+
+class TestChunkedTripleChecks:
+    # at the default size k = 30 takes four chunks (9, 9, 9 and 3 x); at 1 entry every x
+    # is a chunk of its own, and at 50 entries k = 5 takes chunks of two x
+
+    @pytest.mark.parametrize("k", [3, 5, 30])
+    @pytest.mark.parametrize("entries", [None, 1, 50])
+    @pytest.mark.parametrize("m,scale,shift", [(2, 1, 0), (2**62, 2**61, 2**61 - 1), (2**62, 2**61, 2**62 - 3)])
+    def test_failure_at_the_last_triple(self, monkeypatch, k, entries, m, scale, shift):
+        if entries is not None:
+            monkeypatch.setattr(cocycle_mod, "_TRIPLE_ENTRIES", entries)
+        rack, exp = at_the_top(LAST_TRIPLE_COCYCLE, k, scale, shift, m)
+        q = RackCocycle(rack, m, exp)
+        assert check_cocycle(q) == CocycleReport(False, (k - 1,) * 3)
+        assert cocycle_first_failure(q) == (k - 1,) * 3
+        rack, phi = at_the_top(LAST_TRIPLE_TWIST, k, scale, shift, m)
+        t = TwistTable(rack, m, phi)
+        assert check_twist_condition(t) == CocycleReport(False, (k - 1,) * 3)
+        assert twist_condition_first_failure(t) == (k - 1,) * 3
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_witness_in_later_chunks(self, monkeypatch, n):
+        k = n * (n - 1) // 2
+        monkeypatch.setattr(cocycle_mod, "_TRIPLE_ENTRIES", k * k)  # one x per chunk
+        chi, table = chi_cocycle(n), phi_psi_table(n).twist_table()
+        xs = set()
+        for exp in flipped_tables(chi.exp):
+            q = RackCocycle(rack=chi.rack, order=2, exp=exp)
+            assert check_cocycle(q).witness == cocycle_first_failure(q)
+            xs.add(check_cocycle(q).witness[0])
+        for phi in flipped_tables(table.phi):
+            t = TwistTable(rack=table.rack, order=2, phi=phi)
+            report = check_twist_condition(t)
+            assert report.witness == twist_condition_first_failure(t)
+            if report.witness is not None:
+                xs.add(report.witness[0])
+        assert max(xs) >= 1  # a witness outside the first chunk
+
+    # (0, 1, 1) holds in both, and the first failure is (0, 1, 2).  At order 2^62 - 1 its
+    # four exponents per side sum past 2^63, and unreduced int64 sums called it a failure;
+    # at order 4 its residue is 12 = 3m, the largest multiple of m a residue can reach.
+    M = 2**62 - 1
+
+    @pytest.mark.parametrize("m,op,phi", [
+        (M, ((0, 2, 1), (0, 2, 1), (1, 2, 1)), ((0, M - 1, 0), (M - 1, M - 4, 0), (0, M - 1, M - 1))),
+        (4, ((0, 2, 1), (0, 2, 2), (2, 0, 0)), ((0, 0, 3), (0, 3, 3), (3, 0, 0))),
+    ])
+    def test_twist_residues_at_the_extremes(self, m, op, phi):
+        t = TwistTable(FiniteRack(op), m, phi)
+        assert twist_condition_first_failure(t) == (0, 1, 2)
+        assert check_twist_condition(t) == CocycleReport(False, (0, 1, 2))
+
+    def test_orders_above_two_to_the_62_are_refused(self):
+        m = 2**62 + 1
+        phi = TwistTable(X4, m, ((0,) * 6,) * 6)
+        with pytest.raises(DimensionCapError, match="2\\^62"):
+            check_twist_condition(phi)
+        with pytest.raises(DimensionCapError, match="2\\^62"):
+            twist(constant_cocycle(X4, m, 1), phi)
+
+
+class TestIntegerTables:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_chi_equals_the_permutation_oracle(self, n):
+        chi = chi_cocycle(n)
+        assert chi.exp == chi_exponents_by_permutations(n)
+        assert chi.rack is transposition_rack(n) and chi.order == 2
+
+    def test_chi_built_once_per_n(self):
+        chi = chi_cocycle(7)
+        assert chi_cocycle(7) is chi
+        assert isinstance(chi.exp, tuple) and all(isinstance(row, tuple) for row in chi.exp)
+
+    def test_twist_equals_the_loop(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            q = random_cocycle_pool(rng)
+            k, m = q.rack.size, q.order
+            phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
+            assert twist(q, phi).exp == twist_by_loop(q, phi)
+        m = 2**62
+        q = constant_cocycle(X4, m, m - 1)
+        phi = TwistTable(X4, m, tuple(tuple(rng.choice((0, 1, m - 1)) for _ in range(6)) for _ in range(6)))
+        assert twist(q, phi).exp == twist_by_loop(q, phi)
 
 
 class TestGauge:

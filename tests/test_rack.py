@@ -11,6 +11,7 @@ from oracles import (
     coxeter_length,
     lex_min_reduced_word,
     save_rack,
+    transposition_rack_by_permutations,
 )
 from racktwist.rack import (
     FiniteRack,
@@ -167,6 +168,10 @@ class TestTranspositionRack:
         assert isinstance(r.op, tuple) and all(isinstance(row, tuple) for row in r.op)
         with pytest.raises(AttributeError):
             r.op = ()
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_equals_the_permutation_oracle(self, n):
+        assert transposition_rack(n) == transposition_rack_by_permutations(n)
 
     def test_disjoint_transpositions_commute(self):
         r = transposition_rack(4)

@@ -1,16 +1,18 @@
 import itertools
 import json
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
-
 from oracles import (
     CliffordSection,
     QuadScalar,
     clifford_twist_table,
     conjugation_lemmas_by_clifford,
+    conjugation_lemmas_per_trial,
     flip_phi_bit,
     is_group_like,
     lex_min_reduced_word,
@@ -312,18 +314,58 @@ class TestConjugation:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_lemmas(self, n):
-        assert verify_conjugation_lemmas(n, trials=300, seed=7)
+        assert verify_conjugation_lemmas(n, trials=300, seed=7) == (True, None)
 
     @pytest.mark.parametrize("n", range(4, 8))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reflections_agree_with_clifford_lifts(self, n, seed):
-        assert verify_conjugation_lemmas(n, trials=300, seed=seed) is True
-        assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) is True
+        assert verify_conjugation_lemmas(n, trials=300, seed=seed) == (True, None)
+        assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) == (True, None)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_batches_agree_with_the_per_trial_oracle(self, n):
+        for seed in range(5):
+            for trials in (0, 1000):
+                got = verify_conjugation_lemmas(n, trials=trials, seed=seed)
+                assert got == conjugation_lemmas_per_trial(n, trials=trials, seed=seed) == (True, None)
+
+    def test_draws_as_the_oracle(self, monkeypatch):
+        # every randint of the package, in order, equals the oracle's; chunks of 7 cut the words
+        draws = {}
+
+        def recording(name):
+            class Recorder(random.Random):
+                def randint(self, a, b):
+                    got = super().randint(a, b)
+                    draws.setdefault(name, []).append((a, b, got))
+                    return got
+
+            return types.SimpleNamespace(Random=Recorder)
+
+        monkeypatch.setattr(spincover, "_LEMMA_CHUNK", 7)
+        monkeypatch.setattr(spincover, "random", recording("package"))
+        monkeypatch.setattr(oracles, "random", recording("oracle"))
+        assert verify_conjugation_lemmas(6, trials=30, seed=4) == (True, None)
+        assert conjugation_lemmas_per_trial(6, trials=30, seed=4) == (True, None)
+        assert len(draws["package"]) > 30 * 3 and draws["package"] == draws["oracle"]
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 12])
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 1), (4, 3)])
+    def test_negated_bracket_gives_the_oracles_witness(self, monkeypatch, n, pair):
+        scale_bracket(monkeypatch, *pair, -1)
+        for trials in (0, 1000):
+            ok, witness = verify_conjugation_lemmas(n, trials=trials, seed=1)
+            assert ok is False and len(witness["word"]) == 1
+            assert (ok, witness) == conjugation_lemmas_per_trial(n, trials=trials, seed=1)
+        if n <= 5:
+            assert (ok, witness) == conjugation_lemmas_by_clifford(n, trials=0)
 
     def test_negated_bracket_fails_both_checks(self, monkeypatch):
         scale_bracket(monkeypatch, 1, 3, -1)
-        assert verify_conjugation_lemmas(5, trials=0) is False
-        assert conjugation_lemmas_by_clifford(5, trials=0) is False
+        # t_1 [1 3] t_1^-1 must be [2 3] z; the first letter and pair in order that reads [1 3]
+        want = (False, {"word": [1], "pair": [1, 3]})
+        assert verify_conjugation_lemmas(5, trials=0) == want
+        assert conjugation_lemmas_by_clifford(5, trials=0) == want
 
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (4, 2)])
     @pytest.mark.parametrize("trials", [0, 200])
@@ -335,10 +377,11 @@ class TestConjugation:
             return [-c for c in v] if (i, j) == pair else v
 
         monkeypatch.setattr(spincover, "_bracket_vector", negated)
-        assert verify_conjugation_lemmas(5, trials=trials, seed=3) is False
+        ok, witness = verify_conjugation_lemmas(5, trials=trials, seed=3)
+        assert ok is False and len(witness["word"]) == 1 and len(witness["pair"]) == 2
 
     def test_lemmas_at_the_cap(self):
-        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000)
+        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000) == (True, None)
 
 
 class TestSpinElementInvariants:
@@ -631,6 +674,26 @@ class TestSelfcheckWitness:
             entry = next(c for c in checks if c["name"] == f"main theorem n={n}")
             assert entry == {"name": f"main theorem n={n}", "ok": False, "first_failing_pair": pair}
         assert all(set(c) == {"name", "ok"} for c in checks if c["ok"])
+
+    def test_failing_conjugation_lemmas_carry_their_witness(self, monkeypatch, tmp_path):
+        scale_bracket(monkeypatch, 2, 4, -1)
+        out = tmp_path / "sc.json"
+        assert cli.main(["selfcheck", "--n-max", "5", "--trials", "20", "--seed", "2", "--out", str(out)]) == 2
+        checks = json.loads(out.read_text())["checks"]
+        for n in (4, 5):
+            ok, witness = verify_conjugation_lemmas(n, trials=20, seed=2)
+            assert ok is False and witness == {"word": [2], "pair": [2, 4]}
+            entry = next(c for c in checks if c["name"] == f"conjugation lemmas n={n}")
+            assert entry == {"name": f"conjugation lemmas n={n}", "ok": False, "lemma_witness": witness}
+
+    def test_failing_cover_report_carries_the_lemma_witness(self, monkeypatch, tmp_path, capsys):
+        scale_bracket(monkeypatch, 2, 4, -1)
+        out = tmp_path / "cover.json"
+        assert cli.main(["cover", "--n", "5", "--trials", "20", "--out", str(out)]) == 2
+        report = json.loads(out.read_text())
+        assert report["lemma_general_ok"] is False and report["ok"] is False
+        assert report["lemma_witness"] == {"word": [2], "pair": [2, 4]}
+        assert "first failing conjugation: word [2], pair [2, 4]" in capsys.readouterr().out
 
     def test_passing_report_has_twelve_plain_checks(self, tmp_path):
         out = tmp_path / "sc.json"
