@@ -97,11 +97,11 @@ def strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndar
     return tables
 
 
-def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list | None = None) -> MonomialOperator:
+def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list) -> MonomialOperator:
     """The braid representation image of a positive word on X^(x)degree.
 
-    tables are strand_tables(q, degree), built here unless the caller passes
-    them to share between calls; nothing keeps them alive after the caller.
+    tables must be strand_tables(q, degree); a caller builds them once and
+    shares them between its calls, and nothing keeps them alive after it.
     """
     if word.n != degree:
         raise ValueError(f"word is on {word.n} strands but degree is {degree}")
@@ -110,10 +110,6 @@ def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list | None = None
     dim = q.rack.size**degree
     if dim > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
-    if tables is None:
-        tables = strand_tables(q, degree)
-    elif len(tables) != degree - 1:
-        raise ValueError(f"{len(tables)} strand tables for degree {degree}")
     out = MonomialOperator.identity(dim, q.order)
     for i in word.letters:
         tgt, ex = tables[i - 1]

@@ -5,10 +5,10 @@ keeps a table of exponents e with q_{x,y} = zeta_m^e, so every check is
 exact arithmetic in Z/m.  Tables are read off and checked as int64 arrays:
 chi from the one-line images of the transpositions (once per n), the twist
 all entries at once, and the cocycle and twist conditions over chunks of
-x, each a (chunk, k, k) array of residues over the triples (x, y, z).  A
-residue is a signed sum of exponents below m, so it can only reach a few
-multiples of m, and comparing with those decides it with no division;
-orders up to 2^62 stay within int64, and larger ones are refused.
+x, each a (chunk, k, k) array of residues over the triples (x, y, z).
+Every residue is brought into (-2m, 2m) (the twist condition reduces its
+two halves first), so comparing its absolute value with 0 and m decides
+it; orders up to 2^62 stay within int64, and larger ones are refused.
 """
 
 from __future__ import annotations
@@ -158,16 +158,10 @@ def _first_failure(k: int, failing) -> CocycleReport:
     return CocycleReport(True)
 
 
-def _not_multiple(d: np.ndarray, m: int, bound: int) -> np.ndarray:
-    """Where d is not a multiple of m, for |d| < bound * m: |d| is compared with 0, m, ..., (bound - 1) m.
-
-    A few comparisons cost less than one integer division per entry.
-    """
+def _not_multiple(d: np.ndarray, m: int) -> np.ndarray:
+    """Where d is not a multiple of m, for |d| < 2m: |d| is compared with 0 and m."""
     a = np.abs(d)
-    out = a != 0
-    for c in range(1, bound):
-        out &= a != c * m
-    return out
+    return (a != 0) & (a != m)
 
 
 def check_cocycle(q: RackCocycle) -> CocycleReport:
@@ -186,7 +180,7 @@ def check_cocycle(q: RackCocycle) -> CocycleReport:
         ox = op[xs]
         d = exp[xs][:, op] - flat[(ox * k)[:, :, None] + ox[:, None, :]]
         d += exp - exp[xs][:, None, :]
-        return _not_multiple(d, m, 2)
+        return _not_multiple(d, m)
 
     return _first_failure(k, failing)
 
@@ -271,7 +265,7 @@ def check_twist_condition(phi: TwistTable) -> CocycleReport:
     With yz = y|>z and xyz = x|>yz, the residue of (x, y, z) is the sum of
     (phi[x|>y][x|>z] - phi[x][yz]) + (phi[xyz][x] - phi[xyz][x|>y]) and
     (phi[x][z] - phi[x|>z][x]) + (phi[yz][y] - phi[y][z]), each in (-2m, 2m);
-    above m = 2^61 both are reduced before they are added, so int64 holds
+    both are reduced into (-m, m) before they are added, so int64 holds
     every order up to 2^62, and larger ones are refused (DimensionCapError).
     """
     m, k = phi.order, phi.rack.size
@@ -290,10 +284,7 @@ def check_twist_condition(phi: TwistTable) -> CocycleReport:
         d += flat[xyz_row + xs[:, None, None]]
         d -= flat[xyz_row + ox[:, :, None]]
         e = (p[xs] - flat[row + xs[:, None]])[:, None, :] + outer
-        if m > 2**61:
-            d, e = np.fmod(d, m), np.fmod(e, m)
-            return _not_multiple(d + e, m, 2)
-        return _not_multiple(d + e, m, 4)
+        return _not_multiple(np.fmod(d, m) + np.fmod(e, m), m)
 
     return _first_failure(k, failing)
 

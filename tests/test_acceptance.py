@@ -18,7 +18,7 @@ from oracles import (
     main_theorem_log,
     value_at_one,
 )
-from racktwist.braided import BraidWord, check_braid_equation, rho, symmetrizer
+from racktwist.braided import BraidWord, check_braid_equation, rho, strand_tables, symmetrizer
 from racktwist.cli import main as cli_main
 from racktwist.cocycle import (
     GaugeFunction,
@@ -174,8 +174,9 @@ def test_criterion_09_property_suites():
 
     # both braid relations as operator identities
     for q in (chi_cocycle(4), minus_one_cocycle(transposition_rack(3))):
-        ok = ok and rho(BraidWord(3, (1, 2, 1)), q, 3) == rho(BraidWord(3, (2, 1, 2)), q, 3)
-        ok = ok and rho(BraidWord(4, (1, 3)), q, 4) == rho(BraidWord(4, (3, 1)), q, 4)
+        t3, t4 = strand_tables(q, 3), strand_tables(q, 4)
+        ok = ok and rho(BraidWord(3, (1, 2, 1)), q, 3, t3) == rho(BraidWord(3, (2, 1, 2)), q, 3, t3)
+        ok = ok and rho(BraidWord(4, (1, 3)), q, 4, t4) == rho(BraidWord(4, (3, 1)), q, 4, t4)
 
     # Matsumoto lift is word-independent at operator level
     base = minus_one_cocycle(transposition_rack(3))
@@ -185,7 +186,8 @@ def test_criterion_09_property_suites():
         rng.shuffle(img)
         sigma = Permutation(tuple(img))
         lex, alt = sigma.lex_reduced_word(), largest_descent_word(sigma)
-        ok = ok and rho(BraidWord(n, lex), base, n) == rho(BraidWord(n, alt), base, n)
+        tn = strand_tables(base, n)
+        ok = ok and rho(BraidWord(n, lex), base, n, tn) == rho(BraidWord(n, alt), base, n, tn)
 
     # symmetrizer equals the dense brute-force oracle
     for degree in (2, 3, 4):

@@ -261,7 +261,7 @@ class TestChunkedTripleChecks:
 
     # (0, 1, 1) holds in both, and the first failure is (0, 1, 2).  At order 2^62 - 1 its
     # four exponents per side sum past 2^63, and unreduced int64 sums called it a failure;
-    # at order 4 its residue is 12 = 3m, the largest multiple of m a residue can reach.
+    # at order 4 its two halves add up to 12 = 3m before they are reduced.
     M = 2**62 - 1
 
     @pytest.mark.parametrize("m,op,phi", [
