@@ -14,7 +14,11 @@ blocks of the same rank.  Both depend only on the braiding, so they are
 found before assembly, and the caller may then ask for some rows only: row
 v of S_d is row floor(v/k) of S_{d-1}, lifted and multiplied by T_d, so
 those rows are built exactly from the rows of lower degrees that they
-descend from, and no other row is.
+descend from, and no other row is.  Assembly builds no table over the
+basis: each lifted column is sent through T_d letter by letter, on k x k
+tables of the inverse braiding, so a degree pays for the entries of the
+rows it builds.  Over the basis, each degree takes one map to find its
+orbits, and frees it before the next degree.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .cocycle import RackCocycle
-from .errors import DimensionCapError
+from .errors import DimensionCapError, RackAxiomError
 
 DEFAULT_DIM_CAP = 200_000
 
@@ -205,18 +209,47 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return keys[ends], total
 
 
-def _min_labels(maps: list[np.ndarray], size: int) -> np.ndarray:
-    """Smallest element in the orbit of each i under the maps, by min-label propagation with pointer jumping."""
-    label = np.arange(size, dtype=np.int64)
+def _min_labels(label: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """The smallest element of each component of the graph joining i to label[i] and to maps[t, i] for every t.
+
+    label must send every i to an element of its component no larger than
+    i (the identity does).  Each round lets every label jump to its root,
+    then hooks every root to the smallest root that an edge joins it to,
+    until the two ends of every edge have one label.
+    """
     while True:
-        new = label.copy()
-        for tgt in maps:
-            np.minimum(new, new[tgt], out=new)
-            new[tgt] = np.minimum(new[tgt], new)
-        new = new[new]
-        if np.array_equal(new, label):
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        ends = label[maps]
+        if (ends == label).all():
             return label
-        label = new
+        low = np.minimum(ends, label)
+        hooked = label.copy()
+        np.minimum.at(hooked, ends, low)
+        np.minimum.at(hooked, label, low.min(axis=0))
+        label = hooked
+
+
+def _braid_orbits(q: RackCocycle, degree: int) -> np.ndarray:
+    """orbit[v]: the smallest basis index in the braid-group orbit of v in X^(x)degree.
+
+    c_1 ... c_{d-2} act on the first d - 1 factors only, so in X^(x)d their
+    orbits are the orbits of degree d - 1, each with a fixed last letter;
+    c_{d-1}, read off the last two letters, then joins them.  So each
+    degree takes one map of its basis, and no table of it outlives it.
+    """
+    k = q.rack.size
+    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
+    x, y = np.arange(k)[:, None], np.arange(k)
+    # c_{d-1} moves x (x) y in the last two places to (x |> y) (x) x
+    move = ((op - x) * k + x - y).ravel()
+    orbit = np.arange(k ** min(degree, 1), dtype=np.int64)
+    for d in range(2, degree + 1):
+        orbit = _min_labels((orbit[:, None] * k + y).ravel(), (np.arange(k**d).reshape(-1, k * k) + move).reshape(1, -1))
+    return orbit
 
 
 def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
@@ -228,7 +261,8 @@ def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
     q(phi y, phi z) for all y, z.  The last identity is the cocycle
     condition at (x, y, z), so on a rack every x qualifies; each row is
     checked all the same, because file racks that fail the axioms reach
-    `hilbert` too.
+    `hilbert` too.  They do not depend on the degree, so a caller that
+    builds several degrees finds them once (see `symmetrizer`).
     """
     k, m = q.rack.size, q.order
     op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
@@ -242,35 +276,37 @@ def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
     ]
 
 
-def _orbit_classes(q: RackCocycle, degree: int, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class of every braid orbit under the translations of _commuting_translations, and its carry.
+def _orbit_classes(orbit: np.ndarray, degree: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class of every braid orbit under the translations phis (t, k), and its carry.
 
     Orbits are numbered by their smallest member; entry i of the class is
     the number of the smallest orbit (the head) in the class of orbit i.
     Row i of the carry is a permutation s of X whose letterwise action maps
     the head's orbit onto orbit i: the product of the translations along a
-    breadth-first tree of the class, grown from its head.
+    breadth-first tree of the class, grown from its head, where an orbit
+    first reached along several edges takes the one of the first
+    translation.
     """
-    k = q.rack.size
+    k = phis.shape[1]
     reps = np.flatnonzero(orbit == np.arange(orbit.size))
-    phis = _commuting_translations(q)
     place = k ** np.arange(degree, dtype=np.int64)
-    letters = reps[:, None] // place % k
-    # maps[t][i]: the orbit that translation t sends orbit i to, read off its smallest member
-    maps = [np.searchsorted(reps, orbit[phi[letters] @ place]) for phi in phis]
-    orbit_class = _min_labels(maps, reps.size)
+    # maps[t, i]: the orbit that translation t sends orbit i to, read off its smallest member
+    maps = np.searchsorted(reps, orbit[phis[:, reps[:, None] // place % k] @ place])
+    orbit_class = _min_labels(np.arange(reps.size), maps)
     frontier = np.flatnonzero(orbit_class == np.arange(reps.size))
     carry = np.full((reps.size, k), -1, dtype=np.min_scalar_type(-k))
     carry[frontier] = np.arange(k)
     while frontier.size:
-        reached = [frontier[:0]]
-        for phi, tgt in zip(phis, maps):
-            # tgt permutes the orbits, so the children of one translation are distinct
-            child = tgt[frontier]
-            new = carry[child, 0] < 0
-            carry[child[new]] = phi[carry[frontier[new]]]
-            reached.append(child[new])
-        frontier = np.concatenate(reached)
+        child = maps[:, frontier]
+        t, f = np.nonzero(carry[child, 0] < 0)
+        # the edges in order of translation; the first edge to each child wins
+        reached = child[t, f]
+        by = np.argsort(reached, kind="stable")
+        first = np.ones(by.size, dtype=bool)
+        first[1:] = reached[by[1:]] != reached[by[:-1]]
+        win = by[first]
+        carry[reached[win]] = phis[t[win, None], carry[frontier[f[win]]]]
+        frontier = reached[win]
     return orbit_class, carry
 
 
@@ -301,27 +337,54 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 
-def _level(q: RackCocycle, d: int) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """The strand tables of degree d >= 1 and the column tables of assembly step d.
+def _inverse_letters(q: RackCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """Flat k x k tables of c^-1: step[z*k + a] = y with z |> y = a, and gain[z*k + a] = exp[z][y].
 
-    Right multiplication by the prefix product P_j = c_{d-1}...c_{d-j},
-    which takes v to target_j[v] with exponent expo_j[v], moves an entry
-    from column C to column v = target_j^-1[C] and adds expo_j[v] to its
-    exponent; inv[C, j] holds that column and add[C, j] that exponent.
+    c maps x (x) y to q(x, y) (x |> y) (x) x, so c^-1 maps a (x) z to
+    z (x) y, undoing the scalar q(z, y).  It needs every row z |> - to be a
+    bijection: RackAxiomError (a ValueError) names the first row that is
+    not, as `rack --check` reports it.
     """
-    k, m = q.rack.size, q.order
-    n = k**d
-    tables = strand_tables(q, d)
-    v = np.arange(n, dtype=np.int64)
-    target, expo = v, np.zeros(n, dtype=np.int64)
-    inv = np.empty((n, d), dtype=np.int64)
-    add = np.empty((n, d), dtype=np.int64)
-    inv[:, 0], add[:, 0] = v, 0
-    for j, (tgt, ex) in enumerate(reversed(tables), start=1):
-        target, expo = target[tgt], (ex + expo[tgt]) % m
-        inv[target, j] = v
-        add[target, j] = expo
-    return tables, inv, add
+    k = q.rack.size
+    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
+    bad = np.flatnonzero((np.sort(op, axis=1) != np.arange(k)).any(axis=1))
+    if bad.size:
+        raise RackAxiomError(
+            f"non-bijective-row at ({bad[0]},): the braiding needs every row x |> - of the rack table to be a bijection"
+        )
+    step = np.empty((k, k), dtype=np.int64)
+    step[np.arange(k)[:, None], op] = np.arange(k)
+    return step.ravel(), np.array(q.exp, dtype=np.int64)[np.arange(k)[:, None], step].ravel()
+
+
+def _sends(
+    col: np.ndarray, lane: np.ndarray, expo: np.ndarray, d: int, k: int, inverse: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and exponents of the lifted entries of step d after right multiplication by T_d.
+
+    An entry zeta^expo at column C = col*k + lane moves under the prefix
+    product P_j = c_{d-1} ... c_{d-j} to column v = P_j^-1(C) and gains the
+    exponent of P_j at v.  c_i^-1 maps the letters a (x) z in places i and
+    i + 1 to z (x) y with z |> y = a, so the last letter z = lane moves to
+    place d - j and each letter a that it passes becomes y one place later,
+    gaining exp[z][y] (_inverse_letters).  Returned: (len(C), d) arrays of
+    v and of the exponent, not reduced mod the order, for j = 0..d-1.
+    """
+    step, gain = inverse
+    sends = np.empty((col.size, d), dtype=np.int64)
+    shifted = np.empty((col.size, d), dtype=np.int64)
+    sends[:, 0], shifted[:, 0] = col * k + lane, expo
+    row = lane * k
+    head, low, place = col, 0, 1
+    for j in range(1, d):
+        head, letter = np.divmod(head, k)
+        at = row + letter
+        low = low + step[at] * place
+        expo = expo + gain[at]
+        place *= k
+        sends[:, j] = (head * k + lane) * place + low
+        shifted[:, j] = expo
+    return sends, shifted
 
 
 def symmetrizer(
@@ -329,7 +392,7 @@ def symmetrizer(
     degree: int,
     dim_cap: int = DEFAULT_DIM_CAP,
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    levels: dict | None = None,
+    translations: list[np.ndarray] | None = None,
 ) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
@@ -342,32 +405,35 @@ def symmetrizer(
     of 3, 1, 0).
 
     Each step lifts the entries (r, c) of S_{d-1} to (rk + a, ck + a), sends
-    every lifted column through the inverses of the d prefix products of T_d
-    and merges duplicate (row, column, exponent) entries, keyed in that
-    order in the bit fields of one integer, a block of rows at a time.
+    every lifted column through the inverses of the d prefix products of T_d,
+    letter by letter on k x k tables (_sends), and merges duplicate (row,
+    column, exponent) entries, keyed in that order in the bit fields of one
+    integer, a block of rows at a time.  No table over the basis is kept
+    from one step to the next.  The rows of the rack table must be
+    bijections (RackAxiomError, a ValueError, otherwise).
 
-    The braid orbits and their classes come first, from the strand tables
-    alone.  `rows(orbit, orbit_class)` then names the rows to build, ascending
-    and distinct; None builds every row.  Row rk + a of S_d is row r of
+    The braid orbits (_braid_orbits) and their classes come first.  The
+    classes are taken under `translations`, the list that
+    _commuting_translations(q) returns; a caller that builds several
+    degrees finds it once and passes it, and None finds it here.
+    `rows(orbit, orbit_class)` then names the rows to build, ascending and
+    distinct; None builds every row.  Row rk + a of S_d is row r of
     S_{d-1}, lifted to lane a and multiplied by T_d, so rows R of S_degree
     need rows floor(R / k^(degree-d)) of S_d and no other; the rows not
     built have no entries.
-
-    `levels` may be any dict shared by calls on the same q: each level's
-    tables (_level) are then built once for all of them.
     """
     k = q.rack.size
     m = q.order
     if degree < 0:
         raise ValueError("degree must be >= 0")
     check_degree(q, degree, dim_cap)
+    inverse = _inverse_letters(q)
     dim = k**degree
-    levels = {} if levels is None else levels
-    for d in range(1, degree + 1):
-        if d not in levels:
-            levels[d] = _level(q, d)
-    orbit = _min_labels([tgt for tgt, _ in levels[degree][0]] if degree else [], dim)
-    orbit_class, orbit_carry = _orbit_classes(q, degree, orbit)
+    orbit = _braid_orbits(q, degree)
+    if translations is None:
+        translations = _commuting_translations(q)
+    phis = np.array(translations, dtype=np.int64).reshape(-1, k)
+    orbit_class, orbit_carry = _orbit_classes(orbit, degree, phis)
     built = np.arange(dim, dtype=np.int64) if rows is None else np.asarray(rows(orbit, orbit_class), dtype=np.int64)
     if built.size and (built[0] < 0 or built[-1] >= dim or (built[1:] <= built[:-1]).any()):
         raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
@@ -379,7 +445,6 @@ def symmetrizer(
     for d in range(1, degree + 1):
         n, prev = k**d, k ** (d - 1)
         cb = (n - 1).bit_length()
-        _, inv, add = levels[d]
         # lanes[r, a]: whether row rk + a is one of the rows floor(R / k^(degree-d)) to build
         lanes = np.zeros(n, dtype=bool)
         lanes[built // k ** (degree - d)] = True
@@ -398,13 +463,11 @@ def symmetrizer(
             at, lane = np.nonzero(lanes[ent.row[lo:hi]])
             at += lo
             row = ent.row[at].astype(np.int64) * k + lane
-            col = ent.col[at].astype(np.int64) * k + lane
-            expo = (ent.expo[at].astype(np.int64)[:, None] + add[col]) % m
-            keys, w = _merge(((row[:, None] << cb | inv[col]) << eb | expo).ravel(), np.repeat(ent.data[at], d))
+            col, expo = _sends(ent.col[at].astype(np.int64), lane, ent.expo[at].astype(np.int64), d, k, inverse)
+            keys, w = _merge(((row[:, None] << cb | col) << eb | expo % m).ravel(), np.repeat(ent.data[at], d))
             fill = slice(used, used + keys.size)
             out.row[fill], out.col[fill] = keys >> (cb + eb), keys >> eb & ((1 << cb) - 1)
             out.expo[fill], out.data[fill] = keys & ((1 << eb) - 1), w
             used = fill.stop
         ent = CountMatrix(out.row[:used], out.col[:used], out.expo[:used], out.data[:used])
     return SymmetrizerMatrix(dim, m, degree, ent, orbit, orbit_class, orbit_carry, built)
-

@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
-from .errors import DimensionCapError, SectionConsistencyError
+from .errors import DimensionCapError, RackAxiomError, SectionConsistencyError
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -264,6 +264,10 @@ def cmd_cohomology(args) -> int:
     if n > N_CAP:
         raise UsageError(f"cohomology: need n <= {N_CAP}, got {n}")
     chi = cocycle_mod.chi_cocycle(n)
+    verdict = cocycle_mod.check_cocycle(chi)
+    if not verdict.ok:
+        print(f"cohomology: chi is not a cocycle (violation at {verdict.witness})")
+        return EXIT_CHECK_FAILED
     minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
     gauge = cocycle_mod.find_gauge(minus_one, chi)
     round_trip = None
@@ -556,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     except DimensionCapError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except SectionConsistencyError as exc:
+    except (SectionConsistencyError, RackAxiomError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, OSError) as exc:

@@ -14,5 +14,9 @@ class DimensionCapError(RackTwistError):
     counts would overflow 64 bits, or a cocycle order is too large for 64-bit exponents or 31-bit primes."""
 
 
+class RackAxiomError(RackTwistError, ValueError):
+    """A rack table lacks an axiom that a computation needs, such as a bijective row x |> -."""
+
+
 class SectionConsistencyError(RackTwistError):
     """s(x)s(y) was neither s(xy) nor -s(xy); the section data is corrupt."""

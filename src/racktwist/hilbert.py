@@ -16,13 +16,13 @@ under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class
 size.  A block's rows hold all of its entries, so `graded_dims` assembles
 only the rows of those orbits; the other rows are never read.  One pass
-cuts the integer entries of every ranked block once and folds them into a
-small integer array with one slice per power of zeta that occurs in the
-block, so nothing grows with m (the cocycle order) itself: for even m
-zeta^(m/2) = -1 merges the exponents in pairs, and zero and repeated rows
-and columns are dropped, which changes no rank (x4 chi, degree 5: the
-640-block of rank 7 keeps 42 rows).  Each prime of the pass evaluates that
-array with zeta mapped to an element of order m.  One elimination kernel
+cuts the integer entries of every ranked block of a degree and folds them
+all, keyed by block, into small integer arrays with one slice per power of
+zeta that occurs in the block, so nothing grows with m (the cocycle order)
+itself: for even m zeta^(m/2) = -1 merges the exponents in pairs, and zero
+and repeated rows and columns are dropped, which changes no rank (x4 chi,
+degree 5: the 640-block of rank 7 keeps 42 rows).  Each prime of the pass
+evaluates that array with zeta mapped to an element of order m.  One elimination kernel
 serves both modes: exact mode ranks each block modulo descending primes q = 1 mod m
 below 2^31 until their product exceeds a Hadamard bound on the folded
 block, raised to the power phi(m), on every minor one order above the rank
@@ -54,7 +54,7 @@ from functools import partial
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, check_degree, symmetrizer
+from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, _commuting_translations, check_degree, symmetrizer
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 
@@ -214,59 +214,108 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
 
 
-def _fold(
-    cells: np.ndarray, expo: np.ndarray, data: np.ndarray, shape: tuple[int, int], order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold a block into a small integer array of its rank, one slice per power of zeta that occurs.
+def _fold(blocks: np.ndarray, cells: np.ndarray, expo: np.ndarray, data: np.ndarray, shapes: np.ndarray, order: int):
+    """Fold blocks into small integer arrays of their rank, one slice per power of zeta that occurs.
 
-    The block's entries are data[i] zeta^expo[i] at row-major positions
-    cells[i], no two alike in both cell and exponent (as in _kept_blocks).
+    Entry i is data[i] zeta^expo[i] at row-major position cells[i] of block
+    blocks[i], whose shape is shapes[blocks[i]] (rows, columns); no two
+    entries are alike in block, cell and exponent (as in _kept_blocks).
     For even order, zeta^(order/2) = -1 folds exponent e + order/2 into e,
     so the folded exponents lie below order/2; for odd order they are kept
-    as they are.  Slice s of the folded array holds the coefficients of
-    zeta^exps[s], for the distinct folded exponents exps, ascending.  Zero
-    rows and columns are dropped, then repeated rows, then repeated
-    columns: none of these changes the rank over Q(zeta) or modulo any
-    prime, and merging equal columns makes no two rows equal.  The block is
-    folded densely in the smallest dtype that holds the sum, over the
-    exponents, of their largest |data|, which bounds every folded entry.
-    Returned: the folded array, exps, and the row of the block that each
+    as they are.  All the blocks are folded in one pass over their entries,
+    sorted by (block, folded exponent, cell).  Slice s of a folded array
+    holds the coefficients of zeta^exps[s], for the distinct folded
+    exponents exps of its block, ascending.  Zero rows and columns are
+    dropped, then repeated rows, then repeated columns: none of these
+    changes the rank over Q(zeta) or modulo any prime, and merging equal
+    columns makes no two rows equal.  Only the search for repeated lines
+    runs block by block, on the block laid out densely in the smallest
+    dtype that holds its largest |entry|.  Yielded, for every row of
+    shapes: the folded array, exps, and the row of the block that each
     folded row came from.
     """
     half = order // 2 if order % 2 == 0 else order
-    by = np.argsort(expo, kind="stable")
-    ascending = expo[by]
-    first = np.ones(expo.size, dtype=bool)
-    first[1:] = ascending[1:] != ascending[:-1]
-    total = int(np.maximum.reduceat(np.abs(data[by]), np.flatnonzero(first)).sum())
+    n_blocks = shapes.shape[0]
     folded = expo.astype(np.int64) % half
-    exps = np.sort(folded[by][first])
-    exps = exps[np.diff(exps, prepend=-1) > 0]
-    block = np.zeros((exps.size, shape[0] * shape[1]), dtype=np.min_scalar_type(-total - 1))
-    slot = np.searchsorted(exps, folded)
-    low = expo < half
-    block[slot[low], cells[low]] = data[low]
-    block[slot[~low], cells[~low]] -= data[~low]
-    block = block.reshape(exps.size, *shape)
-    rows, cols = block.any(axis=(0, 2)), block.any(axis=(0, 1))
-    if not rows.any():
-        return np.zeros((0, 0, 0), dtype=block.dtype), exps[:0], exps[:0]
+    by = np.lexsort((cells, folded, blocks))
+    blocks, folded, cells = blocks[by], folded[by], cells[by]
+    value = data[by]
+    np.negative(value, out=value, where=expo[by] >= half)
+    # a generator keeps its locals while it yields: what the loop below does not read is dropped
+    del by, expo, data
+    # entries that meet in one (block, folded exponent, cell) are summed
+    start = np.ones(blocks.size, dtype=bool)
+    start[1:] = (blocks[1:] != blocks[:-1]) | (folded[1:] != folded[:-1]) | (cells[1:] != cells[:-1])
+    start = np.flatnonzero(start)
+    if start.size:
+        value = np.add.reduceat(value, start)
+    blocks, folded, cells = blocks[start], folded[start], cells[start]
+    new_exp = np.ones(blocks.size, dtype=bool)
+    new_exp[1:] = (blocks[1:] != blocks[:-1]) | (folded[1:] != folded[:-1])
+    n_exps = np.bincount(blocks[new_exp], minlength=n_blocks)
+    slot = np.cumsum(new_exp) - 1
+    slot -= (np.cumsum(n_exps) - n_exps)[blocks]
+    exps = folded[new_exp]
+    del start, folded, new_exp
     # laid out (row, exponent, column), so that each row is one contiguous slice
-    block, origin = _distinct(block[:, rows][:, :, cols].transpose(1, 0, 2))
-    block, _ = _distinct(block.transpose(2, 1, 0))
-    return block.transpose(1, 2, 0), exps, np.flatnonzero(rows)[origin]
+    nonzero = value != 0
+    row, col = np.divmod(cells, shapes[blocks, 1])
+    kept_row, row_offset, row_at, n_rows = _kept_lines(blocks, row, nonzero, shapes[:, 0])
+    _, _, col_at, n_cols = _kept_lines(blocks, col, nonzero, shapes[:, 1])
+    value, blocks = value[nonzero], blocks[nonzero]
+    cells = (row_at[nonzero] * n_exps[blocks] + slot[nonzero]) * n_cols[blocks] + col_at[nonzero]
+    del row, col, row_at, col_at, slot, nonzero
+    top = np.zeros(n_blocks, dtype=np.int64)
+    np.maximum.at(top, blocks, np.abs(value))
+    ends = np.searchsorted(blocks, np.arange(n_blocks + 1)).tolist()
+    exp_ends = np.cumsum(n_exps).tolist()
+    del blocks
+    for b in range(n_blocks):
+        if not n_rows[b]:
+            yield np.zeros((0, 0, 0), dtype=np.int8), exps[:0], exps[:0]
+            continue
+        shape = (int(n_rows[b]), int(n_exps[b]), int(n_cols[b]))
+        block = np.zeros(math.prod(shape), dtype=np.min_scalar_type(-int(top[b]) - 1))
+        block[cells[ends[b] : ends[b + 1]]] = value[ends[b] : ends[b + 1]]
+        block, origin = _distinct(block.reshape(shape))
+        block, _ = _distinct(block.transpose(2, 1, 0))
+        rows = np.flatnonzero(kept_row[row_offset[b] : row_offset[b] + shapes[b, 0]])
+        yield block.transpose(1, 2, 0), exps[exp_ends[b] - n_exps[b] : exp_ends[b]], rows[origin]
+
+
+def _kept_lines(blocks: np.ndarray, line: np.ndarray, nonzero: np.ndarray, sizes: np.ndarray):
+    """The lines (rows or columns) of every block that hold a nonzero entry.
+
+    Entry i lies in line line[i] of block blocks[i], which has sizes[b]
+    lines, the lines of block b numbered from offset[b] on.  Returned: the
+    mask of kept lines over all blocks, offset, the place of each entry's
+    line among the kept lines of its block, and how many lines every block
+    keeps.
+    """
+    offset = np.cumsum(sizes) - sizes
+    at = offset[blocks] + line
+    kept = np.zeros(int(sizes.sum()), dtype=bool)
+    kept[at[nonzero]] = True
+    before = np.concatenate(([0], np.cumsum(kept)))
+    return kept, offset, before[at] - before[offset][blocks], before[offset + sizes] - before[offset]
+
+
+# Entries cut and folded at once by _kept_blocks, in whole blocks; bounds working memory.
+_FOLD_ENTRIES = 1 << 18
 
 
 def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
     """Yield (mult, block, exps, rows) for the smallest braid orbit of every class of orbits.
 
     The orbit's diagonal block stands for the mult orbits of its class, whose
-    blocks have its rank (see SymmetrizerMatrix).  The entries of its built
-    rows and all its columns are cut from `sym.entries` once, with their
-    cells in row-major order, and folded (_fold) into block and exps;
-    `rows` holds the row of `sym` that each folded row came from.  Only the
-    rows of these orbits are read.  `sym` must have built all of them, or,
-    given `below` (see _kept_rows), those whose prefix it marks.
+    blocks have its rank (see SymmetrizerMatrix).  The entries of the built
+    rows and all the columns of these orbits are cut from `sym.entries`,
+    with their cells in row-major order within their block, and folded
+    (_fold) into block and exps, in one pass over as many whole blocks as
+    _FOLD_ENTRIES entries allow; `rows` holds the row of `sym` that each
+    folded row came from.  Only the rows of these orbits are read.  `sym`
+    must have built all of them, or, given `below` (see _kept_rows), those
+    whose prefix it marks.
     """
     n = sym.dim
     ent = sym.entries
@@ -277,22 +326,36 @@ def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
     if not built[needed].all():
         raise ValueError("the symmetrizer lacks rows of the blocks that rank reads")
     members = members[np.argsort(sym.orbit[members], kind="stable")]
-    at_row, at_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    orbits = np.split(members, np.flatnonzero(np.diff(sym.orbit[members])) + 1)
     mults = np.bincount(sym.orbit_class)
-    for mult, cols in zip(mults[mults > 0].tolist(), orbits):
-        rows = cols[built[cols]]
-        at_row[rows], at_col[cols] = np.arange(rows.size), np.arange(cols.size)
-        # the entries of the built rows, row range by row range
-        lo = np.searchsorted(ent.row, rows.astype(ent.row.dtype))
-        lens = np.searchsorted(ent.row, (rows + 1).astype(ent.row.dtype)) - lo
-        ends = np.cumsum(lens)
-        idx = np.repeat(lo - ends + lens, lens)
+    mults = mults[mults > 0].tolist()
+    # the block of each member: its orbit's place among the head orbits
+    block = np.cumsum(np.diff(sym.orbit[members], prepend=-1) > 0) - 1
+    rows = members[built[members]]
+    row_block = block[built[members]]
+    shapes = np.stack([np.bincount(row_block, minlength=len(mults)), np.bincount(block, minlength=len(mults))], axis=1)
+    first = np.cumsum(shapes, axis=0) - shapes
+    at_row, at_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    at_row[rows] = np.arange(rows.size) - first[row_block, 0]
+    at_col[members] = np.arange(members.size) - first[block, 1]
+    # the entries of each built row lie in one range of ent
+    lo = np.searchsorted(ent.row, rows.astype(ent.row.dtype))
+    lens = np.searchsorted(ent.row, (rows + 1).astype(ent.row.dtype)) - lo
+    size = np.zeros(len(mults), dtype=np.int64)
+    np.add.at(size, row_block, lens)
+    chunk = (np.cumsum(size) - size) // _FOLD_ENTRIES
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, [len(mults)])).tolist()
+    for b0, b1 in zip(bounds[:-1], bounds[1:]):
+        part = slice(first[b0, 0], first[b1 - 1, 0] + shapes[b1 - 1, 0])
+        ends = np.cumsum(lens[part])
+        idx = np.repeat(lo[part] - ends + lens[part], lens[part])
         idx += np.arange(idx.size)
-        cells = at_row[ent.row[idx]] * cols.size
+        blocks = np.repeat(row_block[part] - b0, lens[part])
+        cells = at_row[ent.row[idx]] * shapes[b0 + blocks, 1]
         cells += at_col[ent.col[idx]]
-        block, exps, origin = _fold(cells, ent.expo[idx], ent.data[idx].astype(np.int64), (rows.size, cols.size), sym.order)
-        yield mult, block, exps, rows[origin]
+        folds = _fold(blocks, cells, ent.expo[idx], ent.data[idx].astype(np.int64), shapes[b0:b1], sym.order)
+        del ends, idx, blocks, cells
+        for b, (folded, exps, origin) in enumerate(folds, start=b0):
+            yield mults[b], folded, exps, rows[first[b, 0] + origin]
 
 
 def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
@@ -531,7 +594,12 @@ def graded_dims(
     is built; they grow with the degree, so that covers every degree.  So
     is the cocycle order, which must leave two candidates p = 1 mod order
     in [2^30, 2^31) for the primes.  A closed form is expanded through
-    max_degree (and a bad factor rejected) before that too.
+    max_degree (and a bad factor rejected) before that too.  The
+    translations that sort the orbits into classes do not depend on the
+    degree, so they are found once (braided._commuting_translations) and
+    passed to every degree; each degree's orbit tables live only while it
+    is built.  The rows of the rack table must be bijections, or the first
+    degree built raises RackAxiomError.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -546,8 +614,8 @@ def graded_dims(
     rng = random.Random(seed)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
-    # each level's assembly tables, built once for every degree
-    levels = {}
+    # the translations that sort the orbits into classes, the same in every degree
+    translations = _commuting_translations(q)
     # a mask of the pivot rows of the degree below; None keeps every row
     below = None
     for d in range(max_degree + 1):
@@ -556,11 +624,11 @@ def graded_dims(
         elif d == 1:
             cert = RankCertificate(k, "exact", (), k, 0)
         else:
-            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), levels=levels)
+            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), translations=translations)
             cert = rank(sym, mode, rng=rng, below=below)
             if cert.method == FALLBACK and below is not None:
                 # these rows were chosen by Monte Carlo pivots below: prove the degree on every kept row
-                sym = symmetrizer(q, d, dim_cap=dim_cap, rows=_kept_rows, levels=levels)
+                sym = symmetrizer(q, d, dim_cap=dim_cap, rows=_kept_rows, translations=translations)
                 cert = replace(rank(sym, "exact"), method=FALLBACK, primes=cert.primes)
             below = np.zeros(sym.dim, dtype=bool)
             below[cert.pivots] = True

@@ -14,8 +14,12 @@ Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
 the package decides a batch of words at once.  The transposition rack, chi
 and the twisted cocycle have loops over pairs and Permutation objects where
-the package reads integer arrays.  The one exception is
-unpruned_graded_dims, which reruns the package's ranks on every row of
+the package reads integer arrays.  The assembly's send data has
+send_tables, which composes the package's strand tables over the whole
+basis where the package walks the letters of each column on k x k tables,
+and the carry of the orbit classes has orbit_classes_by_translation, which
+grows the breadth-first tree one translation at a time.  The one exception
+is unpruned_graded_dims, which reruns the package's ranks on every row of
 every degree.
 """
 
@@ -404,6 +408,67 @@ def translation_classes(q, degree: int) -> list[int]:
         for i in comp:
             label[i] = comp[0]
     return label
+
+
+def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k^d, d) tables inv, add of assembly step d, over the whole basis.
+
+    Right multiplication by the prefix product P_j = c_{d-1} ... c_{d-j},
+    which takes v to target_j[v] with exponent expo_j[v] (composed from
+    braided.strand_tables as rho composes them), moves an entry from column
+    C to column v = target_j^-1[C] and adds expo_j[v] to its exponent;
+    inv[C, j] holds that column and add[C, j] that exponent, mod the order.
+    """
+    n, m = q.rack.size**d, q.order
+    v = np.arange(n, dtype=np.int64)
+    target, expo = v, np.zeros(n, dtype=np.int64)
+    inv = np.full((n, d), -1, dtype=np.int64)
+    add = np.full((n, d), -1, dtype=np.int64)
+    inv[:, 0], add[:, 0] = v, 0
+    for j, (tgt, ex) in enumerate(reversed(braided.strand_tables(q, d)), start=1):
+        target, expo = target[tgt], (ex + expo[tgt]) % m
+        inv[target, j] = v
+        add[target, j] = expo
+    return inv, add
+
+
+def orbit_classes_by_translation(q, degree: int, orbit: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The class and carry of every braid orbit, one translation at a time.
+
+    The translations are the rows x |> - that braided._commuting_translations
+    keeps, in order.  Classes are joined by union-find over the edges from
+    each orbit to its image under each translation.  The carry tree grows
+    from each head level by level; within a level the translations take
+    their turns in order, and each gives the orbits that no earlier turn
+    reached the product of its row and the carry of their parent.
+    """
+    k = q.rack.size
+    reps = np.flatnonzero(orbit == np.arange(orbit.size)).tolist()
+    number = {v: i for i, v in enumerate(reps)}
+    phis = [list(map(int, phi)) for phi in braided._commuting_translations(q)]
+
+    def image(phi, i):
+        word = [reps[i] // k**j % k for j in range(degree)]
+        return number[int(orbit[sum(phi[a] * k**j for j, a in enumerate(word))])]
+
+    maps = [[image(phi, i) for i in range(len(reps))] for phi in phis]
+    label = [0] * len(reps)
+    for comp in _components(len(reps), [(i, tgt[i]) for tgt in maps for i in range(len(reps))]):
+        for i in comp:
+            label[i] = comp[0]
+    carry = np.full((len(reps), k), -1, dtype=np.int64)
+    frontier = [i for i in range(len(reps)) if label[i] == i]
+    carry[frontier] = np.arange(k)
+    while frontier:
+        reached = []
+        for phi, tgt in zip(phis, maps):
+            for parent in frontier:
+                child = tgt[parent]
+                if carry[child, 0] < 0:
+                    carry[child] = [phi[s] for s in carry[parent]]
+                    reached.append(child)
+        frontier = reached
+    return label, carry
 
 
 def orbit_count_blocks(sym) -> list[np.ndarray]:

@@ -13,10 +13,12 @@ from oracles import (
     dense_modp_matrix,
     dense_strand_matrix,
     hurwitz_orbits,
+    send_tables,
     inverse_operator,
     largest_descent_word,
     support_components,
 )
+from racktwist import braided
 from racktwist.braided import (
     BraidWord,
     MonomialOperator,
@@ -26,7 +28,7 @@ from racktwist.braided import (
     symmetrizer,
 )
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
-from racktwist.errors import DimensionCapError
+from racktwist.errors import DimensionCapError, RackAxiomError
 from racktwist.hilbert import _kept_rows
 from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
 
@@ -343,3 +345,38 @@ class TestBraidOrbits:
         assert symmetrizer(CHI4, 0).orbit.tolist() == [0]
         assert symmetrizer(CHI4, 1).orbit.tolist() == list(range(6))
 
+
+
+# (cocycle, top degree): the send data is checked in degrees 1..top
+SEND_CASES = {
+    "x3-m1": (M1_X3, 4),
+    "x3-const31": (constant_cocycle(X3, 3, 1), 4),
+    "x4-chi": (CHI4, 5),
+    "x5-m1": (minus_one_cocycle(transposition_rack(5)), 4),
+    # rows are bijections, but the table fails self-distributivity
+    "non-rack": (minus_one_cocycle(FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2)))), 4),
+}
+
+
+class TestSendData:
+    @pytest.mark.parametrize("name", sorted(SEND_CASES))
+    def test_sends_match_the_oracle_tables(self, name):
+        # every column of every degree, each with an exponent of its own to carry
+        q, top = SEND_CASES[name]
+        k, m = q.rack.size, q.order
+        inverse = braided._inverse_letters(q)
+        for d in range(1, top + 1):
+            inv, add = send_tables(q, d)
+            columns = np.arange(k**d)
+            base = columns * 7 % m
+            sends, expo = braided._sends(columns // k, columns % k, base, d, k, inverse)
+            assert np.array_equal(sends, inv)
+            assert np.array_equal((expo - base[:, None]) % m, add)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 4])
+    def test_non_bijective_row_is_refused(self, degree):
+        # row 0 of this table takes 0 twice and misses 2
+        q = minus_one_cocycle(FiniteRack(((0, 0, 1), (1, 1, 1), (2, 2, 2))))
+        with pytest.raises(ValueError, match=r"^non-bijective-row at \(0,\)") as raised:
+            symmetrizer(q, degree)
+        assert isinstance(raised.value, RackAxiomError)

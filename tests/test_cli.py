@@ -11,9 +11,10 @@ import pytest
 from oracles import flip_phi_bit, main_theorem_log, twist_condition_first_failure
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
+from racktwist import cocycle as cocycle_mod
 from racktwist import spincover
 from racktwist.cli import RACK_N_CAP, main
-from racktwist.cocycle import chi_cocycle
+from racktwist.cocycle import RackCocycle, chi_cocycle
 from racktwist.spincover import CliffordElement, GroupCocycleBit, SpinElement
 
 
@@ -111,6 +112,42 @@ class TestCocycleCommand:
             assert run(["cocycle", f"--kind={kind}", "--n", "400", "--out", str(out)]) == 3
             assert capsys.readouterr().err == f"resource limit: cocycle: need n <= {RACK_N_CAP} for x_n, got 400\n"
         assert not out.exists()
+
+
+CHI_COMMANDS = [
+    ["cocycle", "--kind", "chi", "--n", "4"],
+    ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "3"],
+    ["cohomology", "--n", "4"],
+    ["twist-verify", "--n", "4"],
+    ["cover", "--n", "4"],
+    ["selfcheck", "--n-max", "4"],
+]
+
+
+@pytest.mark.parametrize("argv", CHI_COMMANDS, ids=[argv[0] for argv in CHI_COMMANDS])
+def test_broken_chi_table_fails_every_command_that_reads_it(argv, monkeypatch, capsys):
+    # one flipped entry of chi on x4 breaks the cocycle condition and the twist identity
+    chi = chi_cocycle(4)
+    exp = [list(row) for row in chi.exp]
+    exp[0][1] ^= 1
+    monkeypatch.setitem(cocycle_mod._CHI_COCYCLES, 4, RackCocycle(chi.rack, 2, tuple(map(tuple, exp))))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", CHI_COMMANDS[:3], ids=[argv[0] for argv in CHI_COMMANDS[:3]])
+def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
+    calls = []
+    real = cocycle_mod.check_cocycle
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(cocycle_mod, "check_cocycle", counting)
+    assert run(argv) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 class TestCoverCommand:
@@ -298,6 +335,21 @@ class TestHilbertCommand:
         assert run(["hilbert", "--rack", "x400", "--cocycle=-1", "--max-degree", "2", "--out", str(out)]) == 3
         assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 6368040000 > cap 200000\n"
         assert not out.exists()
+
+    def test_non_bijective_rack_row_fails_the_check(self, tmp_path, capsys):
+        # the violation that rack --check reports for the same table, as one line with exit 2
+        rack_file = tmp_path / "rack.json"
+        rack_file.write_text(json.dumps({"size": 3, "op": [[0, 0, 1], [1, 1, 1], [2, 2, 2]]}))
+        out = tmp_path / "h.json"
+        args = ["hilbert", "--rack", str(rack_file), "--cocycle=-1", "--max-degree", "4", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and done.stderr.startswith("check failed: non-bijective-row at (0,): ")
+        assert not out.exists()
+        assert run(["rack", "--check", str(rack_file)]) == 2
+        assert "violation: non-bijective-row at (0,)" in capsys.readouterr().out
 
     def test_cocycle_file_input(self, tmp_path):
         cpath = tmp_path / "chi.json"

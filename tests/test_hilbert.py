@@ -12,6 +12,7 @@ from oracles import (
     distinct_nonzero_lines,
     evaluate_modp,
     is_palindromic,
+    orbit_classes_by_translation,
     orbit_blocks_modp,
     orbit_count_blocks,
     rank_over_cyclotomic,
@@ -50,15 +51,21 @@ M1_X3 = minus_one_cocycle(X3)
 M1_X4 = minus_one_cocycle(X4)
 
 
+def fold_one(cells, expo, data, shape, order):
+    """hilbert._fold on one block alone: (block, exps, origin)."""
+    (folded,) = _fold(np.zeros_like(cells), cells, expo, data, np.array([shape]), order)
+    return folded
+
+
 def square_block(mat):
-    """An integer matrix, padded square with zeros, folded at order 1 (hilbert._fold)."""
+    """An integer matrix, padded square with zeros, folded at order 1 (fold_one)."""
     a = np.asarray(mat, dtype=np.int64)
     size = max(a.shape)
     flat = np.zeros((size, size), dtype=np.int64)
     flat[: a.shape[0], : a.shape[1]] = a
     flat = flat.ravel()
     cells = np.flatnonzero(flat)
-    return _fold(cells, np.zeros_like(cells), flat[cells], (size, size), 1)[:2]
+    return fold_one(cells, np.zeros_like(cells), flat[cells], (size, size), 1)[:2]
 
 
 def dense_rank(a, p):
@@ -67,7 +74,7 @@ def dense_rank(a, p):
 
 
 def exact_rank(folded, order):
-    """The proven rank of a folded block given as (block, exps), the first two results of hilbert._fold."""
+    """The proven rank of a folded block given as (block, exps), the first two results of fold_one."""
     return _pivots_exact(*folded, order).size
 
 
@@ -315,7 +322,7 @@ class TestRankKernels:
             flat = mat.ravel()
             cells = np.flatnonzero(flat)
             expo = (flat[cells] < 0).astype(np.int64)
-            assert exact_rank(_fold(cells, expo, np.abs(flat[cells]), (n, n), 2)[:2], 2) == rank_over_rationals(mat.tolist())
+            assert exact_rank(fold_one(cells, expo, np.abs(flat[cells]), (n, n), 2)[:2], 2) == rank_over_rationals(mat.tolist())
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 2**20])
     def test_fold_drops_only_zero_and_repeated_lines(self, order):
@@ -329,13 +336,36 @@ class TestRankKernels:
         g = _element_of_order(p, order)
         for _ in range(10):
             counts = planted_counts(rng, classes, int(rng.integers(6, 9)))
-            block, exps, origin = _fold(*count_parts(counts, stride), order)
+            block, exps, origin = fold_one(*count_parts(counts, stride), order)
             assert block.shape[1:] == distinct_nonzero_lines(counts, classes)
             # one source row per folded row, and never a zero one
             assert len(set(origin.tolist())) == origin.size == block.shape[1]
             assert counts[:, origin].any(axis=(0, 2)).all()
             assert exact_rank((block, exps), order) == counts_rank_over_cyclotomic(counts, classes)
             assert modp_rank((block, exps), p, g) == dense_rank(evaluate_modp(counts, p, pow(g, stride, p)), p)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 2**20])
+    def test_blocks_folded_together_fold_as_alone(self, order):
+        # the entries of several blocks, shuffled, in one pass: a block with no
+        # entries and one with no rows among them
+        classes = min(order, 8)
+        stride = order // classes
+        rng = np.random.default_rng(40 + order)
+        parts = [count_parts(planted_counts(rng, classes, int(rng.integers(6, 9))), stride) for _ in range(3)]
+        empty = np.zeros(0, dtype=np.int64)
+        parts[1:1] = [(empty, empty.astype(parts[0][1].dtype), empty, (4, 4)), (empty, empty.astype(parts[0][1].dtype), empty, (0, 5))]
+        blocks = np.concatenate([np.full(cells.size, b) for b, (cells, _, _, _) in enumerate(parts)])
+        cells, expo, data = (np.concatenate([part[i] for part in parts]) for i in range(3))
+        mix = rng.permutation(blocks.size)
+        shapes = np.array([shape for _, _, _, shape in parts])
+        together = list(_fold(blocks[mix], cells[mix], expo[mix], data[mix], shapes, order))
+        assert len(together) == len(parts)
+        for (block, exps, origin), part in zip(together, parts):
+            alone = fold_one(*part, order)
+            assert block.dtype == alone[0].dtype
+            for got, expected in zip((block, exps, origin), alone):
+                assert got.shape == expected.shape and np.array_equal(got, expected)
+        assert [t[0].shape for t in together[1:3]] == [(0, 0, 0), (0, 0, 0)]
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
@@ -480,8 +510,8 @@ class TestRank:
         g = _element_of_order(first, 3)
         assert (g * g + g + 1) % first == 0 and (g + 1) ** 2 < first**2
         parts = np.array([0, 0]), np.array([0, 1]), np.array([-g, 1]), (1, 1)
-        assert modp_rank(_fold(*parts, 3)[:2], first, g) == 0
-        assert exact_rank(_fold(*parts, 3)[:2], 3) == 1
+        assert modp_rank(fold_one(*parts, 3)[:2], first, g) == 0
+        assert exact_rank(fold_one(*parts, 3)[:2], 3) == 1
 
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
@@ -570,6 +600,36 @@ class TestOrbitClasses:
             g = _element_of_order(p, q.order)
             expected = [dense_rank(evaluate_modp(c, p, g), p) for c in counts]
             assert [modp_rank(b, p, g) for b in blocks] == expected
+
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES) + ["non-rack"])
+    @pytest.mark.parametrize("degree", [2, 3, 4])
+    def test_classes_and_carries_match_the_translation_loop(self, name, degree):
+        q = CLASS_CASES.get(name) or minus_one_cocycle(FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2))))
+        sym = symmetrizer(q, degree)
+        label, carry = orbit_classes_by_translation(q, degree, sym.orbit)
+        assert sym.orbit_class.tolist() == label
+        assert np.array_equal(sym.orbit_carry, carry)
+        # each carry maps the members of its head orbit onto the members of its orbit
+        k = q.rack.size
+        reps = np.flatnonzero(sym.orbit == np.arange(sym.dim))
+        place = k ** np.arange(degree)
+        for i, head in enumerate(sym.orbit_class.tolist()):
+            members = np.flatnonzero(sym.orbit == reps[head])
+            image = sym.orbit_carry[i][members[:, None] // place % k] @ place
+            assert sorted(image.tolist()) == np.flatnonzero(sym.orbit == reps[i]).tolist()
+
+    def test_graded_dims_finds_the_translations_once(self, monkeypatch):
+        calls = []
+        real = braided._commuting_translations
+
+        def counting(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(braided, "_commuting_translations", counting)
+        monkeypatch.setattr(hilbert_mod, "_commuting_translations", counting)
+        assert graded_dims(chi_cocycle(4), 5).ranks == [1, 6, 19, 42, 71, 96]
+        assert len(calls) == 1
 
     def test_x5_minus_one_degree_four_counts(self):
         sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
@@ -662,7 +722,7 @@ class TestPivots:
         g = _element_of_order(p, order)
         for _ in range(8):
             counts = planted_counts(rng, order, int(rng.integers(6, 9)))
-            block, exps, origin = _fold(*count_parts(counts), order)
+            block, exps, origin = fold_one(*count_parts(counts), order)
             r = counts_rank_over_cyclotomic(counts, order)
             rows = origin[_pivots_exact(block, exps, order)]
             assert rows.size == r == counts_rank_over_cyclotomic(counts[:, rows], order)
@@ -675,7 +735,7 @@ class TestPivots:
         monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
         counts = np.zeros((order, 5, 5), dtype=np.int64)
         counts[0, 1:, 1:] = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
-        block, exps, origin = _fold(*count_parts(counts), order)
+        block, exps, origin = fold_one(*count_parts(counts), order)
         rows = origin[_pivots_exact(block, exps, order)]
         assert sorted(rows.tolist()) == [1, 2, 3, 4]
 
