@@ -255,8 +255,9 @@ def _braid_orbits(q: RackCocycle, degree: int) -> np.ndarray:
 def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
     """The rows phi = x |> - whose monomial lift g_x commutes with the braiding.
 
-    g_x sends basis y to q(x, y) (x |> y).  It is invertible and g_x (x) g_x
-    commutes with c on X (x) X when phi is a permutation of X with
+    g_x sends basis y to q(x, y) (x |> y).  It is invertible, as every row
+    phi must be a permutation of X (_inverse_letters raises RackAxiomError
+    otherwise), and g_x (x) g_x commutes with c on X (x) X when
     phi(y) |> phi(z) = phi(y |> z) and q(y, z) q(x, y |> z) = q(x, z)
     q(phi y, phi z) for all y, z.  The last identity is the cocycle
     condition at (x, y, z), so on a rack every x qualifies; each row is
@@ -264,14 +265,14 @@ def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
     `hilbert` too.  They do not depend on the degree, so a caller that
     builds several degrees finds them once (see `symmetrizer`).
     """
+    _inverse_letters(q)
     k, m = q.rack.size, q.order
     op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
     ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
     return [
         phi
         for phi, ex_x in zip(op, ex)
-        if (np.bincount(phi, minlength=k) == 1).all()
-        and np.array_equal(op[phi[:, None], phi], phi[op])
+        if np.array_equal(op[phi[:, None], phi], phi[op])
         and not ((ex + ex_x[op] - ex_x - ex[phi[:, None], phi]) % m).any()
     ]
 

@@ -598,8 +598,8 @@ def graded_dims(
     translations that sort the orbits into classes do not depend on the
     degree, so they are found once (braided._commuting_translations) and
     passed to every degree; each degree's orbit tables live only while it
-    is built.  The rows of the rack table must be bijections, or the first
-    degree built raises RackAxiomError.
+    is built.  The rows of the rack table must be bijections, at every
+    max_degree, or RackAxiomError is raised before any degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")

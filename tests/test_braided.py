@@ -380,3 +380,5 @@ class TestSendData:
         with pytest.raises(ValueError, match=r"^non-bijective-row at \(0,\)") as raised:
             symmetrizer(q, degree)
         assert isinstance(raised.value, RackAxiomError)
+        with pytest.raises(RackAxiomError, match=r"^non-bijective-row at \(0,\)"):
+            braided._commuting_translations(q)

@@ -336,12 +336,14 @@ class TestHilbertCommand:
         assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 6368040000 > cap 200000\n"
         assert not out.exists()
 
-    def test_non_bijective_rack_row_fails_the_check(self, tmp_path, capsys):
-        # the violation that rack --check reports for the same table, as one line with exit 2
+    @pytest.mark.parametrize("max_degree", ["1", "4"])
+    def test_non_bijective_rack_row_fails_the_check(self, tmp_path, capsys, max_degree):
+        # the violation that rack --check reports for the same table, as one line with exit 2,
+        # also where no degree is assembled
         rack_file = tmp_path / "rack.json"
         rack_file.write_text(json.dumps({"size": 3, "op": [[0, 0, 1], [1, 1, 1], [2, 2, 2]]}))
         out = tmp_path / "h.json"
-        args = ["hilbert", "--rack", str(rack_file), "--cocycle=-1", "--max-degree", "4", "--out", str(out)]
+        args = ["hilbert", "--rack", str(rack_file), "--cocycle=-1", "--max-degree", max_degree, "--out", str(out)]
         done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
