@@ -43,7 +43,6 @@ from .spincover import (
     CliffordElement,
     GroupCocycleBit,
     SpinElement,
-    bracket,
     generator_t,
     phi_psi_table,
     verify_conjugation_lemmas,

@@ -432,6 +432,7 @@ def cmd_selfcheck(args) -> int:
         run(
             f"group cocycle exhaustive n={n}",
             lambda n=n: spincover.verify_group_cocycle(spincover.phi_psi_table(n)),
+            "cocycle_witness",
         )
     for n in range(4, n_max + 1):
         run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n), "first_failing_pair")
@@ -493,64 +494,70 @@ def cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
+_OUT = ("--out", dict(help="write the report JSON here"))
+_N = ("--n", dict(type=int, required=True))
+_SEED = ("--seed", dict(type=int, default=0))
+# name, handler, help and arguments (flags, keywords) of each subcommand, in the order --help lists them
+COMMANDS = (
+    ("rack", cmd_rack, "build or validate a rack table", (
+        ("--n", dict(type=int, help="transposition rack of S_n")),
+        ("--check", dict(metavar="FILE", help="validate a rack JSON file")),
+        ("--out", dict(help="write the rack/report JSON here")),
+    )),
+    ("cocycle", cmd_cocycle, "build or validate a rack 2-cocycle", (
+        ("--n", dict(type=int, help="size parameter for built-in cocycles")),
+        ("--kind", dict(help="chi | -1 | minus1 | const:M:E")),
+        ("--check", dict(metavar="FILE", help="validate a cocycle JSON file")),
+        _OUT,
+    )),
+    ("cover", cmd_cover, "verify the double-cover presentation and lemmas", (
+        _N, ("--trials", dict(type=int, default=1000, help="random conjugation words to test")), _SEED, _OUT,
+    )),
+    ("twist-verify", cmd_verify_twist, "verify the twist identity pair by pair", (_N, _OUT)),
+    ("cohomology", cmd_cohomology, "decide gauge equivalence of -1 and chi", (_N, _OUT)),
+    ("hilbert", cmd_hilbert, "graded ranks of the symmetrizer", (
+        ("--rack", dict(required=True, help="xN or a rack JSON file")),
+        ("--cocycle", dict(required=True, help="chi | -1 | minus1 | const:M:E | file")),
+        ("--max-degree", dict(type=int, required=True)),
+        ("--mode", dict(choices=("exact", "modular"), default="modular")),
+        _SEED,
+        ("--dim-cap", dict(type=int, help="override the basis-dimension cap")),
+        ("--closed-form", dict(help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")),
+        _OUT,
+    )),
+    ("selfcheck", cmd_selfcheck, "run the aggregated internal verification suite", (
+        ("--n-max", dict(type=int, default=6)),
+        ("--trials", dict(type=int, default=200)),
+        _SEED,
+        ("--inject-fault", dict(choices=("generator",), help=argparse.SUPPRESS)),
+        _OUT,
+    )),
+)
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of `command` only, with the same usage and error lines.
+
+    With all registered, argparse lists the choices itself and errors name
+    the action `subcommand`; a metavar would rename it there.
+    """
     parser = _Parser(prog="racktwist", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("rack", help="build or validate a rack table")
-    p.add_argument("--n", type=int, help="transposition rack of S_n")
-    p.add_argument("--check", metavar="FILE", help="validate a rack JSON file")
-    p.add_argument("--out", help="write the rack/report JSON here")
-    p.set_defaults(fn=cmd_rack)
-
-    p = sub.add_parser("cocycle", help="build or validate a rack 2-cocycle")
-    p.add_argument("--n", type=int, help="size parameter for built-in cocycles")
-    p.add_argument("--kind", help="chi | -1 | minus1 | const:M:E")
-    p.add_argument("--check", metavar="FILE", help="validate a cocycle JSON file")
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_cocycle)
-
-    p = sub.add_parser("cover", help="verify the double-cover presentation and lemmas")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000, help="random conjugation words to test")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_cover)
-
-    p = sub.add_parser("twist-verify", help="verify the twist identity pair by pair")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_verify_twist)
-
-    p = sub.add_parser("cohomology", help="decide gauge equivalence of -1 and chi")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_cohomology)
-
-    p = sub.add_parser("hilbert", help="graded ranks of the symmetrizer")
-    p.add_argument("--rack", required=True, help="xN or a rack JSON file")
-    p.add_argument("--cocycle", required=True, help="chi | -1 | minus1 | const:M:E | file")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--mode", choices=("exact", "modular"), default="modular")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim-cap", type=int, help="override the basis-dimension cap")
-    p.add_argument("--closed-form", help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_hilbert)
-
-    p = sub.add_parser("selfcheck", help="run the aggregated internal verification suite")
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject-fault", choices=("generator",), help=argparse.SUPPRESS)
-    p.add_argument("--out", help="write the report JSON here")
-    p.set_defaults(fn=cmd_selfcheck)
-
+    choices = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=None if command is None else choices)
+    for name, fn, help_text, arguments in COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run names its subcommand first, and only that subparser is built
+    command = argv[0] if argv and argv[0] in {name for name, *_ in COMMANDS} else None
+    parser = build_parser(command)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

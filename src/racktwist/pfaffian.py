@@ -46,7 +46,7 @@ def _pfaffian_signs_modp(a: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray
     """The sign e with Pf = e * 2^(N/2) mod p, or 0 for neither, for a ragged batch of skew matrices.
 
     Member b of a (B, M, M) is its trailing block of side N = sizes[b]; the
-    sizes are even and descending, M = sizes[0], and entries lie in [0, p).
+    sizes are even and descending, M = sizes[0], and entries lie in (-p, p).
     Eliminating the leading pair (0, 1) of a block with the pivot b = a[0, 1]
     leaves the trailing block T = b * (Schur complement), with Pf(a) =
     b * Pf(T) / b^(N/2 - 1).  So Pf(a) = num / den with num the product of
@@ -56,8 +56,8 @@ def _pfaffian_signs_modp(a: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray
     the batch takes M/2 steps.  A zero pivot is first replaced by the first
     nonzero entry of row 0, swapping index 1 with its column, which negates
     the Pfaffian; a zero row makes Pf(a) = 0 mod p.  With p < 2^30 the three
-    products of an update sum below 2^62, so int64 stays exact and each step
-    reduces mod p once.
+    products of an update sum below 3p^2 < 2^62, so int64 stays exact, and
+    each step reduces with np.fmod, which keeps entries in (-p, p).
     """
     batch, top = a.shape[0], a.shape[1]
     target = np.array([pow(2, half, p) for half in range(top // 2 + 1)], dtype=np.int64)[sizes // 2]
@@ -87,7 +87,7 @@ def _pfaffian_signs_modp(a: np.ndarray, sizes: np.ndarray, p: int) -> np.ndarray
         block *= pivot[:, None, None]
         block += outer
         block -= outer.transpose(0, 2, 1)
-        block %= p
+        np.fmod(block, p, out=block)
         prefix[:count] = prefix[:count] * pivot % p
         if side > 2:
             den[:count] = den[:count] * prefix[:count] % p

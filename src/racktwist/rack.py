@@ -62,16 +62,6 @@ class Permutation:
             inv[v - 1] = pos + 1
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.image))
-
-    def transposition_pair(self) -> tuple[int, int] | None:
-        """The moved pair (i, j), i < j, if this is a transposition, else None."""
-        moved = [i + 1 for i, v in enumerate(self.image) if v != i + 1]
-        if len(moved) == 2 and self(moved[0]) == moved[1] and self(moved[1]) == moved[0]:
-            return moved[0], moved[1]
-        return None
-
     def lex_reduced_word(self) -> tuple[int, ...]:
         """The lexicographically smallest reduced word, read off the inversion code of the inverse.
 

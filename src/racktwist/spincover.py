@@ -14,17 +14,17 @@ pair; see verify_conjugation_lemmas.  Neither check is exponential in n;
 DEFAULT_N_CAP stays at 12, and raising it is a separate change.
 
 The sign cocycle of the section expands no Clifford product.  Brackets
-[i j] are unit vectors a/sqrt(2), a an integer vector with |a|^2 = 2 read
-off bracket(n, i, j), and every section value s(x) is a product of such
-vectors: [i j] for a transposition, else t_{w_1} ... t_{w_l} along the
-lex-smallest reduced word, read off the inversion code by
-rack.lex_reduced_words.  For a pair (x, y), s(x)s(y) = z^bit s(xy) says
-that V = s(x) s(y) rev(s(xy)) = (-1)^bit, and racktwist.pfaffian decides
-the sign of such products exactly, by integer Pfaffians modulo primes, a
-whole batch in one sweep; a product that is neither +1 nor -1 raises
-SectionConsistencyError.  The twist table takes one such Pfaffian per
-product xy and a Pfaffian of four vectors per pair; see
-GroupCocycleBit.twist_table.
+[i j] are unit vectors a/sqrt(2), a an integer vector with |a|^2 = 2,
+built for all pairs at once by integer reflections (_bracket_vectors), and
+every section value s(x) is a product of such vectors: [i j] for a
+transposition, else t_{w_1} ... t_{w_l} along the lex-smallest reduced
+word, read off the inversion code by rack.lex_reduced_words.  For a pair
+(x, y), s(x)s(y) = z^bit s(xy) says that V = s(x) s(y) rev(s(xy)) =
+(-1)^bit, and racktwist.pfaffian decides the sign of such products
+exactly, by integer Pfaffians modulo primes, a whole batch in one sweep; a
+product that is neither +1 nor -1 raises SectionConsistencyError.  The
+twist table takes one such Pfaffian per product xy and a Pfaffian of four
+vectors per pair; see GroupCocycleBit.twist_table.
 """
 
 from __future__ import annotations
@@ -246,28 +246,32 @@ def verify_presentation(n: int, generator=generator_t) -> bool:
     return True
 
 
-_BRACKETS: dict[tuple[int, int, int], SpinElement] = {}
+def _bracket_vectors(n: int) -> np.ndarray:
+    """vectors[i, j] = a with [i j] = a/sqrt(2), for every ordered pair; row 0 and the diagonal are zero.
 
-
-def bracket(n: int, i: int, j: int) -> SpinElement:
-    """The distinguished lift [i j] of the transposition (i j), memoised on (n, i, j).
-
-    [i, i+1] = t_i; for i+1 < j, [i j] = (t_i |> [i+1, j]) * z; and
-    [j i] = [i j] * z for i < j.
+    [i, i+1] = t_i = g_i/sqrt(2) with g_i = e_i - e_{i+1}; for i+1 < j,
+    [i j] = (t_i |> [i+1, j]) z, which reflects a = a' - <g_i, a'> g_i with
+    a' the vector of [i+1, j]; and [j i] = [i j] z = -[i j].  Row i takes
+    one step, from i = n-2 down to 1.
     """
-    if i == j or not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"bad bracket indices ({i}, {j}) for n={n}")
-    key = (n, i, j)
-    got = _BRACKETS.get(key)
-    if got is None:
-        if i > j:
-            got = bracket(n, j, i).times_z()
-        elif j == i + 1:
-            got = generator_t(n, i)
-        else:
-            got = generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
-        _BRACKETS[key] = got
-    return got
+    vectors = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    letters = np.arange(1, n)
+    vectors[letters, letters + 1, letters - 1], vectors[letters, letters + 1, letters] = 1, -1
+    for i in range(n - 2, 0, -1):
+        g, above = vectors[i, i + 1], vectors[i + 1, i + 2:]
+        vectors[i, i + 2:] = above - (above @ g)[:, None] * g
+    return vectors - vectors.transpose(1, 0, 2)
+
+
+def _unit_bracket_vectors(n: int) -> np.ndarray:
+    """_bracket_vectors(n), or SectionConsistencyError naming the first ordered pair whose |a|^2 is not 2."""
+    vectors = _bracket_vectors(n)
+    norms = np.einsum("ijc,ijc->ij", vectors, vectors)[1:, 1:]
+    bad = np.argwhere((norms != 2) & ~np.eye(n, dtype=bool))
+    if bad.size:
+        i, j = bad[0] + 1
+        raise SectionConsistencyError(f"[{i} {j}] = {vectors[i, j].tolist()}/sqrt(2) is not a unit vector")
+    return vectors
 
 
 # Random conjugation words decided at once; bounds the (chunk, 20) letter
@@ -286,7 +290,7 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
     t_k, [k] in the exhaustive part) and its ordered pair [i, j].
 
     No lift is expanded.  Every bracket is a unit vector v/sqrt(2), v read
-    off by _bracket_vector, and t_k = [k, k+1] = g/sqrt(2).  For unit vectors
+    off _bracket_vectors, and t_k = [k, k+1] = g/sqrt(2).  For unit vectors
     sqrt(2) t_k (v/sqrt(2)) t_k^-1 = <g, v> g - v, so conjugating by
     t_{w_1} ... t_{w_l} is l such integer maps of v, from the last letter to
     the first, and the result must equal (-1)^l times the vector of
@@ -297,12 +301,7 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    # vectors[i, j] is the vector of [i j]; row 0 and the diagonal stay zero
-    vectors = np.zeros((n + 1, n + 1, n), dtype=np.int64)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                vectors[i, j] = _bracket_vector(n, i, j)
+    vectors = _unit_bracket_vectors(n)
     # letter 0 pads a short word: it conjugates by nothing and fixes every point
     letters = np.arange(1, n)
     gens = np.zeros((n, n), dtype=np.int64)
@@ -351,29 +350,12 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
     return witness is None, witness
 
 
-def _bracket_vector(n: int, i: int, j: int) -> list[int]:
-    """The integer vector a with [i j] = a/sqrt(2), read off bracket(n, i, j).elem.
-
-    SectionConsistencyError unless the element has k = 1, only grade-1 terms
-    and |a|^2 = 2, that is, unless [i j] is a unit vector of that form.
-    """
-    elem = bracket(n, i, j).elem
-    if elem.k != 1 or any(m.bit_count() != 1 for m in elem.terms):
-        raise SectionConsistencyError(f"[{i} {j}] = {elem!r} is not an integer vector over sqrt(2)")
-    a = [0] * n
-    for m, c in elem.terms.items():
-        a[m.bit_length() - 1] = c
-    if sum(c * c for c in a) != 2:
-        raise SectionConsistencyError(f"[{i} {j}] = {elem!r} is not a unit vector")
-    return a
-
-
 class SectionCache:
     """Deterministic section s: S_n -> T_n with s(id) = 1 and s((i j)) = [i j].
 
     Every value of s is a product of brackets, which are unit vectors:
     `vectors[v]` is the integer vector a with [i j] = a/sqrt(2) for the v-th
-    pair (i, j) of transposition_pairs(n), read off bracket(n, i, j), and
+    pair (i, j) of transposition_pairs(n), read off _bracket_vectors(n), and
     `gram` holds their inner products.  Non-transpositions lift along their
     lexicographically smallest reduced word as t_{w_1} ... t_{w_l}, with
     t_w = [w, w+1].  words() gives the vector words of many permutations at
@@ -386,7 +368,7 @@ class SectionCache:
         pairs = transposition_pairs(n)
         self._index = {pair: v for v, pair in enumerate(pairs)}
         self._adjacent = np.array([self._index[(w, w + 1)] for w in range(1, n)], dtype=np.intp)
-        self.vectors = np.array([_bracket_vector(n, i, j) for i, j in pairs], dtype=np.int64).reshape(-1, n)
+        self.vectors = _unit_bracket_vectors(n)[tuple(np.array(pairs).T)]
         self.gram = self.vectors @ self.vectors.T
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -523,9 +505,11 @@ def _group_table(gc: GroupCocycleBit) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return images, mult, bits
 
 
-def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
+def verify_group_cocycle(gc: GroupCocycleBit) -> tuple[bool, dict | None]:
     """Exhaustive check of bit(x,y)+bit(xy,z) == bit(x,yz)+bit(y,z) mod 2 over S_n.
 
+    Returns the verdict and the first failing triple in lexicographic order,
+    or None, as the one-line images {"x": ..., "y": ..., "z": ...}.
     Materializes the full n! x n! bit table, so n is capped (n! triples grow
     as (n!)^3; n = 5 means 1.728M triples).
     """
@@ -536,11 +520,11 @@ def verify_group_cocycle(gc: GroupCocycleBit) -> bool:
     x = np.arange(size)[:, None, None]
     y = np.arange(size)[None, :, None]
     z = np.arange(size)[None, None, :]
-    xy = mult[x, y]
-    yz = mult[y, z]
-    lhs = bits[x, y] + bits[xy, z]
-    rhs = bits[x, yz] + bits[y, z]
-    return bool(np.all((lhs - rhs) % 2 == 0))
+    bad = np.flatnonzero(bits[x, y] ^ bits[mult[x, y], z] ^ bits[x, mult[y, z]] ^ bits[y, z])
+    if not bad.size:
+        return True, None
+    triple = np.unravel_index(bad[0], (size,) * 3)
+    return False, {name: images[t].tolist() for name, t in zip("xyz", triple)}
 
 
 def verify_main_theorem(n: int, phi: TwistTable | None = None) -> tuple[bool, dict | None]:

@@ -12,7 +12,10 @@ one bracket at a time, with no section at all.  The conjugation lemmas
 have conjugation_lemmas_by_clifford, which expands every lift in the
 Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
-the package decides a batch of words at once.  The transposition rack, chi
+the package decides a batch of words at once.  The brackets [i j] have
+bracket, which expands their defining Clifford recursion where the package
+reflects integer vectors, and the exhaustive group-cocycle check has
+group_cocycle_first_failure, a loop over triples.  The transposition rack, chi
 and the twisted cocycle have loops over pairs and Permutation objects where
 the package reads integer arrays.  The assembly's send data has
 send_tables, which composes the package's strand tables over the whole
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -636,6 +640,75 @@ def signed_action_consistent(s) -> bool:
     return True
 
 
+def transposition_pair(sigma: Permutation) -> tuple[int, int] | None:
+    """The moved pair (i, j), i < j, if sigma is a transposition, else None."""
+    moved = [i + 1 for i, v in enumerate(sigma.image) if v != i + 1]
+    if len(moved) == 2 and sigma(moved[0]) == moved[1] and sigma(moved[1]) == moved[0]:
+        return moved[0], moved[1]
+    return None
+
+
+_BRACKETS: dict[tuple[int, int, int], SpinElement] = {}
+
+
+def bracket(n: int, i: int, j: int) -> SpinElement:
+    """The distinguished lift [i j] of the transposition (i j), expanded in the Clifford model.
+
+    [i, i+1] = t_i; for i+1 < j, [i j] = (t_i |> [i+1, j]) * z; and
+    [j i] = [i j] * z for i < j.  Memoised on (n, i, j).  The generators
+    are looked up on the spincover module and the recursion on this one at
+    each use, so a test that patches either sees the fault propagate.
+    """
+    if i == j or not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"bad bracket indices ({i}, {j}) for n={n}")
+    key = (n, i, j)
+    got = _BRACKETS.get(key)
+    if got is None:
+        if i > j:
+            got = bracket(n, j, i).times_z()
+        elif j == i + 1:
+            got = spincover.generator_t(n, i)
+        else:
+            got = spincover.generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
+        _BRACKETS[key] = got
+    return got
+
+
+def bracket_vectors(n: int) -> np.ndarray:
+    """spincover._bracket_vectors(n) read off the Clifford brackets: [i j] = vectors[i, j]/sqrt(2)."""
+    vectors = np.zeros((n + 1, n + 1, n), dtype=np.int64)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                vectors[i, j] = bracket_vector(n, i, j)
+    return vectors
+
+
+def use_clifford_brackets(monkeypatch) -> None:
+    """Make the package read its bracket table off bracket, with a fresh memo, so a patched generator reaches it."""
+    monkeypatch.setattr(sys.modules[__name__], "_BRACKETS", {})
+    monkeypatch.setattr(spincover, "_bracket_vectors", bracket_vectors)
+
+
+def scale_bracket(monkeypatch, i: int, j: int, factor: int) -> None:
+    """Make [i j] (for every n) factor times itself, in bracket and in the package.
+
+    The fault enters the Clifford recursion of bracket, so every bracket
+    built from [i j] inherits it, and the package reads its bracket table
+    off these brackets (use_clifford_brackets).
+    """
+    original = bracket
+
+    def patched(n, a, b):
+        got = original(n, a, b)
+        if (a, b) != (i, j):
+            return got
+        return SpinElement(CliffordElement(n, {m: factor * c for m, c in got.elem.terms.items()}, got.elem.k), got.perm)
+
+    use_clifford_brackets(monkeypatch)
+    monkeypatch.setattr(sys.modules[__name__], "bracket", patched)
+
+
 class CliffordSection:
     """The section s: S_n -> T_n of spincover.SectionCache, as Clifford elements.
 
@@ -644,8 +717,8 @@ class CliffordSection:
     model.  One stack holds the prefix lifts of the last word lifted; a new
     word keeps the prefix it shares with that word and multiplies only its
     remaining letters.  The lift of an m-cycle has 2^(m-1) terms, so this is
-    exponential in n.  Brackets and generators are looked up on the
-    spincover module at each use, so a test can patch them.
+    exponential in n.  Brackets are looked up on this module and generators
+    on the spincover module at each use, so a test can patch them.
     """
 
     def __init__(self, n: int):
@@ -658,9 +731,9 @@ class CliffordSection:
     def section(self, sigma: Permutation) -> SpinElement:
         cached = self._memo.get(sigma.image)
         if cached is None:
-            pair = sigma.transposition_pair()
+            pair = transposition_pair(sigma)
             if pair is not None:
-                cached = spincover.bracket(self.n, *pair)
+                cached = bracket(self.n, *pair)
             else:
                 cached = SpinElement(self._lift(sigma.lex_reduced_word()), sigma)
             self._memo[sigma.image] = cached
@@ -699,11 +772,30 @@ def clifford_twist_table(n: int) -> TwistTable:
 
 
 def bracket_vector(n: int, i: int, j: int) -> tuple[int, ...]:
-    """sqrt(2) * [i j] as an integer vector, from spincover.bracket; ValueError if it is none."""
-    elem = spincover.bracket(n, i, j).elem
+    """sqrt(2) * [i j] as an integer vector, from bracket; ValueError if it is none."""
+    elem = bracket(n, i, j).elem
     if elem.k != 1 or any(bin(m).count("1") != 1 for m in elem.terms):
         raise ValueError(f"[{i} {j}] is not an integer vector over sqrt(2)")
     return tuple(elem.terms.get(1 << v, 0) for v in range(n))
+
+
+def group_cocycle_first_failure(images, bits) -> dict | None:
+    """The first triple (x, y, z) in lexicographic order with bit(x,y) + bit(xy,z) != bit(x,yz) + bit(y,z) mod 2.
+
+    One triple at a time, with products of Permutation objects; bits[a][b]
+    is the bit of the a-th and b-th of the one-line images.  Returns the
+    triple as one-line images {"x": ..., "y": ..., "z": ...}, or None.
+    """
+    perms = [Permutation(tuple(img)) for img in images]
+    index = {p.image: a for a, p in enumerate(perms)}
+    for x, px in enumerate(perms):
+        for y, py in enumerate(perms):
+            xy = index[(px * py).image]
+            for z, pz in enumerate(perms):
+                yz = index[(py * pz).image]
+                if (bits[x][y] + bits[xy][z] - bits[x][yz] - bits[y][z]) % 2:
+                    return {"x": list(px.image), "y": list(py.image), "z": list(pz.image)}
+    return None
 
 
 def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
@@ -738,7 +830,7 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
     Returns the verdict and the first failing word and pair, as the package does.
     """
     brackets = {
-        (a, b): spincover.bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
+        (a, b): bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
     }
     ts = [spincover.generator_t(n, i) for i in range(1, n)]
     for k, sk in enumerate(ts, 1):

@@ -77,7 +77,7 @@ def test_criterion_02_main_theorem():
 
 def test_criterion_03_group_cocycle():
     t0 = time.perf_counter()
-    ok = verify_group_cocycle(phi_psi_table(4)) and verify_group_cocycle(phi_psi_table(5))
+    ok = all(verify_group_cocycle(phi_psi_table(n)) == (True, None) for n in (4, 5))
     elapsed = time.perf_counter() - t0
     _verdict(3, "group 2-cocycle condition exhaustive on S4 and S5", ok and elapsed < 300, elapsed)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -8,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import flip_phi_bit, main_theorem_log, twist_condition_first_failure
+from oracles import flip_phi_bit, main_theorem_log, scale_bracket, twist_condition_first_failure
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
-from racktwist import spincover
+from racktwist import cli
 from racktwist.cli import RACK_N_CAP, main
 from racktwist.cocycle import RackCocycle, chi_cocycle
-from racktwist.spincover import CliffordElement, GroupCocycleBit, SpinElement
+from racktwist.spincover import GroupCocycleBit
 
 
 def run(argv):
@@ -199,20 +200,11 @@ class TestTwistVerifyCommand:
     @pytest.mark.parametrize("command", ["twist-verify", "cover"])
     def test_non_unit_bracket_fails_in_one_line(self, tmp_path, capsys, monkeypatch, command):
         # [1 3] = (e_1 - e_3)/sqrt(2) doubled is no unit vector, so no phi bit is decided
-        original = spincover.bracket
-
-        def patched(n, i, j):
-            got = original(n, i, j)
-            if (i, j) != (1, 3):
-                return got
-            return SpinElement(CliffordElement(n, {m: 2 * c for m, c in got.elem.terms.items()}, 1), got.perm)
-
-        monkeypatch.setattr(spincover, "_BRACKETS", {})
-        monkeypatch.setattr(spincover, "bracket", patched)
+        scale_bracket(monkeypatch, 1, 3, 2)
         out = tmp_path / "r.json"
         assert run([command, "--n", "5", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err == "check failed: [1 3] = 2^(-1/2)*(2*e1 + -2*e3) is not a unit vector\n"
+        assert err == "check failed: [1 3] = [2, 0, -2, 0, 0]/sqrt(2) is not a unit vector\n"
         assert not out.exists()
 
     def test_flipped_bit_fails_with_its_first_pair(self, tmp_path, capsys, monkeypatch):
@@ -448,6 +440,92 @@ class TestParser:
 
     def test_missing_required_flag(self):
         assert run(["cover"]) == 1
+
+    # at least one argv per subcommand, with every option of it somewhere
+    ARGVS = [
+        ["rack", "--n", "4", "--out", "r.json"],
+        ["rack", "--check", "rack.json"],
+        ["cocycle", "--kind", "chi", "--n", "4"],
+        ["cocycle", "--check", "c.json", "--out", "o.json"],
+        ["cover", "--n", "5"],
+        ["cover", "--n", "5", "--trials", "3", "--seed", "2", "--out", "o.json"],
+        ["twist-verify", "--n", "8"],
+        ["twist-verify", "--n", "8", "--out", "o.json"],
+        ["cohomology", "--n", "4", "--out", "o.json"],
+        ["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2"],
+        ["hilbert", "--rack", "x4", "--cocycle=-1", "--max-degree", "3", "--mode", "exact", "--seed", "4",
+         "--dim-cap", "10", "--closed-form", "2:2", "--out", "o.json"],
+        ["selfcheck"],
+        ["selfcheck", "--n-max", "4", "--trials", "5", "--seed", "1", "--inject-fault", "generator", "--out", "o.json"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_single_command_parser_parses_as_the_full_parser(self, argv):
+        got = cli.build_parser(argv[0]).parse_args(argv)
+        assert got == cli.build_parser().parse_args(argv)
+        assert got.fn is cli.COMMANDS[[name for name, *_ in cli.COMMANDS].index(argv[0])][1]
+
+    def test_defaults(self):
+        parse = cli.build_parser().parse_args
+        assert vars(parse(["cover", "--n", "5"])) == {
+            "subcommand": "cover", "n": 5, "trials": 1000, "seed": 0, "out": None, "fn": cli.cmd_cover}
+        assert vars(parse(["selfcheck"])) == {
+            "subcommand": "selfcheck", "n_max": 6, "trials": 200, "seed": 0, "inject_fault": None, "out": None,
+            "fn": cli.cmd_selfcheck}
+        assert vars(parse(["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2"])) == {
+            "subcommand": "hilbert", "rack": "x3", "cocycle": "chi", "max_degree": 2, "mode": "modular", "seed": 0,
+            "dim_cap": None, "closed_form": None, "out": None, "fn": cli.cmd_hilbert}
+
+    @pytest.mark.parametrize("argv, says", [
+        ([], "error: the following arguments are required: subcommand\n"),
+        (["frobnicate"], "error: argument subcommand: invalid choice: 'frobnicate' (choose from "
+                         "'rack', 'cocycle', 'cover', 'twist-verify', 'cohomology', 'hilbert', 'selfcheck')\n"),
+        (["twist-verify"], "error: the following arguments are required: --n\n"),
+        (["twist-verify", "--n", "5", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    ])
+    def test_usage_errors_are_those_of_the_full_parser(self, capsys, argv, says):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        with pytest.raises(cli.UsageError) as exc:
+            cli.build_parser().parse_args(argv)
+        assert err == capsys.readouterr().err + f"error: {exc.value}\n"
+        assert err.startswith("usage: racktwist") and err.endswith(says)
+
+    @staticmethod
+    def spy_add_parser(monkeypatch):
+        names = []
+        original = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return names
+
+    def test_a_valid_command_registers_one_subparser(self, monkeypatch, capsys):
+        names = self.spy_add_parser(monkeypatch)
+        assert run(["twist-verify", "--n", "4"]) == 0
+        assert names == ["twist-verify"]
+        names.clear()
+        assert run(["cover", "--n", "3"]) == 1
+        assert names == ["cover"]
+
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--bogus"]])
+    def test_anything_else_registers_every_subparser(self, monkeypatch, capsys, argv):
+        names = self.spy_add_parser(monkeypatch)
+        assert run(argv) == 1
+        assert names == [name for name, *_ in cli.COMMANDS]
+        assert len(names) == 7
+
+    def test_help_lists_every_subcommand(self, monkeypatch, capsys):
+        names = self.spy_add_parser(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0 and len(names) == 7
+        printed = capsys.readouterr().out
+        for name, _, help_text, _ in cli.COMMANDS:
+            assert name in printed and help_text in printed
 
 
 def child_env():

@@ -41,7 +41,7 @@ class TestPermutation:
         p = Permutation((2, 3, 1))
         q = Permutation((1, 3, 2))
         assert (p * q).image == (2, 1, 3)
-        assert (p * p.inverse()).is_identity()
+        assert p * p.inverse() == Permutation.identity(3)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):

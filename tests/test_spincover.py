@@ -10,18 +10,24 @@ import pytest
 from oracles import (
     CliffordSection,
     QuadScalar,
+    bracket,
+    bracket_vectors,
     clifford_twist_table,
     conjugation_lemmas_by_clifford,
     conjugation_lemmas_per_trial,
     flip_phi_bit,
+    group_cocycle_first_failure,
     is_group_like,
     lex_min_reduced_word,
     main_theorem_log,
     quad_clifford_product,
     quad_element,
     quad_generator,
+    scale_bracket,
     signed_action_consistent,
+    transposition_pair,
     twist_identity_by_reflections,
+    use_clifford_brackets,
 )
 from racktwist import cli, pfaffian, spincover
 from racktwist.cocycle import check_twist_condition, chi_cocycle
@@ -34,7 +40,6 @@ from racktwist.spincover import (
     SectionCache,
     SpinElement,
     _unnormalized_generator,
-    bracket,
     generator_t,
     phi_psi_table,
     verify_conjugation_lemmas,
@@ -277,6 +282,35 @@ class TestBracket:
         assert bracket(6, 5, 2) is bracket(6, 5, 2)
 
 
+class TestBracketVectors:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_equal_the_clifford_brackets(self, n):
+        got = spincover._bracket_vectors(n)
+        assert got.shape == (n + 1, n + 1, n)
+        assert (got == bracket_vectors(n)).all()
+
+    def test_unit_check_names_the_first_failing_pair(self, monkeypatch):
+        # only [3 1] is doubled, so no bracket built from it inherits the fault
+        original = spincover._bracket_vectors
+
+        def doubled(n):
+            vectors = original(n)
+            vectors[3, 1] *= 2
+            return vectors
+
+        monkeypatch.setattr(spincover, "_bracket_vectors", doubled)
+        message = r"^\[3 1\] = \[-2, 0, 2, 0\]/sqrt\(2\) is not a unit vector$"
+        with pytest.raises(SectionConsistencyError, match=message):
+            SectionCache(4)
+        with pytest.raises(SectionConsistencyError, match=message):
+            verify_conjugation_lemmas(4, trials=0)
+
+    def test_no_clifford_product_on_the_twist_and_lemma_paths(self, monkeypatch):
+        monkeypatch.setattr(CliffordElement, "__mul__", lambda *args: pytest.fail("Clifford product expanded"))
+        assert cli.main(["twist-verify", "--n", "8"]) == 0
+        assert verify_conjugation_lemmas(8, trials=50) == (True, None)
+
+
 class TestConjugation:
     def test_identity_fixes(self):
         br = bracket(4, 1, 3)
@@ -370,13 +404,14 @@ class TestConjugation:
     @pytest.mark.parametrize("pair", [(1, 2), (1, 3), (4, 2)])
     @pytest.mark.parametrize("trials", [0, 200])
     def test_negated_bracket_vector_fails(self, monkeypatch, pair, trials):
-        original = spincover._bracket_vector
+        original = spincover._bracket_vectors
 
-        def negated(n, i, j):
-            v = original(n, i, j)
-            return [-c for c in v] if (i, j) == pair else v
+        def negated(n):
+            vectors = original(n)
+            vectors[pair] *= -1
+            return vectors
 
-        monkeypatch.setattr(spincover, "_bracket_vector", negated)
+        monkeypatch.setattr(spincover, "_bracket_vectors", negated)
         ok, witness = verify_conjugation_lemmas(5, trials=trials, seed=3)
         assert ok is False and len(witness["word"]) == 1 and len(witness["pair"]) == 2
 
@@ -486,7 +521,7 @@ class TestSection:
         for sigma, word, row in zip(products, np.split(letters, np.cumsum(lengths)[:-1]), rows):
             lex = lex_min_reduced_word(sigma)
             assert tuple(word.tolist()) == lex
-            pair = sigma.transposition_pair()
+            pair = transposition_pair(sigma)
             expected = (index[pair],) if pair else tuple(index[(w, w + 1)] for w in lex)
             assert cache.section(sigma) == tuple(row.tolist()) == expected
 
@@ -496,7 +531,7 @@ class TestSection:
         values, counts = SectionCache(4).words(images)
         pairs = transposition_pairs(4)
         for img, row in zip(map(tuple, images.tolist()), np.split(values, np.cumsum(counts)[:-1])):
-            pair = Permutation(img).transposition_pair()
+            pair = transposition_pair(Permutation(img))
             if pair is not None:
                 assert row.tolist() == [pairs.index(pair)]
             else:
@@ -505,7 +540,7 @@ class TestSection:
     @staticmethod
     def naive_section(sigma):
         """s(sigma) rebuilt from scratch: [i j] on transpositions, else the product along the lex word."""
-        pair = sigma.transposition_pair()
+        pair = transposition_pair(sigma)
         if pair is not None:
             return bracket(sigma.n, *pair)
         lift = SpinElement.one(sigma.n)
@@ -567,7 +602,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_group_cocycle_condition(self, n):
-        assert verify_group_cocycle(phi_psi_table(n))
+        assert verify_group_cocycle(phi_psi_table(n)) == (True, None)
 
     def test_corrupt_section_detected(self):
         cache = SectionCache(3)
@@ -579,12 +614,51 @@ class TestPhi:
 
 
     def test_corrupt_generator_detected(self, monkeypatch):
-        # the section lifts along t_i = e_i - e_{i+1}, without the 1/sqrt(2)
-        monkeypatch.setattr(spincover, "generator_t", _unnormalized_generator)
-        monkeypatch.setattr(spincover, "_BRACKETS", {})
+        # the section lifts along t_i = 2(e_i - e_{i+1})/sqrt(2), an integer vector that is no unit;
+        # the first bracket read is [1 2] = t_1, and every other one is built from such generators
+        def doubled(n, i):
+            t = generator_t(n, i)
+            return SpinElement(scaled(t.elem, 2), t.perm)
+
+        monkeypatch.setattr(spincover, "generator_t", doubled)
+        use_clifford_brackets(monkeypatch)
         x, y = Permutation.transposition(4, 1, 3), Permutation.transposition(4, 1, 2)
-        with pytest.raises(SectionConsistencyError, match="not an integer vector"):
+        with pytest.raises(SectionConsistencyError, match=r"^\[1 2\] = \[2, -2, 0, 0\]/sqrt\(2\) is not a unit vector$"):
             SectionCache(4).phi_bit(x, y)
+
+
+class TestGroupCocycleWitness:
+    @staticmethod
+    def flip_group_bit(monkeypatch, a, b):
+        """Flip the bit of the a-th and b-th permutations (lexicographic order) in _group_table."""
+        original = spincover._group_table
+
+        def flipped(gc):
+            images, mult, bits = original(gc)
+            bits[a, b] ^= 1
+            return images, mult, bits
+
+        monkeypatch.setattr(spincover, "_group_table", flipped)
+
+    @pytest.mark.parametrize("n, a, b", [(3, 0, 0), (3, 2, 5), (4, 7, 3), (4, 23, 23), (4, 0, 11)])
+    def test_first_failing_triple_is_the_oracles(self, monkeypatch, n, a, b):
+        self.flip_group_bit(monkeypatch, a, b)
+        images, _, bits = spincover._group_table(phi_psi_table(n))
+        witness = group_cocycle_first_failure(images.tolist(), bits.tolist())
+        assert witness is not None
+        assert verify_group_cocycle(phi_psi_table(n)) == (False, witness)
+
+    def test_selfcheck_entry_carries_the_witness(self, monkeypatch, tmp_path):
+        self.flip_group_bit(monkeypatch, 1, 2)
+        out = tmp_path / "sc.json"
+        assert cli.main(["selfcheck", "--n-max", "4", "--trials", "5", "--out", str(out)]) == 2
+        checks = json.loads(out.read_text())["checks"]
+        for n in (3, 4):
+            ok, witness = verify_group_cocycle(phi_psi_table(n))
+            assert ok is False and set(witness) == {"x", "y", "z"}
+            entry = next(c for c in checks if c["name"] == f"group cocycle exhaustive n={n}")
+            assert entry == {"name": f"group cocycle exhaustive n={n}", "ok": False, "cocycle_witness": witness}
+        assert all(set(c) == {"name", "ok"} for c in checks if c["ok"])
 
 
 class TestMainTheorem:
@@ -646,20 +720,6 @@ class TestPhiPsiScalars:
         x = Permutation.transposition(4, 1, 3)
         y = Permutation.transposition(4, 1, 2)
         assert sign(gc, x, y) == (-1) ** gc.bit(x, y)
-
-
-def scale_bracket(monkeypatch, i, j, factor):
-    """Patch spincover.bracket so that [i j] (for every n) comes back multiplied by factor."""
-    original = spincover.bracket
-
-    def patched(n, a, b):
-        got = original(n, a, b)
-        if (a, b) != (i, j):
-            return got
-        return SpinElement(scaled(got.elem, factor), got.perm)
-
-    monkeypatch.setattr(spincover, "_BRACKETS", {})
-    monkeypatch.setattr(spincover, "bracket", patched)
 
 
 class TestSelfcheckWitness:
@@ -812,6 +872,28 @@ class TestPfaffianSigns:
         assert {bit for bit, size in zip(expected, sizes) if 0 < size <= 56 and size % 2 == 0} == {-1, 0, 1}
         assert {bit for bit, size in zip(expected, sizes) if size >= 58} == {-1, 0, 1}
 
+    def test_entries_shifted_by_p_decide_the_same_signs(self, monkeypatch):
+        # the sweep reduces with np.fmod, so any representative in (-p, p) of an entry is read alike
+        words, expected = self.mixed_batch(6, [size for size in range(0, 71, 2) for _ in range(4)], seed=5)
+        sweeps = []
+        original = pfaffian._pfaffian_signs_modp
+
+        def spy(a, sizes, p):
+            sweeps.append((a.copy(), sizes, p))
+            return original(a, sizes, p)
+
+        monkeypatch.setattr(pfaffian, "_pfaffian_signs_modp", spy)
+        assert SectionCache(6).word_bits(words).tolist() == expected
+        assert len(sweeps) >= 2 and any(p != sweeps[0][2] for _, _, p in sweeps)
+        rng = np.random.default_rng(6)
+        for a, sizes, p in sweeps:
+            assert a.min() >= 0 and a.max() < p
+            shifted = np.where(rng.random(a.shape) < 0.5, a - p * (a > 0), a)
+            assert shifted.min() > -p and (shifted < 0).any()
+            # the sweep works in place, so every call gets its own copy
+            assert (original(shifted.copy(), sizes, p) == original(a.copy(), sizes, p)).all()
+            assert (original(-shifted, sizes, p) == original(-a, sizes, p)).all()
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_twist_table_equals_the_clifford_lift(self, n):
         assert phi_psi_table(n).twist_table() == clifford_twist_table(n)
@@ -834,7 +916,8 @@ class TestPfaffianSigns:
 
     def test_negated_bracket_fails_everywhere(self, monkeypatch):
         scale_bracket(monkeypatch, 1, 3, -1)
-        assert spincover.bracket(5, 1, 3).elem == -bracket_vector_elem(5, 1, 3)
+        assert oracles.bracket(5, 1, 3).elem == -bracket_vector_elem(5, 1, 3)
+        assert spincover._bracket_vectors(5)[1, 3].tolist() == [-1, 0, 1, 0, 0]
         assert cli.main(["twist-verify", "--n", "5"]) == 2
         assert verify_main_theorem(5)[0] is False
         assert verify_main_theorem(5, clifford_twist_table(5))[0] is False
