@@ -42,8 +42,6 @@ from .rack import (
 from .spincover import (
     CliffordElement,
     GroupCocycleBit,
-    SpinElement,
-    generator_t,
     phi_psi_table,
     verify_conjugation_lemmas,
     verify_group_cocycle,

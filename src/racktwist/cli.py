@@ -317,9 +317,9 @@ def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
         n = int(arg[1:])
         if n < 2:
             raise UsageError(f"hilbert: need n >= 2 in rack argument, got {arg}")
-        if max_degree >= 2:
-            # x_n has n(n - 1)/2 elements: check the dimension before building them
-            braided.check_dimension(n * (n - 1) // 2, max_degree, dim_cap)
+        # x_n has k = n(n - 1)/2 elements and a k x k table, built at every degree:
+        # check k^max(degree, 2) before building it
+        braided.check_dimension(n * (n - 1) // 2, max(max_degree, 2), dim_cap)
         return rack_mod.transposition_rack(n), n, arg
     if os.path.exists(arg):
         return rack_mod.load_rack(arg), None, arg
@@ -399,9 +399,7 @@ def cmd_selfcheck(args) -> int:
         raise UsageError(f"selfcheck: need 2 <= n_max <= {N_CAP}, got {n_max}")
     if args.trials < 0:
         raise UsageError(f"selfcheck: need --trials >= 0, got {args.trials}")
-    generator = spincover.generator_t
-    if args.inject_fault == "generator":
-        generator = spincover._unnormalized_generator
+    doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4
     checks = []
 
     def run(name: str, fn, witness_key: str | None = None):
@@ -421,7 +419,8 @@ def cmd_selfcheck(args) -> int:
             checks[-1][witness_key] = witness
 
     for n in range(2, n_max + 1):
-        run(f"presentation n={n}", lambda n=n: spincover.verify_presentation(n, generator=generator))
+        generators = 2 * spincover.generator_vectors(n) if doubled else None
+        run(f"presentation n={n}", lambda n=n, g=generators: spincover.verify_presentation(n, generators=g))
     for n in range(4, min(n_max, 7) + 1):
         run(
             f"conjugation lemmas n={n}",
@@ -443,6 +442,7 @@ def cmd_selfcheck(args) -> int:
         run(f"braid equation -1 on x{n}", lambda q=minus_one: braided.check_braid_equation(q))
 
     def matsumoto_independence():
+        """Two reduced words of each drawn sigma give one rho; the witness is sigma and its words."""
         rng = random.Random(args.seed)
         base = cocycle_mod.minus_one_cocycle(rack_mod.transposition_rack(3))
         seen = set()  # the verdict per sigma is deterministic, so each is checked once
@@ -459,17 +459,16 @@ def cmd_selfcheck(args) -> int:
             # conjugation by w0 maps s_i to s_{n-i}, so this is another reduced word of sigma
             w0 = rack_mod.Permutation(tuple(range(n, 0, -1)))
             alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
-            if len(alt) != len(lex):
-                return False
             if n not in tables:
                 tables[n] = braided.strand_tables(base, n)
-            op_a = braided.rho(braided.BraidWord(n, lex), base, n, tables[n])
-            op_b = braided.rho(braided.BraidWord(n, alt), base, n, tables[n])
-            if op_a != op_b:
-                return False
-        return True
+            if len(alt) != len(lex) or (
+                braided.rho(braided.BraidWord(n, lex), base, n, tables[n])
+                != braided.rho(braided.BraidWord(n, alt), base, n, tables[n])
+            ):
+                return False, {"sigma": list(sigma.image), "words": [list(lex), list(alt)]}
+        return True, None
 
-    run("matsumoto word-independence", matsumoto_independence)
+    run("matsumoto word-independence", matsumoto_independence, "matsumoto_witness")
 
     ok = all(c["ok"] for c in checks)
     cfg = RunConfig(subcommand="selfcheck", n=n_max, seed=args.seed)

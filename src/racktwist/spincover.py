@@ -1,37 +1,37 @@
-"""Exact model of the double cover T_n of the symmetric group.
+"""Exact model of the double cover T_n of the symmetric group, on integer vectors.
 
 T_n is realized inside the Clifford algebra on generators e_1..e_n with
 e_i^2 = 1 and e_i e_j = -e_j e_i.  The lifted Coxeter generators are
-t_i = (e_i - e_{i+1})/sqrt(2), so every element built from them is an
-integer combination of basis monomials times a power of 1/sqrt(2); an
-element stores those integer coefficients and the one exponent.  The
-central involution z is the scalar -1.  Group equality and products are
-decided by integer arithmetic, with no floating point; the presentation is
-checked this way.  The conjugation lemmas expand no lift: conjugating a
-bracket by t_k is an integer reflection of its vector, applied to a whole
-batch of words at once, and a failure comes back with its first word and
-pair; see verify_conjugation_lemmas.  Neither check is exponential in n;
+t_i = g_i/sqrt(2) with g_i = e_i - e_{i+1}, and the central involution z is
+the scalar -1.  No check expands an element in Clifford monomials: every
+lift used here is a product of unit vectors a/sqrt(2), a an integer vector
+with |a|^2 = 2, and is decided by integer arithmetic, with no floating
+point.  The presentation is a batch of words of at most six generator
+vectors whose signs racktwist.pfaffian decides; see verify_presentation.
+The conjugation lemmas expand no lift either: conjugating a bracket by t_k
+is an integer reflection of its vector, applied to a whole batch of words
+at once, and a failure comes back with its first word and pair; see
+verify_conjugation_lemmas.  Neither check is exponential in n;
 DEFAULT_N_CAP stays at 12, and raising it is a separate change.
 
 The sign cocycle of the section expands no Clifford product.  Brackets
-[i j] are unit vectors a/sqrt(2), a an integer vector with |a|^2 = 2,
-built for all pairs at once by integer reflections (_bracket_vectors), and
-every section value s(x) is a product of such vectors: [i j] for a
-transposition, else t_{w_1} ... t_{w_l} along the lex-smallest reduced
-word, read off the inversion code by rack.lex_reduced_words.  For a pair
-(x, y), s(x)s(y) = z^bit s(xy) says that V = s(x) s(y) rev(s(xy)) =
-(-1)^bit, and racktwist.pfaffian decides the sign of such products
-exactly, by integer Pfaffians modulo primes, a whole batch in one sweep; a
-product that is neither +1 nor -1 raises SectionConsistencyError.  The
-twist table takes one such Pfaffian per product xy and a Pfaffian of four
-vectors per pair; see GroupCocycleBit.twist_table.
+[i j] are unit vectors a/sqrt(2), built for all pairs at once by integer
+reflections (_bracket_vectors), and every section value s(x) is a product
+of such vectors: [i j] for a transposition, else t_{w_1} ... t_{w_l} along
+the lex-smallest reduced word, read off the inversion code by
+rack.lex_reduced_words.  For a pair (x, y), s(x)s(y) = z^bit s(xy) says
+that V = s(x) s(y) rev(s(xy)) = (-1)^bit, and racktwist.pfaffian decides
+the sign of such products exactly, by integer Pfaffians modulo primes, a
+whole batch in one sweep; a product that is neither +1 nor -1 raises
+SectionConsistencyError.  The twist table takes one such Pfaffian per
+product xy and a Pfaffian of four vectors per pair; see
+GroupCocycleBit.twist_table.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,8 @@ from .cocycle import TwistTable, chi_cocycle, twist
 from .errors import SectionConsistencyError
 from .rack import Permutation, lex_reduced_words, transposition_images, transposition_pairs, transposition_rack
 
-# Largest n for cover, selfcheck and cohomology.  Their checks multiply only
-# short Clifford products and reflect integer vectors, so the cap is not a
+# Largest n for cover, selfcheck and cohomology.  Their checks decide short
+# words of integer vectors and reflect integer vectors, so the cap is not a
 # cost limit; it stays at 12, and raising it is a separate change.
 DEFAULT_N_CAP = 12
 # Largest n for the twist table, which expands no Clifford product: its
@@ -51,6 +51,7 @@ TWIST_N_CAP = 20
 GROUP_COCYCLE_N_CAP = 5
 
 
+# No check here multiplies Clifford elements: these two serve the test oracles and the benchmark tracer.
 def _below_parity_mask(t: int, n: int) -> int:
     """Bit a is set iff the mask t has an odd number of generators below index a.
 
@@ -158,92 +159,45 @@ class CliffordElement:
         return body if self.k == 0 else f"2^(-{self.k}/2)*({body})"
 
 
-@dataclass(frozen=True)
-class SpinElement:
-    """A group element of the cover: exact Clifford element plus its image permutation."""
-
-    elem: CliffordElement
-    perm: Permutation
-
-    def __mul__(self, other: SpinElement) -> SpinElement:
-        return SpinElement(self.elem * other.elem, self.perm * other.perm)
-
-    def inverse(self) -> SpinElement:
-        # products of unit vectors invert by reversal
-        return SpinElement(self.elem.reverse(), self.perm.inverse())
-
-    def conj(self, other: SpinElement) -> SpinElement:
-        """self |> other = self * other * self^-1."""
-        return self * other * self.inverse()
-
-    def times_z(self) -> SpinElement:
-        return SpinElement(-self.elem, self.perm)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpinElement)
-            and self.elem == other.elem
-            and self.perm.image == other.perm.image
-        )
-
-    def __hash__(self):
-        return hash((self.elem, self.perm.image))
-
-    @staticmethod
-    def one(n: int) -> SpinElement:
-        return SpinElement(CliffordElement.one(n), Permutation.identity(n))
-
-    @staticmethod
-    def z(n: int) -> SpinElement:
-        """The central involution, realized as the scalar -1."""
-        return SpinElement(CliffordElement.scalar(n, -1), Permutation.identity(n))
+def generator_vectors(n: int) -> np.ndarray:
+    """The (n - 1, n) integer vectors g_i = e_i - e_{i+1} of t_i = g_i/sqrt(2): the rows [i, i+1] of _bracket_vectors(n)."""
+    letters = np.arange(1, n)
+    return _bracket_vectors(n)[letters, letters + 1]
 
 
-def generator_t(n: int, i: int) -> SpinElement:
-    """The lifted Coxeter generator t_i = (e_i - e_{i+1})/sqrt(2) over s_i."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1}, k=1)
-    return SpinElement(elem, Permutation.adjacent(n, i))
-
-
-def _unnormalized_generator(n: int, i: int) -> SpinElement:
-    """Deliberately corrupted generator (e_i - e_{i+1}); t_i^2 = 2 fails. Test hook."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
-    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1})
-    return SpinElement(elem, Permutation.adjacent(n, i))
-
-
-def verify_presentation(n: int, generator=generator_t) -> bool:
-    """Check every defining relation of the cover exactly in the Clifford model.
+def verify_presentation(n: int, generators: np.ndarray | None = None) -> bool:
+    """Check every defining relation of the cover on integer generator vectors.
 
     Relations: t_i^2 = 1, (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2,
-    z^2 = 1, and z central.
+    z^2 = 1, and z central.  Here t_i = g_i/sqrt(2) with g_i row i - 1 of
+    generators, generator_vectors(n) by default.  t_i^2 = <g_i, g_i>/2, so
+    the first relation is the Gram diagonal equal to 2; it is checked first,
+    because pfaffian.word_bits bounds its Pfaffians for unit vectors only.
+    The braid relation is the vector word (j, j+1)^3 with sign bit 0, the far
+    relation the word (k, l)^2 with bit 1, and one word_bits batch decides
+    them all.  z is the sign -1 of a word, a scalar, so z^2 = 1 and z central
+    hold by construction.
     """
     if not 2 <= n <= DEFAULT_N_CAP:
         raise ValueError(f"n must be in 2..{DEFAULT_N_CAP}, got {n}")
-    one = SpinElement.one(n)
-    z = SpinElement.z(n)
-    ts = [generator(n, i) for i in range(1, n)]
-    if (z * z) != one:
+    if generators is None:
+        generators = generator_vectors(n)
+    gram = generators @ generators.T
+    if not (np.diag(gram) == 2).all():
         return False
-    for t in ts:
-        if (z * t) != (t * z):
-            return False
-    for t in ts:
-        if (t * t) != one:
-            return False
+    values, lengths, bits = [], [], []
     for j in range(n - 2):
-        u = ts[j] * ts[j + 1]
-        if (u * u * u) != one:
-            return False
+        values += [j, j + 1] * 3
+        lengths.append(6)
+        bits.append(0)
     for k in range(n - 1):
         for l in range(k + 2, n - 1):
-            v = ts[k] * ts[l]
-            if (v * v) != z:
-                return False
-    return True
+            values += [k, l] * 2
+            lengths.append(4)
+            bits.append(1)
+    if not bits:  # n = 2 has no word
+        return True
+    return pfaffian.word_bits(gram, np.array(values, dtype=np.intp), np.array(lengths, dtype=np.intp)).tolist() == bits
 
 
 def _bracket_vectors(n: int) -> np.ndarray:
@@ -423,9 +377,6 @@ class GroupCocycleBit:
     def __init__(self, n: int):
         self.n = n
         self.sections = SectionCache(n)
-
-    def bit(self, x: Permutation, y: Permutation) -> int:
-        return self.sections.phi_bit(x, y)
 
     def twist_table(self) -> TwistTable:
         """The restriction to transposition pairs, as an order-2 twist table.

@@ -5,10 +5,14 @@ definitions with the package: dense rational elimination for ranks, dense
 matrix products for braid lifts, alternative reduced-word generators, plain
 triple loops for the cocycle and twist conditions, a pair loop for the
 twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
-rational coefficients.  The sign cocycle of the section has two oracles
-that expand no Pfaffian: CliffordSection lifts the section in the package's
-Clifford model, and twist_identity_by_reflections checks the twist identity
-one bracket at a time, with no section at all.  The conjugation lemmas
+rational coefficients.  The lifts of the cover live here as SpinElement,
+a Clifford element over a permutation, with the generators generator_t;
+the presentation has presentation_by_clifford, which multiplies every
+relation out where the package decides words of integer vectors.  The
+sign cocycle of the section has two oracles that expand no Pfaffian:
+CliffordSection lifts the section in the Clifford model, and
+twist_identity_by_reflections checks the twist identity one bracket at a
+time, with no section at all.  The conjugation lemmas
 have conjugation_lemmas_by_clifford, which expands every lift in the
 Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
@@ -42,7 +46,7 @@ from racktwist import braided, hilbert, spincover
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import FiniteRack, Permutation, rack_to_dict, transposition_pairs
-from racktwist.spincover import CliffordElement, SpinElement
+from racktwist.spincover import CliffordElement, GroupCocycleBit
 
 
 def rank_over_rationals(rows) -> int:
@@ -648,6 +652,97 @@ def transposition_pair(sigma: Permutation) -> tuple[int, int] | None:
     return None
 
 
+@dataclass(frozen=True)
+class SpinElement:
+    """A group element of the cover: exact Clifford element plus its image permutation."""
+
+    elem: CliffordElement
+    perm: Permutation
+
+    def __mul__(self, other: SpinElement) -> SpinElement:
+        return SpinElement(self.elem * other.elem, self.perm * other.perm)
+
+    def inverse(self) -> SpinElement:
+        # products of unit vectors invert by reversal
+        return SpinElement(self.elem.reverse(), self.perm.inverse())
+
+    def conj(self, other: SpinElement) -> SpinElement:
+        """self |> other = self * other * self^-1."""
+        return self * other * self.inverse()
+
+    def times_z(self) -> SpinElement:
+        return SpinElement(-self.elem, self.perm)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SpinElement)
+            and self.elem == other.elem
+            and self.perm.image == other.perm.image
+        )
+
+    def __hash__(self):
+        return hash((self.elem, self.perm.image))
+
+    @staticmethod
+    def one(n: int) -> SpinElement:
+        return SpinElement(CliffordElement.one(n), Permutation.identity(n))
+
+    @staticmethod
+    def z(n: int) -> SpinElement:
+        """The central involution, realized as the scalar -1."""
+        return SpinElement(CliffordElement.scalar(n, -1), Permutation.identity(n))
+
+
+def generator_t(n: int, i: int) -> SpinElement:
+    """The lifted Coxeter generator t_i = (e_i - e_{i+1})/sqrt(2) over s_i."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1}, k=1)
+    return SpinElement(elem, Permutation.adjacent(n, i))
+
+
+def unnormalized_generator(n: int, i: int) -> SpinElement:
+    """The corrupted generator e_i - e_{i+1} = sqrt(2) t_i, for which t_i^2 = 2."""
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range 1..{n - 1}")
+    elem = CliffordElement(n, {1 << (i - 1): 1, 1 << i: -1})
+    return SpinElement(elem, Permutation.adjacent(n, i))
+
+
+def presentation_by_clifford(n: int, generators: list[SpinElement] | None = None) -> bool:
+    """spincover.verify_presentation with every relation multiplied out in the Clifford model.
+
+    generators are t_1 .. t_(n-1), generator_t by default.  Relations: t_i^2 = 1,
+    (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2, z^2 = 1, and z central.
+    """
+    one = SpinElement.one(n)
+    z = SpinElement.z(n)
+    ts = [generator_t(n, i) for i in range(1, n)] if generators is None else generators
+    if (z * z) != one:
+        return False
+    for t in ts:
+        if (z * t) != (t * z):
+            return False
+    for t in ts:
+        if (t * t) != one:
+            return False
+    for j in range(n - 2):
+        u = ts[j] * ts[j + 1]
+        if (u * u * u) != one:
+            return False
+    for k in range(n - 1):
+        for l in range(k + 2, n - 1):
+            v = ts[k] * ts[l]
+            if (v * v) != z:
+                return False
+    return True
+
+
+def cocycle_bit(gc: GroupCocycleBit, x: Permutation, y: Permutation) -> int:
+    """The sign bit in s(x)s(y) = z^bit s(xy) of gc's section, one pair at a time."""
+    return gc.sections.phi_bit(x, y)
+
+
 _BRACKETS: dict[tuple[int, int, int], SpinElement] = {}
 
 
@@ -656,8 +751,8 @@ def bracket(n: int, i: int, j: int) -> SpinElement:
 
     [i, i+1] = t_i; for i+1 < j, [i j] = (t_i |> [i+1, j]) * z; and
     [j i] = [i j] * z for i < j.  Memoised on (n, i, j).  The generators
-    are looked up on the spincover module and the recursion on this one at
-    each use, so a test that patches either sees the fault propagate.
+    and the recursion are looked up on this module at each use, so a test
+    that patches either sees the fault propagate.
     """
     if i == j or not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad bracket indices ({i}, {j}) for n={n}")
@@ -667,9 +762,9 @@ def bracket(n: int, i: int, j: int) -> SpinElement:
         if i > j:
             got = bracket(n, j, i).times_z()
         elif j == i + 1:
-            got = spincover.generator_t(n, i)
+            got = generator_t(n, i)
         else:
-            got = spincover.generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
+            got = generator_t(n, i).conj(bracket(n, i + 1, j)).times_z()
         _BRACKETS[key] = got
     return got
 
@@ -717,14 +812,14 @@ class CliffordSection:
     model.  One stack holds the prefix lifts of the last word lifted; a new
     word keeps the prefix it shares with that word and multiplies only its
     remaining letters.  The lift of an m-cycle has 2^(m-1) terms, so this is
-    exponential in n.  Brackets are looked up on this module and generators
-    on the spincover module at each use, so a test can patch them.
+    exponential in n.  Brackets and generators are looked up on this module
+    at each use, so a test can patch them.
     """
 
     def __init__(self, n: int):
         self.n = n
         self._memo: dict[tuple[int, ...], SpinElement] = {}
-        self._gens = [spincover.generator_t(n, i).elem for i in range(1, n)]
+        self._gens = [generator_t(n, i).elem for i in range(1, n)]
         self._word: tuple[int, ...] = ()
         self._prefix = [CliffordElement.one(n)]  # _prefix[j] lifts _word[:j]
 
@@ -832,7 +927,7 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
     brackets = {
         (a, b): bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
     }
-    ts = [spincover.generator_t(n, i) for i in range(1, n)]
+    ts = [generator_t(n, i) for i in range(1, n)]
     for k, sk in enumerate(ts, 1):
         swap = sk.perm
         for (a, b), br in brackets.items():

@@ -328,6 +328,35 @@ class TestHilbertCommand:
         assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 6368040000 > cap 200000\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_degree", ["0", "1"])
+    def test_rack_table_capped_at_every_degree(self, tmp_path, max_degree):
+        # x1000 has 499 500 elements, so its k x k table alone needs GiBs; the run must stop
+        # before building it, well inside a 1 GiB address space
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "h.json"
+        args = ["hilbert", "--rack", "x1000", "--cocycle=-1", "--max-degree", max_degree, "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(), preexec_fn=limit,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3
+        assert done.stderr == "resource limit: degree 2 needs dimension 249500250000 > cap 200000\n"
+        assert "Traceback" not in done.stderr
+        assert not out.exists()
+
+    def test_rack_table_within_the_cap_at_degree_one(self, monkeypatch, capsys):
+        # x40 has k^2 = 608 400 table entries: over the default cap, within a raised one
+        argv = ["hilbert", "--rack", "x40", "--cocycle=-1", "--max-degree", "1"]
+        real = rack_mod.transposition_rack
+        never_build_rack(monkeypatch)
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 608400 > cap 200000\n"
+        monkeypatch.setattr(rack_mod, "transposition_rack", real)
+        assert run([*argv, "--dim-cap", "608400"]) == 0
+        assert capsys.readouterr().out.startswith("hilbert x40 / -1 (mode modular): ranks [1, 780]")
+
     @pytest.mark.parametrize("max_degree", ["1", "4"])
     def test_non_bijective_rack_row_fails_the_check(self, tmp_path, capsys, max_degree):
         # the violation that rack --check reports for the same table, as one line with exit 2,
@@ -407,6 +436,37 @@ class TestSelfcheckCommand:
     def test_fault_injection_fails(self, capsys):
         assert run(["selfcheck", "--n-max", "3", "--inject-fault", "generator"]) == 2
         assert "first failing check: presentation n=2" in capsys.readouterr().out
+
+    def test_fault_injection_fails_every_presentation_up_to_the_cap(self, tmp_path):
+        # doubled generator vectors break t_i^2 = 1 at every n; no other check reads them
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "12", "--trials", "0", "--inject-fault", "generator", "--out", str(out)]) == 2
+        checks = read_json(str(out))["checks"]
+        failed = [c["name"] for c in checks if not c["ok"]]
+        assert failed == [f"presentation n={n}" for n in range(2, 13)]
+        assert all(set(c) == {"name", "ok"} for c in checks)
+
+    def test_matsumoto_failure_carries_its_witness(self, tmp_path, monkeypatch):
+        # rho is broken on the word s_2 s_1 s_2 of 3 strands only; the w0-conjugate word of
+        # sigma = (1 3) is that word, and its lex word is s_1 s_2 s_1
+        real = cli.braided.rho
+
+        def broken(word, q, degree, tables):
+            op = real(word, q, degree, tables)
+            if word.letters == (2, 1, 2):
+                op = cli.braided.MonomialOperator(op.dim, op.order, op.target, op.expo + 1)
+            return op
+
+        monkeypatch.setattr(cli.braided, "rho", broken)
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "3", "--trials", "0", "--out", str(out)]) == 2
+        checks = read_json(str(out))["checks"]
+        assert checks[-1] == {
+            "name": "matsumoto word-independence",
+            "ok": False,
+            "matsumoto_witness": {"sigma": [3, 2, 1], "words": [[1, 2, 1], [2, 1, 2]]},
+        }
+        assert all(c["ok"] for c in checks[:-1])
 
     def test_range(self):
         assert run(["selfcheck", "--n-max", "1"]) == 1

@@ -10,16 +10,20 @@ import pytest
 from oracles import (
     CliffordSection,
     QuadScalar,
+    SpinElement,
     bracket,
     bracket_vectors,
     clifford_twist_table,
+    cocycle_bit,
     conjugation_lemmas_by_clifford,
     conjugation_lemmas_per_trial,
     flip_phi_bit,
+    generator_t,
     group_cocycle_first_failure,
     is_group_like,
     lex_min_reduced_word,
     main_theorem_log,
+    presentation_by_clifford,
     quad_clifford_product,
     quad_element,
     quad_generator,
@@ -27,6 +31,7 @@ from oracles import (
     signed_action_consistent,
     transposition_pair,
     twist_identity_by_reflections,
+    unnormalized_generator,
     use_clifford_brackets,
 )
 from racktwist import cli, pfaffian, spincover
@@ -38,9 +43,7 @@ from racktwist.spincover import (
     CliffordElement,
     GroupCocycleBit,
     SectionCache,
-    SpinElement,
-    _unnormalized_generator,
-    generator_t,
+    generator_vectors,
     phi_psi_table,
     verify_conjugation_lemmas,
     verify_group_cocycle,
@@ -68,7 +71,7 @@ def scaled(elem, c):
 
 def sign(gc, x, y):
     """phi_psi(x, y) = (-1)^bit, the image under the sign character of <z>."""
-    return -1 if gc.bit(x, y) else 1
+    return -1 if cocycle_bit(gc, x, y) else 1
 
 
 def random_element(rng, n, nterms=4):
@@ -236,7 +239,50 @@ class TestPresentation:
         assert verify_presentation(n)
 
     def test_unnormalized_generator_fails(self):
-        assert not verify_presentation(4, generator=_unnormalized_generator)
+        # sqrt(2) t_i has no integer vector; the package takes 2 t_i, as --inject-fault generator does
+        assert not presentation_by_clifford(4, [unnormalized_generator(4, i) for i in range(1, 4)])
+        assert not verify_presentation(4, generators=2 * generator_vectors(4))
+
+    def test_generator_vectors_are_the_clifford_generators(self):
+        for n in range(2, 13):
+            vectors = generator_vectors(n)
+            assert vectors.shape == (n - 1, n)
+            for i, g in enumerate(vectors.tolist(), 1):
+                assert CliffordElement(n, {1 << m: c for m, c in enumerate(g)}, k=1) == generator_t(n, i).elem
+
+    @staticmethod
+    def mutations(n):
+        """(name, integer generator vectors, Clifford generators) of the three faults that apply at n."""
+        vectors = generator_vectors(n)
+        ts = [generator_t(n, i) for i in range(1, n)]
+        out = []
+        for i in range(n - 1):
+            doubled = vectors.copy()
+            doubled[i] *= 2
+            spin = list(ts)
+            spin[i] = SpinElement(scaled(ts[i].elem, 2), ts[i].perm)
+            out.append((f"doubled t_{i + 1}", doubled, spin))
+            if n >= 3:
+                negated = vectors.copy()
+                negated[i] *= -1
+                spin = list(ts)
+                spin[i] = ts[i].times_z()
+                out.append((f"negated t_{i + 1}", negated, spin))
+            if n >= 4 and i < n - 2:
+                swapped = vectors.copy()
+                swapped[[i, i + 1]] = swapped[[i + 1, i]]
+                spin = list(ts)
+                spin[i], spin[i + 1] = spin[i + 1], spin[i]
+                out.append((f"swapped t_{i + 1}, t_{i + 2}", swapped, spin))
+        return out
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_integer_words_agree_with_the_clifford_oracle(self, n):
+        assert verify_presentation(n) is presentation_by_clifford(n) is True
+        mutations = self.mutations(n)
+        assert len(mutations) == (n - 1) * (1 + (n >= 3)) + (n - 2) * (n >= 4)
+        for name, vectors, spin in mutations:
+            assert (verify_presentation(n, generators=vectors), presentation_by_clifford(n, spin)) == (False, False), name
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
@@ -305,10 +351,12 @@ class TestBracketVectors:
         with pytest.raises(SectionConsistencyError, match=message):
             verify_conjugation_lemmas(4, trials=0)
 
-    def test_no_clifford_product_on_the_twist_and_lemma_paths(self, monkeypatch):
+    def test_no_check_multiplies_clifford_elements(self, monkeypatch):
         monkeypatch.setattr(CliffordElement, "__mul__", lambda *args: pytest.fail("Clifford product expanded"))
         assert cli.main(["twist-verify", "--n", "8"]) == 0
         assert verify_conjugation_lemmas(8, trials=50) == (True, None)
+        assert cli.main(["selfcheck", "--n-max", "6", "--trials", "20"]) == 0
+        assert cli.main(["cover", "--n", "12", "--trials", "20"]) == 0
 
 
 class TestConjugation:
@@ -464,7 +512,7 @@ class TestSection:
         sigma = Permutation((2, 3, 1, 5, 4))
         cache = SectionCache(5)
         assert cache.section(sigma) is cache.section(Permutation(sigma.image))
-        assert phi_psi_table(5).bit(sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
+        assert cocycle_bit(phi_psi_table(5), sigma, sigma) == SectionCache(5).phi_bit(sigma, sigma)
 
     def test_transposition_values(self):
         cache = SectionCache(4)
@@ -587,11 +635,11 @@ class TestPhi:
         for _ in range(10):
             img = list(range(1, n + 1))
             rng.shuffle(img)
-            assert gc.bit(ident, Permutation(tuple(img))) == 0
+            assert cocycle_bit(gc, ident, Permutation(tuple(img))) == 0
 
     def test_transposition_square(self):
         s12 = Permutation.transposition(4, 1, 2)
-        assert phi_psi_table(4).bit(s12, s12) == 0
+        assert cocycle_bit(phi_psi_table(4), s12, s12) == 0
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_transposition_squares_all(self, n):
@@ -620,7 +668,7 @@ class TestPhi:
             t = generator_t(n, i)
             return SpinElement(scaled(t.elem, 2), t.perm)
 
-        monkeypatch.setattr(spincover, "generator_t", doubled)
+        monkeypatch.setattr(oracles, "generator_t", doubled)
         use_clifford_brackets(monkeypatch)
         x, y = Permutation.transposition(4, 1, 3), Permutation.transposition(4, 1, 2)
         with pytest.raises(SectionConsistencyError, match=r"^\[1 2\] = \[2, -2, 0, 0\]/sqrt\(2\) is not a unit vector$"):
@@ -719,7 +767,7 @@ class TestPhiPsiScalars:
         gc = phi_psi_table(4)
         x = Permutation.transposition(4, 1, 3)
         y = Permutation.transposition(4, 1, 2)
-        assert sign(gc, x, y) == (-1) ** gc.bit(x, y)
+        assert sign(gc, x, y) == (-1) ** cocycle_bit(gc, x, y)
 
 
 class TestSelfcheckWitness:
