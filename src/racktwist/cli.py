@@ -318,8 +318,12 @@ def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
         if n < 2:
             raise UsageError(f"hilbert: need n >= 2 in rack argument, got {arg}")
         # x_n has k = n(n - 1)/2 elements and a k x k table, built at every degree:
-        # check k^max(degree, 2) before building it
-        braided.check_dimension(n * (n - 1) // 2, max(max_degree, 2), dim_cap)
+        # check k^degree, or the table itself below degree 2, before building it
+        k = n * (n - 1) // 2
+        if max_degree >= 2:
+            braided.check_dimension(k, max_degree, dim_cap)
+        elif k * k > dim_cap:
+            raise DimensionCapError(f"the {k} x {k} rack table of {arg} needs {k * k} entries > cap {dim_cap}")
         return rack_mod.transposition_rack(n), n, arg
     if os.path.exists(arg):
         return rack_mod.load_rack(arg), None, arg

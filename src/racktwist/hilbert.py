@@ -15,20 +15,21 @@ is the cocycle condition), for chi as for -1.  The orbits fall into classes
 under these translations (SymmetrizerMatrix.orbit_class), and only the
 block of the smallest orbit in a class is ranked, weighted by the class
 size.  A block's rows hold all of its entries, so `graded_dims` assembles
-only the rows of those orbits; the other rows are never read.  One pass
-cuts the integer entries of every ranked block of a degree and folds them
-all, keyed by block, into small integer arrays with one slice per power of
-zeta that occurs in the block, so nothing grows with m (the cocycle order)
-itself: for even m zeta^(m/2) = -1 merges the exponents in pairs, and zero
-and repeated rows and columns are dropped, which changes no rank (x4 chi,
-degree 5: the 640-block of rank 7 keeps 42 rows).  Each prime of the pass
-evaluates that array with zeta mapped to an element of order m.  One elimination kernel
-serves both modes: exact mode ranks each block modulo descending primes q = 1 mod m
-below 2^31 until their product exceeds a Hadamard bound on the folded
-block, raised to the power phi(m), on every minor one order above the rank
-seen, which proves the rank over Q(zeta_m) for every m.  Modular mode passes two independently
-drawn primes and reports their agreement as a Monte Carlo certificate; a
-disagreement falls back to the proven rank.
+only the rows of those orbits; the other rows are never read.  Each ranked
+block is cut from the integer entries and folded on its own, so working
+memory is bounded by the largest block.  Its fold is a small integer array
+with one slice per power of zeta that occurs in the block, so nothing grows
+with m (the cocycle order) itself: for even m zeta^(m/2) = -1 merges the
+exponents in pairs, and zero and repeated rows and columns are dropped,
+which changes no rank (x4 chi, degree 5: the 640-block of rank 7 keeps 42
+rows).  Each prime evaluates that array with zeta mapped to an element of
+order m.  One elimination kernel serves both modes: exact mode ranks each
+block modulo descending primes q = 1 mod m below 2^31 until their product
+exceeds a Hadamard bound on the folded block, raised to the power phi(m),
+on every minor one order above the rank seen, which proves the rank over
+Q(zeta_m) for every m.  Modular mode passes two independently drawn primes
+and reports their agreement as a Monte Carlo certificate; a disagreement
+falls back to the proven rank.
 
 Row u*k + a of S_d is row u of S_(d-1), lifted to lane a and multiplied by
 T_d, so the rows whose prefix u lies in a basis of the row space of
@@ -214,148 +215,97 @@ def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
 
 
-def _fold(blocks: np.ndarray, cells: np.ndarray, expo: np.ndarray, data: np.ndarray, shapes: np.ndarray, order: int):
-    """Fold blocks into small integer arrays of their rank, one slice per power of zeta that occurs.
+def _fold(rows: np.ndarray, cols: np.ndarray, expo: np.ndarray, data: np.ndarray, shape: tuple[int, int], order: int):
+    """Fold one block into a small integer array of its rank, one slice per power of zeta that occurs.
 
-    Entry i is data[i] zeta^expo[i] at row-major position cells[i] of block
-    blocks[i], whose shape is shapes[blocks[i]] (rows, columns); no two
-    entries are alike in block, cell and exponent (as in _kept_blocks).
-    For even order, zeta^(order/2) = -1 folds exponent e + order/2 into e,
-    so the folded exponents lie below order/2; for odd order they are kept
-    as they are.  All the blocks are folded in one pass over their entries,
-    sorted by (block, folded exponent, cell).  Slice s of a folded array
-    holds the coefficients of zeta^exps[s], for the distinct folded
-    exponents exps of its block, ascending.  Zero rows and columns are
-    dropped, then repeated rows, then repeated columns: none of these
-    changes the rank over Q(zeta) or modulo any prime, and merging equal
-    columns makes no two rows equal.  Only the search for repeated lines
-    runs block by block, on the block laid out densely in the smallest
-    dtype that holds its largest |entry|.  Yielded, for every row of
-    shapes: the folded array, exps, and the row of the block that each
-    folded row came from.
+    Entry i is data[i] zeta^expo[i] at (rows[i], cols[i]) of a block of
+    `shape` (rows, columns).  For even order zeta^(order/2) = -1 folds
+    exponent e + order/2 into e.  Slice s of the folded array holds the
+    coefficients of zeta^exps[s], for the distinct folded exponents exps,
+    ascending; entries that meet in one (row, exponent, column) are summed
+    after one sort of their keys, none if the keys come in order (from
+    _kept_blocks at order 1 or 2).  Zero rows and columns are dropped, then
+    repeated rows, then repeated columns, on the block laid out densely in
+    the smallest dtype that holds its largest |entry|: none of these changes
+    the rank over Q(zeta) or modulo any prime, and merging equal columns
+    makes no two rows equal.  Returned: the folded array, exps, and the row
+    of the block that each folded row came from.
     """
     half = order // 2 if order % 2 == 0 else order
-    n_blocks = shapes.shape[0]
-    folded = expo.astype(np.int64) % half
-    by = np.lexsort((cells, folded, blocks))
-    blocks, folded, cells = blocks[by], folded[by], cells[by]
-    value = data[by]
-    np.negative(value, out=value, where=expo[by] >= half)
-    # a generator keeps its locals while it yields: what the loop below does not read is dropped
-    del by, expo, data
-    # entries that meet in one (block, folded exponent, cell) are summed
-    start = np.ones(blocks.size, dtype=bool)
-    start[1:] = (blocks[1:] != blocks[:-1]) | (folded[1:] != folded[:-1]) | (cells[1:] != cells[:-1])
-    start = np.flatnonzero(start)
-    if start.size:
-        value = np.add.reduceat(value, start)
-    blocks, folded, cells = blocks[start], folded[start], cells[start]
-    new_exp = np.ones(blocks.size, dtype=bool)
-    new_exp[1:] = (blocks[1:] != blocks[:-1]) | (folded[1:] != folded[:-1])
-    n_exps = np.bincount(blocks[new_exp], minlength=n_blocks)
-    slot = np.cumsum(new_exp) - 1
-    slot -= (np.cumsum(n_exps) - n_exps)[blocks]
-    exps = folded[new_exp]
-    del start, folded, new_exp
-    # laid out (row, exponent, column), so that each row is one contiguous slice
+    value = data.astype(np.int64)
+    np.negative(value, out=value, where=expo >= half)
+    if half == 1:
+        exps, slot = np.zeros(1, dtype=np.int64), 0
+    else:
+        folded = expo.astype(np.int64) % half
+        exps = np.sort(folded)
+        exps = exps[np.diff(exps, prepend=-1) != 0]
+        slot = np.searchsorted(exps, folded)
+    key = (rows * exps.size + slot) * shape[1] + cols
+    if (key[1:] < key[:-1]).any():
+        by = np.argsort(key)
+        key, value = key[by], value[by]
+    # entries that meet in one (row, exponent, column) are summed, and zero sums dropped
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    if start.size < key.size:
+        key, value = key[start], np.add.reduceat(value, start)
     nonzero = value != 0
-    row, col = np.divmod(cells, shapes[blocks, 1])
-    kept_row, row_offset, row_at, n_rows = _kept_lines(blocks, row, nonzero, shapes[:, 0])
-    _, _, col_at, n_cols = _kept_lines(blocks, col, nonzero, shapes[:, 1])
-    value, blocks = value[nonzero], blocks[nonzero]
-    cells = (row_at[nonzero] * n_exps[blocks] + slot[nonzero]) * n_cols[blocks] + col_at[nonzero]
-    del row, col, row_at, col_at, slot, nonzero
-    top = np.zeros(n_blocks, dtype=np.int64)
-    np.maximum.at(top, blocks, np.abs(value))
-    ends = np.searchsorted(blocks, np.arange(n_blocks + 1)).tolist()
-    exp_ends = np.cumsum(n_exps).tolist()
-    del blocks
-    for b in range(n_blocks):
-        if not n_rows[b]:
-            yield np.zeros((0, 0, 0), dtype=np.int8), exps[:0], exps[:0]
-            continue
-        shape = (int(n_rows[b]), int(n_exps[b]), int(n_cols[b]))
-        block = np.zeros(math.prod(shape), dtype=np.min_scalar_type(-int(top[b]) - 1))
-        block[cells[ends[b] : ends[b + 1]]] = value[ends[b] : ends[b + 1]]
-        block, origin = _distinct(block.reshape(shape))
-        block, _ = _distinct(block.transpose(2, 1, 0))
-        rows = np.flatnonzero(kept_row[row_offset[b] : row_offset[b] + shapes[b, 0]])
-        yield block.transpose(1, 2, 0), exps[exp_ends[b] - n_exps[b] : exp_ends[b]], rows[origin]
-
-
-def _kept_lines(blocks: np.ndarray, line: np.ndarray, nonzero: np.ndarray, sizes: np.ndarray):
-    """The lines (rows or columns) of every block that hold a nonzero entry.
-
-    Entry i lies in line line[i] of block blocks[i], which has sizes[b]
-    lines, the lines of block b numbered from offset[b] on.  Returned: the
-    mask of kept lines over all blocks, offset, the place of each entry's
-    line among the kept lines of its block, and how many lines every block
-    keeps.
-    """
-    offset = np.cumsum(sizes) - sizes
-    at = offset[blocks] + line
-    kept = np.zeros(int(sizes.sum()), dtype=bool)
-    kept[at[nonzero]] = True
-    before = np.concatenate(([0], np.cumsum(kept)))
-    return kept, offset, before[at] - before[offset][blocks], before[offset + sizes] - before[offset]
-
-
-# Entries cut and folded at once by _kept_blocks, in whole blocks; bounds working memory.
-_FOLD_ENTRIES = 1 << 18
+    key, value = key[nonzero], value[nonzero]
+    if not key.size:
+        return np.zeros((0, 0, 0), dtype=np.int8), exps[:0], exps[:0]
+    # laid out (row, exponent, column) on the nonzero rows and columns, so that each row is one contiguous slice
+    row, col = np.divmod(key, shape[1])
+    row, slot = np.divmod(row, exps.size)
+    new_row = np.concatenate(([True], row[1:] != row[:-1]))
+    kept_col = np.zeros(shape[1], dtype=bool)
+    kept_col[col] = True
+    col_at = np.cumsum(kept_col) - 1
+    shape = (int(np.count_nonzero(new_row)), exps.size, int(col_at[-1]) + 1)
+    block = np.zeros(math.prod(shape), dtype=np.min_scalar_type(-int(np.abs(value).max()) - 1))
+    block[((np.cumsum(new_row) - 1) * exps.size + slot) * shape[2] + col_at[col]] = value
+    block, origin = _distinct(block.reshape(shape))
+    block, _ = _distinct(block.transpose(2, 1, 0))
+    return block.transpose(1, 2, 0), exps, row[new_row][origin]
 
 
 def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
     """Yield (mult, block, exps, rows) for the smallest braid orbit of every class of orbits.
 
     The orbit's diagonal block stands for the mult orbits of its class, whose
-    blocks have its rank (see SymmetrizerMatrix).  The entries of the built
-    rows and all the columns of these orbits are cut from `sym.entries`,
-    with their cells in row-major order within their block, and folded
-    (_fold) into block and exps, in one pass over as many whole blocks as
-    _FOLD_ENTRIES entries allow; `rows` holds the row of `sym` that each
-    folded row came from.  Only the rows of these orbits are read.  `sym`
-    must have built all of them, or, given `below` (see _kept_rows), those
-    whose prefix it marks.
+    blocks have its rank (see SymmetrizerMatrix).  Each block, the entries of
+    its built rows in all the columns of its orbit, is cut from `sym.entries`
+    and folded (_fold) on its own, so working memory is bounded by the
+    largest block; `rows` holds the row of `sym` that each folded row came
+    from.  Only the rows of these orbits are read.  `sym` must have built all
+    of them, or, given `below` (see _kept_rows), those whose prefix it marks.
     """
-    n = sym.dim
     ent = sym.entries
     members = _kept_rows(sym.orbit, sym.orbit_class)
-    built = np.zeros(n, dtype=bool)
+    built = np.zeros(sym.dim, dtype=bool)
     built[sym.rows] = True
-    needed = members if below is None else _kept_rows(sym.orbit, sym.orbit_class, below)
-    if not built[needed].all():
+    if not built[members if below is None else _kept_rows(sym.orbit, sym.orbit_class, below)].all():
         raise ValueError("the symmetrizer lacks rows of the blocks that rank reads")
     members = members[np.argsort(sym.orbit[members], kind="stable")]
     mults = np.bincount(sym.orbit_class)
-    mults = mults[mults > 0].tolist()
-    # the block of each member: its orbit's place among the head orbits
-    block = np.cumsum(np.diff(sym.orbit[members], prepend=-1) > 0) - 1
+    # each head orbit's members are one run of members, its built rows one run of rows
+    starts = np.flatnonzero(np.diff(sym.orbit[members], prepend=-1))
+    sizes = np.diff(starts, append=members.size)
+    at_col = np.empty(sym.dim, dtype=np.int64)
+    at_col[members] = np.arange(members.size) - np.repeat(starts, sizes)
     rows = members[built[members]]
-    row_block = block[built[members]]
-    shapes = np.stack([np.bincount(row_block, minlength=len(mults)), np.bincount(block, minlength=len(mults))], axis=1)
-    first = np.cumsum(shapes, axis=0) - shapes
-    at_row, at_col = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    at_row[rows] = np.arange(rows.size) - first[row_block, 0]
-    at_col[members] = np.arange(members.size) - first[block, 1]
-    # the entries of each built row lie in one range of ent
+    row_ends = [0] + np.cumsum(built[members])[starts + sizes - 1].tolist()
+    # the entries of built row i are ent[lo[i]:lo[i] + lens[i]], entry j of a run of rows is ent[j + shift[i]]
     lo = np.searchsorted(ent.row, rows.astype(ent.row.dtype))
     lens = np.searchsorted(ent.row, (rows + 1).astype(ent.row.dtype)) - lo
-    size = np.zeros(len(mults), dtype=np.int64)
-    np.add.at(size, row_block, lens)
-    chunk = (np.cumsum(size) - size) // _FOLD_ENTRIES
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(chunk)) + 1, [len(mults)])).tolist()
-    for b0, b1 in zip(bounds[:-1], bounds[1:]):
-        part = slice(first[b0, 0], first[b1 - 1, 0] + shapes[b1 - 1, 0])
-        ends = np.cumsum(lens[part])
-        idx = np.repeat(lo[part] - ends + lens[part], lens[part])
-        idx += np.arange(idx.size)
-        blocks = np.repeat(row_block[part] - b0, lens[part])
-        cells = at_row[ent.row[idx]] * shapes[b0 + blocks, 1]
-        cells += at_col[ent.col[idx]]
-        folds = _fold(blocks, cells, ent.expo[idx], ent.data[idx].astype(np.int64), shapes[b0:b1], sym.order)
-        del ends, idx, blocks, cells
-        for b, (folded, exps, origin) in enumerate(folds, start=b0):
-            yield mults[b], folded, exps, rows[first[b, 0] + origin]
+    ends = np.concatenate(([0], np.cumsum(lens)))
+    shift = lo - ends[:-1]
+    ends = ends.tolist()
+    for mult, r0, r1, n_cols in zip(mults[mults > 0].tolist(), row_ends, row_ends[1:], sizes.tolist()):
+        idx = np.repeat(shift[r0:r1], lens[r0:r1]) + np.arange(ends[r0], ends[r1])
+        local = np.repeat(np.arange(r1 - r0), lens[r0:r1])
+        shape = (r1 - r0, n_cols)
+        block, exps, origin = _fold(local, at_col[ent.col[idx]], ent.expo[idx], ent.data[idx], shape, sym.order)
+        yield mult, block, exps, rows[r0 + origin]
 
 
 def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:

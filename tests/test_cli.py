@@ -310,7 +310,14 @@ class TestHilbertCommand:
          "degree 66 has entries up to 66! >= 2^63, too large for int64"),
         (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2"],
          "cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums"),
-    ], ids=["dim-cap", "int64", "order"])
+        # below degree 2 the k x k rack table is the largest thing built, so the line names it
+        (["--rack", "x40", "--cocycle=-1", "--max-degree", "0"],
+         "the 780 x 780 rack table of x40 needs 608400 entries > cap 200000"),
+        (["--rack", "x40", "--cocycle=-1", "--max-degree", "1"],
+         "the 780 x 780 rack table of x40 needs 608400 entries > cap 200000"),
+        (["--rack", "x40", "--cocycle=-1", "--max-degree", "2"],
+         "degree 2 needs dimension 608400 > cap 200000"),
+    ], ids=["dim-cap", "int64", "order", "rack-table-0", "rack-table-1", "rack-degree-2"])
     def test_caps_fail_before_any_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "h.json"
         assert run(["hilbert", *argv, "--out", str(out)]) == 3
@@ -342,7 +349,8 @@ class TestHilbertCommand:
         done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(), preexec_fn=limit,
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 3
-        assert done.stderr == "resource limit: degree 2 needs dimension 249500250000 > cap 200000\n"
+        table = "the 499500 x 499500 rack table of x1000 needs 249500250000 entries"
+        assert done.stderr == f"resource limit: {table} > cap 200000\n"
         assert "Traceback" not in done.stderr
         assert not out.exists()
 
@@ -352,7 +360,8 @@ class TestHilbertCommand:
         real = rack_mod.transposition_rack
         never_build_rack(monkeypatch)
         assert run(argv) == 3
-        assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 608400 > cap 200000\n"
+        table = "the 780 x 780 rack table of x40 needs 608400 entries"
+        assert capsys.readouterr().err == f"resource limit: {table} > cap 200000\n"
         monkeypatch.setattr(rack_mod, "transposition_rack", real)
         assert run([*argv, "--dim-cap", "608400"]) == 0
         assert capsys.readouterr().out.startswith("hilbert x40 / -1 (mode modular): ranks [1, 780]")

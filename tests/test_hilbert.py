@@ -52,9 +52,9 @@ M1_X4 = minus_one_cocycle(X4)
 
 
 def fold_one(cells, expo, data, shape, order):
-    """hilbert._fold on one block alone: (block, exps, origin)."""
-    (folded,) = _fold(np.zeros_like(cells), cells, expo, data, np.array([shape]), order)
-    return folded
+    """hilbert._fold on a block whose entries stand at row-major cells: (block, exps, origin)."""
+    rows, cols = np.divmod(cells, shape[1])
+    return _fold(rows, cols, expo, data, shape, order)
 
 
 def square_block(mat):
@@ -336,36 +336,35 @@ class TestRankKernels:
         g = _element_of_order(p, order)
         for _ in range(10):
             counts = planted_counts(rng, classes, int(rng.integers(6, 9)))
-            block, exps, origin = fold_one(*count_parts(counts, stride), order)
+            cells, expo, data, shape = count_parts(counts, stride)
+            block, exps, origin = fold_one(cells, expo, data, shape, order)
             assert block.shape[1:] == distinct_nonzero_lines(counts, classes)
             # one source row per folded row, and never a zero one
             assert len(set(origin.tolist())) == origin.size == block.shape[1]
             assert counts[:, origin].any(axis=(0, 2)).all()
             assert exact_rank((block, exps), order) == counts_rank_over_cyclotomic(counts, classes)
             assert modp_rank((block, exps), p, g) == dense_rank(evaluate_modp(counts, p, pow(g, stride, p)), p)
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 2**20])
-    def test_blocks_folded_together_fold_as_alone(self, order):
-        # the entries of several blocks, shuffled, in one pass: a block with no
-        # entries and one with no rows among them
-        classes = min(order, 8)
-        stride = order // classes
-        rng = np.random.default_rng(40 + order)
-        parts = [count_parts(planted_counts(rng, classes, int(rng.integers(6, 9))), stride) for _ in range(3)]
+            # the entries shuffled, or in (cell, exponent) order as _kept_blocks cuts them, fold alike
+            for by in (rng.permutation(cells.size), np.lexsort((expo, cells))):
+                again = fold_one(cells[by], expo[by], data[by], shape, order)
+                assert again[0].dtype == block.dtype
+                for got, expected in zip(again, (block, exps, origin)):
+                    assert got.shape == expected.shape and np.array_equal(got, expected)
+        # a block with no entries, one with no rows, and blocks whose entries cancel: against
+        # the same entries negated, and for even order against the same counts times
+        # zeta^(order/2) = -1
         empty = np.zeros(0, dtype=np.int64)
-        parts[1:1] = [(empty, empty.astype(parts[0][1].dtype), empty, (4, 4)), (empty, empty.astype(parts[0][1].dtype), empty, (0, 5))]
-        blocks = np.concatenate([np.full(cells.size, b) for b, (cells, _, _, _) in enumerate(parts)])
-        cells, expo, data = (np.concatenate([part[i] for part in parts]) for i in range(3))
-        mix = rng.permutation(blocks.size)
-        shapes = np.array([shape for _, _, _, shape in parts])
-        together = list(_fold(blocks[mix], cells[mix], expo[mix], data[mix], shapes, order))
-        assert len(together) == len(parts)
-        for (block, exps, origin), part in zip(together, parts):
-            alone = fold_one(*part, order)
-            assert block.dtype == alone[0].dtype
-            for got, expected in zip((block, exps, origin), alone):
-                assert got.shape == expected.shape and np.array_equal(got, expected)
-        assert [t[0].shape for t in together[1:3]] == [(0, 0, 0), (0, 0, 0)]
+        no_expo = empty.astype(expo.dtype)
+        zero_blocks = [(empty, no_expo, empty, (4, 4)), (empty, no_expo, empty, (0, 5))]
+        zero_blocks.append((np.tile(cells, 2), np.tile(expo, 2), np.concatenate((data, -data)), shape))
+        if classes % 2 == 0:
+            paired = np.concatenate((counts[: classes // 2], counts[: classes // 2]))
+            zero_blocks.append(count_parts(paired, stride))
+        for cells, expo, data, shape in zero_blocks:
+            mix = rng.permutation(cells.size)
+            block, exps, origin = fold_one(cells[mix], expo[mix], data[mix], shape, order)
+            assert block.shape == (0, 0, 0) and exps.size == origin.size == 0
+            assert exact_rank((block, exps), order) == modp_rank((block, exps), p, g) == 0
 
     def test_dense_modp_matches_oracle(self):
         rng = random.Random(5)
