@@ -57,6 +57,21 @@ def fold_one(cells, expo, data, shape, order):
     return _fold(rows, cols, expo, data, shape, order)
 
 
+FOLD_ORDERS = [1, 2, 3, 4, 6, 2**20]
+
+
+def fold_setup(order):
+    """(classes, stride, rng, p, g) for planted fold inputs of a cocycle order.
+
+    At order 2^20 the planted tensor has 8 classes, class e standing for
+    zeta^(e * 2^17), a primitive 8th root of unity; a rank over Q(zeta_8)
+    is the rank over Q(zeta_(2^20)), and mod p zeta^(2^17) maps to g^(2^17).
+    """
+    classes = min(order, 8)
+    p = _draw_prime(random.Random(order), order, set())
+    return classes, order // classes, np.random.default_rng(order), p, _element_of_order(p, order)
+
+
 def square_block(mat):
     """An integer matrix, padded square with zeros, folded at order 1 (fold_one)."""
     a = np.asarray(mat, dtype=np.int64)
@@ -324,35 +339,40 @@ class TestRankKernels:
             expo = (flat[cells] < 0).astype(np.int64)
             assert exact_rank(fold_one(cells, expo, np.abs(flat[cells]), (n, n), 2)[:2], 2) == rank_over_rationals(mat.tolist())
 
-    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 2**20])
+    @pytest.mark.parametrize("order", FOLD_ORDERS)
     def test_fold_drops_only_zero_and_repeated_lines(self, order):
-        # at order 2^20 the planted tensor has 8 classes, class e standing for
-        # zeta^(e * 2^17), a primitive 8th root of unity; a rank over Q(zeta_8)
-        # is the rank over Q(zeta_(2^20)), and mod p zeta^(2^17) maps to g^(2^17)
-        classes = min(order, 8)
-        stride = order // classes
-        rng = np.random.default_rng(order)
-        p = _draw_prime(random.Random(order), order, set())
-        g = _element_of_order(p, order)
+        classes, stride, rng, p, g = fold_setup(order)
         for _ in range(10):
             counts = planted_counts(rng, classes, int(rng.integers(6, 9)))
-            cells, expo, data, shape = count_parts(counts, stride)
-            block, exps, origin = fold_one(cells, expo, data, shape, order)
+            block, exps, origin = fold_one(*count_parts(counts, stride), order)
             assert block.shape[1:] == distinct_nonzero_lines(counts, classes)
             # one source row per folded row, and never a zero one
             assert len(set(origin.tolist())) == origin.size == block.shape[1]
             assert counts[:, origin].any(axis=(0, 2)).all()
             assert exact_rank((block, exps), order) == counts_rank_over_cyclotomic(counts, classes)
             assert modp_rank((block, exps), p, g) == dense_rank(evaluate_modp(counts, p, pow(g, stride, p)), p)
-            # the entries shuffled, or in (cell, exponent) order as _kept_blocks cuts them, fold alike
+
+    @pytest.mark.parametrize("order", FOLD_ORDERS)
+    def test_entries_in_any_order_fold_alike(self, order):
+        # the entries shuffled, or in (cell, exponent) order as _kept_blocks cuts them
+        classes, stride, rng, _, _ = fold_setup(order)
+        for _ in range(10):
+            cells, expo, data, shape = count_parts(planted_counts(rng, classes, int(rng.integers(6, 9))), stride)
+            block, exps, origin = fold_one(cells, expo, data, shape, order)
             for by in (rng.permutation(cells.size), np.lexsort((expo, cells))):
                 again = fold_one(cells[by], expo[by], data[by], shape, order)
                 assert again[0].dtype == block.dtype
                 for got, expected in zip(again, (block, exps, origin)):
                     assert got.shape == expected.shape and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("order", FOLD_ORDERS)
+    def test_empty_and_cancelling_blocks_fold_to_nothing(self, order):
         # a block with no entries, one with no rows, and blocks whose entries cancel: against
         # the same entries negated, and for even order against the same counts times
         # zeta^(order/2) = -1
+        classes, stride, rng, p, g = fold_setup(order)
+        counts = planted_counts(rng, classes, int(rng.integers(6, 9)))
+        cells, expo, data, shape = count_parts(counts, stride)
         empty = np.zeros(0, dtype=np.int64)
         no_expo = empty.astype(expo.dtype)
         zero_blocks = [(empty, no_expo, empty, (4, 4)), (empty, no_expo, empty, (0, 5))]
