@@ -24,25 +24,24 @@ orbits, and frees it before the next degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cocycle import RackCocycle
 from .errors import DimensionCapError, RackAxiomError
+from .rack import ReadOnly
 
 DEFAULT_DIM_CAP = 200_000
 
 
-@dataclass
 class MonomialOperator:
-    """An invertible monomial operator: basis v maps to zeta_order^expo[v] * basis target[v]."""
+    """An invertible monomial operator: basis v maps to zeta_order^expo[v] * basis target[v]; equal by action."""
 
-    dim: int
-    order: int
-    target: np.ndarray
-    expo: np.ndarray
+    __slots__ = ("dim", "order", "target", "expo")
+
+    def __init__(self, dim: int, order: int, target: np.ndarray, expo: np.ndarray):
+        self.dim, self.order, self.target, self.expo = dim, order, target, expo
 
     @staticmethod
     def identity(dim: int, order: int) -> MonomialOperator:
@@ -71,17 +70,17 @@ class MonomialOperator:
         )
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(ReadOnly):
     """A positive word in braid generators 1..n-1 on n strands."""
 
-    n: int
-    letters: tuple[int, ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        for i in self.letters:
-            if not 1 <= i <= self.n - 1:
-                raise ValueError(f"letter {i} out of range 1..{self.n - 1}")
+    def __init__(self, n: int, letters: tuple[int, ...]):
+        for i in letters:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"letter {i} out of range 1..{n - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
 
 def strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -130,8 +129,7 @@ def check_braid_equation(q: RackCocycle) -> bool:
     return a.compose(b).compose(a) == b.compose(a).compose(b)
 
 
-@dataclass
-class CountMatrix:
+class CountMatrix(NamedTuple):
     """A symmetrizer in coordinate form: entry i is data[i] zeta^expo[i] at (row[i], col[i]).
 
     Sorted by (row, col, expo), with no two entries alike in all three, and
@@ -150,8 +148,7 @@ class CountMatrix:
         return int(self.data.size)
 
 
-@dataclass
-class SymmetrizerMatrix:
+class SymmetrizerMatrix(NamedTuple):
     """The symmetrizer in degree `degree`: sum over S_degree of braid lifts.
 
     Entries live in Z[zeta_order]; `entries` holds the positive integer

@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
 from .errors import DimensionCapError, RackAxiomError, SectionConsistencyError
@@ -42,21 +41,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters, echoed into every report.
+def _config(
+    subcommand: str,
+    *,
+    n: int | None = None,
+    max_degree: int | None = None,
+    mode: str | None = None,
+    seed: int | None = None,
+    dim_cap: int | None = None,
+) -> dict:
+    """Validated run parameters, echoed into every report as its "config" object, None where unset.
 
     The output path is deliberately not part of the echoed config: reports
     must be byte-identical across runs that differ only in where they are
     written.
     """
-
-    subcommand: str
-    n: int | None = None
-    max_degree: int | None = None
-    mode: str | None = None
-    seed: int | None = None
-    dim_cap: int | None = None
+    return {"subcommand": subcommand, "n": n, "max_degree": max_degree, "mode": mode, "seed": seed, "dim_cap": dim_cap}
 
 
 def _dim_cap(args) -> int:
@@ -96,11 +96,10 @@ def cmd_rack(args) -> int:
         report_src = f"x{args.n}"
     axioms = rack_mod.check_rack_axioms(r)
     indec = rack_mod.is_indecomposable(r) if axioms.ok else None
-    cfg = RunConfig(subcommand="rack", n=args.n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "rack",
-        "config": asdict(cfg),
+        "config": _config("rack", n=args.n),
         "source": report_src,
         "rack": rack_mod.rack_to_dict(r),
         "axioms_ok": axioms.ok,
@@ -157,11 +156,10 @@ def cmd_cocycle(args) -> int:
         else:
             label = f"{'chi' if args.kind == 'chi' else '-1'} on x{args.n}"
     verdict = cocycle_mod.check_cocycle(q)
-    cfg = RunConfig(subcommand="cocycle", n=args.n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cocycle",
-        "config": asdict(cfg),
+        "config": _config("cocycle", n=args.n),
         "cocycle": cocycle_mod.cocycle_to_dict(q),
         "label": label,
         "cocycle_ok": verdict.ok,
@@ -189,11 +187,10 @@ def cmd_cover(args) -> int:
     lemma_ok, lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
     restriction = spincover.phi_psi_table(n).twist_table()
     main_ok, _ = spincover.verify_main_theorem(n, restriction)
-    cfg = RunConfig(subcommand="cover", n=n, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cover",
-        "config": asdict(cfg),
+        "config": _config("cover", n=n, seed=args.seed),
         "n": n,
         "presentation_ok": presentation_ok,
         "lemma_general_ok": lemma_ok,
@@ -224,11 +221,10 @@ def cmd_verify_twist(args) -> int:
     cond = cocycle_mod.check_twist_condition(restriction)
     main_ok, first_fail = spincover.verify_main_theorem(n, restriction)
     pairs = len(restriction.phi) ** 2
-    cfg = RunConfig(subcommand="twist-verify", n=n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "twist-verify",
-        "config": asdict(cfg),
+        "config": _config("twist-verify", n=n),
         "n": n,
         "pairs_checked": pairs,
         "twist_condition_ok": cond.ok,
@@ -283,11 +279,10 @@ def cmd_cohomology(args) -> int:
             if cocycle_mod.gauge_transform(minus_one, cand).exp == chi.exp:
                 exhaustive_found = True
                 break
-    cfg = RunConfig(subcommand="cohomology", n=n)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "cohomology",
-        "config": asdict(cfg),
+        "config": _config("cohomology", n=n),
         "n": n,
         "gauge_found": gauge is not None,
         "gauge": list(gauge.g) if gauge is not None else None,
@@ -372,18 +367,11 @@ def cmd_hilbert(args) -> int:
         cocycle_id=cocycle_id,
         closed_form=closed_form,
     )
-    cfg = RunConfig(
-        subcommand="hilbert",
-        max_degree=args.max_degree,
-        mode=args.mode,
-        seed=args.seed,
-        dim_cap=cap,
-    )
     ok = report_obj.closed_form_verdicts is None or all(report_obj.closed_form_verdicts)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "hilbert",
-        "config": asdict(cfg),
+        "config": _config("hilbert", max_degree=args.max_degree, mode=args.mode, seed=args.seed, dim_cap=cap),
         "report": report_obj.to_dict(),
         "ok": ok,
     }
@@ -475,11 +463,10 @@ def cmd_selfcheck(args) -> int:
     run("matsumoto word-independence", matsumoto_independence, "matsumoto_witness")
 
     ok = all(c["ok"] for c in checks)
-    cfg = RunConfig(subcommand="selfcheck", n=n_max, seed=args.seed)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "selfcheck",
-        "config": asdict(cfg),
+        "config": _config("selfcheck", n=n_max, seed=args.seed),
         "checks": checks,
         "ok": ok,
     }

@@ -14,13 +14,15 @@ it; orders up to 2^62 stay within int64, and larger ones are refused.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
+    ReadOnly,
     json_count,
     json_field,
     json_table,
@@ -31,60 +33,65 @@ from .rack import (
 )
 
 
-@dataclass(frozen=True)
-class RackCocycle:
+class RackCocycle(ReadOnly):
     """Exponent table for q_{x,y} = zeta_order^exp[x][y] on a finite rack."""
 
-    rack: FiniteRack
-    order: int
-    exp: tuple[tuple[int, ...], ...]
+    __slots__ = ("rack", "order", "exp")
 
-    def __post_init__(self):
-        k = self.rack.size
-        if self.order < 1:
+    def __init__(self, rack: FiniteRack, order: int, exp: tuple[tuple[int, ...], ...]):
+        k = rack.size
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if len(self.exp) != k or any(len(row) != k for row in self.exp):
+        if len(exp) != k or any(len(row) != k for row in exp):
             raise ValueError("exponent table shape must match rack size")
-        if any(not (0 <= e < self.order) for row in self.exp for e in row):
+        if any(not (0 <= e < order) for row in exp for e in row):
             raise ValueError("exponents must be reduced to 0..order-1")
+        object.__setattr__(self, "rack", rack)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "exp", exp)
 
     def same_frame(self, other) -> bool:
         return self.order == other.order and self.rack.op == other.rack.op
 
 
-@dataclass(frozen=True)
-class GaugeFunction:
+class GaugeFunction(ReadOnly):
     """gamma_x = zeta_order^g[x], one unit scalar per rack element."""
 
-    rack: FiniteRack
-    order: int
-    g: tuple[int, ...]
+    __slots__ = ("rack", "order", "g")
 
-    def __post_init__(self):
-        if len(self.g) != self.rack.size:
+    def __init__(self, rack: FiniteRack, order: int, g: tuple[int, ...]):
+        if len(g) != rack.size:
             raise ValueError("gauge length must match rack size")
-        if any(not (0 <= e < self.order) for e in self.g):
+        if any(not (0 <= e < order) for e in g):
             raise ValueError("exponents must be reduced to 0..order-1")
+        object.__setattr__(self, "rack", rack)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class TwistTable:
-    """Exponent table of a candidate twisting function restricted to X x X."""
+class TwistTable(ReadOnly):
+    """Exponent table of a candidate twisting function restricted to X x X; equal by rack, order and table."""
 
-    rack: FiniteRack
-    order: int
-    phi: tuple[tuple[int, ...], ...]
+    __slots__ = ("rack", "order", "phi")
 
-    def __post_init__(self):
-        k = self.rack.size
-        if len(self.phi) != k or any(len(row) != k for row in self.phi):
+    def __init__(self, rack: FiniteRack, order: int, phi: tuple[tuple[int, ...], ...]):
+        k = rack.size
+        if len(phi) != k or any(len(row) != k for row in phi):
             raise ValueError("phi table shape must match rack size")
-        if any(not (0 <= e < self.order) for row in self.phi for e in row):
+        if any(not (0 <= e < order) for row in phi for e in row):
             raise ValueError("exponents must be reduced to 0..order-1")
+        object.__setattr__(self, "rack", rack)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "phi", phi)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is TwistTable and (self.rack, self.order, self.phi) == (other.rack, other.order, other.phi)
+
+    def __hash__(self) -> int:
+        return hash((self.rack, self.order, self.phi))
 
 
-@dataclass(frozen=True)
-class CocycleReport:
+class CocycleReport(NamedTuple):
     """Outcome of a cocycle or twist-condition check with the first bad triple."""
 
     ok: bool
@@ -293,11 +300,11 @@ def cocycle_to_dict(q: RackCocycle) -> dict:
     return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": [list(r) for r in q.exp]}
 
 
-def cocycle_from_dict(d: dict) -> RackCocycle:
-    """A cocycle from its JSON object; the rack is an object or a path to a rack file."""
+def cocycle_from_dict(d: dict, root: str = "") -> RackCocycle:
+    """A cocycle from its JSON object; the rack is an object or a path to a rack file, relative to root."""
     rack_field = json_field(d, "rack", "cocycle")
     if isinstance(rack_field, str):
-        with open(rack_field, encoding="utf-8") as fh:
+        with open(os.path.join(root, rack_field), encoding="utf-8") as fh:
             rack_field = json.load(fh)
     rack = rack_from_dict(rack_field)
     order = json_count(d, "order", "cocycle")
@@ -305,8 +312,9 @@ def cocycle_from_dict(d: dict) -> RackCocycle:
 
 
 def load_cocycle(path: str) -> RackCocycle:
+    """A cocycle file; a rack path in it is read relative to the file's directory."""
     with open(path, encoding="utf-8") as fh:
-        return cocycle_from_dict(json.load(fh))
+        return cocycle_from_dict(json.load(fh), os.path.dirname(path))
 
 
 def twist_table_to_dict(t: TwistTable) -> dict:

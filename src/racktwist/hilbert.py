@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def expand_closed_form(factors: list[tuple[int, int]], max_degree: int | None = 
     return coeffs
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """The computed rank together with how it was obtained."""
 
     rank: int
@@ -102,7 +101,7 @@ class RankCertificate:
     dim: int
     n_components: int
     # rows of the symmetrizer that form a basis of its row space (see rank)
-    pivots: np.ndarray | None = field(default=None, compare=False, repr=False)
+    pivots: np.ndarray | None = None
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -489,20 +488,17 @@ def rank(
     return RankCertificate(value, FALLBACK, (p1, p2), sym.dim, n_blocks, _carry(sym, pivots))
 
 
-@dataclass
 class HilbertReport:
-    """Per-degree ranks of the symmetrizer plus optional closed-form comparison."""
+    """Per-degree ranks of the symmetrizer plus optional closed-form comparison, filled in by graded_dims."""
 
-    rack_id: str
-    cocycle_id: str
-    mode: str
-    seed: int
-    degrees: list[int] = field(default_factory=list)
-    ranks: list[int] = field(default_factory=list)
-    methods: list[str] = field(default_factory=list)
-    primes: list[list[int]] = field(default_factory=list)
-    closed_form: list[tuple[int, int]] | None = None
-    closed_form_verdicts: list[bool] | None = None
+    def __init__(self, rack_id: str, cocycle_id: str, mode: str, seed: int):
+        self.rack_id, self.cocycle_id, self.mode, self.seed = rack_id, cocycle_id, mode, seed
+        self.degrees: list[int] = []
+        self.ranks: list[int] = []
+        self.methods: list[str] = []
+        self.primes: list[list[int]] = []
+        self.closed_form: list[tuple[int, int]] | None = None
+        self.closed_form_verdicts: list[bool] | None = None
 
     def to_dict(self) -> dict:
         d = {
@@ -579,7 +575,7 @@ def graded_dims(
             if cert.method == FALLBACK and below is not None:
                 # these rows were chosen by Monte Carlo pivots below: prove the degree on every kept row
                 sym = symmetrizer(q, d, dim_cap=dim_cap, rows=_kept_rows, translations=translations)
-                cert = replace(rank(sym, "exact"), method=FALLBACK, primes=cert.primes)
+                cert = rank(sym, "exact")._replace(method=FALLBACK, primes=cert.primes)
             below = np.zeros(sym.dim, dtype=bool)
             below[cert.pivots] = True
         report.degrees.append(d)

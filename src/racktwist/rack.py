@@ -10,21 +10,41 @@ indices and any group-theoretic meaning lives in the labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n} in one-line notation: image[k] = value at position k+1."""
+class ReadOnly:
+    """Refuses attribute writes, so that a record set in __init__ can be shared by every caller.
 
-    image: tuple[int, ...]
+    A subclass lists its fields in __slots__ and sets them with object.__setattr__.
+    """
 
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.image}")
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class Permutation(ReadOnly):
+    """A permutation of {1..n} in one-line notation: image[k] = value at position k+1; equal by image."""
+
+    __slots__ = ("image",)
+
+    def __init__(self, image: tuple[int, ...]):
+        n = len(image)
+        if sorted(image) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {image}")
+        object.__setattr__(self, "image", image)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Permutation and self.image == other.image
+
+    def __hash__(self) -> int:
+        return hash(self.image)
 
     @property
     def n(self) -> int:
@@ -117,44 +137,49 @@ def lex_reduced_words(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.tile(np.arange(n), batch), runs) - place, codes.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class TranspositionLabel:
+class TranspositionLabel(ReadOnly):
     """The pair (i, j) with 1 <= i < j <= n naming a transposition."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if not (1 <= self.i < self.j):
-            raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
+    def __init__(self, i: int, j: int):
+        if not (1 <= i < j):
+            raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def __str__(self) -> str:
         return f"({self.i} {self.j})"
 
 
-@dataclass(frozen=True)
-class FiniteRack:
-    """A rack on {0..k-1} given by its full operation table op[x][y] = x |> y."""
+class FiniteRack(ReadOnly):
+    """A rack on {0..k-1} given by its full operation table op[x][y] = x |> y; equal by table and labels."""
 
-    op: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("op", "labels")
 
-    def __post_init__(self):
-        k = len(self.op)
-        if any(len(row) != k for row in self.op):
+    def __init__(self, op: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None):
+        k = len(op)
+        if any(len(row) != k for row in op):
             raise ValueError("operation table must be square")
-        if any(min(row) < 0 or max(row) >= k for row in self.op):
+        if any(min(row) < 0 or max(row) >= k for row in op):
             raise ValueError(f"operation table entries must lie in 0..{k - 1}")
-        if self.labels is not None and len(self.labels) != k:
+        if labels is not None and len(labels) != k:
             raise ValueError("labels length must match rack size")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is FiniteRack and self.op == other.op and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.labels))
 
     @property
     def size(self) -> int:
         return len(self.op)
 
 
-@dataclass(frozen=True)
-class RackAxiomReport:
+class RackAxiomReport(NamedTuple):
     """Outcome of check_rack_axioms; witness pins the first violation found."""
 
     ok: bool

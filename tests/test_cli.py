@@ -136,6 +136,42 @@ def test_broken_chi_table_fails_every_command_that_reads_it(argv, monkeypatch, c
     assert capsys.readouterr().err == ""
 
 
+COCYCLE_FILE_COMMANDS = {
+    "cocycle": ["cocycle", "--check"],
+    "hilbert": ["hilbert", "--rack", "x3", "--max-degree", "3", "--mode", "exact", "--cocycle"],
+}
+
+
+def write_cocycle_file(tmp_path, rack_ref):
+    """sub/q.json holding -1 on x3, its rack inline, as a path relative to sub/ or as an absolute path."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    rack = rack_mod.rack_to_dict(rack_mod.transposition_rack(3))
+    (sub / "rack3.json").write_text(json.dumps(rack))
+    rack_field = {"inline": rack, "relative": "rack3.json", "absolute": str(sub / "rack3.json")}[rack_ref]
+    (sub / "q.json").write_text(json.dumps({"rack": rack_field, "order": 2, "exp": [[1] * 3] * 3}))
+
+
+@pytest.mark.parametrize("rack_ref", ["inline", "relative", "absolute"])
+@pytest.mark.parametrize("command", COCYCLE_FILE_COMMANDS)
+def test_cocycle_file_rack_path_is_relative_to_the_file(tmp_path, monkeypatch, capsys, command, rack_ref):
+    # run from the parent directory: a relative rack path names sub/rack3.json, not ./rack3.json
+    write_cocycle_file(tmp_path, rack_ref)
+    monkeypatch.chdir(tmp_path)
+    assert run(COCYCLE_FILE_COMMANDS[command] + [os.path.join("sub", "q.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", COCYCLE_FILE_COMMANDS)
+def test_cocycle_file_with_a_missing_rack_file(tmp_path, monkeypatch, capsys, command):
+    write_cocycle_file(tmp_path, "relative")
+    (tmp_path / "sub" / "rack3.json").rename(tmp_path / "rack3.json")
+    monkeypatch.chdir(tmp_path)
+    assert run(COCYCLE_FILE_COMMANDS[command] + [os.path.join("sub", "q.json")]) == 1
+    missing = os.path.join("sub", "rack3.json")
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
 @pytest.mark.parametrize("argv", CHI_COMMANDS[:3], ids=[argv[0] for argv in CHI_COMMANDS[:3]])
 def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
     calls = []
@@ -503,6 +539,29 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+# every report echoes the same six keys in "config", null where its command has no such parameter
+UNSET = dict.fromkeys(("n", "max_degree", "mode", "seed", "dim_cap"))
+GOLDEN_CONFIGS = {
+    "rack": (["rack", "--n", "3"], {"n": 3}),
+    "cocycle": (["cocycle", "--kind", "chi", "--n", "3"], {"n": 3}),
+    "cover": (["cover", "--n", "4", "--trials", "5", "--seed", "2"], {"n": 4, "seed": 2}),
+    "twist-verify": (["twist-verify", "--n", "4"], {"n": 4}),
+    "cohomology": (["cohomology", "--n", "3"], {"n": 3}),
+    "hilbert": (["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2", "--mode", "exact", "--seed", "4"],
+                {"max_degree": 2, "mode": "exact", "seed": 4, "dim_cap": 200_000}),
+    "hilbert-dim-cap": (["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "2", "--dim-cap", "500"],
+                        {"max_degree": 2, "mode": "modular", "seed": 0, "dim_cap": 500}),
+    "selfcheck": (["selfcheck", "--n-max", "3", "--trials", "5", "--seed", "6"], {"n": 3, "seed": 6}),
+}
+
+
+@pytest.mark.parametrize("argv, config", GOLDEN_CONFIGS.values(), ids=GOLDEN_CONFIGS)
+def test_report_config_is_golden(tmp_path, argv, config):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert read_json(str(out))["config"] == {"subcommand": argv[0], **UNSET, **config}
+
+
 class TestParser:
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["frobnicate"]) == 1
@@ -611,6 +670,13 @@ def run_child(code):
 
 def test_cli_import_does_not_load_scipy():
     code = "import sys, racktwist.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    assert run_child(code).strip() == "[]"
+
+
+def test_cli_import_does_not_load_dataclasses_or_copy():
+    # @dataclass compiles its methods with exec at import, about 1 ms per class
+    # on every CLI start, and dataclasses imports copy
+    code = "import sys, racktwist.cli; print(sorted({'dataclasses', 'copy'} & set(sys.modules)))"
     assert run_child(code).strip() == "[]"
 
 
