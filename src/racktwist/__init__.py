@@ -25,6 +25,7 @@ from .braided import (
     BraidWord,
     MonomialOperator,
     SymmetrizerMatrix,
+    braid_equation_witness,
     check_braid_equation,
     rho,
     symmetrizer,
@@ -43,6 +44,7 @@ from .spincover import (
     CliffordElement,
     GroupCocycleBit,
     phi_psi_table,
+    presentation_witness,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,

@@ -122,11 +122,21 @@ def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list) -> MonomialO
 
 
 def check_braid_equation(q: RackCocycle) -> bool:
-    """Verify (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on X^(x)3."""
+    """Whether (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on X^(x)3 (braid_equation_witness)."""
+    return braid_equation_witness(q) is None
+
+
+def braid_equation_witness(q: RackCocycle) -> list[int] | None:
+    """The first basis triple x (x) y (x) z of X^(x)3 where the two sides of the braid equation differ, or None."""
     tables = strand_tables(q, 3)
     a = rho(BraidWord(3, (1,)), q, 3, tables)
     b = rho(BraidWord(3, (2,)), q, 3, tables)
-    return a.compose(b).compose(a) == b.compose(a).compose(b)
+    left, right = a.compose(b).compose(a), b.compose(a).compose(b)
+    bad = np.flatnonzero((left.target != right.target) | ((left.expo - right.expo) % q.order != 0))
+    if not bad.size:
+        return None
+    k, v = q.rack.size, int(bad[0])
+    return [v // (k * k), v // k % k, v % k]
 
 
 class CountMatrix(NamedTuple):

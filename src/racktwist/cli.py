@@ -394,25 +394,33 @@ def cmd_selfcheck(args) -> int:
     doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4
     checks = []
 
-    def run(name: str, fn, witness_key: str | None = None):
+    def run(name: str, fn, witness_key: str | None = None, witness=None):
         """Record fn's verdict.
 
-        With a witness_key, fn returns (ok, witness), and a failing entry
+        With a witness_key, fn returns (ok, witness), or, given `witness`,
+        fn returns ok and witness() names the failure; a failing entry
         carries the witness under that key.
         """
         try:
             got = fn()
+            ok, found = (got, None) if witness_key is None or witness is not None else got
+            if not ok and witness is not None:
+                found = witness()
         except Exception as exc:  # a crashed check is a failed check
             checks.append({"name": name, "ok": False, "error": str(exc)})
             return
-        ok, witness = got if witness_key else (got, None)
         checks.append({"name": name, "ok": bool(ok)})
-        if not ok and witness is not None:
-            checks[-1][witness_key] = witness
+        if not ok and found is not None:
+            checks[-1][witness_key] = found
 
     for n in range(2, n_max + 1):
         generators = 2 * spincover.generator_vectors(n) if doubled else None
-        run(f"presentation n={n}", lambda n=n, g=generators: spincover.verify_presentation(n, generators=g))
+        run(
+            f"presentation n={n}",
+            lambda n=n, g=generators: spincover.verify_presentation(n, generators=g),
+            "relation_witness",
+            lambda n=n, g=generators: spincover.presentation_witness(n, generators=g),
+        )
     for n in range(4, min(n_max, 7) + 1):
         run(
             f"conjugation lemmas n={n}",
@@ -430,8 +438,13 @@ def cmd_selfcheck(args) -> int:
     for n in range(3, min(n_max, 5) + 1):
         chi = cocycle_mod.chi_cocycle(n)
         minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
-        run(f"braid equation chi on x{n}", lambda q=chi: braided.check_braid_equation(q))
-        run(f"braid equation -1 on x{n}", lambda q=minus_one: braided.check_braid_equation(q))
+        for label, q in (("chi", chi), ("-1", minus_one)):
+            run(
+                f"braid equation {label} on x{n}",
+                lambda q=q: braided.check_braid_equation(q),
+                "triple_witness",
+                lambda q=q: braided.braid_equation_witness(q),
+            )
 
     def matsumoto_independence():
         """Two reduced words of each drawn sigma give one rho; the witness is sigma and its words."""

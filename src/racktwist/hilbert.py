@@ -1,49 +1,40 @@
-"""Graded ranks of symmetrizer matrices and Hilbert-series bookkeeping.
+"""Graded dimensions of Nichols algebras: reports, primes, and the proven ranks of the symmetrizer.
 
-The rank of the degree-n symmetrizer is the dimension of the degree-n
-component of the graded algebra attached to a rack-cocycle pair.  The
-symmetrizer is block diagonal over the braid-group orbits of the basis,
-because every braid lift maps a basis vector into its orbit; rank is summed
-block by block.  The split needs nothing more: entries of Z[zeta] may cancel
-(in x3 with const:3:1, degree 3, the block of each word xxx is
-2 + 2 zeta + 2 zeta^2 = 0), which only lowers the rank of their block.  A
-translation g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x commutes
-with the braiding c on X (x) X commutes with the symmetrizer in every
-degree, so it carries each block onto the block of the image orbit without
-changing its rank.  On a rack every 2-cocycle satisfies this (it
-is the cocycle condition), for chi as for -1.  The orbits fall into classes
-under these translations (SymmetrizerMatrix.orbit_class), and only the
-block of the smallest orbit in a class is ranked, weighted by the class
-size.  A block's rows hold all of its entries, so `graded_dims` assembles
-only the rows of those orbits; the other rows are never read.  Each ranked
-block is cut from the integer entries and folded on its own, so working
-memory is bounded by the largest block.  Its fold is a small integer array
-with one slice per power of zeta that occurs in the block, so nothing grows
-with m (the cocycle order) itself: for even m zeta^(m/2) = -1 merges the
-exponents in pairs, and zero and repeated rows and columns are dropped,
-which changes no rank (x4 chi, degree 5: the 640-block of rank 7 keeps 42
-rows).  Each prime evaluates that array with zeta mapped to an element of
-order m.  One elimination kernel serves both modes: exact mode ranks each
-block modulo descending primes q = 1 mod m below 2^31 until their product
-exceeds a Hadamard bound on the folded block, raised to the power phi(m),
-on every minor one order above the rank seen, which proves the rank over
-Q(zeta_m) for every m.  Modular mode passes two independently drawn primes
-and reports their agreement as a Monte Carlo certificate; a disagreement
-falls back to the proven rank.
+`graded_dims` reports degrees 0 and 1 by identity.  Modular mode draws one
+pair of primes per run and takes every degree from 2 on from the Leibniz
+recursion modulo both (nichols.LeibnizEngine), tagged CERTIFIED.  At the
+first degree where the primes disagree, that degree and every later one
+are proven here instead, the first tagged FALLBACK; exact mode proves every
+degree here.
+
+A proof ranks the degree-d symmetrizer over Q(zeta).  It is block diagonal
+over the braid-group orbits of the basis, because every braid lift maps a
+basis vector into its orbit; entries of Z[zeta] may cancel (in x3 with
+const:3:1, degree 3, the block of each word xxx is 2 + 2 zeta + 2 zeta^2 = 0),
+which only lowers the rank of their block.  A translation
+g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x commutes with the
+braiding on X (x) X commutes with the symmetrizer, so it carries each block
+onto the block of the image orbit with the same rank; on a rack every
+2-cocycle satisfies this (it is the cocycle condition).  Only the block of
+the smallest orbit in each class (SymmetrizerMatrix.orbit_class) is ranked,
+weighted by the class size, and only its rows are assembled.  Each ranked
+block is cut from the integer entries and folded on its own into a small
+integer array with one slice per power of zeta that occurs (for even m
+zeta^(m/2) = -1 merges exponents in pairs; zero and repeated rows and
+columns are dropped), so memory is bounded by the largest block and does
+not grow with m.  Its rank is proven modulo descending primes q = 1 mod m
+below 2^31 until their product exceeds a Hadamard bound on every minor one
+order above the rank seen, raised to the power phi(m).
 
 Row u*k + a of S_d is row u of S_(d-1), lifted to lane a and multiplied by
 T_d, so the rows whose prefix u lies in a basis of the row space of
 S_(d-1) span the row space of S_d.  `rank` returns such a basis: the rows
-its elimination pivots on in each ranked block, carried to every orbit of
-the class by the translation that maps the one onto the other (only row
-indices move), and `graded_dims` builds each degree only on the kept rows
-whose prefix is one of them (x4 chi, degree 5: 70 rows of 7 776, against
-1 216 kept rows).  Exact mode takes its pivots from the prime that attains
-the proven rank; they are independent mod a prime above it, hence over
-Q(zeta_m), and rank-many, so exact mode stays an unconditional proof.
-Modular mode takes them from its first prime, so a modular-certified
-degree also rests on the certificates of the degrees below it; a
-disagreement is proven again on every kept row of its degree.
+its elimination pivots on at the prime that attains the proven rank,
+carried to every orbit of the class (only row indices move), and each
+degree is built only on the kept rows whose prefix is one of them (x4 chi,
+degree 5: 70 rows of 7 776, against 1 216 kept rows).  The pivots are
+independent over Q(zeta_m), so the proof stays unconditional; the fallback
+degree, with no proven pivots below it, is built on every kept row.
 """
 
 from __future__ import annotations
@@ -55,9 +46,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, SymmetrizerMatrix, _commuting_translations, check_degree, symmetrizer
+from .braided import (
+    DEFAULT_DIM_CAP,
+    SymmetrizerMatrix,
+    _commuting_translations,
+    _inverse_letters,
+    check_degree,
+    symmetrizer,
+)
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
+from .nichols import LeibnizEngine
 
 _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
@@ -96,7 +95,7 @@ class RankCertificate(NamedTuple):
     """The computed rank together with how it was obtained."""
 
     rank: int
-    method: str  # "exact" | CERTIFIED | FALLBACK
+    method: str  # "exact"; graded_dims also reports CERTIFIED and FALLBACK
     primes: tuple[int, ...]
     dim: int
     n_components: int
@@ -403,24 +402,18 @@ def _exceeds(a: int, w: int, phi: int) -> bool:
     return a > w**phi
 
 
-def _kept_pivots(sym: SymmetrizerMatrix, moduli: list[int | None], below: np.ndarray | None = None):
-    """For every modulus, the rank of the symmetrizer and the pivot rows of its kept blocks.
+def _kept_pivots(sym: SymmetrizerMatrix, below: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """The proven rank of the symmetrizer and a basis of the row space of its kept blocks (_pivots_exact).
 
-    A prime p maps zeta to an element of order sym.order in F_p and takes
-    the pivots of each block mod p; None takes a basis of each block's row
-    space over Q(zeta) (_pivots_exact).  Each kept block is cut once
-    (_kept_blocks, with `below`) and counts with its class size; the pivots
-    are rows of `sym`, in the head orbits only.
+    Each kept block is cut once (_kept_blocks, with `below`) and counts with
+    its class size; the pivots are rows of `sym`, in the head orbits only.
     """
-    roots = [None if p is None else _element_of_order(p, sym.order) for p in moduli]
-    totals = [0] * len(moduli)
-    pivots = [[np.zeros(0, dtype=np.int64)] for _ in moduli]
+    total, pivots = 0, [np.zeros(0, dtype=np.int64)]
     for mult, block, exps, rows in _kept_blocks(sym, below):
-        for i, (p, g) in enumerate(zip(moduli, roots)):
-            piv = _pivots_exact(block, exps, sym.order) if p is None else _pivots_modp(block, exps, p, g)
-            totals[i] += mult * piv.size
-            pivots[i].append(rows[piv])
-    return [(total, np.concatenate(piv)) for total, piv in zip(totals, pivots)]
+        piv = _pivots_exact(block, exps, sym.order)
+        total += mult * piv.size
+        pivots.append(rows[piv])
+    return total, np.concatenate(pivots)
 
 
 def _carry(sym: SymmetrizerMatrix, pivots: np.ndarray) -> np.ndarray:
@@ -447,45 +440,25 @@ def _carry(sym: SymmetrizerMatrix, pivots: np.ndarray) -> np.ndarray:
     return np.sort(sym.orbit_carry[orbit[:, None], src[:, None] // place % k] @ place)
 
 
-def rank(
-    sym: SymmetrizerMatrix, mode: str, *, rng: random.Random | None = None, below: np.ndarray | None = None
-) -> RankCertificate:
-    """Rank of a symmetrizer matrix over Q(zeta), proven (exact) or modular-certified.
+def rank(sym: SymmetrizerMatrix, *, below: np.ndarray | None = None) -> RankCertificate:
+    """The rank of a symmetrizer matrix over Q(zeta), proven.
 
     The matrix is block diagonal over the braid orbits of the basis (see
     SymmetrizerMatrix), so rank is summed block by block, one block per
-    class of orbits weighted by the class size.  Exact mode proves every
-    block's rank over Q(zeta) from its ranks modulo enough primes
-    q = 1 mod order (_pivots_exact), for every order and every block size;
-    it draws no random prime and reports none.  Modular mode draws two
-    primes p = 1 mod order (from `rng`, by default random.Random(0)), ranks
-    every folded block (_fold) modulo both in one pass over the blocks, and
-    requires agreement.  A disagreement falls back to the proven rank of
-    the same rows and reports the two primes.
+    class of orbits weighted by the class size.  Every block's rank over
+    Q(zeta) is proven from its ranks modulo enough primes q = 1 mod order
+    (_pivots_exact), for every order and every block size; no random prime
+    is drawn or reported.
 
     The certificate's pivots are a basis of the row space: the pivot rows
-    of every head block, at the first prime in modular mode and at the
-    prime that attains the proven rank otherwise, carried to every orbit
-    (_carry).  Given `below`, a mask of such a basis of the degree below,
-    only the kept rows whose prefix it marks need to be built: row u*k + a
-    is row u of the degree below, lifted to lane a and multiplied by T_d,
-    so those rows span every kept row.
+    of every head block, at the prime that attains the proven rank, carried
+    to every orbit (_carry).  Given `below`, a mask of such a basis of the
+    degree below, only the kept rows whose prefix it marks need to be
+    built: row u*k + a is row u of the degree below, lifted to lane a and
+    multiplied by T_d, so those rows span every kept row.
     """
-    n_blocks = sym.orbit_class.size
-    if mode == "exact":
-        ((value, pivots),) = _kept_pivots(sym, [None], below)
-        return RankCertificate(value, "exact", (), sym.dim, n_blocks, _carry(sym, pivots))
-    if mode != "modular":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        rng = random.Random(0)
-    p1 = _draw_prime(rng, sym.order, set())
-    p2 = _draw_prime(rng, sym.order, {p1})
-    (r1, pivots), (r2, _) = _kept_pivots(sym, [p1, p2], below)
-    if r1 == r2:
-        return RankCertificate(r1, CERTIFIED, (p1, p2), sym.dim, n_blocks, _carry(sym, pivots))
-    ((value, pivots),) = _kept_pivots(sym, [None], below)
-    return RankCertificate(value, FALLBACK, (p1, p2), sym.dim, n_blocks, _carry(sym, pivots))
+    value, pivots = _kept_pivots(sym, below)
+    return RankCertificate(value, "exact", (), sym.dim, sym.orbit_class.size, _carry(sym, pivots))
 
 
 class HilbertReport:
@@ -528,27 +501,33 @@ def graded_dims(
     cocycle_id: str = "",
     closed_form: list[tuple[int, int]] | None = None,
 ) -> HilbertReport:
-    """Ranks of the symmetrizers in degrees 0..max_degree.
+    """Dimensions of the Nichols algebra in degrees 0..max_degree.
 
     Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
-    matrix is built for them.  Each other degree builds only the rows that
-    `rank` reads, those of the smallest braid orbit of every class
-    (_kept_rows) whose prefix is a pivot row of the degree below (see
-    `rank`).  A modular disagreement is proven again on every kept row of
-    its degree, so that the fallback does not rest on Monte Carlo pivots
-    below.  The resource caps are checked for max_degree before any degree
-    is built; they grow with the degree, so that covers every degree.  So
-    is the cocycle order, which must leave two candidates p = 1 mod order
-    in [2^30, 2^31) for the primes.  A closed form is expanded through
-    max_degree (and a bad factor rejected) before that too.  The
-    translations that sort the orbits into classes do not depend on the
-    degree, so they are found once (braided._commuting_translations) and
-    passed to every degree; each degree's orbit tables live only while it
-    is built.  The rows of the rack table must be bijections, at every
-    max_degree, or RackAxiomError is raised before any degree.
+    matrix is built for them.  Modular mode draws one pair of primes
+    p = 1 mod order from random.Random(seed) and ranks every degree from 2 on
+    by the Leibniz recursion modulo both (nichols.LeibnizEngine), which
+    closes the group of translations first.  At the first degree where the
+    primes disagree, that degree is proven on the symmetrizer, on every kept
+    row, and tagged FALLBACK with the pair; every later degree is proven the
+    same way and tagged exact.  Exact mode proves every degree so: it builds
+    only the rows that `rank` reads, those of the smallest braid orbit of
+    every class (_kept_rows) whose prefix is a pivot row of the degree below
+    (see `rank`).  The resource caps of the symmetrizer are checked for
+    max_degree before any degree is built; they grow with the degree, so
+    that covers every degree.  So is the cocycle order, which must leave two
+    candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
+    form is expanded through max_degree (and a bad factor rejected) before
+    that too.  The translations that sort the orbits into classes do not
+    depend on the degree, so they are found once, at the first proven degree
+    (braided._commuting_translations); the rows of the rack table must be
+    bijections, at every max_degree, or RackAxiomError is raised before any
+    degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    if mode not in ("exact", "modular"):
+        raise ValueError(f"unknown mode {mode!r}")
     # coefficients past the closed form's degree are 0
     series = None if closed_form is None else expand_closed_form(closed_form, max_degree) + [0] * (max_degree + 1)
     if max_degree >= 2:
@@ -557,31 +536,42 @@ def graded_dims(
             raise DimensionCapError(
                 f"cocycle order {q.order} leaves fewer than two numbers p = 1 mod it in [2^30, 2^31)"
             )
-    rng = random.Random(seed)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
-    # the translations that sort the orbits into classes, the same in every degree
-    translations = _commuting_translations(q)
-    # a mask of the pivot rows of the degree below; None keeps every row
+    # RackAxiomError unless every row x |> - is a bijection, at every max_degree
+    _inverse_letters(q)
+    # the translations that sort the orbits into classes, the same in every degree, found at the first proof
+    translations = None
+    modular = None
+    if mode == "modular" and max_degree >= 2:
+        rng = random.Random(seed)
+        p1 = _draw_prime(rng, q.order, set())
+        primes = (p1, _draw_prime(rng, q.order, {p1}))
+        engine = LeibnizEngine(q, primes, tuple(_element_of_order(p, q.order) for p in primes), dim_cap)
+        modular = engine.ranks(max_degree)
+    # a mask of the pivot rows of the degree below, for the symmetrizer; None keeps every row
     below = None
     for d in range(max_degree + 1):
-        if d == 0:
-            cert = RankCertificate(1, "exact", (), 1, 0)
-        elif d == 1:
-            cert = RankCertificate(k, "exact", (), k, 0)
+        value = None if modular is None or d == 0 else next(modular, None)
+        if d < 2:
+            rank_d, method, used = (1, k)[d], "exact", ()
+        elif value is not None:
+            rank_d, method, used = value, CERTIFIED, primes
         else:
+            if translations is None:
+                translations = _commuting_translations(q)
             sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), translations=translations)
-            cert = rank(sym, mode, rng=rng, below=below)
-            if cert.method == FALLBACK and below is not None:
-                # these rows were chosen by Monte Carlo pivots below: prove the degree on every kept row
-                sym = symmetrizer(q, d, dim_cap=dim_cap, rows=_kept_rows, translations=translations)
-                cert = rank(sym, "exact")._replace(method=FALLBACK, primes=cert.primes)
+            cert = rank(sym, below=below)
+            rank_d, method, used = cert.rank, "exact", ()
+            if modular is not None:
+                # the first disagreement of the primes, proven on every kept row
+                method, used, modular = FALLBACK, primes, None
             below = np.zeros(sym.dim, dtype=bool)
             below[cert.pivots] = True
         report.degrees.append(d)
-        report.ranks.append(cert.rank)
-        report.methods.append(cert.method)
-        report.primes.append(list(cert.primes))
+        report.ranks.append(rank_d)
+        report.methods.append(method)
+        report.primes.append(list(used))
     if series is not None:
         report.closed_form = list(closed_form)
         report.closed_form_verdicts = [r == c for r, c in zip(report.ranks, series)]

@@ -166,7 +166,12 @@ def generator_vectors(n: int) -> np.ndarray:
 
 
 def verify_presentation(n: int, generators: np.ndarray | None = None) -> bool:
-    """Check every defining relation of the cover on integer generator vectors.
+    """Whether every defining relation of the cover holds on integer generator vectors (presentation_witness)."""
+    return presentation_witness(n, generators) is None
+
+
+def presentation_witness(n: int, generators: np.ndarray | None = None) -> dict | None:
+    """The first relation of the cover that fails on integer generator vectors, or None.
 
     Relations: t_i^2 = 1, (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2,
     z^2 = 1, and z central.  Here t_i = g_i/sqrt(2) with g_i row i - 1 of
@@ -176,28 +181,37 @@ def verify_presentation(n: int, generators: np.ndarray | None = None) -> bool:
     The braid relation is the vector word (j, j+1)^3 with sign bit 0, the far
     relation the word (k, l)^2 with bit 1, and one word_bits batch decides
     them all.  z is the sign -1 of a word, a scalar, so z^2 = 1 and z central
-    hold by construction.
+    hold by construction.  The witness names the relation ("square",
+    "braid" or "far") and its generators t_i by i, in the order above.
     """
     if not 2 <= n <= DEFAULT_N_CAP:
         raise ValueError(f"n must be in 2..{DEFAULT_N_CAP}, got {n}")
     if generators is None:
         generators = generator_vectors(n)
     gram = generators @ generators.T
-    if not (np.diag(gram) == 2).all():
-        return False
-    values, lengths, bits = [], [], []
+    bad = np.flatnonzero(np.diag(gram) != 2)
+    if bad.size:
+        return {"relation": "square", "letters": [int(bad[0]) + 1]}
+    values, lengths, bits, names = [], [], [], []
     for j in range(n - 2):
         values += [j, j + 1] * 3
         lengths.append(6)
         bits.append(0)
+        names.append(("braid", [j + 1, j + 2]))
     for k in range(n - 1):
         for l in range(k + 2, n - 1):
             values += [k, l] * 2
             lengths.append(4)
             bits.append(1)
+            names.append(("far", [k + 1, l + 1]))
     if not bits:  # n = 2 has no word
-        return True
-    return pfaffian.word_bits(gram, np.array(values, dtype=np.intp), np.array(lengths, dtype=np.intp)).tolist() == bits
+        return None
+    got = pfaffian.word_bits(gram, np.array(values, dtype=np.intp), np.array(lengths, dtype=np.intp))
+    bad = np.flatnonzero(got != np.array(bits))
+    if not bad.size:
+        return None
+    relation, letters = names[int(bad[0])]
+    return {"relation": relation, "letters": letters}
 
 
 def _bracket_vectors(n: int) -> np.ndarray:

@@ -26,8 +26,8 @@ send_tables, which composes the package's strand tables over the whole
 basis where the package walks the letters of each column on k x k tables,
 and the carry of the orbit classes has orbit_classes_by_translation, which
 grows the breadth-first tree one translation at a time.  The one exception
-is unpruned_graded_dims, which reruns the package's ranks on every row of
-every degree.
+is unpruned_graded_dims, which reruns the package's proven ranks on every
+row of every degree.
 """
 
 from __future__ import annotations
@@ -515,27 +515,41 @@ def support_components(sym) -> list[tuple[int, ...]]:
     return _components(sym.dim, edges)
 
 
-def unpruned_graded_dims(q: RackCocycle, max_degree: int, mode: str = "modular", seed: int = 0) -> dict:
-    """The report dict of hilbert.graded_dims, with every row of every degree built and ranked.
+def unpruned_graded_dims(q: RackCocycle, max_degree: int) -> dict:
+    """The exact-mode report dict of hilbert.graded_dims, with every row of every degree built and ranked.
 
     Unlike the other oracles this one runs the package's own assembly and
     rank, so that it checks one thing only: that building each degree on
-    the kept rows whose prefix is a pivot row below changes no report.
-    Every degree is ranked on the full braided.symmetrizer(q, d), with no
-    rows chosen from the degree below and one random.Random(seed) shared by
-    all degrees, as graded_dims shares it.  Degrees 0 and 1 are ranked in
-    exact mode, which draws no prime, as graded_dims reports its identity
-    shortcuts for them.
+    the kept rows whose prefix is a pivot row below changes no rank.  Every
+    degree is proven on the full braided.symmetrizer(q, d), with no rows
+    chosen from the degree below; seed 0 is echoed as graded_dims echoes
+    its default.
     """
-    rng = random.Random(seed)
-    report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode=mode, seed=seed)
+    report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode="exact", seed=0)
     for d in range(max_degree + 1):
-        cert = hilbert.rank(braided.symmetrizer(q, d), mode if d >= 2 else "exact", rng=rng)
+        cert = hilbert.rank(braided.symmetrizer(q, d))
         report.degrees.append(d)
         report.ranks.append(cert.rank)
         report.methods.append(cert.method)
         report.primes.append(list(cert.primes))
     return report.to_dict()
+
+
+def disagree_at(monkeypatch, degree: int) -> None:
+    """Make the two primes of the Leibniz recursion disagree at `degree`: every Phi_r there is zero mod the first."""
+    from racktwist import nichols
+
+    real_degree, real_rref = nichols.LeibnizEngine._degree, nichols._rref
+
+    def zeroed(a, p):
+        a[0] = 0
+        return real_rref(a, p)
+
+    def forced(engine, d, *args):
+        monkeypatch.setattr(nichols, "_rref", zeroed if d == degree else real_rref)
+        return real_degree(engine, d, *args)
+
+    monkeypatch.setattr(nichols.LeibnizEngine, "_degree", forced)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from oracles import (
 )
 from racktwist import braided
 from racktwist.braided import (
+    braid_equation_witness,
     BraidWord,
     MonomialOperator,
     check_braid_equation,
@@ -222,6 +223,25 @@ class TestBraidEquation:
                     found = True
                     assert not check_cocycle(bad).ok
         assert found
+
+
+    @pytest.mark.parametrize("name", ["non-rack", "flipped-chi"])
+    def test_witness_is_the_first_failing_triple(self, name):
+        # the table of test_hilbert's non-rack case, and chi on x3 with one flipped exponent
+        if name == "non-rack":
+            q = minus_one_cocycle(FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2))))
+        else:
+            exp = [list(row) for row in chi_cocycle(3).exp]
+            exp[0][1] ^= 1
+            q = RackCocycle(rack=X3, order=2, exp=tuple(map(tuple, exp)))
+        k = q.rack.size
+        x = dense_strand_matrix(q, 3, 1)
+        y = dense_strand_matrix(q, 3, 2)
+        differs = (x @ y @ x != y @ x @ y).any(axis=0)
+        first = int(np.flatnonzero(differs)[0])
+        assert braid_equation_witness(q) == [first // (k * k), first // k % k, first % k]
+        assert not check_braid_equation(q)
+        assert braid_equation_witness(M1_X3) is None
 
 
 class TestSymmetrizer:

@@ -6,10 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from oracles import flip_phi_bit, main_theorem_log, scale_bracket, twist_condition_first_failure
+from oracles import disagree_at, flip_phi_bit, main_theorem_log, scale_bracket, twist_condition_first_failure
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
@@ -433,17 +432,10 @@ class TestHilbertCommand:
         assert read_json(str(out))["report"]["ranks"] == [1, 3, 4, 3]
 
     def test_disagreeing_primes_fail(self, tmp_path, monkeypatch):
-        # the first drawn prime is made to fail; the degree falls back to the
-        # rank proven over Q(zeta_3), and the run exits 0
+        # the primes of the recursion are made to disagree at degree 2; the degree
+        # falls back to the rank proven over Q(zeta_3), and the run exits 0
         p1 = hilbert_mod._draw_prime(random.Random(0), 3, set())
-        real = hilbert_mod._pivots_dense_modp
-
-        def kernel(a, p):
-            # one pivot repeated mod p1: one rank too many in every block eliminated there
-            pivots = real(a, p)
-            return np.append(pivots, pivots[0]) if p == p1 else pivots
-
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", kernel)
+        disagree_at(monkeypatch, 2)
         out = tmp_path / "h.json"
         code = run(["hilbert", "--rack", "x3", "--cocycle", "const:3:1", "--max-degree", "2", "--out", str(out)])
         assert code == 0
@@ -489,7 +481,28 @@ class TestSelfcheckCommand:
         checks = read_json(str(out))["checks"]
         failed = [c["name"] for c in checks if not c["ok"]]
         assert failed == [f"presentation n={n}" for n in range(2, 13)]
-        assert all(set(c) == {"name", "ok"} for c in checks)
+        # each failing entry names its first failing relation, t_1^2 = 1; passing entries carry nothing more
+        for c in checks:
+            assert c == {"name": c["name"], "ok": False, "relation_witness": {"relation": "square", "letters": [1]}} \
+                if not c["ok"] else set(c) == {"name", "ok"}
+
+    def test_braid_equation_failure_carries_its_triple(self, tmp_path, monkeypatch):
+        # chi on x3 with one flipped exponent breaks the braid equation; the entry names
+        # the first basis triple where its two sides differ
+        real = cli.cocycle_mod.chi_cocycle
+
+        def flipped(n):
+            q = real(n)
+            exp = [list(row) for row in q.exp]
+            exp[0][1] ^= 1
+            return RackCocycle(q.rack, 2, tuple(map(tuple, exp)))
+
+        monkeypatch.setattr(cli.cocycle_mod, "chi_cocycle", flipped)
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "3", "--trials", "0", "--out", str(out)]) == 2
+        entry = next(c for c in read_json(str(out))["checks"] if c["name"] == "braid equation chi on x3")
+        triple = cli.braided.braid_equation_witness(flipped(3))
+        assert triple is not None and entry == {"name": entry["name"], "ok": False, "triple_witness": triple}
 
     def test_matsumoto_failure_carries_its_witness(self, tmp_path, monkeypatch):
         # rho is broken on the word s_2 s_1 s_2 of 3 strands only; the w0-conjugate word of

@@ -9,6 +9,7 @@ from oracles import (
     counts_rank_over_cyclotomic,
     cyclotomic_polynomial,
     dense_integer_matrix,
+    disagree_at,
     distinct_nonzero_lines,
     evaluate_modp,
     is_palindromic,
@@ -27,6 +28,7 @@ from racktwist.cocycle import RackCocycle, check_twist_condition, chi_cocycle, c
 from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
 from racktwist.hilbert import (
+    CERTIFIED,
     FALLBACK,
     _carry,
     _draw_prime,
@@ -410,7 +412,7 @@ class TestRankKernels:
 
 class TestRank:
     def test_degree_one_identity(self):
-        cert = rank(symmetrizer(M1_X4, 1), "exact")
+        cert = rank(symmetrizer(M1_X4, 1))
         assert cert.rank == 6
         assert cert.method == "exact"
 
@@ -418,56 +420,53 @@ class TestRank:
         sym = symmetrizer(M1_X4, 2)
         dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 19
-        assert rank(sym, "exact").rank == 19
-        assert rank(sym, "modular", rng=random.Random(0)).rank == 19
+        assert rank(sym).rank == 19
+        assert graded_dims(M1_X4, 2).ranks[2] == 19
 
     def test_q2_x3_rank4_with_oracle(self):
         sym = symmetrizer(M1_X3, 2)
         dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 4
-        assert rank(sym, "exact").rank == 4
+        assert rank(sym).rank == 4
 
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_exact_equals_modular_x3(self, degree):
+        # the proven rank of the symmetrizer against the Leibniz recursion modulo the pair of seed `degree`
         for q in (M1_X3, chi_cocycle(3)):
-            sym = symmetrizer(q, degree)
-            assert rank(sym, "exact").rank == rank(sym, "modular", rng=random.Random(degree)).rank
+            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree).ranks[degree]
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_exact_equals_modular_x4(self, degree):
         for q in (M1_X4, chi_cocycle(4)):
-            sym = symmetrizer(q, degree)
-            assert rank(sym, "exact").rank == rank(sym, "modular", rng=random.Random(degree)).rank
+            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree).ranks[degree]
 
     def test_exact_limit_applies_per_block(self):
         # exact mode ranks every block, with no limit on its size
         sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
-        cert = rank(sym, "exact")
+        cert = rank(sym)
         assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
 
     def test_order_three_disagreement_falls_back_to_exact(self, monkeypatch):
         # as below, at order 3: the fallback proves the rank over Q(zeta_3)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 3)
         p1 = _draw_prime(random.Random(0), 3, set())
-        real = hilbert_mod._pivots_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, p1, 1))
-        cert = rank(sym, "modular")
-        assert cert.method == "exact (fallback after modular disagreement)"
-        assert cert.rank == rank_over_cyclotomic(sym) == 21
-        assert cert.primes[0] == p1 and len(set(cert.primes)) == len(cert.primes) == 2
+        disagree_at(monkeypatch, 3)
+        report = graded_dims(constant_cocycle(X3, 3, 1), 3)
+        assert report.methods[3] == "exact (fallback after modular disagreement)"
+        assert report.ranks[3] == rank_over_cyclotomic(sym) == 21
+        assert report.primes[3][0] == p1 and len(set(report.primes[3])) == len(report.primes[3]) == 2
 
     def test_disagreement_falls_back_to_exact(self, monkeypatch):
-        # a first prime that raises every nonzero block's rank by one makes
-        # the primes disagree; the proven rank is reported with both primes
+        # a first prime at which every Phi_r of degree 3 vanishes makes the
+        # primes disagree; the proven rank is reported with both primes
         p1 = _draw_prime(random.Random(0), 2, set())
-        real = hilbert_mod._pivots_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, p1, 1))
-        cert = rank(symmetrizer(chi_cocycle(4), 3), "modular")
-        assert cert.method == "exact (fallback after modular disagreement)"
-        assert cert.rank == 42
-        assert cert.primes[0] == p1 and len(set(cert.primes)) == len(cert.primes) == 2
+        disagree_at(monkeypatch, 3)
+        report = graded_dims(chi_cocycle(4), 3)
+        assert report.methods[3] == "exact (fallback after modular disagreement)"
+        assert report.ranks[3] == 42
+        assert report.primes[3][0] == p1 and len(set(report.primes[3])) == len(report.primes[3]) == 2
 
-    def test_agreeing_primes_cut_each_block_once(self, monkeypatch):
+    def test_proof_cuts_each_block_once(self, monkeypatch):
         passes = []
         real = hilbert_mod._kept_blocks
 
@@ -479,8 +478,8 @@ class TestRank:
 
         monkeypatch.setattr(hilbert_mod, "_kept_blocks", counting)
         sym = symmetrizer(chi_cocycle(4), 4)
-        cert = rank(sym, "modular")
-        assert cert.method == hilbert_mod.CERTIFIED and len(cert.primes) == 2
+        cert = rank(sym)
+        assert cert.method == "exact" and cert.primes == ()
         assert passes == [int((sym.orbit_class == np.arange(sym.orbit_class.size)).sum())]
 
     @pytest.mark.parametrize(
@@ -492,9 +491,9 @@ class TestRank:
         for degree, value in zip((2, 3), expected):
             sym = symmetrizer(q, degree)
             assert rank_over_cyclotomic(sym) == value
-            cert = rank(sym, "exact")
+            cert = rank(sym)
             assert (cert.rank, cert.method, cert.primes) == (value, "exact", ())
-            assert rank(sym, "modular").rank == value
+        assert graded_dims(q, 3).ranks[2:] == expected
 
     def test_cyclotomic_oracle_polynomials(self):
         import sympy
@@ -518,7 +517,7 @@ class TestRank:
 
         monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", recording)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 4)
-        assert rank(sym, "exact").rank == 50
+        assert rank(sym).rank == 50
         assert tried[0] == first and all(p % 3 == 1 for p in tried)
 
     def test_exact_rank_outlives_a_bad_first_prime_at_order_three(self):
@@ -533,32 +532,34 @@ class TestRank:
         assert exact_rank(fold_one(*parts, 3)[:2], 3) == 1
 
     def test_modular_with_higher_order(self):
-        # constant zeta_4 cocycle: modular rank must work with p = 1 mod 4
-        sym = symmetrizer(constant_cocycle(X3, 4, 1), 2)
-        cert = rank(sym, "modular", rng=random.Random(1))
-        assert all(p % 4 == 1 for p in cert.primes)
-        assert 0 < cert.rank <= 9
+        # constant zeta_4 cocycle: modular ranks must work with p = 1 mod 4
+        report = graded_dims(constant_cocycle(X3, 4, 1), 2, seed=1)
+        assert all(p % 4 == 1 for p in report.primes[2])
+        assert 0 < report.ranks[2] <= 9
 
     def test_modular_certificate_contents(self):
-        cert = rank(symmetrizer(M1_X4, 2), "modular", rng=random.Random(9))
-        assert cert.method == "modular-certified (Monte Carlo)"
-        assert len(cert.primes) == 2 and cert.primes[0] != cert.primes[1]
-        assert cert.dim == 36
+        report = graded_dims(M1_X4, 2, seed=9)
+        assert report.methods[2] == "modular-certified (Monte Carlo)"
+        assert len(report.primes[2]) == 2 and report.primes[2][0] != report.primes[2][1]
+        assert report.ranks[2] == 19
 
-    def test_default_rng_draws_as_seed_zero(self):
-        sym = symmetrizer(M1_X4, 2)
-        assert rank(sym, "modular").primes == rank(sym, "modular", rng=random.Random(0)).primes
+    def test_default_seed_draws_as_seed_zero(self):
+        # the pair is the first two draws of random.Random(seed), the second avoiding the first
+        rng = random.Random(0)
+        p1 = _draw_prime(rng, 2, set())
+        pair = [p1, _draw_prime(rng, 2, {p1})]
+        assert graded_dims(M1_X4, 3).primes == [[], [], pair, pair] == graded_dims(M1_X4, 3, seed=0).primes
 
     @pytest.mark.parametrize("degree", [5, 6])
     def test_x3_minus_one_classes_cancel(self, degree):
         # both exponent classes are nonzero, but their sum mod p is the zero matrix
         sym = symmetrizer(M1_X3, degree)
         assert set(sym.entries.expo.tolist()) == {0, 1}
-        assert rank(sym, "modular").rank == 0
+        assert rank(sym).rank == 0
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            rank(symmetrizer(M1_X3, 2), "float")
+            graded_dims(M1_X3, 2, mode="float")
 
 
 CLASS_CASES = {
@@ -572,9 +573,9 @@ CLASS_CASES = {
 
 
 def _ranks_without_classes(monkeypatch, q, degrees, translations):
-    """Modular ranks with the translation list of braided forced to `translations(q)`."""
+    """Proven ranks with the translation list of braided forced to `translations(q)`."""
     monkeypatch.setattr(braided, "_commuting_translations", translations)
-    ranks = [rank(symmetrizer(q, d), "modular").rank for d in degrees]
+    ranks = [rank(symmetrizer(q, d)).rank for d in degrees]
     monkeypatch.undo()
     return ranks
 
@@ -599,7 +600,7 @@ class TestOrbitClasses:
         heads = np.flatnonzero(cls == np.arange(cls.size))
         weighted = sum(int((cls == h).sum()) * int(ranks[h]) for h in heads)
         assert weighted == int(ranks.sum())
-        assert hilbert_mod._kept_pivots(sym, [p])[0][0] == weighted
+        assert hilbert_mod._kept_pivots(sym)[0] == weighted
 
     @pytest.mark.parametrize("name", ["x3-m1", "x3-const31", "x3-const43", "x4-chi", "x5-m1"])
     @pytest.mark.parametrize("degree", [2, 3, 4])
@@ -647,6 +648,9 @@ class TestOrbitClasses:
 
         monkeypatch.setattr(braided, "_commuting_translations", counting)
         monkeypatch.setattr(hilbert_mod, "_commuting_translations", counting)
+        assert graded_dims(chi_cocycle(4), 5, mode="exact").ranks == [1, 6, 19, 42, 71, 96]
+        assert len(calls) == 1
+        # the modular ranks build no symmetrizer, so they need no translation
         assert graded_dims(chi_cocycle(4), 5).ranks == [1, 6, 19, 42, 71, 96]
         assert len(calls) == 1
 
@@ -657,7 +661,7 @@ class TestOrbitClasses:
         assert int((cls == np.arange(cls.size)).sum()) == 10
         mults = [mult for mult, _, _, _ in hilbert_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
-        assert rank(sym, "modular").n_components == 214
+        assert rank(sym).n_components == 214
 
     def test_chi_classes_come_from_the_gauge(self):
         # no x |> - preserves chi on x4, but twisted by the scalars chi(x, -)
@@ -680,7 +684,7 @@ class TestOrbitClasses:
         exp[0][1] ^= 1
         q = RackCocycle(X4, 2, tuple(map(tuple, exp)))
         assert braided._commuting_translations(q) == []
-        honest = [rank(symmetrizer(q, d), "modular").rank for d in (2, 3, 4)]
+        honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
         assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
         forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
         assert forced != honest
@@ -691,7 +695,7 @@ class TestOrbitClasses:
         assert not check_rack_axioms(r).ok
         q = minus_one_cocycle(r)
         assert len(braided._commuting_translations(q)) == 1
-        honest = [rank(symmetrizer(q, d), "modular").rank for d in (2, 3, 4)]
+        honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
         assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
         forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
         assert forced != honest
@@ -765,8 +769,8 @@ class TestPivots:
         # the image of its head's pivots under a rack automorphism that maps the orbits
         q = CLASS_CASES[name]
         sym = symmetrizer(q, degree)
-        cert = rank(sym, "modular")
-        p, k = cert.primes[0], q.rack.size
+        cert = rank(sym)
+        p, k = _draw_prime(random.Random(degree), q.order, set()), q.rack.size
         blocks = orbit_blocks_modp(sym, p, _element_of_order(p, q.order))
         reps = np.flatnonzero(sym.orbit == np.arange(sym.dim))
         owner = np.searchsorted(reps, sym.orbit[cert.pivots])
@@ -784,36 +788,29 @@ class TestPivots:
             assert sorted(letterwise(s, v, k, degree) for v in head_members) == members.tolist()
             assert sorted(letterwise(s, v, k, degree) for v in cert.pivots[owner == h].tolist()) == mine.tolist()
 
-    def test_rank_returns_a_basis_in_both_modes(self):
+    def test_rank_returns_a_basis(self):
         for q, degree in ((chi_cocycle(4), 4), (constant_cocycle(X3, 3, 1), 4), (constant_cocycle(X3, 4, 3), 3)):
             sym = symmetrizer(q, degree)
-            for mode in ("exact", "modular"):
-                cert = rank(sym, mode)
-                assert cert.pivots.size == cert.rank
-                if degree <= 3:
-                    assert counts_rank_over_cyclotomic(dense_counts_of_rows(sym, cert.pivots), q.order) == cert.rank
+            cert = rank(sym)
+            assert cert.pivots.size == cert.rank
+            if degree <= 3:
+                assert counts_rank_over_cyclotomic(dense_counts_of_rows(sym, cert.pivots), q.order) == cert.rank
 
     @pytest.mark.parametrize("name", sorted(CLASS_CASES))
     def test_pruned_ranks_equal_kept_row_ranks(self, name):
         # degrees 2..5 within the cap: the kept rows whose prefix is a pivot row below
-        # rank like all kept rows, at both drawn primes and proven, with pivots
-        # carried from the first prime (modular) or from the proof (exact)
+        # have the proven rank of all kept rows, with pivots carried from the proof
         q = CLASS_CASES[name]
-        rng = random.Random(17)
-        p1 = _draw_prime(rng, q.order, set())
-        p2 = _draw_prime(rng, q.order, {p1})
-        moduli = [p1, p2, None]
         degrees = [d for d in range(2, 6) if q.rack.size**d <= braided.DEFAULT_DIM_CAP]
-        full = {d: [t for t, _ in _kept_pivots(symmetrizer(q, d, rows=_kept_rows), moduli)] for d in degrees}
-        for source in (0, 2):
-            below = None
-            for d in degrees:
-                pruned = symmetrizer(q, d, rows=partial(_kept_rows, below=below))
-                assert np.array_equal(pruned.rows, _kept_rows(pruned.orbit, pruned.orbit_class, below))
-                got = _kept_pivots(pruned, moduli, below)
-                assert [t for t, _ in got] == full[d]
-                below = _mask(_carry(pruned, got[source][1]), pruned.dim)
-                assert below.sum() == full[d][source]
+        full = {d: _kept_pivots(symmetrizer(q, d, rows=_kept_rows))[0] for d in degrees}
+        below = None
+        for d in degrees:
+            pruned = symmetrizer(q, d, rows=partial(_kept_rows, below=below))
+            assert np.array_equal(pruned.rows, _kept_rows(pruned.orbit, pruned.orbit_class, below))
+            total, pivots = _kept_pivots(pruned, below)
+            assert total == full[d]
+            below = _mask(_carry(pruned, pivots), pruned.dim)
+            assert below.sum() == full[d]
 
 
 class TestGradedDims:
@@ -880,26 +877,33 @@ class TestGradedDims:
         pruned = graded_dims(q, 4, mode="exact")
         assert built == [(2, 6, 100), (3, 20, 1000), (4, 90, 10000)]
         built.clear()
-        full = unpruned_graded_dims(q, 4, mode="exact")
+        full = unpruned_graded_dims(q, 4)
         assert built == [(0, 1, 1), (1, 10, 10), (2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
         assert pruned.to_dict() == full
 
     @pytest.mark.parametrize("cocycle", [(4, 3), (3, 1)], ids=["const:4:3", "const:3:1"])
     def test_pruned_and_unpruned_reports_agree(self, cocycle):
-        # ranks, methods and primes, at an even order (4, where zeta^2 = -1 folds
-        # exponents in pairs) and an odd one (3)
+        # at an even order (4, where zeta^2 = -1 folds exponents in pairs) and an odd one (3):
+        # the proven reports agree whole, the modular ranks agree with them, and every
+        # modular degree from 2 on is certified by the pair drawn from the seed
         q = constant_cocycle(X3, *cocycle)
-        assert graded_dims(q, 6).to_dict() == unpruned_graded_dims(q, 6)
+        full = unpruned_graded_dims(q, 6)
+        assert graded_dims(q, 6, mode="exact").to_dict() == full
+        modular = graded_dims(q, 6)
+        assert modular.ranks == full["ranks"]
+        assert modular.methods == ["exact"] * 2 + [CERTIFIED] * 5
+        rng = random.Random(0)
+        p1 = _draw_prime(rng, q.order, set())
+        assert modular.primes == [[], []] + [[p1, _draw_prime(rng, q.order, {p1})]] * 5
 
     def test_disagreement_is_proven_on_every_kept_row(self, monkeypatch):
-        # degree 3's first prime is made to disagree: the degree is proven again on
-        # all its kept rows, not on the rows that the Monte Carlo pivots of degree 2 chose
+        # the primes are made to disagree at degree 3: the degree is proven on all its
+        # kept rows, as no degree below has proven pivots, and degree 4 on the kept rows
+        # whose prefix is one of those; both on the symmetrizer, and no other degree is
         rng = random.Random(0)
-        first = _draw_prime(rng, 2, set())
-        second = _draw_prime(rng, 2, {first})
         p1 = _draw_prime(rng, 2, set())
-        assert p1 not in (first, second)
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, p1, 1))
+        p2 = _draw_prime(rng, 2, {p1})
+        disagree_at(monkeypatch, 3)
         built = []
         real = hilbert_mod.symmetrizer
 
@@ -911,16 +915,16 @@ class TestGradedDims:
         monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
         report = graded_dims(chi_cocycle(4), 4)
         assert report.ranks == [1, 6, 19, 42, 71]
-        assert report.methods == ["exact", "exact", hilbert_mod.CERTIFIED, FALLBACK, hilbert_mod.CERTIFIED]
-        assert report.primes[3][0] == p1
-        assert [d for d, _, _ in built] == [2, 3, 3, 4]
-        (_, pruned, kept), (_, rebuilt, kept_again) = built[1:3]
-        assert pruned < kept == rebuilt == kept_again
+        assert report.methods == ["exact", "exact", CERTIFIED, FALLBACK, "exact"]
+        assert report.primes == [[], [], [p1, p2], [p1, p2], []]
+        assert [d for d, _, _ in built] == [3, 4]
+        (_, rows3, kept3), (_, rows4, kept4) = built
+        assert rows3 == kept3 and rows4 < kept4
 
     def test_rank_needs_the_kept_rows(self):
         sym = symmetrizer(M1_X4, 3, rows=lambda orbit, cls: np.arange(1, orbit.size))
         with pytest.raises(ValueError, match="lacks rows"):
-            rank(sym, "modular")
+            rank(sym)
 
     def test_lift_counts_fit_in_int64(self):
         # one element and the trivial cocycle: S_d = d! id, rank 1, until d! overflows int64

@@ -45,6 +45,7 @@ from racktwist.spincover import (
     SectionCache,
     generator_vectors,
     phi_psi_table,
+    presentation_witness,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,
@@ -283,6 +284,20 @@ class TestPresentation:
         assert len(mutations) == (n - 1) * (1 + (n >= 3)) + (n - 2) * (n >= 4)
         for name, vectors, spin in mutations:
             assert (verify_presentation(n, generators=vectors), presentation_by_clifford(n, spin)) == (False, False), name
+
+    def test_witness_names_the_first_failing_relation(self):
+        vectors = generator_vectors(4)
+        assert presentation_witness(4) is None
+        assert presentation_witness(4, 2 * vectors) == {"relation": "square", "letters": [1]}
+        # t_1 and t_2 orthogonal: (t_1 t_2)^3 = -t_1 t_2, the first braid word fails
+        orthogonal = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [0, 1, -1, 0]])
+        assert presentation_witness(4, orthogonal) == {"relation": "braid", "letters": [1, 2]}
+        # t_3 = t_1 keeps both braid words but (t_1 t_3)^2 = 1, not z
+        repeated = vectors.copy()
+        repeated[2] = vectors[0]
+        assert presentation_witness(4, repeated) == {"relation": "far", "letters": [1, 3]}
+        for bad in (2 * vectors, orthogonal, repeated):
+            assert not verify_presentation(4, generators=bad)
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
