@@ -14,21 +14,13 @@ from .cocycle import (
     twist,
 )
 from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
-from .hilbert import (
-    HilbertReport,
-    RankCertificate,
-    expand_closed_form,
-    graded_dims,
-    rank,
-)
+from .hilbert import HilbertReport, expand_closed_form, graded_dims
 from .braided import (
     BraidWord,
     MonomialOperator,
-    SymmetrizerMatrix,
     braid_equation_witness,
     check_braid_equation,
     rho,
-    symmetrizer,
 )
 from .rack import (
     FiniteRack,

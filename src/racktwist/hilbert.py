@@ -1,40 +1,12 @@
-"""Graded dimensions of Nichols algebras: reports, primes, and the proven ranks of the symmetrizer.
+"""Graded dimensions of Nichols algebras: reports, primes, and the choice of rank path per degree.
 
 `graded_dims` reports degrees 0 and 1 by identity.  Modular mode draws one
 pair of primes per run and takes every degree from 2 on from the Leibniz
 recursion modulo both (nichols.LeibnizEngine), tagged CERTIFIED.  At the
 first degree where the primes disagree, that degree and every later one
-are proven here instead, the first tagged FALLBACK; exact mode proves every
-degree here.
-
-A proof ranks the degree-d symmetrizer over Q(zeta).  It is block diagonal
-over the braid-group orbits of the basis, because every braid lift maps a
-basis vector into its orbit; entries of Z[zeta] may cancel (in x3 with
-const:3:1, degree 3, the block of each word xxx is 2 + 2 zeta + 2 zeta^2 = 0),
-which only lowers the rank of their block.  A translation
-g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x commutes with the
-braiding on X (x) X commutes with the symmetrizer, so it carries each block
-onto the block of the image orbit with the same rank; on a rack every
-2-cocycle satisfies this (it is the cocycle condition).  Only the block of
-the smallest orbit in each class (SymmetrizerMatrix.orbit_class) is ranked,
-weighted by the class size, and only its rows are assembled.  Each ranked
-block is cut from the integer entries and folded on its own into a small
-integer array with one slice per power of zeta that occurs (for even m
-zeta^(m/2) = -1 merges exponents in pairs; zero and repeated rows and
-columns are dropped), so memory is bounded by the largest block and does
-not grow with m.  Its rank is proven modulo descending primes q = 1 mod m
-below 2^31 until their product exceeds a Hadamard bound on every minor one
-order above the rank seen, raised to the power phi(m).
-
-Row u*k + a of S_d is row u of S_(d-1), lifted to lane a and multiplied by
-T_d, so the rows whose prefix u lies in a basis of the row space of
-S_(d-1) span the row space of S_d.  `rank` returns such a basis: the rows
-its elimination pivots on at the prime that attains the proven rank,
-carried to every orbit of the class (only row indices move), and each
-degree is built only on the kept rows whose prefix is one of them (x4 chi,
-degree 5: 70 rows of 7 776, against 1 216 kept rows).  The pivots are
-independent over Q(zeta_m), so the proof stays unconditional; the fallback
-degree, with no proven pivots below it, is built on every kept row.
+are proven on the symmetrizer instead (racktwist.exact), the first tagged
+FALLBACK; exact mode proves every degree so.  racktwist.exact is imported
+only when a degree is proven.
 """
 
 from __future__ import annotations
@@ -42,18 +14,10 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
-from .braided import (
-    DEFAULT_DIM_CAP,
-    SymmetrizerMatrix,
-    _commuting_translations,
-    _inverse_letters,
-    check_degree,
-    symmetrizer,
-)
+from .braided import DEFAULT_DIM_CAP, _inverse_letters, check_degree
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .nichols import LeibnizEngine
@@ -89,18 +53,6 @@ def expand_closed_form(factors: list[tuple[int, int]], max_degree: int | None = 
         ]
         coeffs = [sum(coeffs[j] * factor[i - j] for j in range(i + 1)) for i in range(top + 1)]
     return coeffs
-
-
-class RankCertificate(NamedTuple):
-    """The computed rank together with how it was obtained."""
-
-    rank: int
-    method: str  # "exact"; graded_dims also reports CERTIFIED and FALLBACK
-    primes: tuple[int, ...]
-    dim: int
-    n_components: int
-    # rows of the symmetrizer that form a basis of its row space (see rank)
-    pivots: np.ndarray | None = None
 
 
 def _is_prime_u32(n: int) -> bool:
@@ -183,284 +135,6 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
-def _kept_rows(orbit: np.ndarray, orbit_class: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
-    """The rows of the smallest braid orbit of every class, ascending: every row that rank reads.
-
-    Given `below`, a mask over the rows of the degree below, only the rows
-    whose prefix (the row without its last letter) it marks are kept.
-    """
-    heads = np.flatnonzero(orbit_class == np.arange(orbit_class.size))
-    kept = np.zeros(orbit.size, dtype=bool)
-    kept[np.flatnonzero(orbit == np.arange(orbit.size))[heads]] = True
-    kept = kept[orbit]
-    if below is not None:
-        kept &= np.repeat(below, orbit.size // below.size)
-    return np.flatnonzero(kept)
-
-
-def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct slices a[i] of a nonempty integer array, in byte order, and where each one stands in a.
-
-    Each slice is compared as one np.void of its bytes; np.unique would do
-    the same but imports numpy.ma on its first call.
-    """
-    flat = np.ascontiguousarray(a).reshape(a.shape[0], -1)
-    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
-
-
-def _fold(rows: np.ndarray, cols: np.ndarray, expo: np.ndarray, data: np.ndarray, shape: tuple[int, int], order: int):
-    """Fold one block into a small integer array of its rank, one slice per power of zeta that occurs.
-
-    Entry i is data[i] zeta^expo[i] at (rows[i], cols[i]) of a block of
-    `shape` (rows, columns).  For even order zeta^(order/2) = -1 folds
-    exponent e + order/2 into e.  Slice s of the folded array holds the
-    coefficients of zeta^exps[s], for the distinct folded exponents exps,
-    ascending; entries that meet in one (row, exponent, column) are summed
-    after one sort of their keys, none if the keys come in order (from
-    _kept_blocks at order 1 or 2).  Zero rows and columns are dropped, then
-    repeated rows, then repeated columns, on the block laid out densely in
-    the smallest dtype that holds its largest |entry|: none of these changes
-    the rank over Q(zeta) or modulo any prime, and merging equal columns
-    makes no two rows equal.  Returned: the folded array, exps, and the row
-    of the block that each folded row came from.
-    """
-    half = order // 2 if order % 2 == 0 else order
-    value = data.astype(np.int64)
-    np.negative(value, out=value, where=expo >= half)
-    if half == 1:
-        exps, slot = np.zeros(1, dtype=np.int64), 0
-    else:
-        folded = expo.astype(np.int64) % half
-        exps = np.sort(folded)
-        exps = exps[np.diff(exps, prepend=-1) != 0]
-        slot = np.searchsorted(exps, folded)
-    key = (rows * exps.size + slot) * shape[1] + cols
-    if (key[1:] < key[:-1]).any():
-        by = np.argsort(key)
-        key, value = key[by], value[by]
-    # entries that meet in one (row, exponent, column) are summed, and zero sums dropped
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    if start.size < key.size:
-        key, value = key[start], np.add.reduceat(value, start)
-    nonzero = value != 0
-    key, value = key[nonzero], value[nonzero]
-    if not key.size:
-        return np.zeros((0, 0, 0), dtype=np.int8), exps[:0], exps[:0]
-    # laid out (row, exponent, column) on the nonzero rows and columns, so that each row is one contiguous slice
-    row, col = np.divmod(key, shape[1])
-    row, slot = np.divmod(row, exps.size)
-    new_row = np.concatenate(([True], row[1:] != row[:-1]))
-    kept_col = np.zeros(shape[1], dtype=bool)
-    kept_col[col] = True
-    col_at = np.cumsum(kept_col) - 1
-    shape = (int(np.count_nonzero(new_row)), exps.size, int(col_at[-1]) + 1)
-    block = np.zeros(math.prod(shape), dtype=np.min_scalar_type(-int(np.abs(value).max()) - 1))
-    block[((np.cumsum(new_row) - 1) * exps.size + slot) * shape[2] + col_at[col]] = value
-    block, origin = _distinct(block.reshape(shape))
-    block, _ = _distinct(block.transpose(2, 1, 0))
-    return block.transpose(1, 2, 0), exps, row[new_row][origin]
-
-
-def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
-    """Yield (mult, block, exps, rows) for the smallest braid orbit of every class of orbits.
-
-    The orbit's diagonal block stands for the mult orbits of its class, whose
-    blocks have its rank (see SymmetrizerMatrix).  Each block, the entries of
-    its built rows in all the columns of its orbit, is cut from `sym.entries`
-    and folded (_fold) on its own, so working memory is bounded by the
-    largest block; `rows` holds the row of `sym` that each folded row came
-    from.  Only the rows of these orbits are read.  `sym` must have built all
-    of them, or, given `below` (see _kept_rows), those whose prefix it marks.
-    """
-    ent = sym.entries
-    members = _kept_rows(sym.orbit, sym.orbit_class)
-    built = np.zeros(sym.dim, dtype=bool)
-    built[sym.rows] = True
-    if not built[members if below is None else _kept_rows(sym.orbit, sym.orbit_class, below)].all():
-        raise ValueError("the symmetrizer lacks rows of the blocks that rank reads")
-    members = members[np.argsort(sym.orbit[members], kind="stable")]
-    mults = np.bincount(sym.orbit_class)
-    # each head orbit's members are one run of members, its built rows one run of rows
-    starts = np.flatnonzero(np.diff(sym.orbit[members], prepend=-1))
-    sizes = np.diff(starts, append=members.size)
-    at_col = np.empty(sym.dim, dtype=np.int64)
-    at_col[members] = np.arange(members.size) - np.repeat(starts, sizes)
-    rows = members[built[members]]
-    row_ends = [0] + np.cumsum(built[members])[starts + sizes - 1].tolist()
-    # the entries of built row i are ent[lo[i]:lo[i] + lens[i]], entry j of a run of rows is ent[j + shift[i]]
-    lo = np.searchsorted(ent.row, rows.astype(ent.row.dtype))
-    lens = np.searchsorted(ent.row, (rows + 1).astype(ent.row.dtype)) - lo
-    ends = np.concatenate(([0], np.cumsum(lens)))
-    shift = lo - ends[:-1]
-    ends = ends.tolist()
-    for mult, r0, r1, n_cols in zip(mults[mults > 0].tolist(), row_ends, row_ends[1:], sizes.tolist()):
-        idx = np.repeat(shift[r0:r1], lens[r0:r1]) + np.arange(ends[r0], ends[r1])
-        local = np.repeat(np.arange(r1 - r0), lens[r0:r1])
-        shape = (r1 - r0, n_cols)
-        block, exps, origin = _fold(local, at_col[ent.col[idx]], ent.expo[idx], ent.data[idx], shape, sym.order)
-        yield mult, block, exps, rows[r0 + origin]
-
-
-def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """In-place Gaussian elimination over F_p on an int64 matrix (entries in [0, p)).
-
-    Returns the rows of `a` that it pivots on: they are independent mod p,
-    and their number is the rank.
-    """
-    nrows, ncols = a.shape
-    perm = np.arange(nrows)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            perm[[r, piv]] = perm[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = np.flatnonzero(a[r + 1 :, c])
-        if below.size:
-            idx = r + 1 + below
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
-        r += 1
-    return perm[:r]
-
-
-def _pivots_modp(block: np.ndarray, exps: np.ndarray, p: int, g: int) -> np.ndarray:
-    """The pivot rows mod p, with zeta mapped to g, of a folded block with its exponents (_fold).
-
-    The block is evaluated at g into one int64 array the size of the folded
-    block, slice by slice; a block that is zero mod p has no pivot, without
-    elimination.
-    """
-    a = np.zeros(block.shape[1:], dtype=np.int64)
-    for e, part in zip(exps.tolist(), block):
-        a += part.astype(np.int64) % p * pow(g, e, p) % p
-    a %= p
-    return _pivots_dense_modp(a, p) if a.any() else np.zeros(0, dtype=np.int64)
-
-
-def _pivots_exact(block: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray:
-    """Rows of a folded block with its exponents (_fold) that form a basis of its row space over Q(zeta), zeta of exact order `order`.
-
-    Each prime q = 1 mod order maps zeta to an element of order `order` in
-    F_q, the residue map of a degree-1 prime above q, and every rank mod q is
-    at most the rank over Q(zeta).  If the rank exceeded r, the largest rank
-    mod q seen, some minor D of order r + 1 would be nonzero and lie in a
-    prime above every q tried, so their product would divide the nonzero
-    integer N(D), the product of sigma(D) over the phi(order) embeddings
-    sigma.  By Hadamard's inequality |sigma(D)|^2 is at most the product of
-    the r + 1 largest column weights nnz * B^2, where B bounds
-    |sigma(entry)| over the column: the sum of |c_e| over the folded
-    exponents, that is of |c_e - c_(e + order/2)| over e < order/2 for even
-    order (zeta^(order/2) = -1), and of |c_e| for odd order.  Primes q are
-    taken in descending order below 2^31 until their product squared exceeds
-    that bound to the power phi(order), in integers, or until r is the
-    smaller side of the block, which then has no minor of order r + 1.  The
-    pivots of the first prime with rank r are independent mod a prime above
-    it, hence over Q(zeta), and there are r of them.  DimensionCapError if
-    the primes q = 1 mod order run out first.
-    """
-    # B per cell: the sum of |c_e| over the folded exponents
-    bound = np.abs(block).sum(axis=0, dtype=np.int64)
-    big = bound.max(axis=0, initial=0).tolist()
-    nnz = np.count_nonzero(bound, axis=0).tolist()
-    weights = sorted((n * b * b for n, b in zip(nnz, big)), reverse=True)
-    side = min(bound.shape)
-    phi = order
-    for ell in _prime_divisors(order):
-        phi -= phi // ell
-    # q starts at the least number = 1 mod order from 2^31 up, and steps down by order
-    best, product, q = np.zeros(0, dtype=np.int64), 1, _PRIME_HIGH + (1 - _PRIME_HIGH) % order
-    # no minor is larger than the smaller side of the block
-    while best.size < side and not _exceeds(product * product, math.prod(weights[: best.size + 1]), phi):
-        q -= order
-        while q > 1 and not _is_prime_u32(q):
-            q -= order
-        if q < 2:
-            raise DimensionCapError(f"too few primes q = 1 mod {order} below 2^31 to prove a rank")
-        pivots = _pivots_modp(block, exps, q, _element_of_order(q, order))
-        if pivots.size > best.size:
-            best = pivots
-        product *= q
-    return best
-
-
-def _exceeds(a: int, w: int, phi: int) -> bool:
-    """Whether a > w^phi, in integers; w^phi is not formed when its bit length alone settles it."""
-    if w > 1 and (w.bit_length() - 1) * phi >= a.bit_length():
-        return False
-    return a > w**phi
-
-
-def _kept_pivots(sym: SymmetrizerMatrix, below: np.ndarray | None = None) -> tuple[int, np.ndarray]:
-    """The proven rank of the symmetrizer and a basis of the row space of its kept blocks (_pivots_exact).
-
-    Each kept block is cut once (_kept_blocks, with `below`) and counts with
-    its class size; the pivots are rows of `sym`, in the head orbits only.
-    """
-    total, pivots = 0, [np.zeros(0, dtype=np.int64)]
-    for mult, block, exps, rows in _kept_blocks(sym, below):
-        piv = _pivots_exact(block, exps, sym.order)
-        total += mult * piv.size
-        pivots.append(rows[piv])
-    return total, np.concatenate(pivots)
-
-
-def _carry(sym: SymmetrizerMatrix, pivots: np.ndarray) -> np.ndarray:
-    """Carry the pivot rows of every head orbit to each orbit of its class, ascending.
-
-    Orbit i receives the head's pivots mapped letterwise by
-    sym.orbit_carry[i], a product of translations g_x that commute with the
-    symmetrizer, so they are as independent as the head's and as many.
-    Only row indices move.
-    """
-    k = sym.orbit_carry.shape[1]
-    reps = np.flatnonzero(sym.orbit == np.arange(sym.dim))
-    head = np.searchsorted(reps, sym.orbit[pivots])
-    pivots = pivots[np.argsort(head, kind="stable")]
-    per_head = np.bincount(head, minlength=reps.size)
-    first = np.cumsum(per_head) - per_head
-    # slot s of the result belongs to orbit[s] and takes the pivot of its head
-    # at the same place as s among the slots of orbit[s]
-    counts = per_head[sym.orbit_class]
-    orbit = np.repeat(np.arange(reps.size), counts)
-    slot = np.arange(orbit.size) - (np.cumsum(counts) - counts)[orbit]
-    src = pivots[first[sym.orbit_class[orbit]] + slot]
-    place = k ** np.arange(sym.degree, dtype=np.int64)
-    return np.sort(sym.orbit_carry[orbit[:, None], src[:, None] // place % k] @ place)
-
-
-def rank(sym: SymmetrizerMatrix, *, below: np.ndarray | None = None) -> RankCertificate:
-    """The rank of a symmetrizer matrix over Q(zeta), proven.
-
-    The matrix is block diagonal over the braid orbits of the basis (see
-    SymmetrizerMatrix), so rank is summed block by block, one block per
-    class of orbits weighted by the class size.  Every block's rank over
-    Q(zeta) is proven from its ranks modulo enough primes q = 1 mod order
-    (_pivots_exact), for every order and every block size; no random prime
-    is drawn or reported.
-
-    The certificate's pivots are a basis of the row space: the pivot rows
-    of every head block, at the prime that attains the proven rank, carried
-    to every orbit (_carry).  Given `below`, a mask of such a basis of the
-    degree below, only the kept rows whose prefix it marks need to be
-    built: row u*k + a is row u of the degree below, lifted to lane a and
-    multiplied by T_d, so those rows span every kept row.
-    """
-    value, pivots = _kept_pivots(sym, below)
-    return RankCertificate(value, "exact", (), sym.dim, sym.orbit_class.size, _carry(sym, pivots))
-
-
 class HilbertReport:
     """Per-degree ranks of the symmetrizer plus optional closed-form comparison, filled in by graded_dims."""
 
@@ -511,16 +185,16 @@ def graded_dims(
     primes disagree, that degree is proven on the symmetrizer, on every kept
     row, and tagged FALLBACK with the pair; every later degree is proven the
     same way and tagged exact.  Exact mode proves every degree so: it builds
-    only the rows that `rank` reads, those of the smallest braid orbit of
-    every class (_kept_rows) whose prefix is a pivot row of the degree below
-    (see `rank`).  The resource caps of the symmetrizer are checked for
-    max_degree before any degree is built; they grow with the degree, so
-    that covers every degree.  So is the cocycle order, which must leave two
+    only the rows that exact.rank reads, those of the smallest braid orbit
+    of every class (exact._kept_rows) whose prefix is a pivot row of the
+    degree below (see exact.rank).  The resource caps of the symmetrizer
+    are checked for max_degree before any degree is built; they grow with
+    the degree, so that covers every degree.  So is the cocycle order, which must leave two
     candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
     form is expanded through max_degree (and a bad factor rejected) before
     that too.  The translations that sort the orbits into classes do not
     depend on the degree, so they are found once, at the first proven degree
-    (braided._commuting_translations); the rows of the rack table must be
+    (exact._commuting_translations); the rows of the rack table must be
     bijections, at every max_degree, or RackAxiomError is raised before any
     degree.
     """
@@ -558,6 +232,9 @@ def graded_dims(
         elif value is not None:
             rank_d, method, used = value, CERTIFIED, primes
         else:
+            # here only, so that a run that proves no degree never compiles the k^d path
+            from .exact import _commuting_translations, _kept_rows, rank, symmetrizer
+
             if translations is None:
                 translations = _commuting_translations(q)
             sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), translations=translations)

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from racktwist import braided, hilbert, spincover
+from racktwist import braided, exact, hilbert, spincover
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import FiniteRack, Permutation, rack_to_dict, transposition_pairs
@@ -443,7 +443,7 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
 def orbit_classes_by_translation(q, degree: int, orbit: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The class and carry of every braid orbit, one translation at a time.
 
-    The translations are the rows x |> - that braided._commuting_translations
+    The translations are the rows x |> - that exact._commuting_translations
     keeps, in order.  Classes are joined by union-find over the edges from
     each orbit to its image under each translation.  The carry tree grows
     from each head level by level; within a level the translations take
@@ -453,7 +453,7 @@ def orbit_classes_by_translation(q, degree: int, orbit: np.ndarray) -> tuple[lis
     k = q.rack.size
     reps = np.flatnonzero(orbit == np.arange(orbit.size)).tolist()
     number = {v: i for i, v in enumerate(reps)}
-    phis = [list(map(int, phi)) for phi in braided._commuting_translations(q)]
+    phis = [list(map(int, phi)) for phi in exact._commuting_translations(q)]
 
     def image(phi, i):
         word = [reps[i] // k**j % k for j in range(degree)]
@@ -521,13 +521,13 @@ def unpruned_graded_dims(q: RackCocycle, max_degree: int) -> dict:
     Unlike the other oracles this one runs the package's own assembly and
     rank, so that it checks one thing only: that building each degree on
     the kept rows whose prefix is a pivot row below changes no rank.  Every
-    degree is proven on the full braided.symmetrizer(q, d), with no rows
+    degree is proven on the full exact.symmetrizer(q, d), with no rows
     chosen from the degree below; seed 0 is echoed as graded_dims echoes
     its default.
     """
     report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode="exact", seed=0)
     for d in range(max_degree + 1):
-        cert = hilbert.rank(braided.symmetrizer(q, d))
+        cert = exact.rank(exact.symmetrizer(q, d))
         report.degrees.append(d)
         report.ranks.append(cert.rank)
         report.methods.append(cert.method)

@@ -18,7 +18,7 @@ from oracles import (
     main_theorem_log,
     value_at_one,
 )
-from racktwist.braided import BraidWord, check_braid_equation, rho, strand_tables, symmetrizer
+from racktwist.braided import BraidWord, check_braid_equation, rho, strand_tables
 from racktwist.cli import main as cli_main
 from racktwist.cocycle import (
     GaugeFunction,
@@ -31,6 +31,7 @@ from racktwist.cocycle import (
     minus_one_cocycle,
     twist,
 )
+from racktwist.exact import symmetrizer
 from racktwist.hilbert import expand_closed_form, graded_dims
 from racktwist.rack import Permutation, transposition_rack
 from racktwist.spincover import (

@@ -18,7 +18,7 @@ from oracles import (
     largest_descent_word,
     support_components,
 )
-from racktwist import braided
+from racktwist import braided, exact
 from racktwist.braided import (
     braid_equation_witness,
     BraidWord,
@@ -26,11 +26,10 @@ from racktwist.braided import (
     check_braid_equation,
     rho,
     strand_tables,
-    symmetrizer,
 )
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist.errors import DimensionCapError, RackAxiomError
-from racktwist.hilbert import _kept_rows
+from racktwist.exact import _kept_rows, symmetrizer
 from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
 
 X3 = transposition_rack(3)
@@ -389,7 +388,7 @@ class TestSendData:
             inv, add = send_tables(q, d)
             columns = np.arange(k**d)
             base = columns * 7 % m
-            sends, expo = braided._sends(columns // k, columns % k, base, d, k, inverse)
+            sends, expo = exact._sends(columns // k, columns % k, base, d, k, inverse)
             assert np.array_equal(sends, inv)
             assert np.array_equal((expo - base[:, None]) % m, add)
 
@@ -401,4 +400,4 @@ class TestSendData:
             symmetrizer(q, degree)
         assert isinstance(raised.value, RackAxiomError)
         with pytest.raises(RackAxiomError, match=r"^non-bijective-row at \(0,\)"):
-            braided._commuting_translations(q)
+            exact._commuting_translations(q)

@@ -708,6 +708,25 @@ def test_spin_cover_runs_do_not_load_numpy_ma(argv):
     assert run_child(code).splitlines()[-1] == "False"
 
 
+def test_cli_import_does_not_load_the_exact_path():
+    # the k^d proven-rank path is compiled only by a run that proves a degree
+    assert run_child("import sys, racktwist.cli; print('racktwist.exact' in sys.modules)").strip() == "False"
+
+
+HILBERT_X4_D5 = ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "5"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (HILBERT_X4_D5, False),
+    (["twist-verify", "--n", "4"], False),
+    (["selfcheck", "--n-max", "3"], False),
+    (HILBERT_X4_D5 + ["--mode", "exact"], True),
+], ids=["hilbert-modular", "twist-verify", "selfcheck", "hilbert-exact"])
+def test_only_proven_runs_load_the_exact_path(argv, loaded):
+    code = f"import sys; from racktwist.cli import main; print(main({argv!r}), 'racktwist.exact' in sys.modules)"
+    assert run_child(code).splitlines()[-1] == f"0 {loaded}"
+
+
 def test_hilbert_memory_does_not_grow_with_the_order(tmp_path):
     # order 2^20 on x3: every structure grows with the entries, not with the
     # order, so the run fits a 1 GiB address space and a minute

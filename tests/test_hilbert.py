@@ -23,26 +23,28 @@ from oracles import (
     value_at_one,
 )
 from racktwist import braided
-from racktwist.braided import symmetrizer
+from racktwist import exact as exact_mod
 from racktwist.cocycle import RackCocycle, check_twist_condition, chi_cocycle, constant_cocycle, minus_one_cocycle, twist
-from racktwist import hilbert as hilbert_mod
 from racktwist.errors import DimensionCapError
-from racktwist.hilbert import (
-    CERTIFIED,
-    FALLBACK,
+from racktwist.exact import (
     _carry,
-    _draw_prime,
-    _element_of_order,
     _fold,
-    _is_prime_u32,
     _kept_pivots,
     _kept_rows,
     _pivots_dense_modp,
     _pivots_exact,
     _pivots_modp,
+    rank,
+    symmetrizer,
+)
+from racktwist.hilbert import (
+    CERTIFIED,
+    FALLBACK,
+    _draw_prime,
+    _element_of_order,
+    _is_prime_u32,
     expand_closed_form,
     graded_dims,
-    rank,
 )
 from racktwist.rack import FiniteRack, check_rack_axioms, transposition_rack
 from racktwist.spincover import phi_psi_table
@@ -54,7 +56,7 @@ M1_X4 = minus_one_cocycle(X4)
 
 
 def fold_one(cells, expo, data, shape, order):
-    """hilbert._fold on a block whose entries stand at row-major cells: (block, exps, origin)."""
+    """exact._fold on a block whose entries stand at row-major cells: (block, exps, origin)."""
     rows, cols = np.divmod(cells, shape[1])
     return _fold(rows, cols, expo, data, shape, order)
 
@@ -139,7 +141,7 @@ def planted_counts(rng, m, n):
 
 
 def count_parts(counts, stride=1):
-    """(cells, expo, data, shape) as in hilbert._kept_blocks for a dense (m, n, n) count tensor.
+    """(cells, expo, data, shape) as in exact._kept_blocks for a dense (m, n, n) count tensor.
 
     Class e of the tensor stands for zeta^(e * stride), zeta of order m * stride,
     and exponents take the dtype that symmetrizer gives that order.
@@ -263,7 +265,7 @@ class TestPrimeMachinery:
                 _pivots_exact(block, np.zeros(1, dtype=np.int64), order)
 
     def test_order_checked_before_any_degree(self, monkeypatch):
-        monkeypatch.setattr(hilbert_mod, "symmetrizer", lambda *args, **kwargs: pytest.fail("built a degree"))
+        monkeypatch.setattr(exact_mod, "symmetrizer", lambda *args, **kwargs: pytest.fail("built a degree"))
         for order in (3_000_000_000, 1_500_000_000):
             for mode in ("modular", "exact"):
                 with pytest.raises(DimensionCapError, match="order"):
@@ -313,8 +315,8 @@ class TestRankKernels:
         # exists, so one prime proves it; the Hadamard bound raised to
         # phi(2^20) = 2^19 is never met by the primes = 1 mod 2^20 below 2^31
         calls = []
-        real = hilbert_mod._pivots_modp
-        monkeypatch.setattr(hilbert_mod, "_pivots_modp", lambda *args: calls.append(args) or real(*args))
+        real = exact_mod._pivots_modp
+        monkeypatch.setattr(exact_mod, "_pivots_modp", lambda *args: calls.append(args) or real(*args))
         mat = np.array([[5, 7, 9], [1, 2, 3]], dtype=np.int8)
         for a in (mat, mat.T):
             calls.clear()
@@ -325,8 +327,8 @@ class TestRankKernels:
         # entries up to 128 = the largest count: the column bound must hold
         # 128 itself, not wrap in int8.  The first prime is forced one rank
         # lower; the honest bound (4 * 128^2)^4 > (2^31 - 1)^2 asks for more
-        real = hilbert_mod._pivots_dense_modp
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(real, 2**31 - 1, -1))
+        real = exact_mod._pivots_dense_modp
+        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", shifted_kernel(real, 2**31 - 1, -1))
         mat = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
         assert exact_rank(square_block(mat), 1) == 4
 
@@ -468,7 +470,7 @@ class TestRank:
 
     def test_proof_cuts_each_block_once(self, monkeypatch):
         passes = []
-        real = hilbert_mod._kept_blocks
+        real = exact_mod._kept_blocks
 
         def counting(sym, below=None):
             passes.append(0)
@@ -476,7 +478,7 @@ class TestRank:
                 passes[-1] += 1
                 yield block
 
-        monkeypatch.setattr(hilbert_mod, "_kept_blocks", counting)
+        monkeypatch.setattr(exact_mod, "_kept_blocks", counting)
         sym = symmetrizer(chi_cocycle(4), 4)
         cert = rank(sym)
         assert cert.method == "exact" and cert.primes == ()
@@ -509,13 +511,13 @@ class TestRank:
         # one prime, so the largest rank seen is still the rank
         first = 2**31 - 1
         tried = []
-        low = shifted_kernel(hilbert_mod._pivots_dense_modp, first, -1)
+        low = shifted_kernel(exact_mod._pivots_dense_modp, first, -1)
 
         def recording(a, p):
             tried.append(p)
             return low(a, p)
 
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", recording)
+        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", recording)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 4)
         assert rank(sym).rank == 50
         assert tried[0] == first and all(p % 3 == 1 for p in tried)
@@ -573,8 +575,8 @@ CLASS_CASES = {
 
 
 def _ranks_without_classes(monkeypatch, q, degrees, translations):
-    """Proven ranks with the translation list of braided forced to `translations(q)`."""
-    monkeypatch.setattr(braided, "_commuting_translations", translations)
+    """Proven ranks with the translation list of exact forced to `translations(q)`."""
+    monkeypatch.setattr(exact_mod, "_commuting_translations", translations)
     ranks = [rank(symmetrizer(q, d)).rank for d in degrees]
     monkeypatch.undo()
     return ranks
@@ -600,7 +602,7 @@ class TestOrbitClasses:
         heads = np.flatnonzero(cls == np.arange(cls.size))
         weighted = sum(int((cls == h).sum()) * int(ranks[h]) for h in heads)
         assert weighted == int(ranks.sum())
-        assert hilbert_mod._kept_pivots(sym)[0] == weighted
+        assert exact_mod._kept_pivots(sym)[0] == weighted
 
     @pytest.mark.parametrize("name", ["x3-m1", "x3-const31", "x3-const43", "x4-chi", "x5-m1"])
     @pytest.mark.parametrize("degree", [2, 3, 4])
@@ -611,8 +613,8 @@ class TestOrbitClasses:
         heads = np.flatnonzero(sym.orbit_class == np.arange(sym.orbit_class.size))
         every = orbit_count_blocks(sym)
         counts = [every[h] for h in heads]
-        pruned = symmetrizer(q, degree, rows=hilbert_mod._kept_rows)
-        blocks = [(block, exps) for _, block, exps, _ in hilbert_mod._kept_blocks(pruned)]
+        pruned = symmetrizer(q, degree, rows=exact_mod._kept_rows)
+        blocks = [(block, exps) for _, block, exps, _ in exact_mod._kept_blocks(pruned)]
         assert [b.shape[1:] for b, _ in blocks] == [distinct_nonzero_lines(c, q.order) for c in counts]
         rng = random.Random(degree)
         p1 = _draw_prime(rng, q.order, set())
@@ -640,14 +642,13 @@ class TestOrbitClasses:
 
     def test_graded_dims_finds_the_translations_once(self, monkeypatch):
         calls = []
-        real = braided._commuting_translations
+        real = exact_mod._commuting_translations
 
         def counting(q):
             calls.append(q)
             return real(q)
 
-        monkeypatch.setattr(braided, "_commuting_translations", counting)
-        monkeypatch.setattr(hilbert_mod, "_commuting_translations", counting)
+        monkeypatch.setattr(exact_mod, "_commuting_translations", counting)
         assert graded_dims(chi_cocycle(4), 5, mode="exact").ranks == [1, 6, 19, 42, 71, 96]
         assert len(calls) == 1
         # the modular ranks build no symmetrizer, so they need no translation
@@ -659,7 +660,7 @@ class TestOrbitClasses:
         cls = sym.orbit_class
         assert cls.size == 214
         assert int((cls == np.arange(cls.size)).sum()) == 10
-        mults = [mult for mult, _, _, _ in hilbert_mod._kept_blocks(sym)]
+        mults = [mult for mult, _, _, _ in exact_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
         assert rank(sym).n_components == 214
 
@@ -671,7 +672,7 @@ class TestOrbitClasses:
         for x in range(6):
             phi = op[x]
             assert any(ex[phi[y]][phi[z]] != ex[y][z] for y in range(6) for z in range(6))
-        assert len(braided._commuting_translations(chi)) == 6
+        assert len(exact_mod._commuting_translations(chi)) == 6
         sym = symmetrizer(chi, 5)
         assert sym.orbit_class.size == 42
         assert int((sym.orbit_class == np.arange(42)).sum()) == 6
@@ -683,7 +684,7 @@ class TestOrbitClasses:
         exp = [list(row) for row in chi_cocycle(4).exp]
         exp[0][1] ^= 1
         q = RackCocycle(X4, 2, tuple(map(tuple, exp)))
-        assert braided._commuting_translations(q) == []
+        assert exact_mod._commuting_translations(q) == []
         honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
         assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
         forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
@@ -694,7 +695,7 @@ class TestOrbitClasses:
         r = FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2)))
         assert not check_rack_axioms(r).ok
         q = minus_one_cocycle(r)
-        assert len(braided._commuting_translations(q)) == 1
+        assert len(exact_mod._commuting_translations(q)) == 1
         honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
         assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
         forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
@@ -755,7 +756,7 @@ class TestPivots:
         # the first prime tried is forced one rank low, on a block whose bound asks
         # for a second prime (as in test_exact_bound_holds_at_a_dtype_edge):
         # the pivots come from the prime that attains the rank
-        monkeypatch.setattr(hilbert_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
+        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
         counts = np.zeros((order, 5, 5), dtype=np.int64)
         counts[0, 1:, 1:] = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
         block, exps, origin = fold_one(*count_parts(counts), order)
@@ -848,13 +849,13 @@ class TestGradedDims:
 
     def test_cap_checked_before_any_degree(self, monkeypatch):
         built = []
-        real = hilbert_mod.symmetrizer
+        real = exact_mod.symmetrizer
 
         def counting(q, degree, *args, **kwargs):
             built.append(degree)
             return real(q, degree, *args, **kwargs)
 
-        monkeypatch.setattr(hilbert_mod, "symmetrizer", counting)
+        monkeypatch.setattr(exact_mod, "symmetrizer", counting)
         with pytest.raises(DimensionCapError) as err:
             graded_dims(chi_cocycle(4), 7)
         assert built == []
@@ -864,15 +865,14 @@ class TestGradedDims:
         # graded_dims builds only the kept rows whose prefix is a pivot row below;
         # the unpruned oracle builds every row, and both give the same report
         built = []
-        real = braided.symmetrizer
+        real = exact_mod.symmetrizer
 
         def recording(q, degree, *args, **kwargs):
             sym = real(q, degree, *args, **kwargs)
             built.append((degree, sym.rows.size, sym.dim))
             return sym
 
-        monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
-        monkeypatch.setattr(braided, "symmetrizer", recording)
+        monkeypatch.setattr(exact_mod, "symmetrizer", recording)
         q = CLASS_CASES["x5-m1"]
         pruned = graded_dims(q, 4, mode="exact")
         assert built == [(2, 6, 100), (3, 20, 1000), (4, 90, 10000)]
@@ -905,14 +905,14 @@ class TestGradedDims:
         p2 = _draw_prime(rng, 2, {p1})
         disagree_at(monkeypatch, 3)
         built = []
-        real = hilbert_mod.symmetrizer
+        real = exact_mod.symmetrizer
 
         def recording(q, degree, *args, **kwargs):
             sym = real(q, degree, *args, **kwargs)
             built.append((degree, sym.rows.size, _kept_rows(sym.orbit, sym.orbit_class).size))
             return sym
 
-        monkeypatch.setattr(hilbert_mod, "symmetrizer", recording)
+        monkeypatch.setattr(exact_mod, "symmetrizer", recording)
         report = graded_dims(chi_cocycle(4), 4)
         assert report.ranks == [1, 6, 19, 42, 71]
         assert report.methods == ["exact", "exact", CERTIFIED, FALLBACK, "exact"]
