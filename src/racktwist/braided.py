@@ -3,108 +3,72 @@
 The braiding c(x (x) y) = q_{x,y} (x|>y) (x) x is a monomial operator: it
 permutes basis vectors of X^(x)n and multiplies by unit scalars.  All braid
 group images are therefore stored as (target permutation, exponent vector)
-pairs.  The resource caps of a degree are checked here; the quantum
-symmetrizer that they bound, which only proven ranks build, is assembled in
-racktwist.exact.
+pairs, one row per word of a batch (rho).  The resource caps of a degree
+are checked here; the quantum symmetrizer that they bound, which only
+proven ranks build, is assembled in racktwist.exact.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
-from .cocycle import RackCocycle
+from .cocycle import RackCocycle, minus_one_cocycle
 from .errors import DimensionCapError, RackAxiomError
-from .rack import ReadOnly
+from .rack import lex_reduced_words, transposition_rack
 
 DEFAULT_DIM_CAP = 200_000
 
 
-class MonomialOperator:
-    """An invertible monomial operator: basis v maps to zeta_order^expo[v] * basis target[v]; equal by action."""
+def strand_tables(q: RackCocycle, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, expo) arrays of shape (degree, k^degree): row i >= 1 is the strand-local braiding of letter i.
 
-    __slots__ = ("dim", "order", "target", "expo")
-
-    def __init__(self, dim: int, order: int, target: np.ndarray, expo: np.ndarray):
-        self.dim, self.order, self.target, self.expo = dim, order, target, expo
-
-    @staticmethod
-    def identity(dim: int, order: int) -> MonomialOperator:
-        return MonomialOperator(
-            dim, order, np.arange(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
-        )
-
-    def compose(self, other: MonomialOperator) -> MonomialOperator:
-        """self after other: (self o other).target[v] = self.target[other.target[v]]."""
-        if self.dim != other.dim or self.order != other.order:
-            raise ValueError("operator shape/order mismatch")
-        return MonomialOperator(
-            self.dim,
-            self.order,
-            self.target[other.target],
-            (other.expo + self.expo[other.target]) % self.order,
-        )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialOperator)
-            and self.dim == other.dim
-            and self.order == other.order
-            and np.array_equal(self.target, other.target)
-            and np.array_equal(self.expo % self.order, other.expo % other.order)
-        )
-
-
-class BraidWord(ReadOnly):
-    """A positive word in braid generators 1..n-1 on n strands."""
-
-    __slots__ = ("n", "letters")
-
-    def __init__(self, n: int, letters: tuple[int, ...]):
-        for i in letters:
-            if not 1 <= i <= n - 1:
-                raise ValueError(f"letter {i} out of range 1..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "letters", letters)
-
-
-def strand_tables(q: RackCocycle, degree: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-letter (target, expo) arrays for the strand-local braiding at this degree."""
+    Row 0 is the identity with zero exponents, so letter 0 pads a short word in rho.
+    """
     k = q.rack.size
     op = np.array(q.rack.op, dtype=np.int64)
     ex = np.array(q.exp, dtype=np.int64)
     v = np.arange(k**degree, dtype=np.int64)
-    tables = []
-    for letter in range(1, degree):
-        hi = k ** (degree - letter)      # place value of the left factor of the pair
-        lo = hi // k
-        x = (v // hi) % k
-        y = (v // lo) % k
-        target = v + (op[x, y] - x) * hi + (x - y) * lo
-        tables.append((target, ex[x, y]))
-    return tables
+    hi = k ** np.arange(degree - 1, 0, -1, dtype=np.int64)[:, None]  # place value of letter i's left factor
+    lo = hi // k
+    x = (v // hi) % k
+    y = (v // lo) % k
+    return np.vstack([v, v + (op[x, y] - x) * hi + (x - y) * lo]), np.vstack([0 * v, ex[x, y]])
 
 
-def rho(word: BraidWord, q: RackCocycle, degree: int, tables: list) -> MonomialOperator:
-    """The braid representation image of a positive word on X^(x)degree.
+def rho(words, q: RackCocycle, degree: int, tables: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The braid images of positive words on X^(x)degree, as (target, expo) arrays of shape (m, k^degree).
 
-    tables must be strand_tables(q, degree); a caller builds them once and
-    shares them between its calls, and nothing keeps them alive after it.
+    words is an (m, l) array of letters 1..degree-1, a shorter word padded
+    with letter 0, the identity; rho(words[r]) maps basis v to
+    zeta_order^expo[r, v] * basis target[r, v], 0 <= expo < order.  A single
+    word is a one-row call.  Each letter column is one gather of every row
+    through the flat strand_tables(q, degree), which a caller builds once
+    per degree.
     """
-    if word.n != degree:
-        raise ValueError(f"word is on {word.n} strands but degree is {degree}")
+    words = np.asarray(words, dtype=np.intp)
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if words.size and not 0 <= words.min() <= words.max() < degree:
+        raise ValueError(f"letters must lie in 1..{degree - 1}, with 0 as padding")
     dim = q.rack.size**degree
     if dim > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
-    out = MonomialOperator.identity(dim, q.order)
-    for i in word.letters:
-        tgt, ex = tables[i - 1]
-        # right-compose with the generator: apply it first
-        out = MonomialOperator(dim, q.order, out.target[tgt], (ex + out.expo[tgt]) % q.order)
-    return out
+    steps, gains = (table.ravel() for table in tables)
+    # exponents are reduced once at the end, unless l of them could overflow int64
+    reduce_each = (q.order - 1) * words.shape[1] >= 2**63
+    target = np.tile(np.arange(dim, dtype=np.int64), (len(words), 1))
+    expo = np.zeros_like(target)
+    # left-compose with the generators, from the last letter to the first: each is applied last
+    for shift in words.T[::-1, :, None] * dim:
+        at = target + shift
+        target = steps.take(at)
+        expo += gains.take(at)
+        if reduce_each:
+            expo %= q.order
+    return target, expo % q.order
 
 
 def check_braid_equation(q: RackCocycle) -> bool:
@@ -114,15 +78,56 @@ def check_braid_equation(q: RackCocycle) -> bool:
 
 def braid_equation_witness(q: RackCocycle) -> list[int] | None:
     """The first basis triple x (x) y (x) z of X^(x)3 where the two sides of the braid equation differ, or None."""
-    tables = strand_tables(q, 3)
-    a = rho(BraidWord(3, (1,)), q, 3, tables)
-    b = rho(BraidWord(3, (2,)), q, 3, tables)
-    left, right = a.compose(b).compose(a), b.compose(a).compose(b)
-    bad = np.flatnonzero((left.target != right.target) | ((left.expo - right.expo) % q.order != 0))
+    target, expo = rho([[1, 2, 1], [2, 1, 2]], q, 3, strand_tables(q, 3))
+    bad = np.flatnonzero((target[0] != target[1]) | (expo[0] != expo[1]))
     if not bad.size:
         return None
     k, v = q.rack.size, int(bad[0])
     return [v // (k * k), v // k % k, v % k]
+
+
+# verify_matsumoto's draws, and its largest degree (3^7 columns on x3)
+_MATSUMOTO_DRAWS = 200
+_MATSUMOTO_DEGREE_CAP = 7
+
+
+def verify_matsumoto(n_max: int, seed: int) -> tuple[bool, dict | None]:
+    """Whether two reduced words of each drawn sigma have one rho under -1 on x3, and the first failure in draw order.
+
+    random.Random(seed) draws 200 permutations, a randint(2, min(n_max, 7))
+    degree n and a shuffle of 1..n each.  Each distinct one is checked once,
+    on its lex word and on the lex word of w0 sigma w0 with i read as n - i
+    (conjugation by w0 maps s_i to s_{n-i}); a degree's words go through one
+    rho call.  The witness is {"sigma": image, "words": [lex, other]}.
+    """
+    q = minus_one_cocycle(transposition_rack(3))
+    rng = random.Random(seed)
+    drawn = {}  # the distinct images, in draw order
+    for _ in range(_MATSUMOTO_DRAWS):
+        img = list(range(1, rng.randint(2, min(n_max, _MATSUMOTO_DEGREE_CAP)) + 1))
+        rng.shuffle(img)
+        drawn.setdefault(tuple(img))
+    sigmas = list(drawn)
+    failures = []
+    for n in sorted({len(s) for s in sigmas}):
+        at = [t for t, s in enumerate(sigmas) if len(s) == n]
+        m = len(at)
+        images = np.array([sigmas[t] for t in at])
+        # rows m.. are w0 sigma w0; their lex words, letters read as n - i, are the second words
+        letters, lengths = lex_reduced_words(np.concatenate([images, n + 1 - images[:, ::-1]]))
+        cut = lengths[:m].sum()
+        letters[cut:] = n - letters[cut:]
+        words = np.zeros((2 * m, lengths.max()), dtype=np.intp)
+        words[np.arange(words.shape[1]) < lengths[:, None]] = letters
+        target, expo = rho(words, q, n, strand_tables(q, n))
+        bad = (lengths[:m] != lengths[m:]) | (target[:m] != target[m:]).any(axis=1) | (expo[:m] != expo[m:]).any(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            failures.append((at[r], words[r, : lengths[r]].tolist(), words[m + r, : lengths[m + r]].tolist()))
+    if not failures:
+        return True, None
+    t, lex, alt = min(failures)
+    return False, {"sigma": list(sigmas[t]), "words": [lex, alt]}
 
 
 def _min_labels(label: np.ndarray, maps: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
@@ -446,34 +445,7 @@ def cmd_selfcheck(args) -> int:
                 lambda q=q: braided.braid_equation_witness(q),
             )
 
-    def matsumoto_independence():
-        """Two reduced words of each drawn sigma give one rho; the witness is sigma and its words."""
-        rng = random.Random(args.seed)
-        base = cocycle_mod.minus_one_cocycle(rack_mod.transposition_rack(3))
-        seen = set()  # the verdict per sigma is deterministic, so each is checked once
-        tables = {}  # strand tables per degree, built once for every rho of that degree
-        for _ in range(200):
-            n = rng.randint(2, min(n_max, 7))
-            img = list(range(1, n + 1))
-            rng.shuffle(img)
-            if tuple(img) in seen:
-                continue
-            seen.add(tuple(img))
-            sigma = rack_mod.Permutation(tuple(img))
-            lex = sigma.lex_reduced_word()
-            # conjugation by w0 maps s_i to s_{n-i}, so this is another reduced word of sigma
-            w0 = rack_mod.Permutation(tuple(range(n, 0, -1)))
-            alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
-            if n not in tables:
-                tables[n] = braided.strand_tables(base, n)
-            if len(alt) != len(lex) or (
-                braided.rho(braided.BraidWord(n, lex), base, n, tables[n])
-                != braided.rho(braided.BraidWord(n, alt), base, n, tables[n])
-            ):
-                return False, {"sigma": list(sigma.image), "words": [list(lex), list(alt)]}
-        return True, None
-
-    run("matsumoto word-independence", matsumoto_independence, "matsumoto_witness")
+    run("matsumoto word-independence", lambda: braided.verify_matsumoto(n_max, args.seed), "matsumoto_witness")
 
     ok = all(c["ok"] for c in checks)
     report = {
@@ -530,7 +502,8 @@ COMMANDS = (
     )),
     ("selfcheck", cmd_selfcheck, "run the aggregated internal verification suite", (
         ("--n-max", dict(type=int, default=6)),
-        ("--trials", dict(type=int, default=200)),
+        ("--trials", dict(type=int, default=200,
+                          help="random conjugation words per n; the Matsumoto check always draws 200 permutations")),
         _SEED,
         ("--inject-fault", dict(choices=("generator",), help=argparse.SUPPRESS)),
         _OUT,

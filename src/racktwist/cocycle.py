@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
     ReadOnly,
+    ValueRecord,
     json_count,
     json_field,
     json_table,
@@ -91,11 +91,14 @@ class TwistTable(ReadOnly):
         return hash((self.rack, self.order, self.phi))
 
 
-class CocycleReport(NamedTuple):
+class CocycleReport(ValueRecord):
     """Outcome of a cocycle or twist-condition check with the first bad triple."""
 
-    ok: bool
-    witness: tuple[int, int, int] | None = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple[int, int, int] | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
 
 
 def constant_cocycle(r: FiniteRack, m: int, e: int) -> RackCocycle:

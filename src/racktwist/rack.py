@@ -10,7 +10,6 @@ indices and any group-theoretic meaning lives in the labels.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +26,25 @@ class ReadOnly:
         raise AttributeError(f"{type(self).__name__} is read-only")
 
     __delattr__ = __setattr__
+
+
+class ValueRecord(ReadOnly):
+    """A ReadOnly record that is equal and hashed by its fields, the names in its __slots__."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
 
 class Permutation(ReadOnly):
@@ -179,12 +197,15 @@ class FiniteRack(ReadOnly):
         return len(self.op)
 
 
-class RackAxiomReport(NamedTuple):
+class RackAxiomReport(ValueRecord):
     """Outcome of check_rack_axioms; witness pins the first violation found."""
 
-    ok: bool
-    kind: str | None = None  # "non-bijective-row" | "not-self-distributive"
-    witness: tuple[int, ...] | None = None
+    __slots__ = ("ok", "kind", "witness")
+
+    def __init__(self, ok: bool, kind: str | None = None, witness: tuple[int, ...] | None = None):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "kind", kind)  # "non-bijective-row" | "not-self-distributive"
+        object.__setattr__(self, "witness", witness)
 
 
 def check_rack_axioms(r: FiniteRack) -> RackAxiomReport:

@@ -248,6 +248,33 @@ _LEMMA_CHUNK = 1024
 _MAX_WORD_LENGTH = 20
 
 
+def _uniform(getrandbits, bound: int, count: int) -> np.ndarray:
+    """count values uniform in 0..bound-1: w-bit fields of getrandbits blocks, w = (bound - 1).bit_length(), with rejection.
+
+    For the need values still missing a block holds 2 * need fields, read
+    from the lowest bits up; fields below bound are kept, the rest and any
+    values past count are dropped.
+    """
+    width = (bound - 1).bit_length()
+    powers = 1 << np.arange(width, dtype=np.int64)
+    out = np.empty(0, dtype=np.int64)
+    while out.size < count:
+        fields = 2 * (count - out.size)
+        block = np.frombuffer(getrandbits(width * fields).to_bytes((width * fields + 7) // 8, "little"), dtype=np.uint8)
+        values = np.unpackbits(block, bitorder="little")[: width * fields].reshape(fields, width) @ powers
+        out = np.concatenate([out, values[values < bound]])
+    return out[:count]
+
+
+def _lemma_draws(getrandbits, n: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of random trials of verify_conjugation_lemmas: (words, lengths, i, j), words padded with 0."""
+    lengths = _uniform(getrandbits, _MAX_WORD_LENGTH + 1, size)
+    words = np.zeros((size, lengths.max()), dtype=np.intp)
+    words[np.arange(words.shape[1]) < lengths[:, None]] = _uniform(getrandbits, n - 1, int(lengths.sum())) + 1
+    a, b = np.divmod(_uniform(getrandbits, n * (n - 1), size), n - 1)
+    return words, lengths, a + 1, b + 1 + (b >= a)
+
+
 def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
     """Exhaustively check s_k |> [i j] = [s_k(i) s_k(j)] z, then random-word conjugation.
 
@@ -264,8 +291,12 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
     the first, and the result must equal (-1)^l times the vector of
     [w(i) w(j)] exactly.  The exhaustive part is every letter against every
     pair, as words of one letter; the random words come in chunks of
-    _LEMMA_CHUNK, each decided as one (chunk, n) array, and are drawn from
-    random.Random(seed) in the order length, letters, i, j.
+    _LEMMA_CHUNK, each decided as one (chunk, n) array.  A chunk draws in
+    bulk from the getrandbits of random.Random(seed), by _uniform
+    (_lemma_draws): first the chunk's lengths in 0..20, then all its letters
+    in 1..n-1, word after word, then one index per word in 0..n(n-1)-1 of
+    its ordered pair (i, j), with i = index // (n-1) + 1 and j the
+    (index % (n-1) + 1)-th point other than i.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -296,25 +327,12 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
     i, j = np.nonzero(~np.eye(n, dtype=bool))  # every ordered pair, in lexicographic order
     i, j = np.tile(i + 1, n - 1), np.tile(j + 1, n - 1)
     witness = first_failure(np.repeat(letters, n * (n - 1))[:, None], np.ones(len(i), dtype=np.intp), i, j)
-    rng = random.Random(seed)
-    randint = rng.randint
+    getrandbits = random.Random(seed).getrandbits
     done = 0
     while witness is None and done < trials:
         size = min(_LEMMA_CHUNK, trials - done)
         done += size
-        lengths, drawn, firsts, seconds = [], [], [], []
-        for _ in range(size):
-            l = randint(0, _MAX_WORD_LENGTH)
-            lengths.append(l)
-            drawn += [randint(1, n - 1) for _ in range(l)]
-            a = randint(1, n)
-            b = randint(1, n - 1)
-            firsts.append(a)
-            seconds.append(b + (b >= a))
-        lengths = np.array(lengths, dtype=np.intp)
-        words = np.zeros((size, lengths.max()), dtype=np.intp)
-        words[np.arange(words.shape[1]) < lengths[:, None]] = drawn
-        witness = first_failure(words, lengths, np.array(firsts), np.array(seconds))
+        witness = first_failure(*_lemma_draws(getrandbits, n, size))
     return witness is None, witness
 
 

@@ -16,10 +16,13 @@ time, with no section at all.  The conjugation lemmas
 have conjugation_lemmas_by_clifford, which expands every lift in the
 Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
-the package decides a batch of words at once.  The brackets [i j] have
-bracket, which expands their defining Clifford recursion where the package
-reflects integer vectors, and the exhaustive group-cocycle check has
-group_cocycle_first_failure, a loop over triples.  The transposition rack, chi
+the package decides a batch of words at once; both draw their words one
+Python int at a time by lemma_draws, where the package unpacks bit blocks
+with numpy.  The Matsumoto check has matsumoto_per_sigma, which calls rho
+once per word where the package calls it once per degree.  The brackets
+[i j] have bracket, which expands their defining Clifford recursion where
+the package reflects integer vectors, and the exhaustive group-cocycle
+check has group_cocycle_first_failure, a loop over triples.  The transposition rack, chi
 and the twisted cocycle have loops over pairs and Permutation objects where
 the package reads integer arrays.  The assembly's send data has
 send_tables, which composes the package's strand tables over the whole
@@ -27,7 +30,9 @@ basis where the package walks the letters of each column on k x k tables,
 and the carry of the orbit classes has orbit_classes_by_translation, which
 grows the breadth-first tree one translation at a time.  The one exception
 is unpruned_graded_dims, which reruns the package's proven ranks on every
-row of every degree.
+row of every degree.  The braid images of single words are MonomialOperator
+objects, and BraidWord checks a word's letters; the package keeps only
+batches of (target, expo) rows.
 """
 
 from __future__ import annotations
@@ -43,9 +48,9 @@ from functools import lru_cache
 import numpy as np
 
 from racktwist import braided, exact, hilbert, spincover
-from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle
+from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle, minus_one_cocycle
 from racktwist.errors import SectionConsistencyError
-from racktwist.rack import FiniteRack, Permutation, rack_to_dict, transposition_pairs
+from racktwist.rack import FiniteRack, Permutation, ReadOnly, rack_to_dict, transposition_pairs, transposition_rack
 from racktwist.spincover import CliffordElement, GroupCocycleBit
 
 
@@ -340,13 +345,100 @@ def dense_modp_matrix(sym, p: int, g: int) -> np.ndarray:
     return sum(counts[e] * pow(g, e, p) for e in range(sym.order)) % p
 
 
+class MonomialOperator:
+    """An invertible monomial operator: basis v maps to zeta_order^expo[v] * basis target[v]; equal by action.
+
+    One row of braided.rho as an object that composes, where the package
+    keeps a batch of (target, expo) rows.
+    """
+
+    __slots__ = ("dim", "order", "target", "expo")
+
+    def __init__(self, dim: int, order: int, target: np.ndarray, expo: np.ndarray):
+        self.dim, self.order, self.target, self.expo = dim, order, target, expo
+
+    @staticmethod
+    def identity(dim: int, order: int) -> MonomialOperator:
+        return MonomialOperator(
+            dim, order, np.arange(dim, dtype=np.int64), np.zeros(dim, dtype=np.int64)
+        )
+
+    def compose(self, other: MonomialOperator) -> MonomialOperator:
+        """self after other: (self o other).target[v] = self.target[other.target[v]]."""
+        if self.dim != other.dim or self.order != other.order:
+            raise ValueError("operator shape/order mismatch")
+        return MonomialOperator(
+            self.dim,
+            self.order,
+            self.target[other.target],
+            (other.expo + self.expo[other.target]) % self.order,
+        )
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, MonomialOperator)
+            and self.dim == other.dim
+            and self.order == other.order
+            and np.array_equal(self.target, other.target)
+            and np.array_equal(self.expo % self.order, other.expo % other.order)
+        )
+
+
+class BraidWord(ReadOnly):
+    """A positive word in braid generators 1..n-1 on n strands, its letters checked."""
+
+    __slots__ = ("n", "letters")
+
+    def __init__(self, n: int, letters: tuple[int, ...]):
+        for i in letters:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"letter {i} out of range 1..{n - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+
 def inverse_operator(op):
     """The inverse of a MonomialOperator: v -> target[v] with zeta^expo[v] undone."""
-    from racktwist.braided import MonomialOperator
-
     inv = np.empty(op.dim, dtype=np.int64)
     inv[op.target] = np.arange(op.dim, dtype=np.int64)
     return MonomialOperator(op.dim, op.order, inv, (-op.expo[inv]) % op.order)
+
+
+def word_operator(letters, q, degree: int, tables=None):
+    """braided.rho of one word as a MonomialOperator: a one-row call, with degree's strand tables unless given."""
+    tables = braided.strand_tables(q, degree) if tables is None else tables
+    target, expo = braided.rho(np.array([letters], dtype=np.intp), q, degree, tables)
+    return MonomialOperator(target.shape[1], q.order, target[0], expo[0])
+
+
+def matsumoto_per_sigma(n_max: int, seed: int) -> tuple[bool, dict | None]:
+    """braided.verify_matsumoto one sigma at a time, with the same draws and -1 on x3.
+
+    Each distinct sigma's lex word (Permutation.lex_reduced_word) and the
+    word i -> n - i of the lex word of w0 sigma w0 go through rho as two
+    one-row calls, compared as operators; the first failure in draw order
+    is the witness.
+    """
+    q = minus_one_cocycle(transposition_rack(3))
+    rng = random.Random(seed)
+    seen = set()  # the verdict per sigma is deterministic, so each is checked once
+    tables = {}  # strand tables per degree, built once for every rho of that degree
+    for _ in range(200):
+        n = rng.randint(2, min(n_max, 7))
+        img = list(range(1, n + 1))
+        rng.shuffle(img)
+        if tuple(img) in seen:
+            continue
+        seen.add(tuple(img))
+        sigma = Permutation(tuple(img))
+        lex = sigma.lex_reduced_word()
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
+        if n not in tables:
+            tables[n] = braided.strand_tables(q, n)
+        if len(alt) != len(lex) or word_operator(lex, q, n, tables[n]) != word_operator(alt, q, n, tables[n]):
+            return False, {"sigma": list(sigma.image), "words": [list(lex), list(alt)]}
+    return True, None
 
 
 def _components(dim: int, edges) -> list[tuple[int, ...]]:
@@ -422,9 +514,9 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
     """The (k^d, d) tables inv, add of assembly step d, over the whole basis.
 
     Right multiplication by the prefix product P_j = c_{d-1} ... c_{d-j},
-    which takes v to target_j[v] with exponent expo_j[v] (composed from
-    braided.strand_tables as rho composes them), moves an entry from column
-    C to column v = target_j^-1[C] and adds expo_j[v] to its exponent;
+    which takes v to target_j[v] with exponent expo_j[v] (composed from the
+    rows of braided.strand_tables), moves an entry from column C to column
+    v = target_j^-1[C] and adds expo_j[v] to its exponent;
     inv[C, j] holds that column and add[C, j] that exponent, mod the order.
     """
     n, m = q.rack.size**d, q.order
@@ -433,7 +525,8 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
     inv = np.full((n, d), -1, dtype=np.int64)
     add = np.full((n, d), -1, dtype=np.int64)
     inv[:, 0], add[:, 0] = v, 0
-    for j, (tgt, ex) in enumerate(reversed(braided.strand_tables(q, d)), start=1):
+    targets, expos = braided.strand_tables(q, d)
+    for j, (tgt, ex) in enumerate(zip(targets[:0:-1], expos[:0:-1]), start=1):
         target, expo = target[tgt], (ex + expo[tgt]) % m
         inv[target, j] = v
         add[target, j] = expo
@@ -929,12 +1022,53 @@ def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
     return None
 
 
+# The package draws the random conjugation words in chunks of this many.
+LEMMA_CHUNK = 1024
+
+
+def uniform_fields(rng: random.Random, bound: int, count: int) -> list[int]:
+    """count values uniform in 0..bound-1, one Python int at a time.
+
+    The draw rule of the package: a block getrandbits(2 * need * w), with
+    w = (bound - 1).bit_length() and need the values still missing, read as
+    2 * need w-bit fields from the lowest bits up; fields below bound are
+    kept, and the values past count are dropped.
+    """
+    width = (bound - 1).bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        fields = 2 * (count - len(out))
+        bits = format(rng.getrandbits(width * fields), f"0{width * fields}b")[::-1]  # bits[t] is bit t
+        values = (int(bits[width * t: width * (t + 1)][::-1] or "0", 2) for t in range(fields))
+        out += [v for v in values if v < bound]
+    return out[:count]
+
+
+def lemma_draws(n: int, trials: int, seed: int, chunk: int = LEMMA_CHUNK):
+    """The (word, i, j) of each random trial of the conjugation lemmas, in order.
+
+    random.Random(seed) is read chunk by chunk: the chunk's lengths in
+    0..20, then its letters in 1..n-1, word after word, then one index per
+    word of the ordered pair, i = index // (n - 1) + 1 and j the
+    (index % (n - 1) + 1)-th of 1..n other than i.
+    """
+    rng = random.Random(seed)
+    for start in range(0, trials, chunk):
+        size = min(chunk, trials - start)
+        lengths = uniform_fields(rng, 21, size)
+        letters = iter(uniform_fields(rng, n - 1, sum(lengths)))
+        words = [[next(letters) + 1 for _ in range(l)] for l in lengths]
+        for word, index in zip(words, uniform_fields(rng, n * (n - 1), size)):
+            a, b = divmod(index, n - 1)
+            yield word, a + 1, b + 1 + (b >= a)
+
+
 def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
     """spincover.verify_conjugation_lemmas with every lift expanded in the Clifford model.
 
     Exhaustively checks t_k [i j] t_k^-1 = [s_k(i) s_k(j)] z, then conjugates
     [i j] by the lifts of random generator words of length l <= 20 and checks
-    the result is [w(i) w(j)] z^l; the words are drawn as in the package.  A
+    the result is [w(i) w(j)] z^l, with the words of lemma_draws.  A
     lift of l letters has up to 2^(n-1) terms, so this is exponential in n.
     Returns the verdict and the first failing word and pair, as the package does.
     """
@@ -947,31 +1081,26 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
         for (a, b), br in brackets.items():
             if sk.conj(br) != brackets[(swap(a), swap(b))].times_z():
                 return False, {"word": [k], "pair": [a, b]}
-    rng = random.Random(seed)
-    for _ in range(trials):
-        l = rng.randint(0, 20)
-        word = [rng.randint(1, n - 1) for _ in range(l)]
+    for word, a, b in lemma_draws(n, trials, seed):
         lift = SpinElement.one(n)
         for i in word:
             lift = lift * ts[i - 1]
-        a = rng.randint(1, n)
-        b = rng.randint(1, n - 1)
-        if b >= a:
-            b += 1
         expected = brackets[(lift.perm(a), lift.perm(b))]
-        if l % 2 == 1:
+        if len(word) % 2 == 1:
             expected = expected.times_z()
         if lift.conj(brackets[(a, b)]) != expected:
             return False, {"word": word, "pair": [a, b]}
     return True, None
 
 
-def conjugation_lemmas_per_trial(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
+def conjugation_lemmas_per_trial(
+    n: int, trials: int = 1000, seed: int = 0, chunk: int = LEMMA_CHUNK
+) -> tuple[bool, dict | None]:
     """spincover.verify_conjugation_lemmas one word at a time, on Python lists.
 
     The same integer reflections v -> <g, v> g - v of bracket_vector, applied
     letter by letter from the last to the first while the pair follows the
-    swaps, with the words drawn as in the package.
+    swaps, with the words of lemma_draws(n, trials, seed, chunk).
     """
     vectors = {
         (a, b): bracket_vector(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
@@ -987,20 +1116,13 @@ def conjugation_lemmas_per_trial(n: int, trials: int = 1000, seed: int = 0) -> t
         for (a, b), v in vectors.items():
             if conj(k, v) != [-c for c in vectors[(swap(a), swap(b))]]:
                 return False, {"word": [k], "pair": [a, b]}
-    rng = random.Random(seed)
-    for _ in range(trials):
-        l = rng.randint(0, 20)
-        word = [rng.randint(1, n - 1) for _ in range(l)]
-        a = rng.randint(1, n)
-        b = rng.randint(1, n - 1)
-        if b >= a:
-            b += 1
+    for word, a, b in lemma_draws(n, trials, seed, chunk):
         v, c, d = list(vectors[(a, b)]), a, b
         for k in reversed(word):
             v = conj(k, v)
             c, d = swaps[k - 1](c), swaps[k - 1](d)
         expected = list(vectors[(c, d)])
-        if v != (expected if l % 2 == 0 else [-e for e in expected]):
+        if v != (expected if len(word) % 2 == 0 else [-e for e in expected]):
             return False, {"word": word, "pair": [a, b]}
     return True, None
 

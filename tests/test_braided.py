@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
+    BraidWord,
+    MonomialOperator,
     brute_force_symmetrizer,
     brute_force_symmetrizer_modp,
     coxeter_length,
@@ -16,16 +18,17 @@ from oracles import (
     send_tables,
     inverse_operator,
     largest_descent_word,
+    matsumoto_per_sigma,
     support_components,
+    word_operator,
 )
 from racktwist import braided, exact
 from racktwist.braided import (
     braid_equation_witness,
-    BraidWord,
-    MonomialOperator,
     check_braid_equation,
     rho,
     strand_tables,
+    verify_matsumoto,
 )
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist.errors import DimensionCapError, RackAxiomError
@@ -46,8 +49,8 @@ ROW_CASES = {
 
 
 def image(word, q):
-    """rho of a braid word on its own number of strands, with that degree's strand tables."""
-    return rho(word, q, word.n, strand_tables(q, word.n))
+    """rho of a braid word on its own number of strands, as a one-row call."""
+    return word_operator(word.letters, q, word.n)
 
 
 def braiding(q):
@@ -153,8 +156,38 @@ class TestRho:
     def test_letter_out_of_range(self):
         with pytest.raises(ValueError):
             BraidWord(3, (3,))
-        with pytest.raises(ValueError):
-            rho(BraidWord(4, (1,)), M1_X3, 3, strand_tables(M1_X3, 3))
+        # a letter of 4 strands at degree 3, and a negative letter, in one row of a batch
+        for bad in ([[1, 2], [3, 0]], [[-1]]):
+            with pytest.raises(ValueError):
+                rho(np.array(bad), M1_X3, 3, strand_tables(M1_X3, 3))
+
+    @pytest.mark.parametrize("q, degree", [(M1_X3, 4), (CHI4, 3), (constant_cocycle(X3, 3, 1), 5)])
+    def test_batch_rows_are_composed_letters(self, q, degree):
+        # each row of a padded batch is the composite of its letters' one-letter operators
+        rng = random.Random(degree)
+        words = np.zeros((12, 9), dtype=np.intp)
+        for row in words:
+            length = rng.randint(0, 9)
+            row[:length] = [rng.randint(1, degree - 1) for _ in range(length)]
+        tables = strand_tables(q, degree)
+        target, expo = rho(words, q, degree, tables)
+        assert target.shape == expo.shape == (12, q.rack.size**degree)
+        letters = [word_operator((i,), q, degree, tables) for i in range(1, degree)]
+        for row, t, e in zip(words, target, expo):
+            op = MonomialOperator.identity(t.size, q.order)
+            for i in row[row > 0]:
+                op = op.compose(letters[i - 1])
+            assert op == MonomialOperator(t.size, q.order, t, e) and ((0 <= e) & (e < q.order)).all()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 9])
+    def test_large_order_exponents_stay_exact(self, length):
+        # a constant cocycle adds e = m - 1 per letter; 3e would overflow int64 unless reduced per letter
+        m = 2**62 - 1
+        q = constant_cocycle(X3, m, m - 1)
+        target, expo = rho(np.ones((2, length), dtype=np.intp), q, 2, strand_tables(q, 2))
+        assert (expo == length * (m - 1) % m).all()
+        small = constant_cocycle(X3, 2, 1)
+        assert (target == rho(np.ones((2, length), dtype=np.intp), small, 2, strand_tables(small, 2))[0]).all()
 
 
 class TestMatsumoto:
@@ -197,6 +230,30 @@ class TestMatsumoto:
             alt = largest_descent_word(sigma)
             assert len(lex) == len(alt) == coxeter_length(sigma)
             assert image(BraidWord(n, lex), q) == image(BraidWord(n, alt), q)
+
+    @pytest.mark.parametrize("n_max", range(2, 8))
+    def test_batches_agree_with_the_per_sigma_oracle(self, n_max):
+        for seed in range(5):
+            assert verify_matsumoto(n_max, seed) == matsumoto_per_sigma(n_max, seed) == (True, None)
+
+    @pytest.mark.parametrize("n_max", [4, 7])
+    def test_planted_failures_give_the_oracles_witness(self, monkeypatch, n_max):
+        # every word of 3 or more strands that starts with s_1 gains a scalar; the batch
+        # reports the first failing sigma in draw order, across degrees, as the oracle does
+        real = braided.rho
+
+        def broken(words, q, degree, tables):
+            target, expo = real(words, q, degree, tables)
+            if degree >= 3 and words.shape[1]:
+                planted = words[:, 0] == 1
+                expo[planted] = (expo[planted] + 1) % q.order
+            return target, expo
+
+        monkeypatch.setattr(braided, "rho", broken)
+        for seed in range(5):
+            ok, witness = verify_matsumoto(n_max, seed)
+            assert ok is False and len(witness["sigma"]) >= 3
+            assert (ok, witness) == matsumoto_per_sigma(n_max, seed)
 
 
 class TestBraidEquation:

@@ -505,15 +505,17 @@ class TestSelfcheckCommand:
         assert triple is not None and entry == {"name": entry["name"], "ok": False, "triple_witness": triple}
 
     def test_matsumoto_failure_carries_its_witness(self, tmp_path, monkeypatch):
-        # rho is broken on the word s_2 s_1 s_2 of 3 strands only; the w0-conjugate word of
-        # sigma = (1 3) is that word, and its lex word is s_1 s_2 s_1
+        # rho is broken on the row s_2 s_1 s_2 of the Matsumoto batch of 3 strands only; the
+        # w0-conjugate word of sigma = (1 3) is that word, and its lex word is s_1 s_2 s_1.
+        # The braid equation's own two-row call of (1, 2, 1) and (2, 1, 2) is left whole.
         real = cli.braided.rho
 
-        def broken(word, q, degree, tables):
-            op = real(word, q, degree, tables)
-            if word.letters == (2, 1, 2):
-                op = cli.braided.MonomialOperator(op.dim, op.order, op.target, op.expo + 1)
-            return op
+        def broken(words, q, degree, tables):
+            target, expo = real(words, q, degree, tables)
+            if degree == 3 and len(words) > 2 and words.shape[1] == 3:
+                planted = (words == [2, 1, 2]).all(axis=1)
+                expo[planted] = (expo[planted] + 1) % q.order
+            return target, expo
 
         monkeypatch.setattr(cli.braided, "rho", broken)
         out = tmp_path / "sc.json"

@@ -1,9 +1,9 @@
-"""The record types: constructor checks, equality and hashing by value, and read-only fields."""
+"""The record types, and the oracles' braid records: constructor checks, equality and hashing by value, and read-only fields."""
 
 import numpy as np
 import pytest
 
-from racktwist.braided import BraidWord, MonomialOperator
+from oracles import BraidWord, MonomialOperator
 from racktwist.cocycle import CocycleReport, GaugeFunction, RackCocycle, TwistTable
 from racktwist.rack import FiniteRack, Permutation, RackAxiomReport, TranspositionLabel
 
@@ -53,8 +53,13 @@ def test_equal_and_hashed_by_value(build, other):
     assert a != other and not a == other
 
 
+def test_reports_name_their_fields():
+    assert repr(CocycleReport(False, (0, 1, 2))) == "CocycleReport(ok=False, witness=(0, 1, 2))"
+    assert repr(RackAxiomReport(True)) == "RackAxiomReport(ok=True, kind=None, witness=None)"
+
+
 def test_monomial_operators_are_equal_by_action():
-    # exponents are compared modulo the order; `!=` is the negation of `==`, as the Matsumoto check uses it
+    # exponents are compared modulo the order; `!=` is the negation of `==`, as the per-sigma Matsumoto oracle uses it
     a = MonomialOperator(3, 4, np.array([1, 2, 0]), np.array([0, 1, 2]))
     b = MonomialOperator(3, 4, np.array([1, 2, 0]), np.array([4, 5, 2]))
     assert a == b and not a != b
@@ -71,6 +76,8 @@ READ_ONLY = {
     "gauge": (lambda: GaugeFunction(TRIVIAL2, 2, (0, 1)), "g"),
     "twist-table": (lambda: TwistTable(TRIVIAL2, 2, ((0, 1), (1, 0))), "phi"),
     "braid-word": (lambda: BraidWord(3, (1, 2)), "letters"),
+    "cocycle-report": (lambda: CocycleReport(False, (0, 1, 2)), "witness"),
+    "axiom-report": (lambda: RackAxiomReport(False, "non-bijective-row", (1,)), "kind"),
 }
 
 

@@ -21,6 +21,7 @@ from oracles import (
     generator_t,
     group_cocycle_first_failure,
     is_group_like,
+    lemma_draws,
     lex_min_reduced_word,
     main_theorem_log,
     presentation_by_clifford,
@@ -420,21 +421,41 @@ class TestConjugation:
         assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) == (True, None)
 
     @pytest.mark.parametrize("n", range(4, 13))
-    def test_batches_agree_with_the_per_trial_oracle(self, n):
+    def test_batches_agree_with_the_per_trial_oracle(self, n, monkeypatch):
+        # every chunk's words, lengths and pairs, trial by trial, are the oracle's draws;
+        # 1023, 1024, 1025 and 2049 trials sit on the edges of the chunks of 1024
+        real, chunks = spincover._lemma_draws, []
+
+        def recording(getrandbits, n, size):
+            chunks.append(real(getrandbits, n, size))
+            return chunks[-1]
+
+        monkeypatch.setattr(spincover, "_lemma_draws", recording)
+        assert spincover._LEMMA_CHUNK == oracles.LEMMA_CHUNK
         for seed in range(5):
-            for trials in (0, 1000):
-                got = verify_conjugation_lemmas(n, trials=trials, seed=seed)
-                assert got == conjugation_lemmas_per_trial(n, trials=trials, seed=seed) == (True, None)
+            for trials in (0, 1, 1023, 1024, 1025, 2049):
+                chunks.clear()
+                assert verify_conjugation_lemmas(n, trials=trials, seed=seed) == (True, None)
+                assert [len(c[0]) for c in chunks] == [min(1024, trials - s) for s in range(0, trials, 1024)]
+                got = []
+                for words, lengths, i, j in chunks:
+                    assert ((0 <= lengths) & (lengths <= 20)).all() and words.shape[1] == lengths.max()
+                    assert (words[np.arange(words.shape[1]) >= lengths[:, None]] == 0).all()
+                    got += [(word[:l].tolist(), a, b) for word, l, a, b in zip(words, lengths, i.tolist(), j.tolist())]
+                assert got == list(lemma_draws(n, trials, seed))
+                assert all(1 <= k <= n - 1 for word, _, _ in got for k in word)
+                assert all(1 <= a <= n and 1 <= b <= n and a != b for _, a, b in got)
+            assert conjugation_lemmas_per_trial(n, trials=1025, seed=seed) == (True, None)
 
     def test_draws_as_the_oracle(self, monkeypatch):
-        # every randint of the package, in order, equals the oracle's; chunks of 7 cut the words
+        # every getrandbits of the package, in order, equals the oracle's; chunks of 7 cut the words
         draws = {}
 
         def recording(name):
             class Recorder(random.Random):
-                def randint(self, a, b):
-                    got = super().randint(a, b)
-                    draws.setdefault(name, []).append((a, b, got))
+                def getrandbits(self, k):
+                    got = super().getrandbits(k)
+                    draws.setdefault(name, []).append((k, got))
                     return got
 
             return types.SimpleNamespace(Random=Recorder)
@@ -443,8 +464,21 @@ class TestConjugation:
         monkeypatch.setattr(spincover, "random", recording("package"))
         monkeypatch.setattr(oracles, "random", recording("oracle"))
         assert verify_conjugation_lemmas(6, trials=30, seed=4) == (True, None)
-        assert conjugation_lemmas_per_trial(6, trials=30, seed=4) == (True, None)
-        assert len(draws["package"]) > 30 * 3 and draws["package"] == draws["oracle"]
+        assert conjugation_lemmas_per_trial(6, trials=30, seed=4, chunk=7) == (True, None)
+        # 5 chunks, each at least one block for its lengths, one for its letters and one for its pairs
+        assert len(draws["package"]) >= 3 * 5 and draws["package"] == draws["oracle"]
+
+    def test_uniform_keeps_the_fields_below_the_bound(self):
+        # 4 values below 3 first take a block of 8 fields of 2 bits, read from the lowest bits up:
+        # it keeps 0, 1, 2 and drops its five 3s; the next block, of 2 fields for the one value
+        # missing, keeps 1 and 2, and the 2 past the count is dropped
+        blocks = {16: 0b11_11_11_11_11_10_01_00, 4: 0b10_01}
+        assert spincover._uniform(lambda k: blocks.pop(k), 3, 4).tolist() == [0, 1, 2, 1]
+        assert not blocks
+        for bound in (2, 3, 11, 21, 132):
+            got = spincover._uniform(random.Random(bound).getrandbits, bound, 5000)
+            assert got.tolist() == oracles.uniform_fields(random.Random(bound), bound, 5000)
+            assert got.min() == 0 and got.max() == bound - 1
 
     @pytest.mark.parametrize("n", [4, 5, 9, 12])
     @pytest.mark.parametrize("pair", [(1, 3), (2, 1), (4, 3)])
