@@ -57,18 +57,14 @@ def rho(words, q: RackCocycle, degree: int, tables: tuple[np.ndarray, np.ndarray
     if dim > DEFAULT_DIM_CAP:
         raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {DEFAULT_DIM_CAP}")
     steps, gains = (table.ravel() for table in tables)
-    # exponents are reduced once at the end, unless l of them could overflow int64
-    reduce_each = (q.order - 1) * words.shape[1] >= 2**63
     target = np.tile(np.arange(dim, dtype=np.int64), (len(words), 1))
     expo = np.zeros_like(target)
     # left-compose with the generators, from the last letter to the first: each is applied last
     for shift in words.T[::-1, :, None] * dim:
         at = target + shift
         target = steps.take(at)
-        expo += gains.take(at)
-        if reduce_each:
-            expo %= q.order
-    return target, expo % q.order
+        expo = (expo + gains.take(at)) % q.order
+    return target, expo
 
 
 def check_braid_equation(q: RackCocycle) -> bool:
