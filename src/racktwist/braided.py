@@ -10,7 +10,6 @@ proven ranks build, is assembled in racktwist.exact.
 
 from __future__ import annotations
 
-import math
 import random
 
 import numpy as np
@@ -150,14 +149,28 @@ def _min_labels(label: np.ndarray, maps: np.ndarray) -> np.ndarray:
         label = hooked
 
 
+def _within(size: int, degree: int, bound: int) -> bool:
+    """Whether size**degree <= bound, multiplied up to the bound and stopped there, so a huge degree costs nothing."""
+    power = 1
+    for _ in range(degree if size > 1 else min(degree, 1)):
+        if power > bound:
+            return False
+        power *= size
+    return power <= bound
+
+
+def _dimension(size: int, degree: int) -> str:
+    """size**degree written out if it fits in 64 bits, else as size^degree."""
+    return str(size**degree) if degree * size.bit_length() <= 64 else f"{size}^{degree}"
+
+
 def check_dimension(size: int, degree: int, dim_cap: int) -> None:
     """Raise DimensionCapError if degree `degree` over a rack of `size` elements exceeds dim_cap.
 
     It needs only the size, so a caller may check it before building the rack.
     """
-    dim = size**degree
-    if dim > dim_cap:
-        raise DimensionCapError(f"degree {degree} needs dimension {dim} > cap {dim_cap}")
+    if not _within(size, degree, dim_cap):
+        raise DimensionCapError(f"degree {degree} needs dimension {_dimension(size, degree)} > cap {dim_cap}")
 
 
 def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
@@ -167,13 +180,17 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
     entry's row, column and exponent must fit in a 64-bit key, and an
     entry, a count of at most degree! lifts, must fit in int64.  Each bound
     grows with the degree, so a degree that passes vouches for every
-    smaller one.
+    smaller one.  k^degree is multiplied up no further than just past
+    each bound, and degree! is never built.
     """
     check_dimension(q.rack.size, degree, dim_cap)
-    dim = q.rack.size**degree
-    if 2 * (dim - 1).bit_length() + (q.order - 1).bit_length() > 63:
+    # a key holds 2 bits(k^degree - 1) + bits(order - 1) <= 63 bits, that is k^degree <= 2^width
+    width = (63 - (q.order - 1).bit_length()) // 2
+    if width < 0 or not _within(q.rack.size, degree, 2**width):
+        dim = _dimension(q.rack.size, degree)
         raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
-    if math.factorial(degree) >= 2**63:
+    # 20! < 2^63 <= 21!
+    if degree > 20:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 

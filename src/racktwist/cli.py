@@ -9,10 +9,11 @@ mathematical check, 3 resource cap exceeded.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
 from .errors import DimensionCapError, RackAxiomError, SectionConsistencyError
@@ -31,13 +32,6 @@ RACK_N_CAP = 20
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # argparse defaults to exit code 2; usage problems must exit 1 here
-        self.print_usage(sys.stderr)
-        raise UsageError(message)
 
 
 def _config(
@@ -472,7 +466,8 @@ def cmd_selfcheck(args) -> int:
 _OUT = ("--out", dict(help="write the report JSON here"))
 _N = ("--n", dict(type=int, required=True))
 _SEED = ("--seed", dict(type=int, default=0))
-# name, handler, help and arguments (flags, keywords) of each subcommand, in the order --help lists them
+# name, handler, help and flags of each subcommand, in the order --help lists them; a flag's keywords are
+# its type (str if absent), default, choices, required, help, metavar, and hidden (left out of usage and help)
 COMMANDS = (
     ("rack", cmd_rack, "build or validate a rack table", (
         ("--n", dict(type=int, help="transposition rack of S_n")),
@@ -505,37 +500,168 @@ COMMANDS = (
         ("--trials", dict(type=int, default=200,
                           help="random conjugation words per n; the Matsumoto check always draws 200 permutations")),
         _SEED,
-        ("--inject-fault", dict(choices=("generator",), help=argparse.SUPPRESS)),
+        ("--inject-fault", dict(choices=("generator",), hidden=True)),
         _OUT,
     )),
 )
 
+# the flags of the top level, which every subcommand has too
+_TOP = {"-h": {}, "--help": {}}
+# usage and help lines end by column 78, two short of an 80-column terminal
+_WIDTH = 78
+# an entry that starts with '-' is still a value if it is a negative number
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand, or of `command` only, with the same usage and error lines.
 
-    With all registered, argparse lists the choices itself and errors name
-    the action `subcommand`; a metavar would rename it there.
+def _fill(words, start: int, indent: int) -> str:
+    """words in greedy lines that end by column _WIDTH, the first from column `start`, the others from `indent`."""
+    lines, used = [[]], start - 1
+    for word in words:
+        if lines[-1] and used + 1 + len(word) > _WIDTH:
+            lines.append([])
+            used = indent - 1
+        lines[-1].append(word)
+        used += 1 + len(word)
+    return ("\n" + " " * indent).join(" ".join(line) for line in lines)
+
+
+def usage(command: str | None = None, full: bool = False) -> str:
+    """The usage line of racktwist, or of its subcommand `command`; with full, the whole --help text.
+
+    The usage wraps under the program name; the help lists each flag with
+    its help text from one column, at most 24, after the module docstring
+    at the top level.
     """
-    parser = _Parser(prog="racktwist", description=__doc__)
-    choices = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=None if command is None else choices)
-    for name, fn, help_text, arguments in COMMANDS:
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_text)
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(fn=fn)
-    return parser
+    prog, parts = "racktwist", ["[-h]"]
+    options = [("  -h, --help", "show this help message and exit")]
+    if command is None:
+        names = "{" + ",".join(name for name, *_ in COMMANDS) + "}"
+        parts += [names, "..."]
+        paragraphs = [_fill(__doc__.split(), 0, 0)]
+        groups = {"positional arguments:": [("  " + names, "")] + [("    " + name, text) for name, _, text, _ in COMMANDS]}
+    else:
+        prog += " " + command
+        for flag, keywords in next(entry[3] for entry in COMMANDS if entry[0] == command):
+            if keywords.get("hidden"):
+                continue
+            choices = keywords.get("choices")
+            metavar = "{" + ",".join(choices) + "}" if choices else flag[2:].replace("-", "_").upper()
+            part = f"{flag} {keywords.get('metavar', metavar)}"
+            # a line may break between a required flag and its metavar, never inside brackets
+            parts += part.split() if keywords.get("required") else [f"[{part}]"]
+            options.append(("  " + part, keywords.get("help")))
+        paragraphs, groups = [], {}
+    groups["options:"] = options
+    text = "usage: " + _fill([prog, *parts], len("usage: "), len(f"usage: {prog} "))
+    if not full:
+        return text
+    at = min(max(len(head) for rows in groups.values() for head, _ in rows) + 2, 24)
+    for title, rows in groups.items():
+        lines = [title]
+        for head, help_text in rows:
+            if help_text:
+                body = _fill(help_text.split(), at, at)
+                head = head.ljust(at) + body if len(head) <= at - 2 else f"{head}\n{' ' * at}{body}"
+            lines.append(head)
+        paragraphs.append("\n".join(lines))
+    return "\n\n".join([text, *paragraphs])
+
+
+def _fail(command: str | None, message: str):
+    """Print the usage line of `command` (None: of racktwist) to stderr and raise UsageError(message)."""
+    print(usage(command), file=sys.stderr)
+    raise UsageError(message)
+
+
+def _read(arg: str, command: str | None, flags) -> tuple[str | None, str | None] | None:
+    """What the argv entry `arg` is among `flags`: None for a value, else (flag, inline value or None).
+
+    A value does not start with '-', or it is '-', a negative number or an
+    unknown word with a space.  A flag is named whole, or by a unique prefix
+    of a long flag, with an inline value after '='; -h also takes the rest
+    of its entry ('-hx') as one.  An unknown flag reads as (None, None).
+    """
+    if arg[:1] != "-" or arg == "-":
+        return None
+    name, eq, inline = arg.partition("=")
+    if name in flags:
+        return name, inline if eq else None
+    if arg[:2] == "--":
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(command, f"ambiguous option: {arg} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], inline if eq else None
+    elif arg[:2] == "-h":
+        return "-h", arg[2:]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace that argv's handler reads: subcommand, fn (the handler) and one attribute per flag.
+
+    Before the subcommand only -h/--help is a flag.  After it, a flag takes
+    its inline value or the next entry, the last of a repeated flag wins,
+    and '--' ends the flags.  -h/--help prints the help where it is read and
+    raises SystemExit(0); any other mistake prints the usage line to stderr
+    and raises UsageError, in the words of Python's standard option parser.
+    """
+    command, flags, given, extras = None, _TOP, {}, []
+    end = argv.index("--") if "--" in argv else len(argv)
+    at = 0
+    while at < end:
+        arg = argv[at]
+        at += 1
+        got = _read(arg, command, flags)
+        if got is None and command is None:
+            command = arg
+            entry = next((entry for entry in COMMANDS if entry[0] == command), None)
+            if entry is None:
+                names = ", ".join(repr(name) for name, *_ in COMMANDS)
+                _fail(None, f"argument subcommand: invalid choice: {command!r} (choose from {names})")
+            flags = {**_TOP, **dict(entry[3])}
+            continue
+        if got is None or got[0] is None:
+            extras.append(arg)
+            continue
+        flag, value = got
+        if flag in _TOP:
+            if value is not None:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            print(usage(command, full=True))
+            raise SystemExit(0)
+        if value is None:
+            if at == end or _read(argv[at], command, flags) is not None:
+                _fail(command, f"argument {flag}: expected one argument")
+            value = argv[at]
+            at += 1
+        kind, choices = flags[flag].get("type", str), flags[flag].get("choices")
+        try:
+            given[flag] = kind(value)
+        except ValueError:
+            _fail(command, f"argument {flag}: invalid {kind.__name__} value: {value!r}")
+        if choices is not None and given[flag] not in choices:
+            listed = ", ".join(map(repr, choices))
+            _fail(command, f"argument {flag}: invalid choice: {given[flag]!r} (choose from {listed})")
+    if command is None:
+        _fail(None, "the following arguments are required: subcommand")
+    _, fn, _, arguments = entry
+    missing = [flag for flag, keywords in arguments if keywords.get("required") and flag not in given]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    extras += argv[end:]
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    values = {flag[2:].replace("-", "_"): given.get(flag, keywords.get("default")) for flag, keywords in arguments}
+    return SimpleNamespace(subcommand=command, fn=fn, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a run names its subcommand first, and only that subparser is built
-    command = argv[0] if argv and argv[0] in {name for name, *_ in COMMANDS} else None
-    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -191,8 +192,9 @@ def graded_dims(
     are checked for max_degree before any degree is built; they grow with
     the degree, so that covers every degree.  So is the cocycle order, which must leave two
     candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
-    form is expanded through max_degree (and a bad factor rejected) before
-    that too.  The translations that sort the orbits into classes do not
+    form is expanded through max_degree (and a bad factor rejected) after
+    the caps, so a huge max_degree never sizes its coefficients, and before
+    any degree is built.  The translations that sort the orbits into classes do not
     depend on the degree, so they are found once, at the first proven degree
     (exact._commuting_translations); the rows of the rack table must be
     bijections, at every max_degree, or RackAxiomError is raised before any
@@ -202,14 +204,13 @@ def graded_dims(
         raise ValueError("max_degree must be >= 0")
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    # coefficients past the closed form's degree are 0
-    series = None if closed_form is None else expand_closed_form(closed_form, max_degree) + [0] * (max_degree + 1)
     if max_degree >= 2:
         check_degree(q, max_degree, dim_cap)
         if _candidates(q.order)[1] < 2:
             raise DimensionCapError(
                 f"cocycle order {q.order} leaves fewer than two numbers p = 1 mod it in [2^30, 2^31)"
             )
+    series = None if closed_form is None else expand_closed_form(closed_form, max_degree)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
     # RackAxiomError unless every row x |> - is a bijection, at every max_degree
@@ -251,5 +252,6 @@ def graded_dims(
         report.primes.append(list(used))
     if series is not None:
         report.closed_form = list(closed_form)
-        report.closed_form_verdicts = [r == c for r, c in zip(report.ranks, series)]
+        # coefficients past the closed form's degree are 0
+        report.closed_form_verdicts = [r == c for r, c in zip_longest(report.ranks, series, fillvalue=0)]
     return report

@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -333,6 +334,46 @@ class TestSymmetrizer:
         assert "81" in str(err.value)
         with pytest.raises(DimensionCapError, match="64-bit"):
             symmetrizer(M1_X3, 20, dim_cap=10**12)
+
+    @staticmethod
+    def exact_power_verdict(size, degree, cap, order):
+        """The caps of check_degree decided on size**degree and degree! themselves."""
+        dim = size**degree
+        if dim > cap:
+            return f"degree {degree} needs dimension {dim} > cap {cap}"
+        if 2 * (dim - 1).bit_length() + (order - 1).bit_length() > 63:
+            return f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys"
+        if math.factorial(degree) >= 2**63:
+            return f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64"
+        return None
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6, 10, 79800])
+    def test_caps_agree_with_the_exact_powers(self, size):
+        # check_degree never builds size**degree or degree! in full, yet decides as they do
+        for degree in range(0, 30):
+            for cap in (1, 80, 81, 200_000, 2**31, 2**62, 10**40):
+                for order in (2, 3, 2**20, 2**31, 2**61, 2**62):
+                    q = SimpleNamespace(rack=SimpleNamespace(size=size), order=order)
+                    want = self.exact_power_verdict(size, degree, cap, order)
+                    if want is not None and degree * size.bit_length() > 64:
+                        want = want.replace(f" {size**degree}", f" {size}^{degree}")
+                    try:
+                        braided.check_degree(q, degree, cap)
+                        got = None
+                    except DimensionCapError as exc:
+                        got = str(exc)
+                    assert got == want, (size, degree, cap, order)
+
+    @pytest.mark.parametrize("size, degree, message", [
+        (6, 10**5, "degree 100000 needs dimension 6^100000 > cap 200000"),
+        (6, 10**20, "degree 100000000000000000000 needs dimension 6^100000000000000000000 > cap 200000"),
+        (1, 10**11, "degree 100000000000 has entries up to 100000000000! >= 2^63, too large for int64"),
+    ])
+    def test_huge_degree_is_decided_at_once(self, size, degree, message):
+        q = SimpleNamespace(rack=SimpleNamespace(size=size), order=2)
+        with pytest.raises(DimensionCapError) as exc:
+            braided.check_degree(q, degree, braided.DEFAULT_DIM_CAP)
+        assert str(exc.value) == message
 
     def test_column_support_bounded(self):
         sym = symmetrizer(CHI4, 3)

@@ -1,4 +1,3 @@
-import argparse
 import json
 import os
 import random
@@ -359,6 +358,32 @@ class TestHilbertCommand:
         assert capsys.readouterr().err == f"resource limit: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("rack, max_degree, closed_form, message", [
+        ("x4", "100000", None, "degree 100000 needs dimension 6^100000 > cap 200000"),
+        ("x4", "100000000000000000000", None,
+         "degree 100000000000000000000 needs dimension 6^100000000000000000000 > cap 200000"),
+        ("one", "100000000000", None, "degree 100000000000 has entries up to 100000000000! >= 2^63, too large for int64"),
+        ("one", "100000000000", "2:100000000000", "degree 100000000000 has entries up to 100000000000! >= 2^63, too large for int64"),
+    ], ids=["x4-1e5", "x4-1e20", "one-element-1e11", "one-element-1e11-closed-form"])
+    def test_huge_degree_is_a_resource_limit_at_once(self, tmp_path, rack, max_degree, closed_form, message):
+        # neither k^degree nor degree! is built in full: each run exits 3 within seconds in 1 GiB
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        if rack == "one":
+            rack = tmp_path / "one.json"
+            rack.write_text(json.dumps({"size": 1, "op": [[0]]}))
+        out = tmp_path / "h.json"
+        args = ["hilbert", "--rack", str(rack), "--cocycle=-1", "--max-degree", max_degree, "--out", str(out)]
+        args += ["--closed-form", closed_form] if closed_form else []
+        done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(), preexec_fn=limit,
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 3
+        assert done.stderr == f"resource limit: {message}\n"
+        assert not out.exists()
+
     def test_transposition_rack_capped_before_it_is_built(self, tmp_path, capsys, monkeypatch):
         # x400 has 79 800 elements; its dimension in degree 2 follows from n alone
         def never(n):
@@ -584,32 +609,38 @@ class TestParser:
     def test_missing_required_flag(self):
         assert run(["cover"]) == 1
 
-    # at least one argv per subcommand, with every option of it somewhere
+    # at least one argv per subcommand, with every option of it somewhere, and the namespace it parses to
     ARGVS = [
-        ["rack", "--n", "4", "--out", "r.json"],
-        ["rack", "--check", "rack.json"],
-        ["cocycle", "--kind", "chi", "--n", "4"],
-        ["cocycle", "--check", "c.json", "--out", "o.json"],
-        ["cover", "--n", "5"],
-        ["cover", "--n", "5", "--trials", "3", "--seed", "2", "--out", "o.json"],
-        ["twist-verify", "--n", "8"],
-        ["twist-verify", "--n", "8", "--out", "o.json"],
-        ["cohomology", "--n", "4", "--out", "o.json"],
-        ["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2"],
-        ["hilbert", "--rack", "x4", "--cocycle=-1", "--max-degree", "3", "--mode", "exact", "--seed", "4",
-         "--dim-cap", "10", "--closed-form", "2:2", "--out", "o.json"],
-        ["selfcheck"],
-        ["selfcheck", "--n-max", "4", "--trials", "5", "--seed", "1", "--inject-fault", "generator", "--out", "o.json"],
+        (["rack", "--n", "4", "--out", "r.json"], {"n": 4, "check": None, "out": "r.json"}),
+        (["rack", "--check", "rack.json"], {"n": None, "check": "rack.json", "out": None}),
+        (["cocycle", "--kind", "chi", "--n", "4"], {"n": 4, "kind": "chi", "check": None, "out": None}),
+        (["cocycle", "--check", "c.json", "--out", "o.json"], {"n": None, "kind": None, "check": "c.json", "out": "o.json"}),
+        (["cover", "--n", "5"], {"n": 5, "trials": 1000, "seed": 0, "out": None}),
+        (["cover", "--n", "5", "--trials", "3", "--seed", "2", "--out", "o.json"],
+         {"n": 5, "trials": 3, "seed": 2, "out": "o.json"}),
+        (["twist-verify", "--n", "8"], {"n": 8, "out": None}),
+        (["twist-verify", "--n", "8", "--out", "o.json"], {"n": 8, "out": "o.json"}),
+        (["cohomology", "--n", "4", "--out", "o.json"], {"n": 4, "out": "o.json"}),
+        (["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2"],
+         {"rack": "x3", "cocycle": "chi", "max_degree": 2, "mode": "modular", "seed": 0, "dim_cap": None,
+          "closed_form": None, "out": None}),
+        (["hilbert", "--rack", "x4", "--cocycle=-1", "--max-degree", "3", "--mode", "exact", "--seed", "4",
+          "--dim-cap", "10", "--closed-form", "2:2", "--out", "o.json"],
+         {"rack": "x4", "cocycle": "-1", "max_degree": 3, "mode": "exact", "seed": 4, "dim_cap": 10,
+          "closed_form": "2:2", "out": "o.json"}),
+        (["selfcheck"], {"n_max": 6, "trials": 200, "seed": 0, "inject_fault": None, "out": None}),
+        (["selfcheck", "--n-max", "4", "--trials", "5", "--seed", "1", "--inject-fault", "generator", "--out", "o.json"],
+         {"n_max": 4, "trials": 5, "seed": 1, "inject_fault": "generator", "out": "o.json"}),
     ]
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
-    def test_single_command_parser_parses_as_the_full_parser(self, argv):
-        got = cli.build_parser(argv[0]).parse_args(argv)
-        assert got == cli.build_parser().parse_args(argv)
-        assert got.fn is cli.COMMANDS[[name for name, *_ in cli.COMMANDS].index(argv[0])][1]
+    @pytest.mark.parametrize("argv, values", ARGVS, ids=[" ".join(argv) for argv, _ in ARGVS])
+    def test_parses_every_flag(self, argv, values):
+        got = cli.parse_args(argv)
+        handler = cli.COMMANDS[[name for name, *_ in cli.COMMANDS].index(argv[0])][1]
+        assert vars(got) == {"subcommand": argv[0], "fn": handler, **values}
 
     def test_defaults(self):
-        parse = cli.build_parser().parse_args
+        parse = cli.parse_args
         assert vars(parse(["cover", "--n", "5"])) == {
             "subcommand": "cover", "n": 5, "trials": 1000, "seed": 0, "out": None, "fn": cli.cmd_cover}
         assert vars(parse(["selfcheck"])) == {
@@ -619,56 +650,149 @@ class TestParser:
             "subcommand": "hilbert", "rack": "x3", "cocycle": "chi", "max_degree": 2, "mode": "modular", "seed": 0,
             "dim_cap": None, "closed_form": None, "out": None, "fn": cli.cmd_hilbert}
 
-    @pytest.mark.parametrize("argv, says", [
-        ([], "error: the following arguments are required: subcommand\n"),
-        (["frobnicate"], "error: argument subcommand: invalid choice: 'frobnicate' (choose from "
-                         "'rack', 'cocycle', 'cover', 'twist-verify', 'cohomology', 'hilbert', 'selfcheck')\n"),
-        (["twist-verify"], "error: the following arguments are required: --n\n"),
-        (["twist-verify", "--n", "5", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+    HILBERT = ["hilbert", "--rack", "x3", "--cocycle", "chi", "--max-degree", "2"]
+
+    @pytest.mark.parametrize("argv, attr, value", [
+        # a flag takes the next entry or its inline value after '='
+        (["twist-verify", "--n", "5"], "n", 5),
+        (["twist-verify", "--n=5"], "n", 5),
+        (["cover", "--n", "5", "--trials=7"], "trials", 7),
+        (["hilbert", "--rack=x3", "--cocycle=chi", "--max-degree=2"], "max_degree", 2),
+        # a negative number is a value, not a flag
+        (["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "2"], "cocycle", "-1"),
+        (["selfcheck", "--seed", "-3"], "seed", -3),
+        (["cover", "--n", "5", "--seed=-7"], "seed", -7),
+        # the last of a repeated flag wins
+        (["twist-verify", "--n", "4", "--n", "5"], "n", 5),
+        (["twist-verify", "--n=4", "--n", "6"], "n", 6),
+        ([*HILBERT, "--mode", "exact", "--mode", "modular"], "mode", "modular"),
+        # a unique prefix of a long flag names it
+        (["selfcheck", "--n-m", "3"], "n_max", 3),
+        (["selfcheck", "--n", "4"], "n_max", 4),
+        (["selfcheck", "--t", "5"], "trials", 5),
+        ([*HILBERT, "--cl=2:2"], "closed_form", "2:2"),
+        (["selfcheck", "--inj", "generator"], "inject_fault", "generator"),
+        # int() reads the value
+        (["twist-verify", "--n", "+8"], "n", 8),
+        (["twist-verify", "--n", "08"], "n", 8),
+        (["twist-verify", "--n", " 8 "], "n", 8),
+        (["twist-verify", "--n", "8_0"], "n", 80),
+        # '-' alone, and an unknown word with a space, are values
+        (["twist-verify", "--n", "4", "--out", "-"], "out", "-"),
+        (["rack", "--check", "-a b"], "check", "-a b"),
     ])
-    def test_usage_errors_are_those_of_the_full_parser(self, capsys, argv, says):
+    def test_flag_spellings(self, argv, attr, value):
+        assert getattr(cli.parse_args(argv), attr) == value
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"], ["-h", "rack"]])
+    def test_top_level_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.err == "" and out.out == cli.usage(full=True) + "\n"
+        assert out.out.startswith("usage: racktwist [-h]\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["twist-verify", "-h"], ["twist-verify", "--help"], ["twist-verify", "--n", "4", "--help"],
+        ["twist-verify", "--h"], ["twist-verify", "--help", "--n", "x"], ["twist-verify", "--bogus", "-h"],
+    ])
+    def test_command_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: racktwist twist-verify [-h] --n N [--out OUT]\n\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --n N\n"
+            "  --out OUT   write the report JSON here\n"
+        )
+
+    def test_help_wraps_usage_and_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["hilbert", "--help"])
+        assert capsys.readouterr().out == (
+            "usage: racktwist hilbert [-h] --rack RACK --cocycle COCYCLE --max-degree\n"
+            "                         MAX_DEGREE [--mode {exact,modular}] [--seed SEED]\n"
+            "                         [--dim-cap DIM_CAP] [--closed-form CLOSED_FORM]\n"
+            "                         [--out OUT]\n\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --rack RACK           xN or a rack JSON file\n"
+            "  --cocycle COCYCLE     chi | -1 | minus1 | const:M:E | file\n"
+            "  --max-degree MAX_DEGREE\n"
+            "  --mode {exact,modular}\n"
+            "  --seed SEED\n"
+            "  --dim-cap DIM_CAP     override the basis-dimension cap\n"
+            "  --closed-form CLOSED_FORM\n"
+            "                        compare ranks against prod (M)_t^MULT, as\n"
+            "                        M:MULT,M:MULT,...\n"
+            "  --out OUT             write the report JSON here\n"
+        )
+
+    def test_hidden_flag_is_accepted_but_not_listed(self, capsys):
+        assert cli.parse_args(["selfcheck", "--inject-fault", "generator"]).inject_fault == "generator"
+        with pytest.raises(SystemExit):
+            run(["selfcheck", "--help"])
+        printed = capsys.readouterr().out
+        assert "--trials TRIALS" in printed and "inject" not in printed
+
+    @pytest.mark.parametrize("argv, command, says", [
+        ([], None, "the following arguments are required: subcommand"),
+        (["frobnicate"], None, "argument subcommand: invalid choice: 'frobnicate' (choose from "
+                               "'rack', 'cocycle', 'cover', 'twist-verify', 'cohomology', 'hilbert', 'selfcheck')"),
+        (["twist-verify"], "twist-verify", "the following arguments are required: --n"),
+        (["twist-verify", "--n", "5", "--bogus"], None, "unrecognized arguments: --bogus"),
+        (["twist-verify", "--n", "x"], "twist-verify", "argument --n: invalid int value: 'x'"),
+        (["twist-verify", "--n", "1e3"], "twist-verify", "argument --n: invalid int value: '1e3'"),
+        (["twist-verify", "--n="], "twist-verify", "argument --n: invalid int value: ''"),
+        ([*HILBERT, "--mode", "fast"], "hilbert",
+         "argument --mode: invalid choice: 'fast' (choose from 'exact', 'modular')"),
+        (["selfcheck", "--inject-fault", "x"], "selfcheck",
+         "argument --inject-fault: invalid choice: 'x' (choose from 'generator')"),
+        (["twist-verify", "--n"], "twist-verify", "argument --n: expected one argument"),
+        (["twist-verify", "--n", "--out", "o"], "twist-verify", "argument --n: expected one argument"),
+        (["twist-verify", "--n", "-x"], "twist-verify", "argument --n: expected one argument"),
+        (["twist-verify", "--n", "--"], "twist-verify", "argument --n: expected one argument"),
+        (["hilbert"], "hilbert", "the following arguments are required: --rack, --cocycle, --max-degree"),
+        (["hilbert", "--cocycle", "-1"], "hilbert", "the following arguments are required: --rack, --max-degree"),
+        (["twist-verify", "--n", "4", "extra"], None, "unrecognized arguments: extra"),
+        (["twist-verify", "extra", "--n", "4", "--bogus=5", "-1"], None, "unrecognized arguments: extra --bogus=5 -1"),
+        (["twist-verify", "--n", "4", "--", "x"], None, "unrecognized arguments: -- x"),
+        (["twist-verify", "--", "--n", "4"], "twist-verify", "the following arguments are required: --n"),
+        (["-x", "twist-verify", "--n", "4"], None, "unrecognized arguments: -x"),
+        ([*HILBERT, "--c", "x"], "hilbert", "ambiguous option: --c could match --cocycle, --closed-form"),
+        (["hilbert", "--m=2", "-h"], "hilbert", "ambiguous option: --m=2 could match --max-degree, --mode"),
+        (["twist-verify", "--help=x"], "twist-verify", "argument -h/--help: ignored explicit argument 'x'"),
+        (["-hx"], None, "argument -h/--help: ignored explicit argument 'x'"),
+    ])
+    def test_usage_errors_keep_their_wording(self, capsys, argv, command, says):
         assert run(argv) == 1
         err = capsys.readouterr().err
-        with pytest.raises(cli.UsageError) as exc:
-            cli.build_parser().parse_args(argv)
-        assert err == capsys.readouterr().err + f"error: {exc.value}\n"
-        assert err.startswith("usage: racktwist") and err.endswith(says)
+        assert err.startswith("usage: racktwist")
+        assert err == f"{cli.usage(command)}\nerror: {says}\n"
 
-    @staticmethod
-    def spy_add_parser(monkeypatch):
-        names = []
-        original = argparse._SubParsersAction.add_parser
+    def test_usage_lines(self):
+        assert cli.usage() == (
+            "usage: racktwist [-h]\n"
+            "                 {rack,cocycle,cover,twist-verify,cohomology,hilbert,selfcheck}\n"
+            "                 ..."
+        )
+        assert cli.usage("selfcheck") == (
+            "usage: racktwist selfcheck [-h] [--n-max N_MAX] [--trials TRIALS]\n"
+            "                           [--seed SEED] [--out OUT]"
+        )
+        assert cli.usage("rack") == "usage: racktwist rack [-h] [--n N] [--check FILE] [--out OUT]"
 
-        def spy(self, name, **kwargs):
-            names.append(name)
-            return original(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-        return names
-
-    def test_a_valid_command_registers_one_subparser(self, monkeypatch, capsys):
-        names = self.spy_add_parser(monkeypatch)
-        assert run(["twist-verify", "--n", "4"]) == 0
-        assert names == ["twist-verify"]
-        names.clear()
-        assert run(["cover", "--n", "3"]) == 1
-        assert names == ["cover"]
-
-    @pytest.mark.parametrize("argv", [[], ["frobnicate"], ["--bogus"]])
-    def test_anything_else_registers_every_subparser(self, monkeypatch, capsys, argv):
-        names = self.spy_add_parser(monkeypatch)
-        assert run(argv) == 1
-        assert names == [name for name, *_ in cli.COMMANDS]
-        assert len(names) == 7
-
-    def test_help_lists_every_subcommand(self, monkeypatch, capsys):
-        names = self.spy_add_parser(monkeypatch)
+    def test_help_lists_every_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--help"])
-        assert exc.value.code == 0 and len(names) == 7
+        assert exc.value.code == 0
         printed = capsys.readouterr().out
+        assert len(cli.COMMANDS) == 7
         for name, _, help_text, _ in cli.COMMANDS:
-            assert name in printed and help_text in printed
+            assert f"\n    {name}" in printed and help_text in printed
 
 
 def child_env():
@@ -713,6 +837,17 @@ def test_spin_cover_runs_do_not_load_numpy_ma(argv):
 def test_cli_import_does_not_load_the_exact_path():
     # the k^d proven-rank path is compiled only by a run that proves a degree
     assert run_child("import sys, racktwist.cli; print('racktwist.exact' in sys.modules)").strip() == "False"
+
+
+def test_a_run_does_not_load_argparse_gettext_or_locale(tmp_path):
+    # the parser reads COMMANDS itself: argparse and gettext cost about 3.5 ms of every CLI start,
+    # and gettext's first lookup imports locale, about 2 ms more
+    out = tmp_path / "t.json"
+    code = ("import sys; from racktwist import cli; "
+            f"rc = cli.main(['twist-verify', '--n', '4', '--out', {str(out)!r}]); "
+            "print(rc, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    assert run_child(code).splitlines()[-1] == "0 []"
+    assert read_json(str(out))["ok"] is True
 
 
 HILBERT_X4_D5 = ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "5"]
