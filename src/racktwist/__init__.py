@@ -5,6 +5,7 @@ from .cocycle import (
     RackCocycle,
     TwistTable,
     check_cocycle,
+    check_rack_cocycle,
     check_twist_condition,
     chi_cocycle,
     constant_cocycle,

@@ -26,7 +26,8 @@ EXIT_RESOURCE = 3
 
 N_CAP = spincover.DEFAULT_N_CAP
 # rack and cocycle build x_n, with n(n - 1)/2 elements, and check their axioms
-# on every triple of elements: n = 20 takes about a second, n = 30 over ten seconds
+# on every triple of elements in numpy: in process, n = 20 takes 0.06 s for
+# either command and n = 30 0.65 s for rack (Xeon, 2 vCPU, Python 3.11, numpy 2.4)
 RACK_N_CAP = 20
 
 
@@ -345,10 +346,6 @@ def cmd_hilbert(args) -> int:
     cap = _dim_cap(args)
     rack, n, rack_id = _parse_rack_arg(args.rack, args.max_degree, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
-    verdict = cocycle_mod.check_cocycle(q)
-    if not verdict.ok:
-        print(f"hilbert: input is not a cocycle (violation at {verdict.witness})")
-        return EXIT_CHECK_FAILED
     closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
     report_obj = hilbert_mod.graded_dims(
         q,

@@ -2,13 +2,14 @@
 
 Values are never stored as floating complex numbers: a cocycle of order m
 keeps a table of exponents e with q_{x,y} = zeta_m^e, so every check is
-exact arithmetic in Z/m.  Tables are read off and checked as int64 arrays:
+exact arithmetic in Z/m.  Tables are read off and checked as numpy arrays:
 chi from the one-line images of the transpositions (once per n), the twist
-all entries at once, and the cocycle and twist conditions over chunks of
-x, each a (chunk, k, k) array of residues over the triples (x, y, z).
-Every residue is brought into (-2m, 2m) (the twist condition reduces its
-two halves first), so comparing its absolute value with 0 and m decides
-it; orders up to 2^62 stay within int64, and larger ones are refused.
+all entries at once, and the cocycle and twist conditions as masks over
+chunks of x (rack._first_failure), each a (chunk, k, k) array of residues
+over the triples (x, y, z).  Every residue is brought into (-2m, 2m) (the
+twist condition reduces its two halves first), so comparing its absolute
+value with 0 and m decides it; orders up to 2^62 stay within int64, and
+larger ones are refused.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ import numpy as np
 from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
+    RackAxiomReport,
     ReadOnly,
     ValueRecord,
+    _check_axioms,
+    _first_failure,
+    _self_distributivity,
     json_count,
     json_field,
     json_table,
@@ -126,9 +131,9 @@ def chi_cocycle(n: int) -> RackCocycle:
     read off the one-line images of the transpositions once per n; it is
     frozen and made of tuples, so every caller may share it.  It is not
     checked here: every command that reads it checks it once, `cocycle`
-    and `hilbert` by check_cocycle as any cocycle, `cohomology` by
-    check_cocycle as well, and `twist-verify`, `cover` and `selfcheck` by
-    the main theorem, chi^phi = -1, which no other table satisfies.
+    and `cohomology` by check_cocycle, `hilbert` by check_rack_cocycle as
+    any cocycle, and `twist-verify`, `cover` and `selfcheck` by the main
+    theorem, chi^phi = -1, which no other table satisfies.
     """
     if n < 3:
         raise ValueError(f"chi cocycle needs n >= 3, got {n}")
@@ -142,30 +147,10 @@ def chi_cocycle(n: int) -> RackCocycle:
     return got
 
 
-# Triples decided at once by check_cocycle and check_twist_condition: a chunk
-# of x takes at most this many (x, y, z) entries per array, and at least one x.
-# 2^14 was no faster on twist-verify --n 8 and raised its peak RSS by 0.3 MB.
-_TRIPLE_ENTRIES = 1 << 13
-
-
 def _int64_order(m: int, what: str) -> None:
     """DimensionCapError for orders above 2^62, where the int64 partial sums of the checks could overflow."""
     if m > 2**62:
         raise DimensionCapError(f"{what} order {m} > 2^62 is too large for 64-bit exponent sums")
-
-
-def _first_failure(k: int, failing) -> CocycleReport:
-    """Scan x = 0..k-1 in chunks; failing(xs) is the (len(xs), k, k) mask over (x, y, z) of the failing triples.
-
-    The witness is the first failing (x, y, z) in lexicographic order.
-    """
-    step = max(1, _TRIPLE_ENTRIES // (k * k))
-    for start in range(0, k, step):
-        bad = np.flatnonzero(failing(np.arange(start, min(k, start + step))))
-        if bad.size:
-            x, yz = divmod(int(bad[0]), k * k)
-            return CocycleReport(False, (start + x, *divmod(yz, k)))
-    return CocycleReport(True)
 
 
 def _not_multiple(d: np.ndarray, m: int) -> np.ndarray:
@@ -174,25 +159,50 @@ def _not_multiple(d: np.ndarray, m: int) -> np.ndarray:
     return (a != 0) & (a != m)
 
 
-def check_cocycle(q: RackCocycle) -> CocycleReport:
-    """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples.
+def _cocycle_condition(q: RackCocycle, op: np.ndarray):
+    """The mask of rack._first_failure where exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m).
 
     The residue is (exp[x][y|>z] - exp[x|>y][x|>z]) + (exp[y][z] - exp[x][z]),
-    in (-2m, 2m), taken in int64, so m must be at most 2^62 (DimensionCapError).
+    in (-2m, 2m), taken in the smallest signed dtype that holds 2m, so m must
+    be at most 2^62 (DimensionCapError).
     """
-    m, k = q.order, q.rack.size
+    m = q.order
     _int64_order(m, "cocycle")
-    op = np.array(q.rack.op, dtype=np.intp)
-    exp = np.array(q.exp, dtype=np.int64)
+    exp = np.array(q.exp, dtype=np.min_scalar_type(-2 * m))
     flat = exp.ravel()  # flat[a * k + b] = exp[a][b]
 
-    def failing(xs):
-        ox = op[xs]
-        d = exp[xs][:, op] - flat[(ox * k)[:, :, None] + ox[:, None, :]]
-        d += exp - exp[xs][:, None, :]
+    def failing(xs, ox, at):
+        ex = exp[xs]
+        d = ex[:, op] - flat[at]
+        d += exp - ex[:, None, :]
         return _not_multiple(d, m)
 
-    return _first_failure(k, failing)
+    return failing
+
+
+def check_cocycle(q: RackCocycle) -> CocycleReport:
+    """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples, for m <= 2^62.
+
+    The witness is the first failing (x, y, z) in lexicographic order.
+    """
+    op = np.array(q.rack.op, dtype=np.intp)
+    failed = _first_failure(op, [_cocycle_condition(q, op)])
+    return CocycleReport(True) if failed is None else CocycleReport(False, failed[1])
+
+
+def check_rack_cocycle(q: RackCocycle) -> RackAxiomReport:
+    """Check that q is a 2-cocycle on a rack, so that c(x (x) y) = q(x, y) (x |> y) (x) x is a braiding.
+
+    The braid equation holds exactly when the rack table's rows are
+    bijections, it is self-distributive and q satisfies the cocycle
+    condition (Andruskiewitsch-Grana, "From racks to pointed Hopf algebras",
+    2003).  The rows are checked first, then both conditions over one scan
+    of the triples; the witness is the one that `rack --check` reports, else
+    the one of `cocycle --check`, under the kind "not-a-cocycle".
+    """
+    op = np.array(q.rack.op, dtype=np.intp)
+    conditions = [("not-self-distributive", _self_distributivity(op)), ("not-a-cocycle", _cocycle_condition(q, op))]
+    return _check_axioms(op, conditions)
 
 
 def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
@@ -285,18 +295,17 @@ def check_twist_condition(phi: TwistTable) -> CocycleReport:
     flat = p.ravel()  # flat[a * k + b] = phi[a][b]
     outer = p[op, np.arange(k)[:, None]] - p  # phi[y|>z][y] - phi[y][z], over (y, z)
 
-    def failing(xs):
-        # axes run over (x, y, z); ox[., v] = x|>v, and row = ox * k offsets the rows x|>v of flat
-        ox = op[xs]
-        row = ox * k
+    def failing(xs, ox, at):
+        # axes run over (x, y, z); ox[., v] = x|>v, and ox * k offsets the rows x|>v of flat
         xyz_row = ox[:, op] * k
-        d = flat[row[:, :, None] + ox[:, None, :]] - p[xs][:, op]
+        d = flat[at] - p[xs][:, op]
         d += flat[xyz_row + xs[:, None, None]]
         d -= flat[xyz_row + ox[:, :, None]]
-        e = (p[xs] - flat[row + xs[:, None]])[:, None, :] + outer
+        e = (p[xs] - flat[ox * k + xs[:, None]])[:, None, :] + outer
         return _not_multiple(np.fmod(d, m) + np.fmod(e, m), m)
 
-    return _first_failure(k, failing)
+    failed = _first_failure(op, [failing])
+    return CocycleReport(True) if failed is None else CocycleReport(False, failed[1])
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

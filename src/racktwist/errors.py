@@ -15,7 +15,7 @@ class DimensionCapError(RackTwistError):
 
 
 class RackAxiomError(RackTwistError, ValueError):
-    """A rack table lacks an axiom that a computation needs, such as a bijective row x |> -."""
+    """An input lacks an axiom that a computation needs: bijective rows, self-distributivity, the cocycle condition."""
 
 
 class SectionConsistencyError(RackTwistError):

@@ -11,12 +11,12 @@ S_d = (S_{d-1} (x) id) . T_d, and held as one set of numpy coordinate arrays
 whose entries carry their power of zeta, so storage grows with the entries
 and not with m.  The braid-group orbits of the basis come with it: the
 symmetrizer is block diagonal over them.  So do their classes under the
-translations of X that commute with the braiding, which carry blocks onto
-blocks of the same rank.  Both depend only on the braiding, so they are
-found before assembly, and the caller may then ask for some rows only: row
-v of S_d is row floor(v/k) of S_{d-1}, lifted and multiplied by T_d, so
-those rows are built exactly from the rows of lower degrees that they
-descend from, and no other row is.  Assembly builds no table over the
+translations x |> - of X, which carry blocks onto blocks of the same rank.
+Both depend only on the braiding, so they are found before assembly, and
+the caller may then ask for some rows only: row v of S_d is row
+floor(v/k) of S_{d-1}, lifted and multiplied by T_d, so those rows are
+built exactly from the rows of lower degrees that they descend from, and
+no other row is.  Assembly builds no table over the
 basis: each lifted column is sent through T_d letter by letter, on k x k
 tables of the inverse braiding, so a degree pays for the entries of the
 rows it builds.  Over the basis, each degree takes one map to find its
@@ -29,9 +29,10 @@ const:3:1, degree 3, the block of each word xxx is 2 + 2 zeta + 2 zeta^2 = 0),
 which only lowers the rank of their block.  A translation
 g_x: y -> q(x, y) (x |> y) whose square g_x (x) g_x commutes with the
 braiding on X (x) X commutes with the symmetrizer, so it carries each block
-onto the block of the image orbit with the same rank; on a rack every
-2-cocycle satisfies this (it is the cocycle condition).  Only the block of
-the smallest orbit in each class (SymmetrizerMatrix.orbit_class) is ranked,
+onto the block of the image orbit with the same rank; every x does, as q
+is a 2-cocycle on a rack (self-distributivity and the cocycle condition at
+(x, y, z), which `hilbert.graded_dims` checks).  Only the block of the
+smallest orbit in each class (SymmetrizerMatrix.orbit_class) is ranked,
 weighted by the class size, and only its rows are assembled.  Each ranked
 block is cut from the integer entries and folded on its own into a small
 integer array with one slice per power of zeta that occurs (for even m
@@ -59,10 +60,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, _inverse_letters, _min_labels, check_degree
+from .braided import DEFAULT_DIM_CAP, _inverse_letters, check_degree
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .hilbert import _PRIME_HIGH, _element_of_order, _is_prime_u32, _prime_divisors
+from .rack import _min_labels
 
 
 class CountMatrix(NamedTuple):
@@ -89,12 +91,11 @@ class SymmetrizerMatrix(NamedTuple):
     orbit of v; every lift maps a basis vector into its orbit, so the
     matrix is block diagonal over the orbits.
 
-    Let g_x send basis y to q(x, y) (x |> y).  When g_x (x) g_x commutes
-    with the braiding c on X (x) X (see _commuting_translations; on a rack
-    with a 2-cocycle that holds for every x, for -1 and chi alike),
-    g_x^(x)degree commutes with every lift and with the symmetrizer, and
-    it carries the block of an orbit onto the block of the image orbit
-    with the same rank.  These x sort the orbits into classes;
+    Let g_x send basis y to q(x, y) (x |> y).  On a rack with a 2-cocycle
+    g_x (x) g_x commutes with the braiding c on X (x) X for every x, for -1
+    and chi alike, so g_x^(x)degree commutes with every lift and with the
+    symmetrizer, and it carries the block of an orbit onto the block of the
+    image orbit with the same rank.  The x sort the orbits into classes;
     `orbit_class[i]` is the number of the smallest orbit in the class of
     orbit i, orbits numbered by their smallest member.  `rank` ranks
     one block per class and weights it by the class size.
@@ -117,11 +118,9 @@ class SymmetrizerMatrix(NamedTuple):
 
 
 class RankCertificate(NamedTuple):
-    """The computed rank together with how it was obtained."""
+    """The proven rank of a symmetrizer, with its size and a basis of its row space."""
 
     rank: int
-    method: str  # "exact"; graded_dims also reports CERTIFIED and FALLBACK
-    primes: tuple[int, ...]
     dim: int
     n_components: int
     # rows of the symmetrizer that form a basis of its row space (see rank)
@@ -164,33 +163,8 @@ def _braid_orbits(q: RackCocycle, degree: int) -> np.ndarray:
     return orbit
 
 
-def _commuting_translations(q: RackCocycle) -> list[np.ndarray]:
-    """The rows phi = x |> - whose monomial lift g_x commutes with the braiding.
-
-    g_x sends basis y to q(x, y) (x |> y).  It is invertible, as every row
-    phi must be a permutation of X (_inverse_letters raises RackAxiomError
-    otherwise), and g_x (x) g_x commutes with c on X (x) X when
-    phi(y) |> phi(z) = phi(y |> z) and q(y, z) q(x, y |> z) = q(x, z)
-    q(phi y, phi z) for all y, z.  The last identity is the cocycle
-    condition at (x, y, z), so on a rack every x qualifies; each row is
-    checked all the same, because file racks that fail the axioms reach
-    `hilbert` too.  They do not depend on the degree, so a caller that
-    builds several degrees finds them once (see `symmetrizer`).
-    """
-    _inverse_letters(q)
-    k, m = q.rack.size, q.order
-    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
-    ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
-    return [
-        phi
-        for phi, ex_x in zip(op, ex)
-        if np.array_equal(op[phi[:, None], phi], phi[op])
-        and not ((ex + ex_x[op] - ex_x - ex[phi[:, None], phi]) % m).any()
-    ]
-
-
-def _orbit_classes(orbit: np.ndarray, degree: int, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The class of every braid orbit under the translations phis (t, k), and its carry.
+def _orbit_classes(orbit: np.ndarray, degree: int, op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The class of every braid orbit under the translations x |> -, the rows of op, and its carry.
 
     Orbits are numbered by their smallest member; entry i of the class is
     the number of the smallest orbit (the head) in the class of orbit i.
@@ -200,11 +174,11 @@ def _orbit_classes(orbit: np.ndarray, degree: int, phis: np.ndarray) -> tuple[np
     first reached along several edges takes the one of the first
     translation.
     """
-    k = phis.shape[1]
+    k = len(op)
     reps = np.flatnonzero(orbit == np.arange(orbit.size))
     place = k ** np.arange(degree, dtype=np.int64)
     # maps[t, i]: the orbit that translation t sends orbit i to, read off its smallest member
-    maps = np.searchsorted(reps, orbit[phis[:, reps[:, None] // place % k] @ place])
+    maps = np.searchsorted(reps, orbit[op[:, reps[:, None] // place % k] @ place])
     orbit_class = _min_labels(np.arange(reps.size), maps)
     frontier = np.flatnonzero(orbit_class == np.arange(reps.size))
     carry = np.full((reps.size, k), -1, dtype=np.min_scalar_type(-k))
@@ -218,7 +192,7 @@ def _orbit_classes(orbit: np.ndarray, degree: int, phis: np.ndarray) -> tuple[np
         first = np.ones(by.size, dtype=bool)
         first[1:] = reached[by[1:]] != reached[by[:-1]]
         win = by[first]
-        carry[reached[win]] = phis[t[win, None], carry[frontier[f[win]]]]
+        carry[reached[win]] = op[t[win, None], carry[frontier[f[win]]]]
         frontier = reached[win]
     return orbit_class, carry
 
@@ -258,7 +232,6 @@ def symmetrizer(
     degree: int,
     dim_cap: int = DEFAULT_DIM_CAP,
     rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    translations: list[np.ndarray] | None = None,
 ) -> SymmetrizerMatrix:
     """Sum the braid lifts of all degree! permutations into a sparse exact matrix.
 
@@ -275,13 +248,11 @@ def symmetrizer(
     letter by letter on k x k tables (_sends), and merges duplicate (row,
     column, exponent) entries, keyed in that order in the bit fields of one
     integer, a block of rows at a time.  No table over the basis is kept
-    from one step to the next.  The rows of the rack table must be
-    bijections (RackAxiomError, a ValueError, otherwise).
+    from one step to the next.  q must be a checked 2-cocycle on a rack
+    (cocycle.check_rack_cocycle); `hilbert.graded_dims` checks it.
 
-    The braid orbits (_braid_orbits) and their classes come first.  The
-    classes are taken under `translations`, the list that
-    _commuting_translations(q) returns; a caller that builds several
-    degrees finds it once and passes it, and None finds it here.
+    The braid orbits (_braid_orbits) and their classes under the rows
+    x |> - of the rack table come first.
     `rows(orbit, orbit_class)` then names the rows to build, ascending and
     distinct; None builds every row.  Row rk + a of S_d is row r of
     S_{d-1}, lifted to lane a and multiplied by T_d, so rows R of S_degree
@@ -296,10 +267,7 @@ def symmetrizer(
     inverse = _inverse_letters(q)
     dim = k**degree
     orbit = _braid_orbits(q, degree)
-    if translations is None:
-        translations = _commuting_translations(q)
-    phis = np.array(translations, dtype=np.int64).reshape(-1, k)
-    orbit_class, orbit_carry = _orbit_classes(orbit, degree, phis)
+    orbit_class, orbit_carry = _orbit_classes(orbit, degree, np.array(q.rack.op, dtype=np.int64).reshape(k, k))
     built = np.arange(dim, dtype=np.int64) if rows is None else np.asarray(rows(orbit, orbit_class), dtype=np.int64)
     if built.size and (built[0] < 0 or built[-1] >= dim or (built[1:] <= built[:-1]).any()):
         raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
@@ -614,4 +582,4 @@ def rank(sym: SymmetrizerMatrix, *, below: np.ndarray | None = None) -> RankCert
     multiplied by T_d, so those rows span every kept row.
     """
     value, pivots = _kept_pivots(sym, below)
-    return RankCertificate(value, "exact", (), sym.dim, sym.orbit_class.size, _carry(sym, pivots))
+    return RankCertificate(value, sym.dim, sym.orbit_class.size, _carry(sym, pivots))

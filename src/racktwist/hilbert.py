@@ -18,9 +18,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, _inverse_letters, check_degree
-from .cocycle import RackCocycle
-from .errors import DimensionCapError
+from .braided import DEFAULT_DIM_CAP, check_degree
+from .cocycle import RackCocycle, check_rack_cocycle
+from .errors import DimensionCapError, RackAxiomError
 from .nichols import LeibnizEngine
 
 _PRIME_LOW = 2**30
@@ -178,32 +178,38 @@ def graded_dims(
 ) -> HilbertReport:
     """Dimensions of the Nichols algebra in degrees 0..max_degree.
 
-    Degrees 0 and 1 are identity shortcuts (rank 1 and rank = rack size); no
-    matrix is built for them.  Modular mode draws one pair of primes
-    p = 1 mod order from random.Random(seed) and ranks every degree from 2 on
-    by the Leibniz recursion modulo both (nichols.LeibnizEngine), which
-    closes the group of translations first.  At the first degree where the
-    primes disagree, that degree is proven on the symmetrizer, on every kept
-    row, and tagged FALLBACK with the pair; every later degree is proven the
-    same way and tagged exact.  Exact mode proves every degree so: it builds
-    only the rows that exact.rank reads, those of the smallest braid orbit
-    of every class (exact._kept_rows) whose prefix is a pivot row of the
-    degree below (see exact.rank).  The resource caps of the symmetrizer
-    are checked for max_degree before any degree is built; they grow with
-    the degree, so that covers every degree.  So is the cocycle order, which must leave two
-    candidates p = 1 mod order in [2^30, 2^31) for the primes.  A closed
-    form is expanded through max_degree (and a bad factor rejected) after
-    the caps, so a huge max_degree never sizes its coefficients, and before
-    any degree is built.  The translations that sort the orbits into classes do not
-    depend on the degree, so they are found once, at the first proven degree
-    (exact._commuting_translations); the rows of the rack table must be
-    bijections, at every max_degree, or RackAxiomError is raised before any
-    degree.
+    q must be a 2-cocycle on a rack, so that its braiding satisfies the
+    braid equation.  That is checked first, in both modes, at every
+    max_degree and before any resource cap (cocycle.check_rack_cocycle);
+    RackAxiomError names the kind and witness that `rack --check` or
+    `cocycle --check` reports.  Degrees 0 and 1 are identity shortcuts
+    (rank 1 and rank = rack size); no matrix is built for them.  Modular
+    mode draws one pair of primes p = 1 mod order from
+    random.Random(seed) and ranks every degree from 2 on by the Leibniz
+    recursion modulo both (nichols.LeibnizEngine), which closes the group
+    of translations first.  At the first degree where the primes
+    disagree, that degree is proven on the symmetrizer, on every kept row,
+    and tagged FALLBACK with the pair; every later degree is proven the
+    same way and tagged exact.  Exact mode proves every degree so: it
+    builds only the rows that exact.rank reads, those of the smallest
+    braid orbit of every class (exact._kept_rows) whose prefix is a pivot
+    row of the degree below (see exact.rank).  The resource caps of the
+    symmetrizer are checked for max_degree before any degree is built;
+    they grow with the degree, so that covers every degree.  So is the
+    cocycle order, which must leave two candidates p = 1 mod order in
+    [2^30, 2^31) for the primes.  A closed form is expanded through
+    max_degree (and a bad factor rejected) after the caps, so a huge
+    max_degree never sizes its coefficients, and before any degree is
+    built.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
+    axioms = check_rack_cocycle(q)
+    if not axioms.ok:
+        braiding = "c(x (x) y) = q(x, y) (x |> y) (x) x"
+        raise RackAxiomError(f"{axioms.kind} at {axioms.witness}: the braiding {braiding} needs a 2-cocycle on a rack")
     if max_degree >= 2:
         check_degree(q, max_degree, dim_cap)
         if _candidates(q.order)[1] < 2:
@@ -213,10 +219,6 @@ def graded_dims(
     series = None if closed_form is None else expand_closed_form(closed_form, max_degree)
     report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
     k = q.rack.size
-    # RackAxiomError unless every row x |> - is a bijection, at every max_degree
-    _inverse_letters(q)
-    # the translations that sort the orbits into classes, the same in every degree, found at the first proof
-    translations = None
     modular = None
     if mode == "modular" and max_degree >= 2:
         rng = random.Random(seed)
@@ -234,11 +236,9 @@ def graded_dims(
             rank_d, method, used = value, CERTIFIED, primes
         else:
             # here only, so that a run that proves no degree never compiles the k^d path
-            from .exact import _commuting_translations, _kept_rows, rank, symmetrizer
+            from .exact import _kept_rows, rank, symmetrizer
 
-            if translations is None:
-                translations = _commuting_translations(q)
-            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below), translations=translations)
+            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below))
             cert = rank(sym, below=below)
             rank_d, method, used = cert.rank, "exact", ()
             if modular is not None:

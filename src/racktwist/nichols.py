@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .braided import _min_labels
-from .errors import DimensionCapError, RackAxiomError
+from .errors import DimensionCapError
+from .rack import _min_labels
 
 
 def _weights(k: int, salt: int) -> np.ndarray:
@@ -177,27 +177,15 @@ class Level:
 class LeibnizEngine:
     """The group Q of a rack cocycle, closed at construction, and the recursion over it (`ranks`).
 
-    RackAxiomError names the first (x, y, z) where the table is not
-    self-distributive, as `rack --check` does; ValueError a cocycle that
-    breaks A_x A_y = A_(x |> y) A_x; DimensionCapError a group with
-    |Q| |X| > dim_cap.
+    q must be a checked 2-cocycle on a rack (cocycle.check_rack_cocycle),
+    so that A_x A_y = A_(x |> y) A_x grades the recursion.
+    DimensionCapError names a group with |Q| |X| > dim_cap.
     """
 
     def __init__(self, q, primes: tuple[int, int], roots: tuple[int, int], dim_cap: int):
         k, m = q.rack.size, q.order
         op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
         ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
-        x, y = np.divmod(np.arange(k * k), k)
-        left = _compose((op[x], ex[x]), (op[y], ex[y]), m)
-        right = _compose((op[op[x, y]], ex[op[x, y]]), (op[x], ex[x]), m)
-        bad = np.flatnonzero(left[0] != right[0])
-        if bad.size:
-            xy, z = divmod(int(bad[0]), k)
-            raise RackAxiomError(
-                f"not-self-distributive at {(*divmod(xy, k), z)}: the grading of the Leibniz recursion needs a rack"
-            )
-        if (left[1] != right[1]).any():
-            raise ValueError("the translations A_x break A_x A_y = A_(x |> y) A_x: not a 2-cocycle")
         self.k, self.m, self.op, self.ex = k, m, op, ex
         self.p, self.roots = np.array(primes, dtype=np.int64), np.array(roots, dtype=np.int64)
         self._close(dim_cap)

@@ -192,6 +192,81 @@ def _lex_min_word(image: tuple[int, ...]) -> tuple[int, ...]:
     return min(words, default=())
 
 
+def rack_axioms_by_loops(r: FiniteRack) -> tuple[str, tuple[int, ...]] | None:
+    """The first violation of the rack axioms as (kind, witness), or None, in plain loops.
+
+    Rows first, then triples, both in lexicographic order: the first row
+    x |> - that is not a bijection, then the first (x, y, z) with
+    x |> (y |> z) != (x |> y) |> (x |> z).
+    """
+    k, op = r.size, r.op
+    for x in range(k):
+        if set(op[x]) != set(range(k)):
+            return "non-bijective-row", (x,)
+    for x in range(k):
+        for y in range(k):
+            for z in range(k):
+                if op[x][op[y][z]] != op[op[x][y]][op[x][z]]:
+                    return "not-self-distributive", (x, y, z)
+    return None
+
+
+def is_indecomposable_by_union_find(r: FiniteRack) -> bool:
+    """True iff the graph with edges {y, x |> y} over all x, y is connected, by union-find with path halving."""
+    k = r.size
+    parent = list(range(k))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in range(k):
+        for y in range(k):
+            ra, rb = find(y), find(r.op[x][y])
+            if ra != rb:
+                parent[ra] = rb
+    return len({find(a) for a in range(k)}) == 1
+
+
+def small_racks(rng: random.Random) -> list[FiniteRack]:
+    """Racks of sizes 1..8: trivial, affine x |> y = (1 - a) x + a y mod p, transposition, permutation and unions."""
+    racks = [FiniteRack(tuple(tuple(range(k)) for _ in range(k))) for k in range(1, 9)]
+    racks += [FiniteRack(tuple(tuple(((1 - a) * x + a * y) % p for y in range(p)) for x in range(p)))
+              for p in (3, 5, 7) for a in range(2, p)]
+    racks += [transposition_rack(3), transposition_rack(4)]
+    for k in range(1, 9):
+        s = list(range(k))
+        rng.shuffle(s)
+        racks.append(FiniteRack((tuple(s),) * k))  # x |> y = s(y)
+    # x3 and a trivial rack side by side, each acting trivially on the other
+    racks.append(FiniteRack(tuple(
+        tuple(transposition_rack(3).op[x][y] if x < 3 and y < 3 else y for y in range(5)) for x in range(5)
+    )))
+    return racks
+
+
+def planted_tables(seed: int) -> list[FiniteRack]:
+    """Each small rack as it is, with two entries of a row swapped, with a repeated entry, and a random table."""
+    rng = random.Random(seed)
+    tables = []
+    for r in small_racks(rng):
+        k = r.size
+        op = [list(row) for row in r.op]
+        tables.append(r)
+        x, a, b = rng.randrange(k), rng.randrange(k), rng.randrange(k)
+        swapped = [list(row) for row in op]
+        swapped[x][a], swapped[x][b] = swapped[x][b], swapped[x][a]
+        tables.append(FiniteRack(tuple(map(tuple, swapped))))
+        repeated = [list(row) for row in op]
+        repeated[x][a] = repeated[x][b]
+        tables.append(FiniteRack(tuple(map(tuple, repeated))))
+        rows = [rng.sample(range(k), k) for _ in range(k)]
+        tables.append(FiniteRack(tuple(map(tuple, rows))))
+    return tables
+
+
 def cocycle_first_failure(q: RackCocycle) -> tuple[int, int, int] | None:
     """The first triple (x, y, z), in lexicographic order, that breaks the rack 2-cocycle condition."""
     op, exp, m, k = q.rack.op, q.exp, q.order, q.rack.size
@@ -472,14 +547,12 @@ def hurwitz_orbits(q, degree: int) -> list[tuple[int, ...]]:
     return _components(k**degree, edges)
 
 
-def translation_classes(q, degree: int) -> list[int]:
-    """Classes of braid orbits under the translations g_x that commute with the braiding.
+def commuting_translations(q) -> list[tuple[int, ...]]:
+    """The rows phi = x |> - whose translation g_x commutes with the braiding, in order of x.
 
     g_x sends basis y to q(x, y) (x |> y); it is kept when it permutes X and
     c (g_x (x) g_x) = (g_x (x) g_x) c on every y (x) z, both sides compared as
-    (basis pair, exponent).  Orbits are numbered as in hurwitz_orbits; entry
-    i is the number of the smallest orbit that the kept translations
-    connect to orbit i.
+    (basis pair, exponent).
     """
     k, m, op, ex = q.rack.size, q.order, q.rack.op, q.exp
     gens = []
@@ -496,6 +569,17 @@ def translation_classes(q, degree: int) -> list[int]:
                 commutes = commutes and before == after
         if commutes:
             gens.append(phi)
+    return gens
+
+
+def translation_classes(q, degree: int) -> list[int]:
+    """Classes of braid orbits under the translations g_x that commute with the braiding (commuting_translations).
+
+    Orbits are numbered as in hurwitz_orbits; entry i is the number of the
+    smallest orbit that the kept translations connect to orbit i.
+    """
+    k = q.rack.size
+    gens = commuting_translations(q)
     orbits = hurwitz_orbits(q, degree)
     where = {v: i for i, orbit in enumerate(orbits) for v in orbit}
     edges = []
@@ -536,7 +620,7 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
 def orbit_classes_by_translation(q, degree: int, orbit: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The class and carry of every braid orbit, one translation at a time.
 
-    The translations are the rows x |> - that exact._commuting_translations
+    The translations are the rows x |> - that commuting_translations
     keeps, in order.  Classes are joined by union-find over the edges from
     each orbit to its image under each translation.  The carry tree grows
     from each head level by level; within a level the translations take
@@ -546,7 +630,7 @@ def orbit_classes_by_translation(q, degree: int, orbit: np.ndarray) -> tuple[lis
     k = q.rack.size
     reps = np.flatnonzero(orbit == np.arange(orbit.size)).tolist()
     number = {v: i for i, v in enumerate(reps)}
-    phis = [list(map(int, phi)) for phi in exact._commuting_translations(q)]
+    phis = commuting_translations(q)
 
     def image(phi, i):
         word = [reps[i] // k**j % k for j in range(degree)]
@@ -620,11 +704,10 @@ def unpruned_graded_dims(q: RackCocycle, max_degree: int) -> dict:
     """
     report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode="exact", seed=0)
     for d in range(max_degree + 1):
-        cert = exact.rank(exact.symmetrizer(q, d))
         report.degrees.append(d)
-        report.ranks.append(cert.rank)
-        report.methods.append(cert.method)
-        report.primes.append(list(cert.primes))
+        report.ranks.append(exact.rank(exact.symmetrizer(q, d)).rank)
+        report.methods.append("exact")
+        report.primes.append([])
     return report.to_dict()
 
 

@@ -34,7 +34,15 @@ from racktwist.braided import (
 from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist.errors import DimensionCapError, RackAxiomError
 from racktwist.exact import _kept_rows, symmetrizer
-from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
+from racktwist.hilbert import graded_dims
+from racktwist.rack import (
+    FiniteRack,
+    Permutation,
+    RackAxiomReport,
+    check_rack_axioms,
+    transposition_pairs,
+    transposition_rack,
+)
 
 X3 = transposition_rack(3)
 X4 = transposition_rack(4)
@@ -492,10 +500,11 @@ class TestSendData:
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 4])
     def test_non_bijective_row_is_refused(self, degree):
-        # row 0 of this table takes 0 twice and misses 2
-        q = minus_one_cocycle(FiniteRack(((0, 0, 1), (1, 1, 1), (2, 2, 2))))
-        with pytest.raises(ValueError, match=r"^non-bijective-row at \(0,\)") as raised:
-            symmetrizer(q, degree)
-        assert isinstance(raised.value, RackAxiomError)
-        with pytest.raises(RackAxiomError, match=r"^non-bijective-row at \(0,\)"):
-            exact._commuting_translations(q)
+        # row 0 of this table takes 0 twice and misses 2; graded_dims names it as rack --check does,
+        # in both modes, before it builds the inverse tables of the braiding
+        r = FiniteRack(((0, 0, 1), (1, 1, 1), (2, 2, 2)))
+        assert check_rack_axioms(r) == RackAxiomReport(False, "non-bijective-row", (0,))
+        for mode in ("exact", "modular"):
+            with pytest.raises(ValueError, match=r"^non-bijective-row at \(0,\): ") as raised:
+                graded_dims(minus_one_cocycle(r), degree, mode=mode)
+            assert isinstance(raised.value, RackAxiomError)

@@ -125,13 +125,20 @@ CHI_COMMANDS = [
 
 @pytest.mark.parametrize("argv", CHI_COMMANDS, ids=[argv[0] for argv in CHI_COMMANDS])
 def test_broken_chi_table_fails_every_command_that_reads_it(argv, monkeypatch, capsys):
-    # one flipped entry of chi on x4 breaks the cocycle condition and the twist identity
+    # one flipped entry of chi on x4 breaks the cocycle condition and the twist identity;
+    # hilbert refuses it with one line naming the triple that cocycle --check reports
     chi = chi_cocycle(4)
     exp = [list(row) for row in chi.exp]
     exp[0][1] ^= 1
-    monkeypatch.setitem(cocycle_mod._CHI_COCYCLES, 4, RackCocycle(chi.rack, 2, tuple(map(tuple, exp))))
+    broken = RackCocycle(chi.rack, 2, tuple(map(tuple, exp)))
+    monkeypatch.setitem(cocycle_mod._CHI_COCYCLES, 4, broken)
     assert run(argv) == 2
-    assert capsys.readouterr().err == ""
+    err = capsys.readouterr().err
+    if argv[0] == "hilbert":
+        witness = cocycle_mod.check_cocycle(broken).witness
+        assert err.count("\n") == 1 and err.startswith(f"check failed: not-a-cocycle at {witness}: ")
+    else:
+        assert err == ""
 
 
 COCYCLE_FILE_COMMANDS = {
@@ -172,16 +179,18 @@ def test_cocycle_file_with_a_missing_rack_file(tmp_path, monkeypatch, capsys, co
 
 @pytest.mark.parametrize("argv", CHI_COMMANDS[:3], ids=[argv[0] for argv in CHI_COMMANDS[:3]])
 def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
+    # one scan of the triples (x, y, z) per command; hilbert's also decides the rack axioms
     calls = []
-    real = cocycle_mod.check_cocycle
+    real = rack_mod._first_failure
 
-    def counting(q):
-        calls.append(q)
-        return real(q)
+    def counting(op, masks):
+        calls.append(len(masks))
+        return real(op, masks)
 
-    monkeypatch.setattr(cocycle_mod, "check_cocycle", counting)
+    monkeypatch.setattr(rack_mod, "_first_failure", counting)
+    monkeypatch.setattr(cocycle_mod, "_first_failure", counting)
     assert run(argv) == 0
-    assert len(calls) == 1
+    assert calls == [2 if argv[0] == "hilbert" else 1]
     capsys.readouterr()
 
 

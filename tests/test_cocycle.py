@@ -9,16 +9,19 @@ from oracles import (
     conjugacy_class_rack,
     inverse_gauge,
     lift_to_order,
+    planted_tables,
+    rack_axioms_by_loops,
     twist_by_loop,
     twist_condition_first_failure,
 )
-from racktwist import cocycle as cocycle_mod
+from racktwist import rack as rack_mod
 from racktwist.cocycle import (
     CocycleReport,
     GaugeFunction,
     RackCocycle,
     TwistTable,
     check_cocycle,
+    check_rack_cocycle,
     check_twist_condition,
     chi_cocycle,
     cocycle_from_dict,
@@ -30,7 +33,7 @@ from racktwist.cocycle import (
     twist,
 )
 from racktwist.errors import DimensionCapError
-from racktwist.rack import FiniteRack, Permutation, transposition_pairs, transposition_rack
+from racktwist.rack import FiniteRack, Permutation, check_rack_axioms, transposition_pairs, transposition_rack
 from racktwist.spincover import phi_psi_table
 
 X3 = transposition_rack(3)
@@ -231,7 +234,7 @@ class TestChunkedTripleChecks:
     @pytest.mark.parametrize("m,scale,shift", [(2, 1, 0), (2**62, 2**61, 2**61 - 1), (2**62, 2**61, 2**62 - 3)])
     def test_failure_at_the_last_triple(self, monkeypatch, k, entries, m, scale, shift):
         if entries is not None:
-            monkeypatch.setattr(cocycle_mod, "_TRIPLE_ENTRIES", entries)
+            monkeypatch.setattr(rack_mod, "_TRIPLE_ENTRIES", entries)
         rack, exp = at_the_top(LAST_TRIPLE_COCYCLE, k, scale, shift, m)
         q = RackCocycle(rack, m, exp)
         assert check_cocycle(q) == CocycleReport(False, (k - 1,) * 3)
@@ -244,7 +247,7 @@ class TestChunkedTripleChecks:
     @pytest.mark.parametrize("n", [4, 5])
     def test_witness_in_later_chunks(self, monkeypatch, n):
         k = n * (n - 1) // 2
-        monkeypatch.setattr(cocycle_mod, "_TRIPLE_ENTRIES", k * k)  # one x per chunk
+        monkeypatch.setattr(rack_mod, "_TRIPLE_ENTRIES", k * k)  # one x per chunk
         chi, table = chi_cocycle(n), phi_psi_table(n).twist_table()
         xs = set()
         for exp in flipped_tables(chi.exp):
@@ -280,6 +283,62 @@ class TestChunkedTripleChecks:
             check_twist_condition(phi)
         with pytest.raises(DimensionCapError, match="2\\^62"):
             twist(constant_cocycle(X4, m, 1), phi)
+        with pytest.raises(DimensionCapError, match="2\\^62"):
+            check_rack_cocycle(constant_cocycle(X4, m, 1))
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 65, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**62])
+    def test_residues_at_the_dtype_bounds(self, m):
+        # the cocycle residues are taken in the smallest signed dtype that holds 2m; exponents
+        # 0, 1, m - 2 and m - 1 drive them to +-(2m - 2), next to the bound
+        rng = random.Random(m)
+        for _ in range(30):
+            exp = tuple(tuple(rng.choice((0, 1, m - 2, m - 1)) % m for _ in range(6)) for _ in range(6))
+            q = RackCocycle(X4, m, exp)
+            want = cocycle_first_failure(q)
+            assert check_cocycle(q).witness == want
+            assert check_rack_cocycle(q).witness == want
+
+
+class TestRackCocycle:
+    # the rows, then self-distributivity, then the cocycle condition, in one scan of the triples
+
+    @pytest.mark.parametrize("entries", [None, 1, 20])
+    def test_matches_the_loops(self, monkeypatch, entries):
+        # small racks with planted faults, each with a cocycle of order 3 and one flipped exponent
+        if entries is not None:
+            monkeypatch.setattr(rack_mod, "_TRIPLE_ENTRIES", entries)
+        rng = random.Random(entries)
+        kinds = set()
+        for r in planted_tables(7):
+            k = r.size
+            exp = [[0] * k for _ in range(k)]
+            exp[rng.randrange(k)][rng.randrange(k)] = rng.randrange(3)
+            q = RackCocycle(r, 3, tuple(map(tuple, exp)))
+            report = check_rack_cocycle(q)
+            want = rack_axioms_by_loops(r)
+            if want is None and cocycle_first_failure(q) is not None:
+                want = ("not-a-cocycle", cocycle_first_failure(q))
+            assert (report.kind, report.witness) == (want or (None, None))
+            assert report.ok == (want is None)
+            kinds.add(report.kind)
+        assert kinds == {None, "non-bijective-row", "not-self-distributive", "not-a-cocycle"}
+
+    def test_self_distributivity_outranks_an_earlier_cocycle_failure(self, monkeypatch):
+        # x3 (elements 0..2) beside a trivial rack (3, 4), with 4 |> 3 and 4 |> 4 swapped: only
+        # x = 4 breaks self-distributivity, while q fails the cocycle condition at a smaller x;
+        # one x per chunk, so the rack failure comes chunks later
+        monkeypatch.setattr(rack_mod, "_TRIPLE_ENTRIES", 1)
+        x3 = transposition_rack(3).op
+        op = [[x3[x][y] if x < 3 and y < 3 else y for y in range(5)] for x in range(5)]
+        op[4][3], op[4][4] = 4, 3
+        exp = [[0] * 5 for _ in range(5)]
+        exp[0][1] = 1
+        q = RackCocycle(FiniteRack(tuple(map(tuple, op))), 2, tuple(map(tuple, exp)))
+        assert check_cocycle(q).witness[0] < 4
+        witness = rack_axioms_by_loops(q.rack)[1]
+        assert witness[0] == 4
+        assert check_rack_cocycle(q) == check_rack_axioms(q.rack)
+        assert (check_rack_cocycle(q).kind, check_rack_cocycle(q).witness) == ("not-self-distributive", witness)
 
 
 class TestIntegerTables:

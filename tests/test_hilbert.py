@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from functools import partial
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from oracles import (
     counts_rank_over_cyclotomic,
+    cocycle_first_failure,
+    commuting_translations,
     cyclotomic_polynomial,
     dense_integer_matrix,
     disagree_at,
@@ -23,9 +26,19 @@ from oracles import (
     value_at_one,
 )
 from racktwist import braided
+from racktwist import cocycle as cocycle_mod
 from racktwist import exact as exact_mod
-from racktwist.cocycle import RackCocycle, check_twist_condition, chi_cocycle, constant_cocycle, minus_one_cocycle, twist
-from racktwist.errors import DimensionCapError
+from racktwist import rack as rack_mod
+from racktwist.cocycle import (
+    RackCocycle,
+    check_cocycle,
+    check_twist_condition,
+    chi_cocycle,
+    constant_cocycle,
+    minus_one_cocycle,
+    twist,
+)
+from racktwist.errors import DimensionCapError, RackAxiomError
 from racktwist.exact import (
     _carry,
     _fold,
@@ -415,8 +428,7 @@ class TestRankKernels:
 class TestRank:
     def test_degree_one_identity(self):
         cert = rank(symmetrizer(M1_X4, 1))
-        assert cert.rank == 6
-        assert cert.method == "exact"
+        assert (cert.rank, cert.dim) == (6, 6)
 
     def test_q2_x4_rank19_with_oracle(self):
         sym = symmetrizer(M1_X4, 2)
@@ -446,7 +458,7 @@ class TestRank:
         # exact mode ranks every block, with no limit on its size
         sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
         cert = rank(sym)
-        assert (cert.rank, cert.method, cert.dim) == (42, "exact", 216)
+        assert (cert.rank, cert.dim) == (42, 216)
 
     def test_order_three_disagreement_falls_back_to_exact(self, monkeypatch):
         # as below, at order 3: the fallback proves the rank over Q(zeta_3)
@@ -480,8 +492,7 @@ class TestRank:
 
         monkeypatch.setattr(exact_mod, "_kept_blocks", counting)
         sym = symmetrizer(chi_cocycle(4), 4)
-        cert = rank(sym)
-        assert cert.method == "exact" and cert.primes == ()
+        assert rank(sym).rank == 71
         assert passes == [int((sym.orbit_class == np.arange(sym.orbit_class.size)).sum())]
 
     @pytest.mark.parametrize(
@@ -493,8 +504,7 @@ class TestRank:
         for degree, value in zip((2, 3), expected):
             sym = symmetrizer(q, degree)
             assert rank_over_cyclotomic(sym) == value
-            cert = rank(sym)
-            assert (cert.rank, cert.method, cert.primes) == (value, "exact", ())
+            assert rank(sym).rank == value
         assert graded_dims(q, 3).ranks[2:] == expected
 
     def test_cyclotomic_oracle_polynomials(self):
@@ -574,12 +584,12 @@ CLASS_CASES = {
 }
 
 
-def _ranks_without_classes(monkeypatch, q, degrees, translations):
-    """Proven ranks with the translation list of exact forced to `translations(q)`."""
-    monkeypatch.setattr(exact_mod, "_commuting_translations", translations)
-    ranks = [rank(symmetrizer(q, d)).rank for d in degrees]
-    monkeypatch.undo()
-    return ranks
+def assert_refused(q, kind, witness):
+    """graded_dims refuses q in both modes at degrees 0, 1, 2 and 4, naming the kind and witness."""
+    for mode in ("exact", "modular"):
+        for degree in (0, 1, 2, 4):
+            with pytest.raises(RackAxiomError, match=f"^{kind} at {re.escape(str(witness))}: "):
+                graded_dims(q, degree, mode=mode)
 
 
 class TestOrbitClasses:
@@ -623,10 +633,10 @@ class TestOrbitClasses:
             expected = [dense_rank(evaluate_modp(c, p, g), p) for c in counts]
             assert [modp_rank(b, p, g) for b in blocks] == expected
 
-    @pytest.mark.parametrize("name", sorted(CLASS_CASES) + ["non-rack"])
+    @pytest.mark.parametrize("name", sorted(CLASS_CASES))
     @pytest.mark.parametrize("degree", [2, 3, 4])
     def test_classes_and_carries_match_the_translation_loop(self, name, degree):
-        q = CLASS_CASES.get(name) or minus_one_cocycle(FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2))))
+        q = CLASS_CASES[name]
         sym = symmetrizer(q, degree)
         label, carry = orbit_classes_by_translation(q, degree, sym.orbit)
         assert sym.orbit_class.tolist() == label
@@ -640,20 +650,20 @@ class TestOrbitClasses:
             image = sym.orbit_carry[i][members[:, None] // place % k] @ place
             assert sorted(image.tolist()) == np.flatnonzero(sym.orbit == reps[i]).tolist()
 
-    def test_graded_dims_finds_the_translations_once(self, monkeypatch):
+    def test_graded_dims_scans_the_triples_once(self, monkeypatch):
+        # self-distributivity and the cocycle condition are decided in one scan, in both modes
         calls = []
-        real = exact_mod._commuting_translations
+        real = rack_mod._first_failure
 
-        def counting(q):
-            calls.append(q)
-            return real(q)
+        def counting(op, masks):
+            calls.append(len(masks))
+            return real(op, masks)
 
-        monkeypatch.setattr(exact_mod, "_commuting_translations", counting)
-        assert graded_dims(chi_cocycle(4), 5, mode="exact").ranks == [1, 6, 19, 42, 71, 96]
-        assert len(calls) == 1
-        # the modular ranks build no symmetrizer, so they need no translation
-        assert graded_dims(chi_cocycle(4), 5).ranks == [1, 6, 19, 42, 71, 96]
-        assert len(calls) == 1
+        monkeypatch.setattr(rack_mod, "_first_failure", counting)
+        monkeypatch.setattr(cocycle_mod, "_first_failure", counting)
+        for mode in ("exact", "modular"):
+            assert graded_dims(chi_cocycle(4), 5, mode=mode).ranks == [1, 6, 19, 42, 71, 96]
+        assert calls == [2, 2]
 
     def test_x5_minus_one_degree_four_counts(self):
         sym = symmetrizer(CLASS_CASES["x5-m1"], 4)
@@ -672,34 +682,36 @@ class TestOrbitClasses:
         for x in range(6):
             phi = op[x]
             assert any(ex[phi[y]][phi[z]] != ex[y][z] for y in range(6) for z in range(6))
-        assert len(exact_mod._commuting_translations(chi)) == 6
+        assert len(commuting_translations(chi)) == 6
+        assert cocycle_mod.check_rack_cocycle(chi).ok
         sym = symmetrizer(chi, 5)
         assert sym.orbit_class.size == 42
         assert int((sym.orbit_class == np.arange(42)).sum()) == 6
         assert np.array_equal(sym.orbit_class, symmetrizer(M1_X4, 5).orbit_class)
 
-    def test_forced_translations_change_a_rank(self, monkeypatch):
-        # one flipped entry makes chi fail the cocycle condition, and then no
-        # translation commutes with c; forcing them all in changes the ranks
+    def test_non_cocycle_is_refused(self):
+        # one flipped entry makes chi fail the cocycle condition, and then no translation
+        # commutes with c, so the classes of the symmetrizer would not hold; graded_dims names
+        # the triple that cocycle --check reports
         exp = [list(row) for row in chi_cocycle(4).exp]
         exp[0][1] ^= 1
         q = RackCocycle(X4, 2, tuple(map(tuple, exp)))
-        assert exact_mod._commuting_translations(q) == []
-        honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
-        assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
-        forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
-        assert forced != honest
+        assert commuting_translations(q) == []
+        witness = check_cocycle(q).witness
+        assert witness == cocycle_first_failure(q) == (0, 2, 1)
+        assert_refused(q, "not-a-cocycle", witness)
 
-    def test_table_failing_the_rack_axioms(self, monkeypatch):
-        # rows are bijections, but only x = 0 acts by an automorphism
+    def test_table_failing_the_rack_axioms(self):
+        # rows are bijections, but only x = 0 acts by an automorphism; graded_dims names the
+        # triple that rack --check reports, before any cap
         r = FiniteRack(((0, 1, 2), (0, 2, 1), (1, 0, 2)))
-        assert not check_rack_axioms(r).ok
         q = minus_one_cocycle(r)
-        assert len(exact_mod._commuting_translations(q)) == 1
-        honest = [rank(symmetrizer(q, d)).rank for d in (2, 3, 4)]
-        assert honest == _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: [])
-        forced = _ranks_without_classes(monkeypatch, q, (2, 3, 4), lambda q: list(np.array(q.rack.op)))
-        assert forced != honest
+        assert len(commuting_translations(q)) == 1
+        report = check_rack_axioms(r)
+        assert (report.kind, report.witness) == ("not-self-distributive", (1, 1, 0))
+        assert_refused(q, "not-self-distributive", report.witness)
+        with pytest.raises(RackAxiomError, match=r"^not-self-distributive at \(1, 1, 0\): "):
+            graded_dims(q, 10**20, dim_cap=1)
 
 
 def dense_counts_of_rows(sym, rows):

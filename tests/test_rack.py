@@ -9,7 +9,10 @@ from oracles import (
     OrbitTooLargeError,
     conjugacy_class_rack,
     coxeter_length,
+    is_indecomposable_by_union_find,
     lex_min_reduced_word,
+    planted_tables,
+    rack_axioms_by_loops,
     save_rack,
     transposition_rack_by_permutations,
 )
@@ -221,6 +224,29 @@ class TestAxiomChecker:
             if bad.op[x][bad.op[y][z]] != bad.op[bad.op[x][y]][bad.op[x][z]]
         )
         assert report.witness == first
+
+
+class TestAgainstTheLoops:
+    # the numpy checks against the plain loops, on small racks with planted faults
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_axioms_match_the_loops(self, seed):
+        kinds = set()
+        for r in planted_tables(seed):
+            report = check_rack_axioms(r)
+            want = rack_axioms_by_loops(r)
+            assert (report.kind, report.witness) == (want or (None, None))
+            assert report.ok == (want is None)
+            kinds.add(report.kind)
+        assert kinds == {None, "non-bijective-row", "not-self-distributive"}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_indecomposable_matches_union_find(self, seed):
+        verdicts = set()
+        for r in planted_tables(seed):
+            verdicts.add(is_indecomposable(r))
+            assert is_indecomposable(r) == is_indecomposable_by_union_find(r)
+        assert verdicts == {True, False}
 
 
 class TestIndecomposability:
