@@ -16,7 +16,6 @@ from .cocycle import (
 )
 from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
 from .hilbert import HilbertReport, expand_closed_form, graded_dims
-from .braided import braid_equation_witness, check_braid_equation, rho, verify_matsumoto
 from .rack import (
     FiniteRack,
     Permutation,

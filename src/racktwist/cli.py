@@ -9,6 +9,7 @@ mathematical check, 3 resource cap exceeded.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -65,6 +66,16 @@ def _check_rack_n(command: str, n: int) -> None:
         raise DimensionCapError(f"{command}: need n <= {RACK_N_CAP} for x_n, got {n}")
 
 
+def _witness(verdict) -> list | None:
+    """None if a cocycle or twist-condition check passed, else its first failing triple as a list."""
+    return None if verdict.ok else list(verdict.witness)
+
+
+def _axiom_violation(verdict) -> dict | None:
+    """None if a rack or rack-cocycle check passed, else its kind and witness, as `rack --check` reports them."""
+    return None if verdict.ok else {"kind": verdict.kind, "witness": list(verdict.witness)}
+
+
 def _write_report(report: dict, out: str | None) -> None:
     if out is None:
         return
@@ -97,7 +108,7 @@ def cmd_rack(args) -> int:
         "source": report_src,
         "rack": rack_mod.rack_to_dict(r),
         "axioms_ok": axioms.ok,
-        "axiom_violation": None if axioms.ok else {"kind": axioms.kind, "witness": list(axioms.witness)},
+        "axiom_violation": _axiom_violation(axioms),
         "indecomposable": indec,
         "ok": axioms.ok,
     }
@@ -157,7 +168,7 @@ def cmd_cocycle(args) -> int:
         "cocycle": cocycle_mod.cocycle_to_dict(q),
         "label": label,
         "cocycle_ok": verdict.ok,
-        "violation": None if verdict.ok else list(verdict.witness),
+        "violation": _witness(verdict),
         "ok": verdict.ok,
     }
     _write_report(report, args.out)
@@ -222,7 +233,7 @@ def cmd_verify_twist(args) -> int:
         "n": n,
         "pairs_checked": pairs,
         "twist_condition_ok": cond.ok,
-        "twist_condition_witness": None if cond.ok else list(cond.witness),
+        "twist_condition_witness": _witness(cond),
         "main_theorem_ok": main_ok,
         # the same verdict, kept because the report schema has this field
         "twist_equals_minus_one": main_ok,
@@ -375,6 +386,21 @@ def cmd_hilbert(args) -> int:
 # ---------------------------------------------------------------- selfcheck
 
 
+def _presentation(n: int, generators) -> tuple[bool, dict | None]:
+    witness = spincover.presentation_witness(n, generators=generators)
+    return witness is None, witness
+
+
+def _twist_condition(phi) -> tuple[bool, list | None]:
+    verdict = cocycle_mod.check_twist_condition(phi)
+    return verdict.ok, _witness(verdict)
+
+
+def _rack_cocycle(q) -> tuple[bool, dict | None]:
+    verdict = cocycle_mod.check_rack_cocycle(q)
+    return verdict.ok, _axiom_violation(verdict)
+
+
 def cmd_selfcheck(args) -> int:
     n_max = args.n_max
     if not 2 <= n_max <= N_CAP:
@@ -384,33 +410,20 @@ def cmd_selfcheck(args) -> int:
     doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4
     checks = []
 
-    def run(name: str, fn, witness_key: str | None = None, witness=None):
-        """Record fn's verdict.
-
-        With a witness_key, fn returns (ok, witness), or, given `witness`,
-        fn returns ok and witness() names the failure; a failing entry
-        carries the witness under that key.
-        """
+    def run(name: str, fn, witness_key: str):
+        """Record fn's verdict: fn returns (ok, witness), and a failing entry carries the witness under witness_key."""
         try:
-            got = fn()
-            ok, found = (got, None) if witness_key is None or witness is not None else got
-            if not ok and witness is not None:
-                found = witness()
+            ok, witness = fn()
         except Exception as exc:  # a crashed check is a failed check
             checks.append({"name": name, "ok": False, "error": str(exc)})
             return
         checks.append({"name": name, "ok": bool(ok)})
-        if not ok and found is not None:
-            checks[-1][witness_key] = found
+        if not ok and witness is not None:
+            checks[-1][witness_key] = witness
 
     for n in range(2, n_max + 1):
         generators = 2 * spincover.generator_vectors(n) if doubled else None
-        run(
-            f"presentation n={n}",
-            lambda n=n, g=generators: spincover.verify_presentation(n, generators=g),
-            "relation_witness",
-            lambda n=n, g=generators: spincover.presentation_witness(n, generators=g),
-        )
+        run(f"presentation n={n}", lambda n=n, g=generators: _presentation(n, g), "relation_witness")
     for n in range(4, min(n_max, 7) + 1):
         run(
             f"conjugation lemmas n={n}",
@@ -423,20 +436,15 @@ def cmd_selfcheck(args) -> int:
             lambda n=n: spincover.verify_group_cocycle(spincover.phi_psi_table(n)),
             "cocycle_witness",
         )
+    # the twist table of each n, built once for its two entries
+    twist_table = functools.cache(lambda n: spincover.phi_psi_table(n).twist_table())
     for n in range(4, n_max + 1):
-        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n), "first_failing_pair")
+        run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n, twist_table(n)), "first_failing_pair")
+        run(f"twist condition n={n}", lambda n=n: _twist_condition(twist_table(n)), "twist_condition_witness")
     for n in range(3, min(n_max, 5) + 1):
         chi = cocycle_mod.chi_cocycle(n)
-        minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
-        for label, q in (("chi", chi), ("-1", minus_one)):
-            run(
-                f"braid equation {label} on x{n}",
-                lambda q=q: braided.check_braid_equation(q),
-                "triple_witness",
-                lambda q=q: braided.braid_equation_witness(q),
-            )
-
-    run("matsumoto word-independence", lambda: braided.verify_matsumoto(n_max, args.seed), "matsumoto_witness")
+        for label, q in (("chi", chi), ("-1", cocycle_mod.minus_one_cocycle(chi.rack))):
+            run(f"rack cocycle {label} on x{n}", lambda q=q: _rack_cocycle(q), "axiom_violation")
 
     ok = all(c["ok"] for c in checks)
     report = {
@@ -494,8 +502,7 @@ COMMANDS = (
     )),
     ("selfcheck", cmd_selfcheck, "run the aggregated internal verification suite", (
         ("--n-max", dict(type=int, default=6)),
-        ("--trials", dict(type=int, default=200,
-                          help="random conjugation words per n; the Matsumoto check always draws 200 permutations")),
+        ("--trials", dict(type=int, default=200, help="random conjugation words per n")),
         _SEED,
         ("--inject-fault", dict(choices=("generator",), hidden=True)),
         _OUT,

@@ -102,22 +102,6 @@ class Permutation(ReadOnly):
             inv[v - 1] = pos + 1
         return Permutation(tuple(inv))
 
-    def lex_reduced_word(self) -> tuple[int, ...]:
-        """The lexicographically smallest reduced word, read off the inversion code of the inverse.
-
-        The formula of lex_reduced_words, in plain Python for one permutation,
-        where a numpy call would cost more than the word: c_v counts the
-        smaller values that stand to the right of the value v.
-        """
-        img = self.image
-        codes = [0] * self.n
-        for pos, v in enumerate(img):
-            codes[v - 1] = sum(1 for u in img[pos + 1:] if u < v)
-        word: list[int] = []
-        for j in range(1, self.n):
-            word.extend(range(j, j - codes[j], -1))
-        return tuple(word)
-
     def cycle_string(self) -> str:
         seen = [False] * self.n
         parts = []

@@ -18,8 +18,7 @@ Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
 the package decides a batch of words at once; both draw their words one
 Python int at a time by lemma_draws, where the package unpacks bit blocks
-with numpy.  The Matsumoto check has matsumoto_per_sigma, which calls rho
-once per word where the package calls it once per degree.  The brackets
+with numpy.  The brackets
 [i j] have bracket, which expands their defining Clifford recursion where
 the package reflects integer vectors, and the exhaustive group-cocycle
 check has group_cocycle_first_failure, a loop over triples.  The transposition rack, chi
@@ -30,9 +29,19 @@ basis where the package walks the letters of each column on k x k tables,
 and the carry of the orbit classes has orbit_classes_by_translation, which
 grows the breadth-first tree one translation at a time.  The one exception
 is unpruned_graded_dims, which reruns the package's proven ranks on every
-row of every degree.  The braid images of single words are MonomialOperator
-objects, and BraidWord checks a word's letters; the package keeps only
-batches of (target, expo) rows.
+row of every degree.
+
+The braid group images live here and not in the package: strand_tables
+and rho give the images of a batch of positive words as (target, expo)
+rows, check_braid_equation decides the braid equation on X^(x)3, and
+verify_matsumoto puts two reduced words of each drawn permutation through
+one rho call per degree, with matsumoto_per_sigma as its own oracle, one
+call per word.  The package decides that the braiding is one by
+cocycle.check_rack_cocycle, with which the braid equation computed here
+must agree.  The braid images of single words are MonomialOperator
+objects, and BraidWord checks a word's letters.  lex_reduced_word is the
+lex-smallest reduced word of one Permutation in plain Python, where the
+package reads a batch of them off their inversion codes.
 """
 
 from __future__ import annotations
@@ -47,10 +56,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from racktwist import braided, exact, hilbert, spincover
+from racktwist import exact, hilbert, spincover
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle, minus_one_cocycle
 from racktwist.errors import SectionConsistencyError
-from racktwist.rack import FiniteRack, Permutation, ReadOnly, rack_to_dict, transposition_pairs, transposition_rack
+from racktwist.rack import (
+    FiniteRack,
+    Permutation,
+    ReadOnly,
+    lex_reduced_words,
+    rack_to_dict,
+    transposition_pairs,
+    transposition_rack,
+)
 from racktwist.spincover import CliffordElement, GroupCocycleBit
 
 
@@ -167,6 +184,23 @@ def largest_descent_word(sigma: Permutation) -> tuple[int, ...]:
         i = ds[-1]
         word.append(i)
         cur = Permutation.adjacent(cur.n, i) * cur
+    return tuple(word)
+
+
+def lex_reduced_word(sigma: Permutation) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word, read off the inversion code of the inverse.
+
+    The formula of rack.lex_reduced_words, in plain Python for one
+    permutation: c_v counts the smaller values that stand to the right of
+    the value v.
+    """
+    img = sigma.image
+    codes = [0] * sigma.n
+    for pos, v in enumerate(img):
+        codes[v - 1] = sum(1 for u in img[pos + 1:] if u < v)
+    word: list[int] = []
+    for j in range(1, sigma.n):
+        word.extend(range(j, j - codes[j], -1))
     return tuple(word)
 
 
@@ -423,8 +457,8 @@ def dense_modp_matrix(sym, p: int, g: int) -> np.ndarray:
 class MonomialOperator:
     """An invertible monomial operator: basis v maps to zeta_order^expo[v] * basis target[v]; equal by action.
 
-    One row of braided.rho as an object that composes, where the package
-    keeps a batch of (target, expo) rows.
+    One row of rho as an object that composes, where rho keeps a batch of
+    (target, expo) rows.
     """
 
     __slots__ = ("dim", "order", "target", "expo")
@@ -479,17 +513,119 @@ def inverse_operator(op):
     return MonomialOperator(op.dim, op.order, inv, (-op.expo[inv]) % op.order)
 
 
+def strand_tables(q: RackCocycle, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, expo) arrays of shape (degree, k^degree): row i >= 1 is the strand-local braiding of letter i.
+
+    Row 0 is the identity with zero exponents, so letter 0 pads a short word in rho.
+    """
+    k = q.rack.size
+    op = np.array(q.rack.op, dtype=np.int64)
+    ex = np.array(q.exp, dtype=np.int64)
+    v = np.arange(k**degree, dtype=np.int64)
+    hi = k ** np.arange(degree - 1, 0, -1, dtype=np.int64)[:, None]  # place value of letter i's left factor
+    lo = hi // k
+    x = (v // hi) % k
+    y = (v // lo) % k
+    return np.vstack([v, v + (op[x, y] - x) * hi + (x - y) * lo]), np.vstack([0 * v, ex[x, y]])
+
+
+def rho(words, q: RackCocycle, degree: int, tables: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The braid images of positive words on X^(x)degree, as (target, expo) arrays of shape (m, k^degree).
+
+    words is an (m, l) array of letters 1..degree-1, a shorter word padded
+    with letter 0, the identity; rho(words[r]) maps basis v to
+    zeta_order^expo[r, v] * basis target[r, v], 0 <= expo < order.  A single
+    word is a one-row call.  Each letter column is one gather of every row
+    through the flat strand_tables(q, degree), which a caller builds once
+    per degree.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if words.size and not 0 <= words.min() <= words.max() < degree:
+        raise ValueError(f"letters must lie in 1..{degree - 1}, with 0 as padding")
+    dim = q.rack.size**degree
+    steps, gains = (table.ravel() for table in tables)
+    target = np.tile(np.arange(dim, dtype=np.int64), (len(words), 1))
+    expo = np.zeros_like(target)
+    # left-compose with the generators, from the last letter to the first: each is applied last
+    for shift in words.T[::-1, :, None] * dim:
+        at = target + shift
+        target = steps.take(at)
+        expo = (expo + gains.take(at)) % q.order
+    return target, expo
+
+
+def check_braid_equation(q: RackCocycle) -> bool:
+    """Whether (c x id)(id x c)(c x id) = (id x c)(c x id)(id x c) on X^(x)3 (braid_equation_witness)."""
+    return braid_equation_witness(q) is None
+
+
+def braid_equation_witness(q: RackCocycle) -> list[int] | None:
+    """The first basis triple x (x) y (x) z of X^(x)3 where the two sides of the braid equation differ, or None."""
+    target, expo = rho([[1, 2, 1], [2, 1, 2]], q, 3, strand_tables(q, 3))
+    bad = np.flatnonzero((target[0] != target[1]) | (expo[0] != expo[1]))
+    if not bad.size:
+        return None
+    k, v = q.rack.size, int(bad[0])
+    return [v // (k * k), v // k % k, v % k]
+
+
+# verify_matsumoto's draws, and its largest degree (3^7 columns on x3)
+_MATSUMOTO_DRAWS = 200
+_MATSUMOTO_DEGREE_CAP = 7
+
+
+def verify_matsumoto(n_max: int, seed: int) -> tuple[bool, dict | None]:
+    """Whether two reduced words of each drawn sigma have one rho under -1 on x3, and the first failure in draw order.
+
+    random.Random(seed) draws 200 permutations, a randint(2, min(n_max, 7))
+    degree n and a shuffle of 1..n each.  Each distinct one is checked once,
+    on its lex word and on the lex word of w0 sigma w0 with i read as n - i
+    (conjugation by w0 maps s_i to s_{n-i}); a degree's words go through one
+    rho call.  The witness is {"sigma": image, "words": [lex, other]}.
+    """
+    q = minus_one_cocycle(transposition_rack(3))
+    rng = random.Random(seed)
+    drawn = {}  # the distinct images, in draw order
+    for _ in range(_MATSUMOTO_DRAWS):
+        img = list(range(1, rng.randint(2, min(n_max, _MATSUMOTO_DEGREE_CAP)) + 1))
+        rng.shuffle(img)
+        drawn.setdefault(tuple(img))
+    sigmas = list(drawn)
+    failures = []
+    for n in sorted({len(s) for s in sigmas}):
+        at = [t for t, s in enumerate(sigmas) if len(s) == n]
+        m = len(at)
+        images = np.array([sigmas[t] for t in at])
+        # rows m.. are w0 sigma w0; their lex words, letters read as n - i, are the second words
+        letters, lengths = lex_reduced_words(np.concatenate([images, n + 1 - images[:, ::-1]]))
+        cut = lengths[:m].sum()
+        letters[cut:] = n - letters[cut:]
+        words = np.zeros((2 * m, lengths.max()), dtype=np.intp)
+        words[np.arange(words.shape[1]) < lengths[:, None]] = letters
+        target, expo = rho(words, q, n, strand_tables(q, n))
+        bad = (lengths[:m] != lengths[m:]) | (target[:m] != target[m:]).any(axis=1) | (expo[:m] != expo[m:]).any(axis=1)
+        if bad.any():
+            r = int(np.argmax(bad))
+            failures.append((at[r], words[r, : lengths[r]].tolist(), words[m + r, : lengths[m + r]].tolist()))
+    if not failures:
+        return True, None
+    t, lex, alt = min(failures)
+    return False, {"sigma": list(sigmas[t]), "words": [lex, alt]}
+
+
 def word_operator(letters, q, degree: int, tables=None):
-    """braided.rho of one word as a MonomialOperator: a one-row call, with degree's strand tables unless given."""
-    tables = braided.strand_tables(q, degree) if tables is None else tables
-    target, expo = braided.rho(np.array([letters], dtype=np.intp), q, degree, tables)
+    """rho of one word as a MonomialOperator: a one-row call, with degree's strand tables unless given."""
+    tables = strand_tables(q, degree) if tables is None else tables
+    target, expo = rho(np.array([letters], dtype=np.intp), q, degree, tables)
     return MonomialOperator(target.shape[1], q.order, target[0], expo[0])
 
 
 def matsumoto_per_sigma(n_max: int, seed: int) -> tuple[bool, dict | None]:
-    """braided.verify_matsumoto one sigma at a time, with the same draws and -1 on x3.
+    """verify_matsumoto one sigma at a time, with the same draws and -1 on x3.
 
-    Each distinct sigma's lex word (Permutation.lex_reduced_word) and the
+    Each distinct sigma's lex word (lex_reduced_word) and the
     word i -> n - i of the lex word of w0 sigma w0 go through rho as two
     one-row calls, compared as operators; the first failure in draw order
     is the witness.
@@ -506,11 +642,11 @@ def matsumoto_per_sigma(n_max: int, seed: int) -> tuple[bool, dict | None]:
             continue
         seen.add(tuple(img))
         sigma = Permutation(tuple(img))
-        lex = sigma.lex_reduced_word()
+        lex = lex_reduced_word(sigma)
         w0 = Permutation(tuple(range(n, 0, -1)))
-        alt = tuple(n - i for i in (w0 * sigma * w0).lex_reduced_word())
+        alt = tuple(n - i for i in lex_reduced_word(w0 * sigma * w0))
         if n not in tables:
-            tables[n] = braided.strand_tables(q, n)
+            tables[n] = strand_tables(q, n)
         if len(alt) != len(lex) or word_operator(lex, q, n, tables[n]) != word_operator(alt, q, n, tables[n]):
             return False, {"sigma": list(sigma.image), "words": [list(lex), list(alt)]}
     return True, None
@@ -599,7 +735,7 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     Right multiplication by the prefix product P_j = c_{d-1} ... c_{d-j},
     which takes v to target_j[v] with exponent expo_j[v] (composed from the
-    rows of braided.strand_tables), moves an entry from column C to column
+    rows of strand_tables), moves an entry from column C to column
     v = target_j^-1[C] and adds expo_j[v] to its exponent;
     inv[C, j] holds that column and add[C, j] that exponent, mod the order.
     """
@@ -609,7 +745,7 @@ def send_tables(q, d: int) -> tuple[np.ndarray, np.ndarray]:
     inv = np.full((n, d), -1, dtype=np.int64)
     add = np.full((n, d), -1, dtype=np.int64)
     inv[:, 0], add[:, 0] = v, 0
-    targets, expos = braided.strand_tables(q, d)
+    targets, expos = strand_tables(q, d)
     for j, (tgt, ex) in enumerate(zip(targets[:0:-1], expos[:0:-1]), start=1):
         target, expo = target[tgt], (ex + expo[tgt]) % m
         inv[target, j] = v
@@ -1020,7 +1156,7 @@ class CliffordSection:
             if pair is not None:
                 cached = bracket(self.n, *pair)
             else:
-                cached = SpinElement(self._lift(sigma.lex_reduced_word()), sigma)
+                cached = SpinElement(self._lift(lex_reduced_word(sigma)), sigma)
             self._memo[sigma.image] = cached
         return cached
 

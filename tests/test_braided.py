@@ -5,11 +5,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     BraidWord,
     MonomialOperator,
+    braid_equation_witness,
     brute_force_symmetrizer,
     brute_force_symmetrizer_modp,
+    check_braid_equation,
     coxeter_length,
     dense_counts,
     dense_integer_matrix,
@@ -19,19 +22,24 @@ from oracles import (
     send_tables,
     inverse_operator,
     largest_descent_word,
+    lex_reduced_word,
     matsumoto_per_sigma,
+    planted_tables,
+    rho,
+    strand_tables,
     support_components,
+    verify_matsumoto,
     word_operator,
 )
 from racktwist import braided, exact
-from racktwist.braided import (
-    braid_equation_witness,
-    check_braid_equation,
-    rho,
-    strand_tables,
-    verify_matsumoto,
+from racktwist.cocycle import (
+    RackCocycle,
+    check_cocycle,
+    check_rack_cocycle,
+    chi_cocycle,
+    constant_cocycle,
+    minus_one_cocycle,
 )
-from racktwist.cocycle import RackCocycle, chi_cocycle, constant_cocycle, minus_one_cocycle
 from racktwist.errors import DimensionCapError, RackAxiomError
 from racktwist.exact import _kept_rows, symmetrizer
 from racktwist.hilbert import graded_dims
@@ -69,7 +77,7 @@ def braiding(q):
 
 def lift(sigma, q):
     """The positive lift of sigma along its lexicographically smallest reduced word."""
-    return image(BraidWord(sigma.n, sigma.lex_reduced_word()), q)
+    return image(BraidWord(sigma.n, lex_reduced_word(sigma)), q)
 
 
 def random_rows(seed):
@@ -201,10 +209,10 @@ class TestRho:
 
 class TestMatsumoto:
     def test_identity_empty(self):
-        assert Permutation.identity(4).lex_reduced_word() == ()
+        assert lex_reduced_word(Permutation.identity(4)) == ()
 
     def test_13_in_s3(self):
-        assert Permutation.transposition(3, 1, 3).lex_reduced_word() == (1, 2, 1)
+        assert lex_reduced_word(Permutation.transposition(3, 1, 3)) == (1, 2, 1)
 
     def test_multiplicative_when_lengths_add(self):
         rng = random.Random(2)
@@ -213,7 +221,7 @@ class TestMatsumoto:
             img = list(range(1, n + 1))
             rng.shuffle(img)
             sigma = Permutation(tuple(img))
-            word = sigma.lex_reduced_word()
+            word = lex_reduced_word(sigma)
             cut = rng.randint(0, len(word))
             x = Permutation.identity(n)
             for i in word[:cut]:
@@ -235,7 +243,7 @@ class TestMatsumoto:
             img = list(range(1, n + 1))
             rng.shuffle(img)
             sigma = Permutation(tuple(img))
-            lex = sigma.lex_reduced_word()
+            lex = lex_reduced_word(sigma)
             alt = largest_descent_word(sigma)
             assert len(lex) == len(alt) == coxeter_length(sigma)
             assert image(BraidWord(n, lex), q) == image(BraidWord(n, alt), q)
@@ -249,7 +257,7 @@ class TestMatsumoto:
     def test_planted_failures_give_the_oracles_witness(self, monkeypatch, n_max):
         # every word of 3 or more strands that starts with s_1 gains a scalar; the batch
         # reports the first failing sigma in draw order, across degrees, as the oracle does
-        real = braided.rho
+        real = oracles.rho
 
         def broken(words, q, degree, tables):
             target, expo = real(words, q, degree, tables)
@@ -258,7 +266,7 @@ class TestMatsumoto:
                 expo[planted] = (expo[planted] + 1) % q.order
             return target, expo
 
-        monkeypatch.setattr(braided, "rho", broken)
+        monkeypatch.setattr(oracles, "rho", broken)
         for seed in range(5):
             ok, witness = verify_matsumoto(n_max, seed)
             assert ok is False and len(witness["sigma"]) >= 3
@@ -282,8 +290,6 @@ class TestBraidEquation:
                 exp = [list(row) for row in chi3.exp]
                 exp[a][b] ^= 1
                 bad = RackCocycle(rack=X3, order=2, exp=tuple(tuple(r) for r in exp))
-                from racktwist.cocycle import check_cocycle
-
                 if not check_braid_equation(bad):
                     found = True
                     assert not check_cocycle(bad).ok
@@ -307,6 +313,28 @@ class TestBraidEquation:
         assert braid_equation_witness(q) == [first // (k * k), first // k % k, first % k]
         assert not check_braid_equation(q)
         assert braid_equation_witness(M1_X3) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_holds_exactly_when_check_rack_cocycle_passes(self, seed):
+        # the braid equation of rho against the one scan that hilbert runs, on the small racks with
+        # planted faults, each with a constant cocycle, the same with one exponent moved, and a random
+        # table; a non-bijective row is not compared, since the braid equation does not need bijective rows
+        rng = random.Random(seed)
+        kinds = set()
+        for r in planted_tables(seed):
+            if check_rack_axioms(r).kind == "non-bijective-row":
+                continue
+            k, m = r.size, rng.randint(2, 4)
+            constant = [[rng.randrange(m)] * k for _ in range(k)]
+            moved = [list(row) for row in constant]
+            moved[rng.randrange(k)][rng.randrange(k)] += rng.randrange(1, m)
+            random_table = [[rng.randrange(m) for _ in range(k)] for _ in range(k)]
+            for exp in (constant, moved, random_table):
+                q = RackCocycle(r, m, tuple(tuple(e % m for e in row) for row in exp))
+                verdict = check_rack_cocycle(q)
+                assert check_braid_equation(q) == verdict.ok
+                kinds.add(verdict.kind)
+        assert kinds == {None, "not-self-distributive", "not-a-cocycle"}
 
 
 class TestSymmetrizer:

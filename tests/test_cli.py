@@ -13,8 +13,8 @@ from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
 from racktwist import cli
 from racktwist.cli import RACK_N_CAP, main
-from racktwist.cocycle import RackCocycle, chi_cocycle
-from racktwist.spincover import GroupCocycleBit
+from racktwist.cocycle import RackCocycle, check_rack_cocycle, check_twist_condition, chi_cocycle
+from racktwist.spincover import GroupCocycleBit, verify_main_theorem
 
 
 def run(argv):
@@ -502,7 +502,8 @@ class TestSelfcheckCommand:
         assert report["ok"] is True
         names = [c["name"] for c in report["checks"]]
         assert "presentation n=4" in names
-        assert "matsumoto word-independence" in names
+        assert "twist condition n=4" in names
+        assert "rack cocycle -1 on x4" in names
 
     def test_fault_injection_fails(self, capsys):
         assert run(["selfcheck", "--n-max", "3", "--inject-fault", "generator"]) == 2
@@ -520,9 +521,9 @@ class TestSelfcheckCommand:
             assert c == {"name": c["name"], "ok": False, "relation_witness": {"relation": "square", "letters": [1]}} \
                 if not c["ok"] else set(c) == {"name", "ok"}
 
-    def test_braid_equation_failure_carries_its_triple(self, tmp_path, monkeypatch):
-        # chi on x3 with one flipped exponent breaks the braid equation; the entry names
-        # the first basis triple where its two sides differ
+    def test_rack_cocycle_failure_carries_its_axiom_violation(self, tmp_path, monkeypatch):
+        # chi on x3 with one flipped exponent is no 2-cocycle; the entry names the kind and the
+        # first failing triple as rack --check and cocycle --check do
         real = cli.cocycle_mod.chi_cocycle
 
         def flipped(n):
@@ -534,33 +535,40 @@ class TestSelfcheckCommand:
         monkeypatch.setattr(cli.cocycle_mod, "chi_cocycle", flipped)
         out = tmp_path / "sc.json"
         assert run(["selfcheck", "--n-max", "3", "--trials", "0", "--out", str(out)]) == 2
-        entry = next(c for c in read_json(str(out))["checks"] if c["name"] == "braid equation chi on x3")
-        triple = cli.braided.braid_equation_witness(flipped(3))
-        assert triple is not None and entry == {"name": entry["name"], "ok": False, "triple_witness": triple}
-
-    def test_matsumoto_failure_carries_its_witness(self, tmp_path, monkeypatch):
-        # rho is broken on the row s_2 s_1 s_2 of the Matsumoto batch of 3 strands only; the
-        # w0-conjugate word of sigma = (1 3) is that word, and its lex word is s_1 s_2 s_1.
-        # The braid equation's own two-row call of (1, 2, 1) and (2, 1, 2) is left whole.
-        real = cli.braided.rho
-
-        def broken(words, q, degree, tables):
-            target, expo = real(words, q, degree, tables)
-            if degree == 3 and len(words) > 2 and words.shape[1] == 3:
-                planted = (words == [2, 1, 2]).all(axis=1)
-                expo[planted] = (expo[planted] + 1) % q.order
-            return target, expo
-
-        monkeypatch.setattr(cli.braided, "rho", broken)
-        out = tmp_path / "sc.json"
-        assert run(["selfcheck", "--n-max", "3", "--trials", "0", "--out", str(out)]) == 2
         checks = read_json(str(out))["checks"]
-        assert checks[-1] == {
-            "name": "matsumoto word-independence",
-            "ok": False,
-            "matsumoto_witness": {"sigma": [3, 2, 1], "words": [[1, 2, 1], [2, 1, 2]]},
-        }
-        assert all(c["ok"] for c in checks[:-1])
+        verdict = check_rack_cocycle(flipped(3))
+        assert verdict.kind == "not-a-cocycle" and verdict.witness is not None
+        violation = {"kind": verdict.kind, "witness": list(verdict.witness)}
+        entry = {"name": "rack cocycle chi on x3", "ok": False, "axiom_violation": violation}
+        assert [c for c in checks if not c["ok"]] == [entry]
+
+    def test_twist_condition_failure_carries_its_triple(self, tmp_path, monkeypatch):
+        # one flipped bit of the twist table breaks the twist condition, and the main theorem with it;
+        # the entry names the first failing triple as twist-verify does
+        real = GroupCocycleBit.twist_table
+        monkeypatch.setattr(GroupCocycleBit, "twist_table", lambda self: flip_phi_bit(real(self), 2, 3))
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "4", "--trials", "0", "--out", str(out)]) == 2
+        checks = read_json(str(out))["checks"]
+        verdict = check_twist_condition(GroupCocycleBit(4).twist_table())
+        assert not verdict.ok
+        entry = {"name": "twist condition n=4", "ok": False, "twist_condition_witness": list(verdict.witness)}
+        assert [c for c in checks if not c["ok"]] == [
+            {"name": "main theorem n=4", "ok": False, "first_failing_pair": verify_main_theorem(4)[1]},
+            entry,
+        ]
+
+    def test_names_at_n_max_4_are_the_benchmarks_twelve(self, tmp_path):
+        # the benchmark's selfcheck-n4 workload counts these entries
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "4", "--seed", "1", "--out", str(out)]) == 0
+        assert [c["name"] for c in read_json(str(out))["checks"]] == [
+            "presentation n=2", "presentation n=3", "presentation n=4",
+            "conjugation lemmas n=4",
+            "group cocycle exhaustive n=3", "group cocycle exhaustive n=4",
+            "main theorem n=4", "twist condition n=4",
+            "rack cocycle chi on x3", "rack cocycle -1 on x3", "rack cocycle chi on x4", "rack cocycle -1 on x4",
+        ]
 
     def test_range(self):
         assert run(["selfcheck", "--n-max", "1"]) == 1

@@ -23,6 +23,7 @@ from oracles import (
     is_group_like,
     lemma_draws,
     lex_min_reduced_word,
+    lex_reduced_word,
     main_theorem_log,
     presentation_by_clifford,
     quad_clifford_product,
@@ -57,7 +58,7 @@ from racktwist.spincover import (
 def conj_by_perm(sigma, t):
     """Conjugation of t by the lift of sigma's lex-reduced word."""
     lift = SpinElement.one(sigma.n)
-    for i in sigma.lex_reduced_word():
+    for i in lex_reduced_word(sigma):
         lift = lift * generator_t(sigma.n, i)
     return lift.conj(t)
 
@@ -405,7 +406,7 @@ class TestConjugation:
             sigma = Permutation(tuple(img))
             target = bracket(n, 1, 4)
             lift = SpinElement.one(n)
-            for i in sigma.lex_reduced_word():
+            for i in lex_reduced_word(sigma):
                 lift = lift * generator_t(n, i)
             assert lift.conj(target) == lift.times_z().conj(target)
             assert conj_by_perm(sigma, target) == lift.conj(target)
@@ -641,7 +642,7 @@ class TestSection:
         if pair is not None:
             return bracket(sigma.n, *pair)
         lift = SpinElement.one(sigma.n)
-        for i in sigma.lex_reduced_word():
+        for i in lex_reduced_word(sigma):
             lift = lift * generator_t(sigma.n, i)
         return lift
 
