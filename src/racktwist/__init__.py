@@ -30,7 +30,6 @@ from .spincover import (
     CliffordElement,
     GroupCocycleBit,
     phi_psi_table,
-    presentation_witness,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,

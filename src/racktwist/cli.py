@@ -36,22 +36,22 @@ class UsageError(Exception):
     pass
 
 
-def _config(
-    subcommand: str,
-    *,
-    n: int | None = None,
-    max_degree: int | None = None,
-    mode: str | None = None,
-    seed: int | None = None,
-    dim_cap: int | None = None,
-) -> dict:
-    """Validated run parameters, echoed into every report as its "config" object, None where unset.
+def _finish(args, ok: bool, fields: dict, **config) -> int:
+    """Write the report of args' subcommand to args.out, if set, and return the exit code of ok.
 
-    The output path is deliberately not part of the echoed config: reports
-    must be byte-identical across runs that differ only in where they are
-    written.
+    The report is fields inside the envelope of every command:
+    schema_version, command, config and ok.  config echoes the validated
+    run parameters n, max_degree, mode, seed and dim_cap, None where unset.
+    The output path is deliberately not part of it: reports must be
+    byte-identical across runs that differ only in where they are written.
     """
-    return {"subcommand": subcommand, "n": n, "max_degree": max_degree, "mode": mode, "seed": seed, "dim_cap": dim_cap}
+    command = args.subcommand
+    config = {"subcommand": command, **dict.fromkeys(("n", "max_degree", "mode", "seed", "dim_cap")), **config}
+    report = {"schema_version": SCHEMA_VERSION, "command": command, "config": config, **fields, "ok": ok}
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _dim_cap(args) -> int:
@@ -64,24 +64,6 @@ def _dim_cap(args) -> int:
 def _check_rack_n(command: str, n: int) -> None:
     if n > RACK_N_CAP:
         raise DimensionCapError(f"{command}: need n <= {RACK_N_CAP} for x_n, got {n}")
-
-
-def _witness(verdict) -> list | None:
-    """None if a cocycle or twist-condition check passed, else its first failing triple as a list."""
-    return None if verdict.ok else list(verdict.witness)
-
-
-def _axiom_violation(verdict) -> dict | None:
-    """None if a rack or rack-cocycle check passed, else its kind and witness, as `rack --check` reports them."""
-    return None if verdict.ok else {"kind": verdict.kind, "witness": list(verdict.witness)}
-
-
-def _write_report(report: dict, out: str | None) -> None:
-    if out is None:
-        return
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------- rack
@@ -99,33 +81,28 @@ def cmd_rack(args) -> int:
         _check_rack_n("rack", args.n)
         r = rack_mod.transposition_rack(args.n)
         report_src = f"x{args.n}"
-    axioms = rack_mod.check_rack_axioms(r)
-    indec = rack_mod.is_indecomposable(r) if axioms.ok else None
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "rack",
-        "config": _config("rack", n=args.n),
+    violation = rack_mod.check_rack_axioms(r)
+    ok = violation is None
+    indec = rack_mod.is_indecomposable(r) if ok else None
+    code = _finish(args, ok, {
         "source": report_src,
         "rack": rack_mod.rack_to_dict(r),
-        "axioms_ok": axioms.ok,
-        "axiom_violation": _axiom_violation(axioms),
+        "axioms_ok": ok,
+        "axiom_violation": violation,
         "indecomposable": indec,
-        "ok": axioms.ok,
-    }
-    _write_report(report, args.out)
-    print(f"rack {report_src}: size {r.size}, axioms {'ok' if axioms.ok else 'FAILED'}"
+    }, n=args.n)
+    print(f"rack {report_src}: size {r.size}, axioms {'ok' if ok else 'FAILED'}"
           + (f", indecomposable {indec}" if indec is not None else ""))
-    if not axioms.ok:
-        print(f"  violation: {axioms.kind} at {axioms.witness}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    if not ok:
+        print(f"  violation: {violation['kind']} at {violation['witness']}")
+    return code
 
 
 # ---------------------------------------------------------------- cocycle
 
 
-def _builtin_cocycle(name: str, rack, n: int | None):
-    """The built-in cocycle `name` on a rack, or None for any other name.
+def _builtin_cocycle(name: str, rack, n: int | None, flag: str):
+    """The built-in cocycle `name` of the option `flag` on a rack, or None for any other name.
 
     Names: '-1'/'minus1', 'chi' (transposition rack x_n only) or 'const:M:E'.
     """
@@ -136,10 +113,11 @@ def _builtin_cocycle(name: str, rack, n: int | None):
             raise UsageError("chi requires a transposition rack (--rack xN)")
         return cocycle_mod.chi_cocycle(n)
     if name.startswith("const:"):
-        parts = name.split(":")
-        if len(parts) != 3:
-            raise UsageError("const form is const:M:E")
-        return cocycle_mod.constant_cocycle(rack, int(parts[1]), int(parts[2]))
+        try:
+            m, e = map(int, name.split(":")[1:])
+        except ValueError:
+            raise UsageError(f"{flag}: const form is const:M:E with integers M and E, got {name!r}")
+        return cocycle_mod.constant_cocycle(rack, m, e)
     return None
 
 
@@ -153,30 +131,25 @@ def cmd_cocycle(args) -> int:
         if args.n is None:
             raise UsageError("cocycle: --n is required for built-in cocycles")
         _check_rack_n("cocycle", args.n)
-        q = _builtin_cocycle(args.kind, rack_mod.transposition_rack(args.n), args.n)
+        q = _builtin_cocycle(args.kind, rack_mod.transposition_rack(args.n), args.n, "--kind")
         if q is None:
             raise UsageError(f"cocycle: unknown kind {args.kind!r}")
         if args.kind.startswith("const:"):
             label = f"const zeta_{q.order}^{q.exp[0][0]} on x{args.n}"
         else:
             label = f"{'chi' if args.kind == 'chi' else '-1'} on x{args.n}"
-    verdict = cocycle_mod.check_cocycle(q)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cocycle",
-        "config": _config("cocycle", n=args.n),
+    violation = cocycle_mod.check_cocycle(q)
+    ok = violation is None
+    code = _finish(args, ok, {
         "cocycle": cocycle_mod.cocycle_to_dict(q),
         "label": label,
-        "cocycle_ok": verdict.ok,
-        "violation": _witness(verdict),
-        "ok": verdict.ok,
-    }
-    _write_report(report, args.out)
-    print(f"cocycle {label}: order {q.order}, condition {'ok' if verdict.ok else 'FAILED'}")
-    if not verdict.ok:
-        print(f"  first violating triple: {verdict.witness}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        "cocycle_ok": ok,
+        "violation": violation,
+    }, n=args.n)
+    print(f"cocycle {label}: order {q.order}, condition {'ok' if ok else 'FAILED'}")
+    if not ok:
+        print(f"  first violating triple: {violation}")
+    return code
 
 
 # ---------------------------------------------------------------- cover
@@ -188,31 +161,26 @@ def cmd_cover(args) -> int:
         raise UsageError(f"cover: need 4 <= n <= {N_CAP}, got {n}")
     if args.trials < 0:
         raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
-    presentation_ok = spincover.verify_presentation(n)
-    lemma_ok, lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
+    presentation_ok = spincover.verify_presentation(n) is None
+    lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
     restriction = spincover.phi_psi_table(n).twist_table()
-    main_ok, _ = spincover.verify_main_theorem(n, restriction)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cover",
-        "config": _config("cover", n=n, seed=args.seed),
+    main_ok = spincover.verify_main_theorem(n, restriction) is None
+    code = _finish(args, presentation_ok and lemma_witness is None and main_ok, {
         "n": n,
         "presentation_ok": presentation_ok,
-        "lemma_general_ok": lemma_ok,
+        "lemma_general_ok": lemma_witness is None,
         "lemma_witness": lemma_witness,
         "main_theorem_ok": main_ok,
         "phi_restriction": cocycle_mod.twist_table_to_dict(restriction),
-        "ok": presentation_ok and lemma_ok and main_ok,
-    }
-    _write_report(report, args.out)
+    }, n=n, seed=args.seed)
     print(
         f"cover n={n}: presentation {'ok' if presentation_ok else 'FAILED'}, "
-        f"conjugation lemmas {'ok' if lemma_ok else 'FAILED'}, "
+        f"conjugation lemmas {'ok' if lemma_witness is None else 'FAILED'}, "
         f"main theorem {'ok' if main_ok else 'FAILED'}"
     )
     if lemma_witness is not None:
         print(f"  first failing conjugation: word {lemma_witness['word']}, pair {lemma_witness['pair']}")
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return code
 
 
 # ---------------------------------------------------------------- twist-verify
@@ -223,51 +191,52 @@ def cmd_verify_twist(args) -> int:
     if not 4 <= n <= spincover.TWIST_N_CAP:
         raise UsageError(f"twist-verify: need 4 <= n <= {spincover.TWIST_N_CAP}, got {n}")
     restriction = spincover.phi_psi_table(n).twist_table()
-    cond = cocycle_mod.check_twist_condition(restriction)
-    main_ok, first_fail = spincover.verify_main_theorem(n, restriction)
+    triple = cocycle_mod.check_twist_condition(restriction)
+    first_fail = spincover.verify_main_theorem(n, restriction)
+    cond_ok, main_ok = triple is None, first_fail is None
     pairs = len(restriction.phi) ** 2
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "twist-verify",
-        "config": _config("twist-verify", n=n),
+    code = _finish(args, cond_ok and main_ok, {
         "n": n,
         "pairs_checked": pairs,
-        "twist_condition_ok": cond.ok,
-        "twist_condition_witness": _witness(cond),
+        "twist_condition_ok": cond_ok,
+        "twist_condition_witness": triple,
         "main_theorem_ok": main_ok,
         # the same verdict, kept because the report schema has this field
         "twist_equals_minus_one": main_ok,
         "first_failing_pair": first_fail,
-        "ok": cond.ok and main_ok,
-    }
-    _write_report(report, args.out)
+    }, n=n)
     print(
         f"twist-verify n={n}: {pairs} pairs, twist condition "
-        f"{'ok' if cond.ok else 'FAILED'}, identity {'ok' if main_ok else 'FAILED'}, "
+        f"{'ok' if cond_ok else 'FAILED'}, identity {'ok' if main_ok else 'FAILED'}, "
         f"twisted cocycle constant -1: {main_ok}"
     )
-    if not report["ok"]:
-        if not cond.ok:
-            print(f"  first failing triple: {cond.witness}")
-        if first_fail is not None:
-            print(f"  first failing pair: {first_fail['sigma']}, {first_fail['tau']}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    if triple is not None:
+        print(f"  first failing triple: {triple}")
+    if first_fail is not None:
+        print(f"  first failing pair: {first_fail['sigma']}, {first_fail['tau']}")
+    return code
 
 
 # ---------------------------------------------------------------- cohomology
 
 
 def cmd_cohomology(args) -> int:
+    """Whether -1 and chi are gauge-equivalent on x_n; ok unless a certificate disagrees.
+
+    ok is false when n = 3 and no gauge is found (-1 and chi are
+    gauge-equivalent on x3), when a gauge found fails its round trip, or
+    when the exhaustive search (2^k gauges, k = n(n - 1)/2, run for
+    2^k <= 4096) disagrees with the solver.
+    """
     n = args.n
     if n < 3:
         raise UsageError(f"cohomology: need n >= 3, got {n}")
     if n > N_CAP:
         raise UsageError(f"cohomology: need n <= {N_CAP}, got {n}")
     chi = cocycle_mod.chi_cocycle(n)
-    verdict = cocycle_mod.check_cocycle(chi)
-    if not verdict.ok:
-        print(f"cohomology: chi is not a cocycle (violation at {verdict.witness})")
+    violation = cocycle_mod.check_cocycle(chi)
+    if violation is not None:
+        print(f"cohomology: chi is not a cocycle (violation at {violation})")
         return EXIT_CHECK_FAILED
     minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
     gauge = cocycle_mod.find_gauge(minus_one, chi)
@@ -284,10 +253,15 @@ def cmd_cohomology(args) -> int:
             if cocycle_mod.gauge_transform(minus_one, cand).exp == chi.exp:
                 exhaustive_found = True
                 break
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cohomology",
-        "config": _config("cohomology", n=n),
+    verdict = "gauge-equivalent" if gauge is not None else "no gauge exists"
+    ok = n != 3 or gauge is not None
+    if round_trip is False:
+        ok = False
+        verdict += " (round trip FAILED)"
+    if exhaustive_found is not None and (gauge is not None) != exhaustive_found:
+        ok = False
+        verdict += " (DISAGREES with exhaustive search)"
+    code = _finish(args, ok, {
         "n": n,
         "gauge_found": gauge is not None,
         "gauge": list(gauge.g) if gauge is not None else None,
@@ -296,17 +270,9 @@ def cmd_cohomology(args) -> int:
             "performed": exhaustive_found is not None,
             "found": exhaustive_found,
         },
-        "ok": True,
-    }
-    verdict = "gauge-equivalent" if gauge is not None else "no gauge exists"
-    if n == 3 and gauge is None:
-        report["ok"] = False
-    if exhaustive_found is not None and (gauge is not None) != exhaustive_found:
-        report["ok"] = False
-        verdict += " (DISAGREES with exhaustive search)"
-    _write_report(report, args.out)
+    }, n=n)
     print(f"cohomology n={n}: constant -1 vs chi: {verdict}")
-    return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
+    return code
 
 
 # ---------------------------------------------------------------- hilbert
@@ -331,7 +297,7 @@ def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
 
 
 def _parse_cocycle_arg(arg: str, rack, n: int | None):
-    q = _builtin_cocycle(arg, rack, n)
+    q = _builtin_cocycle(arg, rack, n, "--cocycle")
     if q is not None:
         return q, "-1" if arg == "minus1" else arg
     if os.path.exists(arg):
@@ -358,7 +324,7 @@ def cmd_hilbert(args) -> int:
     rack, n, rack_id = _parse_rack_arg(args.rack, args.max_degree, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
     closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
-    report_obj = hilbert_mod.graded_dims(
+    report = hilbert_mod.graded_dims(
         q,
         args.max_degree,
         mode=args.mode,
@@ -368,37 +334,16 @@ def cmd_hilbert(args) -> int:
         cocycle_id=cocycle_id,
         closed_form=closed_form,
     )
-    ok = report_obj.closed_form_verdicts is None or all(report_obj.closed_form_verdicts)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "hilbert",
-        "config": _config("hilbert", max_degree=args.max_degree, mode=args.mode, seed=args.seed, dim_cap=cap),
-        "report": report_obj.to_dict(),
-        "ok": ok,
-    }
-    _write_report(report, args.out)
-    print(f"hilbert {rack_id} / {cocycle_id} (mode {args.mode}): ranks {report_obj.ranks}")
-    if report_obj.closed_form_verdicts is not None:
-        print(f"  closed-form match per degree: {report_obj.closed_form_verdicts}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    ok = report.closed_form_verdicts is None or all(report.closed_form_verdicts)
+    code = _finish(args, ok, {"report": report.to_dict()},
+                   max_degree=args.max_degree, mode=args.mode, seed=args.seed, dim_cap=cap)
+    print(f"hilbert {rack_id} / {cocycle_id} (mode {args.mode}): ranks {report.ranks}")
+    if report.closed_form_verdicts is not None:
+        print(f"  closed-form match per degree: {report.closed_form_verdicts}")
+    return code
 
 
 # ---------------------------------------------------------------- selfcheck
-
-
-def _presentation(n: int, generators) -> tuple[bool, dict | None]:
-    witness = spincover.presentation_witness(n, generators=generators)
-    return witness is None, witness
-
-
-def _twist_condition(phi) -> tuple[bool, list | None]:
-    verdict = cocycle_mod.check_twist_condition(phi)
-    return verdict.ok, _witness(verdict)
-
-
-def _rack_cocycle(q) -> tuple[bool, dict | None]:
-    verdict = cocycle_mod.check_rack_cocycle(q)
-    return verdict.ok, _axiom_violation(verdict)
 
 
 def cmd_selfcheck(args) -> int:
@@ -411,19 +356,23 @@ def cmd_selfcheck(args) -> int:
     checks = []
 
     def run(name: str, fn, witness_key: str):
-        """Record fn's verdict: fn returns (ok, witness), and a failing entry carries the witness under witness_key."""
+        """Record the check fn: it returns its first witness, which a failing entry carries under witness_key, or None."""
         try:
-            ok, witness = fn()
+            witness = fn()
         except Exception as exc:  # a crashed check is a failed check
             checks.append({"name": name, "ok": False, "error": str(exc)})
             return
-        checks.append({"name": name, "ok": bool(ok)})
-        if not ok and witness is not None:
+        checks.append({"name": name, "ok": witness is None})
+        if witness is not None:
             checks[-1][witness_key] = witness
 
     for n in range(2, n_max + 1):
         generators = 2 * spincover.generator_vectors(n) if doubled else None
-        run(f"presentation n={n}", lambda n=n, g=generators: _presentation(n, g), "relation_witness")
+        run(
+            f"presentation n={n}",
+            lambda n=n, g=generators: spincover.verify_presentation(n, generators=g),
+            "relation_witness",
+        )
     for n in range(4, min(n_max, 7) + 1):
         run(
             f"conjugation lemmas n={n}",
@@ -440,29 +389,25 @@ def cmd_selfcheck(args) -> int:
     twist_table = functools.cache(lambda n: spincover.phi_psi_table(n).twist_table())
     for n in range(4, n_max + 1):
         run(f"main theorem n={n}", lambda n=n: spincover.verify_main_theorem(n, twist_table(n)), "first_failing_pair")
-        run(f"twist condition n={n}", lambda n=n: _twist_condition(twist_table(n)), "twist_condition_witness")
+        run(
+            f"twist condition n={n}",
+            lambda n=n: cocycle_mod.check_twist_condition(twist_table(n)),
+            "twist_condition_witness",
+        )
     for n in range(3, min(n_max, 5) + 1):
         chi = cocycle_mod.chi_cocycle(n)
         for label, q in (("chi", chi), ("-1", cocycle_mod.minus_one_cocycle(chi.rack))):
-            run(f"rack cocycle {label} on x{n}", lambda q=q: _rack_cocycle(q), "axiom_violation")
+            run(f"rack cocycle {label} on x{n}", lambda q=q: cocycle_mod.check_rack_cocycle(q), "axiom_violation")
 
     ok = all(c["ok"] for c in checks)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selfcheck",
-        "config": _config("selfcheck", n=n_max, seed=args.seed),
-        "checks": checks,
-        "ok": ok,
-    }
-    _write_report(report, args.out)
+    code = _finish(args, ok, {"checks": checks}, n=n_max, seed=args.seed)
     for c in checks:
         print(f"  [{'ok' if c['ok'] else 'FAIL'}] {c['name']}")
     print(f"selfcheck n_max={n_max}: {'all passed' if ok else 'FAILED'}")
     if not ok:
         first = next(c for c in checks if not c["ok"])
         print(f"  first failing check: {first['name']}")
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------- parser

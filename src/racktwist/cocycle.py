@@ -22,9 +22,7 @@ import numpy as np
 from .errors import DimensionCapError
 from .rack import (
     FiniteRack,
-    RackAxiomReport,
     ReadOnly,
-    ValueRecord,
     _check_axioms,
     _first_failure,
     _self_distributivity,
@@ -94,16 +92,6 @@ class TwistTable(ReadOnly):
 
     def __hash__(self) -> int:
         return hash((self.rack, self.order, self.phi))
-
-
-class CocycleReport(ValueRecord):
-    """Outcome of a cocycle or twist-condition check with the first bad triple."""
-
-    __slots__ = ("ok", "witness")
-
-    def __init__(self, ok: bool, witness: tuple[int, int, int] | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "witness", witness)
 
 
 def constant_cocycle(r: FiniteRack, m: int, e: int) -> RackCocycle:
@@ -180,25 +168,27 @@ def _cocycle_condition(q: RackCocycle, op: np.ndarray):
     return failing
 
 
-def check_cocycle(q: RackCocycle) -> CocycleReport:
-    """Check exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z] (mod m) for all triples, for m <= 2^62.
+def check_cocycle(q: RackCocycle) -> tuple[int, int, int] | None:
+    """The first (x, y, z) in lexicographic order where exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m).
 
-    The witness is the first failing (x, y, z) in lexicographic order.
+    None when the cocycle condition holds on every triple; m must be at most 2^62.
     """
     op = np.array(q.rack.op, dtype=np.intp)
     failed = _first_failure(op, [_cocycle_condition(q, op)])
-    return CocycleReport(True) if failed is None else CocycleReport(False, failed[1])
+    return None if failed is None else failed[1]
 
 
-def check_rack_cocycle(q: RackCocycle) -> RackAxiomReport:
-    """Check that q is a 2-cocycle on a rack, so that c(x (x) y) = q(x, y) (x |> y) (x) x is a braiding.
+def check_rack_cocycle(q: RackCocycle) -> dict | None:
+    """The first violation of q being a 2-cocycle on a rack, or None.
 
-    The braid equation holds exactly when the rack table's rows are
-    bijections, it is self-distributive and q satisfies the cocycle
-    condition (Andruskiewitsch-Grana, "From racks to pointed Hopf algebras",
-    2003).  The rows are checked first, then both conditions over one scan
-    of the triples; the witness is the one that `rack --check` reports, else
-    the one of `cocycle --check`, under the kind "not-a-cocycle".
+    The braiding c(x (x) y) = q(x, y) (x |> y) (x) x satisfies the braid
+    equation exactly when the rack table's rows are bijections, it is
+    self-distributive and q satisfies the cocycle condition
+    (Andruskiewitsch-Grana, "From racks to pointed Hopf algebras", 2003).
+    The rows are checked first, then both conditions over one scan
+    of the triples.  A violation is {"kind": ..., "witness": ...} as
+    rack.check_rack_axioms gives it, else the triple of check_cocycle under
+    the kind "not-a-cocycle".
     """
     op = np.array(q.rack.op, dtype=np.intp)
     conditions = [("not-self-distributive", _self_distributivity(op)), ("not-a-cocycle", _cocycle_condition(q, op))]
@@ -279,8 +269,8 @@ def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
     return RackCocycle(rack=q.rack, order=m, exp=tuple(map(tuple, exp.tolist())))
 
 
-def check_twist_condition(phi: TwistTable) -> CocycleReport:
-    """Check the condition making q^phi a cocycle whenever q is, over all triples.
+def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
+    """The first triple in lexicographic order that fails the condition making q^phi a cocycle whenever q is, or None.
 
     With yz = y|>z and xyz = x|>yz, the residue of (x, y, z) is the sum of
     (phi[x|>y][x|>z] - phi[x][yz]) + (phi[xyz][x] - phi[xyz][x|>y]) and
@@ -305,7 +295,7 @@ def check_twist_condition(phi: TwistTable) -> CocycleReport:
         return _not_multiple(np.fmod(d, m) + np.fmod(e, m), m)
 
     failed = _first_failure(op, [failing])
-    return CocycleReport(True) if failed is None else CocycleReport(False, failed[1])
+    return None if failed is None else failed[1]
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

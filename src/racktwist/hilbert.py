@@ -206,10 +206,12 @@ def graded_dims(
         raise ValueError("max_degree must be >= 0")
     if mode not in ("exact", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
-    axioms = check_rack_cocycle(q)
-    if not axioms.ok:
+    violation = check_rack_cocycle(q)
+    if violation is not None:
         braiding = "c(x (x) y) = q(x, y) (x |> y) (x) x"
-        raise RackAxiomError(f"{axioms.kind} at {axioms.witness}: the braiding {braiding} needs a 2-cocycle on a rack")
+        raise RackAxiomError(
+            f"{violation['kind']} at {violation['witness']}: the braiding {braiding} needs a 2-cocycle on a rack"
+        )
     if max_degree >= 2:
         check_degree(q, max_degree, dim_cap)
         if _candidates(q.order)[1] < 2:

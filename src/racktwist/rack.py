@@ -30,25 +30,6 @@ class ReadOnly:
     __delattr__ = __setattr__
 
 
-class ValueRecord(ReadOnly):
-    """A ReadOnly record that is equal and hashed by its fields, the names in its __slots__."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__name__}({fields})"
-
-
 class Permutation(ReadOnly):
     """A permutation of {1..n} in one-line notation: image[k] = value at position k+1; equal by image."""
 
@@ -183,18 +164,6 @@ class FiniteRack(ReadOnly):
         return len(self.op)
 
 
-class RackAxiomReport(ValueRecord):
-    """Outcome of check_rack_axioms or cocycle.check_rack_cocycle; witness pins the first violation found."""
-
-    __slots__ = ("ok", "kind", "witness")
-
-    def __init__(self, ok: bool, kind: str | None = None, witness: tuple[int, ...] | None = None):
-        object.__setattr__(self, "ok", ok)
-        # "non-bijective-row" | "not-self-distributive", or "not-a-cocycle" from cocycle.check_rack_cocycle
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "witness", witness)
-
-
 # Triples decided at once by _first_failure: a chunk of x takes at most this many
 # (x, y, z) entries per array, and at least one x.
 # 2^14 was no faster on twist-verify --n 8 and raised its peak RSS by 0.3 MB.
@@ -237,24 +206,24 @@ def _self_distributivity(op: np.ndarray):
     return lambda xs, ox, at: small[xs][:, op] != flat[at]
 
 
-def _check_axioms(op: np.ndarray, conditions) -> RackAxiomReport:
-    """Whether every row of op is a bijection, then each (kind, mask) of conditions, over one scan of the triples.
+def _check_axioms(op: np.ndarray, conditions) -> dict | None:
+    """The first violation of bijective rows, then of each (kind, mask) of conditions, over one scan of the triples.
 
-    The witness is the first non-bijective row x, or the first failing
-    (x, y, z) of the earliest condition that fails (_first_failure).
+    None if every axiom holds, else {"kind": ..., "witness": ...}: the kind
+    "non-bijective-row" with the first such row (x,), or the kind of the
+    earliest condition that fails with its first failing (x, y, z)
+    (_first_failure).
     """
     k = len(op)
     bad = np.flatnonzero((np.sort(op, axis=1) != np.arange(k)).any(axis=1))
     if bad.size:
-        return RackAxiomReport(False, "non-bijective-row", (int(bad[0]),))
+        return {"kind": "non-bijective-row", "witness": (int(bad[0]),)}
     failed = _first_failure(op, [mask for _, mask in conditions])
-    if failed is None:
-        return RackAxiomReport(True)
-    return RackAxiomReport(False, conditions[failed[0]][0], failed[1])
+    return None if failed is None else {"kind": conditions[failed[0]][0], "witness": failed[1]}
 
 
-def check_rack_axioms(r: FiniteRack) -> RackAxiomReport:
-    """Check bijectivity of every left translation and self-distributivity.
+def check_rack_axioms(r: FiniteRack) -> dict | None:
+    """The first violation of bijective left translations or of self-distributivity, or None (_check_axioms).
 
     Rows come first, then the triples, both in lexicographic order, so the
     reported witness is deterministic.

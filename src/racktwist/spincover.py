@@ -165,12 +165,7 @@ def generator_vectors(n: int) -> np.ndarray:
     return _bracket_vectors(n)[letters, letters + 1]
 
 
-def verify_presentation(n: int, generators: np.ndarray | None = None) -> bool:
-    """Whether every defining relation of the cover holds on integer generator vectors (presentation_witness)."""
-    return presentation_witness(n, generators) is None
-
-
-def presentation_witness(n: int, generators: np.ndarray | None = None) -> dict | None:
+def verify_presentation(n: int, generators: np.ndarray | None = None) -> dict | None:
     """The first relation of the cover that fails on integer generator vectors, or None.
 
     Relations: t_i^2 = 1, (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2,
@@ -275,14 +270,14 @@ def _lemma_draws(getrandbits, n: int, size: int) -> tuple[np.ndarray, np.ndarray
     return words, lengths, a + 1, b + 1 + (b >= a)
 
 
-def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
+def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> dict | None:
     """Exhaustively check s_k |> [i j] = [s_k(i) s_k(j)] z, then random-word conjugation.
 
     The random part conjugates [i j] by lifts of arbitrary generator words of
     length l <= 20 (not necessarily reduced) and checks the result is
     [w(i) w(j)] z^l, with z^l depending only on the parity of l.  Returns
-    the verdict and the first failure, or None: its word (the letters k of
-    t_k, [k] in the exhaustive part) and its ordered pair [i, j].
+    the first failure, or None: its word (the letters k of t_k, [k] in the
+    exhaustive part) and its ordered pair [i, j].
 
     No lift is expanded.  Every bracket is a unit vector v/sqrt(2), v read
     off _bracket_vectors, and t_k = [k, k+1] = g/sqrt(2).  For unit vectors
@@ -333,7 +328,7 @@ def verify_conjugation_lemmas(n: int, trials: int = 1000, seed: int = 0) -> tupl
         size = min(_LEMMA_CHUNK, trials - done)
         done += size
         witness = first_failure(*_lemma_draws(getrandbits, n, size))
-    return witness is None, witness
+    return witness
 
 
 class SectionCache:
@@ -488,11 +483,11 @@ def _group_table(gc: GroupCocycleBit) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return images, mult, bits
 
 
-def verify_group_cocycle(gc: GroupCocycleBit) -> tuple[bool, dict | None]:
+def verify_group_cocycle(gc: GroupCocycleBit) -> dict | None:
     """Exhaustive check of bit(x,y)+bit(xy,z) == bit(x,yz)+bit(y,z) mod 2 over S_n.
 
-    Returns the verdict and the first failing triple in lexicographic order,
-    or None, as the one-line images {"x": ..., "y": ..., "z": ...}.
+    Returns the first failing triple in lexicographic order, or None, as
+    the one-line images {"x": ..., "y": ..., "z": ...}.
     Materializes the full n! x n! bit table, so n is capped (n! triples grow
     as (n!)^3; n = 5 means 1.728M triples).
     """
@@ -505,19 +500,19 @@ def verify_group_cocycle(gc: GroupCocycleBit) -> tuple[bool, dict | None]:
     z = np.arange(size)[None, None, :]
     bad = np.flatnonzero(bits[x, y] ^ bits[mult[x, y], z] ^ bits[x, mult[y, z]] ^ bits[y, z])
     if not bad.size:
-        return True, None
+        return None
     triple = np.unravel_index(bad[0], (size,) * 3)
-    return False, {name: images[t].tolist() for name, t in zip("xyz", triple)}
+    return {name: images[t].tolist() for name, t in zip("xyz", triple)}
 
 
-def verify_main_theorem(n: int, phi: TwistTable | None = None) -> tuple[bool, dict | None]:
+def verify_main_theorem(n: int, phi: TwistTable | None = None) -> dict | None:
     """Check the twist identity: chi twisted by phi is the constant cocycle -1.
 
     phi defaults to GroupCocycleBit(n).twist_table().  The twisted exponent
     phi(sigma, tau) - phi(sigma|>tau, sigma) + chi(sigma, tau) of every
     ordered pair of transpositions must be 1 mod 2 (cocycle.twist).  Returns
-    the verdict and the first failing pair in row-major order, or None: its
-    sigma, tau, the two phi bits, the chi bit and ok.  ValueError if phi is
+    the first failing pair in row-major order, or None: its sigma, tau, the
+    two phi bits, the chi bit and ok.  ValueError if phi is
     not an order-2 table on the transposition rack of S_n.
     """
     if n < 4:
@@ -528,10 +523,10 @@ def verify_main_theorem(n: int, phi: TwistTable | None = None) -> tuple[bool, di
     twisted = twist(chi, phi).exp
     bad = next(((a, b) for a, row in enumerate(twisted) for b, e in enumerate(row) if e != 1), None)
     if bad is None:
-        return True, None
+        return None
     a, b = bad
     pairs = transposition_pairs(n)
-    return False, {
+    return {
         "sigma": str(pairs[a]),
         "tau": str(pairs[b]),
         "phi_bits": [phi.phi[a][b], phi.phi[chi.rack.op[a][b]][a]],

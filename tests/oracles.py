@@ -1282,14 +1282,14 @@ def lemma_draws(n: int, trials: int, seed: int, chunk: int = LEMMA_CHUNK):
             yield word, a + 1, b + 1 + (b >= a)
 
 
-def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> tuple[bool, dict | None]:
+def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) -> dict | None:
     """spincover.verify_conjugation_lemmas with every lift expanded in the Clifford model.
 
     Exhaustively checks t_k [i j] t_k^-1 = [s_k(i) s_k(j)] z, then conjugates
     [i j] by the lifts of random generator words of length l <= 20 and checks
     the result is [w(i) w(j)] z^l, with the words of lemma_draws.  A
     lift of l letters has up to 2^(n-1) terms, so this is exponential in n.
-    Returns the verdict and the first failing word and pair, as the package does.
+    Returns the first failing word and pair, or None, as the package does.
     """
     brackets = {
         (a, b): bracket(n, a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b
@@ -1299,7 +1299,7 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
         swap = sk.perm
         for (a, b), br in brackets.items():
             if sk.conj(br) != brackets[(swap(a), swap(b))].times_z():
-                return False, {"word": [k], "pair": [a, b]}
+                return {"word": [k], "pair": [a, b]}
     for word, a, b in lemma_draws(n, trials, seed):
         lift = SpinElement.one(n)
         for i in word:
@@ -1308,13 +1308,13 @@ def conjugation_lemmas_by_clifford(n: int, trials: int = 1000, seed: int = 0) ->
         if len(word) % 2 == 1:
             expected = expected.times_z()
         if lift.conj(brackets[(a, b)]) != expected:
-            return False, {"word": word, "pair": [a, b]}
-    return True, None
+            return {"word": word, "pair": [a, b]}
+    return None
 
 
 def conjugation_lemmas_per_trial(
     n: int, trials: int = 1000, seed: int = 0, chunk: int = LEMMA_CHUNK
-) -> tuple[bool, dict | None]:
+) -> dict | None:
     """spincover.verify_conjugation_lemmas one word at a time, on Python lists.
 
     The same integer reflections v -> <g, v> g - v of bracket_vector, applied
@@ -1334,7 +1334,7 @@ def conjugation_lemmas_per_trial(
     for k, swap in enumerate(swaps, 1):
         for (a, b), v in vectors.items():
             if conj(k, v) != [-c for c in vectors[(swap(a), swap(b))]]:
-                return False, {"word": [k], "pair": [a, b]}
+                return {"word": [k], "pair": [a, b]}
     for word, a, b in lemma_draws(n, trials, seed, chunk):
         v, c, d = list(vectors[(a, b)]), a, b
         for k in reversed(word):
@@ -1342,8 +1342,8 @@ def conjugation_lemmas_per_trial(
             c, d = swaps[k - 1](c), swaps[k - 1](d)
         expected = list(vectors[(c, d)])
         if v != (expected if len(word) % 2 == 0 else [-e for e in expected]):
-            return False, {"word": word, "pair": [a, b]}
-    return True, None
+            return {"word": word, "pair": [a, b]}
+    return None
 
 
 def transposition_rack_by_permutations(n: int) -> FiniteRack:

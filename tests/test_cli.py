@@ -11,9 +11,10 @@ from oracles import disagree_at, flip_phi_bit, main_theorem_log, scale_bracket, 
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
-from racktwist import cli
+from racktwist import cli, spincover
 from racktwist.cli import RACK_N_CAP, main
-from racktwist.cocycle import RackCocycle, check_rack_cocycle, check_twist_condition, chi_cocycle
+from racktwist.cocycle import GaugeFunction, RackCocycle, check_rack_cocycle, check_twist_condition, chi_cocycle
+from racktwist.errors import SectionConsistencyError
 from racktwist.spincover import GroupCocycleBit, verify_main_theorem
 
 
@@ -94,6 +95,19 @@ class TestCocycleCommand:
         assert run(["cocycle", "--kind", "chi", "--n", "2"]) == 1
         assert run(["cocycle", "--kind", "nope", "--n", "4"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["cocycle", "--n", "3", "--kind", "const:3:x"],
+        ["cocycle", "--n", "3", "--kind", "const:3"],
+        ["hilbert", "--rack", "x3", "--cocycle", "const:a:1", "--max-degree", "2"],
+        ["hilbert", "--rack", "x3", "--cocycle", "const:3:1:0", "--max-degree", "2"],
+    ])
+    def test_const_form_needs_two_integers(self, argv, capsys):
+        # the message names the flag and the form, not the int() that failed
+        flag = "--kind" if argv[0] == "cocycle" else "--cocycle"
+        kind = argv[argv.index(flag) + 1]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag}: const form is const:M:E with integers M and E, got {kind!r}\n"
+
     def test_order_beyond_int64_sums(self, capsys):
         assert run(["cocycle", "--n", "4", "--kind", "const:3000000000:1"]) == 0
         capsys.readouterr()
@@ -135,7 +149,7 @@ def test_broken_chi_table_fails_every_command_that_reads_it(argv, monkeypatch, c
     assert run(argv) == 2
     err = capsys.readouterr().err
     if argv[0] == "hilbert":
-        witness = cocycle_mod.check_cocycle(broken).witness
+        witness = cocycle_mod.check_cocycle(broken)
         assert err.count("\n") == 1 and err.startswith(f"check failed: not-a-cocycle at {witness}: ")
     else:
         assert err == ""
@@ -289,6 +303,21 @@ class TestCohomologyCommand:
 
     def test_n2_usage_error(self):
         assert run(["cohomology", "--n", "2"]) == 1
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_failed_round_trip_fails(self, tmp_path, capsys, monkeypatch, n):
+        # a planted solver returns the zero gauge, which leaves -1 as it is, not chi; at n = 6 no
+        # exhaustive search runs, so the failed round trip alone must fail the run
+        def wrong_gauge(q, q2):
+            return GaugeFunction(q.rack, q.order, (0,) * q.rack.size)
+
+        monkeypatch.setattr(cocycle_mod, "find_gauge", wrong_gauge)
+        out = tmp_path / "coh.json"
+        assert run(["cohomology", "--n", str(n), "--out", str(out)]) == 2
+        report = read_json(str(out))
+        assert report["gauge_found"] is True and report["round_trip_ok"] is False and report["ok"] is False
+        assert report["exhaustive_search"] == {"performed": n == 4, "found": False if n == 4 else None}
+        assert "gauge-equivalent (round trip FAILED)" in capsys.readouterr().out
 
 
 class TestHilbertCommand:
@@ -536,9 +565,9 @@ class TestSelfcheckCommand:
         out = tmp_path / "sc.json"
         assert run(["selfcheck", "--n-max", "3", "--trials", "0", "--out", str(out)]) == 2
         checks = read_json(str(out))["checks"]
-        verdict = check_rack_cocycle(flipped(3))
-        assert verdict.kind == "not-a-cocycle" and verdict.witness is not None
-        violation = {"kind": verdict.kind, "witness": list(verdict.witness)}
+        violation = check_rack_cocycle(flipped(3))
+        assert violation["kind"] == "not-a-cocycle" and violation["witness"] is not None
+        violation = {"kind": violation["kind"], "witness": list(violation["witness"])}
         entry = {"name": "rack cocycle chi on x3", "ok": False, "axiom_violation": violation}
         assert [c for c in checks if not c["ok"]] == [entry]
 
@@ -550,13 +579,33 @@ class TestSelfcheckCommand:
         out = tmp_path / "sc.json"
         assert run(["selfcheck", "--n-max", "4", "--trials", "0", "--out", str(out)]) == 2
         checks = read_json(str(out))["checks"]
-        verdict = check_twist_condition(GroupCocycleBit(4).twist_table())
-        assert not verdict.ok
-        entry = {"name": "twist condition n=4", "ok": False, "twist_condition_witness": list(verdict.witness)}
+        triple = check_twist_condition(GroupCocycleBit(4).twist_table())
+        assert triple is not None
+        entry = {"name": "twist condition n=4", "ok": False, "twist_condition_witness": list(triple)}
         assert [c for c in checks if not c["ok"]] == [
-            {"name": "main theorem n=4", "ok": False, "first_failing_pair": verify_main_theorem(4)[1]},
+            {"name": "main theorem n=4", "ok": False, "first_failing_pair": verify_main_theorem(4)},
             entry,
         ]
+
+    def test_crashed_check_fails_and_later_checks_still_run(self, tmp_path, monkeypatch, capsys):
+        # a check that raises is a failed entry that carries the message, and the run goes on
+        def crashed(gc):
+            raise SectionConsistencyError(f"planted at n={gc.n}")
+
+        monkeypatch.setattr(spincover, "verify_group_cocycle", crashed)
+        out = tmp_path / "sc.json"
+        assert run(["selfcheck", "--n-max", "4", "--trials", "0", "--out", str(out)]) == 2
+        report = read_json(str(out))
+        assert report["ok"] is False
+        checks = report["checks"]
+        assert [c for c in checks if not c["ok"]] == [
+            {"name": f"group cocycle exhaustive n={n}", "ok": False, "error": f"planted at n={n}"} for n in (3, 4)
+        ]
+        names = [c["name"] for c in checks]
+        later = names[names.index("group cocycle exhaustive n=4") + 1:]
+        assert later == ["main theorem n=4", "twist condition n=4", "rack cocycle chi on x3", "rack cocycle -1 on x3",
+                         "rack cocycle chi on x4", "rack cocycle -1 on x4"]
+        assert "first failing check: group cocycle exhaustive n=3" in capsys.readouterr().out
 
     def test_names_at_n_max_4_are_the_benchmarks_twelve(self, tmp_path):
         # the benchmark's selfcheck-n4 workload counts these entries

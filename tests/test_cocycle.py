@@ -16,7 +16,6 @@ from oracles import (
 )
 from racktwist import rack as rack_mod
 from racktwist.cocycle import (
-    CocycleReport,
     GaugeFunction,
     RackCocycle,
     TwistTable,
@@ -68,16 +67,16 @@ class TestConstantCocycle:
         q = constant_cocycle(X4, 2, 1)
         assert q.order == 2
         assert all(e == 1 for row in q.exp for e in row)
-        assert check_cocycle(q).ok
+        assert check_cocycle(q) is None
         assert q.exp == minus_one_cocycle(X4).exp
 
     def test_trivial_order_one(self):
         q = constant_cocycle(X3, 1, 0)
-        assert check_cocycle(q).ok
+        assert check_cocycle(q) is None
 
     def test_minus_one_on_x3(self):
         q = constant_cocycle(X3, 2, 1)
-        assert check_cocycle(q).ok
+        assert check_cocycle(q) is None
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
@@ -107,7 +106,7 @@ class TestChiCocycle:
 
     def test_is_cocycle(self):
         for n in (3, 4, 5):
-            assert check_cocycle(chi_cocycle(n)).ok
+            assert check_cocycle(chi_cocycle(n)) is None
 
     def test_needs_three(self):
         with pytest.raises(ValueError):
@@ -120,8 +119,8 @@ class TestCheckCocycle:
         exp = [list(row) for row in q.exp]
         exp[2][3] ^= 1
         bad = RackCocycle(rack=q.rack, order=2, exp=tuple(tuple(r) for r in exp))
-        report = check_cocycle(bad)
-        assert not report.ok
+        witness = check_cocycle(bad)
+        assert witness is not None
         op = bad.rack.op
         first = next(
             (x, y, z)
@@ -131,13 +130,13 @@ class TestCheckCocycle:
             if (bad.exp[x][op[y][z]] + bad.exp[y][z]
                 - bad.exp[op[x][y]][op[x][z]] - bad.exp[x][z]) % 2
         )
-        assert report.witness == first
+        assert witness == first
 
     def test_orders_up_to_two_to_the_62(self):
         # exponents near 2^62 sum past int64 only beyond that order
         m = 2**62
         q = constant_cocycle(transposition_rack(4), m, m - 1)
-        assert check_cocycle(q).ok
+        assert check_cocycle(q) is None
         exp = [list(row) for row in q.exp]
         exp[2][3] = m - 2
         bad = RackCocycle(rack=q.rack, order=m, exp=tuple(tuple(r) for r in exp))
@@ -147,7 +146,7 @@ class TestCheckCocycle:
             for x, y, z in itertools.product(range(6), repeat=3)
             if (bad.exp[x][op[y][z]] + bad.exp[y][z] - bad.exp[op[x][y]][op[x][z]] - bad.exp[x][z]) % m
         )
-        assert check_cocycle(bad).witness == first
+        assert check_cocycle(bad) == first
         with pytest.raises(DimensionCapError, match="2\\^62"):
             check_cocycle(constant_cocycle(transposition_rack(4), m + 1, 1))
 
@@ -167,24 +166,24 @@ class TestChecksMatchTripleLoops:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_cocycle_witness_on_flipped_chi(self, n):
         chi = chi_cocycle(n)
-        assert check_cocycle(chi).ok and cocycle_first_failure(chi) is None
+        assert check_cocycle(chi) is None and cocycle_first_failure(chi) is None
         failures = 0
         for exp in flipped_tables(chi.exp):
             q = RackCocycle(rack=chi.rack, order=2, exp=exp)
-            report, want = check_cocycle(q), cocycle_first_failure(q)
-            assert report.ok == (want is None) and report.witness == want
+            want = cocycle_first_failure(q)
+            assert check_cocycle(q) == want
             failures += want is not None
         assert failures > 0
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_twist_witness_on_flipped_twist_table(self, n):
         table = phi_psi_table(n).twist_table()
-        assert check_twist_condition(table).ok and twist_condition_first_failure(table) is None
+        assert check_twist_condition(table) is None and twist_condition_first_failure(table) is None
         failures = 0
         for phi in flipped_tables(table.phi):
             t = TwistTable(rack=table.rack, order=2, phi=phi)
-            report, want = check_twist_condition(t), twist_condition_first_failure(t)
-            assert report.ok == (want is None) and report.witness == want
+            want = twist_condition_first_failure(t)
+            assert check_twist_condition(t) == want
             failures += want is not None
         assert failures > 0
 
@@ -196,9 +195,9 @@ class TestChecksMatchTripleLoops:
             exp = [list(row) for row in q.exp]
             exp[rng.randrange(k)][rng.randrange(k)] = rng.randrange(m)
             bad = RackCocycle(rack=q.rack, order=m, exp=tuple(tuple(row) for row in exp))
-            assert check_cocycle(bad).witness == cocycle_first_failure(bad)
+            assert check_cocycle(bad) == cocycle_first_failure(bad)
             phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
-            assert check_twist_condition(phi).witness == twist_condition_first_failure(phi)
+            assert check_twist_condition(phi) == twist_condition_first_failure(phi)
 
 
 # Tables on {0, 1, 2} (not racks) whose only failing triple is the last one,
@@ -237,11 +236,11 @@ class TestChunkedTripleChecks:
             monkeypatch.setattr(rack_mod, "_TRIPLE_ENTRIES", entries)
         rack, exp = at_the_top(LAST_TRIPLE_COCYCLE, k, scale, shift, m)
         q = RackCocycle(rack, m, exp)
-        assert check_cocycle(q) == CocycleReport(False, (k - 1,) * 3)
+        assert check_cocycle(q) == (k - 1,) * 3
         assert cocycle_first_failure(q) == (k - 1,) * 3
         rack, phi = at_the_top(LAST_TRIPLE_TWIST, k, scale, shift, m)
         t = TwistTable(rack, m, phi)
-        assert check_twist_condition(t) == CocycleReport(False, (k - 1,) * 3)
+        assert check_twist_condition(t) == (k - 1,) * 3
         assert twist_condition_first_failure(t) == (k - 1,) * 3
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -252,14 +251,14 @@ class TestChunkedTripleChecks:
         xs = set()
         for exp in flipped_tables(chi.exp):
             q = RackCocycle(rack=chi.rack, order=2, exp=exp)
-            assert check_cocycle(q).witness == cocycle_first_failure(q)
-            xs.add(check_cocycle(q).witness[0])
+            assert check_cocycle(q) == cocycle_first_failure(q)
+            xs.add(check_cocycle(q)[0])
         for phi in flipped_tables(table.phi):
             t = TwistTable(rack=table.rack, order=2, phi=phi)
-            report = check_twist_condition(t)
-            assert report.witness == twist_condition_first_failure(t)
-            if report.witness is not None:
-                xs.add(report.witness[0])
+            triple = check_twist_condition(t)
+            assert triple == twist_condition_first_failure(t)
+            if triple is not None:
+                xs.add(triple[0])
         assert max(xs) >= 1  # a witness outside the first chunk
 
     # (0, 1, 1) holds in both, and the first failure is (0, 1, 2).  At order 2^62 - 1 its
@@ -274,7 +273,7 @@ class TestChunkedTripleChecks:
     def test_twist_residues_at_the_extremes(self, m, op, phi):
         t = TwistTable(FiniteRack(op), m, phi)
         assert twist_condition_first_failure(t) == (0, 1, 2)
-        assert check_twist_condition(t) == CocycleReport(False, (0, 1, 2))
+        assert check_twist_condition(t) == (0, 1, 2)
 
     def test_orders_above_two_to_the_62_are_refused(self):
         m = 2**62 + 1
@@ -295,8 +294,8 @@ class TestChunkedTripleChecks:
             exp = tuple(tuple(rng.choice((0, 1, m - 2, m - 1)) % m for _ in range(6)) for _ in range(6))
             q = RackCocycle(X4, m, exp)
             want = cocycle_first_failure(q)
-            assert check_cocycle(q).witness == want
-            assert check_rack_cocycle(q).witness == want
+            assert check_cocycle(q) == want
+            assert check_rack_cocycle(q) == (None if want is None else {"kind": "not-a-cocycle", "witness": want})
 
 
 class TestRackCocycle:
@@ -314,13 +313,12 @@ class TestRackCocycle:
             exp = [[0] * k for _ in range(k)]
             exp[rng.randrange(k)][rng.randrange(k)] = rng.randrange(3)
             q = RackCocycle(r, 3, tuple(map(tuple, exp)))
-            report = check_rack_cocycle(q)
+            violation = check_rack_cocycle(q)
             want = rack_axioms_by_loops(r)
             if want is None and cocycle_first_failure(q) is not None:
                 want = ("not-a-cocycle", cocycle_first_failure(q))
-            assert (report.kind, report.witness) == (want or (None, None))
-            assert report.ok == (want is None)
-            kinds.add(report.kind)
+            assert violation == (None if want is None else {"kind": want[0], "witness": want[1]})
+            kinds.add(None if violation is None else violation["kind"])
         assert kinds == {None, "non-bijective-row", "not-self-distributive", "not-a-cocycle"}
 
     def test_self_distributivity_outranks_an_earlier_cocycle_failure(self, monkeypatch):
@@ -334,11 +332,11 @@ class TestRackCocycle:
         exp = [[0] * 5 for _ in range(5)]
         exp[0][1] = 1
         q = RackCocycle(FiniteRack(tuple(map(tuple, op))), 2, tuple(map(tuple, exp)))
-        assert check_cocycle(q).witness[0] < 4
+        assert check_cocycle(q)[0] < 4
         witness = rack_axioms_by_loops(q.rack)[1]
         assert witness[0] == 4
         assert check_rack_cocycle(q) == check_rack_axioms(q.rack)
-        assert (check_rack_cocycle(q).kind, check_rack_cocycle(q).witness) == ("not-self-distributive", witness)
+        assert check_rack_cocycle(q) == {"kind": "not-self-distributive", "witness": witness}
 
 
 class TestIntegerTables:
@@ -391,7 +389,7 @@ class TestGauge:
             )
             q = RackCocycle(rack=rack, order=m, exp=exp)
             gamma = GaugeFunction(rack, m, tuple(rng.randrange(m) for _ in range(rack.size)))
-            assert check_cocycle(q).ok == check_cocycle(gauge_transform(q, gamma)).ok
+            assert (check_cocycle(q) is None) == (check_cocycle(gauge_transform(q, gamma)) is None)
 
     def test_mismatched_frames_rejected(self):
         q = chi_cocycle(3)
@@ -489,7 +487,7 @@ class TestTwist:
 
     def test_twist_condition_zero_table(self):
         phi = TwistTable(X4, 2, ((0,) * 6,) * 6)
-        assert check_twist_condition(phi).ok
+        assert check_twist_condition(phi) is None
 
     def test_twist_condition_random_failure_has_witness(self):
         rng = random.Random(6)
@@ -499,11 +497,11 @@ class TestTwist:
                 tuple(rng.randrange(2) for _ in range(6)) for _ in range(6)
             )
             phi = TwistTable(X4, 2, phi_rows)
-            report = check_twist_condition(phi)
-            if report.ok:
+            witness = check_twist_condition(phi)
+            if witness is None:
                 continue
             found_failure = True
-            x, y, z = report.witness
+            x, y, z = witness
             op = X4.op
             p = phi.phi
             yz = op[y][z]
@@ -522,8 +520,8 @@ class TestTwist:
                 rack, m,
                 tuple(tuple(rng.randrange(m) for _ in range(rack.size)) for _ in range(rack.size)),
             )
-            assert check_cocycle(q).ok
-            assert check_twist_condition(phi).ok == check_cocycle(twist(q, phi)).ok
+            assert check_cocycle(q) is None
+            assert (check_twist_condition(phi) is None) == (check_cocycle(twist(q, phi)) is None)
 
 
 class TestLiftAndJson:
@@ -534,7 +532,7 @@ class TestLiftAndJson:
         assert all(
             lifted.exp[x][y] == 2 * q.exp[x][y] for x in range(3) for y in range(3)
         )
-        assert check_cocycle(lifted).ok
+        assert check_cocycle(lifted) is None
 
     def test_lift_requires_divisibility(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import BraidWord, MonomialOperator
-from racktwist.cocycle import CocycleReport, GaugeFunction, RackCocycle, TwistTable
-from racktwist.rack import FiniteRack, Permutation, RackAxiomReport, TranspositionLabel
+from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
+from racktwist.rack import FiniteRack, Permutation, TranspositionLabel
 
 TRIVIAL2 = FiniteRack(((0, 1), (0, 1)))
 
@@ -39,8 +39,6 @@ EQUAL_BY_VALUE = {
     "rack": (lambda: FiniteRack(tuple(tuple([0, 1]) for _ in range(2)), ("a", "b")), FiniteRack(TRIVIAL2.op)),
     "twist-table": (lambda: TwistTable(FiniteRack(((0, 1), (0, 1))), 2, tuple(tuple([0, 1]) for _ in range(2))),
                     TwistTable(TRIVIAL2, 3, ((0, 1), (0, 1)))),
-    "cocycle-report": (lambda: CocycleReport(False, tuple([0, 1, 2])), CocycleReport(False, (0, 1, 1))),
-    "axiom-report": (lambda: RackAxiomReport(False, "non-bijective-row", tuple([1])), RackAxiomReport(True)),
 }
 
 
@@ -51,11 +49,6 @@ def test_equal_and_hashed_by_value(build, other):
     assert a == b and not a != b
     assert hash(a) == hash(b) and len({a, b}) == 1
     assert a != other and not a == other
-
-
-def test_reports_name_their_fields():
-    assert repr(CocycleReport(False, (0, 1, 2))) == "CocycleReport(ok=False, witness=(0, 1, 2))"
-    assert repr(RackAxiomReport(True)) == "RackAxiomReport(ok=True, kind=None, witness=None)"
 
 
 def test_monomial_operators_are_equal_by_action():
@@ -76,8 +69,6 @@ READ_ONLY = {
     "gauge": (lambda: GaugeFunction(TRIVIAL2, 2, (0, 1)), "g"),
     "twist-table": (lambda: TwistTable(TRIVIAL2, 2, ((0, 1), (1, 0))), "phi"),
     "braid-word": (lambda: BraidWord(3, (1, 2)), "letters"),
-    "cocycle-report": (lambda: CocycleReport(False, (0, 1, 2)), "witness"),
-    "axiom-report": (lambda: RackAxiomReport(False, "non-bijective-row", (1,)), "kind"),
 }
 
 

@@ -47,7 +47,6 @@ from racktwist.spincover import (
     SectionCache,
     generator_vectors,
     phi_psi_table,
-    presentation_witness,
     verify_conjugation_lemmas,
     verify_group_cocycle,
     verify_main_theorem,
@@ -239,12 +238,12 @@ class TestGenerators:
 class TestPresentation:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_holds(self, n):
-        assert verify_presentation(n)
+        assert verify_presentation(n) is None
 
     def test_unnormalized_generator_fails(self):
         # sqrt(2) t_i has no integer vector; the package takes 2 t_i, as --inject-fault generator does
         assert not presentation_by_clifford(4, [unnormalized_generator(4, i) for i in range(1, 4)])
-        assert not verify_presentation(4, generators=2 * generator_vectors(4))
+        assert verify_presentation(4, generators=2 * generator_vectors(4)) is not None
 
     def test_generator_vectors_are_the_clifford_generators(self):
         for n in range(2, 13):
@@ -281,25 +280,23 @@ class TestPresentation:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_integer_words_agree_with_the_clifford_oracle(self, n):
-        assert verify_presentation(n) is presentation_by_clifford(n) is True
+        assert verify_presentation(n) is None and presentation_by_clifford(n) is True
         mutations = self.mutations(n)
         assert len(mutations) == (n - 1) * (1 + (n >= 3)) + (n - 2) * (n >= 4)
         for name, vectors, spin in mutations:
-            assert (verify_presentation(n, generators=vectors), presentation_by_clifford(n, spin)) == (False, False), name
+            assert (verify_presentation(n, generators=vectors) is None, presentation_by_clifford(n, spin)) == (False, False), name
 
     def test_witness_names_the_first_failing_relation(self):
         vectors = generator_vectors(4)
-        assert presentation_witness(4) is None
-        assert presentation_witness(4, 2 * vectors) == {"relation": "square", "letters": [1]}
+        assert verify_presentation(4) is None
+        assert verify_presentation(4, 2 * vectors) == {"relation": "square", "letters": [1]}
         # t_1 and t_2 orthogonal: (t_1 t_2)^3 = -t_1 t_2, the first braid word fails
         orthogonal = np.array([[1, -1, 0, 0], [0, 0, 1, -1], [0, 1, -1, 0]])
-        assert presentation_witness(4, orthogonal) == {"relation": "braid", "letters": [1, 2]}
+        assert verify_presentation(4, orthogonal) == {"relation": "braid", "letters": [1, 2]}
         # t_3 = t_1 keeps both braid words but (t_1 t_3)^2 = 1, not z
         repeated = vectors.copy()
         repeated[2] = vectors[0]
-        assert presentation_witness(4, repeated) == {"relation": "far", "letters": [1, 3]}
-        for bad in (2 * vectors, orthogonal, repeated):
-            assert not verify_presentation(4, generators=bad)
+        assert verify_presentation(4, repeated) == {"relation": "far", "letters": [1, 3]}
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
@@ -371,7 +368,7 @@ class TestBracketVectors:
     def test_no_check_multiplies_clifford_elements(self, monkeypatch):
         monkeypatch.setattr(CliffordElement, "__mul__", lambda *args: pytest.fail("Clifford product expanded"))
         assert cli.main(["twist-verify", "--n", "8"]) == 0
-        assert verify_conjugation_lemmas(8, trials=50) == (True, None)
+        assert verify_conjugation_lemmas(8, trials=50) is None
         assert cli.main(["selfcheck", "--n-max", "6", "--trials", "20"]) == 0
         assert cli.main(["cover", "--n", "12", "--trials", "20"]) == 0
 
@@ -413,13 +410,13 @@ class TestConjugation:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_lemmas(self, n):
-        assert verify_conjugation_lemmas(n, trials=300, seed=7) == (True, None)
+        assert verify_conjugation_lemmas(n, trials=300, seed=7) is None
 
     @pytest.mark.parametrize("n", range(4, 8))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reflections_agree_with_clifford_lifts(self, n, seed):
-        assert verify_conjugation_lemmas(n, trials=300, seed=seed) == (True, None)
-        assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) == (True, None)
+        assert verify_conjugation_lemmas(n, trials=300, seed=seed) is None
+        assert conjugation_lemmas_by_clifford(n, trials=300, seed=seed) is None
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_batches_agree_with_the_per_trial_oracle(self, n, monkeypatch):
@@ -436,7 +433,7 @@ class TestConjugation:
         for seed in range(5):
             for trials in (0, 1, 1023, 1024, 1025, 2049):
                 chunks.clear()
-                assert verify_conjugation_lemmas(n, trials=trials, seed=seed) == (True, None)
+                assert verify_conjugation_lemmas(n, trials=trials, seed=seed) is None
                 assert [len(c[0]) for c in chunks] == [min(1024, trials - s) for s in range(0, trials, 1024)]
                 got = []
                 for words, lengths, i, j in chunks:
@@ -446,7 +443,7 @@ class TestConjugation:
                 assert got == list(lemma_draws(n, trials, seed))
                 assert all(1 <= k <= n - 1 for word, _, _ in got for k in word)
                 assert all(1 <= a <= n and 1 <= b <= n and a != b for _, a, b in got)
-            assert conjugation_lemmas_per_trial(n, trials=1025, seed=seed) == (True, None)
+            assert conjugation_lemmas_per_trial(n, trials=1025, seed=seed) is None
 
     def test_draws_as_the_oracle(self, monkeypatch):
         # every getrandbits of the package, in order, equals the oracle's; chunks of 7 cut the words
@@ -464,8 +461,8 @@ class TestConjugation:
         monkeypatch.setattr(spincover, "_LEMMA_CHUNK", 7)
         monkeypatch.setattr(spincover, "random", recording("package"))
         monkeypatch.setattr(oracles, "random", recording("oracle"))
-        assert verify_conjugation_lemmas(6, trials=30, seed=4) == (True, None)
-        assert conjugation_lemmas_per_trial(6, trials=30, seed=4, chunk=7) == (True, None)
+        assert verify_conjugation_lemmas(6, trials=30, seed=4) is None
+        assert conjugation_lemmas_per_trial(6, trials=30, seed=4, chunk=7) is None
         # 5 chunks, each at least one block for its lengths, one for its letters and one for its pairs
         assert len(draws["package"]) >= 3 * 5 and draws["package"] == draws["oracle"]
 
@@ -486,16 +483,16 @@ class TestConjugation:
     def test_negated_bracket_gives_the_oracles_witness(self, monkeypatch, n, pair):
         scale_bracket(monkeypatch, *pair, -1)
         for trials in (0, 1000):
-            ok, witness = verify_conjugation_lemmas(n, trials=trials, seed=1)
-            assert ok is False and len(witness["word"]) == 1
-            assert (ok, witness) == conjugation_lemmas_per_trial(n, trials=trials, seed=1)
+            witness = verify_conjugation_lemmas(n, trials=trials, seed=1)
+            assert witness is not None and len(witness["word"]) == 1
+            assert witness == conjugation_lemmas_per_trial(n, trials=trials, seed=1)
         if n <= 5:
-            assert (ok, witness) == conjugation_lemmas_by_clifford(n, trials=0)
+            assert witness == conjugation_lemmas_by_clifford(n, trials=0)
 
     def test_negated_bracket_fails_both_checks(self, monkeypatch):
         scale_bracket(monkeypatch, 1, 3, -1)
         # t_1 [1 3] t_1^-1 must be [2 3] z; the first letter and pair in order that reads [1 3]
-        want = (False, {"word": [1], "pair": [1, 3]})
+        want = {"word": [1], "pair": [1, 3]}
         assert verify_conjugation_lemmas(5, trials=0) == want
         assert conjugation_lemmas_by_clifford(5, trials=0) == want
 
@@ -510,11 +507,11 @@ class TestConjugation:
             return vectors
 
         monkeypatch.setattr(spincover, "_bracket_vectors", negated)
-        ok, witness = verify_conjugation_lemmas(5, trials=trials, seed=3)
-        assert ok is False and len(witness["word"]) == 1 and len(witness["pair"]) == 2
+        witness = verify_conjugation_lemmas(5, trials=trials, seed=3)
+        assert witness is not None and len(witness["word"]) == 1 and len(witness["pair"]) == 2
 
     def test_lemmas_at_the_cap(self):
-        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000) == (True, None)
+        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000) is None
 
 
 class TestSpinElementInvariants:
@@ -700,7 +697,7 @@ class TestPhi:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_group_cocycle_condition(self, n):
-        assert verify_group_cocycle(phi_psi_table(n)) == (True, None)
+        assert verify_group_cocycle(phi_psi_table(n)) is None
 
     def test_corrupt_section_detected(self):
         cache = SectionCache(3)
@@ -744,7 +741,7 @@ class TestGroupCocycleWitness:
         images, _, bits = spincover._group_table(phi_psi_table(n))
         witness = group_cocycle_first_failure(images.tolist(), bits.tolist())
         assert witness is not None
-        assert verify_group_cocycle(phi_psi_table(n)) == (False, witness)
+        assert verify_group_cocycle(phi_psi_table(n)) == witness
 
     def test_selfcheck_entry_carries_the_witness(self, monkeypatch, tmp_path):
         self.flip_group_bit(monkeypatch, 1, 2)
@@ -752,8 +749,8 @@ class TestGroupCocycleWitness:
         assert cli.main(["selfcheck", "--n-max", "4", "--trials", "5", "--out", str(out)]) == 2
         checks = json.loads(out.read_text())["checks"]
         for n in (3, 4):
-            ok, witness = verify_group_cocycle(phi_psi_table(n))
-            assert ok is False and set(witness) == {"x", "y", "z"}
+            witness = verify_group_cocycle(phi_psi_table(n))
+            assert witness is not None and set(witness) == {"x", "y", "z"}
             entry = next(c for c in checks if c["name"] == f"group cocycle exhaustive n={n}")
             assert entry == {"name": f"group cocycle exhaustive n={n}", "ok": False, "cocycle_witness": witness}
         assert all(set(c) == {"name", "ok"} for c in checks if c["ok"])
@@ -761,7 +758,7 @@ class TestGroupCocycleWitness:
 
 class TestMainTheorem:
     def test_n4_pairs(self):
-        assert verify_main_theorem(4) == (True, None)
+        assert verify_main_theorem(4) is None
         log = main_theorem_log(phi_psi_table(4).twist_table(), chi_cocycle(4))
         assert len(log) == 36
         assert all(entry["ok"] for entry in log)
@@ -781,7 +778,7 @@ class TestMainTheorem:
     def test_restriction_satisfies_twist_condition(self):
         for n in (4, 5):
             table = phi_psi_table(n).twist_table()
-            assert check_twist_condition(table).ok
+            assert check_twist_condition(table) is None
 
     def test_needs_four(self):
         with pytest.raises(ValueError):
@@ -792,7 +789,7 @@ class TestMainTheorem:
         table = phi_psi_table(5).twist_table()
         expected = verify_main_theorem(5)
         monkeypatch.setattr(SectionCache, "phi_bit", lambda *args: pytest.fail("phi bit recomputed"))
-        assert verify_main_theorem(5, table) == expected == (True, None)
+        assert verify_main_theorem(5, table) == expected is None
 
     def test_rejects_cocycle_of_other_n(self):
         with pytest.raises(ValueError, match="share rack and order"):
@@ -807,9 +804,9 @@ class TestMainTheorem:
             flipped = flip_phi_bit(table, a, b)
             failing = [entry for entry in main_theorem_log(flipped, chi) if not entry["ok"]]
             assert len(failing) == 2
-            assert verify_main_theorem(n, flipped) == (False, failing[0])
+            assert verify_main_theorem(n, flipped) == failing[0]
         for a in range(k):
-            assert verify_main_theorem(n, flip_phi_bit(table, a, a)) == (True, None)
+            assert verify_main_theorem(n, flip_phi_bit(table, a, a)) is None
 
 
 class TestPhiPsiScalars:
@@ -827,8 +824,8 @@ class TestSelfcheckWitness:
         assert cli.main(["selfcheck", "--n-max", "5", "--trials", "20", "--out", str(out)]) == 2
         checks = json.loads(out.read_text())["checks"]
         for n in (4, 5):
-            ok, pair = verify_main_theorem(n)
-            assert ok is False and pair is not None
+            pair = verify_main_theorem(n)
+            assert pair is not None
             entry = next(c for c in checks if c["name"] == f"main theorem n={n}")
             assert entry == {"name": f"main theorem n={n}", "ok": False, "first_failing_pair": pair}
         assert all(set(c) == {"name", "ok"} for c in checks if c["ok"])
@@ -839,8 +836,8 @@ class TestSelfcheckWitness:
         assert cli.main(["selfcheck", "--n-max", "5", "--trials", "20", "--seed", "2", "--out", str(out)]) == 2
         checks = json.loads(out.read_text())["checks"]
         for n in (4, 5):
-            ok, witness = verify_conjugation_lemmas(n, trials=20, seed=2)
-            assert ok is False and witness == {"word": [2], "pair": [2, 4]}
+            witness = verify_conjugation_lemmas(n, trials=20, seed=2)
+            assert witness == {"word": [2], "pair": [2, 4]}
             entry = next(c for c in checks if c["name"] == f"conjugation lemmas n={n}")
             assert entry == {"name": f"conjugation lemmas n={n}", "ok": False, "lemma_witness": witness}
 
@@ -1017,8 +1014,8 @@ class TestPfaffianSigns:
         assert oracles.bracket(5, 1, 3).elem == -bracket_vector_elem(5, 1, 3)
         assert spincover._bracket_vectors(5)[1, 3].tolist() == [-1, 0, 1, 0, 0]
         assert cli.main(["twist-verify", "--n", "5"]) == 2
-        assert verify_main_theorem(5)[0] is False
-        assert verify_main_theorem(5, clifford_twist_table(5))[0] is False
+        assert verify_main_theorem(5) is not None
+        assert verify_main_theorem(5, clifford_twist_table(5)) is not None
         assert twist_identity_by_reflections(5) is not None
 
     def test_non_unit_bracket_raises(self, monkeypatch):
