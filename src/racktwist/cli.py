@@ -356,7 +356,7 @@ def cmd_selfcheck(args) -> int:
     checks = []
 
     def run(name: str, fn, witness_key: str):
-        """Record the check fn: it returns its first witness, which a failing entry carries under witness_key, or None."""
+        """Record the check fn, which returns its first witness or None; a failing entry carries it under witness_key."""
         try:
             witness = fn()
         except Exception as exc:  # a crashed check is a failed check

@@ -169,9 +169,10 @@ def _cocycle_condition(q: RackCocycle, op: np.ndarray):
 
 
 def check_cocycle(q: RackCocycle) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in lexicographic order where exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m).
+    """The first (x, y, z) in lexicographic order that fails the cocycle condition, or None.
 
-    None when the cocycle condition holds on every triple; m must be at most 2^62.
+    The condition is exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z]
+    (mod m), for m <= 2^62.
     """
     op = np.array(q.rack.op, dtype=np.intp)
     failed = _first_failure(op, [_cocycle_condition(q, op)])
@@ -270,9 +271,10 @@ def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
 
 
 def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
-    """The first triple in lexicographic order that fails the condition making q^phi a cocycle whenever q is, or None.
+    """The first (x, y, z) in lexicographic order that fails the twist condition, or None.
 
-    With yz = y|>z and xyz = x|>yz, the residue of (x, y, z) is the sum of
+    The condition makes q^phi a cocycle whenever q is one.  With yz = y|>z
+    and xyz = x|>yz, the residue of (x, y, z) is the sum of
     (phi[x|>y][x|>z] - phi[x][yz]) + (phi[xyz][x] - phi[xyz][x|>y]) and
     (phi[x][z] - phi[x|>z][x]) + (phi[yz][y] - phi[y][z]), each in (-2m, 2m);
     both are reduced into (-m, m) before they are added, so int64 holds

@@ -106,7 +106,8 @@ class TestCocycleCommand:
         flag = "--kind" if argv[0] == "cocycle" else "--cocycle"
         kind = argv[argv.index(flag) + 1]
         assert run(argv) == 1
-        assert capsys.readouterr().err == f"error: {flag}: const form is const:M:E with integers M and E, got {kind!r}\n"
+        want = f"error: {flag}: const form is const:M:E with integers M and E, got {kind!r}\n"
+        assert capsys.readouterr().err == want
 
     def test_order_beyond_int64_sums(self, capsys):
         assert run(["cocycle", "--n", "4", "--kind", "const:3000000000:1"]) == 0
@@ -567,7 +568,8 @@ class TestSelfcheckCommand:
         checks = read_json(str(out))["checks"]
         violation = check_rack_cocycle(flipped(3))
         assert violation["kind"] == "not-a-cocycle" and violation["witness"] is not None
-        violation = {"kind": violation["kind"], "witness": list(violation["witness"])}
+        # the report holds the witness tuple as a JSON list
+        violation = {**violation, "witness": list(violation["witness"])}
         entry = {"name": "rack cocycle chi on x3", "ok": False, "axiom_violation": violation}
         assert [c for c in checks if not c["ok"]] == [entry]
 
