@@ -163,22 +163,23 @@ def cmd_cover(args) -> int:
         raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n) is None
     lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
+    lemma_ok = lemma_witness is None
     restriction = spincover.phi_psi_table(n).twist_table()
     main_ok = spincover.verify_main_theorem(n, restriction) is None
-    code = _finish(args, presentation_ok and lemma_witness is None and main_ok, {
+    code = _finish(args, presentation_ok and lemma_ok and main_ok, {
         "n": n,
         "presentation_ok": presentation_ok,
-        "lemma_general_ok": lemma_witness is None,
+        "lemma_general_ok": lemma_ok,
         "lemma_witness": lemma_witness,
         "main_theorem_ok": main_ok,
         "phi_restriction": cocycle_mod.twist_table_to_dict(restriction),
     }, n=n, seed=args.seed)
     print(
         f"cover n={n}: presentation {'ok' if presentation_ok else 'FAILED'}, "
-        f"conjugation lemmas {'ok' if lemma_witness is None else 'FAILED'}, "
+        f"conjugation lemmas {'ok' if lemma_ok else 'FAILED'}, "
         f"main theorem {'ok' if main_ok else 'FAILED'}"
     )
-    if lemma_witness is not None:
+    if not lemma_ok:
         print(f"  first failing conjugation: word {lemma_witness['word']}, pair {lemma_witness['pair']}")
     return code
 
