@@ -25,12 +25,6 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_RESOURCE = 3
 
-N_CAP = spincover.DEFAULT_N_CAP
-# rack and cocycle build x_n, with n(n - 1)/2 elements, and check their axioms
-# on every triple of elements in numpy: in process, n = 20 takes 0.06 s for
-# either command and n = 30 0.65 s for rack (Xeon, 2 vCPU, Python 3.11, numpy 2.4)
-RACK_N_CAP = 20
-
 
 class UsageError(Exception):
     pass
@@ -62,8 +56,8 @@ def _dim_cap(args) -> int:
 
 
 def _check_rack_n(command: str, n: int) -> None:
-    if n > RACK_N_CAP:
-        raise DimensionCapError(f"{command}: need n <= {RACK_N_CAP} for x_n, got {n}")
+    if n > spincover.N_CAP:
+        raise DimensionCapError(f"{command}: need n <= {spincover.N_CAP} for x_n, got {n}")
 
 
 # ---------------------------------------------------------------- rack
@@ -157,8 +151,8 @@ def cmd_cocycle(args) -> int:
 
 def cmd_cover(args) -> int:
     n = args.n
-    if not 4 <= n <= N_CAP:
-        raise UsageError(f"cover: need 4 <= n <= {N_CAP}, got {n}")
+    if not 4 <= n <= spincover.N_CAP:
+        raise UsageError(f"cover: need 4 <= n <= {spincover.N_CAP}, got {n}")
     if args.trials < 0:
         raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n) is None
@@ -189,8 +183,8 @@ def cmd_cover(args) -> int:
 
 def cmd_verify_twist(args) -> int:
     n = args.n
-    if not 4 <= n <= spincover.TWIST_N_CAP:
-        raise UsageError(f"twist-verify: need 4 <= n <= {spincover.TWIST_N_CAP}, got {n}")
+    if not 4 <= n <= spincover.N_CAP:
+        raise UsageError(f"twist-verify: need 4 <= n <= {spincover.N_CAP}, got {n}")
     restriction = spincover.phi_psi_table(n).twist_table()
     triple = cocycle_mod.check_twist_condition(restriction)
     first_fail = spincover.verify_main_theorem(n, restriction)
@@ -232,8 +226,8 @@ def cmd_cohomology(args) -> int:
     n = args.n
     if n < 3:
         raise UsageError(f"cohomology: need n >= 3, got {n}")
-    if n > N_CAP:
-        raise UsageError(f"cohomology: need n <= {N_CAP}, got {n}")
+    if n > spincover.N_CAP:
+        raise UsageError(f"cohomology: need n <= {spincover.N_CAP}, got {n}")
     chi = cocycle_mod.chi_cocycle(n)
     violation = cocycle_mod.check_cocycle(chi)
     if violation is not None:
@@ -284,12 +278,12 @@ def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
         n = int(arg[1:])
         if n < 2:
             raise UsageError(f"hilbert: need n >= 2 in rack argument, got {arg}")
-        # x_n has k = n(n - 1)/2 elements and a k x k table, built at every degree:
-        # check k^degree, or the table itself below degree 2, before building it
+        # x_n has k = n(n - 1)/2 elements; only its k x k table is built before graded_dims
+        # checks the axioms, and a table past the cap is named by k^degree from degree 2 on
         k = n * (n - 1) // 2
-        if max_degree >= 2:
-            braided.check_dimension(k, max_degree, dim_cap)
-        elif k * k > dim_cap:
+        if k * k > dim_cap:
+            if max_degree >= 2:
+                braided.check_dimension(k, max_degree, dim_cap)
             raise DimensionCapError(f"the {k} x {k} rack table of {arg} needs {k * k} entries > cap {dim_cap}")
         return rack_mod.transposition_rack(n), n, arg
     if os.path.exists(arg):
@@ -349,8 +343,8 @@ def cmd_hilbert(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     n_max = args.n_max
-    if not 2 <= n_max <= N_CAP:
-        raise UsageError(f"selfcheck: need 2 <= n_max <= {N_CAP}, got {n_max}")
+    if not 2 <= n_max <= spincover.N_CAP:
+        raise UsageError(f"selfcheck: need 2 <= n_max <= {spincover.N_CAP}, got {n_max}")
     if args.trials < 0:
         raise UsageError(f"selfcheck: need --trials >= 0, got {args.trials}")
     doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4

@@ -64,7 +64,7 @@ from .braided import DEFAULT_DIM_CAP, _inverse_letters, check_degree
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .hilbert import _PRIME_HIGH, _element_of_order, _is_prime_u32, _prime_divisors
-from .rack import _min_labels
+from .rack import _first_occurrences, _layer_walk, _min_labels, _row_keys
 
 
 class CountMatrix(NamedTuple):
@@ -180,20 +180,11 @@ def _orbit_classes(orbit: np.ndarray, degree: int, op: np.ndarray) -> tuple[np.n
     # maps[t, i]: the orbit that translation t sends orbit i to, read off its smallest member
     maps = np.searchsorted(reps, orbit[op[:, reps[:, None] // place % k] @ place])
     orbit_class = _min_labels(np.arange(reps.size), maps)
-    frontier = np.flatnonzero(orbit_class == np.arange(reps.size))
+    heads = np.flatnonzero(orbit_class == np.arange(reps.size))
     carry = np.full((reps.size, k), -1, dtype=np.min_scalar_type(-k))
-    carry[frontier] = np.arange(k)
-    while frontier.size:
-        child = maps[:, frontier]
-        t, f = np.nonzero(carry[child, 0] < 0)
-        # the edges in order of translation; the first edge to each child wins
-        reached = child[t, f]
-        by = np.argsort(reached, kind="stable")
-        first = np.ones(by.size, dtype=bool)
-        first[1:] = reached[by[1:]] != reached[by[:-1]]
-        win = by[first]
-        carry[reached[win]] = op[t[win, None], carry[frontier[f[win]]]]
-        frontier = reached[win]
+    carry[heads] = np.arange(k)
+    for child, parent, t in _layer_walk(maps, heads):
+        carry[child] = op[t[:, None], carry[parent]]
     return orbit_class, carry
 
 
@@ -323,18 +314,10 @@ def _kept_rows(orbit: np.ndarray, orbit_class: np.ndarray, below: np.ndarray | N
 
 
 def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct slices a[i] of a nonempty integer array, in byte order, and where each one stands in a.
-
-    Each slice is compared as one np.void of its bytes; np.unique would do
-    the same but imports numpy.ma on its first call.
-    """
-    flat = np.ascontiguousarray(a).reshape(a.shape[0], -1)
-    keys = flat.view(np.dtype((np.void, flat.strides[0]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    return keys[first].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
+    """The distinct slices a[i] of a nonempty integer array, in byte order, and where each one stands in a."""
+    keys = _row_keys(a)
+    order, first = _first_occurrences(keys)
+    return keys[order[first]].view(a.dtype).reshape(-1, *a.shape[1:]), order[first]
 
 
 def _fold(rows: np.ndarray, cols: np.ndarray, expo: np.ndarray, data: np.ndarray, shape: tuple[int, int], order: int):

@@ -45,20 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionCapError
-from .rack import _min_labels
-
-
-def _weights(k: int, salt: int) -> np.ndarray:
-    """2k pseudo-random uint64 weights, splitmix64 of the indices, for _hash."""
-    z = (np.arange(2 * k, dtype=np.uint64) + np.uint64(2 * k * salt + 1)) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _hash(perm: np.ndarray, vec: np.ndarray, w: np.ndarray) -> np.ndarray:
-    k = perm.shape[1]
-    return perm.astype(np.uint64) @ w[:k] + vec.astype(np.uint64) @ w[k:]
+from .rack import _first_occurrences, _layer_walk, _min_labels, _row_keys
 
 
 def _compose(a, b, m: int):
@@ -193,50 +180,44 @@ class LeibnizEngine:
         self._pairs()
         self._carry: dict[int, np.ndarray] = {}
 
-    def _close(self, dim_cap: int, salt: int = 0) -> None:
+    def _close(self, dim_cap: int) -> None:
         """Number Q breadth first from the identity: rmul[h, x] = h A_x, rinv its inverse in h.
 
-        Elements are looked up by a 64-bit hash and compared entry by entry;
-        two elements with one hash start again with other weights.
+        Elements are looked up by their exact keys (_key); the new ones of a
+        layer are numbered in the order of their first candidate.
         """
         k, m, op, ex = self.k, self.m, self.op, self.ex
-        self._w = w = _weights(k, salt)
         perm, vec = [np.arange(k)[None]], [np.zeros((1, k), dtype=np.int64)]
-        keys = _hash(perm[0], vec[0], w)
+        keys = self._key(perm[0], vec[0])
         rmul, parent, letter = [], [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
         frontier, n, limit = (perm[0], vec[0]), 1, dim_cap // k
         while frontier[0].size:
             p = frontier[0][:, op].reshape(-1, k)
             v = (ex[None] + frontier[1][:, op]).reshape(-1, k)
             v = (v - v[:, :1]) % m
-            cand = _hash(p, v, w)
-            order = np.argsort(keys)
-            index = order[np.minimum(np.searchsorted(keys[order], cand), n - 1)]
-            # the new hashes, numbered in the order of their first candidate
-            fresh = np.flatnonzero(keys[index] != cand)
-            by = fresh[np.argsort(cand[fresh], kind="stable")]
-            first = np.ones(by.size, dtype=bool)
-            first[1:] = cand[by[1:]] != cand[by[:-1]]
-            new = np.sort(by[first])
+            cand = self._key(p, v)
+            # each key's first occurrence: an element of Q, or the first candidate of a new one
+            order, first = _first_occurrences(np.concatenate((keys, cand)))
+            lead = np.empty_like(order)
+            lead[order] = order[first][np.cumsum(first) - 1]
+            new = np.flatnonzero(lead[n:] == np.arange(n, n + cand.size))
             if n + new.size > limit:
                 raise DimensionCapError(
                     f"the group of the {k} monomial translations has more than {limit} elements, "
                     f"so its order x {k} exceeds the cap {dim_cap}"
                 )
-            index[new] = n + np.arange(new.size)
-            index[by] = index[by[first][np.cumsum(first) - 1]]
+            number = np.arange(n + cand.size)
+            number[n + new] = n + np.arange(new.size)
+            index = number[lead[n:]]
             perm.append(p[new])
             vec.append(v[new])
-            all_p, all_v = np.concatenate(perm), np.concatenate(vec)
-            if not ((all_p[index] == p).all() and (all_v[index] == v).all()):
-                return self._close(dim_cap, salt + 1)
             rmul.append(index.reshape(-1, k))
             parent.append(n - len(frontier[0]) + new // k)
             letter.append(new % k)
             frontier = (p[new], v[new])
             keys = np.concatenate((keys, cand[new]))
             n += new.size
-        self.n, self.perm, self.vec = n, all_p, all_v
+        self.n, self.perm, self.vec = n, np.concatenate(perm), np.concatenate(vec)
         self._order = np.argsort(keys)
         self._sorted = keys[self._order]
         self.rmul = np.concatenate(rmul)
@@ -245,14 +226,19 @@ class LeibnizEngine:
         # the breadth-first tree: parent and letter of each element, and where each layer starts
         self._tree = np.concatenate(parent), np.concatenate(letter), np.cumsum([len(u) for u in parent]).tolist()
 
+    def _key(self, perm: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        """The exact key of each element (perm, exponents): its entries in the smallest dtype that holds them."""
+        return _row_keys(np.hstack((perm, vec)).astype(np.min_scalar_type(max(self.k, self.m) - 1)))
+
     def index(self, a) -> tuple[np.ndarray, np.ndarray]:
-        """The element of Q of each raw element, and its constant scalar exponent."""
+        """The element of Q of each raw element, and its constant scalar exponent; ValueError outside Q."""
         perm, vec = a
         e, vec = vec[:, 0] % self.m, (vec - vec[:, :1]) % self.m
-        at = self._order[np.minimum(np.searchsorted(self._sorted, _hash(perm, vec, self._w)), self.n - 1)]
-        if not ((self.perm[at] == perm).all() and (self.vec[at] == vec).all()):
+        key = self._key(perm, vec)
+        at = np.minimum(np.searchsorted(self._sorted, key), self.n - 1)
+        if (self._sorted[at] != key).any():
             raise ValueError("an element outside the group of translations")
-        return at, e
+        return self._order[at], e
 
     def _t(self, g):
         return self.tp[g], self.tv[g]
@@ -271,19 +257,9 @@ class LeibnizEngine:
         self.rep = _min_labels(np.arange(n), act)
         self.class_size = np.bincount(self.rep, minlength=n)
         tp, tv = np.tile(np.arange(k), (n, 1)), np.zeros((n, k), dtype=np.int64)
-        seen = self.rep == np.arange(n)
-        self.reps = frontier = np.flatnonzero(seen)
-        while frontier.size:
-            child = act[:, frontier]
-            t, f = np.nonzero(~seen[child])
-            reached = child[t, f]
-            by = np.argsort(reached, kind="stable")
-            first = np.ones(by.size, dtype=bool)
-            first[1:] = reached[by[1:]] != reached[by[:-1]]
-            g, up, x = reached[by[first]], frontier[f[by[first]]], t[by[first]]
+        self.reps = np.flatnonzero(self.rep == np.arange(n))
+        for g, up, x in _layer_walk(act, self.reps):
             tp[g], tv[g] = _compose((self.op[x], self.ex[x]), (tp[up], tv[up]), m)
-            seen[g] = True
-            frontier = g
         self.tp, self.tv, self.tinv = tp, tv, np.argsort(tp, axis=1)
         self.cent = {}
         for r in self.reps.tolist():

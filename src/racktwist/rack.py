@@ -7,6 +7,8 @@ here come from conjugation in symmetric groups; elements are dense integer
 indices and any group-theoretic meaning lives in the labels.  Axioms over
 the triples (x, y, z) are numpy masks run by one chunk scanner
 (_first_failure), for racks here and for cocycles in racktwist.cocycle.
+The graph and dedupe kernels that racktwist shares live here too: _min_labels,
+_layer_walk, _row_keys and _first_occurrences.
 """
 
 from __future__ import annotations
@@ -254,6 +256,48 @@ def _min_labels(label: np.ndarray, maps: np.ndarray) -> np.ndarray:
         np.minimum.at(hooked, ends, low)
         np.minimum.at(hooked, label, low.min(axis=0))
         label = hooked
+
+
+def _row_keys(a: np.ndarray) -> np.ndarray:
+    """One np.void per slice a[i], its bytes: two keys are equal exactly when their slices are.
+
+    np.unique would compare the same keys but imports numpy.ma on its first call.
+    """
+    flat = np.ascontiguousarray(a).reshape(a.shape[0], int(np.prod(a.shape[1:])))
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sorting order of keys, and along it whether each key differs from the one before.
+
+    keys[order[first]] are the distinct keys ascending, and order[first]
+    the place of the first occurrence of each.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    return order, first
+
+
+def _layer_walk(maps: np.ndarray, heads: np.ndarray):
+    """Yield the breadth-first layers of the graph i -> maps[t, i] grown from heads: (children, parents, t).
+
+    A layer holds the elements first reached from the layer before (the
+    heads first), ascending.  An element reached along several edges takes
+    the first in (t, parent) order, and maps[t[j], parents[j]] = children[j].
+    """
+    seen = np.zeros(maps.shape[1], dtype=bool)
+    seen[heads] = True
+    frontier = heads
+    while frontier.size:
+        child = maps[:, frontier]
+        t, f = np.nonzero(~seen[child])
+        order, first = _first_occurrences(child[t, f])
+        t, f = t[order[first]], f[order[first]]
+        frontier, parents = child[t, f], frontier[f]
+        seen[frontier] = True
+        yield frontier, parents, t
 
 
 def is_indecomposable(r: FiniteRack) -> bool:

@@ -27,7 +27,9 @@ the package reads integer arrays.  The assembly's send data has
 send_tables, which composes the package's strand tables over the whole
 basis where the package walks the letters of each column on k x k tables,
 and the carry of the orbit classes has orbit_classes_by_translation, which
-grows the breadth-first tree one translation at a time.  The one exception
+grows the breadth-first tree one translation at a time.  The group of
+translations that grades the Leibniz recursion has translation_group, a
+queue of tuple pairs where the package sorts packed byte keys.  The one exception
 is unpruned_graded_dims, which reruns the package's proven ranks on every
 row of every degree.
 
@@ -862,6 +864,49 @@ def disagree_at(monkeypatch, degree: int) -> None:
         return real_degree(engine, d, *args)
 
     monkeypatch.setattr(nichols.LeibnizEngine, "_degree", forced)
+
+
+def translation_group(q: RackCocycle) -> dict:
+    """The group Q of the translations A_x: y -> q(x, y) (x |> y) modulo scalars, closed in plain Python.
+
+    An element is a pair of tuples (perm, vec), A(e_y) = zeta^vec[y] e_perm[y],
+    with vec shifted so that vec[0] = 0; a dict keyed by the pair numbers
+    the elements.  A queue from the identity numbers each h A_0, ..., h A_(k-1)
+    when first met, h in turn.  Returned: the elements, right multiplication
+    by A_x and by A_x^-1, the conjugacy classes of Q (each a sorted list),
+    and compose(a, b) = A_a A_b and inverse(a) on raw pairs.
+    """
+    k, m, op, ex = q.rack.size, q.order, q.rack.op, q.exp
+
+    def element(perm, vec):
+        return tuple(perm), tuple((v - vec[0]) % m for v in vec)
+
+    def compose(a, b):
+        (pa, va), (pb, vb) = a, b
+        return element([pa[pb[y]] for y in range(k)], [vb[y] + va[pb[y]] for y in range(k)])
+
+    def inverse(a):
+        perm, vec = a
+        inv = sorted(range(k), key=perm.__getitem__)
+        return element(inv, [-vec[inv[z]] for z in range(k)])
+
+    gens = [element(op[x], ex[x]) for x in range(k)]
+    elements = [(tuple(range(k)), (0,) * k)]
+    number = {elements[0]: 0}
+    at = 0
+    while at < len(elements):
+        for g in gens:
+            h = compose(elements[at], g)
+            if h not in number:
+                number[h] = len(elements)
+                elements.append(h)
+        at += 1
+    rmul = [[number[compose(h, g)] for g in gens] for h in elements]
+    rinv = [[number[compose(h, inverse(g))] for g in gens] for h in elements]
+    edges = [(i, number[compose(compose(g, h), inverse(g))]) for i, h in enumerate(elements) for g in gens]
+    classes = [list(c) for c in _components(len(elements), edges)]
+    return {"elements": elements, "rmul": rmul, "rinv": rinv, "classes": classes, "compose": compose,
+            "inverse": inverse}
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
 from racktwist import cli, spincover
-from racktwist.cli import RACK_N_CAP, main
+from racktwist.cli import main
 from racktwist.cocycle import GaugeFunction, RackCocycle, check_rack_cocycle, check_twist_condition, chi_cocycle
 from racktwist.errors import SectionConsistencyError
-from racktwist.spincover import GroupCocycleBit, verify_main_theorem
+from racktwist.spincover import N_CAP, GroupCocycleBit, verify_main_theorem
 
 
 def run(argv):
@@ -64,7 +64,7 @@ class TestRackCommand:
         never_build_rack(monkeypatch)
         out = tmp_path / "rack.json"
         assert run(["rack", "--n", "400", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"resource limit: rack: need n <= {RACK_N_CAP} for x_n, got 400\n"
+        assert capsys.readouterr().err == f"resource limit: rack: need n <= {N_CAP} for x_n, got 400\n"
         assert not out.exists()
 
 
@@ -124,7 +124,7 @@ class TestCocycleCommand:
         out = tmp_path / "c.json"
         for kind in ("-1", "chi"):
             assert run(["cocycle", f"--kind={kind}", "--n", "400", "--out", str(out)]) == 3
-            assert capsys.readouterr().err == f"resource limit: cocycle: need n <= {RACK_N_CAP} for x_n, got 400\n"
+            assert capsys.readouterr().err == f"resource limit: cocycle: need n <= {N_CAP} for x_n, got 400\n"
         assert not out.exists()
 
 
@@ -222,7 +222,7 @@ class TestCoverCommand:
 
     def test_range(self):
         assert run(["cover", "--n", "3"]) == 1
-        assert run(["cover", "--n", "13"]) == 1
+        assert run(["cover", "--n", "21"]) == 1
 
     def test_negative_trials(self, tmp_path, capsys):
         out = tmp_path / "cover.json"
@@ -397,6 +397,21 @@ class TestHilbertCommand:
         assert capsys.readouterr().err == f"resource limit: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "modular"])
+    def test_non_cocycle_file_is_refused_before_the_degree_cap(self, tmp_path, capsys, mode):
+        # chi on x4 with exp[0][1] flipped; degree 10 needs dimension 6^10 > cap 200000, but the axioms come first
+        chi = chi_cocycle(4)
+        exp = [list(row) for row in chi.exp]
+        exp[0][1] ^= 1
+        path = tmp_path / "nonchi.json"
+        path.write_text(json.dumps(cocycle_mod.cocycle_to_dict(RackCocycle(chi.rack, 2, tuple(map(tuple, exp))))))
+        out = tmp_path / "h.json"
+        argv = ["hilbert", "--rack", "x4", "--cocycle", str(path), "--mode", mode, "--max-degree", "10"]
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("check failed: not-a-cocycle at (0, 2, 1): ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("rack, max_degree, closed_form, message", [
         ("x4", "100000", None, "degree 100000 needs dimension 6^100000 > cap 200000"),
         ("x4", "100000000000000000000", None,
@@ -542,10 +557,10 @@ class TestSelfcheckCommand:
     def test_fault_injection_fails_every_presentation_up_to_the_cap(self, tmp_path):
         # doubled generator vectors break t_i^2 = 1 at every n; no other check reads them
         out = tmp_path / "sc.json"
-        assert run(["selfcheck", "--n-max", "12", "--trials", "0", "--inject-fault", "generator", "--out", str(out)]) == 2
+        assert run(["selfcheck", "--n-max", str(N_CAP), "--trials", "0", "--inject-fault", "generator", "--out", str(out)]) == 2
         checks = read_json(str(out))["checks"]
         failed = [c["name"] for c in checks if not c["ok"]]
-        assert failed == [f"presentation n={n}" for n in range(2, 13)]
+        assert failed == [f"presentation n={n}" for n in range(2, N_CAP + 1)]
         # each failing entry names its first failing relation, t_1^2 = 1; passing entries carry nothing more
         for c in checks:
             assert c == {"name": c["name"], "ok": False, "relation_witness": {"relation": "square", "letters": [1]}} \

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import is_palindromic, unpruned_graded_dims, value_at_one
+from oracles import is_palindromic, translation_group, unpruned_graded_dims, value_at_one
 from racktwist import nichols
 from racktwist.cli import main
 from racktwist.cocycle import chi_cocycle, constant_cocycle, minus_one_cocycle
@@ -68,6 +68,42 @@ def test_constant_cocycles_number_the_quotient_group():
     # constant scalars are factored out, so a constant cocycle of any order numbers the rack's image in Sym(X)
     assert engine(constant_cocycle(X3, 3, 1)).n == engine(constant_cocycle(X3, 2**20, 1)).n == 6
     assert engine(chi_cocycle(5)).n == engine(minus_one_cocycle(X5)).n == 120
+
+
+@pytest.mark.parametrize("name", ["x3-const31", "x4-chi", "x5-m1", "aff52-m1"])
+def test_group_equals_a_plain_closure(name):
+    q = CASES[name]
+    eng, want = engine(q), translation_group(q)
+    elements, compose, inverse = want["elements"], want["compose"], want["inverse"]
+    # the same elements in the same numbering, and the same products
+    assert list(zip(map(tuple, eng.perm.tolist()), map(tuple, eng.vec.tolist()))) == elements
+    assert eng.rmul.tolist() == want["rmul"] and eng.rinv.tolist() == want["rinv"]
+    rep, size = [0] * len(elements), [0] * len(elements)
+    for c in want["classes"]:
+        size[c[0]] = len(c)
+        for g in c:
+            rep[g] = c[0]
+    assert eng.rep.tolist() == rep and eng.class_size.tolist() == size
+    assert eng.reps.tolist() == [c[0] for c in want["classes"]]
+    # the transversal conjugates each representative onto its element
+    for g in range(eng.n):
+        t = (eng.tp[g].tolist(), eng.tv[g].tolist())
+        assert compose(compose(t, elements[eng.rep[g]]), inverse(t)) == elements[g]
+
+
+def test_index_refuses_an_element_outside_the_group():
+    eng = engine(CASES["x4-chi"])
+    assert [a.tolist() for a in eng.index((eng.perm[[5]], eng.vec[[5]] + 1))] == [[5], [1]]
+    swap = np.arange(eng.k)
+    swap[[0, 1]] = 1, 0
+    # Q acts on the six transpositions of S_4 by conjugation, and only the identity fixes four of them
+    with pytest.raises(ValueError, match="outside the group of translations"):
+        eng.index((swap[None], np.zeros((1, eng.k), dtype=np.int64)))
+    # each permutation of Q comes with one exponent vector: |Q| = 24 = |S_4|
+    flipped = eng.vec[[5]].copy()
+    flipped[0, 1] ^= 1
+    with pytest.raises(ValueError, match="outside the group of translations"):
+        eng.index((eng.perm[[5]], flipped))
 
 
 # ---------------------------------------------------------------- transport identities

@@ -302,7 +302,7 @@ class TestPresentation:
         with pytest.raises(ValueError):
             verify_presentation(1)
         with pytest.raises(ValueError):
-            verify_presentation(13)
+            verify_presentation(spincover.N_CAP + 1)
 
 
 class TestBracket:
@@ -511,7 +511,7 @@ class TestConjugation:
         assert witness is not None and len(witness["word"]) == 1 and len(witness["pair"]) == 2
 
     def test_lemmas_at_the_cap(self):
-        assert verify_conjugation_lemmas(spincover.DEFAULT_N_CAP, trials=1000) is None
+        assert verify_conjugation_lemmas(spincover.N_CAP, trials=1000) is None
 
 
 class TestSpinElementInvariants:
