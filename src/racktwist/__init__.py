@@ -15,14 +15,12 @@ from .cocycle import (
     twist,
 )
 from .errors import DimensionCapError, RackTwistError, SectionConsistencyError
-from .hilbert import HilbertReport, expand_closed_form, graded_dims
+from .hilbert import expand_closed_form, graded_dims
 from .rack import (
     FiniteRack,
     Permutation,
-    TranspositionLabel,
     check_rack_axioms,
     is_indecomposable,
-    transposition_labels,
     transposition_pairs,
     transposition_rack,
 )

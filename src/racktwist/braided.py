@@ -1,19 +1,16 @@
-"""The braiding of a rack cocycle: the resource caps of its tensor powers and its inverse tables.
+"""The braiding of a rack cocycle: the resource caps of its tensor powers.
 
 The braiding c(x (x) y) = q_{x,y} (x|>y) (x) x of a 2-cocycle q on a rack
 X acts on X^(x)d, of dimension k^d for k = |X|.  This module checks the
 caps of a degree before anything of it is built: the dimension against
 the cap of a run, the 64-bit entry keys and the int64 counts of at most
-d! lifts (check_dimension, check_degree).  It also builds the k x k
-tables of c^-1 (_inverse_letters) from which racktwist.exact assembles
-the quantum symmetrizer of a proven degree.  That c is a braiding at all
-is decided by cocycle.check_rack_cocycle, which every hilbert run calls
-first.
+d! lifts (check_dimension, check_degree), which bound what
+racktwist.exact assembles for a proven degree.  That c is a braiding at
+all is decided by cocycle.check_rack_cocycle, which every hilbert run
+calls first.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
@@ -64,17 +61,3 @@ def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
     # 20! < 2^63 <= 21!
     if degree > 20:
         raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
-
-
-def _inverse_letters(q: RackCocycle) -> tuple[np.ndarray, np.ndarray]:
-    """Flat k x k tables of c^-1: step[z*k + a] = y with z |> y = a, and gain[z*k + a] = exp[z][y].
-
-    c maps x (x) y to q(x, y) (x |> y) (x) x, so c^-1 maps a (x) z to
-    z (x) y, undoing the scalar q(z, y).  Every row z |> - must be a
-    bijection (cocycle.check_rack_cocycle).
-    """
-    k = q.rack.size
-    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
-    step = np.empty((k, k), dtype=np.int64)
-    step[np.arange(k)[:, None], op] = np.arange(k)
-    return step.ravel(), np.array(q.exp, dtype=np.int64)[np.arange(k)[:, None], step].ravel()

@@ -325,16 +325,15 @@ def cmd_hilbert(args) -> int:
         mode=args.mode,
         seed=args.seed,
         dim_cap=cap,
-        rack_id=rack_id,
-        cocycle_id=cocycle_id,
         closed_form=closed_form,
     )
-    ok = report.closed_form_verdicts is None or all(report.closed_form_verdicts)
-    code = _finish(args, ok, {"report": report.to_dict()},
+    verdicts = report.get("closed_form_verdicts")
+    ok = verdicts is None or all(verdicts)
+    code = _finish(args, ok, {"report": {"rack": rack_id, "cocycle": cocycle_id, **report}},
                    max_degree=args.max_degree, mode=args.mode, seed=args.seed, dim_cap=cap)
-    print(f"hilbert {rack_id} / {cocycle_id} (mode {args.mode}): ranks {report.ranks}")
-    if report.closed_form_verdicts is not None:
-        print(f"  closed-form match per degree: {report.closed_form_verdicts}")
+    print(f"hilbert {rack_id} / {cocycle_id} (mode {args.mode}): ranks {report['ranks']}")
+    if verdicts is not None:
+        print(f"  closed-form match per degree: {verdicts}")
     return code
 
 
@@ -374,7 +373,7 @@ def cmd_selfcheck(args) -> int:
             lambda n=n: spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed),
             "lemma_witness",
         )
-    for n in range(3, min(n_max, 5) + 1):
+    for n in range(3, min(n_max, spincover.GROUP_COCYCLE_N_CAP) + 1):
         run(
             f"group cocycle exhaustive n={n}",
             lambda n=n: spincover.verify_group_cocycle(spincover.phi_psi_table(n)),

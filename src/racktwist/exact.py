@@ -1,9 +1,11 @@
 """The proven k^d rank path: the quantum symmetrizer and its ranks over Q(zeta).
 
-Only `hilbert.graded_dims` imports this module, inside the branch that
-proves a degree: every degree of `--mode exact`, and the degrees from the
-first disagreement of the Leibniz recursion's two primes on.  So no
-modular, twist or selfcheck run compiles it.
+`ranks` yields the proven rank of every degree from a first one on, and
+keeps the pivot rows of each degree to build the next.  Only
+`hilbert.graded_dims` imports this module, inside the branch that proves a
+degree: every degree of `--mode exact`, and the degrees from the first
+disagreement of the Leibniz recursion's two primes on.  So no modular,
+twist or selfcheck run compiles it.
 
 The degree-d symmetrizer is assembled as an exact sparse matrix with
 coefficients in Z[zeta_m], degree by degree from the factorisation
@@ -18,9 +20,9 @@ floor(v/k) of S_{d-1}, lifted and multiplied by T_d, so those rows are
 built exactly from the rows of lower degrees that they descend from, and
 no other row is.  Assembly builds no table over the
 basis: each lifted column is sent through T_d letter by letter, on k x k
-tables of the inverse braiding, so a degree pays for the entries of the
-rows it builds.  Over the basis, each degree takes one map to find its
-orbits, and frees it before the next degree.
+tables of the inverse braiding (_inverse_letters), so a degree pays for
+the entries of the rows it builds.  Over the basis, each degree takes one
+map to find its orbits, and frees it before the next degree.
 
 A proof ranks the degree-d symmetrizer over Q(zeta).  It is block diagonal
 over the braid-group orbits of the basis, because every braid lift maps a
@@ -49,18 +51,20 @@ its elimination pivots on at the prime that attains the proven rank,
 carried to every orbit of the class (only row indices move), and each
 degree is built only on the kept rows whose prefix is one of them (x4 chi,
 degree 5: 70 rows of 7 776, against 1 216 kept rows).  The pivots are
-independent over Q(zeta_m), so the proof stays unconditional; the fallback
-degree, with no proven pivots below it, is built on every kept row.
+independent over Q(zeta_m), so the proof stays unconditional; the first
+degree that `ranks` proves, with no pivots below it, is built on every
+kept row.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, _inverse_letters, check_degree
+from .braided import DEFAULT_DIM_CAP, check_degree
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .hilbert import _PRIME_HIGH, _element_of_order, _is_prime_u32, _prime_divisors
@@ -186,6 +190,20 @@ def _orbit_classes(orbit: np.ndarray, degree: int, op: np.ndarray) -> tuple[np.n
     for child, parent, t in _layer_walk(maps, heads):
         carry[child] = op[t[:, None], carry[parent]]
     return orbit_class, carry
+
+
+def _inverse_letters(q: RackCocycle) -> tuple[np.ndarray, np.ndarray]:
+    """Flat k x k tables of c^-1: step[z*k + a] = y with z |> y = a, and gain[z*k + a] = exp[z][y].
+
+    c maps x (x) y to q(x, y) (x |> y) (x) x, so c^-1 maps a (x) z to
+    z (x) y, undoing the scalar q(z, y).  Every row z |> - must be a
+    bijection (cocycle.check_rack_cocycle).
+    """
+    k = q.rack.size
+    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
+    step = np.empty((k, k), dtype=np.int64)
+    step[np.arange(k)[:, None], op] = np.arange(k)
+    return step.ravel(), np.array(q.exp, dtype=np.int64)[np.arange(k)[:, None], step].ravel()
 
 
 def _sends(
@@ -566,3 +584,19 @@ def rank(sym: SymmetrizerMatrix, *, below: np.ndarray | None = None) -> RankCert
     """
     value, pivots = _kept_pivots(sym, below)
     return RankCertificate(value, sym.dim, sym.orbit_class.size, _carry(sym, pivots))
+
+
+def ranks(q: RackCocycle, first: int, max_degree: int, dim_cap: int):
+    """Yield the proven rank of the symmetrizer in each degree first..max_degree.
+
+    Degree `first` is built on every kept row (_kept_rows); each later
+    degree only on the kept rows whose prefix is a pivot row of the degree
+    below, which span them (see rank).
+    """
+    below = None
+    for d in range(first, max_degree + 1):
+        sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below))
+        cert = rank(sym, below=below)
+        below = np.zeros(sym.dim, dtype=bool)
+        below[cert.pivots] = True
+        yield cert.rank

@@ -1,22 +1,20 @@
-"""Graded dimensions of Nichols algebras: reports, primes, and the choice of rank path per degree.
+"""Graded dimensions of Nichols algebras: primes, and the choice of rank path per degree.
 
 `graded_dims` reports degrees 0 and 1 by identity.  Modular mode draws one
 pair of primes per run and takes every degree from 2 on from the Leibniz
 recursion modulo both (nichols.LeibnizEngine), tagged CERTIFIED.  At the
 first degree where the primes disagree, that degree and every later one
-are proven on the symmetrizer instead (racktwist.exact), the first tagged
+are proven on the symmetrizer instead (exact.ranks), the first tagged
 FALLBACK; exact mode proves every degree so.  racktwist.exact is imported
-only when a degree is proven.
+only when a degree is proven.  The result is a plain dict, to which the
+CLI adds the labels of the rack and the cocycle.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import partial
 from itertools import zip_longest
-
-import numpy as np
 
 from .braided import DEFAULT_DIM_CAP, check_degree
 from .cocycle import RackCocycle, check_rack_cocycle
@@ -136,35 +134,6 @@ def _element_of_order(p: int, m: int) -> int:
     raise AssertionError(f"no element of order {m} mod {p}")
 
 
-class HilbertReport:
-    """Per-degree ranks of the symmetrizer plus optional closed-form comparison, filled in by graded_dims."""
-
-    def __init__(self, rack_id: str, cocycle_id: str, mode: str, seed: int):
-        self.rack_id, self.cocycle_id, self.mode, self.seed = rack_id, cocycle_id, mode, seed
-        self.degrees: list[int] = []
-        self.ranks: list[int] = []
-        self.methods: list[str] = []
-        self.primes: list[list[int]] = []
-        self.closed_form: list[tuple[int, int]] | None = None
-        self.closed_form_verdicts: list[bool] | None = None
-
-    def to_dict(self) -> dict:
-        d = {
-            "rack": self.rack_id,
-            "cocycle": self.cocycle_id,
-            "mode": self.mode,
-            "seed": self.seed,
-            "degrees": list(self.degrees),
-            "ranks": list(self.ranks),
-            "methods": list(self.methods),
-            "primes": [list(ps) for ps in self.primes],
-        }
-        if self.closed_form is not None:
-            d["closed_form"] = [list(f) for f in self.closed_form]
-            d["closed_form_verdicts"] = list(self.closed_form_verdicts)
-        return d
-
-
 def graded_dims(
     q: RackCocycle,
     max_degree: int,
@@ -172,11 +141,9 @@ def graded_dims(
     mode: str = "modular",
     seed: int = 0,
     dim_cap: int = DEFAULT_DIM_CAP,
-    rack_id: str = "",
-    cocycle_id: str = "",
     closed_form: list[tuple[int, int]] | None = None,
-) -> HilbertReport:
-    """Dimensions of the Nichols algebra in degrees 0..max_degree.
+) -> dict:
+    """Dimensions of the Nichols algebra in degrees 0..max_degree, as the report dict of `hilbert`.
 
     q must be a 2-cocycle on a rack, so that its braiding satisfies the
     braid equation.  That is checked first, in both modes, at every
@@ -188,19 +155,19 @@ def graded_dims(
     random.Random(seed) and ranks every degree from 2 on by the Leibniz
     recursion modulo both (nichols.LeibnizEngine), which closes the group
     of translations first.  At the first degree where the primes
-    disagree, that degree is proven on the symmetrizer, on every kept row,
-    and tagged FALLBACK with the pair; every later degree is proven the
-    same way and tagged exact.  Exact mode proves every degree so: it
-    builds only the rows that exact.rank reads, those of the smallest
-    braid orbit of every class (exact._kept_rows) whose prefix is a pivot
-    row of the degree below (see exact.rank).  The resource caps of the
-    symmetrizer are checked for max_degree before any degree is built;
-    they grow with the degree, so that covers every degree.  So is the
-    cocycle order, which must leave two candidates p = 1 mod order in
-    [2^30, 2^31) for the primes.  A closed form is expanded through
-    max_degree (and a bad factor rejected) after the caps, so a huge
-    max_degree never sizes its coefficients, and before any degree is
-    built.
+    disagree, exact.ranks starts: that degree is proven on the
+    symmetrizer and tagged FALLBACK with the pair, and every later degree
+    is proven and tagged exact.  Exact mode starts exact.ranks at degree 2.
+    The resource caps of the symmetrizer are checked for max_degree before
+    any degree is built; they grow with the degree, so that covers every
+    degree.  So is the cocycle order, which must leave two candidates
+    p = 1 mod order in [2^30, 2^31) for the primes.  A closed form is
+    expanded through max_degree (and a bad factor rejected) after the caps,
+    so a huge max_degree never sizes its coefficients, and before any
+    degree is built.
+
+    Returned: mode, seed, and per degree its rank, method and primes; given
+    a closed form, also its factors and whether each degree matches it.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -219,17 +186,15 @@ def graded_dims(
                 f"cocycle order {q.order} leaves fewer than two numbers p = 1 mod it in [2^30, 2^31)"
             )
     series = None if closed_form is None else expand_closed_form(closed_form, max_degree)
-    report = HilbertReport(rack_id=rack_id, cocycle_id=cocycle_id, mode=mode, seed=seed)
+    report = {"mode": mode, "seed": seed, "degrees": [], "ranks": [], "methods": [], "primes": []}
     k = q.rack.size
-    modular = None
+    modular = proven = None
     if mode == "modular" and max_degree >= 2:
         rng = random.Random(seed)
         p1 = _draw_prime(rng, q.order, set())
         primes = (p1, _draw_prime(rng, q.order, {p1}))
         engine = LeibnizEngine(q, primes, tuple(_element_of_order(p, q.order) for p in primes), dim_cap)
         modular = engine.ranks(max_degree)
-    # a mask of the pivot rows of the degree below, for the symmetrizer; None keeps every row
-    below = None
     for d in range(max_degree + 1):
         value = None if modular is None or d == 0 else next(modular, None)
         if d < 2:
@@ -237,23 +202,22 @@ def graded_dims(
         elif value is not None:
             rank_d, method, used = value, CERTIFIED, primes
         else:
-            # here only, so that a run that proves no degree never compiles the k^d path
-            from .exact import _kept_rows, rank, symmetrizer
+            method, used = "exact", ()
+            if proven is None:
+                # here only, so that a run that proves no degree never compiles the k^d path
+                from .exact import ranks
 
-            sym = symmetrizer(q, d, dim_cap=dim_cap, rows=partial(_kept_rows, below=below))
-            cert = rank(sym, below=below)
-            rank_d, method, used = cert.rank, "exact", ()
-            if modular is not None:
-                # the first disagreement of the primes, proven on every kept row
-                method, used, modular = FALLBACK, primes, None
-            below = np.zeros(sym.dim, dtype=bool)
-            below[cert.pivots] = True
-        report.degrees.append(d)
-        report.ranks.append(rank_d)
-        report.methods.append(method)
-        report.primes.append(list(used))
+                proven = ranks(q, d, max_degree, dim_cap)
+                if modular is not None:
+                    # the first disagreement of the primes, proven on every kept row
+                    method, used, modular = FALLBACK, primes, None
+            rank_d = next(proven)
+        report["degrees"].append(d)
+        report["ranks"].append(rank_d)
+        report["methods"].append(method)
+        report["primes"].append(list(used))
     if series is not None:
-        report.closed_form = list(closed_form)
+        report["closed_form"] = [list(f) for f in closed_form]
         # coefficients past the closed form's degree are 0
-        report.closed_form_verdicts = [r == c for r, c in zip_longest(report.ranks, series, fillvalue=0)]
+        report["closed_form_verdicts"] = [r == c for r, c in zip_longest(report["ranks"], series, fillvalue=0)]
     return report

@@ -124,21 +124,6 @@ def lex_reduced_words(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.tile(np.arange(n), batch), runs) - place, codes.sum(axis=1)
 
 
-class TranspositionLabel(ReadOnly):
-    """The pair (i, j) with 1 <= i < j <= n naming a transposition."""
-
-    __slots__ = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        if not (1 <= i < j):
-            raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-
-    def __str__(self) -> str:
-        return f"({self.i} {self.j})"
-
-
 class FiniteRack(ReadOnly):
     """A rack on {0..k-1} given by its full operation table op[x][y] = x |> y; equal by table and labels."""
 
@@ -310,9 +295,9 @@ def transposition_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
 
 
-def transposition_labels(n: int) -> list[TranspositionLabel]:
-    """The labels of transposition_rack(n), in element order."""
-    return [TranspositionLabel(i, j) for i, j in transposition_pairs(n)]
+def _pair_index(i, j, n: int):
+    """The place of (i + 1, j + 1) in transposition_pairs(n), for 0 <= i < j < n; elementwise on arrays."""
+    return i * n - i * (i + 1) // 2 + j - i - 1
 
 
 _TRANSPOSITION_RACKS: dict[int, FiniteRack] = {}
@@ -346,8 +331,8 @@ def _build_transposition_rack(n: int) -> FiniteRack:
     i, j = np.triu_indices(n, 1)
     lo = np.minimum(images[:, i], images[:, j])
     hi = np.maximum(images[:, i], images[:, j])
-    op = lo * n - lo * (lo + 1) // 2 + hi - lo - 1  # the place of (lo + 1, hi + 1) in transposition_pairs(n)
-    return FiniteRack(op=tuple(map(tuple, op.tolist())), labels=tuple(str(lab) for lab in transposition_labels(n)))
+    op = _pair_index(lo, hi, n)
+    return FiniteRack(op=tuple(map(tuple, op.tolist())), labels=tuple(f"({i} {j})" for i, j in transposition_pairs(n)))
 
 
 def rack_to_dict(r: FiniteRack) -> dict:

@@ -37,8 +37,8 @@ import numpy as np
 from . import pfaffian
 from .cocycle import TwistTable, chi_cocycle, twist
 from .errors import SectionConsistencyError
-from .rack import (Permutation, _first_occurrences, _row_keys, lex_reduced_words, transposition_images,
-                   transposition_pairs, transposition_rack)
+from .rack import (Permutation, _first_occurrences, _pair_index, _row_keys, lex_reduced_words,
+                   transposition_images, transposition_pairs, transposition_rack)
 
 # Largest n for every command on x_n but hilbert.  No check expands a
 # Clifford product: the twist table's Pfaffians have at most 4n - 8 vectors,
@@ -346,8 +346,7 @@ class SectionCache:
     def __init__(self, n: int):
         self.n = n
         pairs = transposition_pairs(n)
-        self._index = {pair: v for v, pair in enumerate(pairs)}
-        self._adjacent = np.array([self._index[(w, w + 1)] for w in range(1, n)], dtype=np.intp)
+        self._adjacent = _pair_index(np.arange(n - 1), np.arange(1, n), n)
         self.vectors = _unit_bracket_vectors(n)[tuple(np.array(pairs).T)]
         self.gram = self.vectors @ self.vectors.T
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -361,7 +360,7 @@ class SectionCache:
         i = np.argmax(moved[swap], axis=1)
         j = n - 1 - np.argmax(moved[swap, ::-1], axis=1)
         lex = (self._adjacent[letters[np.repeat(~swap, lengths)] - 1], np.where(swap, 0, lengths))
-        brackets = (i * n - i * (i + 1) // 2 + j - i - 1, swap.astype(np.intp))  # the index of (i+1, j+1)
+        brackets = (_pair_index(i, j, n), swap.astype(np.intp))
         return pfaffian.ragged_concat([lex, brackets])
 
     def section(self, sigma: Permutation) -> tuple[int, ...]:

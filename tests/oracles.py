@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from racktwist import exact, hilbert, spincover
+from racktwist import exact, spincover
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle, minus_one_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import (
@@ -840,13 +840,15 @@ def unpruned_graded_dims(q: RackCocycle, max_degree: int) -> dict:
     chosen from the degree below; seed 0 is echoed as graded_dims echoes
     its default.
     """
-    report = hilbert.HilbertReport(rack_id="", cocycle_id="", mode="exact", seed=0)
-    for d in range(max_degree + 1):
-        report.degrees.append(d)
-        report.ranks.append(exact.rank(exact.symmetrizer(q, d)).rank)
-        report.methods.append("exact")
-        report.primes.append([])
-    return report.to_dict()
+    degrees = list(range(max_degree + 1))
+    return {
+        "mode": "exact",
+        "seed": 0,
+        "degrees": degrees,
+        "ranks": [exact.rank(exact.symmetrizer(q, d)).rank for d in degrees],
+        "methods": ["exact"] * len(degrees),
+        "primes": [[] for _ in degrees],
+    }
 
 
 def disagree_at(monkeypatch, degree: int) -> None:

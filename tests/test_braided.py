@@ -517,7 +517,7 @@ class TestSendData:
         # every column of every degree, each with an exponent of its own to carry
         q, top = SEND_CASES[name]
         k, m = q.rack.size, q.order
-        inverse = braided._inverse_letters(q)
+        inverse = exact._inverse_letters(q)
         for d in range(1, top + 1):
             inv, add = send_tables(q, d)
             columns = np.arange(k**d)

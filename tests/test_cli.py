@@ -335,6 +335,26 @@ class TestHilbertCommand:
         assert report["ranks"] == [1, 6, 19, 42]
         assert report["closed_form_verdicts"] == [True] * 4
 
+    @pytest.mark.parametrize("mode", ["modular", "exact"])
+    def test_report_keys_and_values(self, tmp_path, mode):
+        # the report object whole: the labels of the rack and the cocycle, then what graded_dims returns;
+        # closed_form and its verdicts only when a closed form is given (here in exact mode)
+        out = tmp_path / "h.json"
+        argv = ["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "3", "--seed", "5", "--mode", mode]
+        form = ["--closed-form", "2:2,3:1"] if mode == "exact" else []
+        assert run([*argv, *form, "--out", str(out)]) == 0
+        rng = random.Random(5)
+        p1 = hilbert_mod._draw_prime(rng, 2, set())
+        pair = [p1, hilbert_mod._draw_prime(rng, 2, {p1})]
+        methods = ["exact"] * 4 if mode == "exact" else ["exact", "exact", hilbert_mod.CERTIFIED, hilbert_mod.CERTIFIED]
+        expected = {
+            "rack": "x3", "cocycle": "-1", "mode": mode, "seed": 5, "degrees": [0, 1, 2, 3], "ranks": [1, 3, 4, 3],
+            "methods": methods, "primes": [[]] * 4 if mode == "exact" else [[], [], pair, pair],
+        }
+        if form:
+            expected.update(closed_form=[[2, 2], [3, 1]], closed_form_verdicts=[True] * 4)
+        assert read_json(str(out))["report"] == expected
+
     def test_closed_form_mismatch_fails(self, tmp_path):
         code = run(
             [

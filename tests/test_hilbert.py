@@ -214,9 +214,9 @@ class TestClosedForms:
 
     def test_graded_dims_reads_a_huge_closed_form(self):
         report = graded_dims(M1_X3, 3, mode="exact", closed_form=[(2, 99_999_999)])
-        assert report.closed_form_verdicts == [True, False, False, False]
+        assert report["closed_form_verdicts"] == [True, False, False, False]
         report = graded_dims(M1_X3, 4, mode="exact", closed_form=[(2, 2), (3, 1), (1, 99_999_999)])
-        assert report.closed_form_verdicts == [True] * 5
+        assert report["closed_form_verdicts"] == [True] * 5
 
     def test_against_sympy_expansion(self):
         import sympy
@@ -435,7 +435,7 @@ class TestRank:
         dense = dense_integer_matrix(sym)
         assert rank_over_rationals(dense.tolist()) == 19
         assert rank(sym).rank == 19
-        assert graded_dims(M1_X4, 2).ranks[2] == 19
+        assert graded_dims(M1_X4, 2)["ranks"][2] == 19
 
     def test_q2_x3_rank4_with_oracle(self):
         sym = symmetrizer(M1_X3, 2)
@@ -447,12 +447,12 @@ class TestRank:
     def test_exact_equals_modular_x3(self, degree):
         # the proven rank of the symmetrizer against the Leibniz recursion modulo the pair of seed `degree`
         for q in (M1_X3, chi_cocycle(3)):
-            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree).ranks[degree]
+            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree)["ranks"][degree]
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_exact_equals_modular_x4(self, degree):
         for q in (M1_X4, chi_cocycle(4)):
-            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree).ranks[degree]
+            assert rank(symmetrizer(q, degree)).rank == graded_dims(q, degree, seed=degree)["ranks"][degree]
 
     def test_exact_limit_applies_per_block(self):
         # exact mode ranks every block, with no limit on its size
@@ -466,9 +466,9 @@ class TestRank:
         p1 = _draw_prime(random.Random(0), 3, set())
         disagree_at(monkeypatch, 3)
         report = graded_dims(constant_cocycle(X3, 3, 1), 3)
-        assert report.methods[3] == "exact (fallback after modular disagreement)"
-        assert report.ranks[3] == rank_over_cyclotomic(sym) == 21
-        assert report.primes[3][0] == p1 and len(set(report.primes[3])) == len(report.primes[3]) == 2
+        assert report["methods"][3] == "exact (fallback after modular disagreement)"
+        assert report["ranks"][3] == rank_over_cyclotomic(sym) == 21
+        assert report["primes"][3][0] == p1 and len(set(report["primes"][3])) == len(report["primes"][3]) == 2
 
     def test_disagreement_falls_back_to_exact(self, monkeypatch):
         # a first prime at which every Phi_r of degree 3 vanishes makes the
@@ -476,9 +476,9 @@ class TestRank:
         p1 = _draw_prime(random.Random(0), 2, set())
         disagree_at(monkeypatch, 3)
         report = graded_dims(chi_cocycle(4), 3)
-        assert report.methods[3] == "exact (fallback after modular disagreement)"
-        assert report.ranks[3] == 42
-        assert report.primes[3][0] == p1 and len(set(report.primes[3])) == len(report.primes[3]) == 2
+        assert report["methods"][3] == "exact (fallback after modular disagreement)"
+        assert report["ranks"][3] == 42
+        assert report["primes"][3][0] == p1 and len(set(report["primes"][3])) == len(report["primes"][3]) == 2
 
     def test_proof_cuts_each_block_once(self, monkeypatch):
         passes = []
@@ -505,7 +505,7 @@ class TestRank:
             sym = symmetrizer(q, degree)
             assert rank_over_cyclotomic(sym) == value
             assert rank(sym).rank == value
-        assert graded_dims(q, 3).ranks[2:] == expected
+        assert graded_dims(q, 3)["ranks"][2:] == expected
 
     def test_cyclotomic_oracle_polynomials(self):
         import sympy
@@ -546,21 +546,21 @@ class TestRank:
     def test_modular_with_higher_order(self):
         # constant zeta_4 cocycle: modular ranks must work with p = 1 mod 4
         report = graded_dims(constant_cocycle(X3, 4, 1), 2, seed=1)
-        assert all(p % 4 == 1 for p in report.primes[2])
-        assert 0 < report.ranks[2] <= 9
+        assert all(p % 4 == 1 for p in report["primes"][2])
+        assert 0 < report["ranks"][2] <= 9
 
     def test_modular_certificate_contents(self):
         report = graded_dims(M1_X4, 2, seed=9)
-        assert report.methods[2] == "modular-certified (Monte Carlo)"
-        assert len(report.primes[2]) == 2 and report.primes[2][0] != report.primes[2][1]
-        assert report.ranks[2] == 19
+        assert report["methods"][2] == "modular-certified (Monte Carlo)"
+        assert len(report["primes"][2]) == 2 and report["primes"][2][0] != report["primes"][2][1]
+        assert report["ranks"][2] == 19
 
     def test_default_seed_draws_as_seed_zero(self):
         # the pair is the first two draws of random.Random(seed), the second avoiding the first
         rng = random.Random(0)
         p1 = _draw_prime(rng, 2, set())
         pair = [p1, _draw_prime(rng, 2, {p1})]
-        assert graded_dims(M1_X4, 3).primes == [[], [], pair, pair] == graded_dims(M1_X4, 3, seed=0).primes
+        assert graded_dims(M1_X4, 3)["primes"] == [[], [], pair, pair] == graded_dims(M1_X4, 3, seed=0)["primes"]
 
     @pytest.mark.parametrize("degree", [5, 6])
     def test_x3_minus_one_classes_cancel(self, degree):
@@ -662,7 +662,7 @@ class TestOrbitClasses:
         monkeypatch.setattr(rack_mod, "_first_failure", counting)
         monkeypatch.setattr(cocycle_mod, "_first_failure", counting)
         for mode in ("exact", "modular"):
-            assert graded_dims(chi_cocycle(4), 5, mode=mode).ranks == [1, 6, 19, 42, 71, 96]
+            assert graded_dims(chi_cocycle(4), 5, mode=mode)["ranks"] == [1, 6, 19, 42, 71, 96]
         assert calls == [2, 2]
 
     def test_x5_minus_one_degree_four_counts(self):
@@ -825,15 +825,36 @@ class TestPivots:
             assert below.sum() == full[d]
 
 
+    @pytest.mark.parametrize("name", ["x3-const31", "x4-chi"])
+    @pytest.mark.parametrize("first", [2, 3])
+    def test_ranks_yields_the_proven_rank_of_every_degree(self, name, first, monkeypatch):
+        # from degree 2, and from 3 as after a disagreement: the first degree is built on
+        # every kept row, each later one on fewer, and every rank is that of the full symmetrizer
+        q = CLASS_CASES[name]
+        expected = [rank(symmetrizer(q, d)).rank for d in range(first, 6)]
+        built = []
+        real = exact_mod.symmetrizer
+
+        def recording(q, degree, *args, **kwargs):
+            sym = real(q, degree, *args, **kwargs)
+            built.append((sym.rows.size, _kept_rows(sym.orbit, sym.orbit_class).size))
+            return sym
+
+        monkeypatch.setattr(exact_mod, "symmetrizer", recording)
+        assert list(exact_mod.ranks(q, first, 5, braided.DEFAULT_DIM_CAP)) == expected
+        assert built[0][0] == built[0][1] and all(rows <= kept for rows, kept in built)
+        assert len(built) == 6 - first
+
+
 class TestGradedDims:
     def test_x3_minus_one_series(self):
-        report = graded_dims(M1_X3, 4, mode="exact", rack_id="x3", cocycle_id="-1")
-        assert report.ranks == [1, 3, 4, 3, 1]
-        assert report.methods[0] == "exact"
+        report = graded_dims(M1_X3, 4, mode="exact")
+        assert report["ranks"] == [1, 3, 4, 3, 1]
+        assert report["methods"][0] == "exact"
 
     def test_x3_chi_matches(self):
         report = graded_dims(chi_cocycle(3), 4, mode="exact")
-        assert report.ranks == [1, 3, 4, 3, 1]
+        assert report["ranks"] == [1, 3, 4, 3, 1]
 
     def test_x3_dense_rational_oracle_per_degree(self):
         for degree, expected in [(1, 3), (2, 4), (3, 3), (4, 1)]:
@@ -842,16 +863,16 @@ class TestGradedDims:
 
     def test_degree_shortcuts(self):
         report = graded_dims(M1_X4, 1, mode="exact")
-        assert report.ranks == [1, 6]
-        assert report.primes == [[], []]
+        assert report["ranks"] == [1, 6]
+        assert report["primes"] == [[], []]
 
     def test_closed_form_verdicts(self):
         report = graded_dims(
             chi_cocycle(4), 3, mode="exact", closed_form=[(2, 2), (3, 2), (4, 2)]
         )
-        assert report.closed_form_verdicts == [True, True, True, True]
+        assert report["closed_form_verdicts"] == [True, True, True, True]
         wrong = graded_dims(chi_cocycle(4), 2, mode="exact", closed_form=[(2, 1)])
-        assert not all(wrong.closed_form_verdicts)
+        assert not all(wrong["closed_form_verdicts"])
 
     def test_dim_cap_error_names_degree(self):
         with pytest.raises(DimensionCapError) as err:
@@ -890,7 +911,7 @@ class TestGradedDims:
         built.clear()
         full = unpruned_graded_dims(q, 4)
         assert built == [(0, 1, 1), (1, 10, 10), (2, 100, 100), (3, 1000, 1000), (4, 10000, 10000)]
-        assert pruned.to_dict() == full
+        assert pruned == full
 
     @pytest.mark.parametrize("cocycle", [(4, 3), (3, 1)], ids=["const:4:3", "const:3:1"])
     def test_pruned_and_unpruned_reports_agree(self, cocycle):
@@ -899,13 +920,13 @@ class TestGradedDims:
         # modular degree from 2 on is certified by the pair drawn from the seed
         q = constant_cocycle(X3, *cocycle)
         full = unpruned_graded_dims(q, 6)
-        assert graded_dims(q, 6, mode="exact").to_dict() == full
+        assert graded_dims(q, 6, mode="exact") == full
         modular = graded_dims(q, 6)
-        assert modular.ranks == full["ranks"]
-        assert modular.methods == ["exact"] * 2 + [CERTIFIED] * 5
+        assert modular["ranks"] == full["ranks"]
+        assert modular["methods"] == ["exact"] * 2 + [CERTIFIED] * 5
         rng = random.Random(0)
         p1 = _draw_prime(rng, q.order, set())
-        assert modular.primes == [[], []] + [[p1, _draw_prime(rng, q.order, {p1})]] * 5
+        assert modular["primes"] == [[], []] + [[p1, _draw_prime(rng, q.order, {p1})]] * 5
 
     def test_disagreement_is_proven_on_every_kept_row(self, monkeypatch):
         # the primes are made to disagree at degree 3: the degree is proven on all its
@@ -925,9 +946,9 @@ class TestGradedDims:
 
         monkeypatch.setattr(exact_mod, "symmetrizer", recording)
         report = graded_dims(chi_cocycle(4), 4)
-        assert report.ranks == [1, 6, 19, 42, 71]
-        assert report.methods == ["exact", "exact", CERTIFIED, FALLBACK, "exact"]
-        assert report.primes == [[], [], [p1, p2], [p1, p2], []]
+        assert report["ranks"] == [1, 6, 19, 42, 71]
+        assert report["methods"] == ["exact", "exact", CERTIFIED, FALLBACK, "exact"]
+        assert report["primes"] == [[], [], [p1, p2], [p1, p2], []]
         assert [d for d, _, _ in built] == [3, 4]
         (_, rows3, kept3), (_, rows4, kept4) = built
         assert rows3 == kept3 and rows4 < kept4
@@ -940,15 +961,15 @@ class TestGradedDims:
     def test_lift_counts_fit_in_int64(self):
         # one element and the trivial cocycle: S_d = d! id, rank 1, until d! overflows int64
         q = constant_cocycle(transposition_rack(2), 1, 0)
-        assert graded_dims(q, 20, mode="exact").ranks == [1] * 21
+        assert graded_dims(q, 20, mode="exact")["ranks"] == [1] * 21
         with pytest.raises(DimensionCapError, match="int64"):
             graded_dims(q, 21, mode="exact")
 
     def test_deterministic_prime_stream(self):
         a = graded_dims(M1_X4, 3, mode="modular", seed=42)
         b = graded_dims(M1_X4, 3, mode="modular", seed=42)
-        assert a.primes == b.primes
-        assert a.ranks == b.ranks
+        assert a["primes"] == b["primes"]
+        assert a["ranks"] == b["ranks"]
 
 
 class TestCompareTwistSeries:
@@ -960,14 +981,14 @@ class TestCompareTwistSeries:
         assert check_twist_condition(phi) is None
         base = graded_dims(chi_cocycle(4), 3, mode="exact")
         twisted = graded_dims(twist(chi_cocycle(4), phi), 3, mode="exact")
-        assert base.ranks == twisted.ranks == [1, 6, 19, 42]
+        assert base["ranks"] == twisted["ranks"] == [1, 6, 19, 42]
 
     def test_spincover_twist_equal(self):
         phi = phi_psi_table(4).twist_table()
         assert check_twist_condition(phi) is None
         base = graded_dims(chi_cocycle(4), 3, mode="exact")
         twisted = graded_dims(twist(chi_cocycle(4), phi), 3, mode="exact")
-        assert [a == b for a, b in zip(base.ranks, twisted.ranks)] == [True] * 4
+        assert [a == b for a, b in zip(base["ranks"], twisted["ranks"])] == [True] * 4
 
     def test_invalid_twist_table_rejected(self):
         from racktwist.cocycle import TwistTable

@@ -61,7 +61,7 @@ def test_x4_chi_full_series():
 
 
 def test_x6_minus_one_to_degree_four():
-    assert graded_dims(minus_one_cocycle(transposition_rack(6)), 4).ranks == [1, 15, 125, 765, 3831]
+    assert graded_dims(minus_one_cocycle(transposition_rack(6)), 4)["ranks"] == [1, 15, 125, 765, 3831]
 
 
 def test_constant_cocycles_number_the_quotient_group():

@@ -20,7 +20,7 @@ from oracles import (
 from racktwist.rack import (
     FiniteRack,
     Permutation,
-    TranspositionLabel,
+    _pair_index,
     check_rack_axioms,
     is_indecomposable,
     lex_reduced_words,
@@ -107,22 +107,6 @@ class TestPermutation:
         assert Permutation.transposition(4, 2, 4).cycle_string() == "(2 4)"
 
 
-class TestTranspositionLabel:
-    def test_orders_enforced(self):
-        TranspositionLabel(1, 4)
-        with pytest.raises(ValueError):
-            TranspositionLabel(4, 1)
-        with pytest.raises(ValueError):
-            TranspositionLabel(0, 2)
-
-    def test_rack_labels_come_from_pairs(self):
-        from racktwist.rack import transposition_labels
-
-        labels = transposition_labels(4)
-        assert [(lab.i, lab.j) for lab in labels] == transposition_pairs(4)
-        assert transposition_rack(4).labels == tuple(str(lab) for lab in labels)
-
-
 class TestConjugacyClassRack:
     def test_s3_transpositions(self):
         r = conjugacy_class_rack(s_n_generators(3), Permutation.transposition(3, 1, 2))
@@ -186,6 +170,15 @@ class TestTranspositionRack:
     def test_axioms(self):
         for n in (2, 3, 4, 5):
             assert check_rack_axioms(transposition_rack(n)) is None
+
+    def test_labels_come_from_pairs(self):
+        assert transposition_rack(4).labels == ("(1 2)", "(1 3)", "(1 4)", "(2 3)", "(2 4)", "(3 4)")
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_pair_index_is_the_place_in_transposition_pairs(self, n):
+        i, j = np.array(transposition_pairs(n)).T - 1
+        assert _pair_index(i, j, n).tolist() == list(range(n * (n - 1) // 2))
+        assert [_pair_index(a - 1, b - 1, n) for a, b in transposition_pairs(n)] == list(range(n * (n - 1) // 2))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_conjugacy_class_construction(self, n):

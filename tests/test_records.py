@@ -5,13 +5,12 @@ import pytest
 
 from oracles import BraidWord, MonomialOperator
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
-from racktwist.rack import FiniteRack, Permutation, TranspositionLabel
+from racktwist.rack import FiniteRack, Permutation
 
 TRIVIAL2 = FiniteRack(((0, 1), (0, 1)))
 
 CONSTRUCTOR_CHECKS = {
     "permutation": (lambda: Permutation((1, 1, 3)), "not a permutation of 1..3: (1, 1, 3)"),
-    "transposition-label": (lambda: TranspositionLabel(2, 1), "need 1 <= i < j, got (2, 1)"),
     "rack-square": (lambda: FiniteRack(((0, 1), (0,))), "operation table must be square"),
     "rack-entry-range": (lambda: FiniteRack(((0, 2), (0, 1))), "operation table entries must lie in 0..1"),
     "rack-labels-length": (lambda: FiniteRack(((0, 1), (0, 1)), ("a",)), "labels length must match rack size"),
@@ -63,7 +62,6 @@ def test_monomial_operators_are_equal_by_action():
 
 READ_ONLY = {
     "permutation": (lambda: Permutation((2, 1)), "image"),
-    "transposition-label": (lambda: TranspositionLabel(1, 2), "j"),
     "rack": (lambda: FiniteRack(TRIVIAL2.op), "op"),
     "cocycle": (lambda: RackCocycle(TRIVIAL2, 2, ((0, 1), (1, 0))), "exp"),
     "gauge": (lambda: GaugeFunction(TRIVIAL2, 2, (0, 1)), "g"),
