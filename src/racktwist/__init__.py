@@ -4,7 +4,6 @@ from .cocycle import (
     GaugeFunction,
     RackCocycle,
     TwistTable,
-    check_cocycle,
     check_rack_cocycle,
     check_twist_condition,
     chi_cocycle,

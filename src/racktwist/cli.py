@@ -132,7 +132,7 @@ def cmd_cocycle(args) -> int:
             label = f"const zeta_{q.order}^{q.exp[0][0]} on x{args.n}"
         else:
             label = f"{'chi' if args.kind == 'chi' else '-1'} on x{args.n}"
-    violation = cocycle_mod.check_cocycle(q)
+    violation = cocycle_mod.check_rack_cocycle(q)
     ok = violation is None
     code = _finish(args, ok, {
         "cocycle": cocycle_mod.cocycle_to_dict(q),
@@ -142,7 +142,7 @@ def cmd_cocycle(args) -> int:
     }, n=args.n)
     print(f"cocycle {label}: order {q.order}, condition {'ok' if ok else 'FAILED'}")
     if not ok:
-        print(f"  first violating triple: {violation}")
+        print(f"  violation: {violation['kind']} at {violation['witness']}")
     return code
 
 
@@ -229,9 +229,9 @@ def cmd_cohomology(args) -> int:
     if n > spincover.N_CAP:
         raise UsageError(f"cohomology: need n <= {spincover.N_CAP}, got {n}")
     chi = cocycle_mod.chi_cocycle(n)
-    violation = cocycle_mod.check_cocycle(chi)
+    violation = cocycle_mod.check_rack_cocycle(chi)
     if violation is not None:
-        print(f"cohomology: chi is not a cocycle (violation at {violation})")
+        print(f"cohomology: chi is not a cocycle on a rack ({violation['kind']} at {violation['witness']})")
         return EXIT_CHECK_FAILED
     minus_one = cocycle_mod.minus_one_cocycle(chi.rack)
     gauge = cocycle_mod.find_gauge(minus_one, chi)
@@ -273,17 +273,14 @@ def cmd_cohomology(args) -> int:
 # ---------------------------------------------------------------- hilbert
 
 
-def _parse_rack_arg(arg: str, max_degree: int, dim_cap: int):
+def _parse_rack_arg(arg: str, dim_cap: int):
     if arg.startswith("x") and arg[1:].isdigit():
         n = int(arg[1:])
         if n < 2:
             raise UsageError(f"hilbert: need n >= 2 in rack argument, got {arg}")
-        # x_n has k = n(n - 1)/2 elements; only its k x k table is built before graded_dims
-        # checks the axioms, and a table past the cap is named by k^degree from degree 2 on
+        # x_n has k = n(n - 1)/2 elements; its k x k table is the one thing built before graded_dims
         k = n * (n - 1) // 2
         if k * k > dim_cap:
-            if max_degree >= 2:
-                braided.check_dimension(k, max_degree, dim_cap)
             raise DimensionCapError(f"the {k} x {k} rack table of {arg} needs {k * k} entries > cap {dim_cap}")
         return rack_mod.transposition_rack(n), n, arg
     if os.path.exists(arg):
@@ -316,7 +313,7 @@ def _parse_closed_form(arg: str) -> list[tuple[int, int]]:
 
 def cmd_hilbert(args) -> int:
     cap = _dim_cap(args)
-    rack, n, rack_id = _parse_rack_arg(args.rack, args.max_degree, cap)
+    rack, n, rack_id = _parse_rack_arg(args.rack, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
     closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
     report = hilbert_mod.graded_dims(
@@ -435,7 +432,8 @@ COMMANDS = (
         ("--max-degree", dict(type=int, required=True)),
         ("--mode", dict(choices=("exact", "modular"), default="modular")),
         _SEED,
-        ("--dim-cap", dict(type=int, help="override the basis-dimension cap")),
+        ("--dim-cap", dict(type=int, help="bound on what a run builds (default 200000): the k x k table of xN; "
+                           "|Q| k and each Phi_r's side^2 modular; k^degree exact or at a fallback")),
         ("--closed-form", dict(help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")),
         _OUT,
     )),

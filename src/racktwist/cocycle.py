@@ -25,6 +25,8 @@ from .rack import (
     ReadOnly,
     _check_axioms,
     _first_failure,
+    _layer_walk,
+    _min_labels,
     _self_distributivity,
     json_count,
     json_field,
@@ -118,9 +120,9 @@ def chi_cocycle(n: int) -> RackCocycle:
     when sigma(i) < sigma(j) and -1 when sigma(i) > sigma(j).  The table is
     read off the one-line images of the transpositions once per n; it is
     frozen and made of tuples, so every caller may share it.  It is not
-    checked here: every command that reads it checks it once, `cocycle`
-    and `cohomology` by check_cocycle, `hilbert` by check_rack_cocycle as
-    any cocycle, and `twist-verify`, `cover` and `selfcheck` by the main
+    checked here: every command that reads it checks it once, `cocycle`,
+    `cohomology` and `hilbert` by check_rack_cocycle as any cocycle, and
+    `twist-verify`, `cover` and `selfcheck` by the main
     theorem, chi^phi = -1, which no other table satisfies.
     """
     if n < 3:
@@ -168,17 +170,6 @@ def _cocycle_condition(q: RackCocycle, op: np.ndarray):
     return failing
 
 
-def check_cocycle(q: RackCocycle) -> tuple[int, int, int] | None:
-    """The first (x, y, z) in lexicographic order that fails the cocycle condition, or None.
-
-    The condition is exp[x][y|>z] + exp[y][z] == exp[x|>y][x|>z] + exp[x][z]
-    (mod m), for m <= 2^62.
-    """
-    op = np.array(q.rack.op, dtype=np.intp)
-    failed = _first_failure(op, [_cocycle_condition(q, op)])
-    return None if failed is None else failed[1]
-
-
 def check_rack_cocycle(q: RackCocycle) -> dict | None:
     """The first violation of q being a 2-cocycle on a rack, or None.
 
@@ -188,8 +179,10 @@ def check_rack_cocycle(q: RackCocycle) -> dict | None:
     (Andruskiewitsch-Grana, "From racks to pointed Hopf algebras", 2003).
     The rows are checked first, then both conditions over one scan
     of the triples.  A violation is {"kind": ..., "witness": ...} as
-    rack.check_rack_axioms gives it, else the triple of check_cocycle under
-    the kind "not-a-cocycle".
+    rack.check_rack_axioms gives it, else, under the kind "not-a-cocycle",
+    the first (x, y, z) in lexicographic order where
+    exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m), for
+    m <= 2^62.
     """
     op = np.array(q.rack.op, dtype=np.intp)
     conditions = [("not-self-distributive", _self_distributivity(op)), ("not-a-cocycle", _cocycle_condition(q, op))]
@@ -197,65 +190,40 @@ def check_rack_cocycle(q: RackCocycle) -> dict | None:
 
 
 def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
-    """Multiply q by the coboundary of gamma: exp'[x][y] = -g[x|>y] + exp[x][y] + g[y]."""
+    """Multiply q by the coboundary of gamma: exp'[x][y] = -g[x|>y] + exp[x][y] + g[y], for m <= 2^62."""
     if q.order != gamma.order or q.rack.op != gamma.rack.op:
         raise ValueError("gauge and cocycle must share rack and order")
-    op = q.rack.op
     m = q.order
-    k = q.rack.size
-    exp = tuple(
-        tuple((q.exp[x][y] + gamma.g[y] - gamma.g[op[x][y]]) % m for y in range(k))
-        for x in range(k)
-    )
-    return RackCocycle(rack=q.rack, order=m, exp=exp)
+    _int64_order(m, "gauge")
+    g = np.array(gamma.g, dtype=np.int64)
+    exp = (np.array(q.exp, dtype=np.int64) + g - g[np.array(q.rack.op, dtype=np.intp)]) % m
+    return RackCocycle(rack=q.rack, order=m, exp=tuple(map(tuple, exp.tolist())))
 
 
 def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
-    """Solve g[y] - g[x|>y] == exp2[x][y] - exp[x][y] (mod m) for a gauge, or certify none.
+    """Solve g[y] - g[x|>y] == exp2[x][y] - exp[x][y] (mod m) for a gauge, or certify none; m <= 2^62.
 
-    Every equation is a difference constraint between two rack elements (or
-    a direct consistency check when x |> y = y), so propagation along a
-    spanning forest followed by full verification decides the system exactly,
-    for composite m as well.  Roots are normalized to exponent 0, so on an
-    indecomposable rack g[0] = 0.
+    Every equation is a difference constraint between y and x |> y, so g is
+    propagated from the smallest element of each component of the rack,
+    set to 0, along the edges y -> x |> y, one breadth-first layer at a
+    time (rack._layer_walk), and then all k^2 equations are verified at
+    once.  This decides the system exactly, for composite m as well, and
+    the gauge found is the only one with those roots at 0 (so g[0] = 0 on
+    an indecomposable rack).  The rows of the rack must be bijections, so
+    that the edges reach every element of a component.
     """
     if not q.same_frame(q2):
         raise ValueError("cocycles must share rack and order")
-    op = q.rack.op
-    m = q.order
-    k = q.rack.size
-    delta = [[(q2.exp[x][y] - q.exp[x][y]) % m for y in range(k)] for x in range(k)]
-
-    # adjacency: edge y -> x|>y carries g[x|>y] = g[y] - delta[x][y]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for x in range(k):
-        for y in range(k):
-            u = op[x][y]
-            if u == y:
-                if delta[x][y] != 0:
-                    return None
-            else:
-                adj[y].append((u, -delta[x][y]))
-                adj[u].append((y, delta[x][y]))
-
-    g = [None] * k
-    for root in range(k):
-        if g[root] is not None:
-            continue
-        g[root] = 0
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for (w, d) in adj[v]:
-                if g[w] is None:
-                    g[w] = (g[v] + d) % m
-                    stack.append(w)
-
-    for x in range(k):
-        for y in range(k):
-            if (g[y] - g[op[x][y]] - delta[x][y]) % m != 0:
-                return None
-    return GaugeFunction(rack=q.rack, order=m, g=tuple(g))
+    m, k = q.order, q.rack.size
+    _int64_order(m, "gauge")
+    op = np.array(q.rack.op, dtype=np.intp)
+    delta = (np.array(q2.exp, dtype=np.int64) - np.array(q.exp, dtype=np.int64)) % m
+    g = np.zeros(k, dtype=np.int64)
+    for child, parent, x in _layer_walk(op, np.flatnonzero(_min_labels(np.arange(k), op) == np.arange(k))):
+        g[child] = (g[parent] - delta[x, parent]) % m
+    if ((g - g[op] - delta) % m).any():
+        return None
+    return GaugeFunction(rack=q.rack, order=m, g=tuple(g.tolist()))
 
 
 def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:

@@ -10,8 +10,10 @@ class RackTwistError(Exception):
 
 
 class DimensionCapError(RackTwistError):
-    """A resource limit: a tensor power exceeded the dimension cap, a symmetrizer's entry keys or lift
-    counts would overflow 64 bits, or a cocycle order is too large for 64-bit exponents or 31-bit primes."""
+    """A resource limit: what a run would build exceeds the dimension cap (a rack table, the group of
+    translations, a Phi_r, a tensor power), a symmetrizer's entry keys or lift counts would overflow 64
+    bits, a degree is past what a report lists, or a cocycle order is too large for 64-bit exponents or
+    31-bit primes."""
 
 
 class RackAxiomError(RackTwistError, ValueError):

@@ -2,10 +2,12 @@
 
 `ranks` yields the proven rank of every degree from a first one on, and
 keeps the pivot rows of each degree to build the next.  Only
-`hilbert.graded_dims` imports this module, inside the branch that proves a
+`hilbert.graded_dims` imports this module, inside the branches that prove a
 degree: every degree of `--mode exact`, and the degrees from the first
 disagreement of the Leibniz recursion's two primes on.  So no modular,
-twist or selfcheck run compiles it.
+twist or selfcheck run compiles it.  The caps of a degree's k^d blocks
+(check_degree) are decided here too, by `symmetrizer` before it builds a
+degree, and by graded_dims for every degree of `--mode exact` at once.
 
 The degree-d symmetrizer is assembled as an exact sparse matrix with
 coefficients in Z[zeta_m], degree by degree from the factorisation
@@ -64,7 +66,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .braided import DEFAULT_DIM_CAP, check_degree
+from .braided import DEFAULT_DIM_CAP
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .hilbert import _PRIME_HIGH, _element_of_order, _is_prime_u32, _prime_divisors
@@ -146,6 +148,44 @@ def _merge(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     total = np.cumsum(weights[order], dtype=np.int64)[ends]
     total[1:] -= total[:-1].copy()
     return keys[ends], total
+
+
+def _within(size: int, degree: int, bound: int) -> bool:
+    """Whether size**degree <= bound, multiplied up to the bound and stopped there, so a huge degree costs nothing."""
+    power = 1
+    for _ in range(degree if size > 1 else min(degree, 1)):
+        if power > bound:
+            return False
+        power *= size
+    return power <= bound
+
+
+def _dimension(size: int, degree: int) -> str:
+    """size**degree written out if it fits in 64 bits, else as size^degree."""
+    return str(size**degree) if degree * size.bit_length() <= 64 else f"{size}^{degree}"
+
+
+def check_degree(q: RackCocycle, degree: int, dim_cap: int) -> None:
+    """Raise DimensionCapError unless `symmetrizer` can build this degree.
+
+    The dimension k^degree must be within dim_cap, an entry's row, column
+    and exponent must fit in a 64-bit key, and an entry, a count of at most
+    degree! lifts, must fit in int64.  Each bound grows with the degree, so
+    a degree that passes vouches for every smaller one.  k^degree is
+    multiplied up no further than just past each bound, and degree! is
+    never built.
+    """
+    k = q.rack.size
+    if not _within(k, degree, dim_cap):
+        raise DimensionCapError(f"degree {degree} needs dimension {_dimension(k, degree)} > cap {dim_cap}")
+    # a key holds 2 bits(k^degree - 1) + bits(order - 1) <= 63 bits, that is k^degree <= 2^width
+    width = (63 - (q.order - 1).bit_length()) // 2
+    if width < 0 or not _within(k, degree, 2**width):
+        dim = _dimension(k, degree)
+        raise DimensionCapError(f"degree {degree} needs dimension {dim}, too large for 64-bit entry keys")
+    # 20! < 2^63 <= 21!
+    if degree > 20:
+        raise DimensionCapError(f"degree {degree} has entries up to {degree}! >= 2^63, too large for int64")
 
 
 def _braid_orbits(q: RackCocycle, degree: int) -> np.ndarray:

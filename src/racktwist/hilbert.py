@@ -6,8 +6,9 @@ recursion modulo both (nichols.LeibnizEngine), tagged CERTIFIED.  At the
 first degree where the primes disagree, that degree and every later one
 are proven on the symmetrizer instead (exact.ranks), the first tagged
 FALLBACK; exact mode proves every degree so.  racktwist.exact is imported
-only when a degree is proven.  The result is a plain dict, to which the
-CLI adds the labels of the rack and the cocycle.
+only when a degree is proven, and its caps apply only there.  The result
+is a plain dict, to which the CLI adds the labels of the rack and the
+cocycle.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import random
 from itertools import zip_longest
 
-from .braided import DEFAULT_DIM_CAP, check_degree
+from .braided import DEFAULT_DIM_CAP
 from .cocycle import RackCocycle, check_rack_cocycle
 from .errors import DimensionCapError, RackAxiomError
 from .nichols import LeibnizEngine
@@ -25,6 +26,8 @@ _PRIME_LOW = 2**30
 _PRIME_HIGH = 2**31
 # the order from which _draw_prime scans its candidates instead of rejecting random draws
 _SCAN_ORDER = 2**10
+# the highest degree that a report lists, far above x5's top degree 40
+MAX_DEGREE = 1000
 CERTIFIED = "modular-certified (Monte Carlo)"
 FALLBACK = "exact (fallback after modular disagreement)"
 
@@ -158,13 +161,17 @@ def graded_dims(
     disagree, exact.ranks starts: that degree is proven on the
     symmetrizer and tagged FALLBACK with the pair, and every later degree
     is proven and tagged exact.  Exact mode starts exact.ranks at degree 2.
-    The resource caps of the symmetrizer are checked for max_degree before
-    any degree is built; they grow with the degree, so that covers every
-    degree.  So is the cocycle order, which must leave two candidates
-    p = 1 mod order in [2^30, 2^31) for the primes.  A closed form is
-    expanded through max_degree (and a bad factor rejected) after the caps,
-    so a huge max_degree never sizes its coefficients, and before any
-    degree is built.
+
+    Resource caps are decided before anything that they bound is built.
+    Before any degree: max_degree <= MAX_DEGREE; in exact mode the caps of
+    the symmetrizer for max_degree (exact.check_degree), which grow with
+    the degree and so cover every degree; and the cocycle order, which
+    must leave two candidates p = 1 mod order in [2^30, 2^31).  The engine
+    decides its own caps on dim_cap (the group, then each degree's largest
+    Phi_r), and a fallback degree the symmetrizer's, when it is built.  A
+    closed form is expanded through max_degree (and a bad factor rejected)
+    after the caps that come before any degree, so a huge max_degree never
+    sizes its coefficients.
 
     Returned: mode, seed, and per degree its rank, method and primes; given
     a closed form, also its factors and whether each degree matches it.
@@ -179,8 +186,13 @@ def graded_dims(
         raise RackAxiomError(
             f"{violation['kind']} at {violation['witness']}: the braiding {braiding} needs a 2-cocycle on a rack"
         )
+    if max_degree > MAX_DEGREE:
+        raise DimensionCapError(f"degree {max_degree} is past degree {MAX_DEGREE}, the highest that a report lists")
     if max_degree >= 2:
-        check_degree(q, max_degree, dim_cap)
+        if mode == "exact":
+            from .exact import check_degree
+
+            check_degree(q, max_degree, dim_cap)
         if _candidates(q.order)[1] < 2:
             raise DimensionCapError(
                 f"cocycle order {q.order} leaves fewer than two numbers p = 1 mod it in [2^30, 2^31)"

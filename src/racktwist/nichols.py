@@ -165,8 +165,10 @@ class LeibnizEngine:
     """The group Q of a rack cocycle, closed at construction, and the recursion over it (`ranks`).
 
     q must be a checked 2-cocycle on a rack (cocycle.check_rack_cocycle),
-    so that A_x A_y = A_(x |> y) A_x grades the recursion.
-    DimensionCapError names a group with |Q| |X| > dim_cap.
+    so that A_x A_y = A_(x |> y) A_x grades the recursion.  Each cap on
+    dim_cap is decided before what it bounds is allocated: DimensionCapError
+    names a group with |Q| |X| > dim_cap, and in `ranks` the first degree
+    whose largest Phi_r has side^2 > dim_cap entries, with that side.
     """
 
     def __init__(self, q, primes: tuple[int, int], roots: tuple[int, int], dim_cap: int):
@@ -175,12 +177,13 @@ class LeibnizEngine:
         ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
         self.k, self.m, self.op, self.ex = k, m, op, ex
         self.p, self.roots = np.array(primes, dtype=np.int64), np.array(roots, dtype=np.int64)
-        self._close(dim_cap)
+        self.dim_cap = dim_cap
+        self._close()
         self._classes()
         self._pairs()
         self._carry: dict[int, np.ndarray] = {}
 
-    def _close(self, dim_cap: int) -> None:
+    def _close(self) -> None:
         """Number Q breadth first from the identity: rmul[h, x] = h A_x, rinv its inverse in h.
 
         Elements are looked up by their exact keys (_key); the new ones of a
@@ -190,7 +193,7 @@ class LeibnizEngine:
         perm, vec = [np.arange(k)[None]], [np.zeros((1, k), dtype=np.int64)]
         keys = self._key(perm[0], vec[0])
         rmul, parent, letter = [], [np.zeros(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-        frontier, n, limit = (perm[0], vec[0]), 1, dim_cap // k
+        frontier, n, limit = (perm[0], vec[0]), 1, self.dim_cap // k
         while frontier[0].size:
             p = frontier[0][:, op].reshape(-1, k)
             v = (ex[None] + frontier[1][:, op]).reshape(-1, k)
@@ -204,7 +207,7 @@ class LeibnizEngine:
             if n + new.size > limit:
                 raise DimensionCapError(
                     f"the group of the {k} monomial translations has more than {limit} elements, "
-                    f"so its order x {k} exceeds the cap {dim_cap}"
+                    f"so its order x {k} exceeds the cap {self.dim_cap}"
                 )
             number = np.arange(n + cand.size)
             number[n + new] = n + np.arange(new.size)
@@ -325,12 +328,23 @@ class LeibnizEngine:
             low, mid = mid, level
 
     def _degree(self, d: int, mid: Level, low: Level, maps: bool, with_m: bool):
-        """Phi_r for every representative r that degree d - 1 reaches: the Level of degree d and dim B^d."""
+        """Phi_r for every representative r that degree d - 1 reaches: the Level of degree d and dim B^d.
+
+        The side of Phi_r sums the dimensions of degree d - 1 that its blocks
+        read, so every side is known, and the largest checked against
+        dim_cap, before any Phi_r is allocated.
+        """
         k, n = self.k, self.n
         ranks = np.zeros(n, dtype=np.int64)
         doff, roff, rstride = np.zeros((n, k), dtype=np.int64), np.zeros((n, k), dtype=np.int64), np.zeros(n, np.int64)
         parts, mkeys, moff, used, total = ([], [], []), [], [], [0, 0, 0], 0
-        for r in self.reps[(mid.dims[self.rinv[self.reps]] > 0).any(axis=1)].tolist():
+        heights = mid.dims[self.rinv[self.reps]]
+        widest = int(heights.sum(axis=1).max())
+        if widest * widest > self.dim_cap:
+            raise DimensionCapError(
+                f"degree {d} needs a Phi_r of side {widest}, {widest * widest} entries > cap {self.dim_cap}"
+            )
+        for r in self.reps[(heights > 0).any(axis=1)].tolist():
             nh = mid.dims[self.rinv[r]]
             off = np.cumsum(nh) - nh
             side = int(off[-1] + nh[-1])

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import disagree_at, flip_phi_bit, main_theorem_log, scale_bracket, twist_condition_first_failure
+from oracles import (
+    cocycle_first_failure,
+    disagree_at,
+    flip_phi_bit,
+    main_theorem_log,
+    scale_bracket,
+    twist_condition_first_failure,
+)
 from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist import cocycle as cocycle_mod
@@ -88,7 +95,27 @@ class TestCocycleCommand:
         payload["exp"][2][3] ^= 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
-        assert run(["cocycle", "--check", str(bad)]) == 2
+        report = tmp_path / "report.json"
+        assert run(["cocycle", "--check", str(bad), "--out", str(report)]) == 2
+        witness = cocycle_first_failure(cocycle_mod.cocycle_from_dict(payload))
+        assert read_json(str(report))["violation"] == {"kind": "not-a-cocycle", "witness": list(witness)}
+
+    def test_check_refuses_a_table_that_is_not_a_rack(self, tmp_path, capsys):
+        # the exponents are constant, so only the rack axioms fail: cocycle --check reports what
+        # rack --check does, and hilbert refuses the same pair
+        rack = {"size": 3, "op": [[1, 2, 0], [0, 1, 2], [0, 1, 2]]}
+        (tmp_path / "rack.json").write_text(json.dumps(rack))
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"rack": rack, "order": 2, "exp": [[1, 1, 1]] * 3}))
+        out = tmp_path / "r.json"
+        assert run(["cocycle", "--check", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.endswith("condition FAILED\n  violation: not-self-distributive at (0, 0, 0)\n")
+        report = read_json(str(out))
+        assert report["violation"] == {"kind": "not-self-distributive", "witness": [0, 0, 0]}
+        assert report["cocycle_ok"] is False and report["ok"] is False
+        argv = ["hilbert", "--rack", str(tmp_path / "rack.json"), "--cocycle", str(path), "--max-degree", "3"]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("check failed: not-self-distributive at (0, 0, 0): ")
 
     def test_usage(self):
         assert run(["cocycle"]) == 1
@@ -150,7 +177,7 @@ def test_broken_chi_table_fails_every_command_that_reads_it(argv, monkeypatch, c
     assert run(argv) == 2
     err = capsys.readouterr().err
     if argv[0] == "hilbert":
-        witness = cocycle_mod.check_cocycle(broken)
+        witness = check_rack_cocycle(broken)["witness"]
         assert err.count("\n") == 1 and err.startswith(f"check failed: not-a-cocycle at {witness}: ")
     else:
         assert err == ""
@@ -194,7 +221,7 @@ def test_cocycle_file_with_a_missing_rack_file(tmp_path, monkeypatch, capsys, co
 
 @pytest.mark.parametrize("argv", CHI_COMMANDS[:3], ids=[argv[0] for argv in CHI_COMMANDS[:3]])
 def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
-    # one scan of the triples (x, y, z) per command; hilbert's also decides the rack axioms
+    # one scan of the triples (x, y, z) per command, which decides the rack axioms and the cocycle condition
     calls = []
     real = rack_mod._first_failure
 
@@ -205,7 +232,7 @@ def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
     monkeypatch.setattr(rack_mod, "_first_failure", counting)
     monkeypatch.setattr(cocycle_mod, "_first_failure", counting)
     assert run(argv) == 0
-    assert calls == [2 if argv[0] == "hilbert" else 1]
+    assert calls == [2]
     capsys.readouterr()
 
 
@@ -388,6 +415,28 @@ class TestHilbertCommand:
             ranks[mode] = read_json(str(out))["report"]["ranks"]
         assert ranks["exact"] == ranks["modular"] == [1, 6, 19, 42, 71, 96]
 
+    def test_x4_chi_full_series_at_the_default_caps(self, tmp_path):
+        # the modular path keeps only the engine's caps: degree 7, past the symmetrizer's cap, and
+        # x4's top degree 12 both run, and every rank equals (2)_t^2 (3)_t^2 (4)_t^2
+        series = [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
+        for max_degree in (7, 12):
+            out = tmp_path / f"h{max_degree}.json"
+            argv = ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", str(max_degree)]
+            assert run([*argv, "--closed-form", "2:2,3:2,4:2", "--out", str(out)]) == 0
+            report = read_json(str(out))["report"]
+            assert report["ranks"] == series[: max_degree + 1]
+            assert report["closed_form_verdicts"] == [True] * (max_degree + 1)
+            assert report["methods"] == ["exact"] * 2 + [hilbert_mod.CERTIFIED] * (max_degree - 1)
+
+    def test_fallback_past_the_symmetrizer_caps_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the primes disagree at degree 7, which the symmetrizer cannot build at the default cap:
+        # the run names that degree, exits 3 and writes no report
+        disagree_at(monkeypatch, 7)
+        out = tmp_path / "h.json"
+        assert run(["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "12", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "resource limit: degree 7 needs dimension 279936 > cap 200000\n"
+        assert not out.exists()
+
     def test_dim_cap_flag(self):
         code = run(
             ["hilbert", "--rack", "x4", "--cocycle", "-1", "--max-degree", "3",
@@ -396,20 +445,21 @@ class TestHilbertCommand:
         assert code == 3
 
     @pytest.mark.parametrize("argv, message", [
-        (["--rack", "x4", "--cocycle", "chi", "--max-degree", "7"],
-         "degree 7 needs dimension 279936 > cap 200000"),
+        # x5 -1: the largest Phi_r of degree 7 has side 829
+        (["--rack", "x5", "--cocycle=-1", "--max-degree", "7"],
+         "degree 7 needs a Phi_r of side 829, 687241 entries > cap 200000"),
         # S_66 = 66! id on the one-element rack, and 66! does not fit in int64
         (["--rack", "x2", "--cocycle", "const:1:0", "--max-degree", "66", "--mode", "exact"],
          "degree 66 has entries up to 66! >= 2^63, too large for int64"),
         (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2"],
          "cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums"),
-        # below degree 2 the k x k rack table is the largest thing built, so the line names it
+        # the k x k rack table is built before the axioms are checked, so the line names it at every degree
         (["--rack", "x40", "--cocycle=-1", "--max-degree", "0"],
          "the 780 x 780 rack table of x40 needs 608400 entries > cap 200000"),
         (["--rack", "x40", "--cocycle=-1", "--max-degree", "1"],
          "the 780 x 780 rack table of x40 needs 608400 entries > cap 200000"),
         (["--rack", "x40", "--cocycle=-1", "--max-degree", "2"],
-         "degree 2 needs dimension 608400 > cap 200000"),
+         "the 780 x 780 rack table of x40 needs 608400 entries > cap 200000"),
     ], ids=["dim-cap", "int64", "order", "rack-table-0", "rack-table-1", "rack-degree-2"])
     def test_caps_fail_before_any_report(self, tmp_path, capsys, argv, message):
         out = tmp_path / "h.json"
@@ -432,15 +482,14 @@ class TestHilbertCommand:
         assert err.count("\n") == 1 and err.startswith("check failed: not-a-cocycle at (0, 2, 1): ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("rack, max_degree, closed_form, message", [
-        ("x4", "100000", None, "degree 100000 needs dimension 6^100000 > cap 200000"),
-        ("x4", "100000000000000000000", None,
-         "degree 100000000000000000000 needs dimension 6^100000000000000000000 > cap 200000"),
-        ("one", "100000000000", None, "degree 100000000000 has entries up to 100000000000! >= 2^63, too large for int64"),
-        ("one", "100000000000", "2:100000000000", "degree 100000000000 has entries up to 100000000000! >= 2^63, too large for int64"),
+    @pytest.mark.parametrize("rack, max_degree, closed_form", [
+        ("x4", "100000", None),
+        ("x4", "100000000000000000000", None),
+        ("one", "100000000000", None),
+        ("one", "100000000000", "2:100000000000"),
     ], ids=["x4-1e5", "x4-1e20", "one-element-1e11", "one-element-1e11-closed-form"])
-    def test_huge_degree_is_a_resource_limit_at_once(self, tmp_path, rack, max_degree, closed_form, message):
-        # neither k^degree nor degree! is built in full: each run exits 3 within seconds in 1 GiB
+    def test_huge_degree_is_a_resource_limit_at_once(self, tmp_path, rack, max_degree, closed_form):
+        # the degree is bounded before the engine or the closed form runs: each run exits 3 within seconds in 1 GiB
         import resource
 
         def limit():
@@ -455,18 +504,20 @@ class TestHilbertCommand:
         done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(), preexec_fn=limit,
                               capture_output=True, text=True, timeout=20)
         assert done.returncode == 3
-        assert done.stderr == f"resource limit: {message}\n"
+        line = f"degree {max_degree} is past degree {hilbert_mod.MAX_DEGREE}, the highest that a report lists"
+        assert done.stderr == f"resource limit: {line}\n"
         assert not out.exists()
 
     def test_transposition_rack_capped_before_it_is_built(self, tmp_path, capsys, monkeypatch):
-        # x400 has 79 800 elements; its dimension in degree 2 follows from n alone
+        # x400 has 79 800 elements; the size of its table follows from n alone
         def never(n):
             raise AssertionError(f"x{n} was built")
 
         monkeypatch.setattr(rack_mod, "transposition_rack", never)
         out = tmp_path / "h.json"
         assert run(["hilbert", "--rack", "x400", "--cocycle=-1", "--max-degree", "2", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == "resource limit: degree 2 needs dimension 6368040000 > cap 200000\n"
+        table = "the 79800 x 79800 rack table of x400 needs 6368040000 entries"
+        assert capsys.readouterr().err == f"resource limit: {table} > cap 200000\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("max_degree", ["0", "1"])
@@ -827,7 +878,9 @@ class TestParser:
             "  --max-degree MAX_DEGREE\n"
             "  --mode {exact,modular}\n"
             "  --seed SEED\n"
-            "  --dim-cap DIM_CAP     override the basis-dimension cap\n"
+            "  --dim-cap DIM_CAP     bound on what a run builds (default 200000): the k x k\n"
+            "                        table of xN; |Q| k and each Phi_r's side^2 modular;\n"
+            "                        k^degree exact or at a fallback\n"
             "  --closed-form CLOSED_FORM\n"
             "                        compare ranks against prod (M)_t^MULT, as\n"
             "                        M:MULT,M:MULT,...\n"

@@ -25,13 +25,13 @@ from oracles import (
     unpruned_graded_dims,
     value_at_one,
 )
-from racktwist import braided
+from racktwist import braided, nichols
 from racktwist import cocycle as cocycle_mod
 from racktwist import exact as exact_mod
+from racktwist import hilbert as hilbert_mod
 from racktwist import rack as rack_mod
 from racktwist.cocycle import (
     RackCocycle,
-    check_cocycle,
     check_twist_condition,
     chi_cocycle,
     constant_cocycle,
@@ -53,6 +53,7 @@ from racktwist.exact import (
 from racktwist.hilbert import (
     CERTIFIED,
     FALLBACK,
+    MAX_DEGREE,
     _draw_prime,
     _element_of_order,
     _is_prime_u32,
@@ -697,7 +698,7 @@ class TestOrbitClasses:
         exp[0][1] ^= 1
         q = RackCocycle(X4, 2, tuple(map(tuple, exp)))
         assert commuting_translations(q) == []
-        witness = check_cocycle(q)
+        witness = cocycle_mod.check_rack_cocycle(q)["witness"]
         assert witness == cocycle_first_failure(q) == (0, 2, 1)
         assert_refused(q, "not-a-cocycle", witness)
 
@@ -880,6 +881,8 @@ class TestGradedDims:
         assert "degree 5" in str(err.value)
 
     def test_cap_checked_before_any_degree(self, monkeypatch):
+        # exact mode decides the symmetrizer's caps for max_degree before it builds any degree;
+        # a modular run builds no symmetrizer, so the same degree is within its caps
         built = []
         real = exact_mod.symmetrizer
 
@@ -889,9 +892,53 @@ class TestGradedDims:
 
         monkeypatch.setattr(exact_mod, "symmetrizer", counting)
         with pytest.raises(DimensionCapError) as err:
-            graded_dims(chi_cocycle(4), 7)
+            graded_dims(chi_cocycle(4), 7, mode="exact")
         assert built == []
         assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
+        assert graded_dims(chi_cocycle(4), 7)["ranks"] == [1, 6, 19, 42, 71, 96, 106, 96]
+        assert built == []
+
+    @pytest.mark.parametrize("cap, refused", [(58 * 58 - 1, True), (58 * 58, False)])
+    def test_phi_past_the_cap_is_refused_before_it_is_built(self, monkeypatch, cap, refused):
+        # x4 chi: the largest Phi_r has side 58, at degree 7; a cap one entry short refuses
+        # degree 7 before any Phi_r of it is allocated, and the exact cap runs to degree 12
+        built = []
+        real = nichols.LeibnizEngine._phi
+
+        def recording(engine, d, *args):
+            built.append(d)
+            return real(engine, d, *args)
+
+        monkeypatch.setattr(nichols.LeibnizEngine, "_phi", recording)
+        if refused:
+            with pytest.raises(DimensionCapError) as err:
+                graded_dims(chi_cocycle(4), 12, dim_cap=cap)
+            assert str(err.value) == f"degree 7 needs a Phi_r of side 58, 3364 entries > cap {cap}"
+            assert max(built) == 6
+        else:
+            assert graded_dims(chi_cocycle(4), 12, dim_cap=cap)["ranks"] == expand_closed_form([(2, 2), (3, 2), (4, 2)])
+            assert max(built) == 12
+
+    def test_fallback_past_the_symmetrizer_caps_names_its_degree(self, monkeypatch):
+        # the primes disagree at degree 7, whose symmetrizer is past the cap: no rank is claimed for it
+        disagree_at(monkeypatch, 7)
+        with pytest.raises(DimensionCapError) as err:
+            graded_dims(chi_cocycle(4), 8)
+        assert str(err.value) == "degree 7 needs dimension 279936 > cap 200000"
+
+    def test_huge_degree_refused_before_the_engine_and_the_closed_form(self, monkeypatch):
+        one = minus_one_cocycle(FiniteRack(((0,),)))
+        for mode in ("modular", "exact"):
+            for max_degree in (MAX_DEGREE + 1, 10**20):
+                with monkeypatch.context() as patch:
+                    patch.setattr(hilbert_mod, "LeibnizEngine", lambda *args: pytest.fail("ran the engine"))
+                    patch.setattr(hilbert_mod, "expand_closed_form", lambda *args: pytest.fail("expanded"))
+                    with pytest.raises(DimensionCapError) as err:
+                        graded_dims(one, max_degree, mode=mode, closed_form=[(2, 10**11)])
+                message = f"degree {max_degree} is past degree {MAX_DEGREE}, the highest that a report lists"
+                assert str(err.value) == message
+        # the bound itself is listed: -1 on one element has ranks 1, 1, then 0
+        assert graded_dims(one, MAX_DEGREE)["ranks"] == [1, 1] + [0] * (MAX_DEGREE - 1)
 
     def test_builds_the_rows_rank_reads(self, monkeypatch):
         # graded_dims builds only the kept rows whose prefix is a pivot row below;
