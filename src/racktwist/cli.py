@@ -56,6 +56,7 @@ def _dim_cap(args) -> int:
 
 
 def _check_rack_n(command: str, n: int) -> None:
+    """The one upper bound on n of every command that builds x_n: a resource limit, decided before anything is built."""
     if n > spincover.N_CAP:
         raise DimensionCapError(f"{command}: need n <= {spincover.N_CAP} for x_n, got {n}")
 
@@ -151,8 +152,9 @@ def cmd_cocycle(args) -> int:
 
 def cmd_cover(args) -> int:
     n = args.n
-    if not 4 <= n <= spincover.N_CAP:
-        raise UsageError(f"cover: need 4 <= n <= {spincover.N_CAP}, got {n}")
+    if n < 4:
+        raise UsageError(f"cover: need n >= 4, got {n}")
+    _check_rack_n("cover", n)
     if args.trials < 0:
         raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n) is None
@@ -183,8 +185,9 @@ def cmd_cover(args) -> int:
 
 def cmd_verify_twist(args) -> int:
     n = args.n
-    if not 4 <= n <= spincover.N_CAP:
-        raise UsageError(f"twist-verify: need 4 <= n <= {spincover.N_CAP}, got {n}")
+    if n < 4:
+        raise UsageError(f"twist-verify: need n >= 4, got {n}")
+    _check_rack_n("twist-verify", n)
     restriction = spincover.phi_psi_table(n).twist_table()
     triple = cocycle_mod.check_twist_condition(restriction)
     first_fail = spincover.verify_main_theorem(n, restriction)
@@ -226,8 +229,7 @@ def cmd_cohomology(args) -> int:
     n = args.n
     if n < 3:
         raise UsageError(f"cohomology: need n >= 3, got {n}")
-    if n > spincover.N_CAP:
-        raise UsageError(f"cohomology: need n <= {spincover.N_CAP}, got {n}")
+    _check_rack_n("cohomology", n)
     chi = cocycle_mod.chi_cocycle(n)
     violation = cocycle_mod.check_rack_cocycle(chi)
     if violation is not None:
@@ -339,8 +341,9 @@ def cmd_hilbert(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     n_max = args.n_max
-    if not 2 <= n_max <= spincover.N_CAP:
-        raise UsageError(f"selfcheck: need 2 <= n_max <= {spincover.N_CAP}, got {n_max}")
+    if n_max < 2:
+        raise UsageError(f"selfcheck: need n_max >= 2, got {n_max}")
+    _check_rack_n("selfcheck", n_max)
     if args.trials < 0:
         raise UsageError(f"selfcheck: need --trials >= 0, got {args.trials}")
     doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4

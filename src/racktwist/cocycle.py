@@ -4,12 +4,12 @@ Values are never stored as floating complex numbers: a cocycle of order m
 keeps a table of exponents e with q_{x,y} = zeta_m^e, so every check is
 exact arithmetic in Z/m.  Tables are read off and checked as numpy arrays:
 chi from the one-line images of the transpositions (once per n), the twist
-all entries at once, and the cocycle and twist conditions as masks over
-chunks of x (rack._first_failure), each a (chunk, k, k) array of residues
-over the triples (x, y, z).  Every residue is brought into (-2m, 2m) (the
-twist condition reduces its two halves first), so comparing its absolute
-value with 0 and m decides it; orders up to 2^62 stay within int64, and
-larger ones are refused.
+all entries at once, and the cocycle condition as a mask over chunks of x
+(rack._first_failure), a (chunk, k, k) array of residues over the triples
+(x, y, z).  Every residue is brought into (-2m, 2m), so comparing its
+absolute value with 0 and m decides it; orders up to 2^62 stay within
+int64, and larger ones are refused.  The twist condition is the cocycle
+condition of the twist of the trivial cocycle, so it has no mask of its own.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ import os
 
 import numpy as np
 
-from .errors import DimensionCapError
+from .errors import DimensionCapError, RackAxiomError
 from .rack import (
     FiniteRack,
     ReadOnly,
     _check_axioms,
-    _first_failure,
     _layer_walk,
     _min_labels,
     _self_distributivity,
@@ -143,18 +142,13 @@ def _int64_order(m: int, what: str) -> None:
         raise DimensionCapError(f"{what} order {m} > 2^62 is too large for 64-bit exponent sums")
 
 
-def _not_multiple(d: np.ndarray, m: int) -> np.ndarray:
-    """Where d is not a multiple of m, for |d| < 2m: |d| is compared with 0 and m."""
-    a = np.abs(d)
-    return (a != 0) & (a != m)
-
-
 def _cocycle_condition(q: RackCocycle, op: np.ndarray):
     """The mask of rack._first_failure where exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m).
 
     The residue is (exp[x][y|>z] - exp[x|>y][x|>z]) + (exp[y][z] - exp[x][z]),
     in (-2m, 2m), taken in the smallest signed dtype that holds 2m, so m must
-    be at most 2^62 (DimensionCapError).
+    be at most 2^62 (DimensionCapError); it is a multiple of m exactly when
+    its absolute value is 0 or m.
     """
     m = q.order
     _int64_order(m, "cocycle")
@@ -165,7 +159,8 @@ def _cocycle_condition(q: RackCocycle, op: np.ndarray):
         ex = exp[xs]
         d = ex[:, op] - flat[at]
         d += exp - ex[:, None, :]
-        return _not_multiple(d, m)
+        np.abs(d, out=d)
+        return (d != 0) & (d != m)
 
     return failing
 
@@ -241,31 +236,21 @@ def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
 def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
     """The first (x, y, z) in lexicographic order that fails the twist condition, or None.
 
-    The condition makes q^phi a cocycle whenever q is one.  With yz = y|>z
-    and xyz = x|>yz, the residue of (x, y, z) is the sum of
-    (phi[x|>y][x|>z] - phi[x][yz]) + (phi[xyz][x] - phi[xyz][x|>y]) and
-    (phi[x][z] - phi[x|>z][x]) + (phi[yz][y] - phi[y][z]), each in (-2m, 2m);
-    both are reduced into (-m, m) before they are added, so int64 holds
-    every order up to 2^62, and larger ones are refused (DimensionCapError).
+    The condition makes q^phi = q + dphi a cocycle whenever q is one, with
+    dphi[x][y] = phi[x][y] - phi[x|>y][x] the twist of the trivial cocycle;
+    the cocycle condition is linear, so it says that dphi is a cocycle.  On
+    a rack, self-distributivity makes the cocycle residue of dphi at
+    (x, y, z) minus the twist residue, so the witness is the not-a-cocycle
+    witness of check_rack_cocycle.  The condition is defined on racks only:
+    any other table raises RackAxiomError with its kind and witness.
+    Orders above 2^62 are refused (DimensionCapError).
     """
-    m, k = phi.order, phi.rack.size
-    _int64_order(m, "twist table")
-    op = np.array(phi.rack.op, dtype=np.intp)
-    p = np.array(phi.phi, dtype=np.int64)
-    flat = p.ravel()  # flat[a * k + b] = phi[a][b]
-    outer = p[op, np.arange(k)[:, None]] - p  # phi[y|>z][y] - phi[y][z], over (y, z)
-
-    def failing(xs, ox, at):
-        # axes run over (x, y, z); ox[., v] = x|>v, and ox * k offsets the rows x|>v of flat
-        xyz_row = ox[:, op] * k
-        d = flat[at] - p[xs][:, op]
-        d += flat[xyz_row + xs[:, None, None]]
-        d -= flat[xyz_row + ox[:, :, None]]
-        e = (p[xs] - flat[ox * k + xs[:, None]])[:, None, :] + outer
-        return _not_multiple(np.fmod(d, m) + np.fmod(e, m), m)
-
-    failed = _first_failure(op, [failing])
-    return None if failed is None else failed[1]
+    violation = check_rack_cocycle(twist(constant_cocycle(phi.rack, phi.order, 0), phi))
+    if violation is None:
+        return None
+    if violation["kind"] != "not-a-cocycle":
+        raise RackAxiomError(f"{violation['kind']} at {violation['witness']}: the twist condition needs a rack")
+    return violation["witness"]
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:

@@ -155,6 +155,26 @@ class TestCocycleCommand:
         assert not out.exists()
 
 
+# every command that builds x_n, up to the value of its n
+X_N_COMMANDS = [
+    ["rack", "--n"],
+    ["cocycle", "--kind", "chi", "--n"],
+    ["cover", "--n"],
+    ["twist-verify", "--n"],
+    ["cohomology", "--n"],
+    ["selfcheck", "--n-max"],
+]
+
+
+@pytest.mark.parametrize("argv", X_N_COMMANDS, ids=[argv[0] for argv in X_N_COMMANDS])
+def test_n_past_the_cap_is_one_resource_limit(tmp_path, capsys, monkeypatch, argv):
+    never_build_rack(monkeypatch)
+    out = tmp_path / "r.json"
+    assert run([*argv, str(N_CAP + 1), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"resource limit: {argv[0]}: need n <= {N_CAP} for x_n, got {N_CAP + 1}\n"
+    assert not out.exists()
+
+
 CHI_COMMANDS = [
     ["cocycle", "--kind", "chi", "--n", "4"],
     ["hilbert", "--rack", "x4", "--cocycle", "chi", "--max-degree", "3"],
@@ -230,7 +250,6 @@ def test_chi_is_checked_once_per_command(argv, monkeypatch, capsys):
         return real(op, masks)
 
     monkeypatch.setattr(rack_mod, "_first_failure", counting)
-    monkeypatch.setattr(cocycle_mod, "_first_failure", counting)
     assert run(argv) == 0
     assert calls == [2]
     capsys.readouterr()
@@ -249,7 +268,7 @@ class TestCoverCommand:
 
     def test_range(self):
         assert run(["cover", "--n", "3"]) == 1
-        assert run(["cover", "--n", "21"]) == 1
+        assert run(["cover", "--n", "21"]) == 3
 
     def test_negative_trials(self, tmp_path, capsys):
         out = tmp_path / "cover.json"
@@ -278,9 +297,8 @@ class TestTwistVerifyCommand:
         assert run(["twist-verify", "--n", "3"]) == 1
 
     def test_n_cap(self, capsys):
-        # twist-verify expands no Clifford product, so its cap is above that of cover
-        assert run(["twist-verify", "--n", "21"]) == 1
-        assert capsys.readouterr().err.endswith("error: twist-verify: need 4 <= n <= 20, got 21\n")
+        assert run(["twist-verify", "--n", "21"]) == 3
+        assert capsys.readouterr().err == "resource limit: twist-verify: need n <= 20 for x_n, got 21\n"
 
     @pytest.mark.parametrize("command", ["twist-verify", "cover"])
     def test_non_unit_bracket_fails_in_one_line(self, tmp_path, capsys, monkeypatch, command):

@@ -32,7 +32,7 @@ from racktwist.cocycle import (
     minus_one_cocycle,
     twist,
 )
-from racktwist.errors import DimensionCapError
+from racktwist.errors import DimensionCapError, RackAxiomError
 from racktwist.rack import FiniteRack, Permutation, check_rack_axioms, transposition_pairs, transposition_rack
 from racktwist.spincover import phi_psi_table
 
@@ -211,7 +211,8 @@ class TestChecksMatchTripleLoops:
 
 
 # Tables on {0, 1, 2} (not racks) whose only failing triple is the last one,
-# (2, 2, 2): one for the cocycle condition and one for the twist condition.
+# (2, 2, 2): one for the cocycle condition and one for the twist condition,
+# which check_twist_condition refuses, as the condition is defined on racks only.
 LAST_TRIPLE_COCYCLE = (((0, 2, 0), (0, 2, 0), (0, 0, 1)), ((0, 0, 1), (0, 0, 1), (0, 1, 1)))
 LAST_TRIPLE_TWIST = (((0, 2, 1), (2, 1, 0), (1, 1, 0)), ((0, 1, 0), (1, 0, 0), (0, 0, 0)))
 
@@ -252,8 +253,9 @@ class TestChunkedTripleChecks:
         assert cocycle_first_failure(q) == (k - 1,) * 3
         rack, phi = at_the_top(LAST_TRIPLE_TWIST, k, scale, shift, m)
         t = TwistTable(rack, m, phi)
-        assert check_twist_condition(t) == (k - 1,) * 3
         assert twist_condition_first_failure(t) == (k - 1,) * 3
+        with pytest.raises(RackAxiomError, match=f"^non-bijective-row at \\({k - 1},\\): the twist condition needs a rack$"):
+            check_twist_condition(t)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_witness_in_later_chunks(self, monkeypatch, n):
@@ -273,19 +275,29 @@ class TestChunkedTripleChecks:
                 xs.add(triple[0])
         assert max(xs) >= 1  # a witness outside the first chunk
 
-    # (0, 1, 1) holds in both, and the first failure is (0, 1, 2).  At order 2^62 - 1 its
-    # four exponents per side sum past 2^63, and unreduced int64 sums called it a failure;
-    # at order 4 its two halves add up to 12 = 3m before they are reduced.
+    # On x3 at order 2^62 - 1, (0, 1, 0) holds although both sides of its twist residue
+    # sum past 2^63 and differ by -m; the first failure is (0, 1, 2).  On x4 at order 4,
+    # (0, 1, 2) holds with a residue of -12 = -3m; the first failure is (0, 1, 4).
     M = 2**62 - 1
 
-    @pytest.mark.parametrize("m,op,phi", [
-        (M, ((0, 2, 1), (0, 2, 1), (1, 2, 1)), ((0, M - 1, 0), (M - 1, M - 4, 0), (0, M - 1, M - 1))),
-        (4, ((0, 2, 1), (0, 2, 2), (2, 0, 0)), ((0, 0, 3), (0, 3, 3), (3, 0, 0))),
-    ])
-    def test_twist_residues_at_the_extremes(self, m, op, phi):
-        t = TwistTable(FiniteRack(op), m, phi)
-        assert twist_condition_first_failure(t) == (0, 1, 2)
-        assert check_twist_condition(t) == (0, 1, 2)
+    @pytest.mark.parametrize("n,m,phi,holds,sides,witness", [
+        (3, M, ((M - 2, M - 2, M - 2), (M - 2, M - 4, M - 1), (1, M - 4, M - 2)),
+         (0, 1, 0), (3 * M - 7, 4 * M - 7), (0, 1, 2)),
+        (4, 4, ((2, 0, 0, 0, 3, 3), (0, 1, 3, 0, 2, 3), (1, 0, 1, 3, 3, 0),
+                (0, 0, 0, 1, 0, 2), (3, 3, 0, 2, 0, 0), (0, 0, 2, 3, 2, 1)),
+         (0, 1, 2), (0, 12), (0, 1, 4)),
+    ], ids=["x3", "x4"])
+    def test_twist_residues_at_the_extremes(self, n, m, phi, holds, sides, witness):
+        t = TwistTable(transposition_rack(n), m, phi)
+        op, (x, y, z) = t.rack.op, holds
+        yz, xy, xz = op[y][z], op[x][y], op[x][z]
+        xyz = op[x][yz]
+        assert sides == (
+            phi[x][z] + phi[xy][xz] + phi[xyz][x] + phi[yz][y],
+            phi[y][z] + phi[x][yz] + phi[xyz][xy] + phi[xz][x],
+        )
+        assert twist_condition_first_failure(t) == witness
+        assert check_twist_condition(t) == witness
 
     def test_orders_above_two_to_the_62_are_refused(self):
         m = 2**62 + 1
