@@ -16,6 +16,8 @@ import re
 import sys
 from types import SimpleNamespace
 
+import numpy as np
+
 from . import braided, cocycle as cocycle_mod, hilbert as hilbert_mod, rack as rack_mod, spincover
 from .errors import DimensionCapError, RackAxiomError, SectionConsistencyError
 
@@ -130,7 +132,7 @@ def cmd_cocycle(args) -> int:
         if q is None:
             raise UsageError(f"cocycle: unknown kind {args.kind!r}")
         if args.kind.startswith("const:"):
-            label = f"const zeta_{q.order}^{q.exp[0][0]} on x{args.n}"
+            label = f"const zeta_{q.order}^{q.exp[0, 0]} on x{args.n}"
         else:
             label = f"{'chi' if args.kind == 'chi' else '-1'} on x{args.n}"
     violation = cocycle_mod.check_rack_cocycle(q)
@@ -239,7 +241,7 @@ def cmd_cohomology(args) -> int:
     gauge = cocycle_mod.find_gauge(minus_one, chi)
     round_trip = None
     if gauge is not None:
-        round_trip = cocycle_mod.gauge_transform(minus_one, gauge).exp == chi.exp
+        round_trip = np.array_equal(cocycle_mod.gauge_transform(minus_one, gauge).exp, chi.exp)
     k = chi.rack.size
     exhaustive_found = None
     if 2**k <= 4096:
@@ -247,7 +249,7 @@ def cmd_cohomology(args) -> int:
         for bits in range(2**k):
             g = tuple((bits >> i) & 1 for i in range(k))
             cand = cocycle_mod.GaugeFunction(chi.rack, 2, g)
-            if cocycle_mod.gauge_transform(minus_one, cand).exp == chi.exp:
+            if np.array_equal(cocycle_mod.gauge_transform(minus_one, cand).exp, chi.exp):
                 exhaustive_found = True
                 break
     verdict = "gauge-equivalent" if gauge is not None else "no gauge exists"
@@ -261,7 +263,7 @@ def cmd_cohomology(args) -> int:
     code = _finish(args, ok, {
         "n": n,
         "gauge_found": gauge is not None,
-        "gauge": list(gauge.g) if gauge is not None else None,
+        "gauge": gauge.g.tolist() if gauge is not None else None,
         "round_trip_ok": round_trip,
         "exhaustive_search": {
             "performed": exhaustive_found is not None,
@@ -296,7 +298,7 @@ def _parse_cocycle_arg(arg: str, rack, n: int | None):
         return q, "-1" if arg == "minus1" else arg
     if os.path.exists(arg):
         q = cocycle_mod.load_cocycle(arg)
-        if q.rack.op != rack.op:
+        if not q.same_frame(rack, q.order):
             raise UsageError("hilbert: cocycle file rack disagrees with --rack")
         return q, arg
     raise UsageError(f"hilbert: cocycle {arg!r} is not recognized")

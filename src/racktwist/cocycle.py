@@ -2,14 +2,15 @@
 
 Values are never stored as floating complex numbers: a cocycle of order m
 keeps a table of exponents e with q_{x,y} = zeta_m^e, so every check is
-exact arithmetic in Z/m.  Tables are read off and checked as numpy arrays:
-chi from the one-line images of the transpositions (once per n), the twist
-all entries at once, and the cocycle condition as a mask over chunks of x
+exact arithmetic in Z/m.  Each record holds its table as a read-only int64
+array, checked when the record is built, which refuses orders above 2^62
+so that sums of two exponents stay within int64.  chi is read off the
+one-line images of the transpositions (once per n), the twist takes all
+entries at once, and the cocycle condition is a mask over chunks of x
 (rack._first_failure), a (chunk, k, k) array of residues over the triples
-(x, y, z).  Every residue is brought into (-2m, 2m), so comparing its
-absolute value with 0 and m decides it; orders up to 2^62 stay within
-int64, and larger ones are refused.  The twist condition is the cocycle
-condition of the twist of the trivial cocycle, so it has no mask of its own.
+(x, y, z), each brought into (-2m, 2m), so comparing its absolute value
+with 0 and m decides it.  The twist condition is the cocycle condition of
+the twist of the trivial cocycle, so it has no mask of its own.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .rack import (
     FiniteRack,
     ReadOnly,
     _check_axioms,
+    _frozen_table,
     _layer_walk,
     _min_labels,
     _self_distributivity,
@@ -37,62 +39,64 @@ from .rack import (
 )
 
 
+def _exponents(table, shape: tuple[int, ...], order: int, what: str, shape_error: str) -> np.ndarray:
+    """table as read-only int64 exponents in 0..order-1 (rack._frozen_table), for an order of at most 2^62.
+
+    A larger order is a DimensionCapError, raised before table is read:
+    sums of two exponents could leave int64.
+    """
+    if order > 2**62:
+        raise DimensionCapError(f"{what} order {order} > 2^62 is too large for 64-bit exponent sums")
+    return _frozen_table(table, shape, order, np.int64, shape_error, "exponents must be reduced to 0..order-1")
+
+
 class RackCocycle(ReadOnly):
-    """Exponent table for q_{x,y} = zeta_order^exp[x][y] on a finite rack."""
+    """Exponent table for q_{x,y} = zeta_order^exp[x, y] on a finite rack, read-only int64."""
 
     __slots__ = ("rack", "order", "exp")
 
-    def __init__(self, rack: FiniteRack, order: int, exp: tuple[tuple[int, ...], ...]):
-        k = rack.size
+    def __init__(self, rack: FiniteRack, order: int, exp):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if len(exp) != k or any(len(row) != k for row in exp):
-            raise ValueError("exponent table shape must match rack size")
-        if any(not (0 <= e < order) for row in exp for e in row):
-            raise ValueError("exponents must be reduced to 0..order-1")
+        exp = _exponents(exp, (rack.size,) * 2, order, "cocycle", "exponent table shape must match rack size")
         object.__setattr__(self, "rack", rack)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "exp", exp)
 
-    def same_frame(self, other) -> bool:
-        return self.order == other.order and self.rack.op == other.rack.op
+    def same_frame(self, rack: FiniteRack, order: int) -> bool:
+        """Whether q has this order and lies on a rack with the operation table of rack (labels aside)."""
+        return self.order == order and np.array_equal(self.rack.op, rack.op)
 
 
 class GaugeFunction(ReadOnly):
-    """gamma_x = zeta_order^g[x], one unit scalar per rack element."""
+    """gamma_x = zeta_order^g[x], one unit scalar per rack element, read-only int64."""
 
     __slots__ = ("rack", "order", "g")
 
-    def __init__(self, rack: FiniteRack, order: int, g: tuple[int, ...]):
-        if len(g) != rack.size:
-            raise ValueError("gauge length must match rack size")
-        if any(not (0 <= e < order) for e in g):
-            raise ValueError("exponents must be reduced to 0..order-1")
+    def __init__(self, rack: FiniteRack, order: int, g):
+        g = _exponents(g, (rack.size,), order, "gauge", "gauge length must match rack size")
         object.__setattr__(self, "rack", rack)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "g", g)
 
 
 class TwistTable(ReadOnly):
-    """Exponent table of a candidate twisting function restricted to X x X; equal by rack, order and table."""
+    """Exponent table of a candidate twisting function restricted to X x X, read-only int64; equal by rack, order and table."""
 
     __slots__ = ("rack", "order", "phi")
 
-    def __init__(self, rack: FiniteRack, order: int, phi: tuple[tuple[int, ...], ...]):
-        k = rack.size
-        if len(phi) != k or any(len(row) != k for row in phi):
-            raise ValueError("phi table shape must match rack size")
-        if any(not (0 <= e < order) for row in phi for e in row):
-            raise ValueError("exponents must be reduced to 0..order-1")
+    def __init__(self, rack: FiniteRack, order: int, phi):
+        phi = _exponents(phi, (rack.size,) * 2, order, "twist", "phi table shape must match rack size")
         object.__setattr__(self, "rack", rack)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "phi", phi)
 
     def __eq__(self, other) -> bool:
-        return type(other) is TwistTable and (self.rack, self.order, self.phi) == (other.rack, other.order, other.phi)
+        return (type(other) is TwistTable and (self.rack, self.order) == (other.rack, other.order)
+                and np.array_equal(self.phi, other.phi))
 
     def __hash__(self) -> int:
-        return hash((self.rack, self.order, self.phi))
+        return hash((self.rack, self.order, self.phi.tobytes()))
 
 
 def constant_cocycle(r: FiniteRack, m: int, e: int) -> RackCocycle:
@@ -118,7 +122,7 @@ def chi_cocycle(n: int) -> RackCocycle:
     For sigma a transposition and tau = (i j) with i < j, the value is +1
     when sigma(i) < sigma(j) and -1 when sigma(i) > sigma(j).  The table is
     read off the one-line images of the transpositions once per n; it is
-    frozen and made of tuples, so every caller may share it.  It is not
+    frozen and its table read-only, so every caller may share it.  It is not
     checked here: every command that reads it checks it once, `cocycle`,
     `cohomology` and `hilbert` by check_rack_cocycle as any cocycle, and
     `twist-verify`, `cover` and `selfcheck` by the main
@@ -130,29 +134,21 @@ def chi_cocycle(n: int) -> RackCocycle:
     if got is None:
         images = transposition_images(n)
         i, j = np.triu_indices(n, 1)
-        exp = (images[:, i] > images[:, j]).astype(np.int64)
-        got = RackCocycle(rack=transposition_rack(n), order=2, exp=tuple(map(tuple, exp.tolist())))
+        got = RackCocycle(rack=transposition_rack(n), order=2, exp=images[:, i] > images[:, j])
         _CHI_COCYCLES[n] = got
     return got
-
-
-def _int64_order(m: int, what: str) -> None:
-    """DimensionCapError for orders above 2^62, where the int64 partial sums of the checks could overflow."""
-    if m > 2**62:
-        raise DimensionCapError(f"{what} order {m} > 2^62 is too large for 64-bit exponent sums")
 
 
 def _cocycle_condition(q: RackCocycle, op: np.ndarray):
     """The mask of rack._first_failure where exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m).
 
     The residue is (exp[x][y|>z] - exp[x|>y][x|>z]) + (exp[y][z] - exp[x][z]),
-    in (-2m, 2m), taken in the smallest signed dtype that holds 2m, so m must
-    be at most 2^62 (DimensionCapError); it is a multiple of m exactly when
-    its absolute value is 0 or m.
+    in (-2m, 2m), taken in the smallest signed dtype that holds 2m, which
+    int64 does for every order that RackCocycle admits (m <= 2^62); it is a
+    multiple of m exactly when its absolute value is 0 or m.
     """
     m = q.order
-    _int64_order(m, "cocycle")
-    exp = np.array(q.exp, dtype=np.min_scalar_type(-2 * m))
+    exp = q.exp.astype(np.min_scalar_type(-2 * m))
     flat = exp.ravel()  # flat[a * k + b] = exp[a][b]
 
     def failing(xs, ox, at):
@@ -179,24 +175,21 @@ def check_rack_cocycle(q: RackCocycle) -> dict | None:
     exp[x][y|>z] + exp[y][z] != exp[x|>y][x|>z] + exp[x][z] (mod m), for
     m <= 2^62.
     """
-    op = np.array(q.rack.op, dtype=np.intp)
+    op = q.rack.op
     conditions = [("not-self-distributive", _self_distributivity(op)), ("not-a-cocycle", _cocycle_condition(q, op))]
     return _check_axioms(op, conditions)
 
 
 def gauge_transform(q: RackCocycle, gamma: GaugeFunction) -> RackCocycle:
-    """Multiply q by the coboundary of gamma: exp'[x][y] = -g[x|>y] + exp[x][y] + g[y], for m <= 2^62."""
-    if q.order != gamma.order or q.rack.op != gamma.rack.op:
+    """Multiply q by the coboundary of gamma: exp'[x][y] = -g[x|>y] + exp[x][y] + g[y]."""
+    if not q.same_frame(gamma.rack, gamma.order):
         raise ValueError("gauge and cocycle must share rack and order")
-    m = q.order
-    _int64_order(m, "gauge")
-    g = np.array(gamma.g, dtype=np.int64)
-    exp = (np.array(q.exp, dtype=np.int64) + g - g[np.array(q.rack.op, dtype=np.intp)]) % m
-    return RackCocycle(rack=q.rack, order=m, exp=tuple(map(tuple, exp.tolist())))
+    g = gamma.g
+    return RackCocycle(rack=q.rack, order=q.order, exp=(q.exp + g - g[q.rack.op]) % q.order)
 
 
 def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
-    """Solve g[y] - g[x|>y] == exp2[x][y] - exp[x][y] (mod m) for a gauge, or certify none; m <= 2^62.
+    """Solve g[y] - g[x|>y] == exp2[x][y] - exp[x][y] (mod m) for a gauge, or certify none.
 
     Every equation is a difference constraint between y and x |> y, so g is
     propagated from the smallest element of each component of the rack,
@@ -207,30 +200,25 @@ def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
     an indecomposable rack).  The rows of the rack must be bijections, so
     that the edges reach every element of a component.
     """
-    if not q.same_frame(q2):
+    if not q.same_frame(q2.rack, q2.order):
         raise ValueError("cocycles must share rack and order")
-    m, k = q.order, q.rack.size
-    _int64_order(m, "gauge")
-    op = np.array(q.rack.op, dtype=np.intp)
-    delta = (np.array(q2.exp, dtype=np.int64) - np.array(q.exp, dtype=np.int64)) % m
+    m, k, op = q.order, q.rack.size, q.rack.op
+    delta = (q2.exp - q.exp) % m
     g = np.zeros(k, dtype=np.int64)
     for child, parent, x in _layer_walk(op, np.flatnonzero(_min_labels(np.arange(k), op) == np.arange(k))):
         g[child] = (g[parent] - delta[x, parent]) % m
     if ((g - g[op] - delta) % m).any():
         return None
-    return GaugeFunction(rack=q.rack, order=m, g=tuple(g.tolist()))
+    return GaugeFunction(rack=q.rack, order=m, g=g)
 
 
 def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
-    """The twisted cocycle exp'[x][y] = phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m), for m <= 2^62."""
-    if q.order != phi.order or q.rack.op != phi.rack.op:
+    """The twisted cocycle exp'[x][y] = phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m)."""
+    if not q.same_frame(phi.rack, phi.order):
         raise ValueError("twist table and cocycle must share rack and order")
-    m = q.order
-    _int64_order(m, "twist")
-    op = np.array(q.rack.op, dtype=np.intp)
-    p = np.array(phi.phi, dtype=np.int64)
-    exp = (p - p[op, np.arange(q.rack.size)[:, None]] + np.array(q.exp, dtype=np.int64)) % m
-    return RackCocycle(rack=q.rack, order=m, exp=tuple(map(tuple, exp.tolist())))
+    p = phi.phi
+    exp = (p - p[q.rack.op, np.arange(q.rack.size)[:, None]] + q.exp) % q.order
+    return RackCocycle(rack=q.rack, order=q.order, exp=exp)
 
 
 def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
@@ -243,7 +231,6 @@ def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
     (x, y, z) minus the twist residue, so the witness is the not-a-cocycle
     witness of check_rack_cocycle.  The condition is defined on racks only:
     any other table raises RackAxiomError with its kind and witness.
-    Orders above 2^62 are refused (DimensionCapError).
     """
     violation = check_rack_cocycle(twist(constant_cocycle(phi.rack, phi.order, 0), phi))
     if violation is None:
@@ -254,7 +241,7 @@ def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
 
 
 def cocycle_to_dict(q: RackCocycle) -> dict:
-    return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": [list(r) for r in q.exp]}
+    return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": q.exp.tolist()}
 
 
 def cocycle_from_dict(d: dict, root: str = "") -> RackCocycle:
@@ -275,4 +262,4 @@ def load_cocycle(path: str) -> RackCocycle:
 
 
 def twist_table_to_dict(t: TwistTable) -> dict:
-    return {"rack": rack_to_dict(t.rack), "order": t.order, "phi": [list(r) for r in t.phi]}
+    return {"rack": rack_to_dict(t.rack), "order": t.order, "phi": t.phi.tolist()}

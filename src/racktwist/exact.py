@@ -196,8 +196,7 @@ def _braid_orbits(q: RackCocycle, degree: int) -> np.ndarray:
     c_{d-1}, read off the last two letters, then joins them.  So each
     degree takes one map of its basis, and no table of it outlives it.
     """
-    k = q.rack.size
-    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
+    k, op = q.rack.size, q.rack.op
     x, y = np.arange(k)[:, None], np.arange(k)
     # c_{d-1} moves x (x) y in the last two places to (x |> y) (x) x
     move = ((op - x) * k + x - y).ravel()
@@ -240,10 +239,9 @@ def _inverse_letters(q: RackCocycle) -> tuple[np.ndarray, np.ndarray]:
     bijection (cocycle.check_rack_cocycle).
     """
     k = q.rack.size
-    op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
     step = np.empty((k, k), dtype=np.int64)
-    step[np.arange(k)[:, None], op] = np.arange(k)
-    return step.ravel(), np.array(q.exp, dtype=np.int64)[np.arange(k)[:, None], step].ravel()
+    step[np.arange(k)[:, None], q.rack.op] = np.arange(k)
+    return step.ravel(), q.exp[np.arange(k)[:, None], step].ravel()
 
 
 def _sends(
@@ -316,7 +314,7 @@ def symmetrizer(
     inverse = _inverse_letters(q)
     dim = k**degree
     orbit = _braid_orbits(q, degree)
-    orbit_class, orbit_carry = _orbit_classes(orbit, degree, np.array(q.rack.op, dtype=np.int64).reshape(k, k))
+    orbit_class, orbit_carry = _orbit_classes(orbit, degree, q.rack.op)
     built = np.arange(dim, dtype=np.int64) if rows is None else np.asarray(rows(orbit, orbit_class), dtype=np.int64)
     if built.size and (built[0] < 0 or built[-1] >= dim or (built[1:] <= built[:-1]).any()):
         raise ValueError(f"rows to build must be ascending, distinct and in 0..{dim - 1}")
@@ -386,8 +384,7 @@ def _fold(rows: np.ndarray, cols: np.ndarray, expo: np.ndarray, data: np.ndarray
     exponent e + order/2 into e.  Slice s of the folded array holds the
     coefficients of zeta^exps[s], for the distinct folded exponents exps,
     ascending; entries that meet in one (row, exponent, column) are summed
-    after one sort of their keys, none if the keys come in order (from
-    _kept_blocks at order 1 or 2).  Zero rows and columns are dropped, then
+    (_merge), and zero sums dropped.  Zero rows and columns are dropped, then
     repeated rows, then repeated columns, on the block laid out densely in
     the smallest dtype that holds its largest |entry|: none of these changes
     the rank over Q(zeta) or modulo any prime, and merging equal columns
@@ -404,14 +401,7 @@ def _fold(rows: np.ndarray, cols: np.ndarray, expo: np.ndarray, data: np.ndarray
         exps = np.sort(folded)
         exps = exps[np.diff(exps, prepend=-1) != 0]
         slot = np.searchsorted(exps, folded)
-    key = (rows * exps.size + slot) * shape[1] + cols
-    if (key[1:] < key[:-1]).any():
-        by = np.argsort(key)
-        key, value = key[by], value[by]
-    # entries that meet in one (row, exponent, column) are summed, and zero sums dropped
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    if start.size < key.size:
-        key, value = key[start], np.add.reduceat(value, start)
+    key, value = _merge((rows * exps.size + slot) * shape[1] + cols, value)
     nonzero = value != 0
     key, value = key[nonzero], value[nonzero]
     if not key.size:

@@ -208,7 +208,7 @@ def graded_dims(
         engine = LeibnizEngine(q, primes, tuple(_element_of_order(p, q.order) for p in primes), dim_cap)
         modular = engine.ranks(max_degree)
     for d in range(max_degree + 1):
-        value = None if modular is None or d == 0 else next(modular, None)
+        value = None if modular is None or d == 0 else next(modular)
         if d < 2:
             rank_d, method, used = (1, k)[d], "exact", ()
         elif value is not None:

@@ -42,6 +42,8 @@ columns is a disagreement, and its degree gets no dimension here.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .errors import DimensionCapError
@@ -172,10 +174,7 @@ class LeibnizEngine:
     """
 
     def __init__(self, q, primes: tuple[int, int], roots: tuple[int, int], dim_cap: int):
-        k, m = q.rack.size, q.order
-        op = np.array(q.rack.op, dtype=np.int64).reshape(k, k)
-        ex = np.array(q.exp, dtype=np.int64).reshape(k, k)
-        self.k, self.m, self.op, self.ex = k, m, op, ex
+        self.k, self.m, self.op, self.ex = q.rack.size, q.order, q.rack.op, q.exp
         self.p, self.roots = np.array(primes, dtype=np.int64), np.array(roots, dtype=np.int64)
         self.dim_cap = dim_cap
         self._close()
@@ -311,7 +310,9 @@ class LeibnizEngine:
         """Yield dim B^d for d = 1..max_degree, or None at the first disagreement of the primes, and stop.
 
         After each yield `self.level` holds that degree's Level; its D and R
-        are built while degree d + 1 needs them, its M while d + 2 does.
+        are built while degree d + 1 needs them, its M while d + 2 does.  B
+        is generated in degree 1, so after the first degree of dimension 0
+        every later one is 0 too, and is yielded without being built.
         """
         n, cent = self.n, self.cent[0]
         dims = np.zeros(n, dtype=np.int64)
@@ -325,6 +326,9 @@ class LeibnizEngine:
                 return
             self.level = level
             yield total
+            if not total:
+                yield from itertools.repeat(0, max_degree - d)
+                return
             low, mid = mid, level
 
     def _degree(self, d: int, mid: Level, low: Level, maps: bool, with_m: bool):

@@ -80,10 +80,7 @@ class Permutation(ReadOnly):
         return Permutation(tuple(self.image[v - 1] for v in other.image))
 
     def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for pos, v in enumerate(self.image):
-            inv[v - 1] = pos + 1
-        return Permutation(tuple(inv))
+        return Permutation(tuple(sorted(range(1, self.n + 1), key=self)))  # positions in the order of their values
 
     def cycle_string(self) -> str:
         seen = [False] * self.n
@@ -124,27 +121,38 @@ def lex_reduced_words(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.tile(np.arange(n), batch), runs) - place, codes.sum(axis=1)
 
 
+def _frozen_table(table, shape: tuple[int, ...], bound: int, dtype, shape_error: str, range_error: str) -> np.ndarray:
+    """A read-only copy of table as dtype; ValueError(shape_error) unless it has shape (a ragged table has none),
+    ValueError(range_error) unless every entry lies in 0..bound-1 (one past dtype does not)."""
+    try:
+        a = np.array(table, dtype=dtype)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(range_error if isinstance(exc, OverflowError) else shape_error) from None
+    if a.shape != shape or ((a < 0) | (a >= bound)).any():
+        raise ValueError(shape_error if a.shape != shape else range_error)
+    a.setflags(write=False)
+    return a
+
+
 class FiniteRack(ReadOnly):
-    """A rack on {0..k-1} given by its full operation table op[x][y] = x |> y; equal by table and labels."""
+    """A rack on {0..k-1} given by its full operation table op[x, y] = x |> y, read-only intp; equal by table and labels."""
 
     __slots__ = ("op", "labels")
 
-    def __init__(self, op: tuple[tuple[int, ...], ...], labels: tuple[str, ...] | None = None):
+    def __init__(self, op, labels: tuple[str, ...] | None = None):
         k = len(op)
-        if any(len(row) != k for row in op):
-            raise ValueError("operation table must be square")
-        if any(min(row) < 0 or max(row) >= k for row in op):
-            raise ValueError(f"operation table entries must lie in 0..{k - 1}")
+        op = _frozen_table(op, (k, k), k, np.intp, "operation table must be square",
+                           f"operation table entries must lie in 0..{k - 1}")
         if labels is not None and len(labels) != k:
             raise ValueError("labels length must match rack size")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "labels", labels)
 
     def __eq__(self, other) -> bool:
-        return type(other) is FiniteRack and self.op == other.op and self.labels == other.labels
+        return type(other) is FiniteRack and self.labels == other.labels and np.array_equal(self.op, other.op)
 
     def __hash__(self) -> int:
-        return hash((self.op, self.labels))
+        return hash((self.op.tobytes(), self.labels))
 
     @property
     def size(self) -> int:
@@ -215,8 +223,7 @@ def check_rack_axioms(r: FiniteRack) -> dict | None:
     Rows come first, then the triples, both in lexicographic order, so the
     reported witness is deterministic.
     """
-    op = np.array(r.op, dtype=np.intp)
-    return _check_axioms(op, [("not-self-distributive", _self_distributivity(op))])
+    return _check_axioms(r.op, [("not-self-distributive", _self_distributivity(r.op))])
 
 
 def _min_labels(label: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -287,7 +294,7 @@ def _layer_walk(maps: np.ndarray, heads: np.ndarray):
 
 def is_indecomposable(r: FiniteRack) -> bool:
     """True iff the graph with edges {y, x |> y} over all x, y is connected."""
-    return not _min_labels(np.arange(r.size), np.array(r.op, dtype=np.intp)).any()
+    return not _min_labels(np.arange(r.size), r.op).any()
 
 
 def transposition_pairs(n: int) -> list[tuple[int, int]]:
@@ -306,13 +313,16 @@ _TRANSPOSITION_RACKS: dict[int, FiniteRack] = {}
 def transposition_rack(n: int) -> FiniteRack:
     """The rack of transpositions of S_n under conjugation, size n(n-1)/2, memoised on n.
 
-    The rack is frozen and its tables are tuples, so every caller may share it.
+    x |> (c d) = (x(c) x(d)), its index read off the sorted pair of images.
+    The rack is frozen and its table read-only, so every caller may share it.
     """
     if n < 2:
         raise ValueError(f"transposition rack needs n >= 2, got {n}")
     got = _TRANSPOSITION_RACKS.get(n)
     if got is None:
-        got = _TRANSPOSITION_RACKS[n] = _build_transposition_rack(n)
+        images, (i, j) = transposition_images(n), np.triu_indices(n, 1)
+        op = _pair_index(np.minimum(images[:, i], images[:, j]), np.maximum(images[:, i], images[:, j]), n)
+        got = _TRANSPOSITION_RACKS[n] = FiniteRack(op, tuple(f"({a} {b})" for a, b in transposition_pairs(n)))
     return got
 
 
@@ -325,18 +335,8 @@ def transposition_images(n: int) -> np.ndarray:
     return images
 
 
-def _build_transposition_rack(n: int) -> FiniteRack:
-    """x |> (c d) = (x(c) x(d)), its index read off the sorted pair of images."""
-    images = transposition_images(n)
-    i, j = np.triu_indices(n, 1)
-    lo = np.minimum(images[:, i], images[:, j])
-    hi = np.maximum(images[:, i], images[:, j])
-    op = _pair_index(lo, hi, n)
-    return FiniteRack(op=tuple(map(tuple, op.tolist())), labels=tuple(f"({i} {j})" for i, j in transposition_pairs(n)))
-
-
 def rack_to_dict(r: FiniteRack) -> dict:
-    d = {"size": r.size, "op": [list(row) for row in r.op]}
+    d = {"size": r.size, "op": r.op.tolist()}
     if r.labels is not None:
         d["labels"] = list(r.labels)
     return d
@@ -359,8 +359,8 @@ def json_count(d, key: str, what: str) -> int:
     return value
 
 
-def json_table(d, key: str, what: str, size: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """A size x size table of integers in 0..bound-1 from a decoded JSON object."""
+def json_table(d, key: str, what: str, size: int, bound: int) -> list[list[int]]:
+    """A size x size table of integers in 0..bound-1 from a decoded JSON object, as its list of rows."""
     rows = json_field(d, key, what)
     if not isinstance(rows, list) or len(rows) != size or any(
         not isinstance(row, list) or len(row) != size for row in rows
@@ -370,7 +370,7 @@ def json_table(d, key: str, what: str, size: int, bound: int) -> tuple[tuple[int
         for y, v in enumerate(row):
             if type(v) is not int or not 0 <= v < bound:
                 raise ValueError(f"{what}: {key}[{x}][{y}] must be an integer in 0..{bound - 1}, got {v!r:.40}")
-    return tuple(tuple(row) for row in rows)
+    return rows
 
 
 def rack_from_dict(d: dict) -> FiniteRack:

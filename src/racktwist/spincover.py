@@ -438,9 +438,7 @@ class GroupCocycleBit:
         if bad.size:
             a, b = divmod(int(bad[0]), k)
             raise _inconsistent(Permutation.transposition(n, *pairs[a]), Permutation.transposition(n, *pairs[b]))
-        bits = ref_bits ^ (pf == -4)
-        phi_tab = tuple(map(tuple, bits.reshape(k, k).tolist()))
-        return TwistTable(rack=transposition_rack(n), order=2, phi=phi_tab)
+        return TwistTable(rack=transposition_rack(n), order=2, phi=(ref_bits ^ (pf == -4)).reshape(k, k))
 
 
 def phi_psi_table(n: int) -> GroupCocycleBit:
@@ -515,16 +513,15 @@ def verify_main_theorem(n: int, phi: TwistTable | None = None) -> dict | None:
     if phi is None:
         phi = GroupCocycleBit(n).twist_table()
     chi = chi_cocycle(n)
-    twisted = twist(chi, phi).exp
-    bad = next(((a, b) for a, row in enumerate(twisted) for b, e in enumerate(row) if e != 1), None)
-    if bad is None:
+    bad = np.flatnonzero(twist(chi, phi).exp != 1)
+    if not bad.size:
         return None
-    a, b = bad
+    a, b = divmod(int(bad[0]), chi.rack.size)
     pairs = transposition_pairs(n)
     return {
         "sigma": str(pairs[a]),
         "tau": str(pairs[b]),
-        "phi_bits": [phi.phi[a][b], phi.phi[chi.rack.op[a][b]][a]],
-        "chi_bit": chi.exp[a][b],
+        "phi_bits": [int(phi.phi[a, b]), int(phi.phi[chi.rack.op[a, b], a])],
+        "chi_bit": int(chi.exp[a, b]),
         "ok": False,
     }

@@ -166,7 +166,7 @@ def coxeter_length(sigma: Permutation) -> int:
 
 def inverse_gauge(gamma: GaugeFunction) -> GaugeFunction:
     """The gauge gamma^-1: every exponent negated."""
-    return GaugeFunction(gamma.rack, gamma.order, tuple((-e) % gamma.order for e in gamma.g))
+    return GaugeFunction(gamma.rack, gamma.order, tuple((-e) % gamma.order for e in gamma.g.tolist()))
 
 
 def left_descents(sigma: Permutation) -> list[int]:
@@ -235,7 +235,7 @@ def rack_axioms_by_loops(r: FiniteRack) -> tuple[str, tuple[int, ...]] | None:
     x |> - that is not a bijection, then the first (x, y, z) with
     x |> (y |> z) != (x |> y) |> (x |> z).
     """
-    k, op = r.size, r.op
+    k, op = r.size, r.op.tolist()
     for x in range(k):
         if set(op[x]) != set(range(k)):
             return "non-bijective-row", (x,)
@@ -249,7 +249,7 @@ def rack_axioms_by_loops(r: FiniteRack) -> tuple[str, tuple[int, ...]] | None:
 
 def is_indecomposable_by_union_find(r: FiniteRack) -> bool:
     """True iff the graph with edges {y, x |> y} over all x, y is connected, by union-find with path halving."""
-    k = r.size
+    k, op = r.size, r.op.tolist()
     parent = list(range(k))
 
     def find(a: int) -> int:
@@ -260,7 +260,7 @@ def is_indecomposable_by_union_find(r: FiniteRack) -> bool:
 
     for x in range(k):
         for y in range(k):
-            ra, rb = find(y), find(r.op[x][y])
+            ra, rb = find(y), find(op[x][y])
             if ra != rb:
                 parent[ra] = rb
     return len({find(a) for a in range(k)}) == 1
@@ -277,9 +277,8 @@ def small_racks(rng: random.Random) -> list[FiniteRack]:
         rng.shuffle(s)
         racks.append(FiniteRack((tuple(s),) * k))  # x |> y = s(y)
     # x3 and a trivial rack side by side, each acting trivially on the other
-    racks.append(FiniteRack(tuple(
-        tuple(transposition_rack(3).op[x][y] if x < 3 and y < 3 else y for y in range(5)) for x in range(5)
-    )))
+    x3 = transposition_rack(3).op.tolist()
+    racks.append(FiniteRack(tuple(tuple(x3[x][y] if x < 3 and y < 3 else y for y in range(5)) for x in range(5))))
     return racks
 
 
@@ -289,7 +288,7 @@ def planted_tables(seed: int) -> list[FiniteRack]:
     tables = []
     for r in small_racks(rng):
         k = r.size
-        op = [list(row) for row in r.op]
+        op = r.op.tolist()
         tables.append(r)
         x, a, b = rng.randrange(k), rng.randrange(k), rng.randrange(k)
         swapped = [list(row) for row in op]
@@ -305,7 +304,7 @@ def planted_tables(seed: int) -> list[FiniteRack]:
 
 def cocycle_first_failure(q: RackCocycle) -> tuple[int, int, int] | None:
     """The first triple (x, y, z), in lexicographic order, that breaks the rack 2-cocycle condition."""
-    op, exp, m, k = q.rack.op, q.exp, q.order, q.rack.size
+    op, exp, m, k = q.rack.op.tolist(), q.exp.tolist(), q.order, q.rack.size
     for x in range(k):
         for y in range(k):
             for z in range(k):
@@ -318,7 +317,7 @@ def cocycle_first_failure(q: RackCocycle) -> tuple[int, int, int] | None:
 
 def twist_condition_first_failure(phi: TwistTable) -> tuple[int, int, int] | None:
     """The first triple (x, y, z), in lexicographic order, that breaks the twist condition."""
-    op, p, m, k = phi.rack.op, phi.phi, phi.order, phi.rack.size
+    op, p, m, k = phi.rack.op.tolist(), phi.phi.tolist(), phi.order, phi.rack.size
     for x in range(k):
         for y in range(k):
             for z in range(k):
@@ -343,13 +342,14 @@ def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
     n = math.isqrt(2 * chi.rack.size) + 1  # the rack has n(n - 1)/2 elements
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {pair: a for a, pair in enumerate(pairs)}
+    phi_bits, chi_bits = phi.phi.tolist(), chi.exp.tolist()
     log = []
     for a, (i, j) in enumerate(pairs):
         swap = {i: j, j: i}
         for b, tau in enumerate(pairs):
             conj = index[tuple(sorted(swap.get(c, c) for c in tau))]
-            bits = [phi.phi[a][b], phi.phi[conj][a]]
-            chi_bit = chi.exp[a][b]
+            bits = [phi_bits[a][b], phi_bits[conj][a]]
+            chi_bit = chi_bits[a][b]
             log.append(
                 {
                     "sigma": str((i, j)),
@@ -364,14 +364,14 @@ def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
 
 def flip_phi_bit(phi: TwistTable, a: int, b: int) -> TwistTable:
     """phi with the order-2 entry at (a, b) flipped."""
-    rows = [list(row) for row in phi.phi]
+    rows = phi.phi.tolist()
     rows[a][b] ^= 1
     return TwistTable(rack=phi.rack, order=phi.order, phi=tuple(tuple(row) for row in rows))
 
 
 def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:
     """Dense monomial matrix of the strand-local braiding, entry value(exponent)."""
-    k = q.rack.size
+    k, op, exp = q.rack.size, q.rack.op.tolist(), q.exp.tolist()
     dim = k**degree
     mat = np.zeros((dim, dim), dtype=np.int64)
     for v in range(dim):
@@ -382,11 +382,11 @@ def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:
             rem //= k
         digits.reverse()
         x, y = digits[letter - 1], digits[letter]
-        digits[letter - 1], digits[letter] = q.rack.op[x][y], x
+        digits[letter - 1], digits[letter] = op[x][y], x
         w = 0
         for d in digits:
             w = w * k + d
-        mat[w, v] = value(q.exp[x][y])
+        mat[w, v] = value(exp[x][y])
     return mat
 
 
@@ -674,13 +674,13 @@ def _components(dim: int, edges) -> list[tuple[int, ...]]:
 
 def hurwitz_orbits(q, degree: int) -> list[tuple[int, ...]]:
     """Orbits of the braid group on X^degree, from the rule (x, y) -> (x |> y, x) on digit tuples."""
-    k = q.rack.size
+    k, op = q.rack.size, q.rack.op.tolist()
     edges = []
     for v in range(k**degree):
         digits = [v // k ** (degree - 1 - i) % k for i in range(degree)]
         for i in range(degree - 1):
             w = list(digits)
-            w[i], w[i + 1] = q.rack.op[digits[i]][digits[i + 1]], digits[i]
+            w[i], w[i + 1] = op[digits[i]][digits[i + 1]], digits[i]
             edges.append((v, sum(d * k ** (degree - 1 - j) for j, d in enumerate(w))))
     return _components(k**degree, edges)
 
@@ -692,7 +692,7 @@ def commuting_translations(q) -> list[tuple[int, ...]]:
     c (g_x (x) g_x) = (g_x (x) g_x) c on every y (x) z, both sides compared as
     (basis pair, exponent).
     """
-    k, m, op, ex = q.rack.size, q.order, q.rack.op, q.exp
+    k, m, op, ex = q.rack.size, q.order, q.rack.op.tolist(), q.exp.tolist()
     gens = []
     for x in range(k):
         phi = op[x]
@@ -706,7 +706,7 @@ def commuting_translations(q) -> list[tuple[int, ...]]:
                 after = ((phi[a], phi[b]), (ex[y][z] + ex[x][a] + ex[x][b]) % m)
                 commutes = commutes and before == after
         if commutes:
-            gens.append(phi)
+            gens.append(tuple(phi))
     return gens
 
 
@@ -878,7 +878,7 @@ def translation_group(q: RackCocycle) -> dict:
     by A_x and by A_x^-1, the conjugacy classes of Q (each a sorted list),
     and compose(a, b) = A_a A_b and inverse(a) on raw pairs.
     """
-    k, m, op, ex = q.rack.size, q.order, q.rack.op, q.exp
+    k, m, op, ex = q.rack.size, q.order, q.rack.op.tolist(), q.exp.tolist()
 
     def element(perm, vec):
         return tuple(perm), tuple((v - vec[0]) % m for v in vec)
@@ -1277,12 +1277,13 @@ def twist_identity_by_reflections(n: int) -> tuple[int, int] | None:
     integer vector, and no section is lifted.
     """
     chi = chi_cocycle(n)
+    op, exp = chi.rack.op.tolist(), chi.exp.tolist()
     vectors = [bracket_vector(n, i, j) for i, j in transposition_pairs(n)]
     for a, u in enumerate(vectors):
         for b, v in enumerate(vectors):
             dot = sum(p * q for p, q in zip(u, v))
-            sign = 1 if chi.exp[a][b] else -1
-            target = vectors[chi.rack.op[a][b]]
+            sign = 1 if exp[a][b] else -1
+            target = vectors[op[a][b]]
             if any(dot * p - q != sign * t for p, q, t in zip(u, v, target)):
                 return a, b
     return None
@@ -1416,10 +1417,8 @@ def chi_exponents_by_permutations(n: int) -> tuple[tuple[int, ...], ...]:
 
 def twist_by_loop(q: RackCocycle, phi: TwistTable) -> tuple[tuple[int, ...], ...]:
     """The exponents phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m) of the twisted cocycle, entry by entry."""
-    op, m, k = q.rack.op, q.order, q.rack.size
-    return tuple(
-        tuple((phi.phi[x][y] - phi.phi[op[x][y]][x] + q.exp[x][y]) % m for y in range(k)) for x in range(k)
-    )
+    op, p, exp, m, k = q.rack.op.tolist(), phi.phi.tolist(), q.exp.tolist(), q.order, q.rack.size
+    return tuple(tuple((p[x][y] - p[op[x][y]][x] + exp[x][y]) % m for y in range(k)) for x in range(k))
 
 
 def value_at_one(coeffs: list[int]) -> int:
@@ -1482,5 +1481,5 @@ def lift_to_order(q: RackCocycle, new_order: int) -> RackCocycle:
     if new_order % q.order != 0:
         raise ValueError(f"{q.order} does not divide {new_order}")
     scale = new_order // q.order
-    exp = tuple(tuple(e * scale for e in row) for row in q.exp)
+    exp = tuple(tuple(e * scale for e in row) for row in q.exp.tolist())
     return RackCocycle(rack=q.rack, order=new_order, exp=exp)

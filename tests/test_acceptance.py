@@ -10,6 +10,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from oracles import (
     brute_force_symmetrizer,
     check_braid_equation,
@@ -74,7 +76,7 @@ def test_criterion_02_main_theorem():
         pairs = math.comb(n, 2) ** 2
         ok = ok and first_fail is None and len(log) == pairs
         ok = ok and all(entry["ok"] for entry in log)
-        ok = ok and twist(chi, restriction).exp == minus_one_cocycle(chi.rack).exp
+        ok = ok and np.array_equal(twist(chi, restriction).exp, minus_one_cocycle(chi.rack).exp)
     elapsed = time.perf_counter() - t0
     _verdict(2, "twist identity on all transposition pairs, n = 4..9", ok and elapsed < 60, elapsed)
 
@@ -136,11 +138,11 @@ def test_criterion_08_x3_cohomology():
     chi = chi_cocycle(3)
     m1 = minus_one_cocycle(chi.rack)
     gamma = find_gauge(m1, chi)
-    ok = gamma is not None and gauge_transform(m1, gamma).exp == chi.exp
+    ok = gamma is not None and np.array_equal(gauge_transform(m1, gamma).exp, chi.exp)
     brute_found = False
     for code in range(2**3):
         g = tuple((code >> i) & 1 for i in range(3))
-        if gauge_transform(m1, GaugeFunction(chi.rack, 2, g)).exp == chi.exp:
+        if np.array_equal(gauge_transform(m1, GaugeFunction(chi.rack, 2, g)).exp, chi.exp):
             brute_found = True
             break
     ok = ok and brute_found

@@ -145,6 +145,22 @@ class TestCocycleCommand:
             "resource limit: cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums\n"
         )
 
+    def test_order_beyond_int64_in_a_file(self, tmp_path, capsys):
+        # an exponent of 2^63 overflows int64, so the order is refused before the table is converted;
+        # on --rack x4 the file's x3 disagrees too, and the order still comes first
+        m = 2**70
+        path = tmp_path / "huge.json"
+        exp = [[0, 1, 2**63], [0, 0, 0], [m - 1] * 3]
+        path.write_text(json.dumps({"rack": rack_mod.rack_to_dict(rack_mod.transposition_rack(3)), "order": m, "exp": exp}))
+        hilbert = (["hilbert", "--rack", x, "--cocycle", str(path), "--mode", mode, "--max-degree", "3"]
+                   for x in ("x3", "x4") for mode in ("exact", "modular"))
+        for argv in (["cocycle", "--check", str(path)], *hilbert):
+            out = tmp_path / "report.json"
+            assert run([*argv, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err == f"resource limit: cocycle order {m} > 2^62 is too large for 64-bit exponent sums\n"
+            assert not out.exists()
+
 
     def test_large_n_is_a_resource_limit(self, tmp_path, capsys, monkeypatch):
         never_build_rack(monkeypatch)

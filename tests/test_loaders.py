@@ -52,7 +52,7 @@ def _valid_or_value_error(loader, doc):
 
 
 def _in_range(table, bound):
-    return all(type(v) is int and 0 <= v < bound for row in table for v in row)
+    return all(type(v) is int and 0 <= v < bound for row in table.tolist() for v in row)
 
 
 class TestRackLoader:

@@ -14,7 +14,7 @@ from oracles import is_palindromic, translation_group, unpruned_graded_dims, val
 from racktwist import nichols
 from racktwist.cli import main
 from racktwist.cocycle import chi_cocycle, constant_cocycle, minus_one_cocycle
-from racktwist.hilbert import _draw_prime, _element_of_order, graded_dims
+from racktwist.hilbert import CERTIFIED, _draw_prime, _element_of_order, graded_dims
 from racktwist.rack import FiniteRack, transposition_rack
 
 X3, X4, X5 = (transposition_rack(n) for n in (3, 4, 5))
@@ -58,6 +58,18 @@ def test_x4_chi_full_series():
     got = [1, *engine(chi_cocycle(4)).ranks(12)]
     assert got == [1, 6, 19, 42, 71, 96, 106, 96, 71, 42, 19, 6, 1]
     assert value_at_one(got) == 576 and is_palindromic(got)
+
+
+def test_degrees_past_the_first_zero_are_not_built(monkeypatch):
+    # B is generated in degree 1; x4 chi ends in degree 12, so degree 13 is the last one the engine builds
+    built, degree = [], nichols.LeibnizEngine._degree
+    monkeypatch.setattr(nichols.LeibnizEngine, "_degree", lambda self, d, *rest: built.append(d) or degree(self, d, *rest))
+    report = graded_dims(chi_cocycle(4), 20)
+    assert built == list(range(1, 14))
+    assert report["ranks"][12:] == [1] + [0] * 8
+    # the degrees not built keep the tag and the primes of the degrees that were
+    assert report["methods"][2:] == [CERTIFIED] * 19
+    assert report["primes"][2:] == [report["primes"][2]] * 19 and len(report["primes"][2]) == 2
 
 
 def test_x6_minus_one_to_degree_four():

@@ -153,7 +153,9 @@ class TestTranspositionRack:
 
         r = transposition_rack(6)
         assert transposition_rack(6) is r is chi_cocycle(6).rack is phi_psi_table(6).twist_table().rack
-        assert isinstance(r.op, tuple) and all(isinstance(row, tuple) for row in r.op)
+        with pytest.raises(ValueError, match="read-only"):
+            r.op[0, 1] = 0
+        assert r == transposition_rack_by_permutations(6)
         with pytest.raises(AttributeError):
             r.op = ()
 
@@ -267,7 +269,7 @@ class TestRackJson:
         path = tmp_path / "rack.json"
         save_rack(r, str(path))
         loaded = load_rack(str(path))
-        assert loaded.op == r.op
+        assert np.array_equal(loaded.op, r.op)
         assert loaded.labels == r.labels
         raw = json.loads(path.read_text())
         assert set(raw) == {"size", "op", "labels"}

@@ -50,6 +50,18 @@ def test_equal_and_hashed_by_value(build, other):
     assert a != other and not a == other
 
 
+@pytest.mark.parametrize("build", [lambda t: FiniteRack(t, ("a", "b")), lambda t: TwistTable(TRIVIAL2, 2, t)],
+                         ids=["rack", "twist-table"])
+def test_tuples_and_arrays_build_one_record(build):
+    # the record keeps its own read-only copy in one dtype, whatever the table came as
+    table = ((0, 1), (0, 1))
+    for array in (np.array(table), np.array(table, dtype=np.int8)):
+        a, b = build(table), build(array)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        array[0, 0] = 1
+        assert a == b and hash(a) == hash(b)
+
+
 def test_monomial_operators_are_equal_by_action():
     # exponents are compared modulo the order; `!=` is the negation of `==`, as the per-sigma Matsumoto oracle uses it
     a = MonomialOperator(3, 4, np.array([1, 2, 0]), np.array([0, 1, 2]))
