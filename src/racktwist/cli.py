@@ -312,14 +312,19 @@ def _parse_closed_form(arg: str) -> list[tuple[int, int]]:
             factors.append((int(m), int(mult) if mult else 1))
         except ValueError:
             raise UsageError(f"hilbert: bad closed-form factor {part!r} (use M:MULT,...)")
+    # a factor below 1 is refused here by expand_closed_form's check, which degree 0 costs nothing to reach
+    hilbert_mod.expand_closed_form(factors, 0)
     return factors
 
 
 def cmd_hilbert(args) -> int:
     cap = _dim_cap(args)
+    # usage errors come before the rack and the cocycle, whose records may meet a resource cap
+    if args.max_degree < 0:
+        raise UsageError("max_degree must be >= 0")
+    closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
     rack, n, rack_id = _parse_rack_arg(args.rack, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
-    closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
     report = hilbert_mod.graded_dims(
         q,
         args.max_degree,

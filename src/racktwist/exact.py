@@ -5,9 +5,11 @@ keeps the pivot rows of each degree to build the next.  Only
 `hilbert.graded_dims` imports this module, inside the branches that prove a
 degree: every degree of `--mode exact`, and the degrees from the first
 disagreement of the Leibniz recursion's two primes on.  So no modular,
-twist or selfcheck run compiles it.  The caps of a degree's k^d blocks
-(check_degree) are decided here too, by `symmetrizer` before it builds a
-degree, and by graded_dims for every degree of `--mode exact` at once.
+twist or selfcheck run compiles it.  Its one elimination modulo a prime is
+the recursion's (nichols._rref), which every run that loads this module
+has loaded.  The caps of a degree's k^d blocks (check_degree) are decided
+here too, by `symmetrizer` before it builds a degree, and by graded_dims
+for every degree of `--mode exact` at once.
 
 The degree-d symmetrizer is assembled as an exact sparse matrix with
 coefficients in Z[zeta_m], degree by degree from the factorisation
@@ -48,14 +50,16 @@ order above the rank seen, raised to the power phi(m).
 
 Row u*k + a of S_d is row u of S_(d-1), lifted to lane a and multiplied by
 T_d, so the rows whose prefix u lies in a basis of the row space of
-S_(d-1) span the row space of S_d.  `rank` returns such a basis: the rows
-its elimination pivots on at the prime that attains the proven rank,
-carried to every orbit of the class (only row indices move), and each
-degree is built only on the kept rows whose prefix is one of them (x4 chi,
-degree 5: 70 rows of 7 776, against 1 216 kept rows).  The pivots are
-independent over Q(zeta_m), so the proof stays unconditional; the first
-degree that `ranks` proves, with no pivots below it, is built on every
-kept row.
+S_(d-1) span the row space of S_d.  `rank` returns such a basis: in each
+ranked block, at the prime that attains the proven rank, the rows that are
+independent of the rows before them (the pivot columns of the block's
+transpose in reduced echelon form), so the basis does not depend on the
+order of elimination.  They are carried to every orbit of the class (only
+row indices move), and each degree is built only on the kept rows whose
+prefix is one of them (x4 chi, degree 5: 70 rows of 7 776, against 1 216
+kept rows).  The pivots are independent over Q(zeta_m), so the proof stays
+unconditional; the first degree that `ranks` proves, with no pivots below
+it, is built on every kept row.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .braided import DEFAULT_DIM_CAP
 from .cocycle import RackCocycle
 from .errors import DimensionCapError
 from .hilbert import _PRIME_HIGH, _element_of_order, _is_prime_u32, _prime_divisors
+from .nichols import _rref
 from .rack import _first_occurrences, _layer_walk, _min_labels, _row_keys
 
 
@@ -124,13 +129,11 @@ class SymmetrizerMatrix(NamedTuple):
 
 
 class RankCertificate(NamedTuple):
-    """The proven rank of a symmetrizer, with its size and a basis of its row space."""
+    """The proven rank of a symmetrizer and a basis of its row space."""
 
     rank: int
-    dim: int
-    n_components: int
     # rows of the symmetrizer that form a basis of its row space (see rank)
-    pivots: np.ndarray | None = None
+    pivots: np.ndarray
 
 
 # Entries expanded at once when lifting to the next degree; bounds working memory.
@@ -461,47 +464,18 @@ def _kept_blocks(sym: SymmetrizerMatrix, below: np.ndarray | None = None):
         yield mult, block, exps, rows[r0 + origin]
 
 
-def _pivots_dense_modp(a: np.ndarray, p: int) -> np.ndarray:
-    """In-place Gaussian elimination over F_p on an int64 matrix (entries in [0, p)).
-
-    Returns the rows of `a` that it pivots on: they are independent mod p,
-    and their number is the rank.
-    """
-    nrows, ncols = a.shape
-    perm = np.arange(nrows)
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-            perm[[r, piv]] = perm[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = a[r, c:] * inv % p
-        below = np.flatnonzero(a[r + 1 :, c])
-        if below.size:
-            idx = r + 1 + below
-            a[idx, c:] = (a[idx, c:] - np.outer(a[idx, c], a[r, c:])) % p
-        r += 1
-    return perm[:r]
-
-
 def _pivots_modp(block: np.ndarray, exps: np.ndarray, p: int, g: int) -> np.ndarray:
     """The pivot rows mod p, with zeta mapped to g, of a folded block with its exponents (_fold).
 
-    The block is evaluated at g into one int64 array the size of the folded
-    block, slice by slice; a block that is zero mod p has no pivot, without
-    elimination.
+    The block is evaluated at g into one int64 array, slice by slice, laid
+    out transposed: the pivot columns of its reduced echelon form (_rref)
+    are the rows of the block that are independent of the rows before them.
     """
-    a = np.zeros(block.shape[1:], dtype=np.int64)
+    a = np.zeros(block.shape[:0:-1], dtype=np.int64)
     for e, part in zip(exps.tolist(), block):
-        a += part.astype(np.int64) % p * pow(g, e, p) % p
+        a += part.T.astype(np.int64) % p * pow(g, e, p) % p
     a %= p
-    return _pivots_dense_modp(a, p) if a.any() else np.zeros(0, dtype=np.int64)
+    return np.array(_rref(a[None], np.array([p], dtype=np.int64)), dtype=np.int64)
 
 
 def _pivots_exact(block: np.ndarray, exps: np.ndarray, order: int) -> np.ndarray:
@@ -613,7 +587,7 @@ def rank(sym: SymmetrizerMatrix, *, below: np.ndarray | None = None) -> RankCert
     multiplied by T_d, so those rows span every kept row.
     """
     value, pivots = _kept_pivots(sym, below)
-    return RankCertificate(value, sym.dim, sym.orbit_class.size, _carry(sym, pivots))
+    return RankCertificate(value, _carry(sym, pivots))
 
 
 def ranks(q: RackCocycle, first: int, max_degree: int, dim_cap: int):

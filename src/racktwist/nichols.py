@@ -101,47 +101,43 @@ def _gather(pool, base, stride, rmax, cmax, rows=None, cols=None) -> np.ndarray:
 
 
 def _rref(a: np.ndarray, p: np.ndarray) -> list[int] | None:
-    """Reduced row echelon form of a (2, rows, cols) in place, one prime per slice; its pivot columns.
+    """Reduced row echelon form of a (primes, rows, cols) in place, one prime per slice; its pivot columns.
 
-    Row i becomes a[r, c] row i - a[i, c] row r, whole (row r is zero left
-    of c), and pivot rows are scaled to a leading 1 at the end.  None if the
-    primes differ in their pivot columns.
+    At each prime the first row from row r on with a nonzero entry in
+    column c trades places with row r and is scaled to a leading 1; every
+    other row i becomes row i - a[i, c] row r from column c on (row r is
+    zero left of c).  None if the primes differ in their pivot columns.
     """
     n_rows, n_cols = a.shape[1:]
-    pc = p[:, None, None]
+    at, pc, primes = np.arange(len(p)), p[:, None, None], p.tolist()
     pivots, r, c = [], 0, 0
     while r < n_rows and c < n_cols:
         hit = a[:, r:, c] != 0
         if not hit.any():
-            # the next column with a nonzero entry below row r, at either prime
+            # the next column with a nonzero entry below row r, at any prime
             cols = (a[:, r:, c:] != 0).any(axis=(0, 1))
             j = int(cols.argmax())
             if not cols[j]:
                 break
             c += j
             hit = a[:, r:, c] != 0
-        first = hit.argmax(axis=1).tolist()
-        if not (hit[0, first[0]] and hit[1, first[1]]):
+        first = hit.argmax(axis=1)
+        if not hit[at, first].all():
             return None
-        if first[0] == first[1]:
-            if first[0]:
-                a[:, [r, r + first[0]]] = a[:, [r + first[0], r]]
-        else:
-            for i in (0, 1):
-                a[i, [r, r + first[i]]] = a[i, [r + first[i], r]]
+        lead = r + first
+        row = a[at, lead]
+        a[at, lead] = a[:, r]
+        inv = np.array([pow(v, -1, q) for v, q in zip(row[:, c].tolist(), primes)], dtype=np.int64)
+        a[:, r] = row * inv[:, None] % pc[:, 0]
         col = a[:, :, c]
         hit = (col != 0).any(axis=0)
         hit[r] = False
         rows = np.flatnonzero(hit)
         if rows.size:
-            a[:, rows] = (col[:, r, None, None] * a[:, rows] - col[:, rows, None] * a[:, r, None]) % pc
+            a[:, rows, c:] = (a[:, rows, c:] - col[:, rows, None] * a[:, r, None, c:]) % pc
         pivots.append(c)
         r += 1
         c += 1
-    if pivots:
-        lead = a[:, np.arange(r), pivots].tolist()
-        inv = np.array([[pow(v, -1, int(q)) for v in row] for row, q in zip(lead, p)], dtype=np.int64)
-        a[:, :r] = a[:, :r] * inv[:, :, None] % pc
     return pivots
 
 
@@ -152,15 +148,16 @@ class Level:
     dpool[:, doff[r, x]], row stride dims[r]; R^r_y (dims[r] x
     dim B^(j-1)_(r A_y^-1)) at rpool[:, roff[r, y]], row stride rstride[r];
     M^r_c at mpool[:, moff[i]], row stride dims[r], for mkeys[i] = r |Q| + c
-    ascending.
+    ascending.  The maps are given by keyword, and are None where they are
+    not built (see LeibnizEngine.ranks).
     """
 
     __slots__ = ("dims", "dpool", "doff", "rpool", "roff", "rstride", "mpool", "mkeys", "moff")
 
-    def __init__(self, dims, *maps):
-        self.dims = dims
-        (self.dpool, self.doff, self.rpool, self.roff, self.rstride, self.mpool, self.mkeys,
-         self.moff) = maps + (None,) * (8 - len(maps))
+    def __init__(self, dims, *, dpool=None, doff=None, rpool=None, roff=None, rstride=None, mpool=None, mkeys=None,
+                 moff=None):
+        self.dims, self.dpool, self.doff, self.rpool, self.roff = dims, dpool, doff, rpool, roff
+        self.rstride, self.mpool, self.mkeys, self.moff = rstride, mpool, mkeys, moff
 
 
 class LeibnizEngine:
@@ -317,7 +314,7 @@ class LeibnizEngine:
         n, cent = self.n, self.cent[0]
         dims = np.zeros(n, dtype=np.int64)
         dims[0] = 1
-        mid = Level(dims, *(None,) * 5, np.ones((2, cent.size), dtype=np.int32), cent, np.arange(cent.size))
+        mid = Level(dims, mpool=np.ones((2, cent.size), dtype=np.int32), mkeys=cent, moff=np.arange(cent.size))
         low = Level(np.zeros(n, dtype=np.int64))
         for d in range(1, max_degree + 1):
             level, total = self._degree(d, mid, low, d < max_degree, d + 2 <= max_degree)
@@ -376,11 +373,9 @@ class LeibnizEngine:
         if not maps:
             return Level(ranks[self.rep]), total
         pools = [np.concatenate([np.zeros((2, 0), np.int32)] + u, axis=1).astype(np.int32) for u in parts]
-        level = Level(ranks[self.rep], pools[0], doff, pools[1], roff, rstride)
-        if with_m:
-            level.mpool, level.mkeys, level.moff = pools[2], np.concatenate([[]] + mkeys).astype(np.int64), \
-                np.concatenate([[]] + moff).astype(np.int64)
-        return level, total
+        ms = dict(mpool=pools[2], mkeys=np.concatenate([[]] + mkeys).astype(np.int64),
+                  moff=np.concatenate([[]] + moff).astype(np.int64)) if with_m else {}
+        return Level(ranks[self.rep], dpool=pools[0], doff=doff, rpool=pools[1], roff=roff, rstride=rstride, **ms), total
 
     def _m_at(self, level: Level, r, c):
         """Offsets of M^r_c in level.mpool."""

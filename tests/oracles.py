@@ -1,18 +1,20 @@
 """Independent oracles used to freeze expected values.
 
 Everything here recomputes results from first principles, sharing only type
-definitions with the package: dense rational elimination for ranks, dense
-matrix products for braid lifts, alternative reduced-word generators, plain
-triple loops for the cocycle and twist conditions, a pair loop for the
-twist identity, and a Clifford algebra over the field Q(sqrt(2)) with
-rational coefficients.  The lifts of the cover live here as SpinElement,
-a Clifford element over a permutation, with the generators generator_t;
-the presentation has presentation_by_clifford, which multiplies every
-relation out where the package decides words of integer vectors.  The
-sign cocycle of the section has two oracles that expand no Pfaffian:
-CliffordSection lifts the section in the Clifford model, and
-twist_identity_by_reflections checks the twist identity one bracket at a
-time, with no section at all.  The conjugation lemmas
+definitions with the package: dense rational elimination for ranks, a
+walk over the rows in Python ints for the rows that raise the rank mod p
+(first_independent_rows_modp), dense matrix products for braid lifts,
+alternative reduced-word generators, plain triple loops for the cocycle
+and twist conditions, a pair loop for the twist identity, and a Clifford
+algebra over the field Q(sqrt(2)) with rational coefficients.  The lifts
+of the cover live here as SpinElement, a Clifford element over a
+permutation, with the generators generator_t; the presentation has
+presentation_by_clifford, which multiplies every relation out where the
+package decides words of integer vectors.  The sign cocycle of the
+section has two oracles that expand no Pfaffian: CliffordSection lifts
+the section in the Clifford model, and twist_identity_by_reflections
+checks the twist identity one bracket at a time, with no section at all.
+The conjugation lemmas
 have conjugation_lemmas_by_clifford, which expands every lift in the
 Clifford model where the package reflects integer vectors, and
 conjugation_lemmas_per_trial, which reflects them one word at a time where
@@ -817,6 +819,28 @@ def orbit_count_blocks(sym) -> list[np.ndarray]:
 def evaluate_modp(counts: np.ndarray, p: int, g: int) -> np.ndarray:
     """The matrix sum_e counts[e] zeta^e mod p with zeta mapped to g; needs counts * p < 2^63."""
     return sum(counts[e] * pow(g, e, p) % p for e in range(counts.shape[0])) % p
+
+
+def first_independent_rows_modp(rows, p: int) -> list[int]:
+    """The rows that raise the rank mod p, walked in order, in Python ints: each row independent of those before it.
+
+    A row is reduced by the kept rows in the order they were kept, each
+    scaled to a leading 1 and zero at the leading columns of the rows kept
+    before it; a row that does not reduce to zero is kept.
+    """
+    basis, kept = [], []
+    for i, row in enumerate(rows):
+        v = [int(x) % p for x in row]
+        for lead, b in basis:
+            f = v[lead]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, b)]
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            basis.append((lead, [x * inv % p for x in v]))
+            kept.append(i)
+    return kept
 
 
 def orbit_blocks_modp(sym, p: int, g: int) -> list[np.ndarray]:

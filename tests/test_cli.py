@@ -639,6 +639,22 @@ class TestHilbertCommand:
         assert err.count("\n") == 1 and "closed-form factor" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "-1"],
+         "max_degree must be >= 0"),
+        (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2", "--closed-form", "2:x"],
+         "hilbert: bad closed-form factor '2:x' (use M:MULT,...)"),
+        (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2", "--closed-form", "0:1"],
+         "closed-form factor 0:1 needs M >= 1 and MULT >= 1"),
+        (["--rack", "x40", "--cocycle=-1", "--max-degree", "-1"], "max_degree must be >= 0"),
+    ], ids=["huge-order-negative-degree", "huge-order-bad-factor", "huge-order-factor-zero", "x40-negative-degree"])
+    def test_usage_errors_come_before_resource_caps(self, tmp_path, capsys, argv, message):
+        # an order past 2^62 and the x40 table are resource limits, but a bad flag is decided first
+        out = tmp_path / "h.json"
+        assert run(["hilbert", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_rack_and_cocycle(self):
         assert run(["hilbert", "--rack", "y4", "--cocycle", "-1", "--max-degree", "2", "--mode", "exact"]) == 1
         assert run(["hilbert", "--rack", "x3", "--cocycle", "zeta", "--max-degree", "2", "--mode", "exact"]) == 1

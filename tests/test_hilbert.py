@@ -15,6 +15,7 @@ from oracles import (
     disagree_at,
     distinct_nonzero_lines,
     evaluate_modp,
+    first_independent_rows_modp,
     is_palindromic,
     orbit_classes_by_translation,
     orbit_blocks_modp,
@@ -44,7 +45,6 @@ from racktwist.exact import (
     _fold,
     _kept_pivots,
     _kept_rows,
-    _pivots_dense_modp,
     _pivots_exact,
     _pivots_modp,
     rank,
@@ -101,9 +101,14 @@ def square_block(mat):
     return fold_one(cells, np.zeros_like(cells), flat[cells], (size, size), 1)[:2]
 
 
+def kernel_pivots(a, p):
+    """The rows of an int64 matrix that the elimination kernel pivots on mod p: _pivots_modp on it as one slice."""
+    return _pivots_modp(np.asarray(a, dtype=np.int64)[None], np.zeros(1, dtype=np.int64), p, 1)
+
+
 def dense_rank(a, p):
     """The rank mod p of an int64 matrix: the number of rows the elimination kernel pivots on."""
-    return _pivots_dense_modp(a, p).size
+    return kernel_pivots(a, p).size
 
 
 def exact_rank(folded, order):
@@ -122,8 +127,8 @@ def shifted_kernel(real, prime, step):
     mod `prime`; those are nonzero, so they have a pivot to drop.
     """
 
-    def kernel(a, p):
-        pivots = real(a, p)
+    def kernel(block, exps, p, g):
+        pivots = real(block, exps, p, g)
         if p != prime:
             return pivots
         return np.append(pivots, pivots[0]) if step > 0 else pivots[:-1]
@@ -341,8 +346,8 @@ class TestRankKernels:
         # entries up to 128 = the largest count: the column bound must hold
         # 128 itself, not wrap in int8.  The first prime is forced one rank
         # lower; the honest bound (4 * 128^2)^4 > (2^31 - 1)^2 asks for more
-        real = exact_mod._pivots_dense_modp
-        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", shifted_kernel(real, 2**31 - 1, -1))
+        real = exact_mod._pivots_modp
+        monkeypatch.setattr(exact_mod, "_pivots_modp", shifted_kernel(real, 2**31 - 1, -1))
         mat = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
         assert exact_rank(square_block(mat), 1) == 4
 
@@ -428,8 +433,8 @@ class TestRankKernels:
 
 class TestRank:
     def test_degree_one_identity(self):
-        cert = rank(symmetrizer(M1_X4, 1))
-        assert (cert.rank, cert.dim) == (6, 6)
+        sym = symmetrizer(M1_X4, 1)
+        assert (rank(sym).rank, sym.dim) == (6, 6)
 
     def test_q2_x4_rank19_with_oracle(self):
         sym = symmetrizer(M1_X4, 2)
@@ -458,8 +463,7 @@ class TestRank:
     def test_exact_limit_applies_per_block(self):
         # exact mode ranks every block, with no limit on its size
         sym = symmetrizer(chi_cocycle(4), 3)  # dimension 216, largest orbit 16
-        cert = rank(sym)
-        assert (cert.rank, cert.dim) == (42, 216)
+        assert (rank(sym).rank, sym.dim) == (42, 216)
 
     def test_order_three_disagreement_falls_back_to_exact(self, monkeypatch):
         # as below, at order 3: the fallback proves the rank over Q(zeta_3)
@@ -522,13 +526,13 @@ class TestRank:
         # one prime, so the largest rank seen is still the rank
         first = 2**31 - 1
         tried = []
-        low = shifted_kernel(exact_mod._pivots_dense_modp, first, -1)
+        low = shifted_kernel(exact_mod._pivots_modp, first, -1)
 
-        def recording(a, p):
+        def recording(block, exps, p, g):
             tried.append(p)
-            return low(a, p)
+            return low(block, exps, p, g)
 
-        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", recording)
+        monkeypatch.setattr(exact_mod, "_pivots_modp", recording)
         sym = symmetrizer(constant_cocycle(X3, 3, 1), 4)
         assert rank(sym).rank == 50
         assert tried[0] == first and all(p % 3 == 1 for p in tried)
@@ -672,7 +676,8 @@ class TestOrbitClasses:
         assert int((cls == np.arange(cls.size)).sum()) == 10
         mults = [mult for mult, _, _, _ in exact_mod._kept_blocks(sym)]
         assert (len(mults), sum(mults)) == (10, 214)
-        assert rank(sym).n_components == 214
+        # the blocks of the 214 orbits, ten of them ranked, give the coefficient of t^4 in the series
+        assert rank(sym).rank == expand_closed_form([(4, 4), (5, 2), (6, 4)])[4]
 
     def test_chi_classes_come_from_the_gauge(self):
         # no x |> - preserves chi on x4, but twisted by the scalars chi(x, -)
@@ -744,7 +749,7 @@ class TestPivots:
             if n >= 3:
                 mat[0] = list(mat[1])
                 mat[2] = [a + b for a, b in zip(mat[1], mat[2])]
-            pivots = _pivots_dense_modp(np.array(mat, dtype=np.int64) % p, p).tolist()
+            pivots = kernel_pivots(np.array(mat, dtype=np.int64) % p, p).tolist()
             assert len(set(pivots)) == len(pivots) == rank_over_rationals(mat)
             assert rank_over_rationals([mat[i] for i in pivots]) == len(pivots)
 
@@ -767,12 +772,31 @@ class TestPivots:
         # the first prime tried is forced one rank low, on a block whose bound asks
         # for a second prime (as in test_exact_bound_holds_at_a_dtype_edge):
         # the pivots come from the prime that attains the rank
-        monkeypatch.setattr(exact_mod, "_pivots_dense_modp", shifted_kernel(_pivots_dense_modp, 2**31 - 1, -1))
+        monkeypatch.setattr(exact_mod, "_pivots_modp", shifted_kernel(_pivots_modp, 2**31 - 1, -1))
         counts = np.zeros((order, 5, 5), dtype=np.int64)
         counts[0, 1:, 1:] = np.ones((4, 4), dtype=np.int64) + 127 * np.eye(4, dtype=np.int64)
         block, exps, origin = fold_one(*count_parts(counts), order)
         rows = origin[_pivots_exact(block, exps, order)]
         assert sorted(rows.tolist()) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_block_pivots_are_the_first_independent_rows(self, order):
+        # on folded blocks, planted and of low rank, the pivots mod p are exactly the rows
+        # that raise the rank when the rows are walked in order, found in Python ints
+        rng = np.random.default_rng(40 + order)
+        p = _draw_prime(random.Random(order), order, set())
+        g = _element_of_order(p, order)
+        for trial in range(12):
+            n = int(rng.integers(6, 9))
+            if trial % 2:
+                counts = planted_counts(rng, order, n)
+            else:
+                inner = int(rng.integers(1, n))
+                counts = rng.integers(0, 3, (order, n, inner)) @ rng.integers(0, 3, (inner, n))
+            block, exps, _ = fold_one(*count_parts(counts), order)
+            powers = [pow(g, e, p) for e in exps.tolist()]
+            rows = [[sum(c * z for c, z in zip(cell, powers)) for cell in zip(*row)] for row in zip(*block.tolist())]
+            assert _pivots_modp(block, exps, p, g).tolist() == first_independent_rows_modp(rows, p)
 
     @pytest.mark.parametrize("name", sorted(CLASS_CASES))
     @pytest.mark.parametrize("degree", [2, 3, 4])

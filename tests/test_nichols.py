@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import is_palindromic, translation_group, unpruned_graded_dims, value_at_one
+from oracles import first_independent_rows_modp, is_palindromic, translation_group, unpruned_graded_dims, value_at_one
 from racktwist import nichols
 from racktwist.cli import main
 from racktwist.cocycle import chi_cocycle, constant_cocycle, minus_one_cocycle
@@ -116,6 +116,25 @@ def test_index_refuses_an_element_outside_the_group():
     flipped[0, 1] ^= 1
     with pytest.raises(ValueError, match="outside the group of translations"):
         eng.index((eng.perm[[5]], flipped))
+
+
+def test_rref_takes_any_number_of_primes():
+    # one prime, the same prime twice and three primes at once reduce alike, to the pivot columns
+    # that raise the rank walked in order; a prime with no pivot where the others have one is None
+    rng = np.random.default_rng(11)
+    primes = np.array([2**31 - 1, 2147483629, 1_073_741_827], dtype=np.int64)
+    p = int(primes[0])
+    for _ in range(40):
+        rows, cols, inner = (int(v) for v in rng.integers(1, 9, size=3))
+        a = rng.integers(-3, 4, (rows, inner)) @ rng.integers(-3, 4, (inner, cols))
+        one, two, three = a[None] % p, np.stack([a, a]) % p, a[None] % primes[:, None, None]
+        pivots = nichols._rref(one, primes[:1])
+        assert pivots == first_independent_rows_modp(a.T.tolist(), p)
+        assert nichols._rref(two, primes[[0, 0]]) == pivots
+        assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[0])
+        assert nichols._rref(three, primes) == pivots
+        if pivots:
+            assert nichols._rref(np.stack([a % p, np.zeros_like(a)]), primes[[0, 0]]) is None
 
 
 # ---------------------------------------------------------------- transport identities
