@@ -4,7 +4,9 @@ Subcommands: rack | cocycle | cover | twist-verify | cohomology | hilbert |
 selfcheck.  Human summaries go to stdout; the machine-readable JSON report is
 written to --out.  Identical configurations (including --seed) produce
 byte-identical reports.  Exit codes: 0 success, 1 usage error, 2 failed
-mathematical check, 3 resource cap exceeded.
+mathematical check, 3 resource cap exceeded.  Every integer flag has a
+range, checked before the command runs: a value below it is a usage error,
+one above it a resource cap.
 """
 
 from __future__ import annotations
@@ -50,19 +52,6 @@ def _finish(args, ok: bool, fields: dict, **config) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _dim_cap(args) -> int:
-    cap = braided.DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
-    if cap < 1:
-        raise UsageError(f"dimension cap must be positive, got {cap}")
-    return cap
-
-
-def _check_rack_n(command: str, n: int) -> None:
-    """The one upper bound on n of every command that builds x_n: a resource limit, decided before anything is built."""
-    if n > spincover.N_CAP:
-        raise DimensionCapError(f"{command}: need n <= {spincover.N_CAP} for x_n, got {n}")
-
-
 # ---------------------------------------------------------------- rack
 
 
@@ -73,9 +62,6 @@ def cmd_rack(args) -> int:
     else:
         if args.n is None:
             raise UsageError("rack: provide --n for a transposition rack or --check FILE")
-        if args.n < 2:
-            raise UsageError(f"rack: need n >= 2, got {args.n}")
-        _check_rack_n("rack", args.n)
         r = rack_mod.transposition_rack(args.n)
         report_src = f"x{args.n}"
     violation = rack_mod.check_rack_axioms(r)
@@ -127,7 +113,6 @@ def cmd_cocycle(args) -> int:
             raise UsageError("cocycle: provide --kind or --check FILE")
         if args.n is None:
             raise UsageError("cocycle: --n is required for built-in cocycles")
-        _check_rack_n("cocycle", args.n)
         q = _builtin_cocycle(args.kind, rack_mod.transposition_rack(args.n), args.n, "--kind")
         if q is None:
             raise UsageError(f"cocycle: unknown kind {args.kind!r}")
@@ -154,11 +139,6 @@ def cmd_cocycle(args) -> int:
 
 def cmd_cover(args) -> int:
     n = args.n
-    if n < 4:
-        raise UsageError(f"cover: need n >= 4, got {n}")
-    _check_rack_n("cover", n)
-    if args.trials < 0:
-        raise UsageError(f"cover: need --trials >= 0, got {args.trials}")
     presentation_ok = spincover.verify_presentation(n) is None
     lemma_witness = spincover.verify_conjugation_lemmas(n, trials=args.trials, seed=args.seed)
     lemma_ok = lemma_witness is None
@@ -187,9 +167,6 @@ def cmd_cover(args) -> int:
 
 def cmd_verify_twist(args) -> int:
     n = args.n
-    if n < 4:
-        raise UsageError(f"twist-verify: need n >= 4, got {n}")
-    _check_rack_n("twist-verify", n)
     restriction = spincover.phi_psi_table(n).twist_table()
     triple = cocycle_mod.check_twist_condition(restriction)
     first_fail = spincover.verify_main_theorem(n, restriction)
@@ -229,9 +206,6 @@ def cmd_cohomology(args) -> int:
     2^k <= 4096) disagrees with the solver.
     """
     n = args.n
-    if n < 3:
-        raise UsageError(f"cohomology: need n >= 3, got {n}")
-    _check_rack_n("cohomology", n)
     chi = cocycle_mod.chi_cocycle(n)
     violation = cocycle_mod.check_rack_cocycle(chi)
     if violation is not None:
@@ -318,11 +292,9 @@ def _parse_closed_form(arg: str) -> list[tuple[int, int]]:
 
 
 def cmd_hilbert(args) -> int:
-    cap = _dim_cap(args)
-    # usage errors come before the rack and the cocycle, whose records may meet a resource cap
-    if args.max_degree < 0:
-        raise UsageError("max_degree must be >= 0")
-    closed_form = _parse_closed_form(args.closed_form) if args.closed_form else None
+    cap = braided.DEFAULT_DIM_CAP if args.dim_cap is None else args.dim_cap
+    # a bad closed form is a usage error: parsed before the rack and the cocycle, whose records may meet a cap
+    closed_form = None if args.closed_form is None else _parse_closed_form(args.closed_form)
     rack, n, rack_id = _parse_rack_arg(args.rack, cap)
     q, cocycle_id = _parse_cocycle_arg(args.cocycle, rack, n)
     report = hilbert_mod.graded_dims(
@@ -348,11 +320,6 @@ def cmd_hilbert(args) -> int:
 
 def cmd_selfcheck(args) -> int:
     n_max = args.n_max
-    if n_max < 2:
-        raise UsageError(f"selfcheck: need n_max >= 2, got {n_max}")
-    _check_rack_n("selfcheck", n_max)
-    if args.trials < 0:
-        raise UsageError(f"selfcheck: need --trials >= 0, got {args.trials}")
     doubled = args.inject_fault == "generator"  # every generator vector doubled, so t_i^2 = 4
     checks = []
 
@@ -415,41 +382,51 @@ def cmd_selfcheck(args) -> int:
 
 
 _OUT = ("--out", dict(help="write the report JSON here"))
-_N = ("--n", dict(type=int, required=True))
 _SEED = ("--seed", dict(type=int, default=0))
+# the n of x_n, on every command that builds x_n
+_X_N = dict(type=int, most=spincover.N_CAP)
+# the most random conjugation words per n: 10^7 take about 32 s at n = 20 (a 2-vCPU Xeon)
+TRIALS_CAP = 10**7
 # name, handler, help and flags of each subcommand, in the order --help lists them; a flag's keywords are
-# its type (str if absent), default, choices, required, help, metavar, and hidden (left out of usage and help)
+# its type (str if absent), default, choices, required, help, metavar, hidden (left out of usage and help),
+# and the range of an int: main refuses a value given below least (exit 1) or above most (exit 3)
 COMMANDS = (
     ("rack", cmd_rack, "build or validate a rack table", (
-        ("--n", dict(type=int, help="transposition rack of S_n")),
+        ("--n", dict(_X_N, least=2, help="transposition rack of S_n")),
         ("--check", dict(metavar="FILE", help="validate a rack JSON file")),
         ("--out", dict(help="write the rack/report JSON here")),
     )),
     ("cocycle", cmd_cocycle, "build or validate a rack 2-cocycle", (
-        ("--n", dict(type=int, help="size parameter for built-in cocycles")),
+        ("--n", dict(_X_N, help="size parameter for built-in cocycles")),
         ("--kind", dict(help="chi | -1 | minus1 | const:M:E")),
         ("--check", dict(metavar="FILE", help="validate a cocycle JSON file")),
         _OUT,
     )),
     ("cover", cmd_cover, "verify the double-cover presentation and lemmas", (
-        _N, ("--trials", dict(type=int, default=1000, help="random conjugation words to test")), _SEED, _OUT,
+        ("--n", dict(_X_N, required=True, least=4)),
+        ("--trials", dict(type=int, default=1000, least=0, most=TRIALS_CAP, help="random conjugation words to test")),
+        _SEED, _OUT,
     )),
-    ("twist-verify", cmd_verify_twist, "verify the twist identity pair by pair", (_N, _OUT)),
-    ("cohomology", cmd_cohomology, "decide gauge equivalence of -1 and chi", (_N, _OUT)),
+    ("twist-verify", cmd_verify_twist, "verify the twist identity pair by pair", (
+        ("--n", dict(_X_N, required=True, least=4)), _OUT,
+    )),
+    ("cohomology", cmd_cohomology, "decide gauge equivalence of -1 and chi", (
+        ("--n", dict(_X_N, required=True, least=3)), _OUT,
+    )),
     ("hilbert", cmd_hilbert, "graded ranks of the symmetrizer", (
         ("--rack", dict(required=True, help="xN or a rack JSON file")),
         ("--cocycle", dict(required=True, help="chi | -1 | minus1 | const:M:E | file")),
-        ("--max-degree", dict(type=int, required=True)),
+        ("--max-degree", dict(type=int, required=True, least=0)),
         ("--mode", dict(choices=("exact", "modular"), default="modular")),
         _SEED,
-        ("--dim-cap", dict(type=int, help="bound on what a run builds (default 200000): the k x k table of xN; "
-                           "|Q| k and each Phi_r's side^2 modular; k^degree exact or at a fallback")),
+        ("--dim-cap", dict(type=int, least=1, help="bound on what a run builds (default 200000): the k x k table "
+                           "of xN; |Q| k and each Phi_r's side^2 modular; k^degree exact or at a fallback")),
         ("--closed-form", dict(help="compare ranks against prod (M)_t^MULT, as M:MULT,M:MULT,...")),
         _OUT,
     )),
     ("selfcheck", cmd_selfcheck, "run the aggregated internal verification suite", (
-        ("--n-max", dict(type=int, default=6)),
-        ("--trials", dict(type=int, default=200, help="random conjugation words per n")),
+        ("--n-max", dict(_X_N, default=6, least=2)),
+        ("--trials", dict(type=int, default=200, least=0, most=TRIALS_CAP, help="random conjugation words per n")),
         _SEED,
         ("--inject-fault", dict(choices=("generator",), hidden=True)),
         _OUT,
@@ -613,6 +590,15 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_args(argv)
+        # the range of each flag given, in table order; a flag without a bound is compared with itself
+        for flag, keywords in next(entry[3] for entry in COMMANDS if entry[0] == args.subcommand):
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            if value < keywords.get("least", value):
+                raise UsageError(f"{args.subcommand}: need {flag} >= {keywords['least']}, got {value}")
+            if value > keywords.get("most", value):
+                raise DimensionCapError(f"{args.subcommand}: need {flag} <= {keywords['most']}, got {value}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ _layer_walk, _row_keys and _first_occurrences.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -359,13 +360,28 @@ def json_count(d, key: str, what: str) -> int:
     return value
 
 
-def json_table(d, key: str, what: str, size: int, bound: int) -> list[list[int]]:
-    """A size x size table of integers in 0..bound-1 from a decoded JSON object, as its list of rows."""
+def json_table(d, key: str, what: str, size: int, bound: int) -> np.ndarray | list[list[int]]:
+    """A size x size table of integers in 0..bound-1 from a decoded JSON object, as an int64 array.
+
+    The types and the range are checked over the whole table at once; the
+    rows are walked only to name the first bad entry.  An entry past int64
+    fits only a bound past 2^63, a cocycle order that the record refuses;
+    such a table is returned as its list of rows.
+    """
     rows = json_field(d, key, what)
     if not isinstance(rows, list) or len(rows) != size or any(
         not isinstance(row, list) or len(row) != size for row in rows
     ):
         raise ValueError(f"{what}: {key} must be a {size} x {size} table")
+    table = None
+    # type() is int for no bool, float or str entry
+    if set(map(type, chain.from_iterable(rows))) == {int}:
+        try:
+            table = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            pass
+    if table is not None and not ((table < 0) | (table >= bound)).any():
+        return table
     for x, row in enumerate(rows):
         for y, v in enumerate(row):
             if type(v) is not int or not 0 <= v < bound:

@@ -71,7 +71,7 @@ class TestRackCommand:
         never_build_rack(monkeypatch)
         out = tmp_path / "rack.json"
         assert run(["rack", "--n", "400", "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"resource limit: rack: need n <= {N_CAP} for x_n, got 400\n"
+        assert capsys.readouterr().err == f"resource limit: rack: need --n <= {N_CAP}, got 400\n"
         assert not out.exists()
 
 
@@ -167,7 +167,7 @@ class TestCocycleCommand:
         out = tmp_path / "c.json"
         for kind in ("-1", "chi"):
             assert run(["cocycle", f"--kind={kind}", "--n", "400", "--out", str(out)]) == 3
-            assert capsys.readouterr().err == f"resource limit: cocycle: need n <= {N_CAP} for x_n, got 400\n"
+            assert capsys.readouterr().err == f"resource limit: cocycle: need --n <= {N_CAP}, got 400\n"
         assert not out.exists()
 
 
@@ -187,8 +187,78 @@ def test_n_past_the_cap_is_one_resource_limit(tmp_path, capsys, monkeypatch, arg
     never_build_rack(monkeypatch)
     out = tmp_path / "r.json"
     assert run([*argv, str(N_CAP + 1), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == f"resource limit: {argv[0]}: need n <= {N_CAP} for x_n, got {N_CAP + 1}\n"
+    assert capsys.readouterr().err == f"resource limit: {argv[0]}: need {argv[-1]} <= {N_CAP}, got {N_CAP + 1}\n"
     assert not out.exists()
+
+
+# (command, flag, keywords) of every flag that COMMANDS gives a range
+BOUNDED_FLAGS = [(name, flag, keywords) for name, _, _, flags in cli.COMMANDS for flag, keywords in flags
+                 if "least" in keywords or "most" in keywords]
+
+
+def in_range_argv(command):
+    """argv of command that gives each required flag a value in its range: an int its least (or 0), any other 'x'."""
+    argv = [command]
+    for flag, keywords in next(entry[3] for entry in cli.COMMANDS if entry[0] == command):
+        if keywords.get("required"):
+            argv += [flag, str(keywords.get("least", 0)) if keywords.get("type") is int else "x"]
+    return argv
+
+
+def replace_handler(monkeypatch, command, handler):
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        (name, handler if name == command else fn, text, flags) for name, fn, text, flags in cli.COMMANDS))
+
+
+@pytest.mark.parametrize("command, flag, keywords", BOUNDED_FLAGS, ids=[f"{c} {f}" for c, f, _ in BOUNDED_FLAGS])
+def test_every_bound_is_decided_before_the_handler(tmp_path, capsys, monkeypatch, command, flag, keywords):
+    # one past least is a usage error and one past most a resource limit, each one stderr line and no report;
+    # the bounds themselves are in range and reach the handler
+    def never(args):
+        raise AssertionError(f"{command} ran with {flag} out of range")
+
+    out = tmp_path / "r.json"
+    argv = [*in_range_argv(command), "--out", str(out)]
+    replace_handler(monkeypatch, command, never)
+    if "least" in keywords:
+        least = keywords["least"]
+        assert run([*argv, flag, str(least - 1)]) == 1
+        assert capsys.readouterr() == ("", f"error: {command}: need {flag} >= {least}, got {least - 1}\n")
+        assert not out.exists()
+    if "most" in keywords:
+        most = keywords["most"]
+        assert run([*argv, flag, str(most + 1)]) == 3
+        assert capsys.readouterr() == ("", f"resource limit: {command}: need {flag} <= {most}, got {most + 1}\n")
+        assert not out.exists()
+    seen = []
+    replace_handler(monkeypatch, command, lambda args: seen.append(getattr(args, flag[2:].replace("-", "_"))) or 0)
+    ends = [keywords[end] for end in ("least", "most") if end in keywords]
+    for value in ends:
+        assert run([*argv, flag, str(value)]) == 0
+    assert seen == ends
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--n", "3", "--trials", "-1"], "error: cover: need --n >= 4, got 3"),
+    (["cover", "--trials", "-1", "--n", "21"], "resource limit: cover: need --n <= 20, got 21"),
+    (["hilbert", "--rack", "x3", "--cocycle=-1", "--dim-cap", "0", "--max-degree", "-1"],
+     "error: hilbert: need --max-degree >= 0, got -1"),
+    (["selfcheck", "--trials", "-1", "--n-max", "1"], "error: selfcheck: need --n-max >= 2, got 1"),
+], ids=["cover-least", "cover-most", "hilbert", "selfcheck"])
+def test_table_order_decides_between_two_range_errors(capsys, argv, message):
+    # the flags are checked in the order COMMANDS lists them, not in the order argv gives them
+    assert run(argv) == (3 if message.startswith("resource") else 1)
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_a_bound_holds_whenever_the_flag_is_given(tmp_path, capsys):
+    # rack --check reads no --n, but a given --n is still checked
+    path = tmp_path / "rack.json"
+    assert run(["rack", "--n", "3", "--out", str(path)]) == 0
+    path.write_text(json.dumps(read_json(str(path))["rack"]))
+    capsys.readouterr()
+    assert run(["rack", "--check", str(path), "--n", "1"]) == 1
+    assert capsys.readouterr() == ("", "error: rack: need --n >= 2, got 1\n")
 
 
 CHI_COMMANDS = [
@@ -293,6 +363,17 @@ class TestCoverCommand:
         assert not out.exists()
         assert run(["cover", "--n", "4", "--trials", "0"]) == 0
 
+    def test_huge_trials_is_a_resource_limit_at_once(self, tmp_path):
+        # refused before any word is drawn: the run exits 3 within seconds, with one line and no report
+        out = tmp_path / "cover.json"
+        args = ["cover", "--n", "4", "--trials", "99999999999999999999", "--out", str(out)]
+        done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=child_env(),
+                              capture_output=True, text=True, timeout=20)
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert done.stderr == f"resource limit: cover: need --trials <= {cli.TRIALS_CAP}, got 99999999999999999999\n"
+        assert not out.exists()
+
 
 class TestTwistVerifyCommand:
     def test_n4(self, tmp_path):
@@ -314,7 +395,7 @@ class TestTwistVerifyCommand:
 
     def test_n_cap(self, capsys):
         assert run(["twist-verify", "--n", "21"]) == 3
-        assert capsys.readouterr().err == "resource limit: twist-verify: need n <= 20 for x_n, got 21\n"
+        assert capsys.readouterr().err == "resource limit: twist-verify: need --n <= 20, got 21\n"
 
     @pytest.mark.parametrize("command", ["twist-verify", "cover"])
     def test_non_unit_bracket_fails_in_one_line(self, tmp_path, capsys, monkeypatch, command):
@@ -639,14 +720,22 @@ class TestHilbertCommand:
         assert err.count("\n") == 1 and "closed-form factor" in err
         assert not out.exists()
 
+    def test_empty_closed_form_is_a_usage_error(self, tmp_path, capsys):
+        # an empty --closed-form= names one empty factor, refused like any other bad factor
+        out = tmp_path / "h.json"
+        argv = ["hilbert", "--rack", "x3", "--cocycle", "-1", "--max-degree", "2", "--closed-form=", "--out", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", "error: hilbert: bad closed-form factor '' (use M:MULT,...)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "-1"],
-         "max_degree must be >= 0"),
+         "hilbert: need --max-degree >= 0, got -1"),
         (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2", "--closed-form", "2:x"],
          "hilbert: bad closed-form factor '2:x' (use M:MULT,...)"),
         (["--rack", "x3", "--cocycle", "const:99999999999999999999:1", "--max-degree", "2", "--closed-form", "0:1"],
          "closed-form factor 0:1 needs M >= 1 and MULT >= 1"),
-        (["--rack", "x40", "--cocycle=-1", "--max-degree", "-1"], "max_degree must be >= 0"),
+        (["--rack", "x40", "--cocycle=-1", "--max-degree", "-1"], "hilbert: need --max-degree >= 0, got -1"),
     ], ids=["huge-order-negative-degree", "huge-order-bad-factor", "huge-order-factor-zero", "x40-negative-degree"])
     def test_usage_errors_come_before_resource_caps(self, tmp_path, capsys, argv, message):
         # an order past 2^62 and the x40 table are resource limits, but a bad flag is decided first

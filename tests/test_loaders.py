@@ -3,12 +3,14 @@ a rack path that cannot be read), never a crash."""
 
 import json
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racktwist.cli import main
 from racktwist.cocycle import chi_cocycle, cocycle_from_dict, cocycle_to_dict
-from racktwist.rack import rack_from_dict, rack_to_dict, transposition_rack
+from racktwist.rack import json_table, rack_from_dict, rack_to_dict, transposition_rack
 
 KEYS = ["size", "op", "labels", "rack", "order", "exp", "phi", "x"]
 
@@ -53,6 +55,31 @@ def _valid_or_value_error(loader, doc):
 
 def _in_range(table, bound):
     return all(type(v) is int and 0 <= v < bound for row in table.tolist() for v in row)
+
+
+def _first_bad_entry(rows, bound):
+    """The first (x, y, v) of rows with v no int in 0..bound-1, entry by entry; None if there is none."""
+    return next(((x, y, v) for x, row in enumerate(rows) for y, v in enumerate(row)
+                 if type(v) is not int or not 0 <= v < bound), None)
+
+
+table_entries = (st.integers(0, 3) | st.integers(-2, 6) | st.booleans() | st.floats(0, 3) | st.text(max_size=1)
+                 | st.sampled_from([2**62, 2**63, 2**64, -2**63 - 1]))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(table_entries, min_size=3, max_size=3), min_size=3, max_size=3),
+       st.sampled_from([4, 2**70]))
+def test_json_table_agrees_with_the_entry_loop(rows, bound):
+    # the whole-table check accepts what the loop over entries accepts, and a refusal names the loop's first bad entry
+    bad = _first_bad_entry(rows, bound)
+    if bad is None:
+        assert np.asarray(json_table({"t": rows}, "t", "q", 3, bound), dtype=object).tolist() == rows
+    else:
+        x, y, v = bad
+        with pytest.raises(ValueError) as exc:
+            json_table({"t": rows}, "t", "q", 3, bound)
+        assert str(exc.value) == f"q: t[{x}][{y}] must be an integer in 0..{bound - 1}, got {v!r:.40}"
 
 
 class TestRackLoader:
