@@ -4,7 +4,8 @@ Subcommands: rack | cocycle | cover | twist-verify | cohomology | hilbert |
 selfcheck.  Human summaries go to stdout; the machine-readable JSON report is
 written to --out.  Identical configurations (including --seed) produce
 byte-identical reports.  Exit codes: 0 success, 1 usage error, 2 failed
-mathematical check, 3 resource cap exceeded.  Every integer flag has a
+mathematical check, 3 resource cap exceeded, 141 (128 + SIGPIPE) stdout
+closed by its reader, with nothing printed.  Every integer flag has a
 range, checked before the command runs: a value below it is a usage error,
 one above it a resource cap.
 """
@@ -28,6 +29,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 EXIT_RESOURCE = 3
+# what a shell reports for a writer killed by SIGPIPE, so a check piped into a reader that stops early never reads as 0
+EXIT_PIPE = 128 + 13
 
 
 class UsageError(Exception):
@@ -178,7 +181,8 @@ def cmd_verify_twist(args) -> int:
         "twist_condition_ok": cond_ok,
         "twist_condition_witness": triple,
         "main_theorem_ok": main_ok,
-        # the same verdict, kept because the report schema has this field
+        # the same verdict, kept because the report schema has this field and perfbench/run.py's
+        # check_twist requires it, so dropping it is a change to the benchmark too
         "twist_equals_minus_one": main_ok,
         "first_failing_pair": first_fail,
     }, n=n)
@@ -397,7 +401,7 @@ COMMANDS = (
         ("--out", dict(help="write the rack/report JSON here")),
     )),
     ("cocycle", cmd_cocycle, "build or validate a rack 2-cocycle", (
-        ("--n", dict(_X_N, help="size parameter for built-in cocycles")),
+        ("--n", dict(_X_N, least=2, help="size parameter for built-in cocycles")),
         ("--kind", dict(help="chi | -1 | minus1 | const:M:E")),
         ("--check", dict(metavar="FILE", help="validate a cocycle JSON file")),
         _OUT,
@@ -589,17 +593,25 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parse_args(argv)
-        # the range of each flag given, in table order; a flag without a bound is compared with itself
-        for flag, keywords in next(entry[3] for entry in COMMANDS if entry[0] == args.subcommand):
-            value = getattr(args, flag[2:].replace("-", "_"))
-            if value is None:
-                continue
-            if value < keywords.get("least", value):
-                raise UsageError(f"{args.subcommand}: need {flag} >= {keywords['least']}, got {value}")
-            if value > keywords.get("most", value):
-                raise DimensionCapError(f"{args.subcommand}: need {flag} <= {keywords['most']}, got {value}")
-        return args.fn(args)
+        try:
+            args = parse_args(argv)
+            # the range of each flag given, in table order; a flag without a bound is compared with itself
+            for flag, keywords in next(entry[3] for entry in COMMANDS if entry[0] == args.subcommand):
+                value = getattr(args, flag[2:].replace("-", "_"))
+                if value is None:
+                    continue
+                if value < keywords.get("least", value):
+                    raise UsageError(f"{args.subcommand}: need {flag} >= {keywords['least']}, got {value}")
+                if value > keywords.get("most", value):
+                    raise DimensionCapError(f"{args.subcommand}: need {flag} <= {keywords['most']}, got {value}")
+            return args.fn(args)
+        finally:
+            # a closed stdout fails here if it did not fail in a print, also after --help's SystemExit
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

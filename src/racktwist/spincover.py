@@ -6,8 +6,8 @@ t_i = g_i/sqrt(2) with g_i = e_i - e_{i+1}, and the central involution z is
 the scalar -1.  No check expands an element in Clifford monomials: every
 lift used here is a product of unit vectors a/sqrt(2), a an integer vector
 with |a|^2 = 2, and is decided by integer arithmetic, with no floating
-point.  The presentation is a batch of words of at most six generator
-vectors whose signs racktwist.pfaffian decides; see verify_presentation.
+point.  The presentation is one Gram entry of the generator vectors per
+relation; see verify_presentation.
 The conjugation lemmas expand no lift either: conjugating a bracket by t_k
 is an integer reflection of its vector, applied to a whole batch of words
 at once, and a failure comes back with its first word and pair; see
@@ -24,7 +24,8 @@ the sign of such products exactly, by integer Pfaffians modulo primes, a
 whole batch in one sweep; a product that is neither +1 nor -1 raises
 SectionConsistencyError.  The twist table takes one such Pfaffian per
 product xy and a Pfaffian of four vectors per pair; see
-GroupCocycleBit.twist_table.
+GroupCocycleBit.twist_table.  Only section words go to racktwist.pfaffian:
+no closed form decides them.
 """
 
 from __future__ import annotations
@@ -169,14 +170,17 @@ def verify_presentation(n: int, generators: np.ndarray | None = None) -> dict | 
 
     Relations: t_i^2 = 1, (t_j t_{j+1})^3 = 1, (t_k t_l)^2 = z for k <= l-2,
     z^2 = 1, and z central.  Here t_i = g_i/sqrt(2) with g_i row i - 1 of
-    generators, generator_vectors(n) by default.  t_i^2 = <g_i, g_i>/2, so
-    the first relation is the Gram diagonal equal to 2; it is checked first,
-    because pfaffian.word_bits bounds its Pfaffians for unit vectors only.
-    The braid relation is the vector word (j, j+1)^3 with sign bit 0, the far
-    relation the word (k, l)^2 with bit 1, and one word_bits batch decides
-    them all.  z is the sign -1 of a word, a scalar, so z^2 = 1 and z central
-    hold by construction.  The witness names the relation ("square",
-    "braid" or "far") and its generators t_i by i, in the order above.
+    generators, generator_vectors(n) by default, and each relation is one
+    entry of the Gram matrix <g_i, g_j>.  t_i^2 = <g_i, g_i>/2, so the first
+    relation is the diagonal equal to 2; it is checked first, because the
+    other two entries decide their relations for unit vectors only.  For
+    unit vectors u, v with c = <u, v>, uv + vu = 2c gives
+      (uv)^2 = 2c uv - 1  and  (uv)^3 = (4c^2 - 1) uv - 2c,
+    and uv is a scalar only when u = +-v.  So (uv)^3 = 1 exactly when c is
+    1 or -1/2 (Gram entry 2 or -1), and (uv)^2 = -1 = z exactly when c = 0.
+    z is the scalar -1, so z^2 = 1 and z central hold by construction.  The
+    witness names the relation ("square", "braid" or "far") and its
+    generators t_i by i, in the order above, far pairs in lexicographic order.
     """
     if not 2 <= n <= N_CAP:
         raise ValueError(f"n must be in 2..{N_CAP}, got {n}")
@@ -186,26 +190,13 @@ def verify_presentation(n: int, generators: np.ndarray | None = None) -> dict | 
     bad = np.flatnonzero(np.diag(gram) != 2)
     if bad.size:
         return {"relation": "square", "letters": [int(bad[0]) + 1]}
-    values, lengths, bits, names = [], [], [], []
-    for j in range(n - 2):
-        values += [j, j + 1] * 3
-        lengths.append(6)
-        bits.append(0)
-        names.append(("braid", [j + 1, j + 2]))
-    for k in range(n - 1):
-        for l in range(k + 2, n - 1):
-            values += [k, l] * 2
-            lengths.append(4)
-            bits.append(1)
-            names.append(("far", [k + 1, l + 1]))
-    if not bits:  # n = 2 has no word
-        return None
-    got = pfaffian.word_bits(gram, np.array(values, dtype=np.intp), np.array(lengths, dtype=np.intp))
-    bad = np.flatnonzero(got != np.array(bits))
-    if not bad.size:
-        return None
-    relation, letters = names[int(bad[0])]
-    return {"relation": relation, "letters": letters}
+    bad = np.flatnonzero(~np.isin(np.diag(gram, 1), (2, -1)))
+    if bad.size:
+        return {"relation": "braid", "letters": [int(bad[0]) + 1, int(bad[0]) + 2]}
+    k, l = np.nonzero(np.triu(gram, 2))  # row-major, so in lexicographic order
+    if k.size:
+        return {"relation": "far", "letters": [int(k[0]) + 1, int(l[0]) + 1]}
+    return None
 
 
 def _bracket_vectors(n: int) -> np.ndarray:

@@ -9,8 +9,10 @@ and twist conditions, a pair loop for the twist identity, and a Clifford
 algebra over the field Q(sqrt(2)) with rational coefficients.  The lifts
 of the cover live here as SpinElement, a Clifford element over a
 permutation, with the generators generator_t; the presentation has
-presentation_by_clifford, which multiplies every relation out where the
-package decides words of integer vectors.  The sign cocycle of the
+presentation_by_clifford, which multiplies every relation out, and
+presentation_by_words, which decides each braid and far relation as a
+word of integer vectors by pfaffian.word_bits, where the package reads
+one Gram entry per relation.  The sign cocycle of the
 section has two oracles that expand no Pfaffian: CliffordSection lifts
 the section in the Clifford model, and twist_identity_by_reflections
 checks the twist identity one bracket at a time, with no section at all.
@@ -60,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from racktwist import exact, spincover
+from racktwist import exact, pfaffian, spincover
 from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle, minus_one_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import (
@@ -1133,6 +1135,31 @@ def presentation_by_clifford(n: int, generators: list[SpinElement] | None = None
             if (v * v) != z:
                 return False
     return True
+
+
+def presentation_by_words(n: int, generators: np.ndarray) -> dict | None:
+    """spincover.verify_presentation with the braid and far relations decided as words of generator vectors.
+
+    The square relation is the Gram diagonal equal to 2, checked first, as
+    pfaffian.word_bits bounds its Pfaffians for unit vectors only.  Then
+    (t_j t_{j+1})^3 = 1 is the vector word (j, j+1)^3 with sign bit 0 and
+    (t_k t_l)^2 = z the word (k, l)^2 with bit 1, all in one batch; the
+    first word whose bit differs names the relation.
+    """
+    gram = generators @ generators.T
+    bad = np.flatnonzero(np.diag(gram) != 2)
+    if bad.size:
+        return {"relation": "square", "letters": [int(bad[0]) + 1]}
+    words = [("braid", [j, j + 1] * 3, 0) for j in range(n - 2)]
+    words += [("far", [k, l] * 2, 1) for k in range(n - 1) for l in range(k + 2, n - 1)]
+    if not words:
+        return None
+    values = np.array([v for _, word, _ in words for v in word], dtype=np.intp)
+    lengths = np.array([len(word) for _, word, _ in words], dtype=np.intp)
+    for (relation, word, want), got in zip(words, pfaffian.word_bits(gram, values, lengths)):
+        if got != want:
+            return {"relation": relation, "letters": [word[0] + 1, word[1] + 1]}
+    return None
 
 
 def cocycle_bit(gc: GroupCocycleBit, x: Permutation, y: Permutation) -> int:

@@ -122,6 +122,13 @@ class TestCocycleCommand:
         assert run(["cocycle", "--kind", "chi", "--n", "2"]) == 1
         assert run(["cocycle", "--kind", "nope", "--n", "4"]) == 1
 
+    def test_n_below_two_and_chi_below_three(self, capsys):
+        # --n has least 2 in cli.COMMANDS; chi's n >= 3 depends on --kind, so chi_cocycle refuses n = 2
+        assert run(["cocycle", "--kind", "-1", "--n", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: cocycle: need --n >= 2, got 1\n")
+        assert run(["cocycle", "--kind", "chi", "--n", "2"]) == 1
+        assert capsys.readouterr() == ("", "error: chi cocycle needs n >= 3, got 2\n")
+
     @pytest.mark.parametrize("argv", [
         ["cocycle", "--n", "3", "--kind", "const:3:x"],
         ["cocycle", "--n", "3", "--kind", "const:3"],
@@ -1173,6 +1180,24 @@ def test_hilbert_memory_does_not_grow_with_the_order(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert read_json(str(out))["report"]["ranks"][:4] == [1, 3, 9, 27]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["--help"], ["selfcheck", "--n-max", "4"]], ids=["help", "selfcheck"])
+def test_a_closed_stdout_exits_141_in_silence(args, unbuffered):
+    # the read end of the child's stdout is closed before the child starts, so its first write to the pipe fails
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "racktwist", *args], env=env, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, "")
 
 
 def test_dump_matrices_is_a_usage_error(tmp_path):

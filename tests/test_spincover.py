@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -26,6 +27,7 @@ from oracles import (
     lex_reduced_word,
     main_theorem_log,
     presentation_by_clifford,
+    presentation_by_words,
     quad_clifford_product,
     quad_element,
     quad_generator,
@@ -74,6 +76,14 @@ def scaled(elem, c):
 def sign(gc, x, y):
     """phi_psi(x, y) = (-1)^bit, the image under the sign character of <z>."""
     return -1 if cocycle_bit(gc, x, y) else 1
+
+
+def spin_generator(row):
+    """The SpinElement row/sqrt(2) of an integer row with two nonzero entries, over their transposition."""
+    n = len(row)
+    a, b = np.flatnonzero(row).tolist()
+    return SpinElement(CliffordElement(n, {1 << a: int(row[a]), 1 << b: int(row[b])}, k=1),
+                       Permutation.transposition(n, a + 1, b + 1))
 
 
 def random_element(rng, n, nterms=4):
@@ -297,6 +307,72 @@ class TestPresentation:
         repeated = vectors.copy()
         repeated[2] = vectors[0]
         assert verify_presentation(4, repeated) == {"relation": "far", "letters": [1, 3]}
+
+    @staticmethod
+    def random_generators(rng, n):
+        """n - 1 integer rows +-e_a +-e_b (a != b) of length n.
+
+        Half the sets are generator_vectors(n) under a signed permutation of
+        the coordinates, which keeps every Gram entry, the others random rows,
+        most of them drawn again until their Gram entry with the row before
+        is 2 or -1, so that many sets reach the far relations; then two sets
+        in three take one fault: a row doubled, set equal to another, negated,
+        or two rows swapped.
+        """
+        if rng.random() < 0.5:
+            vectors = generator_vectors(n)[:, rng.permutation(n)] * rng.choice([-1, 1], n)
+        else:
+            vectors = np.zeros((n - 1, n), dtype=np.int64)
+            for i, row in enumerate(vectors):
+                braided = i > 0 and rng.random() < 0.9
+                while not row.any() or braided and vectors[i - 1] @ row not in (2, -1):
+                    row[:] = 0
+                    row[rng.choice(n, 2, replace=False)] = rng.choice([-1, 1], 2)
+        i, j = rng.choice(n - 1, 2) if n > 2 else (0, 0)
+        fault = rng.integers(6)
+        if fault == 0:
+            vectors[i] *= 2
+        elif fault == 1:
+            vectors[i] = vectors[j]
+        elif fault == 2:
+            vectors[i] *= -1
+        elif fault == 3:
+            vectors[[i, j]] = vectors[[j, i]]
+        return vectors
+
+    def test_gram_entries_agree_with_the_words_and_the_clifford_oracle(self):
+        rng = np.random.default_rng(40)
+        seen = collections.Counter()
+        for _ in range(2000):
+            n = int(rng.integers(2, 9))
+            vectors = self.random_generators(rng, n)
+            got = verify_presentation(n, vectors)
+            assert got == presentation_by_words(n, vectors), vectors.tolist()
+            assert (got is None) == presentation_by_clifford(n, [spin_generator(row) for row in vectors]), vectors.tolist()
+            seen[None if got is None else got["relation"]] += 1
+        # every outcome is drawn often enough to be exercised
+        assert min(seen[outcome] for outcome in (None, "square", "braid", "far")) >= 100, seen
+
+    def test_takes_no_pfaffian(self, monkeypatch):
+        # every relation is one Gram entry, so nothing in racktwist.pfaffian runs
+        for name, value in vars(pfaffian).items():
+            if callable(value) and getattr(value, "__module__", None) == pfaffian.__name__:
+                monkeypatch.setattr(pfaffian, name, lambda *args, name=name: pytest.fail(f"pfaffian.{name} called"))
+        for n in range(2, spincover.N_CAP + 1):
+            assert verify_presentation(n) is None
+        self.test_witness_names_the_first_failing_relation()
+
+    def test_equal_braid_pair_and_lexicographic_far_scan(self):
+        # t_3 = t_4 keeps their braid relation (Gram entry 2, with -1 elsewhere); the far relations fail at
+        # (1, 5), (2, 4) and (3, 5), and the lexicographic scan names (1, 5), which comes after (2, 4) by columns
+        e = np.eye(6, dtype=np.int64)
+        vectors = np.array([e[0] - e[1], e[1] - e[2], e[2] - e[3], e[2] - e[3], e[3] - e[0]])
+        gram = vectors @ vectors.T
+        assert np.diag(gram, 1).tolist() == [-1, -1, 2, -1]
+        assert [(k + 1, l + 1) for k, l in zip(*np.nonzero(np.triu(gram, 2)))] == [(1, 5), (2, 4), (3, 5)]
+        assert verify_presentation(6, vectors) == {"relation": "far", "letters": [1, 5]}
+        assert presentation_by_words(6, vectors) == {"relation": "far", "letters": [1, 5]}
+        assert presentation_by_clifford(6, [spin_generator(row) for row in vectors]) is False
 
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
