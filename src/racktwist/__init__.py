@@ -3,7 +3,6 @@
 from .cocycle import (
     GaugeFunction,
     RackCocycle,
-    TwistTable,
     check_rack_cocycle,
     check_twist_condition,
     chi_cocycle,

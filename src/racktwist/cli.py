@@ -103,7 +103,10 @@ def _builtin_cocycle(name: str, rack, n: int | None, flag: str):
             m, e = map(int, name.split(":")[1:])
         except ValueError:
             raise UsageError(f"{flag}: const form is const:M:E with integers M and E, got {name!r}")
-        return cocycle_mod.constant_cocycle(rack, m, e)
+        try:
+            return cocycle_mod.constant_cocycle(rack, m, e)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
     return None
 
 
@@ -153,7 +156,7 @@ def cmd_cover(args) -> int:
         "lemma_general_ok": lemma_ok,
         "lemma_witness": lemma_witness,
         "main_theorem_ok": main_ok,
-        "phi_restriction": cocycle_mod.twist_table_to_dict(restriction),
+        "phi_restriction": cocycle_mod.cocycle_to_dict(restriction, "phi"),
     }, n=n, seed=args.seed)
     print(
         f"cover n={n}: presentation {'ok' if presentation_ok else 'FAILED'}, "
@@ -174,7 +177,7 @@ def cmd_verify_twist(args) -> int:
     triple = cocycle_mod.check_twist_condition(restriction)
     first_fail = spincover.verify_main_theorem(n, restriction)
     cond_ok, main_ok = triple is None, first_fail is None
-    pairs = len(restriction.phi) ** 2
+    pairs = restriction.rack.size ** 2
     code = _finish(args, cond_ok and main_ok, {
         "n": n,
         "pairs_checked": pairs,

@@ -15,7 +15,6 @@ the twist of the trivial cocycle, so it has no mask of its own.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -31,6 +30,7 @@ from .rack import (
     _self_distributivity,
     json_count,
     json_field,
+    json_file,
     json_table,
     rack_from_dict,
     rack_to_dict,
@@ -51,7 +51,12 @@ def _exponents(table, shape: tuple[int, ...], order: int, what: str, shape_error
 
 
 class RackCocycle(ReadOnly):
-    """Exponent table for q_{x,y} = zeta_order^exp[x, y] on a finite rack, read-only int64."""
+    """Exponent table for q_{x,y} = zeta_order^exp[x, y] on a finite rack, read-only int64.
+
+    It holds any 2-cochain with values in the order-th roots of unity: a
+    cocycle q, a twist phi or its dphi.  It is not checked here:
+    check_rack_cocycle decides the cocycle condition.
+    """
 
     __slots__ = ("rack", "order", "exp")
 
@@ -78,25 +83,6 @@ class GaugeFunction(ReadOnly):
         object.__setattr__(self, "rack", rack)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "g", g)
-
-
-class TwistTable(ReadOnly):
-    """Exponent table of a candidate twisting function restricted to X x X, read-only int64; equal by rack, order and table."""
-
-    __slots__ = ("rack", "order", "phi")
-
-    def __init__(self, rack: FiniteRack, order: int, phi):
-        phi = _exponents(phi, (rack.size,) * 2, order, "twist", "phi table shape must match rack size")
-        object.__setattr__(self, "rack", rack)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "phi", phi)
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is TwistTable and (self.rack, self.order) == (other.rack, other.order)
-                and np.array_equal(self.phi, other.phi))
-
-    def __hash__(self) -> int:
-        return hash((self.rack, self.order, self.phi.tobytes()))
 
 
 def constant_cocycle(r: FiniteRack, m: int, e: int) -> RackCocycle:
@@ -212,16 +198,16 @@ def find_gauge(q: RackCocycle, q2: RackCocycle) -> GaugeFunction | None:
     return GaugeFunction(rack=q.rack, order=m, g=g)
 
 
-def twist(q: RackCocycle, phi: TwistTable) -> RackCocycle:
+def twist(q: RackCocycle, phi: RackCocycle) -> RackCocycle:
     """The twisted cocycle exp'[x][y] = phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m)."""
     if not q.same_frame(phi.rack, phi.order):
         raise ValueError("twist table and cocycle must share rack and order")
-    p = phi.phi
+    p = phi.exp
     exp = (p - p[q.rack.op, np.arange(q.rack.size)[:, None]] + q.exp) % q.order
     return RackCocycle(rack=q.rack, order=q.order, exp=exp)
 
 
-def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
+def check_twist_condition(phi: RackCocycle) -> tuple[int, int, int] | None:
     """The first (x, y, z) in lexicographic order that fails the twist condition, or None.
 
     The condition makes q^phi = q + dphi a cocycle whenever q is one, with
@@ -240,16 +226,16 @@ def check_twist_condition(phi: TwistTable) -> tuple[int, int, int] | None:
     return violation["witness"]
 
 
-def cocycle_to_dict(q: RackCocycle) -> dict:
-    return {"rack": rack_to_dict(q.rack), "order": q.order, "exp": q.exp.tolist()}
+def cocycle_to_dict(q: RackCocycle, key: str = "exp") -> dict:
+    """q's JSON object, its table under key: "exp" for a cocycle, "phi" for a twist."""
+    return {"rack": rack_to_dict(q.rack), "order": q.order, key: q.exp.tolist()}
 
 
 def cocycle_from_dict(d: dict, root: str = "") -> RackCocycle:
     """A cocycle from its JSON object; the rack is an object or a path to a rack file, relative to root."""
     rack_field = json_field(d, "rack", "cocycle")
     if isinstance(rack_field, str):
-        with open(os.path.join(root, rack_field), encoding="utf-8") as fh:
-            rack_field = json.load(fh)
+        rack_field = json_file(os.path.join(root, rack_field))
     rack = rack_from_dict(rack_field)
     order = json_count(d, "order", "cocycle")
     return RackCocycle(rack=rack, order=order, exp=json_table(d, "exp", "cocycle", rack.size, order))
@@ -257,9 +243,4 @@ def cocycle_from_dict(d: dict, root: str = "") -> RackCocycle:
 
 def load_cocycle(path: str) -> RackCocycle:
     """A cocycle file; a rack path in it is read relative to the file's directory."""
-    with open(path, encoding="utf-8") as fh:
-        return cocycle_from_dict(json.load(fh), os.path.dirname(path))
-
-
-def twist_table_to_dict(t: TwistTable) -> dict:
-    return {"rack": rack_to_dict(t.rack), "order": t.order, "phi": t.phi.tolist()}
+    return cocycle_from_dict(json_file(path), os.path.dirname(path))

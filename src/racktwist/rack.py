@@ -23,6 +23,8 @@ class ReadOnly:
     """Refuses attribute writes, so that a record set in __init__ can be shared by every caller.
 
     A subclass lists its fields in __slots__ and sets them with object.__setattr__.
+    Two records are equal, and hash alike, when they have one type and equal
+    fields, an array field compared by its bytes.
     """
 
     __slots__ = ()
@@ -32,9 +34,19 @@ class ReadOnly:
 
     __delattr__ = __setattr__
 
+    def _fields(self) -> tuple:
+        values = (getattr(self, name) for name in type(self).__slots__)
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
 
 class Permutation(ReadOnly):
-    """A permutation of {1..n} in one-line notation: image[k] = value at position k+1; equal by image."""
+    """A permutation of {1..n} in one-line notation: image[k] = value at position k+1."""
 
     __slots__ = ("image",)
 
@@ -43,12 +55,6 @@ class Permutation(ReadOnly):
         if sorted(image) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {image}")
         object.__setattr__(self, "image", image)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Permutation and self.image == other.image
-
-    def __hash__(self) -> int:
-        return hash(self.image)
 
     @property
     def n(self) -> int:
@@ -136,7 +142,7 @@ def _frozen_table(table, shape: tuple[int, ...], bound: int, dtype, shape_error:
 
 
 class FiniteRack(ReadOnly):
-    """A rack on {0..k-1} given by its full operation table op[x, y] = x |> y, read-only intp; equal by table and labels."""
+    """A rack on {0..k-1} given by its full operation table op[x, y] = x |> y, read-only intp."""
 
     __slots__ = ("op", "labels")
 
@@ -148,12 +154,6 @@ class FiniteRack(ReadOnly):
             raise ValueError("labels length must match rack size")
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "labels", labels)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is FiniteRack and self.labels == other.labels and np.array_equal(self.op, other.op)
-
-    def __hash__(self) -> int:
-        return hash((self.op.tobytes(), self.labels))
 
     @property
     def size(self) -> int:
@@ -400,6 +400,14 @@ def rack_from_dict(d: dict) -> FiniteRack:
     return FiniteRack(op=op, labels=None if labels is None else tuple(labels))
 
 
-def load_rack(path: str) -> FiniteRack:
+def json_file(path: str):
+    """The decoded JSON of the file at path; ValueError naming path, with the decoder's reason, if it is not JSON."""
     with open(path, encoding="utf-8") as fh:
-        return rack_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+
+
+def load_rack(path: str) -> FiniteRack:
+    return rack_from_dict(json_file(path))

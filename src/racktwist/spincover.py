@@ -36,7 +36,7 @@ import random
 import numpy as np
 
 from . import pfaffian
-from .cocycle import TwistTable, chi_cocycle, twist
+from .cocycle import RackCocycle, chi_cocycle, twist
 from .errors import SectionConsistencyError
 from .rack import (Permutation, _first_occurrences, _pair_index, _row_keys, lex_reduced_words,
                    transposition_images, transposition_pairs, transposition_rack)
@@ -394,8 +394,8 @@ class GroupCocycleBit:
         self.n = n
         self.sections = SectionCache(n)
 
-    def twist_table(self) -> TwistTable:
-        """The restriction to transposition pairs, as an order-2 twist table.
+    def twist_table(self) -> RackCocycle:
+        """The restriction phi to transposition pairs, as an exponent table of order 2 on x_n.
 
         Pairs (x, y) are grouped by their product sigma.  The first pair
         (x0, y0) of each group in row-major order takes its bit from the word
@@ -429,7 +429,7 @@ class GroupCocycleBit:
         if bad.size:
             a, b = divmod(int(bad[0]), k)
             raise _inconsistent(Permutation.transposition(n, *pairs[a]), Permutation.transposition(n, *pairs[b]))
-        return TwistTable(rack=transposition_rack(n), order=2, phi=(ref_bits ^ (pf == -4)).reshape(k, k))
+        return RackCocycle(rack=transposition_rack(n), order=2, exp=(ref_bits ^ (pf == -4)).reshape(k, k))
 
 
 def phi_psi_table(n: int) -> GroupCocycleBit:
@@ -489,7 +489,7 @@ def verify_group_cocycle(gc: GroupCocycleBit) -> dict | None:
     return {name: images[t].tolist() for name, t in zip("xyz", triple)}
 
 
-def verify_main_theorem(n: int, phi: TwistTable | None = None) -> dict | None:
+def verify_main_theorem(n: int, phi: RackCocycle | None = None) -> dict | None:
     """Check the twist identity: chi twisted by phi is the constant cocycle -1.
 
     phi defaults to GroupCocycleBit(n).twist_table().  The twisted exponent
@@ -512,7 +512,7 @@ def verify_main_theorem(n: int, phi: TwistTable | None = None) -> dict | None:
     return {
         "sigma": str(pairs[a]),
         "tau": str(pairs[b]),
-        "phi_bits": [int(phi.phi[a, b]), int(phi.phi[chi.rack.op[a, b], a])],
+        "phi_bits": [int(phi.exp[a, b]), int(phi.exp[chi.rack.op[a, b], a])],
         "chi_bit": int(chi.exp[a, b]),
         "ok": False,
     }

@@ -63,7 +63,7 @@ from functools import lru_cache
 import numpy as np
 
 from racktwist import exact, pfaffian, spincover
-from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable, chi_cocycle, minus_one_cocycle
+from racktwist.cocycle import GaugeFunction, RackCocycle, chi_cocycle, minus_one_cocycle
 from racktwist.errors import SectionConsistencyError
 from racktwist.rack import (
     FiniteRack,
@@ -319,9 +319,9 @@ def cocycle_first_failure(q: RackCocycle) -> tuple[int, int, int] | None:
     return None
 
 
-def twist_condition_first_failure(phi: TwistTable) -> tuple[int, int, int] | None:
+def twist_condition_first_failure(phi: RackCocycle) -> tuple[int, int, int] | None:
     """The first triple (x, y, z), in lexicographic order, that breaks the twist condition."""
-    op, p, m, k = phi.rack.op.tolist(), phi.phi.tolist(), phi.order, phi.rack.size
+    op, p, m, k = phi.rack.op.tolist(), phi.exp.tolist(), phi.order, phi.rack.size
     for x in range(k):
         for y in range(k):
             for z in range(k):
@@ -334,7 +334,7 @@ def twist_condition_first_failure(phi: TwistTable) -> tuple[int, int, int] | Non
     return None
 
 
-def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
+def main_theorem_log(phi: RackCocycle, chi: RackCocycle) -> list[dict]:
     """The twist identity checked pair by pair on the transposition rack, one log entry per pair.
 
     Elements are the transpositions (i, j), i < j, in lexicographic order,
@@ -346,7 +346,7 @@ def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
     n = math.isqrt(2 * chi.rack.size) + 1  # the rack has n(n - 1)/2 elements
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     index = {pair: a for a, pair in enumerate(pairs)}
-    phi_bits, chi_bits = phi.phi.tolist(), chi.exp.tolist()
+    phi_bits, chi_bits = phi.exp.tolist(), chi.exp.tolist()
     log = []
     for a, (i, j) in enumerate(pairs):
         swap = {i: j, j: i}
@@ -366,11 +366,11 @@ def main_theorem_log(phi: TwistTable, chi: RackCocycle) -> list[dict]:
     return log
 
 
-def flip_phi_bit(phi: TwistTable, a: int, b: int) -> TwistTable:
+def flip_phi_bit(phi: RackCocycle, a: int, b: int) -> RackCocycle:
     """phi with the order-2 entry at (a, b) flipped."""
-    rows = phi.phi.tolist()
+    rows = phi.exp.tolist()
     rows[a][b] ^= 1
-    return TwistTable(rack=phi.rack, order=phi.order, phi=tuple(tuple(row) for row in rows))
+    return RackCocycle(rack=phi.rack, order=phi.order, exp=tuple(tuple(row) for row in rows))
 
 
 def _dense_strand(q, degree: int, letter: int, value) -> np.ndarray:
@@ -1282,12 +1282,12 @@ class CliffordSection:
         raise SectionConsistencyError(f"s(x)s(y) is not +/- s(xy) for x={x.image}, y={y.image}")
 
 
-def clifford_twist_table(n: int) -> TwistTable:
+def clifford_twist_table(n: int) -> RackCocycle:
     """The restriction of the section's cocycle to transposition pairs, pair by pair in the Clifford model."""
     section = CliffordSection(n)
     perms = [Permutation.transposition(n, i, j) for i, j in transposition_pairs(n)]
     phi = tuple(tuple(section.phi_bit(x, y) for y in perms) for x in perms)
-    return TwistTable(rack=chi_cocycle(n).rack, order=2, phi=phi)
+    return RackCocycle(rack=chi_cocycle(n).rack, order=2, exp=phi)
 
 
 def bracket_vector(n: int, i: int, j: int) -> tuple[int, ...]:
@@ -1466,9 +1466,9 @@ def chi_exponents_by_permutations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(0 if sigma(i) < sigma(j) else 1 for i, j in pairs) for sigma in perms)
 
 
-def twist_by_loop(q: RackCocycle, phi: TwistTable) -> tuple[tuple[int, ...], ...]:
+def twist_by_loop(q: RackCocycle, phi: RackCocycle) -> tuple[tuple[int, ...], ...]:
     """The exponents phi[x][y] - phi[x|>y][x] + exp[x][y] (mod m) of the twisted cocycle, entry by entry."""
-    op, p, exp, m, k = q.rack.op.tolist(), phi.phi.tolist(), q.exp.tolist(), q.order, q.rack.size
+    op, p, exp, m, k = q.rack.op.tolist(), phi.exp.tolist(), q.exp.tolist(), q.order, q.rack.size
     return tuple(tuple((p[x][y] - p[op[x][y]][x] + exp[x][y]) % m for y in range(k)) for x in range(k))
 
 

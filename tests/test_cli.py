@@ -152,6 +152,21 @@ class TestCocycleCommand:
             "resource limit: cocycle order 99999999999999999999 > 2^62 is too large for 64-bit exponent sums\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["cocycle", "--n", "3", "--kind", "const:2:5"],
+        ["cocycle", "--n", "3", "--kind", "const:2:-1"],
+        ["cocycle", "--n", "3", "--kind", "const:0:0"],
+        ["hilbert", "--rack", "x3", "--cocycle", "const:2:5", "--max-degree", "2"],
+        ["hilbert", "--rack", "x3", "--cocycle", "const:2:-1", "--max-degree", "2"],
+    ])
+    def test_const_exponent_out_of_range_names_its_flag(self, argv, tmp_path, capsys):
+        flag = "--kind" if argv[0] == "cocycle" else "--cocycle"
+        m, e = argv[argv.index(flag) + 1].split(":")[1:]
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {flag}: need m >= 1 and 0 <= e < m, got m={m}, e={e}\n")
+        assert not out.exists()
+
     def test_order_beyond_int64_in_a_file(self, tmp_path, capsys):
         # an exponent of 2^63 overflows int64, so the order is refused before the table is converted;
         # on --rack x4 the file's x3 disagrees too, and the order still comes first
@@ -330,6 +345,41 @@ def test_cocycle_file_with_a_missing_rack_file(tmp_path, monkeypatch, capsys, co
     assert run(COCYCLE_FILE_COMMANDS[command] + [os.path.join("sub", "q.json")]) == 1
     missing = os.path.join("sub", "rack3.json")
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+
+
+NOT_JSON_COMMANDS = {
+    "rack": ["rack", "--check"],
+    "cocycle": ["cocycle", "--check"],
+    "hilbert-rack": ["hilbert", "--cocycle=-1", "--max-degree", "2", "--rack"],
+    "hilbert-cocycle": ["hilbert", "--rack", "x3", "--max-degree", "2", "--cocycle"],
+}
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["empty", "not-utf8"])
+@pytest.mark.parametrize("argv", NOT_JSON_COMMANDS.values(), ids=NOT_JSON_COMMANDS)
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys, argv, content, reason):
+    # one line naming the file, with the decoder's reason, and no report
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "report.json"
+    assert run([*argv, str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path} is not JSON: {reason}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COCYCLE_FILE_COMMANDS)
+def test_cocycle_file_whose_rack_file_is_not_json(tmp_path, capsys, command):
+    write_cocycle_file(tmp_path, "relative")
+    rack = tmp_path / "sub" / "rack3.json"
+    rack.write_text("{")
+    out = tmp_path / "report.json"
+    assert run(COCYCLE_FILE_COMMANDS[command] + [str(tmp_path / "sub" / "q.json"), "--out", str(out)]) == 1
+    reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert capsys.readouterr() == ("", f"error: {rack} is not JSON: {reason}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", CHI_COMMANDS[:3], ids=[argv[0] for argv in CHI_COMMANDS[:3]])

@@ -19,7 +19,6 @@ from racktwist import rack as rack_mod
 from racktwist.cocycle import (
     GaugeFunction,
     RackCocycle,
-    TwistTable,
     _cocycle_condition,
     check_rack_cocycle,
     check_twist_condition,
@@ -190,8 +189,8 @@ class TestChecksMatchTripleLoops:
         table = phi_psi_table(n).twist_table()
         assert check_twist_condition(table) is None and twist_condition_first_failure(table) is None
         failures = 0
-        for phi in flipped_tables(table.phi):
-            t = TwistTable(rack=table.rack, order=2, phi=phi)
+        for phi in flipped_tables(table.exp):
+            t = RackCocycle(rack=table.rack, order=2, exp=phi)
             want = twist_condition_first_failure(t)
             assert check_twist_condition(t) == want
             failures += want is not None
@@ -206,7 +205,7 @@ class TestChecksMatchTripleLoops:
             exp[rng.randrange(k)][rng.randrange(k)] = rng.randrange(m)
             bad = RackCocycle(rack=q.rack, order=m, exp=tuple(tuple(row) for row in exp))
             assert cocycle_witness(bad) == cocycle_first_failure(bad)
-            phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
+            phi = RackCocycle(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
             assert check_twist_condition(phi) == twist_condition_first_failure(phi)
 
 
@@ -252,7 +251,7 @@ class TestChunkedTripleChecks:
         assert rack_mod._first_failure(op, [_cocycle_condition(q, op)]) == (0, (k - 1,) * 3)
         assert cocycle_first_failure(q) == (k - 1,) * 3
         rack, phi = at_the_top(LAST_TRIPLE_TWIST, k, scale, shift, m)
-        t = TwistTable(rack, m, phi)
+        t = RackCocycle(rack, m, phi)
         assert twist_condition_first_failure(t) == (k - 1,) * 3
         with pytest.raises(RackAxiomError, match=f"^non-bijective-row at \\({k - 1},\\): the twist condition needs a rack$"):
             check_twist_condition(t)
@@ -267,8 +266,8 @@ class TestChunkedTripleChecks:
             q = RackCocycle(rack=chi.rack, order=2, exp=exp)
             assert cocycle_witness(q) == cocycle_first_failure(q)
             xs.add(cocycle_witness(q)[0])
-        for phi in flipped_tables(table.phi):
-            t = TwistTable(rack=table.rack, order=2, phi=phi)
+        for phi in flipped_tables(table.exp):
+            t = RackCocycle(rack=table.rack, order=2, exp=phi)
             triple = check_twist_condition(t)
             assert triple == twist_condition_first_failure(t)
             if triple is not None:
@@ -288,7 +287,7 @@ class TestChunkedTripleChecks:
          (0, 1, 2), (0, 12), (0, 1, 4)),
     ], ids=["x3", "x4"])
     def test_twist_residues_at_the_extremes(self, n, m, phi, holds, sides, witness):
-        t = TwistTable(transposition_rack(n), m, phi)
+        t = RackCocycle(transposition_rack(n), m, phi)
         op, (x, y, z) = t.rack.op, holds
         yz, xy, xz = op[y][z], op[x][y], op[x][z]
         xyz = op[x][yz]
@@ -302,8 +301,7 @@ class TestChunkedTripleChecks:
     def test_orders_above_two_to_the_62_are_refused(self):
         # each record refuses the order before it reads its table, so no check, twist or gauge ever sees one
         m = 2**62 + 1
-        for build, what in ((lambda: TwistTable(X4, m, ((0,) * 6,) * 6), "twist"),
-                            (lambda: constant_cocycle(X4, m, 1), "cocycle"),
+        for build, what in ((lambda: constant_cocycle(X4, m, 1), "cocycle"),
                             (lambda: RackCocycle(X4, m, ((2**63,) * 6,) * 6), "cocycle"),
                             (lambda: GaugeFunction(X4, m, (2**70,) * 6), "gauge")):
             with pytest.raises(DimensionCapError) as exc:
@@ -382,11 +380,11 @@ class TestIntegerTables:
         for _ in range(40):
             q = random_cocycle_pool(rng)
             k, m = q.rack.size, q.order
-            phi = TwistTable(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
+            phi = RackCocycle(q.rack, m, tuple(tuple(rng.randrange(m) for _ in range(k)) for _ in range(k)))
             assert np.array_equal(twist(q, phi).exp, twist_by_loop(q, phi))
         m = 2**62
         q = constant_cocycle(X4, m, m - 1)
-        phi = TwistTable(X4, m, tuple(tuple(rng.choice((0, 1, m - 1)) for _ in range(6)) for _ in range(6)))
+        phi = RackCocycle(X4, m, tuple(tuple(rng.choice((0, 1, m - 1)) for _ in range(6)) for _ in range(6)))
         assert np.array_equal(twist(q, phi).exp, twist_by_loop(q, phi))
 
 
@@ -490,7 +488,7 @@ class TestFindGauge:
 class TestTwist:
     def test_zero_twist_is_identity(self):
         chi = chi_cocycle(4)
-        phi = TwistTable(X4, 2, ((0,) * 6,) * 6)
+        phi = RackCocycle(X4, 2, ((0,) * 6,) * 6)
         assert np.array_equal(twist(chi, phi).exp, chi.exp)
 
     def test_balanced_twist_cancels(self):
@@ -502,17 +500,17 @@ class TestTwist:
         for a in range(k):
             for b in range(a, k):
                 phi_rows[a][b] = phi_rows[b][a] = rng.randrange(4)
-        phi = TwistTable(rack, 4, tuple(tuple(r) for r in phi_rows))
+        phi = RackCocycle(rack, 4, tuple(tuple(r) for r in phi_rows))
         q = constant_cocycle(rack, 4, 3)
         assert np.array_equal(twist(q, phi).exp, q.exp)
 
     def test_constant_twist_table_cancels(self):
         chi = chi_cocycle(4)
-        phi = TwistTable(X4, 2, ((1,) * 6,) * 6)
+        phi = RackCocycle(X4, 2, ((1,) * 6,) * 6)
         assert np.array_equal(twist(chi, phi).exp, chi.exp)
 
     def test_twist_condition_zero_table(self):
-        phi = TwistTable(X4, 2, ((0,) * 6,) * 6)
+        phi = RackCocycle(X4, 2, ((0,) * 6,) * 6)
         assert check_twist_condition(phi) is None
 
     def test_twist_condition_random_failure_has_witness(self):
@@ -522,14 +520,14 @@ class TestTwist:
             phi_rows = tuple(
                 tuple(rng.randrange(2) for _ in range(6)) for _ in range(6)
             )
-            phi = TwistTable(X4, 2, phi_rows)
+            phi = RackCocycle(X4, 2, phi_rows)
             witness = check_twist_condition(phi)
             if witness is None:
                 continue
             found_failure = True
             x, y, z = witness
             op = X4.op
-            p = phi.phi
+            p = phi.exp
             yz = op[y][z]
             xyz = op[x][yz]
             lhs = p[x][z] + p[op[x][y]][op[x][z]] + p[xyz][x] + p[yz][y]
@@ -542,7 +540,7 @@ class TestTwist:
         for _ in range(40):
             q = random_cocycle_pool(rng)
             rack, m = q.rack, q.order
-            phi = TwistTable(
+            phi = RackCocycle(
                 rack, m,
                 tuple(tuple(rng.randrange(m) for _ in range(rack.size)) for _ in range(rack.size)),
             )

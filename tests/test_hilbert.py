@@ -1045,9 +1045,7 @@ class TestGradedDims:
 class TestCompareTwistSeries:
     # a twist table that satisfies the twist condition, then the series of q and of twist(q, phi)
     def test_trivial_twist_equal(self):
-        from racktwist.cocycle import TwistTable
-
-        phi = TwistTable(X4, 2, ((0,) * 6,) * 6)
+        phi = RackCocycle(X4, 2, ((0,) * 6,) * 6)
         assert check_twist_condition(phi) is None
         base = graded_dims(chi_cocycle(4), 3, mode="exact")
         twisted = graded_dims(twist(chi_cocycle(4), phi), 3, mode="exact")
@@ -1061,11 +1059,9 @@ class TestCompareTwistSeries:
         assert [a == b for a, b in zip(base["ranks"], twisted["ranks"])] == [True] * 4
 
     def test_invalid_twist_table_rejected(self):
-        from racktwist.cocycle import TwistTable
-
         bad_rows = [[0] * 6 for _ in range(6)]
         bad_rows[0][1] = 1
         bad_rows[1][0] = 1
         bad_rows[0][2] = 1
-        bad = TwistTable(X4, 2, tuple(tuple(r) for r in bad_rows))
+        bad = RackCocycle(X4, 2, tuple(tuple(r) for r in bad_rows))
         assert check_twist_condition(bad) is not None

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import BraidWord, MonomialOperator
-from racktwist.cocycle import GaugeFunction, RackCocycle, TwistTable
+from racktwist.cocycle import GaugeFunction, RackCocycle
 from racktwist.rack import FiniteRack, Permutation
 
 TRIVIAL2 = FiniteRack(((0, 1), (0, 1)))
@@ -19,8 +19,6 @@ CONSTRUCTOR_CHECKS = {
     "cocycle-exponents": (lambda: RackCocycle(TRIVIAL2, 2, ((0, 2), (0, 0))), "exponents must be reduced to 0..order-1"),
     "gauge-length": (lambda: GaugeFunction(TRIVIAL2, 2, (0,)), "gauge length must match rack size"),
     "gauge-exponents": (lambda: GaugeFunction(TRIVIAL2, 2, (0, -1)), "exponents must be reduced to 0..order-1"),
-    "twist-shape": (lambda: TwistTable(TRIVIAL2, 2, ((0, 0), (0,))), "phi table shape must match rack size"),
-    "twist-exponents": (lambda: TwistTable(TRIVIAL2, 3, ((0, 3), (0, 0))), "exponents must be reduced to 0..order-1"),
     "braid-letter": (lambda: BraidWord(3, (1, 3)), "letter 3 out of range 1..2"),
 }
 
@@ -36,8 +34,9 @@ def test_constructor_refuses_with_its_message(build, message):
 EQUAL_BY_VALUE = {
     "permutation": (lambda: Permutation(tuple([2, 3, 1])), Permutation((3, 1, 2))),
     "rack": (lambda: FiniteRack(tuple(tuple([0, 1]) for _ in range(2)), ("a", "b")), FiniteRack(TRIVIAL2.op)),
-    "twist-table": (lambda: TwistTable(FiniteRack(((0, 1), (0, 1))), 2, tuple(tuple([0, 1]) for _ in range(2))),
-                    TwistTable(TRIVIAL2, 3, ((0, 1), (0, 1)))),
+    "cocycle": (lambda: RackCocycle(FiniteRack(((0, 1), (0, 1))), 2, tuple(tuple([0, 1]) for _ in range(2))),
+                RackCocycle(TRIVIAL2, 3, ((0, 1), (0, 1)))),
+    "gauge": (lambda: GaugeFunction(FiniteRack(((0, 1), (0, 1))), 2, tuple([0, 1])), GaugeFunction(TRIVIAL2, 2, (1, 1))),
 }
 
 
@@ -50,8 +49,8 @@ def test_equal_and_hashed_by_value(build, other):
     assert a != other and not a == other
 
 
-@pytest.mark.parametrize("build", [lambda t: FiniteRack(t, ("a", "b")), lambda t: TwistTable(TRIVIAL2, 2, t)],
-                         ids=["rack", "twist-table"])
+@pytest.mark.parametrize("build", [lambda t: FiniteRack(t, ("a", "b")), lambda t: RackCocycle(TRIVIAL2, 2, t)],
+                         ids=["rack", "cocycle"])
 def test_tuples_and_arrays_build_one_record(build):
     # the record keeps its own read-only copy in one dtype, whatever the table came as
     table = ((0, 1), (0, 1))
@@ -77,7 +76,6 @@ READ_ONLY = {
     "rack": (lambda: FiniteRack(TRIVIAL2.op), "op"),
     "cocycle": (lambda: RackCocycle(TRIVIAL2, 2, ((0, 1), (1, 0))), "exp"),
     "gauge": (lambda: GaugeFunction(TRIVIAL2, 2, (0, 1)), "g"),
-    "twist-table": (lambda: TwistTable(TRIVIAL2, 2, ((0, 1), (1, 0))), "phi"),
     "braid-word": (lambda: BraidWord(3, (1, 2)), "letters"),
 }
 

@@ -875,7 +875,7 @@ class TestMainTheorem:
     def test_flipped_bit_gives_the_first_failing_pair(self, n):
         # a diagonal flip cancels (x |> x = x), every off-diagonal one breaks two pairs
         table, chi = phi_psi_table(n).twist_table(), chi_cocycle(n)
-        k = len(table.phi)
+        k = len(table.exp)
         for a, b in itertools.permutations(range(k), 2):
             flipped = flip_phi_bit(table, a, b)
             failing = [entry for entry in main_theorem_log(flipped, chi) if not entry["ok"]]
