@@ -6,6 +6,7 @@ import pytest
 from oracles import BraidWord, MonomialOperator
 from racktwist.cocycle import GaugeFunction, RackCocycle
 from racktwist.rack import FiniteRack, Permutation
+from racktwist.spincover import phi_psi_table
 
 TRIVIAL2 = FiniteRack(((0, 1), (0, 1)))
 
@@ -76,6 +77,7 @@ READ_ONLY = {
     "rack": (lambda: FiniteRack(TRIVIAL2.op), "op"),
     "cocycle": (lambda: RackCocycle(TRIVIAL2, 2, ((0, 1), (1, 0))), "exp"),
     "gauge": (lambda: GaugeFunction(TRIVIAL2, 2, (0, 1)), "g"),
+    "twist-table": (lambda: phi_psi_table(3).twist_table(), "exp"),
     "braid-word": (lambda: BraidWord(3, (1, 2)), "letters"),
 }
 
